@@ -14,10 +14,11 @@ from .tensor import (
     add_allocation_hook,
     as_tensor,
     concatenate,
+    contract_channels,
     is_grad_enabled,
+    linear_combination,
     no_grad,
     remove_allocation_hook,
-    set_allocation_hook,
     set_op_hook,
     stack,
     where,
@@ -29,11 +30,12 @@ __all__ = [
     "concatenate",
     "stack",
     "where",
+    "linear_combination",
+    "contract_channels",
     "no_grad",
     "is_grad_enabled",
     "add_allocation_hook",
     "remove_allocation_hook",
-    "set_allocation_hook",
     "set_op_hook",
     "spmm",
     "spmm_numpy",

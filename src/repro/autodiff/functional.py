@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import AutodiffError
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor, _notify_alloc, _notify_ewise, is_grad_enabled
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -111,9 +111,17 @@ def dropout(
         return x
     if rng is None:
         rng = np.random.default_rng()
-    keep = (rng.random(x.shape) >= p).astype(x.dtype)
-    scale = 1.0 / (1.0 - p)
-    mask = Tensor(keep * scale)
+    # The draw happens even when no graph is recorded, so a seeded
+    # generator is left in the same state either way.
+    mask = (rng.random(x.shape) >= p).astype(x.dtype)
     if not is_grad_enabled():
         return x
-    return x * mask
+    np.multiply(mask, 1.0 / (1.0 - p), out=mask)
+    _notify_alloc(mask, "dropout")
+    data = x.data * mask
+    _notify_ewise(data)
+
+    def backward(grad: np.ndarray):
+        return (grad * mask,)
+
+    return Tensor._make(data, (x,), backward, "dropout")

@@ -23,7 +23,7 @@ Design notes
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,8 +36,6 @@ _grad_enabled = True
 #: A tuple (not a list) so dispatch iterates over an immutable snapshot:
 #: a hook that adds/removes hooks mid-notification cannot shear the loop.
 _allocation_hooks: tuple = ()
-#: The adapter currently installed by the deprecated single-slot setter.
-_legacy_allocation_hook: Optional[Callable] = None
 _op_hook: Optional[Callable[[str, int, int], None]] = None
 
 #: Signature of a registered allocation hook:
@@ -73,30 +71,6 @@ def remove_allocation_hook(hook: AllocationHook) -> None:
     """
     global _allocation_hooks
     _allocation_hooks = tuple(h for h in _allocation_hooks if h != hook)
-
-
-def set_allocation_hook(hook: Optional[Callable[[int], None]]) -> None:
-    """Deprecated single-slot setter kept for backward compatibility.
-
-    Historical callers installed ``hook(nbytes)`` and relied on ``None``
-    to remove it; this shim adapts the old one-argument signature onto
-    :func:`add_allocation_hook` / :func:`remove_allocation_hook`. Only the
-    shim's own previous hook is displaced — hooks registered through the
-    multi-subscriber API are untouched, which is the fix for
-    ``DeviceModel.step()`` silently clobbering the span tracer's
-    allocation attribution.
-    """
-    global _legacy_allocation_hook
-    if _legacy_allocation_hook is not None:
-        remove_allocation_hook(_legacy_allocation_hook)
-        _legacy_allocation_hook = None
-    if hook is not None:
-        def adapter(nbytes: int, array: np.ndarray, op: str,
-                    _hook=hook) -> None:
-            _hook(nbytes)
-
-        _legacy_allocation_hook = adapter
-        add_allocation_hook(adapter)
 
 
 def set_op_hook(hook: Optional[Callable[[str, int, int], None]]) -> None:
@@ -378,7 +352,10 @@ class Tensor:
         _notify_ewise(data)
 
         def backward(grad: np.ndarray):
-            return (_unbroadcast(grad, a.shape), _unbroadcast(grad, b.shape))
+            return (
+                _unbroadcast(grad, a.shape) if a.requires_grad else None,
+                _unbroadcast(grad, b.shape) if b.requires_grad else None,
+            )
 
         return Tensor._make(data, (a, b), backward, "add")
 
@@ -391,7 +368,10 @@ class Tensor:
         _notify_ewise(data)
 
         def backward(grad: np.ndarray):
-            return (_unbroadcast(grad, a.shape), _unbroadcast(-grad, b.shape))
+            return (
+                _unbroadcast(grad, a.shape) if a.requires_grad else None,
+                _unbroadcast(-grad, b.shape) if b.requires_grad else None,
+            )
 
         return Tensor._make(data, (a, b), backward, "sub")
 
@@ -406,8 +386,8 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad * b.data, a.shape),
-                _unbroadcast(grad * a.data, b.shape),
+                _unbroadcast(grad * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(grad * a.data, b.shape) if b.requires_grad else None,
             )
 
         return Tensor._make(data, (a, b), backward, "mul")
@@ -422,8 +402,9 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad / b.data, a.shape),
-                _unbroadcast(-grad * a.data / (b.data * b.data), b.shape),
+                _unbroadcast(grad / b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(-grad * a.data / (b.data * b.data), b.shape)
+                if b.requires_grad else None,
             )
 
         return Tensor._make(data, (a, b), backward, "div")
@@ -640,13 +621,27 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         a = self
         data = a.data[index]
+        # A basic index selects every element at most once, so a plain
+        # assignment scatters the gradient; only integer/boolean array
+        # indices can repeat an element and need the unbuffered add.
+        basic = _is_basic_index(index)
 
         def backward(grad: np.ndarray):
             out = np.zeros_like(a.data)
-            np.add.at(out, index, grad)
+            if basic:
+                out[index] = grad
+            else:
+                np.add.at(out, index, grad)
             return (out,)
 
         return Tensor._make(data, (a,), backward, "getitem")
+
+
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is ints / slices / ``Ellipsis`` (or a tuple of them)."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(item, (int, np.integer, slice, type(Ellipsis)))
+               for item in items)
 
 
 def _batched_matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -707,11 +702,104 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray):
         return (
-            _unbroadcast(np.where(cond, grad, 0.0), a.shape),
-            _unbroadcast(np.where(cond, 0.0, grad), b.shape),
+            _unbroadcast(np.where(cond, grad, 0.0), a.shape)
+            if a.requires_grad else None,
+            _unbroadcast(np.where(cond, 0.0, grad), b.shape)
+            if b.requires_grad else None,
         )
 
     return Tensor._make(data, (a, b), backward, "where")
+
+
+def linear_combination(
+    terms: Iterable[Tensor], coefficients: Union[Tensor, ArrayLike]
+) -> Tensor:
+    """``Σ_k c_k · B_k`` over same-shaped terms as one graph node.
+
+    ``terms`` is consumed as an iterator, so a basis recurrence streams
+    through one accumulator and one scratch buffer; the ufunc sequence
+    (multiply, then add into the accumulator, in term order) is the one
+    the unfused ``B_k * c_k`` / ``out + term`` chain executes, so forward
+    values are bit-identical to it. ``coefficients`` is a constant 1-D
+    array or a 1-D :class:`Tensor` θ. Backward gives ``∂B_k = c_k · grad``
+    to the terms that require it and ``∂θ_k = ⟨grad, B_k⟩`` as one dot
+    product per term; only the terms backward reads are retained.
+    """
+    theta = coefficients if isinstance(coefficients, Tensor) else None
+    track_theta = _grad_enabled and theta is not None and theta.requires_grad
+    kept: list[tuple[int, Tensor]] = []
+    weights = out = scratch = None
+    for k, term in enumerate(terms):
+        term = as_tensor(term)
+        if out is None:
+            weights = theta.data if theta is not None \
+                else np.asarray(coefficients, dtype=term.dtype)
+            if weights.ndim != 1:
+                raise AutodiffError(
+                    f"coefficients must be 1-D, got shape {weights.shape}")
+        if k >= len(weights):
+            raise AutodiffError(
+                f"more terms than the {len(weights)} coefficients")
+        if out is None:
+            out = np.multiply(term.data, weights[0])
+        else:
+            if term.shape != out.shape:
+                raise AutodiffError(
+                    f"term {k} has shape {term.shape}, expected {out.shape}")
+            if scratch is None:
+                scratch = np.empty_like(out)
+            np.multiply(term.data, weights[k], out=scratch)
+            np.add(out, scratch, out=out)
+        if track_theta or (_grad_enabled and term.requires_grad):
+            kept.append((k, term))
+    if out is None:
+        raise AutodiffError("linear_combination of no terms")
+    if _op_hook is not None:
+        _op_hook("ewise", 2 * out.size * (k + 1), out.nbytes)
+
+    def backward(grad: np.ndarray):
+        grads = [np.multiply(grad, weights[k]) if term.requires_grad else None
+                 for k, term in kept]
+        if theta is None:
+            return tuple(grads)
+        grad_theta = None
+        if theta.requires_grad:
+            grad_theta = np.zeros_like(weights)
+            flat = grad.reshape(-1)
+            for k, term in kept:
+                grad_theta[k] = np.dot(flat, term.data.reshape(-1))
+        return (*grads, grad_theta)
+
+    parents = [term for _, term in kept]
+    if theta is not None:
+        parents.append(theta)
+    return Tensor._make(out, parents, backward, "combine")
+
+
+def contract_channels(batch: Tensor, weights: Tensor) -> Tensor:
+    """Contract the channel axis: ``(B, C, F) × (C,) | (C, F) → (B, F)``.
+
+    One ``einsum`` in place of ``(batch * weights).sum(axis=1)``: neither
+    the ``(B, C, F)`` product nor, when ``batch`` is a constant (the
+    mini-batch scheme's precomputed channels), its gradient is built.
+    """
+    if batch.ndim != 3 or weights.shape not in (batch.shape[1:2], batch.shape[1:]):
+        raise AutodiffError(
+            f"cannot contract channels of {batch.shape} with weights {weights.shape}")
+    w = "c" if weights.ndim == 1 else "cf"
+    data = np.einsum(f"bcf,{w}->bf", batch.data, weights.data)
+    if _op_hook is not None:
+        _op_hook("ewise", 2 * batch.size, data.nbytes)
+
+    def backward(grad: np.ndarray):
+        grad_batch = grad_weights = None
+        if batch.requires_grad:
+            grad_batch = np.einsum(f"bf,{w}->bcf", grad, weights.data)
+        if weights.requires_grad:
+            grad_weights = np.einsum(f"bf,bcf->{w}", grad, batch.data)
+        return (grad_batch, grad_weights)
+
+    return Tensor._make(data, (batch, weights), backward, "contract")
 
 
 def as_tensor(value: Union[Tensor, ArrayLike], dtype: Optional[np.dtype] = None) -> Tensor:

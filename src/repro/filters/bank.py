@@ -23,7 +23,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autodiff.tensor import Tensor, concatenate as tensor_concat, stack as tensor_stack
+from ..autodiff.tensor import (Tensor, concatenate as tensor_concat,
+                               contract_channels, linear_combination,
+                               stack as tensor_stack)
 from ..errors import FilterError
 from ..graph.graph import Graph
 from ..runtime import plan
@@ -147,14 +149,21 @@ class FilterBank(SpectralFilter):
         gamma = params["gamma"] if params else self.parameter_spec()["gamma"].init
         outputs = []
         for index, channel in enumerate(self.channels):
-            out = channel.forward(ctx, x, self._channel_params(params, index))
-            outputs.append(out * gamma[index])
+            outputs.append(
+                channel.forward(ctx, x, self._channel_params(params, index)))
+        return self._fuse(outputs, gamma)
+
+    def _fuse(self, outputs: Sequence[Signal], gamma) -> Signal:
+        """``⊕_q γ_q · g_q``: one fused node for an autodiff sum."""
+        if self.fusion == "sum" and isinstance(outputs[0], Tensor):
+            return linear_combination(outputs, gamma)
+        scaled = [out * gamma[index] for index, out in enumerate(outputs)]
         if self.fusion == "sum":
-            fused = outputs[0]
-            for out in outputs[1:]:
+            fused = scaled[0]
+            for out in scaled[1:]:
                 fused = fused + out
             return fused
-        return _fuse_concat(outputs)
+        return _fuse_concat(scaled)
 
     def output_width(self, in_features: int) -> int:
         if self.fusion == "concat":
@@ -186,14 +195,9 @@ class FilterBank(SpectralFilter):
             zip(self.channels, self._channel_slices)
         ):
             sub = batch[:, start:stop, :]
-            out = channel.batch_combine(sub, self._channel_params(params, index))
-            outputs.append(out * gamma[index])
-        if self.fusion == "sum":
-            fused = outputs[0]
-            for out in outputs[1:]:
-                fused = fused + out
-            return fused
-        return _fuse_concat(outputs)
+            outputs.append(
+                channel.batch_combine(sub, self._channel_params(params, index)))
+        return self._fuse(outputs, gamma)
 
     # ------------------------------------------------------------------
     # spectral analysis
@@ -416,8 +420,7 @@ class AdaGNNFilter(SpectralFilter):
         if not isinstance(gamma, Tensor):
             gamma = Tensor(np.asarray(gamma, dtype=np.float32))
         coefficients = self._signed_elementary_symmetric(gamma)  # (K+1, F)
-        weights = coefficients.reshape(1, self.num_hops + 1, self.num_features)
-        return (batch * weights).sum(axis=1)
+        return contract_channels(batch, coefficients)
 
     def _signed_elementary_symmetric(self, gamma: Tensor) -> Tensor:
         """(−1)^k e_k(γ_{:,f}) per feature: Π(1−γλ) = Σ_k c_k λ^k."""

@@ -30,13 +30,15 @@ spectral kernels" design, Appendix C).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..autodiff.sparse import spmm, spmm_numpy
-from ..autodiff.tensor import Tensor
+from ..autodiff.tensor import (Tensor, as_tensor, contract_channels,
+                               linear_combination)
 from ..errors import FilterError
 from ..graph.graph import Graph
 from ..runtime import plan
@@ -141,14 +143,20 @@ Context = Union[PropagationContext, SpectralContext]
 
 
 def _combine(bases: Iterator[Signal], coefficients) -> Signal:
-    """Σ θ_k B_k, streaming (holds one accumulator + current basis)."""
-    out = None
-    for k, basis in enumerate(bases):
-        # basis-first keeps numpy scalars from trying to absorb Tensors
-        term = basis * coefficients[k]
-        out = term if out is None else out + term
-    if out is None:
+    """Σ θ_k B_k, streaming (holds one accumulator + current basis).
+
+    Autodiff signals go through the fused :func:`linear_combination` node;
+    numpy and spectral-grid signals evaluate the plain expression.
+    """
+    bases = iter(bases)
+    first = next(bases, None)
+    if first is None:
         raise FilterError("filter produced no basis terms")
+    if isinstance(first, Tensor):
+        return linear_combination(chain((first,), bases), coefficients)
+    out = first * coefficients[0]
+    for k, basis in enumerate(bases, start=1):
+        out = out + basis * coefficients[k]
     return out
 
 
@@ -285,10 +293,7 @@ class SpectralFilter:
         if self.category == "fixed":
             return batch.reshape(batch.shape[0], batch.shape[2])
         coefficients = self._resolve_coefficients(params)
-        if not isinstance(coefficients, Tensor):
-            coefficients = Tensor(np.asarray(coefficients, dtype=np.float32))
-        weights = coefficients.reshape(1, coefficients.shape[0], 1)
-        return (batch * weights).sum(axis=1)
+        return contract_channels(batch, as_tensor(coefficients, dtype=np.float32))
 
     def output_width(self, in_features: int) -> int:
         """Feature width after :meth:`forward` (banks with concat widen it)."""

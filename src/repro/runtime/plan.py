@@ -89,6 +89,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import telemetry
+from ..autodiff.tensor import Tensor, linear_combination
 from . import blocked as runtime_blocked
 from . import cache as runtime_cache
 from . import shm as runtime_shm
@@ -154,11 +155,14 @@ def array_token(array: np.ndarray) -> Tuple:
 # ======================================================================
 # Each step function computes term k (k >= 1) of its recurrence from the
 # window (prev_prev, prev); ``prev_prev`` is None at k == 1. With
-# ``ws=None`` the step evaluates the plain streaming expression (works on
-# numpy arrays, autodiff Tensors, and spectral-grid signals alike); with
-# a Workspace it runs the numpy in-place variant. The two branches MUST
-# stay ufunc-for-ufunc identical — that is the planner's bit-identity
-# contract — so edit them only in pairs.
+# ``ws=None`` the step evaluates the plain streaming expression (numpy
+# arrays and spectral-grid signals) or, for autodiff Tensors, the same
+# expression as one fused ``linear_combination`` node wherever it would
+# otherwise be several; with a Workspace it runs the numpy in-place
+# variant. The branches MUST stay bit-identical — that is the planner's
+# contract — so edit them only together. The fused form folds signs into
+# the coefficients (``(-t)·c ≡ t·(-c)``, ``a − b ≡ a + (−b)``), which IEEE
+# rounding, being sign-symmetric, cannot tell apart.
 
 
 class Workspace:
@@ -204,6 +208,8 @@ def _step_monomial_lap(ctx, x, prev_prev, prev, k, params, ws=None):
 
 def _step_chebyshev(ctx, x, prev_prev, prev, k, params, ws=None):
     """First-kind Chebyshev on ``L̂ = −Ã``: ``T_k = 2L̂T_{k-1} − T_{k-2}``."""
+    if isinstance(prev, Tensor) and k > 1:
+        return linear_combination((ctx.adj(prev), prev_prev), (-2.0, -1.0))
     if ws is None:
         shifted = -ctx.adj(prev)
         if k == 1:
@@ -220,6 +226,10 @@ def _step_chebyshev(ctx, x, prev_prev, prev, k, params, ws=None):
 
 def _step_clenshaw(ctx, x, prev_prev, prev, k, params, ws=None):
     """Second-kind Chebyshev: ``U_1 = 2L̂``, ``U_k = 2L̂U_{k-1} − U_{k-2}``."""
+    if isinstance(prev, Tensor):
+        if k == 1:
+            return linear_combination((ctx.adj(prev),), (-2.0,))
+        return linear_combination((ctx.adj(prev), prev_prev), (-2.0, -1.0))
     if ws is None:
         shifted = -ctx.adj(prev)
         if k == 1:
@@ -236,6 +246,9 @@ def _step_clenshaw(ctx, x, prev_prev, prev, k, params, ws=None):
 
 def _step_legendre(ctx, x, prev_prev, prev, k, params, ws=None):
     """Legendre: ``P_k = ((2k−1)/k) L̂ P_{k-1} − ((k−1)/k) P_{k-2}``."""
+    if isinstance(prev, Tensor) and k > 1:
+        return linear_combination((ctx.adj(prev), prev_prev),
+                                  (-(2.0 * k - 1.0) / k, -(k - 1.0) / k))
     if ws is None:
         shifted = -ctx.adj(prev)
         if k == 1:
@@ -256,6 +269,9 @@ def _step_jacobi(ctx, x, prev_prev, prev, k, params, ws=None):
     """Jacobi ``P_k^{(a,b)}(1 − λ)`` (Wang & Zhang 2022 recurrence)."""
     a, b = params
     if k == 1:
+        if isinstance(x, Tensor):
+            return linear_combination(
+                (x, ctx.adj(x)), ((a - b) / 2.0, (a + b + 2.0) / 2.0))
         if ws is None:
             return x * ((a - b) / 2.0) + ctx.adj(x) * ((a + b + 2.0) / 2.0)
         term = ctx.adj(x)
@@ -269,6 +285,9 @@ def _step_jacobi(ctx, x, prev_prev, prev, k, params, ws=None):
         * (2.0 * k + a + b - 2.0) / denom
     c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b) / denom
     c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b) / denom
+    if isinstance(prev, Tensor):
+        return linear_combination((ctx.adj(prev), prev, prev_prev),
+                                  (c1, c2, -c3))
     if ws is None:
         return ctx.adj(prev) * c1 + prev * c2 - prev_prev * c3
     term = ctx.adj(prev)
@@ -293,6 +312,8 @@ def _step_horner(ctx, x, prev_prev, prev, k, params, ws=None):
 def _step_shifted_monomial(ctx, x, prev_prev, prev, k, params, ws=None):
     """FAGNN channel powers: ``T_k = s·Ã T_{k-1} + β T_{k-1}``."""
     beta, sign = params
+    if isinstance(prev, Tensor):
+        return linear_combination((ctx.adj(prev), prev), (sign, beta))
     if ws is None:
         return ctx.adj(prev) * sign + prev * beta
     term = ctx.adj(prev)
@@ -307,6 +328,10 @@ def _step_gaussian(ctx, x, prev_prev, prev, k, params, ws=None):
     """One G²CN product layer: ``H ← H − (α/J)·C²H`` with ``C = βI + Ã``."""
     alpha, beta, layers = params
     step = alpha / layers
+    if isinstance(prev, Tensor):
+        inner = linear_combination((ctx.adj(prev), prev), (1.0, beta))
+        squared = linear_combination((ctx.adj(inner), inner), (1.0, beta))
+        return linear_combination((prev, squared), (1.0, -step))
     if ws is None:
         inner = ctx.adj(prev) + prev * beta
         squared = ctx.adj(inner) + inner * beta

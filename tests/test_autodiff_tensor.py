@@ -183,6 +183,16 @@ class TestBackward:
         lambda t: t.reshape(4, 3),
         lambda t: t.transpose(),
         lambda t: t[np.array([0, 2])],
+        # basic indices scatter by assignment ...
+        lambda t: t[1],
+        lambda t: t[1:3],
+        lambda t: t[..., 2],
+        lambda t: t[:, 1:3],
+        lambda t: t[2, 1],
+        # ... array indices can repeat an element and must accumulate
+        lambda t: t[np.array([0, 2, 2, 0])],
+        lambda t: t[np.array([True, False, True])],
+        lambda t: t[(np.array([0, 1, 1]), np.array([3, 0, 0]))],
         lambda t: t.clip(-0.5, 0.5),
     ])
     def test_gradients_match_finite_difference(self, op):

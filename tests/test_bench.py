@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.bench import (
@@ -103,6 +105,19 @@ class TestExperiments:
             assert row["train_s_per_epoch"] > 0
         mb_rows = [r for r in rows if r["scheme"] == "mini_batch"]
         assert all(r["precompute_s"] > 0 for r in mb_rows)
+        # The paper's memory orderings (Tables 5-6), which metering only
+        # what reverse mode retains must not disturb.
+        cell = {(r["filter"], r["scheme"]): r for r in rows}
+        assert (cell["PPR", "full_batch"]["device_bytes"]
+                > cell["PPR", "mini_batch"]["device_bytes"])
+        assert (cell["Chebyshev", "mini_batch"]["ram_bytes"]
+                > cell["PPR", "mini_batch"]["ram_bytes"])
+        (edge_index,) = efficiency_experiment(
+            dataset_names=("cora",), filters=("ppr",),
+            schemes=("full_batch",),
+            config=dataclasses.replace(TINY, backend="coo_gather"))
+        assert (edge_index["device_bytes"]
+                > cell["PPR", "full_batch"]["device_bytes"])
 
     def test_efficiency_oom_rows(self):
         rows = efficiency_experiment(

@@ -50,7 +50,7 @@ def _clean_telemetry():
     telemetry.shutdown()
     yield
     telemetry.shutdown()
-    tensor_mod.set_allocation_hook(None)
+    tensor_mod._allocation_hooks = ()
 
 
 def _tensor(kib: int, **kwargs) -> Tensor:
@@ -127,16 +127,19 @@ class TestAllocationHookDispatch:
         assert ops[0] == "leaf"
         assert "add" in ops
 
-    def test_legacy_setter_still_works_and_replaces_itself(self):
+    def test_remove_then_add_replaces_subscription(self):
         first, second = [], []
-        tensor_mod.set_allocation_hook(first.append)
-        tensor_mod.set_allocation_hook(second.append)  # replaces, not stacks
+        first_hook = tensor_mod.add_allocation_hook(
+            lambda n, arr, op: first.append(n))
+        tensor_mod.remove_allocation_hook(first_hook)
+        second_hook = tensor_mod.add_allocation_hook(
+            lambda n, arr, op: second.append(n))
         try:
             _tensor(2)
             assert first == []
             assert second == [2048]
         finally:
-            tensor_mod.set_allocation_hook(None)
+            tensor_mod.remove_allocation_hook(second_hook)
         _tensor(1)
         assert second == [2048]
 
