@@ -236,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared_group = parser.add_mutually_exclusive_group()
     shared_group.add_argument(
         "--shared-terms", action="store_true",
-        help="require the cross-process shared-memory term store: pool "
-             "workers attach planner-served basis chains (and the "
+        help="require the cross-process shared term store (a directory "
+             "of content-addressed files under /dev/shm): pool workers "
+             "memory-map planner-served basis chains (and the "
              "spmm-transpose/normalization CSRs) published by their "
              "siblings instead of recomputing them (grid sweeps with "
              "--workers > 1; on by default there — this flag makes a "
@@ -503,8 +504,7 @@ def main(argv=None) -> int:
             parser.error("--shared-terms conflicts with --no-cache "
                          "(the store is part of the cache layer)")
         if not runtime_shm.supported():
-            parser.error("--shared-terms requires "
-                         "multiprocessing.shared_memory (POSIX)")
+            parser.error("--shared-terms requires a writable /dev/shm")
     # Default: sharing is ON for pooled grid sweeps — the store is what
     # keeps pooled ops.spmm.calls at serial levels with the planner on.
     # --no-plan only disables *chain* sharing (the planner is the chain

@@ -66,11 +66,6 @@ def unjsonify(value):
     return value
 
 
-#: Backwards-compatible aliases (pre-PR 7 private names).
-_jsonify = jsonify
-_unjsonify = unjsonify
-
-
 def save_rows(rows: Sequence[Mapping], path: PathLike,
               metadata: Mapping | None = None,
               manifest: Union[Mapping, None, bool] = True) -> None:
@@ -85,8 +80,8 @@ def save_rows(rows: Sequence[Mapping], path: PathLike,
         as-is; ``False``/``None`` skips the sidecar.
     """
     payload = {
-        "metadata": _jsonify(dict(metadata or {})),
-        "rows": [_jsonify(dict(row)) for row in rows],
+        "metadata": jsonify(dict(metadata or {})),
+        "rows": [jsonify(dict(row)) for row in rows],
     }
     Path(path).write_text(json.dumps(payload, indent=1))
     if manifest is True:
@@ -109,13 +104,13 @@ def load_rows(path: PathLike) -> List[Dict]:
     payload = json.loads(Path(path).read_text())
     if "rows" not in payload:
         raise ReproError(f"{path} is not a saved experiment file")
-    return [_unjsonify(row) for row in payload["rows"]]
+    return [unjsonify(row) for row in payload["rows"]]
 
 
 def load_metadata(path: PathLike) -> Dict:
     """Read the metadata block of a saved experiment file."""
     payload = json.loads(Path(path).read_text())
-    return _unjsonify(payload.get("metadata", {}))
+    return unjsonify(payload.get("metadata", {}))
 
 
 def summarize_rows(rows: Sequence[Mapping]) -> Dict[str, float]:
@@ -175,7 +170,7 @@ def canonical_rows(rows: Sequence[Mapping]) -> List[Dict]:
     of one configuration must agree byte-for-byte on everything left.
     """
     return [
-        {key: _jsonify(value) for key, value in row.items()
+        {key: jsonify(value) for key, value in row.items()
          if not _NONDETERMINISTIC_KEY_RE.search(key)}
         for row in rows
     ]
@@ -200,7 +195,7 @@ def deterministic_counters(counters: Mapping) -> Dict[str, float]:
 
 def save_jsonl(records: Sequence[Mapping], path: PathLike) -> None:
     """Write records as JSON Lines (numpy-safe), one object per line."""
-    lines = [json.dumps(_jsonify(dict(record)), separators=(",", ":"),
+    lines = [json.dumps(jsonify(dict(record)), separators=(",", ":"),
                         sort_keys=True)
              for record in records]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
@@ -208,4 +203,4 @@ def save_jsonl(records: Sequence[Mapping], path: PathLike) -> None:
 
 def load_jsonl(path: PathLike) -> List[Dict]:
     """Read a JSONL file (e.g. a telemetry trace) into a list of dicts."""
-    return [_unjsonify(event) for event in load_events(path)]
+    return [unjsonify(event) for event in load_events(path)]

@@ -26,7 +26,6 @@ import scipy.sparse as sp
 
 from ..errors import GraphError
 from ..runtime import cache as _cache
-from ..runtime import shm as _shm
 
 
 class Graph:
@@ -181,22 +180,13 @@ class Graph:
         """Fall through to the cross-process term store before building.
 
         Pool workers synthesize content-identical graphs, so the first
-        worker to normalize an operator publishes it and siblings attach
+        worker to normalize an operator publishes it and siblings map
         the same bytes instead of repeating the O(m) build. The
         fingerprint binds the memo key to the adjacency payload token,
         so a mutated graph can never be served a sibling's operator.
         """
-        handle = _shm.active_handle()
-        if handle is None:
-            return builder()
-        fingerprint = _shm.blob_fingerprint(
-            "norm", key, _cache.matrix_token(self.adjacency))
-        matrix = _cache.shared_csr_fetch(handle, fingerprint)
-        if matrix is not None:
-            return matrix
-        matrix = builder()
-        _cache.shared_csr_publish(handle, fingerprint, matrix)
-        return matrix
+        return _cache.shared_csr(
+            "norm", (key, _cache.matrix_token(self.adjacency)), builder)
 
     def _build_laplacian(self, rho: float, self_loops: bool) -> sp.csr_matrix:
         identity = sp.identity(self.num_nodes, format="csr", dtype=np.float32)

@@ -14,9 +14,11 @@ makes those rows *measurable* instead of extrapolated:
   contract the planner and every cache in this repo already hold, and
   what the ``bench-blocked`` CI gate asserts end to end).
 - **Spill store** — :class:`SpillStore` persists whole ``T^(k)(L̃)·X``
-  term matrices as ``.npy`` files written atomically (tmp file +
-  ``os.replace``) and serves them back as read-only ``numpy.memmap``
-  views, keyed by the planner's existing operator/signal fingerprints
+  term matrices through :class:`repro.runtime.shm.ArrayFiles` — the one
+  file tier, shared with the cross-process term store: ``.npy`` files
+  written atomically (tmp file + ``os.replace``), served back as
+  read-only ``numpy.memmap`` views, named by the planner's existing
+  operator/signal fingerprints
   (:func:`repro.runtime.shm.chain_fingerprint`). The basis planner's
   LRU (:mod:`repro.runtime.plan`) evicts chains *into* this store
   instead of dropping them, so a later filter re-requesting a spilled
@@ -41,6 +43,8 @@ Counters emitted (when telemetry is configured):
   row tiles they split into.
 - ``blocked.spill_bytes`` / ``blocked.spill_files`` — bytes/files the
   spill store wrote.
+- ``blocked.spill_failed`` — terms dropped (recomputed on the next
+  request) because the spill directory refused the write.
 - ``blocked.load_files`` — spilled matrices served back as memmaps.
 - ``blocked.mmap_peak_bytes`` (gauge) — peak bytes mapped from disk.
 
@@ -52,22 +56,19 @@ reported next to — never inside — the allocation ledger's RAM peak.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import json
 import os
 import shutil
 import tempfile
 import threading
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .. import telemetry
 from ..telemetry.rss import current_rss_bytes
+from .shm import ArrayFiles
 
 #: Floor for a derived RAM budget: even on a tiny container the tier
 #: should not degenerate into single-row tiles.
@@ -122,26 +123,18 @@ def blocked_spmm(csr: sp.csr_matrix, dense: np.ndarray, block_rows: int,
     return out
 
 
-def _spill_digest(key: Any) -> str:
-    """Stable file name for a spill key (fingerprint tuples/strings)."""
-    encoded = json.dumps(key, sort_keys=True, default=str,
-                         separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(encoded).hexdigest()
+class SpillStore(ArrayFiles):
+    """The blocked tier's on-disk term store: :class:`~repro.runtime.shm
+    .ArrayFiles` over a spill directory, plus traffic accounting.
 
-
-class SpillStore:
-    """Atomic on-disk store of dense matrices, served back as memmaps.
-
-    Writes go to a temp file in the store directory and land via
-    ``os.replace`` — a reader can never observe a torn matrix, and a
-    crashed writer leaves only a ``.tmp`` file the next :meth:`purge`
-    sweeps. Keys are the planner's content fingerprints, so the store is
-    safe to share across runs of identical configurations (same key ⇒
-    byte-identical payload by the planner's bit-identity contract).
+    Names are the planner's content-addressed term names
+    (:func:`repro.runtime.shm.term_name`), so the store is safe to share
+    across runs of identical configurations (same name ⇒ byte-identical
+    payload by the planner's bit-identity contract).
     """
 
     def __init__(self, root: os.PathLike):
-        self.root = Path(root)
+        super().__init__(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self.files_stored = 0
@@ -150,70 +143,28 @@ class SpillStore:
         self.mapped_bytes = 0
         self.mapped_peak_bytes = 0
 
-    def _path(self, key: Any) -> Path:
-        return self.root / f"{_spill_digest(key)}.npy"
-
-    def contains(self, key: Any) -> bool:
-        return self._path(key).exists()
-
-    def put(self, key: Any, array: np.ndarray) -> int:
-        """Persist ``array`` under ``key`` atomically; returns its bytes.
-
-        An existing entry is kept as-is (same key ⇒ same bytes), so
-        re-spilling a reloaded term costs nothing.
-        """
-        path = self._path(key)
-        if path.exists():
-            return 0
-        array = np.ascontiguousarray(array)
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.save(handle, array)
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        nbytes = int(array.nbytes)
-        with self._lock:
-            self.files_stored += 1
-            self.spilled_bytes += nbytes
-        telemetry.inc_counter("blocked.spill_files")
-        telemetry.inc_counter("blocked.spill_bytes", nbytes)
+    def put(self, name: str, array: np.ndarray) -> int:
+        nbytes = super().put(name, array)
+        if nbytes:
+            with self._lock:
+                self.files_stored += 1
+                self.spilled_bytes += nbytes
+            telemetry.inc_counter("blocked.spill_files")
+            telemetry.inc_counter("blocked.spill_bytes", nbytes)
         return nbytes
 
-    def get(self, key: Any) -> Optional[np.ndarray]:
-        """Memory-map a stored matrix read-only, or ``None`` on a miss."""
-        path = self._path(key)
-        if not path.exists():
-            return None
-        array = np.load(path, mmap_mode="r")
-        with self._lock:
-            self.files_loaded += 1
-            self.mapped_bytes += int(array.nbytes)
-            if self.mapped_bytes > self.mapped_peak_bytes:
-                self.mapped_peak_bytes = self.mapped_bytes
-                telemetry.set_gauge("blocked.mmap_peak_bytes",
-                                    self.mapped_peak_bytes)
-        telemetry.inc_counter("blocked.load_files")
+    def get(self, name: str) -> Optional[np.ndarray]:
+        array = super().get(name)
+        if array is not None:
+            with self._lock:
+                self.files_loaded += 1
+                self.mapped_bytes += int(array.nbytes)
+                if self.mapped_bytes > self.mapped_peak_bytes:
+                    self.mapped_peak_bytes = self.mapped_bytes
+                    telemetry.set_gauge("blocked.mmap_peak_bytes",
+                                        self.mapped_peak_bytes)
+            telemetry.inc_counter("blocked.load_files")
         return array
-
-    def purge(self) -> int:
-        """Delete every spill file (and stale temp files); returns count.
-
-        Open memmaps stay valid on POSIX — the pages outlive the
-        directory entry — so purging at scope exit is safe hygiene.
-        """
-        removed = 0
-        for path in list(self.root.glob("*.npy")) \
-                + list(self.root.glob("*.tmp")):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

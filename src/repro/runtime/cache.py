@@ -317,16 +317,8 @@ def transpose_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
     cached = _transpose_cache.get(key, validate=validate)
     if cached is not _MISSING:
         return cached[2]
-    handle = shm.active_handle()
-    transposed = None
-    fingerprint = None
-    if handle is not None:
-        fingerprint = shm.blob_fingerprint("spmm_t", token)
-        transposed = shared_csr_fetch(handle, fingerprint)
-    if transposed is None:
-        transposed = materialize_transpose(matrix)
-        if handle is not None:
-            shared_csr_publish(handle, fingerprint, transposed)
+    transposed = shared_csr("spmm_t", (token,),
+                            lambda: materialize_transpose(matrix))
 
     def _on_collect(_ref, _key=key):
         _transpose_cache.discard(_key)
@@ -336,38 +328,44 @@ def transpose_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
     return transposed
 
 
-def shared_csr_fetch(handle, fingerprint: str) -> Optional[sp.csr_matrix]:
-    """Rebuild a published CSR blob as a zero-copy, read-only matrix.
+def shared_csr(kind: str, parts: Tuple,
+               build: Callable[[], sp.spmatrix]) -> sp.spmatrix:
+    """``build()``, shared across pool workers when a store is attached.
 
-    The payload arrays stay mapped in the shared segment (unlink-safe on
-    POSIX), so a served matrix costs index-lookup + mmap, not a rebuild.
-    Returns None when the blob is absent or malformed — callers fall
-    back to building locally, never to an error.
+    The one fetch → build → publish sequence behind the spmm-transpose
+    cache and the per-graph normalization memo: the blob named by
+    ``(kind, *parts)`` is mapped zero-copy and read-only when a sibling
+    already published it; otherwise the matrix is built here and
+    published for the siblings. Without an active store handle — or when
+    the blob is absent or malformed — this is just ``build()``.
     """
+    handle = shm.active_handle()
+    if handle is None:
+        return build()
+    fingerprint = shm.blob_fingerprint(kind, *parts)
     blob = handle.fetch_blob(fingerprint)
-    if blob is None:
-        return None
-    arrays, meta = blob
-    try:
-        matrix = sp.csr_matrix(
-            (arrays["data"], arrays["indices"], arrays["indptr"]),
-            shape=tuple(meta["shape"]), copy=False)
-    except (KeyError, TypeError, ValueError):
-        return None
-    if meta.get("sorted"):
-        # Publisher guaranteed sortedness; recording it stops scipy from
-        # attempting an in-place sort of the read-only index arrays.
-        matrix.has_sorted_indices = True
-    return matrix
-
-
-def shared_csr_publish(handle, fingerprint: str, matrix: sp.spmatrix) -> bool:
-    """Publish a CSR matrix's payload arrays for sibling processes."""
+    if blob is not None:
+        arrays, meta = blob
+        try:
+            matrix = sp.csr_matrix(
+                (arrays["data"], arrays["indices"], arrays["indptr"]),
+                shape=tuple(meta["shape"]), copy=False)
+        except (KeyError, TypeError, ValueError):
+            pass  # malformed: build locally, never an error
+        else:
+            if meta.get("sorted"):
+                # Publisher guaranteed sortedness; recording it stops
+                # scipy from attempting an in-place sort of the read-only
+                # index arrays.
+                matrix.has_sorted_indices = True
+            return matrix
+    matrix = build()
     csr = matrix if sp.isspmatrix_csr(matrix) else matrix.tocsr()
-    return handle.publish_blob(
+    handle.publish_blob(
         fingerprint,
         {"data": csr.data, "indices": csr.indices, "indptr": csr.indptr},
         {"shape": list(csr.shape), "sorted": bool(csr.has_sorted_indices)})
+    return matrix
 
 
 def transpose_cache_stats() -> dict:

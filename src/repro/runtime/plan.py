@@ -43,9 +43,10 @@ keeps worker runs deterministic regardless of start method — and means
 planner is on (serial sweeps share across cells; an isolated worker's
 local store cannot). The cross-process shared term store
 (:mod:`repro.runtime.shm`, on by default for pooled sweeps) closes that
-gap: :meth:`BasisPlanner.chain_terms` consults the sweep's shared index
-before computing a chain suffix and publishes what it computed, so
-sibling workers attach the identical bytes instead of recomputing.
+gap: :meth:`BasisPlanner.chain_terms` consults the sweep's store
+directory before computing a chain suffix and publishes what it
+computed, so sibling workers map the identical bytes instead of
+recomputing.
 Tensor (autodiff) and spectral-grid signals always stream:
 caching per-epoch activations would be useless and planning must never
 capture autodiff graphs.
@@ -59,8 +60,9 @@ Spill tier: inside a :func:`repro.runtime.blocked.blocked_scope` the
 store gains a disk-backed level. Evicting a chain — by LRU capacity or
 because resident term bytes exceed the tier's byte budget — writes its
 computed ``T^(k)(L̃)·X`` terms to the tier's :class:`~repro.runtime
-.blocked.SpillStore` (atomic ``.npy`` files keyed by the chain's content
-fingerprint + order) instead of dropping them; a later request for the
+.blocked.SpillStore` (atomic ``.npy`` files named by the chain's content
+fingerprint + order, the same :class:`~repro.runtime.shm.ArrayFiles` the
+shared store uses) instead of dropping them; a later request for the
 same chain maps the identical bytes back read-only (``numpy.memmap``)
 rather than recomputing the spmm suffix. Spilled-then-reloaded terms are
 bit-identical by construction, so the planner's bit-identity guarantee
@@ -413,11 +415,11 @@ class _ChainEntry:
     #: ``terms[0]`` is the signal itself; computed terms are read-only.
     terms: List[Any]
     spmm_per_step: int
-    #: Content fingerprint used as the spill-store key (computed only
-    #: inside a blocked scope; ``None`` otherwise).
+    #: Content fingerprint naming the chain's files in the spill and
+    #: shared tiers (``None`` while neither is active).
     fingerprint: Optional[str] = None
-    #: RAM held by locally-computed terms (memmap/shm-served terms are
-    #: file- or segment-backed and excluded), driving budget eviction.
+    #: RAM held by locally-computed terms (terms served by either file
+    #: tier are memmaps and excluded), driving budget eviction.
     resident_bytes: int = 0
 
 
@@ -461,11 +463,17 @@ class BasisPlanner:
         spilled = 0
         for order, term in enumerate(entry.terms):
             if order == 0 or isinstance(term, np.memmap):
-                # The signal belongs to the caller; memmap terms already
-                # live in the store under this same fingerprint.
+                # The signal belongs to the caller; memmap terms are
+                # already file-backed under this same fingerprint.
                 continue
-            if tier.spill.put((entry.fingerprint, order), term):
-                spilled += 1
+            try:
+                if tier.spill.put(runtime_shm.term_name(
+                        entry.fingerprint, order), term):
+                    spilled += 1
+            except OSError:
+                # A full or unwritable spill directory costs a later
+                # recompute of the dropped term, never the run.
+                telemetry.inc_counter("blocked.spill_failed")
         if spilled:
             self.terms_spilled += spilled
             telemetry.inc_counter("plan.terms.spill", spilled)
@@ -506,8 +514,9 @@ class BasisPlanner:
                 entry = _ChainEntry(weakref.ref(matrix, _purge), token,
                                     x_tok, [x], fam.spmm_per_step)
                 self._chains.put(key, entry)
-            if entry.fingerprint is None \
-                    and runtime_blocked.active_tier() is not None:
+            if entry.fingerprint is None and (
+                    runtime_blocked.active_tier() is not None
+                    or runtime_shm.active_handle() is not None):
                 entry.fingerprint = runtime_shm.chain_fingerprint(
                     token, ctx.backend, x_tok, fam.name, params)
             hits = max(min(len(entry.terms), count) - 1, 0)
@@ -518,58 +527,52 @@ class BasisPlanner:
                 telemetry.inc_counter("plan.spmm_avoided",
                                       hits * fam.spmm_per_step)
             if len(entry.terms) < count:
-                self._extend_chain(ctx, x, fam, params, count, entry,
-                                   token, x_tok)
+                self._extend_chain(ctx, x, fam, params, count, entry)
                 self._enforce_term_budget(key)
             return list(entry.terms[:count])
 
-    def _extend_chain(self, ctx, x, fam: ChainFamily, params: Tuple,
-                      count: int, entry: _ChainEntry, token: Tuple,
-                      x_tok: Tuple) -> None:
-        """Extend a chain to ``count`` terms, sharing across processes.
+    def _serve(self, entry: _ChainEntry, fam: ChainFamily,
+               terms: Sequence[np.ndarray]) -> None:
+        """Append file-served terms to a chain and credit the spmm saved."""
+        if not terms:
+            return
+        entry.terms.extend(terms)
+        self.terms_served += len(terms)
+        self.spmm_avoided += len(terms) * fam.spmm_per_step
+        telemetry.inc_counter("plan.spmm_avoided",
+                              len(terms) * fam.spmm_per_step)
 
-        With a shared store attached (:func:`repro.runtime.shm
-        .active_handle`, pooled sweeps), the missing suffix is first
-        requested from the cross-process index — terms another worker
-        already computed arrive as read-only shared-memory views, which
-        are bit-identical by construction (the publisher ran the same
-        in-place kernels this process would have). Whatever remains is
-        computed locally and, when this process holds the chain claim,
-        published for the siblings still waiting on it. Without a store
-        this is exactly the original local compute loop.
+    def _extend_chain(self, ctx, x, fam: ChainFamily, params: Tuple,
+                      count: int, entry: _ChainEntry) -> None:
+        """Extend a chain to ``count`` terms through the file tiers.
+
+        Both tiers hold the chain's terms as files named by one content
+        fingerprint (:func:`repro.runtime.shm.term_name`) and serve them
+        as read-only maps, bit-identical by construction (whoever wrote
+        them ran the same in-place kernels this process would have). The
+        shared store (:func:`repro.runtime.shm.active_handle`, pooled
+        sweeps) is asked first and may hand this process the claim on the
+        remainder; the spill tier (blocked scope) then maps back what
+        this planner evicted earlier. Whatever is still missing is
+        computed locally and published for the siblings waiting on it.
+        Without either tier this is exactly the original compute loop.
         """
         shared = runtime_shm.active_handle()
-        fingerprint = None
+        tier = runtime_blocked.active_tier()
+        fingerprint = entry.fingerprint
         claimed = False
         if shared is not None:
-            fingerprint = runtime_shm.chain_fingerprint(
-                token, ctx.backend, x_tok, fam.name, params)
             served, claimed = shared.plan_chain(
                 fingerprint, have=len(entry.terms) - 1, want=count - 1)
-            if served:
-                entry.terms.extend(served)
-                self.terms_served += len(served)
-                self.spmm_avoided += len(served) * fam.spmm_per_step
-                telemetry.inc_counter("plan.spmm_avoided",
-                                      len(served) * fam.spmm_per_step)
-        # Spill tier (blocked scope): terms this planner evicted to disk
-        # earlier map back read-only instead of recomputing the suffix.
-        tier = runtime_blocked.active_tier()
-        if tier is not None and entry.fingerprint is not None:
-            loaded = 0
-            while len(entry.terms) < count:
-                term = tier.spill.get((entry.fingerprint, len(entry.terms)))
-                if term is None:
-                    break
-                entry.terms.append(term)
-                loaded += 1
+            self._serve(entry, fam, served)
+        if tier is not None:
+            loaded = tier.spill.leading(
+                runtime_shm.term_name(fingerprint, order)
+                for order in range(len(entry.terms), count))
+            self._serve(entry, fam, loaded)
             if loaded:
-                self.terms_loaded += loaded
-                self.terms_served += loaded
-                self.spmm_avoided += loaded * fam.spmm_per_step
-                telemetry.inc_counter("plan.terms.spill_load", loaded)
-                telemetry.inc_counter("plan.spmm_avoided",
-                                      loaded * fam.spmm_per_step)
+                self.terms_loaded += len(loaded)
+                telemetry.inc_counter("plan.terms.spill_load", len(loaded))
         first_order = len(entry.terms)
         computed: List[np.ndarray] = []
         try:
@@ -593,11 +596,8 @@ class BasisPlanner:
             raise
         if shared is not None and computed:
             # Opportunistic even without a claim: a waiter that timed out
-            # still offers its suffix; publish_terms refuses stale
-            # offsets, so the first publisher always wins.
-            if not shared.publish_terms(fingerprint, first_order, computed) \
-                    and claimed:
-                shared.abandon_claim(fingerprint)
+            # still offers its suffix. Publishing releases the claim.
+            shared.publish_terms(fingerprint, first_order, computed)
         elif claimed:
             shared.abandon_claim(fingerprint)
 

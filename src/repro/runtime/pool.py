@@ -246,7 +246,7 @@ def _cell_entry(conn, cell: Cell, telemetry_on: bool, attempt: int = 1,
     corrupts the result protocol. ``shm_handle`` is the sweep's shared
     term-store client (``None`` when sharing is off); it is installed
     *around* the fresh plan scope so the planner's chain suffixes fall
-    through to the cross-process index.
+    through to the sweep's store directory.
     """
     import os
 
@@ -437,34 +437,21 @@ def _run_inline(cell: Cell, monitor=None, sweep=None) -> CellResult:
                       metrics_state=metrics_state)
 
 
-def _worker_shm_handle(start_method: str):
-    """The sweep's shared-term-store client for worker processes, if any.
-
-    Requires an active :func:`repro.runtime.shm.store_scope` whose lock
-    was created under the same start method the pool is about to use —
-    a fork-context lock cannot be pickled into a spawn worker.
-    """
-    from . import shm as shm_mod
-
-    store = shm_mod.active_store()
-    if store is None:
-        return None
-    if store.start_method != start_method:
-        return None
-    return store.worker_handle()
-
-
 def _run_pooled(cells: List[Cell], config: PoolConfig,
                 monitor=None, cached: Optional[Dict[int, CellResult]] = None,
                 sweep=None) -> List[CellResult]:
     import multiprocessing as mp
 
+    from . import shm as shm_mod
     from .. import telemetry
     from ..telemetry import live
 
     ctx = mp.get_context(config.start_method or _default_start_method())
     telemetry_on = telemetry.enabled()
-    shm_handle = _worker_shm_handle(ctx.get_start_method())
+    # A store handle is a path and a run id: it pickles into a worker
+    # under any start method.
+    store = shm_mod.active_store()
+    shm_handle = store.worker_handle() if store is not None else None
     cached = cached or {}
     results: List[Optional[CellResult]] = [None] * len(cells)
     for index, result in cached.items():

@@ -2,13 +2,49 @@
 
 from __future__ import annotations
 
+import glob
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.datasets import synthesize
 from repro.graph import Graph
+from repro.runtime import shm
 from repro.runtime.artifacts import ARTIFACT_DIR_ENV
 from repro.telemetry.registry import REGISTRY_DIR_ENV
+
+
+def _store_entries() -> set:
+    """Shared-store and spill directories on this host, except stores a
+    live foreign process owns (someone else's sweep, not our leak)."""
+    def foreign(path: str) -> bool:
+        try:
+            owner = int(Path(path, "owner").read_text())
+        except (OSError, ValueError):
+            return False
+        return owner != os.getpid() and shm._pid_alive(owner)
+
+    stores = {path for path in glob.glob("/dev/shm/rsm*")
+              if not foreign(path)}
+    return stores | set(glob.glob(
+        os.path.join(tempfile.gettempdir(), "repro-spill-*")))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_leaked_store_entries():
+    """Fail the session if it leaves a store or spill directory behind.
+
+    Each store test checks its own run id; this checks the suite — a
+    path that forgets its scope (or a crash path that skips cleanup)
+    shows up here whichever test caused it.
+    """
+    before = _store_entries()
+    yield
+    leaked = sorted(_store_entries() - before)
+    assert not leaked, f"test session leaked store entries: {leaked}"
 
 
 @pytest.fixture(autouse=True)

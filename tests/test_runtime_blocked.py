@@ -19,6 +19,9 @@ basis planner spill whole term matrices to mmap-backed files. Contracts:
 
 from __future__ import annotations
 
+import errno
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -161,6 +164,44 @@ class TestPlannerSpill:
         finally:
             telemetry.shutdown()
 
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES])
+    @pytest.mark.parametrize("name", ["chebyshev", "ppr"])
+    def test_failed_spill_degrades_to_recompute(self, name, code, tmp_path,
+                                                monkeypatch):
+        """A spill directory that refuses writes costs recomputation,
+        never the run: the payload is the fault-free one, each dropped
+        term is counted, and no scratch file is left behind."""
+        graph = _random_graph(24, seed=29)
+        x = np.asarray(graph.features, dtype=np.float32)
+        filter_ = make_filter(name, num_hops=6, num_features=x.shape[1])
+        # A second filter on another chain, so the first chain is shed
+        # (and its spill attempted) under the 1-byte term budget.
+        other = make_filter("jacobi", num_hops=6, num_features=x.shape[1])
+        expected = filter_.precompute(graph, x, rho=0.5)
+
+        def refuse(_src, _dst):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        telemetry.configure()
+        try:
+            with blocked_scope(ram_budget_bytes=64 * 2 ** 20,
+                               spill_dir=tmp_path / "spill") as tier:
+                tier.term_budget_bytes = 1
+                with plan.plan_scope():
+                    first = filter_.precompute(graph, x, rho=0.5)
+                    other.precompute(graph, x, rho=0.5)
+                    again = filter_.precompute(graph, x, rho=0.5)
+                assert list(tier.spill.root.iterdir()) == []
+                assert tier.spill.files_stored == 0
+            counters = telemetry.get_metrics().snapshot()["counters"]
+        finally:
+            telemetry.shutdown()
+        assert first.tobytes() == expected.tobytes()
+        assert again.tobytes() == expected.tobytes()
+        assert counters["blocked.spill_failed"] >= 1
+        assert "plan.terms.spill" not in counters
+
     def test_resident_bytes_accounting(self, tmp_path):
         graph = _random_graph(16, seed=23)
         ctx = PropagationContext(graph.normalized_adjacency(0.5))
@@ -192,9 +233,9 @@ class TestSpillStore:
     def test_roundtrip_is_readonly_memmap(self, tmp_path):
         store = SpillStore(tmp_path / "spill")
         array = np.arange(12, dtype=np.float64).reshape(3, 4)
-        nbytes = store.put(("fp", 1), array)
+        nbytes = store.put("fp.1", array)
         assert nbytes == array.nbytes
-        loaded = store.get(("fp", 1))
+        loaded = store.get("fp.1")
         assert isinstance(loaded, np.memmap)
         assert loaded.tobytes() == array.tobytes()
         with pytest.raises((ValueError, OSError)):
@@ -227,10 +268,10 @@ class TestSpillStore:
 
     def test_distinct_keys_distinct_files(self, tmp_path):
         store = SpillStore(tmp_path / "spill")
-        store.put(("fp", 1), np.ones(4))
-        store.put(("fp", 2), np.zeros(4))
+        store.put("fp.1", np.ones(4))
+        store.put("fp.2", np.zeros(4))
         assert len(list(store.root.glob("*.npy"))) == 2
-        assert store.get(("fp", 2)).sum() == 0.0
+        assert store.get("fp.2").sum() == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -573,15 +573,15 @@ class TestKillAndResume:
 
 @pytest.mark.slow
 class TestShmKillMidAttach:
-    """SIGKILL a worker mid-attach; store cleanup must stay airtight.
+    """SIGKILL a worker mid-publish; store cleanup must stay airtight.
 
-    The victim attaches a shared blob (live mapping into a data segment)
-    and then dies while HOLDING the cross-process store lock — the worst
-    case a dead node leaves behind. The owner's scope exit must still
-    unlink every segment of the run (cleanup is lock-free by design),
-    the driver must exit cleanly, and stderr must carry no
-    resource_tracker warnings or KeyError tracebacks (the tracker
-    bookkeeping bugs this guards against are silent leaks in CI logs).
+    The victim maps a shared blob (a live memory map of a store file),
+    claims a chain and dies inside ``np.save`` with the scratch file
+    half written and the claim still in place — the worst state a dead
+    node leaves behind. Readers must miss the torn file, a sibling must
+    adopt the dead claim without waiting, the owner's scope exit must
+    remove the run's directory, the driver must exit cleanly, and stderr
+    must carry no resource_tracker warnings or tracebacks.
     """
 
     DRIVER = """\
@@ -594,21 +594,28 @@ import time
 import numpy as np
 
 from repro.runtime import shm
-from repro.runtime.shm import SharedTermStore, StoreConfig, blob_fingerprint
+from repro.runtime.shm import SharedTermStore, blob_fingerprint
 
 assert shm.supported()
 ctx = mp.get_context("fork")
-store = SharedTermStore(config=StoreConfig(lock_timeout_s=1.0),
-                        mp_context=ctx)
+store = SharedTermStore()
 fp = blob_fingerprint("norm", ("kill-mid-attach",))
+chain = "0123456789abcdef"
 
 
 def victim(handle, ready):
-    with shm.worker_scope(handle) as active:
-        got, _meta = active.fetch_blob(fp)  # live view into a segment
-        active._lock.acquire()              # die holding the store lock
+    def stuck_save(file, array):
+        file.write(b"torn")
+        file.flush()
         ready.send(float(np.asarray(got["a"]).sum()))
         time.sleep(300)
+
+    with shm.worker_scope(handle) as active:
+        got, _meta = active.fetch_blob(fp)  # live map of a store file
+        _, claimed = active.plan_chain(chain, have=0, want=2)
+        assert claimed
+        np.save = stuck_save                # die mid-publish, claim held
+        active.publish_terms(chain, 1, [np.ones(4), np.ones(4)])
 
 
 with shm.store_scope(store):
@@ -618,27 +625,38 @@ with shm.store_scope(store):
                        args=(store.worker_handle(), child_conn))
     proc.start()
     child_conn.close()
-    assert parent_conn.poll(30.0), "victim never attached"
+    assert parent_conn.poll(30.0), "victim never reached np.save"
     assert parent_conn.recv() == 15.0
     os.kill(proc.pid, signal.SIGKILL)
     proc.join(timeout=30.0)
     assert proc.exitcode == -signal.SIGKILL
-# Scope exit closed the store: stats snapshot hit the dead holder's
-# lock (bounded by lock_timeout_s), cleanup ran lock-free regardless.
+    names = os.listdir(store.root)
+    assert any(name.endswith(".tmp") for name in names), names
+    assert not any(name.startswith("c-") and name.endswith(".npy")
+                   for name in names), names
+    sibling = store.worker_handle()
+    started = time.monotonic()
+    served, claimed = sibling.plan_chain(chain, have=0, want=2)
+    assert served == [] and claimed, "dead claim must be adopted"
+    assert time.monotonic() - started < shm.WAIT_TIMEOUT_S / 10
+    assert sibling.publish_terms(chain, 1, [np.ones(4), np.ones(4)])
+    sibling.close()
+stats = store.stats()
+assert stats["publishes"] == 3 and stats["segments_unlinked"] > 0, stats
 prefix = shm.SEGMENT_PREFIX + store.run_id
 leftovers = [name for name in os.listdir("/dev/shm")
              if name.startswith(prefix)]
-assert not leftovers, f"leaked segments: {leftovers}"
+assert not leftovers, f"leaked store entries: {leftovers}"
 print("CLEAN")
 """
 
-    def test_sigkill_holding_lock_never_leaks_or_warns(self, tmp_path):
+    def test_sigkill_mid_publish_never_leaks_or_warns(self, tmp_path):
         import subprocess
         import sys
 
         from repro.runtime import shm as shm_mod
         if not shm_mod.supported():
-            pytest.skip("POSIX shared memory unavailable")
+            pytest.skip("no writable /dev/shm")
         driver = tmp_path / "kill_mid_attach.py"
         driver.write_text(self.DRIVER)
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -647,7 +665,7 @@ print("CLEAN")
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "CLEAN" in proc.stdout
-        for marker in ("resource_tracker", "KeyError", "leaked"):
+        for marker in ("resource_tracker", "Traceback", "leaked"):
             assert marker not in proc.stderr, (
                 f"store cleanup emitted {marker!r} on stderr:\n"
                 f"{proc.stderr}")

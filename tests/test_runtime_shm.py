@@ -1,21 +1,25 @@
 """Cross-process shared term store (:mod:`repro.runtime.shm`) tests.
 
-The store's contract has four faces, each covered here:
+The store is a directory of content-addressed files; its contract has
+four faces, each covered here:
 
-1. **Index mechanics** — fingerprints are content addresses; the
-   length-prefixed JSON index round-trips, reads torn/garbage buffers as
-   an explicit miss, and refuses writes that do not fit.
-2. **Protocol** — blob publish/fetch is first-publisher-wins; chain
-   claims are exclusive, adoptable when their holder dies, abandonable,
-   and a publish against stale offsets is refused (the orphan segment is
-   reclaimed). FIFO eviction keeps payload bytes under budget without
-   ever evicting the entry being published. A client that cannot take
-   the lock degrades to local compute instead of blocking the sweep.
-3. **Crash safety** — scope exit unlinks every segment of the run by
-   name; :func:`~repro.runtime.shm.sweep_leaked_segments` reaps groups
-   whose owner died or whose index vanished; a SIGKILLed attacher never
-   wedges cleanup (the lock-holder variant lives in
-   ``tests/test_runtime_pool.py`` with the slow marker).
+1. **File mechanics** — fingerprints are content addresses;
+   :class:`~repro.runtime.shm.ArrayFiles` lands arrays whole or not at
+   all and serves them back as read-only memory maps.
+2. **Protocol** — blob publish/fetch is first-publisher-wins (also
+   between racing processes); chain claims are exclusive, adoptable when
+   their holder dies, abandonable, and a waiter gives up after
+   ``WAIT_TIMEOUT_S``. Any subset of a chain's files is a valid store.
+   Oldest-first eviction keeps published bytes under budget without ever
+   evicting the entry being published. A client that meets an
+   ``OSError`` (``ENOSPC``, ``EACCES``, a vanished directory) degrades
+   to local compute instead of failing the sweep.
+3. **Crash safety** — scope exit removes the run's directory;
+   :func:`~repro.runtime.shm.sweep_leaked_segments` reaps directories
+   whose owner died; a publisher SIGKILLed mid-write leaves only a
+   scratch file and a claim the next claimant adopts (the subprocess
+   variant that also checks stderr lives in ``tests/test_runtime_pool.py``
+   with the slow marker).
 4. **Invisibility** — with a worker handle installed, planner-served
    shared terms and shared CSR blobs are byte-identical to local
    computation across the full 27-filter taxonomy (parametrized + a
@@ -25,8 +29,12 @@ The store's contract has four faces, each covered here:
 
 from __future__ import annotations
 
+import errno
+import json
 import multiprocessing as mp
 import os
+import pickle
+import shutil
 import signal
 import subprocess
 import sys
@@ -42,16 +50,17 @@ from repro import telemetry
 from repro.filters.registry import FILTER_NAMES, make_filter
 from repro.graph import Graph
 from repro.runtime import cache, plan, shm
+from repro.runtime.pool import Cell, PoolConfig, execute_cells
 from repro.runtime.shm import (
     SharedTermStore,
-    StoreConfig,
     blob_fingerprint,
     chain_fingerprint,
     sweep_leaked_segments,
+    term_name,
 )
 
 pytestmark = pytest.mark.skipif(not shm.supported(),
-                                reason="POSIX shared memory unavailable")
+                                reason="no writable /dev/shm")
 
 
 @pytest.fixture(autouse=True)
@@ -72,7 +81,7 @@ def store():
     yield instance
     instance.close()
     assert not _run_segments(instance.run_id), \
-        "store close left segments in /dev/shm"
+        "store close left its directory in /dev/shm"
 
 
 def _run_segments(run_id: str) -> list:
@@ -83,14 +92,26 @@ def _run_segments(run_id: str) -> list:
             if name.startswith(prefix)]
 
 
+def _run_files(store) -> set:
+    return set(os.listdir(store.root))
+
+
 def _dead_pid() -> int:
     probe = subprocess.Popen([sys.executable, "-c", "pass"])
     probe.wait()
     return probe.pid
 
 
+def _forge_claim(store, fp: str, pid: int) -> None:
+    (store.root / f"c-{fp}.claim").write_text(json.dumps({"pid": pid}))
+
+
+def _counters() -> dict:
+    return telemetry.get_metrics().snapshot()["counters"]
+
+
 # ---------------------------------------------------------------------------
-# 1. fingerprints + index serialization
+# 1. fingerprints + the file tier
 # ---------------------------------------------------------------------------
 
 class TestFingerprints:
@@ -125,26 +146,30 @@ class TestFingerprints:
             == blob_fingerprint("spmm_t", token)
 
 
-class TestIndexBuffer:
-    def test_round_trip(self):
-        buf = bytearray(4096)
-        doc = {"schema": "x", "chains": {"fp": {"terms": []}}}
-        assert shm._write_index_buf(buf, doc)
-        assert shm._read_index_buf(buf) == doc
+class TestArrayFiles:
+    def test_empty_array_round_trips(self, tmp_path):
+        files = shm.ArrayFiles(tmp_path)
+        files.put("empty", np.zeros((0, 3), dtype=np.float32))
+        loaded = files.get("empty")
+        assert loaded.shape == (0, 3) and loaded.dtype == np.float32
 
-    def test_zero_length_reads_none(self):
-        assert shm._read_index_buf(bytearray(64)) is None
+    def test_leading_stops_at_first_gap(self, tmp_path):
+        files = shm.ArrayFiles(tmp_path)
+        for order in (1, 2, 4):
+            files.put(f"t.{order}", np.full(3, float(order)))
+        run = files.leading(f"t.{order}" for order in range(1, 6))
+        assert [float(term[0]) for term in run] == [1.0, 2.0]
 
-    def test_garbage_reads_none(self):
-        buf = bytearray(64)
-        shm._write_index_buf(buf, {"k": 1})
-        buf[4:10] = b"\xff" * 6
-        assert shm._read_index_buf(buf) is None
+    def test_failed_put_leaves_no_scratch_file(self, tmp_path, monkeypatch):
+        files = shm.ArrayFiles(tmp_path)
 
-    def test_oversized_write_refused(self):
-        buf = bytearray(32)
-        assert not shm._write_index_buf(buf, {"k": "v" * 64})
-        assert shm._read_index_buf(buf) is None
+        def full(_src, _dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(shm.os, "replace", full)
+        with pytest.raises(OSError):
+            files.put("k", np.ones(4))
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +200,61 @@ class TestBlobProtocol:
     def test_refused_publish_reclaims_segment(self, store):
         fp = blob_fingerprint("norm", ("again",))
         store.publish_blob(fp, {"a": np.ones(3)})
-        before = set(_run_segments(store.run_id))
+        before = _run_files(store)
         assert not store.publish_blob(fp, {"a": np.zeros(3)})
-        assert set(_run_segments(store.run_id)) == before
+        assert _run_files(store) == before
 
     def test_unknown_blob_misses(self, store):
         assert store.fetch_blob(blob_fingerprint("norm", ("nope",))) is None
+
+    def test_uncommitted_blob_is_invisible(self, store):
+        """Arrays without the metadata file (a publisher killed before
+        its commit point) are a miss, and a later publisher completes it."""
+        fp = blob_fingerprint("norm", ("half",))
+        store.files.put(f"b-{fp}.a", np.ones(3))
+        assert store.fetch_blob(fp) is None
+        assert store.publish_blob(fp, {"a": np.ones(3)})
+        got, _meta = store.fetch_blob(fp)
+        np.testing.assert_array_equal(got["a"], np.ones(3))
+
+
+def _race_publish(handle, fps, barrier, value):
+    with shm.worker_scope(handle) as active:
+        barrier.wait(timeout=30.0)
+        for fp in fps:
+            active.publish_blob(fp, {"a": np.full(2048, value)},
+                                meta={"by": value})
+
+
+class TestBlobRace:
+    def test_racing_publishers_count_once(self, store):
+        """N processes publish the same fingerprints at the same instant:
+        each blob is counted exactly once and fetches complete."""
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        ctx = mp.get_context("fork")
+        fps = [blob_fingerprint("norm", ("race", n)) for n in range(8)]
+        racers = 4
+        barrier = ctx.Barrier(racers)
+        procs = [ctx.Process(target=_race_publish,
+                             args=(store.worker_handle(), fps, barrier,
+                                   float(value)))
+                 for value in range(racers)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60.0)
+            assert proc.exitcode == 0
+        assert store.stats()["publishes"] == len(fps)
+        assert store.stats()["blobs"] == len(fps)
+        for fp in fps:
+            got, meta = store.fetch_blob(fp)
+            # Whoever won, the array is one racer's whole write, never
+            # a torn mix (real publishers of one fingerprint write
+            # identical bytes; the racers differ only to show tearing).
+            assert got["a"].shape == (2048,)
+            assert len(set(got["a"].tolist())) == 1
+            assert "by" in meta
 
 
 class TestChainProtocol:
@@ -218,15 +292,24 @@ class TestChainProtocol:
                                       np.full((3, 2), 3.0, np.float32))
 
     def test_stale_offset_publish_refused(self, store):
+        """Orders already present are kept, not overwritten: a term's
+        bytes depend only on ``(fp, k)``, so the first file stands."""
         store.plan_chain(self.FP, have=0, want=2)
         store.publish_terms(self.FP, first_order=1, terms=self._terms(2))
-        before = set(_run_segments(store.run_id))
+        before = _run_files(store)
         assert not store.publish_terms(self.FP, first_order=1,
                                        terms=self._terms(2, offset=9))
-        assert set(_run_segments(store.run_id)) == before
+        assert _run_files(store) == before
+        assert store.stats()["publishes"] == 2
         served, _ = store.plan_chain(self.FP, have=0, want=2)
         np.testing.assert_array_equal(served[0],
                                       np.zeros((3, 2), np.float32))
+
+    def test_publish_releases_claim(self, store):
+        _, claimed = store.plan_chain(self.FP, have=0, want=2)
+        assert claimed and (store.root / f"c-{self.FP}.claim").exists()
+        store.publish_terms(self.FP, first_order=1, terms=self._terms(2))
+        assert not (store.root / f"c-{self.FP}.claim").exists()
 
     def test_abandon_claim_releases(self, store):
         _, claimed = store.plan_chain(self.FP, have=0, want=2)
@@ -238,100 +321,148 @@ class TestChainProtocol:
         handle.close()
 
     def test_dead_claimant_adopted(self, store):
-        dead = _dead_pid()
-
-        def forge(index):
-            index["chains"][self.FP] = {
-                "dtype": None, "shape": None, "nbytes": 0, "terms": [],
-                "claim": {"pid": dead, "ts": time.time(), "upto": 2}}
-            return None, True
-
-        store._with_index(forge)
+        _forge_claim(store, self.FP, _dead_pid())
+        telemetry.configure()
         served, claimed = store.plan_chain(self.FP, have=0, want=2)
         assert served == [] and claimed
-        assert store.stats()["adoptions"] == 1
+        assert _counters()["shm.claims.adopted"] == 1
 
-    def test_live_claimant_waiter_times_out(self, store):
+    def test_timed_out_claim_adopted(self, store, monkeypatch):
+        """A claim older than CLAIM_TIMEOUT_S is stale even when its
+        holder is alive (a hung claimant)."""
         holder = subprocess.Popen(
             [sys.executable, "-c", "import time; time.sleep(60)"])
         try:
-            def forge(index):
-                index["chains"][self.FP] = {
-                    "dtype": None, "shape": None, "nbytes": 0, "terms": [],
-                    "claim": {"pid": holder.pid, "ts": time.time(),
-                              "upto": 2}}
-                return None, True
+            _forge_claim(store, self.FP, holder.pid)
+            monkeypatch.setattr(shm, "CLAIM_TIMEOUT_S", 0.0)
+            time.sleep(0.01)
+            _, claimed = store.plan_chain(self.FP, have=0, want=2)
+            assert claimed
+        finally:
+            holder.kill()
+            holder.wait()
 
-            store._with_index(forge)
-            handle = shm.WorkerHandle(
-                store._index_name, store._lock,
-                StoreConfig(wait_timeout_s=0.05, poll_interval_s=0.005),
-                store.run_id, store.start_method)
+    def test_live_claimant_waiter_times_out(self, store, monkeypatch):
+        holder = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            _forge_claim(store, self.FP, holder.pid)
+            monkeypatch.setattr(shm, "WAIT_TIMEOUT_S", 0.05)
+            monkeypatch.setattr(shm, "POLL_INTERVAL_S", 0.005)
+            handle = store.worker_handle()
             start = time.monotonic()
             served, claimed = handle.plan_chain(self.FP, have=0, want=2)
             assert served == [] and not claimed, \
                 "waiter must give up and compute locally, never claim over"
             assert time.monotonic() - start < 5.0
+            assert json.loads((store.root / f"c-{self.FP}.claim")
+                              .read_text())["pid"] == holder.pid
             handle.close()
         finally:
             holder.kill()
             holder.wait()
 
+    def test_claim_won_after_sibling_published_rescans(self, store,
+                                                       monkeypatch):
+        """A sibling publishes between this client's scan and its claim:
+        the re-scan serves the terms and the claim is released."""
+        handle = store.worker_handle()
+        terms = self._terms(2)
+        real_claim = handle._try_claim
 
-class TestEvictionAndDegradation:
-    def test_fifo_eviction_respects_budget(self):
-        store = SharedTermStore(config=StoreConfig(budget_bytes=4096))
-        try:
-            chunk = np.zeros(384, dtype=np.float64)  # 3 KiB each
-            first = blob_fingerprint("norm", ("first",))
-            second = blob_fingerprint("norm", ("second",))
-            assert store.publish_blob(first, {"a": chunk})
-            assert store.publish_blob(second, {"a": chunk})
-            assert store.fetch_blob(first) is None, \
-                "oldest entry must be evicted past the byte budget"
-            assert store.fetch_blob(second) is not None, \
-                "the entry being published is protected from eviction"
-            assert store.stats()["bytes"] <= 4096
-        finally:
-            store.close()
+        def publish_then_claim(fp):
+            store.publish_terms(fp, first_order=1, terms=terms)
+            return real_claim(fp)
 
-    def test_lock_timeout_degrades_to_local(self, store):
-        handle = shm.WorkerHandle(
-            store._index_name, store._lock,
-            StoreConfig(lock_timeout_s=0.05),
-            store.run_id, store.start_method)
-        assert store._lock.acquire()
-        try:
-            fp = blob_fingerprint("norm", ("locked",))
-            assert handle.fetch_blob(fp) is None
-            assert handle._disabled, \
-                "a lock timeout must disable the client for the session"
-        finally:
-            store._lock.release()
-        # Degradation is sticky: the store stays off even once the lock
-        # frees up — liveness over sharing.
-        assert handle.fetch_blob(blob_fingerprint("norm", ("free",))) is None
+        monkeypatch.setattr(handle, "_try_claim", publish_then_claim)
+        served, claimed = handle.plan_chain(self.FP, have=0, want=2)
+        assert len(served) == 2 and not claimed
+        assert not (store.root / f"c-{self.FP}.claim").exists()
         handle.close()
 
-    def test_index_overflow_disables_instead_of_corrupting(self):
-        store = SharedTermStore(config=StoreConfig(index_bytes=4096))
-        try:
-            for attempt in range(64):
-                fp = blob_fingerprint("norm", ("bulk", attempt))
-                if not store.publish_blob(fp, {"a": np.ones(2)},
-                                          meta={"pad": "p" * 128}):
-                    break
-            # Either eviction kept the document inside the segment, or
-            # the store disabled itself; both leave the index readable
-            # (or the store off) — never a torn document.
-            if not store._disabled:
-                assert store.stats() != {}
-        finally:
-            store.close()
+
+class TestEvictionAndDegradation:
+    def test_fifo_eviction_respects_budget(self, store, monkeypatch):
+        monkeypatch.setattr(shm, "BUDGET_BYTES", 4096)
+        chunk = np.zeros(384, dtype=np.float64)  # 3 KiB each
+        first = blob_fingerprint("norm", ("first",))
+        second = blob_fingerprint("norm", ("second",))
+        assert store.publish_blob(first, {"a": chunk})
+        assert store.publish_blob(second, {"a": chunk})
+        assert store.fetch_blob(first) is None, \
+            "oldest entry must be evicted past the byte budget"
+        assert store.fetch_blob(second) is not None, \
+            "the entry being published is protected from eviction"
+        assert store.stats()["bytes"] <= 4096
+
+    def test_claimed_chain_never_evicted(self, store, monkeypatch):
+        fp = TestChainProtocol.FP
+        store.plan_chain(fp, have=0, want=1)
+        store.files.put(term_name(fp, 1), np.zeros(384))
+        monkeypatch.setattr(shm, "BUDGET_BYTES", 1024)
+        other = store.worker_handle()
+        assert other.publish_blob(blob_fingerprint("norm", ("big",)),
+                                  {"a": np.zeros(384)})
+        assert (store.root / f"{term_name(fp, 1)}.npy").exists(), \
+            "a chain under a claim must survive eviction"
+        other.close()
+
+    def test_oserror_degrades_to_local(self, store, monkeypatch):
+        telemetry.configure()
+        fp = blob_fingerprint("norm", ("refused",))
+        for count, code in enumerate((errno.ENOSPC, errno.EACCES), start=1):
+            handle = store.worker_handle()
+
+            def refuse(_src, _dst, code=code):
+                raise OSError(code, os.strerror(code))
+
+            with monkeypatch.context() as patch:
+                patch.setattr(shm.os, "replace", refuse)
+                assert not handle.publish_blob(fp, {"a": np.ones(4)})
+            assert handle._disabled, \
+                "an OSError must disable the client for the session"
+            assert _counters()["shm.store.disabled"] == count
+            assert not any(name.endswith(".tmp")
+                           for name in _run_files(store))
+            # Degradation is sticky: the client stays off even once the
+            # directory works again — liveness over sharing.
+            assert not handle.publish_blob(fp, {"a": np.ones(4)})
+            assert handle.fetch_blob(fp) is None
+            assert handle.plan_chain(TestChainProtocol.FP, 0, 2) \
+                == ([], False)
+            handle.close()
+
+    def test_failed_publish_releases_claim(self, store, monkeypatch):
+        """A claimant whose publish fails must not leave siblings
+        polling a claim held by a live pid."""
+        fp = TestChainProtocol.FP
+        handle = store.worker_handle()
+        _, claimed = handle.plan_chain(fp, have=0, want=2)
+        assert claimed
+
+        def full(_src, _dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(shm.os, "replace", full)
+            assert not handle.publish_terms(fp, 1, [np.ones(3), np.ones(3)])
+        assert not (store.root / f"c-{fp}.claim").exists()
+        handle.close()
+
+    def test_vanished_directory_degrades(self):
+        store = SharedTermStore()
+        handle = store.worker_handle()
+        shutil.rmtree(store.root)
+        fp = TestChainProtocol.FP
+        assert handle.fetch_blob(blob_fingerprint("norm", ("gone",))) is None
+        assert handle.plan_chain(fp, have=0, want=2) == ([], False)
+        assert handle._disabled
+        handle.close()
+        assert store.close()["segments_unlinked"] == 0
 
 
 # ---------------------------------------------------------------------------
-# 3. crash safety: lifecycle, leaked-segment sweep, cross-process
+# 3. crash safety: lifecycle, leaked-store sweep, cross-process
 # ---------------------------------------------------------------------------
 
 class TestLifecycle:
@@ -341,19 +472,23 @@ class TestLifecycle:
                            {"a": np.ones(4)})
         assert _run_segments(store.run_id)
         stats = store.close()
-        assert stats["segments_unlinked"] >= 2  # index + data
+        assert stats["segments_unlinked"] >= 2  # owner + payload files
         assert stats["blobs"] == 1
         assert not _run_segments(store.run_id)
         assert store.close() == stats, "second close must be a no-op"
 
-    def test_worker_handle_state_never_ships_segments(self, store):
-        store.publish_blob(blob_fingerprint("norm", ("y",)),
-                           {"a": np.ones(4)})
+    def test_worker_handle_pickles_as_path_and_run_id(self, store):
+        """A handle is addressing state only, so it crosses any process
+        boundary (fork args, spawn pickling) and still finds the files."""
+        fp = blob_fingerprint("norm", ("y",))
+        store.publish_blob(fp, {"a": np.ones(4)})
         handle = store.worker_handle()
-        handle.fetch_blob(blob_fingerprint("norm", ("y",)))
-        state = handle.__getstate__()
-        assert state["_segments"] == {} and state["_index_seg"] is None
-        handle.close()
+        clone = pickle.loads(pickle.dumps(handle))
+        assert (clone.root, clone.run_id) == (store.root, store.run_id)
+        got, _meta = clone.fetch_blob(fp)
+        np.testing.assert_array_equal(got["a"], np.ones(4))
+        clone.close()
+        assert store.stats()["hits"] == 1
 
     def test_store_survives_view_outliving_fetch(self, store):
         fp = blob_fingerprint("norm", ("held",))
@@ -365,34 +500,49 @@ class TestLifecycle:
         np.testing.assert_array_equal(view, np.arange(8.0)), \
             "POSIX unlink must not invalidate live mappings"
 
+    def test_stats_sum_closed_clients(self, store):
+        fp = blob_fingerprint("norm", ("sum",))
+        first, second = store.worker_handle(), store.worker_handle()
+        first.publish_blob(fp, {"a": np.ones(4)})
+        second.fetch_blob(fp)
+        second.fetch_blob(fp)
+        first.close()
+        second.close()
+        second.close()  # a closed client reports nothing twice
+        stats = store.stats()
+        assert (stats["publishes"], stats["hits"]) == (1, 2)
+        assert stats["peak_bytes"] == stats["bytes"] > 0
+
 
 class TestLeakedSegmentSweep:
     def test_dead_owner_group_reaped(self):
         store = SharedTermStore()
         store.publish_blob(blob_fingerprint("norm", ("leak",)),
                            {"a": np.ones(16)})
-        run_id, dead = store.run_id, _dead_pid()
-
-        def forge(index):
-            index["owner"] = dead
-            return None, True
-
-        store._with_index(forge)
+        (store.root / "owner").write_text(str(_dead_pid()))
         assert sweep_leaked_segments() >= 2
-        assert not _run_segments(run_id)
-        store._closed = True  # segments already gone; skip double unlink
+        assert not _run_segments(store.run_id)
 
     def test_orphan_data_segment_reaped(self):
-        name = f"{shm.SEGMENT_PREFIX}deadbeefd1x0"
-        segment = shm._create_segment(name, 64)
-        segment.close()
-        assert sweep_leaked_segments() >= 1
-        assert not _run_segments("deadbeef")
+        """A directory with no readable ``owner`` is wreckage — but only
+        once it has sat idle, so a store being born is never swept."""
+        path = os.path.join("/dev/shm", f"{shm.SEGMENT_PREFIX}deadbeef")
+        os.mkdir(path)
+        try:
+            with open(os.path.join(path, "c-0.1.npy"), "wb") as handle:
+                handle.write(b"orphan")
+            sweep_leaked_segments()
+            assert _run_segments("deadbeef"), \
+                "a fresh ownerless directory must survive the sweep"
+            assert sweep_leaked_segments(max_age_s=0.0) >= 1
+            assert not _run_segments("deadbeef")
+        finally:
+            shutil.rmtree(path, ignore_errors=True)
 
     def test_live_store_never_swept(self, store):
         store.publish_blob(blob_fingerprint("norm", ("live",)),
                            {"a": np.ones(4)})
-        sweep_leaked_segments()
+        sweep_leaked_segments(max_age_s=0.0)
         assert _run_segments(store.run_id), \
             "a store with a live owner must survive the sweep"
 
@@ -409,6 +559,28 @@ def _child_roundtrip(handle, fp_in, fp_out, conn):
         conn.send(f"error: {exc}")
     finally:
         conn.close()
+
+
+def _killed_mid_save(handle, fp, conn):
+    """Fork-child: claim a chain, then hang inside ``np.save`` with the
+    scratch file half written — the instant a SIGKILL is worst."""
+    def stuck_save(file, array):
+        file.write(b"\x93NUMPY-torn")
+        file.flush()
+        conn.send("mid-save")
+        time.sleep(300)
+
+    np.save = stuck_save
+    _, claimed = handle.plan_chain(fp, have=0, want=2)
+    assert claimed
+    handle.publish_terms(fp, 1, [np.ones((3, 2)), np.ones((3, 2))])
+
+
+def _precompute_cell(name, seed):
+    graph = _random_graph(40, seed=seed)
+    x = np.asarray(graph.features, dtype=np.float32)
+    filter_ = make_filter(name, num_hops=6, num_features=x.shape[1])
+    return filter_.precompute(graph, x, rho=0.5).tobytes()
 
 
 class TestCrossProcess:
@@ -433,6 +605,53 @@ class TestCrossProcess:
         assert result == payload.tolist()
         got, _meta = store.fetch_blob(fp_out)
         np.testing.assert_array_equal(got["b"], payload * 2.0)
+
+    def test_publisher_killed_mid_save_is_adopted(self, store, monkeypatch):
+        """SIGKILL mid-``np.save``: only a scratch file and a dead claim
+        remain; readers miss, the next claimant adopts without waiting,
+        and close leaves nothing behind (the fixture asserts that)."""
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        fp = TestChainProtocol.FP
+        ctx = mp.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_killed_mid_save,
+                           args=(store.worker_handle(), fp, child_conn))
+        proc.start()
+        child_conn.close()
+        assert parent_conn.poll(30.0), "victim never reached np.save"
+        assert parent_conn.recv() == "mid-save"
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.join(timeout=30.0)
+        assert proc.exitcode == -signal.SIGKILL
+        names = _run_files(store)
+        assert any(name.endswith(".tmp") for name in names)
+        assert not any(name.endswith(".npy") for name in names)
+        monkeypatch.setattr(shm, "WAIT_TIMEOUT_S", 5.0)
+        telemetry.configure()
+        start = time.monotonic()
+        served, claimed = store.plan_chain(fp, have=0, want=2)
+        assert served == [] and claimed, "dead claim must be adopted"
+        assert time.monotonic() - start < 1.0, "adoption must not wait"
+        assert _counters()["shm.claims.adopted"] == 1
+        assert store.publish_terms(fp, 1, [np.ones((3, 2))] * 2)
+
+    def test_spawn_pool_shares_terms(self):
+        """A handle pickles, so ``spawn`` workers share too."""
+        if "spawn" not in mp.get_all_start_methods():
+            pytest.skip("spawn start method unavailable")
+        cells = [Cell(key=(index,), fn=_precompute_cell,
+                      kwargs={"name": "monomial", "seed": 5})
+                 for index in range(4)]
+        expected = _precompute_cell("monomial", 5)
+        store = SharedTermStore()
+        with shm.store_scope(store):
+            results = execute_cells(
+                cells, PoolConfig(workers=2, start_method="spawn"))
+        assert [result.value for result in results] == [expected] * 4
+        stats = store.stats()
+        assert stats["publishes"] > 0 and stats["hits"] > 0, stats
+        assert not _run_segments(store.run_id)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +724,104 @@ class TestSharedStoreInvisibility:
         assert local.tobytes() == served.tobytes(), name
 
 
+def _publish_chain(store, filter_, graph, x):
+    with shm.worker_scope(store.worker_handle()), \
+            plan.plan_scope(fresh=True) as planner:
+        out = filter_.precompute(graph, x, rho=0.5)
+        return out, planner.stats()["terms_computed"]
+
+
+class TestAnySubsetIsValid:
+    @given(seed=st.integers(0, 40), num_hops=st.integers(2, 7),
+           filter_name=st.sampled_from(["monomial", "chebyshev", "jacobi",
+                                        "gaussian", "horner"]),
+           data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_deleted_files_are_recomputed_identically(self, seed, num_hops,
+                                                      filter_name, data):
+        """Delete an arbitrary subset of a published chain's files: the
+        planner's output is byte-identical, it recomputes only from the
+        first gap on, and exactly the deleted files are re-published."""
+        graph = _random_graph(12 + seed % 9, seed=seed)
+        x = np.asarray(graph.features, dtype=np.float32)
+        filter_ = make_filter(filter_name, num_hops=num_hops,
+                              num_features=x.shape[1])
+        store = SharedTermStore()
+        try:
+            expected, computed = _publish_chain(store, filter_, graph, x)
+            terms = sorted(name for name in _run_files(store)
+                           if name.startswith("c-")
+                           and name.endswith(".npy"))
+            assert len(terms) == computed > 0
+            doomed = data.draw(st.sets(st.sampled_from(terms)))
+            first_gap = {}
+            for name in doomed:
+                os.unlink(store.root / name)
+                chain, order = name.split(".")[:2]
+                first_gap[chain] = min(first_gap.get(chain, int(order)),
+                                       int(order))
+            # A reader takes the leading run: everything from a chain's
+            # first gap on is recomputed, present or not.
+            lost = sum(1 for name in terms
+                       if int(name.split(".")[1])
+                       >= first_gap.get(name.split(".")[0], np.inf))
+            published = store.stats()["publishes"]
+            again, recomputed = _publish_chain(store, filter_, graph, x)
+            assert again.tobytes() == expected.tobytes()
+            assert recomputed == lost
+            assert store.stats()["publishes"] - published == len(doomed)
+            assert set(terms) <= _run_files(store)
+        finally:
+            store.close()
+
+
+class TestFaultsAreInvisible:
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES])
+    @pytest.mark.parametrize("name", ["chebyshev", "ppr"])
+    def test_failed_publish_keeps_canonical_payload(self, name, code,
+                                                    monkeypatch):
+        graph = _random_graph(24, seed=17)
+        x = np.asarray(graph.features, dtype=np.float32)
+        filter_ = make_filter(name, num_hops=6, num_features=x.shape[1])
+        with plan.plan_scope(fresh=True):
+            expected = filter_.precompute(graph, x, rho=0.5)
+
+        def refuse(_src, _dst):
+            raise OSError(code, os.strerror(code))
+
+        telemetry.configure()
+        store = SharedTermStore()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(shm.os, "replace", refuse)
+                faulted, _ = _publish_chain(store, filter_, graph, x)
+            healthy, _ = _publish_chain(store, filter_, graph, x)
+            leftovers = _run_files(store) - {"owner", "stats"}
+        finally:
+            stats = store.close()
+        assert faulted.tobytes() == expected.tobytes()
+        assert healthy.tobytes() == expected.tobytes()
+        assert _counters()["shm.store.disabled"] == 1
+        assert stats["publishes"] > 0, \
+            "a fresh client must share again once the fault is gone"
+        assert not any(name.endswith((".tmp", ".claim"))
+                       for name in leftovers), leftovers
+
+    def test_removed_directory_keeps_canonical_payload(self):
+        graph = _random_graph(24, seed=19)
+        x = np.asarray(graph.features, dtype=np.float32)
+        filter_ = make_filter("monomial", num_hops=6,
+                              num_features=x.shape[1])
+        with plan.plan_scope(fresh=True):
+            expected = filter_.precompute(graph, x, rho=0.5)
+        store = SharedTermStore()
+        shutil.rmtree(store.root)
+        got, _ = _publish_chain(store, filter_, graph, x)
+        assert got.tobytes() == expected.tobytes()
+        assert not _run_segments(store.run_id)
+        store.close()
+
+
 class TestCsrBlobIntegration:
     def _csr(self, seed=0, n=12):
         rng = np.random.default_rng(seed)
@@ -515,12 +832,23 @@ class TestCsrBlobIntegration:
 
     def test_shared_csr_round_trip(self, store):
         matrix = self._csr()
-        fp = blob_fingerprint("spmm_t", cache.matrix_token(matrix))
-        assert cache.shared_csr_publish(store, fp, matrix)
-        fetched = cache.shared_csr_fetch(store, fp)
-        assert fetched is not None
+        parts = (cache.matrix_token(matrix),)
+
+        def never():
+            raise AssertionError("a published blob must be served")
+
+        with shm.worker_scope(store.worker_handle()):
+            built = cache.shared_csr("spmm_t", parts, lambda: matrix)
+            fetched = cache.shared_csr("spmm_t", parts, never)
+        assert built is matrix
         assert (fetched != matrix).nnz == 0
         assert fetched.has_sorted_indices
+        assert not fetched.data.flags.writeable
+
+    def test_shared_csr_without_store_just_builds(self):
+        matrix = self._csr(seed=1)
+        assert cache.shared_csr("spmm_t", ("unshared",),
+                                lambda: matrix) is matrix
 
     def test_transpose_routes_through_store(self, store):
         matrix = self._csr(seed=3)
