@@ -279,8 +279,6 @@ def build_compare_parser() -> argparse.ArgumentParser:
                         help="registry mode: instead of diffing two runs, "
                              "render one sparkline per stage/headline "
                              "metric over the last N runs of the config")
-    parser.add_argument("--tolerance", type=float, default=0.05,
-                        help="relative regression tolerance for file mode")
     parser.add_argument("--gate", action="store_true",
                         help="evaluate regression thresholds and exit "
                              "non-zero on any failure")
@@ -313,13 +311,13 @@ def compare_main(argv) -> int:
 
 
 def _compare_files(args) -> int:
-    from .compare import compare_files
+    from .compare import TOLERANCE, compare_files
 
     comparison = compare_files(args.paths[0], args.paths[1])
     print(render_table(comparison.summary_rows(),
                        title=f"compare: {args.paths[0]} -> {args.paths[1]} "
                              f"({comparison.matched} rows matched)"))
-    regressions = comparison.regressions(args.tolerance)
+    regressions = comparison.regressions()
     for delta in regressions:
         print(f"REGRESSION {'/'.join(map(str, delta.key))} {delta.metric}: "
               f"{delta.baseline:g} -> {delta.candidate:g} "
@@ -330,7 +328,7 @@ def _compare_files(args) -> int:
         print(f"candidate-only rows: {len(comparison.candidate_only)}")
     if regressions:
         print(f"{len(regressions)} regression(s) beyond "
-              f"{args.tolerance:.0%} tolerance")
+              f"{TOLERANCE:.0%} tolerance")
         return 1 if args.gate else 0
     return 0
 

@@ -32,6 +32,9 @@ HIGHER_IS_BETTER = ("accuracy", "auc", "mean", "score", "r2", "overall",
                     "test", "valid", "relative_accuracy",
                     "cluster_separation")
 
+#: Relative worsening beyond which file mode reports a regression.
+TOLERANCE = 0.05
+
 
 @dataclass
 class MetricDelta:
@@ -67,7 +70,7 @@ class Comparison:
     candidate_only: List[Tuple]
     deltas: List[MetricDelta] = field(default_factory=list)
 
-    def regressions(self, tolerance: float = 0.05) -> List[MetricDelta]:
+    def regressions(self, tolerance: float = TOLERANCE) -> List[MetricDelta]:
         return [d for d in self.deltas if d.is_regression(tolerance)]
 
     def summary_rows(self) -> List[Dict]:

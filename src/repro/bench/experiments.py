@@ -157,12 +157,7 @@ def _efficiency_cell(dataset_name: str, filter_name: str, scheme: str,
         "filter": REGISTRY[filter_name].display,
         "type": REGISTRY[filter_name].category,
         "scheme": scheme,
-        "status": result.status,
-        "precompute_s": result.precompute_seconds,
-        "train_s_per_epoch": result.train_seconds_per_epoch,
-        "inference_s": result.inference_seconds,
-        "ram_bytes": result.ram_peak_bytes,
-        "device_bytes": result.device_peak_bytes,
+        **result.columns(),
     }
     if result.cut_edges is not None:
         # GP expressiveness accounting: edges the clustering severed.
@@ -509,13 +504,9 @@ def linkpred_experiment(
                 "filter": REGISTRY[filter_name].display,
                 "type": REGISTRY[filter_name].category,
                 "status": result.status,
-                "auc": result.test_auc,
-                "precompute_s": result.profiler.seconds("precompute"),
-                "train_s_per_epoch":
-                    result.profiler.stages["train"].seconds_per_call
-                    if "train" in result.profiler.stages else 0.0,
-                "ram_bytes": result.ram_peak_bytes,
-                "device_bytes": result.device_peak_bytes,
+                "auc": result.test_score,
+                **result.columns("precompute_s", "train_s_per_epoch",
+                                 "ram_bytes", "device_bytes"),
             }
         )
     return rows

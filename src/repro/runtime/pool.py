@@ -233,7 +233,8 @@ def _record_run_stats(results: Sequence[CellResult]) -> None:
 # ======================================================================
 def _cell_entry(conn, cell: Cell, telemetry_on: bool, attempt: int = 1,
                 live_conn=None, rss_interval_s: float = 0.2,
-                shm_handle=None) -> None:
+                shm_handle=None,
+                switches: Tuple[bool, bool] = (True, True)) -> None:
     """Worker-process entry: run one cell, ship value + telemetry shard.
 
     The worker reconfigures telemetry from scratch (dropping any tracer
@@ -246,14 +247,18 @@ def _cell_entry(conn, cell: Cell, telemetry_on: bool, attempt: int = 1,
     corrupts the result protocol. ``shm_handle`` is the sweep's shared
     term-store client (``None`` when sharing is off); it is installed
     *around* the fresh plan scope so the planner's chain suffixes fall
-    through to the sweep's store directory.
+    through to the sweep's store directory. ``switches`` is the parent's
+    ``(plan, cache)`` enabled pair (``--no-plan`` / ``--no-cache``): they
+    are module globals, which ``fork`` inherits and ``spawn`` does not.
     """
     import os
 
-    from . import plan
+    from . import cache, plan
     from . import shm as shm_mod
     from ..telemetry import live
 
+    plan.set_enabled(switches[0])
+    cache.set_enabled(switches[1])
     payload: Dict[str, Any] = {"pid": os.getpid()}
     send = live_conn.send if live_conn is not None else None
     try:
@@ -442,6 +447,7 @@ def _run_pooled(cells: List[Cell], config: PoolConfig,
                 sweep=None) -> List[CellResult]:
     import multiprocessing as mp
 
+    from . import cache, plan
     from . import shm as shm_mod
     from .. import telemetry
     from ..telemetry import live
@@ -452,6 +458,9 @@ def _run_pooled(cells: List[Cell], config: PoolConfig,
     # under any start method.
     store = shm_mod.active_store()
     shm_handle = store.worker_handle() if store is not None else None
+    # --no-plan / --no-cache are module globals: fork inherits them, a
+    # spawn worker would start with both back on.
+    switches = (plan.is_enabled(), cache.is_enabled())
     cached = cached or {}
     results: List[Optional[CellResult]] = [None] * len(cells)
     for index, result in cached.items():
@@ -516,7 +525,7 @@ def _run_pooled(cells: List[Cell], config: PoolConfig,
                 args=(child_conn, cells[index], telemetry_on, attempt_no,
                       live_child, (monitor.config.rss_interval_s
                                    if monitor is not None else 0.2),
-                      shm_handle),
+                      shm_handle, switches),
                 daemon=True)
             proc.start()
             child_conn.close()

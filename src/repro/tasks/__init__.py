@@ -1,10 +1,6 @@
 """Benchmark tasks: node classification, link prediction, signal regression."""
 
-from .link_prediction import (
-    LinkPredictionResult,
-    LinkPredictor,
-    run_link_prediction,
-)
+from .link_prediction import LinkPredictor, run_link_prediction
 from .node_classification import (
     SeedSummary,
     build_task_filter,
@@ -21,7 +17,6 @@ __all__ = [
     "SeedSummary",
     "run_link_prediction",
     "LinkPredictor",
-    "LinkPredictionResult",
     "run_signal_regression",
     "RegressionResult",
     "tune_and_run",

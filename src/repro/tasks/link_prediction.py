@@ -10,23 +10,24 @@ embeddings over edge batches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from ..autodiff import functional as F
-from ..autodiff.tensor import Tensor, no_grad
+from ..autodiff.tensor import Tensor
 from ..datasets.splits import edge_split
-from ..errors import DeviceOOMError, TrainingError
+from ..errors import TrainingError
 from ..filters.base import SpectralFilter
 from ..graph.graph import Graph
 from ..models.decoupled import MiniBatchModel
 from ..nn.linear import MLP
 from ..nn.module import Module
 from ..runtime.profiler import StageProfiler
-from ..training.loop import TrainConfig, make_device
-from ..training.metrics import roc_auc
+from ..training.loop import RunResult, TrainConfig, make_device
+from ..training.schemes import MiniBatchTrainer
 from .node_classification import build_task_filter
 
 
@@ -56,31 +57,54 @@ class LinkPredictor(Module):
         return self.scorer(source * target).reshape(-1)
 
 
-@dataclass
-class LinkPredictionResult:
-    """Outcome of one link-prediction run."""
-
-    status: str
-    test_auc: float = float("nan")
-    epochs_run: int = 0
-    profiler: StageProfiler = field(default_factory=StageProfiler)
-    device_peak_bytes: int = 0
-    ram_peak_bytes: int = 0
-
-    @property
-    def is_oom(self) -> bool:
-        return self.status == "oom"
-
-
-def _sample_negatives(rng: np.random.Generator, num_nodes: int,
-                      count: int) -> np.ndarray:
-    """Uniform negative pairs (u ≠ v); collisions with real edges are rare
-    on sparse graphs and standard practice tolerates them."""
+def _with_negatives(rng: np.random.Generator, num_nodes: int,
+                    edges: np.ndarray, ratio: int):
+    """``edges`` followed by ``ratio`` uniform negative pairs (u ≠ v) each,
+    and their 1/0 targets; collisions with real edges are rare on sparse
+    graphs and standard practice tolerates them."""
+    count = ratio * len(edges)
     sources = rng.integers(0, num_nodes, size=count)
     targets = rng.integers(0, num_nodes, size=count)
     clash = sources == targets
     targets[clash] = (targets[clash] + 1) % num_nodes
-    return np.stack([sources, targets], axis=1)
+    pairs = np.concatenate([edges, np.stack([sources, targets], axis=1)])
+    return pairs, np.concatenate([np.ones(len(edges), dtype=np.float32),
+                                  np.zeros(count, dtype=np.float32)])
+
+
+class LinkPredictionTrainer(MiniBatchTrainer):
+    """The mini-batch placement with node *pairs* as its index space.
+
+    Same CPU precompute and host-resident channels; the split holds edges,
+    a batch is κ+1 pairs per training edge, and the model sees both
+    endpoints' rows. There is no validation set.
+    """
+
+    validates = False
+
+    def __init__(self, device, kappa: int):
+        super().__init__(device)
+        self.kappa = kappa
+
+    def build(self, profiler: StageProfiler) -> Module:
+        self.precompute(profiler)
+        return LinkPredictor(
+            self.filter, in_features=self.graph.num_features,
+            hidden=self.config.hidden, dropout=self.config.dropout, rng=self.rng)
+
+    def forward(self, pairs: np.ndarray) -> Tensor:
+        return self.model(Tensor(self.channels[pairs[:, 0]]),
+                          Tensor(self.channels[pairs[:, 1]]))
+
+    def loss(self, edges: np.ndarray) -> Tensor:
+        pairs, targets = _with_negatives(
+            self.rng, self.graph.num_nodes, edges, self.kappa)
+        return F.binary_cross_entropy_with_logits(self.forward(pairs), targets)
+
+    def test_set(self):
+        pairs, targets = _with_negatives(
+            self.rng, self.graph.num_nodes, self.split.test, 1)
+        return pairs, slice(None), targets.astype(int)
 
 
 def run_link_prediction(
@@ -90,8 +114,11 @@ def run_link_prediction(
     kappa: int = 2,
     num_hops: int = 10,
     device_capacity_gib: Optional[float] = None,
-) -> LinkPredictionResult:
+) -> RunResult:
     """Train and evaluate MB link prediction with one spectral filter.
+
+    ``test_score`` is the ROC AUC over the held-out edges and as many
+    sampled non-edges, whatever ``config.metric`` says.
 
     Parameters
     ----------
@@ -101,71 +128,11 @@ def run_link_prediction(
     """
     if kappa < 1:
         raise TrainingError(f"kappa must be >= 1, got {kappa}")
-    config = config or TrainConfig()
-    rng = config.rng()
-    device = make_device(device_capacity_gib, name="lp-device")
-    result = LinkPredictionResult(status="ok")
-    profiler = result.profiler
-
-    edges = graph.edge_list()
-    train_edges, _, test_edges = edge_split(edges, seed=config.seed)
-
-    try:
-        filter_ = build_task_filter(filter_name, graph, config, "mini_batch",
-                                    num_hops=num_hops)
-        with profiler.stage("precompute", op_class="propagation"):
-            channels = filter_.precompute(graph, graph.features,
-                                          rho=config.rho, backend=config.backend)
-        profiler.record_ram("precompute", channels.nbytes)
-
-        model = LinkPredictor(filter_, in_features=graph.num_features,
-                              hidden=config.hidden, dropout=config.dropout, rng=rng)
-        from ..training.loop import build_optimizer
-
-        optimizer = build_optimizer(model, config)
-        device.to_device(sum(p.data.nbytes for p in model.parameters()))
-
-        order = np.arange(len(train_edges))
-        for epoch in range(config.epochs):
-            model.train()
-            rng.shuffle(order)
-            with profiler.stage("train", op_class="transform"):
-                for start in range(0, len(order), config.batch_size):
-                    batch_edges = train_edges[order[start:start + config.batch_size]]
-                    negatives = _sample_negatives(
-                        rng, graph.num_nodes, kappa * len(batch_edges))
-                    pairs = np.concatenate([batch_edges, negatives], axis=0)
-                    targets = np.concatenate([
-                        np.ones(len(batch_edges), dtype=np.float32),
-                        np.zeros(len(negatives), dtype=np.float32),
-                    ])
-                    with device.step():
-                        logits = model(Tensor(channels[pairs[:, 0]]),
-                                       Tensor(channels[pairs[:, 1]]))
-                        loss = F.binary_cross_entropy_with_logits(logits, targets)
-                        model.zero_grad()
-                        loss.backward()
-                        optimizer.step()
-            result.epochs_run = epoch + 1
-
-        with profiler.stage("inference", op_class="transform"):
-            negatives = _sample_negatives(rng, graph.num_nodes, len(test_edges))
-            pairs = np.concatenate([test_edges, negatives], axis=0)
-            targets = np.concatenate([
-                np.ones(len(test_edges)), np.zeros(len(negatives))])
-            scores = []
-            model.eval()
-            with no_grad():
-                for start in range(0, len(pairs), config.batch_size):
-                    chunk = pairs[start:start + config.batch_size]
-                    with device.step():
-                        scores.append(
-                            model(Tensor(channels[chunk[:, 0]]),
-                                  Tensor(channels[chunk[:, 1]])).data)
-            result.test_auc = roc_auc(np.concatenate(scores), targets.astype(int))
-    except DeviceOOMError:
-        result.status = "oom"
-    result.device_peak_bytes = device.peak_bytes
-    profiler.record_device("train", device.peak_bytes)
-    result.ram_peak_bytes = profiler.peak_ram_bytes()
-    return result
+    config = replace(config or TrainConfig(), metric="roc_auc")
+    filter_ = build_task_filter(filter_name, graph, config, "mini_batch",
+                                num_hops=num_hops)
+    train_edges, _, test_edges = edge_split(graph.edge_list(), seed=config.seed)
+    trainer = LinkPredictionTrainer(
+        make_device(device_capacity_gib, name="lp-device"), kappa)
+    return trainer.fit(graph, SimpleNamespace(train=train_edges, test=test_edges),
+                       filter_, config)

@@ -12,12 +12,14 @@ from .hyper import (
 )
 from .loop import (
     EarlyStopper,
+    Placement,
     RunResult,
     TrainConfig,
     build_optimizer,
     grad_global_norm,
     make_device,
     record_epoch_telemetry,
+    run_training,
 )
 from .metrics import METRICS, accuracy, evaluate, macro_f1, r2_score, roc_auc
 from .schemes import (
@@ -31,6 +33,8 @@ __all__ = [
     "TrainConfig",
     "RunResult",
     "EarlyStopper",
+    "Placement",
+    "run_training",
     "build_optimizer",
     "make_device",
     "grad_global_norm",

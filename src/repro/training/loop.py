@@ -1,25 +1,29 @@
-"""Shared training-loop machinery: config, results, early stopping.
+"""The one measured training loop, and what every run shares around it.
 
-The concrete learning schemes (:mod:`repro.training.schemes`) differ in
-*where data lives* — that is the paper's whole point — but share the same
-epoch budget, optimizer construction, early stopping, and result record,
-which live here.
+The learning schemes (:mod:`repro.training.schemes`), link prediction and
+the Table 6 baselines differ in *where data lives* — that is the paper's
+whole point — and state exactly that as a :class:`Placement`. Everything
+the paper's efficiency columns are made of — the epoch budget, stage
+timing, spans, device steps, early stopping, the OOM contract and the
+result record — exists once, in :func:`run_training`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .. import telemetry
 from ..telemetry import live
 from ..autodiff.optim import Adam
+from ..errors import DeviceOOMError
 from ..nn.module import Module
 from ..runtime.device import DeviceModel
 from ..runtime.profiler import StageProfiler
+from .metrics import evaluate
 
 
 @dataclass
@@ -63,7 +67,8 @@ class RunResult:
     device_peak_bytes: int = 0
     ram_peak_bytes: int = 0
     filter_params: Optional[Dict[str, np.ndarray]] = None
-    #: Final full-graph logits (n, C) from the best model, for node-wise
+    #: Best-model outputs over the placement's inference index — the
+    #: full-graph (n, C) logits under the three schemes, for node-wise
     #: analyses (degree bias, t-SNE); None after an OOM.
     predictions: Optional[np.ndarray] = None
     #: Graph-partition expressiveness accounting (None for other schemes):
@@ -89,15 +94,27 @@ class RunResult:
     def inference_seconds(self) -> float:
         return self.profiler.seconds("inference")
 
+    def columns(self, *names: str) -> Dict:
+        """The paper's efficiency columns under the experiments' row keys
+        (Figure 2, Tables 5–6 and 9–11, Figure 6); ``names`` selects and
+        orders a subset for tables that print fewer of them."""
+        columns = {
+            "status": self.status,
+            "precompute_s": self.precompute_seconds,
+            "train_s_per_epoch": self.train_seconds_per_epoch,
+            "inference_s": self.inference_seconds,
+            "ram_bytes": self.ram_peak_bytes,
+            "device_bytes": self.device_peak_bytes,
+        }
+        return {name: columns[name] for name in names} if names else columns
+
     def summary(self) -> Dict[str, float]:
         summary = {
             "status": self.status,
             "test": self.test_score,
             "valid": self.valid_score,
             "epochs": self.epochs_run,
-            "precompute_s": self.precompute_seconds,
-            "train_s_per_epoch": self.train_seconds_per_epoch,
-            "inference_s": self.inference_seconds,
+            **self.columns("precompute_s", "train_s_per_epoch", "inference_s"),
             "device_peak_bytes": self.device_peak_bytes,
             "ram_peak_bytes": self.ram_peak_bytes,
         }
@@ -172,18 +189,14 @@ def grad_global_norm(model: Module) -> float:
     return math.sqrt(total)
 
 
-def record_epoch_telemetry(
-    epoch: int,
-    loss: Optional[float],
-    valid_score: Optional[float] = None,
-    stopper: Optional[EarlyStopper] = None,
-    model: Optional[Module] = None,
-) -> None:
+def record_epoch_telemetry(epoch: int, loss: Optional[float],
+                           valid_score: Optional[float],
+                           stopper: EarlyStopper, model: Module) -> None:
     """Emit one per-epoch telemetry event plus metric-series updates.
 
     Feeds the trace's ``epoch`` events (loss, eval metric, grad norm,
     early-stop state) and the loss/score histograms the report's sparkline
-    table renders. A no-op when telemetry is disabled, so trainers call it
+    table renders. A no-op when telemetry is disabled, so the loop calls it
     unconditionally; the (mildly costly) grad norm is only computed while
     a tracer is active. Also the sweep's liveness pulse: each epoch sends
     a throttled live heartbeat (one global ``None`` check when no live
@@ -193,21 +206,125 @@ def record_epoch_telemetry(
               loss=None if loss is None else float(loss))
     if not telemetry.enabled():
         return
-    grad_norm = grad_global_norm(model) if model is not None else None
+    grad_norm = grad_global_norm(model)
     telemetry.emit_event(
         "epoch",
         epoch=int(epoch),
         loss=None if loss is None else float(loss),
         valid_score=None if valid_score is None else float(valid_score),
         grad_norm=grad_norm,
-        bad_epochs=stopper.bad_epochs if stopper is not None else None,
-        best_score=(None if stopper is None or not np.isfinite(stopper.best_score)
-                    else float(stopper.best_score)),
+        bad_epochs=stopper.bad_epochs,
+        best_score=(float(stopper.best_score)
+                    if np.isfinite(stopper.best_score) else None),
     )
     telemetry.inc_counter("train.epochs")
     if loss is not None:
         telemetry.observe("train.loss", float(loss))
     if valid_score is not None:
         telemetry.observe("train.valid_score", float(valid_score))
-    if grad_norm is not None:
-        telemetry.observe("train.grad_norm", grad_norm)
+    telemetry.observe("train.grad_norm", grad_norm)
+
+
+def parameters_bytes(model: Module) -> int:
+    """Bytes of every weight — resident on the device under any placement."""
+    return sum(p.data.nbytes for p in model.parameters())
+
+
+class Placement:
+    """Where one training run's data lives — all that differs between runs.
+
+    The paper's Figure 1 in code (DESIGN.md §6); :func:`run_training` owns
+    everything else. A placement provides ``setup(run) -> Module``
+    (precompute, build the model, make data resident: every RNG draw
+    before the first epoch, every ``to_device`` / ``record_ram``),
+    ``steps(epoch)`` (per optimisation step: a context holding what is
+    resident only for that step, and a closure returning its loss) and
+    ``predict(index)`` (eval-mode outputs, row ``i`` for ``index[i]``,
+    each forward inside ``self.device.step()``). The evaluation sets
+    default to node classification over the split.
+    """
+
+    device_name = "device"
+    #: ``op_class`` of the train and inference stages (hardware re-scaling).
+    op_class = "propagation"
+    #: Evaluate ``split.valid`` every ``eval_every`` epochs and early-stop
+    #: on it; False for placements without a validation set.
+    validates = True
+
+    def __init__(self, device: Optional[DeviceModel] = None):
+        self.device = device or DeviceModel(name=self.device_name)
+
+    def fit(self, graph, split, filter_, config: TrainConfig) -> RunResult:
+        """Bind one run's data and train on it."""
+        self.graph, self.split, self.filter = graph, split, filter_
+        self.config, self.labels = config, graph.labels
+        return run_training(self)
+
+    def test_set(self) -> Tuple[np.ndarray, object, np.ndarray]:
+        """Inference index, which of its output rows are scored, and their
+        targets; called once, inside the inference stage."""
+        return (np.arange(self.graph.num_nodes), self.split.test,
+                self.labels[self.split.test])
+
+
+def run_training(placement: Placement) -> RunResult:
+    """Train and evaluate one placement — the only epoch loop in the repo.
+
+    One ``train`` stage per epoch and one ``inference`` stage, the
+    ``epoch`` / ``forward`` / ``backward`` spans, one ``device.step()``
+    per optimisation step, early stopping with restore-best, and a
+    simulated OOM anywhere becomes ``status="oom"`` with the stage table
+    and memory peaks still filled.
+    """
+    device, config = placement.device, placement.config
+    result = RunResult(status="ok")
+    profiler = result.profiler
+    try:
+        model = placement.setup(result)
+        optimizer = build_optimizer(model, config)
+        stopper = EarlyStopper(config.patience)
+
+        for epoch in range(config.epochs):
+            model.train()
+            losses = []
+            with profiler.stage("train", op_class=placement.op_class), \
+                    telemetry.span("epoch", index=epoch):
+                for residency, step in placement.steps(epoch):
+                    with residency, device.step():
+                        with telemetry.span("forward"):
+                            loss = step()
+                        model.zero_grad()
+                        with telemetry.span("backward"):
+                            loss.backward()
+                        optimizer.step()
+                        losses.append(float(loss.data))
+            result.epochs_run = epoch + 1
+            score, stop = None, False
+            if placement.validates and (epoch + 1) % config.eval_every == 0:
+                model.eval()
+                valid = placement.split.valid
+                score = evaluate(config.metric, placement.predict(valid),
+                                 placement.labels[valid])
+                stop = stopper.update(score, model)
+            record_epoch_telemetry(
+                epoch, float(np.mean(losses)) if losses else None,
+                score, stopper, model)
+            if stop:
+                break
+
+        stopper.restore(model)
+        model.eval()
+        with profiler.stage("inference", op_class=placement.op_class):
+            index, scored, targets = placement.test_set()
+            result.predictions = placement.predict(index)
+        result.test_score = evaluate(
+            config.metric, result.predictions[scored], targets)
+        result.valid_score = stopper.best_score
+        if hasattr(model, "numpy_filter_params"):
+            result.filter_params = model.numpy_filter_params()
+    except DeviceOOMError:
+        result.status = "oom"
+    result.device_peak_bytes = device.peak_bytes
+    profiler.record_device("train", device.peak_bytes)
+    result.ram_peak_bytes = profiler.peak_ram_bytes()
+    return result

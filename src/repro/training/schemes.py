@@ -14,23 +14,24 @@ This module is the executable form of the paper's Figure 1:
   trained as independent subgraphs, bounding memory at the price of the
   severed cross-cluster edges.
 
-Every trainer returns a :class:`~repro.training.loop.RunResult` with
-per-stage timings, RAM / device peaks, and ``status="oom"`` when the
-simulated device capacity is exceeded — the harness prints those as the
-paper's ``(OOM)`` cells.
+Each trainer is a :class:`~repro.training.loop.Placement`, and ``fit``
+hands it to the one loop, :func:`~repro.training.loop.run_training`, which
+returns a :class:`~repro.training.loop.RunResult` with per-stage timings,
+RAM / device peaks, and ``status="oom"`` when the simulated device capacity
+is exceeded — the harness prints those as the paper's ``(OOM)`` cells.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from contextlib import nullcontext
+from functools import partial
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .. import telemetry
 from ..autodiff import functional as F
 from ..autodiff.tensor import Tensor, no_grad
-from ..datasets.splits import Split
-from ..errors import DeviceOOMError, TrainingError
+from ..errors import TrainingError
 from ..filters.base import SpectralFilter
 from ..graph.graph import Graph
 from ..graph.partition import bfs_partition, cut_edges
@@ -38,214 +39,130 @@ from ..models.decoupled import DecoupledModel, MiniBatchModel
 from ..nn.module import Module
 from ..runtime import plan
 from ..runtime.device import DeviceModel, nbytes_of
-from .loop import (
-    EarlyStopper,
-    RunResult,
-    TrainConfig,
-    build_optimizer,
-    record_epoch_telemetry,
-)
-from .metrics import evaluate
+from ..runtime.profiler import StageProfiler
+from .loop import Placement, RunResult, TrainConfig, parameters_bytes
 
 
-def _parameters_bytes(model: Module) -> int:
-    return sum(p.data.nbytes for p in model.parameters())
+def _decoupled_model(filter_: SpectralFilter, graph: Graph,
+                     config: TrainConfig, rng) -> DecoupledModel:
+    return DecoupledModel(
+        filter_, in_features=graph.num_features,
+        out_features=graph.num_classes, hidden=config.hidden,
+        phi0_layers=config.phi0_layers, phi1_layers=config.phi1_layers,
+        dropout=config.dropout, rho=config.rho, backend=config.backend,
+        rng=rng)
 
 
-def _loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    return F.cross_entropy(logits, labels)
+def batches(index: np.ndarray, batch_size: int) -> Iterator[np.ndarray]:
+    """Consecutive ``batch_size`` slices of ``index`` (the last may be short)."""
+    for start in range(0, len(index), batch_size):
+        yield index[start:start + batch_size]
 
 
-class FullBatchTrainer:
+class FullBatchTrainer(Placement):
     """Full-batch training of the decoupled architecture."""
 
-    def __init__(self, device: Optional[DeviceModel] = None):
-        self.device = device or DeviceModel(name="fb-device")
+    device_name = "fb-device"
 
-    def fit(self, graph: Graph, split: Split, filter_: SpectralFilter,
-            config: TrainConfig) -> RunResult:
-        result = RunResult(status="ok")
-        profiler = result.profiler
-        labels = graph.labels
-        rng = config.rng()
-        try:
-            model = DecoupledModel(
-                filter_,
-                in_features=graph.num_features,
-                out_features=graph.num_classes,
-                hidden=config.hidden,
-                phi0_layers=config.phi0_layers,
-                phi1_layers=config.phi1_layers,
-                dropout=config.dropout,
-                rho=config.rho,
-                backend=config.backend,
-                rng=rng,
-            )
-            optimizer = build_optimizer(model, config)
-            stopper = EarlyStopper(config.patience)
+    def build_model(self) -> Module:
+        return _decoupled_model(self.filter, self.graph, self.config,
+                                self.config.rng())
 
-            # Residency: topology + features + all weights live on device.
-            adjacency = graph.normalized_adjacency(config.rho)
-            self.device.to_device(adjacency)
-            self.device.to_device(graph.features)
-            self.device.to_device(_parameters_bytes(model))
-            profiler.record_ram("train", nbytes_of(adjacency) + graph.features.nbytes)
+    def setup(self, run: RunResult) -> Module:
+        graph = self.graph
+        self.model = self.build_model()
+        adjacency = graph.normalized_adjacency(self.config.rho)
+        self.device.to_device(adjacency)
+        self.device.to_device(graph.features)
+        self.device.to_device(parameters_bytes(self.model))
+        run.profiler.record_ram(
+            "train", nbytes_of(adjacency) + graph.features.nbytes)
+        self.features = Tensor(graph.features)
+        return self.model
 
-            features = Tensor(graph.features)
-            for epoch in range(config.epochs):
-                model.train()
-                with profiler.stage("train", op_class="propagation"):
-                    with telemetry.span("epoch", index=epoch), self.device.step():
-                        with telemetry.span("forward"):
-                            logits = model(graph, features)
-                            loss = _loss(logits[split.train], labels[split.train])
-                        model.zero_grad()
-                        with telemetry.span("backward"):
-                            loss.backward()
-                        optimizer.step()
-                        loss_value = float(loss.data)
-                result.epochs_run = epoch + 1
-                score, stop = None, False
-                if (epoch + 1) % config.eval_every == 0:
-                    score = self._evaluate(model, graph, features, split.valid,
-                                            labels, config)
-                    stop = stopper.update(score, model)
-                record_epoch_telemetry(epoch, loss_value, score, stopper, model)
-                if stop:
-                    break
+    def loss(self) -> Tensor:
+        train = self.split.train
+        logits = self.model(self.graph, self.features)
+        return F.cross_entropy(logits[train], self.labels[train])
 
-            stopper.restore(model)
-            model.eval()
-            with profiler.stage("inference", op_class="propagation"):
-                with no_grad(), self.device.step():
-                    logits = model(graph, features).data
-            result.predictions = logits
-            result.test_score = evaluate(config.metric, logits[split.test],
-                                         labels[split.test])
-            result.valid_score = max(stopper.best_score, -np.inf)
-            result.filter_params = model.numpy_filter_params()
-        except DeviceOOMError:
-            result.status = "oom"
-        result.device_peak_bytes = self.device.peak_bytes
-        profiler.record_device("train", self.device.peak_bytes)
-        result.ram_peak_bytes = profiler.peak_ram_bytes()
-        return result
+    def steps(self, epoch: int):
+        yield nullcontext(), self.loss
 
-    def _evaluate(self, model, graph, features, index, labels,
-                  config: TrainConfig) -> float:
-        model.eval()
+    def predict(self, index: np.ndarray) -> np.ndarray:
+        with no_grad(), self.device.step():
+            return self.model(self.graph, self.features).data[index]
+
+
+class MiniBatchTrainer(Placement):
+    """Decoupled mini-batch training over precomputed filter channels.
+
+    Subclasses re-point the placement at other per-row tensors
+    (:meth:`build`, :meth:`forward`, :meth:`loss`).
+    """
+
+    device_name = "mb-device"
+    op_class = "transform"
+
+    def precompute(self, profiler: StageProfiler) -> None:
+        """Graph ops happen exactly once, on CPU. The propagation matrix is
+        built here and reused for the RAM accounting instead of re-deriving
+        it just to size it. The basis planner joins an enclosing sweep scope
+        when one is active (cross-filter term sharing); otherwise the scope
+        is ephemeral and chains die with this call."""
+        config, graph = self.config, self.graph
+        with profiler.stage("precompute", op_class="propagation"):
+            propagation = graph.normalized_adjacency(config.rho)
+            with plan.plan_scope():
+                self.channels = self.filter.precompute(
+                    graph, graph.features, rho=config.rho,
+                    backend=config.backend)
+        profiler.record_ram(
+            "precompute", self.channels.nbytes + nbytes_of(propagation))
+
+    def build(self, profiler: StageProfiler) -> Module:
+        """Fill ``self.channels`` and build the model, in RNG draw order."""
+        config, graph = self.config, self.graph
+        self.precompute(profiler)
+        return MiniBatchModel(
+            self.filter, in_features=graph.num_features,
+            out_features=graph.num_classes, hidden=config.hidden,
+            phi1_layers=max(config.phi1_layers, 1), dropout=config.dropout,
+            rng=self.rng)
+
+    def setup(self, run: RunResult) -> Module:
+        self.rng = self.config.rng()
+        self.model = self.build(run.profiler)
+        self.device.to_device(parameters_bytes(self.model))
+        self.train_index = self.split.train.copy()
+        return self.model
+
+    def forward(self, index: np.ndarray) -> Tensor:
+        """Model outputs for one batch. The batch tensor is built here,
+        inside the caller's ``device.step()``, so its rows are metered."""
+        return self.model(Tensor(self.channels[index]))
+
+    def epoch_index(self) -> np.ndarray:
+        """This epoch's training order (each epoch reshuffles the last)."""
+        self.rng.shuffle(self.train_index)
+        return self.train_index
+
+    def loss(self, batch: np.ndarray) -> Tensor:
+        return F.cross_entropy(self.forward(batch), self.labels[batch])
+
+    def steps(self, epoch: int):
+        for batch in batches(self.epoch_index(), self.config.batch_size):
+            yield nullcontext(), partial(self.loss, batch)
+
+    def predict(self, index: np.ndarray) -> np.ndarray:
+        outputs = []
         with no_grad():
-            with self.device.step():
-                logits = model(graph, features).data
-        return evaluate(config.metric, logits[index], labels[index])
-
-
-class MiniBatchTrainer:
-    """Decoupled mini-batch training over precomputed filter channels."""
-
-    def __init__(self, device: Optional[DeviceModel] = None):
-        self.device = device or DeviceModel(name="mb-device")
-
-    def fit(self, graph: Graph, split: Split, filter_: SpectralFilter,
-            config: TrainConfig) -> RunResult:
-        result = RunResult(status="ok")
-        profiler = result.profiler
-        labels = graph.labels
-        rng = config.rng()
-        try:
-            # Stage 1: CPU precompute — graph ops happen exactly once. The
-            # propagation matrix is built here and reused for the RAM
-            # accounting below instead of re-deriving it just to size it.
-            # The basis planner joins an enclosing sweep scope when one is
-            # active (cross-filter term sharing); otherwise the scope is
-            # ephemeral and chains die with this fit.
-            with profiler.stage("precompute", op_class="propagation"):
-                propagation = graph.normalized_adjacency(config.rho)
-                with plan.plan_scope():
-                    channels = filter_.precompute(
-                        graph, graph.features, rho=config.rho,
-                        backend=config.backend)
-            profiler.record_ram(
-                "precompute",
-                channels.nbytes + nbytes_of(propagation),
-            )
-
-            model = MiniBatchModel(
-                filter_,
-                in_features=graph.num_features,
-                out_features=graph.num_classes,
-                hidden=config.hidden,
-                phi1_layers=max(config.phi1_layers, 1),
-                dropout=config.dropout,
-                rng=rng,
-            )
-            optimizer = build_optimizer(model, config)
-            stopper = EarlyStopper(config.patience)
-            self.device.to_device(_parameters_bytes(model))
-
-            train_index = split.train.copy()
-            for epoch in range(config.epochs):
-                model.train()
-                rng.shuffle(train_index)
-                batch_losses = []
-                with profiler.stage("train", op_class="transform"):
-                    with telemetry.span("epoch", index=epoch):
-                        for start in range(0, len(train_index), config.batch_size):
-                            batch_index = train_index[start:start + config.batch_size]
-                            with self.device.step():
-                                batch = Tensor(channels[batch_index])
-                                with telemetry.span("forward"):
-                                    logits = model(batch)
-                                    loss = _loss(logits, labels[batch_index])
-                                model.zero_grad()
-                                with telemetry.span("backward"):
-                                    loss.backward()
-                                optimizer.step()
-                                batch_losses.append(float(loss.data))
-                result.epochs_run = epoch + 1
-                score, stop = None, False
-                if (epoch + 1) % config.eval_every == 0:
-                    score = self._evaluate(model, channels, split.valid, labels, config)
-                    stop = stopper.update(score, model)
-                record_epoch_telemetry(
-                    epoch, float(np.mean(batch_losses)) if batch_losses else None,
-                    score, stopper, model)
-                if stop:
-                    break
-
-            stopper.restore(model)
-            all_nodes = np.arange(graph.num_nodes)
-            with profiler.stage("inference", op_class="transform"):
-                logits = self._predict(model, channels, all_nodes, config)
-            result.predictions = logits
-            result.test_score = evaluate(config.metric, logits[split.test],
-                                         labels[split.test])
-            result.valid_score = max(stopper.best_score, -np.inf)
-            result.filter_params = model.numpy_filter_params()
-        except DeviceOOMError:
-            result.status = "oom"
-        result.device_peak_bytes = self.device.peak_bytes
-        profiler.record_device("train", self.device.peak_bytes)
-        result.ram_peak_bytes = profiler.peak_ram_bytes()
-        return result
-
-    def _predict(self, model, channels, index, config: TrainConfig) -> np.ndarray:
-        model.eval()
-        outputs: List[np.ndarray] = []
-        with no_grad():
-            for start in range(0, len(index), config.batch_size):
-                batch_index = index[start:start + config.batch_size]
+            for batch in batches(index, self.config.batch_size):
                 with self.device.step():
-                    batch = Tensor(channels[batch_index])
-                    outputs.append(model(batch).data)
+                    outputs.append(self.forward(batch).data)
         return np.concatenate(outputs, axis=0)
 
-    def _evaluate(self, model, channels, index, labels, config: TrainConfig) -> float:
-        logits = self._predict(model, channels, index, config)
-        return evaluate(config.metric, logits, labels[index])
 
-
-class GraphPartitionTrainer:
+class GraphPartitionTrainer(Placement):
     """Model-agnostic graph-partition training (the GP scheme of Table 2).
 
     Clusters are induced subgraphs; cross-cluster edges are severed, which
@@ -263,119 +180,60 @@ class GraphPartitionTrainer:
     tiled against the blocked tier's RAM budget.
     """
 
+    device_name = "gp-device"
+
     def __init__(self, num_parts: int = 4, device: Optional[DeviceModel] = None):
         if num_parts < 1:
             raise TrainingError(f"num_parts must be >= 1, got {num_parts}")
+        super().__init__(device)
         self.num_parts = int(num_parts)
-        self.device = device or DeviceModel(name="gp-device")
 
-    def fit(self, graph: Graph, split: Split, filter_: SpectralFilter,
-            config: TrainConfig) -> RunResult:
-        result = RunResult(status="ok")
-        profiler = result.profiler
-        labels = graph.labels
+    def setup(self, run: RunResult) -> Module:
+        config, graph = self.config, self.graph
         rng = config.rng()
-        try:
-            with profiler.stage("precompute", op_class="propagation"):
-                parts = bfs_partition(graph, self.num_parts, rng=rng)
-                subgraphs = [graph.subgraph(part) for part in parts]
+        train_mask = np.zeros(graph.num_nodes, dtype=bool)
+        train_mask[self.split.train] = True
+        #: (nodes, subgraph, operator, local train rows) per cluster.
+        self.clusters = []
+        with run.profiler.stage("precompute", op_class="propagation"):
+            parts = bfs_partition(graph, self.num_parts, rng=rng)
+            for part in parts:
                 # Build each cluster operator up front: warms the subgraph
                 # caches (train stage isn't charged for normalization) and
                 # gives the residency accounting real operator sizes.
-                operators = [sub.normalized_adjacency(config.rho)
-                             for sub in subgraphs]
-            severed = cut_edges(graph, parts)
-            result.cut_edges = int(severed)
-            result.cut_edge_fraction = severed / max(graph.num_edges, 1)
-            result.num_parts = len(parts)
-            train_mask = np.zeros(graph.num_nodes, dtype=bool)
-            train_mask[split.train] = True
+                sub = graph.subgraph(part)
+                self.clusters.append((part, sub, sub.normalized_adjacency(
+                    config.rho), np.flatnonzero(train_mask[part])))
+        severed = cut_edges(graph, parts)
+        run.cut_edges = int(severed)
+        run.cut_edge_fraction = severed / max(graph.num_edges, 1)
+        run.num_parts = len(parts)
+        self.model = _decoupled_model(self.filter, graph, config, rng)
+        self.device.to_device(parameters_bytes(self.model))
+        run.profiler.record_ram("train", max(
+            nbytes_of(op) + sub.features.nbytes
+            for _, sub, op, _ in self.clusters))
+        return self.model
 
-            model = DecoupledModel(
-                filter_,
-                in_features=graph.num_features,
-                out_features=graph.num_classes,
-                hidden=config.hidden,
-                phi0_layers=config.phi0_layers,
-                phi1_layers=config.phi1_layers,
-                dropout=config.dropout,
-                rho=config.rho,
-                backend=config.backend,
-                rng=rng,
-            )
-            optimizer = build_optimizer(model, config)
-            stopper = EarlyStopper(config.patience)
-            self.device.to_device(_parameters_bytes(model))
-            largest = max(
-                nbytes_of(op) + sub.features.nbytes
-                for op, sub in zip(operators, subgraphs))
-            profiler.record_ram("train", largest)
+    def loss(self, part, subgraph: Graph, rows) -> Tensor:
+        return F.cross_entropy(self.model(subgraph)[rows],
+                               self.labels[part][rows])
 
-            for epoch in range(config.epochs):
-                model.train()
-                part_losses = []
-                with profiler.stage("train", op_class="propagation"):
-                    with telemetry.span("epoch", index=epoch):
-                        for part, subgraph, operator in zip(
-                                parts, subgraphs, operators):
-                            local_train = np.flatnonzero(train_mask[part])
-                            if local_train.size == 0:
-                                continue
-                            with self.device.resident(
-                                    operator, subgraph.features), \
-                                    self.device.step():
-                                with telemetry.span("forward"):
-                                    logits = model(subgraph)
-                                    loss = _loss(logits[local_train],
-                                                 labels[part][local_train])
-                                model.zero_grad()
-                                with telemetry.span("backward"):
-                                    loss.backward()
-                                optimizer.step()
-                                part_losses.append(float(loss.data))
-                result.epochs_run = epoch + 1
-                score, stop = None, False
-                if (epoch + 1) % config.eval_every == 0:
-                    score = self._evaluate(model, parts, subgraphs, operators,
-                                           split.valid, labels, config)
-                    stop = stopper.update(score, model)
-                record_epoch_telemetry(
-                    epoch, float(np.mean(part_losses)) if part_losses else None,
-                    score, stopper, model)
-                if stop:
-                    break
+    def steps(self, epoch: int):
+        for part, subgraph, operator, rows in self.clusters:
+            if rows.size:
+                yield (self.device.resident(operator, subgraph.features),
+                       partial(self.loss, part, subgraph, rows))
 
-            stopper.restore(model)
-            with profiler.stage("inference", op_class="propagation"):
-                logits = self._predict(model, parts, subgraphs, operators,
-                                       labels)
-            result.predictions = logits
-            result.test_score = evaluate(config.metric, logits[split.test],
-                                         labels[split.test])
-            result.valid_score = max(stopper.best_score, -np.inf)
-            result.filter_params = model.numpy_filter_params()
-        except DeviceOOMError:
-            result.status = "oom"
-        result.device_peak_bytes = self.device.peak_bytes
-        profiler.record_device("train", self.device.peak_bytes)
-        result.ram_peak_bytes = profiler.peak_ram_bytes()
-        return result
-
-    def _predict(self, model, parts, subgraphs, operators, labels) -> np.ndarray:
-        model.eval()
-        num_classes = int(labels.max()) + 1
-        full_logits = np.zeros((len(labels), num_classes), dtype=np.float32)
+    def predict(self, index: np.ndarray) -> np.ndarray:
+        full_logits = np.zeros((len(self.labels), int(self.labels.max()) + 1),
+                               dtype=np.float32)
         with no_grad():
-            for part, subgraph, operator in zip(parts, subgraphs, operators):
+            for part, subgraph, operator, _ in self.clusters:
                 with self.device.resident(operator, subgraph.features), \
                         self.device.step():
-                    full_logits[part] = model(subgraph).data
-        return full_logits
-
-    def _evaluate(self, model, parts, subgraphs, operators, index, labels,
-                  config: TrainConfig) -> float:
-        full_logits = self._predict(model, parts, subgraphs, operators, labels)
-        return evaluate(config.metric, full_logits[index], labels[index])
+                    full_logits[part] = self.model(subgraph).data
+        return full_logits[index]
 
 
 SCHEMES = {

@@ -58,6 +58,22 @@ class TestExecution:
         assert code == 0
         assert "low" in capsys.readouterr().out
 
+    def test_capacity_gib_turns_full_batch_cells_into_oom_rows(self, tmp_path):
+        """``--capacity-gib`` is the CLI's only way to the paper's (OOM)
+        cells: a capacity nothing fits in yields error-free ``oom`` rows."""
+        from repro.bench.io import load_rows
+
+        output = tmp_path / "rows.json"
+        code = main(["efficiency", "--datasets", "cora",
+                     "--filters", "ppr", "monomial",
+                     "--schemes", "full_batch", "--epochs", "2",
+                     "--capacity-gib", "1e-6", "--no-registry",
+                     "--output", str(output)])
+        assert code == 0
+        rows = load_rows(output)
+        assert [row["status"] for row in rows] == ["oom", "oom"]
+        assert all(row["device_bytes"] <= 1e-6 * 2 ** 30 for row in rows)
+
 
 class TestRegistryCli:
     EFFICIENCY = ["efficiency", "--datasets", "cora", "--filters", "ppr",

@@ -583,6 +583,10 @@ def _precompute_cell(name, seed):
     return filter_.precompute(graph, x, rho=0.5).tobytes()
 
 
+def _switches_cell():
+    return plan.is_enabled(), cache.is_enabled()
+
+
 class TestCrossProcess:
     def test_fork_child_fetches_and_publishes(self, store):
         if "fork" not in mp.get_all_start_methods():
@@ -652,6 +656,21 @@ class TestCrossProcess:
         stats = store.stats()
         assert stats["publishes"] > 0 and stats["hits"] > 0, stats
         assert not _run_segments(store.run_id)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pool_workers_honour_no_plan_and_no_cache(self, start_method):
+        """``--no-plan`` / ``--no-cache`` are module globals: only ``fork``
+        inherits them, so the pool ships them to the worker."""
+        if start_method not in mp.get_all_start_methods():
+            pytest.skip(f"{start_method} start method unavailable")
+        cells = [Cell(key=(index,), fn=_switches_cell, kwargs={})
+                 for index in range(2)]
+        pool = PoolConfig(workers=2, start_method=start_method)
+        with plan.plans_disabled(), cache.caches_disabled():
+            off = execute_cells(cells, pool)
+        on = execute_cells(cells, pool)
+        assert [result.value for result in off] == [(False, False)] * 2
+        assert [result.value for result in on] == [(True, True)] * 2
 
 
 # ---------------------------------------------------------------------------

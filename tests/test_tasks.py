@@ -72,7 +72,7 @@ class TestLinkPrediction:
         result = run_link_prediction(graph, "ppr",
                                      config=TrainConfig(epochs=8), kappa=2)
         assert result.status == "ok"
-        assert result.test_auc > 0.6  # well above random
+        assert result.test_score > 0.6  # well above random
 
     def test_identity_weaker_than_structural(self):
         graph = synthesize("cora", scale=0.15, seed=0)
@@ -80,7 +80,7 @@ class TestLinkPrediction:
                                          config=TrainConfig(epochs=8))
         baseline = run_link_prediction(graph, "identity",
                                        config=TrainConfig(epochs=8))
-        assert structural.test_auc > baseline.test_auc - 0.05
+        assert structural.test_score > baseline.test_score - 0.05
 
     def test_kappa_validation(self, small_graph):
         with pytest.raises(TrainingError):
