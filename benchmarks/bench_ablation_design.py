@@ -5,14 +5,17 @@
    hops instead of n×F matrices. The ablation verifies the two give
    identical outputs and that the coefficient form does not add graph
    propagations.
-2. **CSR vs gather-scatter backend.** Same numerics, very different
-   footprint: the gather backend materializes O(mF) messages.
+2. **CSR vs gather-scatter backend.** Same numerics (bit-equal), very
+   different footprint and time: the gather backend materializes, then
+   reduces, O(mF) messages.
 3. **Streaming vs stored combination (fixed vs variable memory).** Fixed
    filters' streaming accumulation holds one channel; storing every hop
    (what variable filters must do) costs (K+1)×.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -74,19 +77,22 @@ def test_ablation_backend_memory(benchmark):
     x = graph.features
 
     def run_backends():
-        peaks = {}
+        peaks, seconds = {}, {}
         for backend in ("csr", "coo_gather"):
             device = DeviceModel()
+            started = time.perf_counter()
             with device.step():
                 filter_.forward(
                     PropagationContext.for_graph(graph, backend=backend),
                     Tensor(x))
+            seconds[backend] = time.perf_counter() - started
             peaks[backend] = device.peak_bytes
-        return peaks
+        return peaks, seconds
 
-    peaks = run_once(benchmark, run_backends)
-    emit([{"backend": b, "peak_bytes": p} for b, p in peaks.items()],
-         title="Ablation: propagation backend footprint")
+    peaks, seconds = run_once(benchmark, run_backends)
+    emit([{"backend": b, "peak_bytes": p, "forward_s": round(seconds[b], 4)}
+          for b, p in peaks.items()],
+         title="Ablation: propagation backend footprint and time")
     # The gather backend's O(mF) message buffers dominate on dense graphs.
     assert peaks["coo_gather"] > 2 * peaks["csr"]
 

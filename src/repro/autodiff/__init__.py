@@ -19,6 +19,7 @@ from .tensor import (
     linear_combination,
     no_grad,
     remove_allocation_hook,
+    scatter_add,
     set_op_hook,
     stack,
     where,
@@ -32,6 +33,7 @@ __all__ = [
     "where",
     "linear_combination",
     "contract_channels",
+    "scatter_add",
     "no_grad",
     "is_grad_enabled",
     "add_allocation_hook",

@@ -11,8 +11,15 @@ PyG's ``torch.sparse`` (SP) and ``EdgeIndex`` (EI) backends:
 
 - ``csr``: scipy CSR matmul. Fast, O(m) index memory.
 - ``coo_gather``: explicit gather / multiply / scatter-add over the edge
-  list. Same result, but materializes an O(mF) intermediate — exactly the
-  memory blow-up the paper measures for the EI backend.
+  list. Materializes an O(mF) message buffer — exactly the memory blow-up
+  the paper measures for the EI backend — and reduces it with
+  :func:`~repro.autodiff.tensor.scatter_add`, a 0/1 selector product that
+  sums every target row in edge order.
+
+Both backends accept a 1-D ``(n,)`` or 2-D ``(n, F)`` signal and add each
+output row's terms in the operator's stored order, so for operands of one
+dtype their values and gradients are bit-equal; what differs is the metered
+memory and the time spent gathering and reducing the O(mF) buffer.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import scipy.sparse as sp
 from ..errors import AutodiffError
 from ..runtime import blocked as _blocked
 from ..runtime import cache as _cache
-from .tensor import Tensor, _notify_alloc, _notify_op
+from .tensor import Tensor, _notify_alloc, _notify_op, scatter_add
 
 
 def spmm(matrix: sp.spmatrix, dense: Tensor, backend: str = "csr") -> Tensor:
@@ -36,7 +43,7 @@ def spmm(matrix: sp.spmatrix, dense: Tensor, backend: str = "csr") -> Tensor:
     matrix:
         ``(n, n)`` scipy sparse matrix, treated as a constant.
     dense:
-        ``(n, F)`` tensor; gradient flows through this operand.
+        ``(n, F)`` or ``(n,)`` tensor; gradient flows through this operand.
     backend:
         ``"csr"`` (scipy matmul) or ``"coo_gather"`` (edge-wise gather /
         scatter, the memory-hungrier PyG-EdgeIndex analogue).
@@ -51,8 +58,7 @@ def spmm(matrix: sp.spmatrix, dense: Tensor, backend: str = "csr") -> Tensor:
         # bit-identical, since CSR rows accumulate independently) with one.
         csr = matrix.tocsr()
         data = _blocked.spmm_csr(csr, dense.data)
-        width = dense.shape[1] if dense.ndim > 1 else 1
-        _notify_op("spmm", 2 * csr.nnz * width, data.nbytes)
+        _notify_op("spmm", 2 * csr.nnz * _width(dense), data.nbytes)
         csr_t: Optional[sp.csr_matrix] = None
 
         def backward(grad: np.ndarray):
@@ -75,29 +81,41 @@ def spmm(matrix: sp.spmatrix, dense: Tensor, backend: str = "csr") -> Tensor:
     raise AutodiffError(f"unknown spmm backend {backend!r}")
 
 
+def _width(dense) -> int:
+    return dense.shape[1] if dense.ndim > 1 else 1
+
+
+def _messages(dense: np.ndarray, source: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The per-edge buffer ``vals[e] * dense[source[e]]``, shape ``(m, F)``."""
+    messages = np.take(dense, source, axis=0)
+    weights = vals[:, None] if dense.ndim > 1 else vals
+    # Weight in place unless the operator's dtype widens the product.
+    fits = np.result_type(messages, vals) == messages.dtype
+    return np.multiply(messages, weights, out=messages if fits else None)
+
+
 def _spmm_coo_gather(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     """Edge-list propagation: gather source rows, weight, scatter to targets.
 
-    Numerically identical to the CSR backend but allocates an ``(m, F)``
-    message buffer, reproducing the O(mF) footprint of edge-indexed
+    Bit-equal to the CSR backend but allocates an ``(m, F)`` message
+    buffer, reproducing the O(mF) footprint of edge-indexed
     message-passing backends.
     """
     coo = matrix.tocoo()
     rows, cols, vals = coo.row, coo.col, coo.data
 
-    messages = dense.data[cols] * vals[:, None]
+    messages = _messages(dense.data, cols, vals)
     _notify_alloc(messages)  # the O(mF) intermediate is what we meter
-    data = np.zeros((matrix.shape[0], dense.shape[1]), dtype=dense.dtype)
-    np.add.at(data, rows, messages)
-    _notify_op("spmm", 2 * len(vals) * dense.shape[1],
+    data = scatter_add(rows, messages, matrix.shape[0]).astype(
+        dense.dtype, copy=False)
+    _notify_op("spmm", 2 * len(vals) * _width(dense),
                data.nbytes + messages.nbytes)
 
     def backward(grad: np.ndarray):
-        gathered = grad[rows] * vals[:, None]
+        gathered = _messages(grad, rows, vals)
         _notify_alloc(gathered)
-        out = np.zeros_like(dense.data)
-        np.add.at(out, cols, gathered)
-        return (out,)
+        out = scatter_add(cols, gathered, dense.shape[0])
+        return (out.astype(dense.dtype, copy=False),)
 
     return Tensor._make(data, (dense,), backward, "spmm_coo")
 
@@ -109,18 +127,21 @@ def spmm_numpy(matrix: sp.spmatrix, dense: np.ndarray, backend: str = "csr") -> 
     the paper's terms); this helper keeps that code path free of Tensor
     bookkeeping while still supporting both backends.
     """
+    if matrix.shape[1] != dense.shape[0]:
+        raise AutodiffError(
+            f"spmm shape mismatch: {matrix.shape} @ {dense.shape}"
+        )
     if backend == "csr":
         csr = matrix.tocsr()
         out = _blocked.spmm_csr(csr, dense)
-        width = dense.shape[1] if dense.ndim > 1 else 1
-        _notify_op("spmm", 2 * csr.nnz * width, out.nbytes)
+        _notify_op("spmm", 2 * csr.nnz * _width(dense), out.nbytes)
         return out
     if backend == "coo_gather":
         coo = matrix.tocoo()
-        messages = dense[coo.col] * coo.data[:, None]
-        out = np.zeros((matrix.shape[0], dense.shape[1]), dtype=dense.dtype)
-        np.add.at(out, coo.row, messages)
-        _notify_op("spmm", 2 * coo.nnz * dense.shape[1],
+        messages = _messages(dense, coo.col, coo.data)
+        out = scatter_add(coo.row, messages, matrix.shape[0]).astype(
+            dense.dtype, copy=False)
+        _notify_op("spmm", 2 * coo.nnz * _width(dense),
                    out.nbytes + messages.nbytes)
         return out
     raise AutodiffError(f"unknown spmm backend {backend!r}")
