@@ -8,7 +8,7 @@ Public surface::
 """
 
 from . import functional, init, optim
-from .sparse import spmm, spmm_numpy
+from .sparse import scatter_add, spmm, spmm_numpy
 from .tensor import (
     Tensor,
     add_allocation_hook,
@@ -19,7 +19,6 @@ from .tensor import (
     linear_combination,
     no_grad,
     remove_allocation_hook,
-    scatter_add,
     set_op_hook,
     stack,
     where,
@@ -33,12 +32,12 @@ __all__ = [
     "where",
     "linear_combination",
     "contract_channels",
-    "scatter_add",
     "no_grad",
     "is_grad_enabled",
     "add_allocation_hook",
     "remove_allocation_hook",
     "set_op_hook",
+    "scatter_add",
     "spmm",
     "spmm_numpy",
     "functional",

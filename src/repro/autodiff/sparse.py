@@ -13,8 +13,8 @@ PyG's ``torch.sparse`` (SP) and ``EdgeIndex`` (EI) backends:
 - ``coo_gather``: explicit gather / multiply / scatter-add over the edge
   list. Materializes an O(mF) message buffer — exactly the memory blow-up
   the paper measures for the EI backend — and reduces it with
-  :func:`~repro.autodiff.tensor.scatter_add`, a 0/1 selector product that
-  sums every target row in edge order.
+  :func:`scatter_add`, a 0/1 selector product that sums every target row
+  in edge order.
 
 Both backends accept a 1-D ``(n,)`` or 2-D ``(n, F)`` signal and add each
 output row's terms in the operator's stored order, so for operands of one
@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from ..errors import AutodiffError
 from ..runtime import blocked as _blocked
 from ..runtime import cache as _cache
-from .tensor import Tensor, _notify_alloc, _notify_op, scatter_add
+from .tensor import Tensor, _notify_alloc, _notify_op
 
 
 def spmm(matrix: sp.spmatrix, dense: Tensor, backend: str = "csr") -> Tensor:
@@ -83,6 +83,23 @@ def spmm(matrix: sp.spmatrix, dense: Tensor, backend: str = "csr") -> Tensor:
 
 def _width(dense) -> int:
     return dense.shape[1] if dense.ndim > 1 else 1
+
+
+def scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum the rows of ``values`` into ``size`` bins: ``out[index[e]] += values[e]``.
+
+    ``index`` is a 1-D array of non-negative bin numbers, one per row of the
+    ``(m,)`` or ``(m, F)`` array ``values``; bins may repeat or stay empty.
+    The sum is taken as the product of the 0/1 selector matrix
+    ``S[index[e], e] = 1`` with ``values``: scipy's CSR kernel accumulates
+    each output row sequentially in stored (= ``e``) order and multiplying by
+    1 is exact, so the result is bit-identical to numpy's unbuffered
+    ``add.at`` on zeros at a tenth of that element-at-a-time loop's cost.
+    """
+    m = len(index)
+    selector = sp.csr_matrix(
+        (np.ones(m, dtype=values.dtype), (index, np.arange(m))), shape=(size, m))
+    return selector @ values
 
 
 def _messages(dense: np.ndarray, source: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -22,12 +22,10 @@ Design notes
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import AutodiffError
 
@@ -138,25 +136,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
-
-
-def scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Sum the rows of ``values`` into ``size`` bins: ``out[index[e]] += values[e]``.
-
-    ``index`` is a 1-D array of non-negative bin numbers, one per leading
-    row of ``values``; bins may repeat or stay empty. The sum is taken as
-    the product of the 0/1 selector matrix ``S[index[e], e] = 1`` with
-    ``values``: scipy's CSR kernel accumulates each output row sequentially
-    in stored (= ``e``) order and multiplying by 1 is exact, so the result is
-    bit-identical to numpy's unbuffered ``add.at`` on zeros at a tenth of
-    that element-at-a-time loop's cost.
-    """
-    m = len(index)
-    selector = sp.csr_matrix(
-        (np.ones(m, dtype=values.dtype), (index, np.arange(m))), shape=(size, m))
-    trailing = values.shape[1:]
-    flat = values if values.ndim <= 2 else values.reshape(m, math.prod(trailing))
-    return (selector @ flat).reshape((size,) + trailing)
 
 
 class Tensor:
@@ -644,16 +623,10 @@ class Tensor:
         data = a.data[index]
         # A basic index selects every element at most once, so a plain
         # assignment scatters the gradient; only integer/boolean array
-        # indices can repeat an element and need an accumulating scatter.
+        # indices can repeat an element and need the unbuffered add.
         basic = _is_basic_index(index)
-        row_gather = (isinstance(index, np.ndarray) and index.ndim == 1
-                      and index.dtype.kind in "iu")
 
         def backward(grad: np.ndarray):
-            if row_gather:
-                n = a.shape[0]
-                bins = np.where(index < 0, index + n, index)
-                return (scatter_add(bins, grad, n).astype(a.dtype, copy=False),)
             out = np.zeros_like(a.data)
             if basic:
                 out[index] = grad

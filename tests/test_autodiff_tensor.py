@@ -191,28 +191,12 @@ class TestBackward:
         lambda t: t[2, 1],
         # ... array indices can repeat an element and must accumulate
         lambda t: t[np.array([0, 2, 2, 0])],
-        lambda t: t[np.array([-1, 0, -1, 2])],
-        lambda t: t[[2, 0, 2]],
         lambda t: t[np.array([True, False, True])],
         lambda t: t[(np.array([0, 1, 1]), np.array([3, 0, 0]))],
         lambda t: t.clip(-0.5, 0.5),
     ])
     def test_gradients_match_finite_difference(self, op):
         check_gradient(op)
-
-    @pytest.mark.parametrize("shape", [(9,), (9, 4), (9, 2, 3)])
-    def test_row_gather_gradient_is_unbuffered_add(self, rng, shape):
-        # Repeated and negative row numbers, any number of trailing axes:
-        # the selector-product scatter equals np.add.at bit for bit.
-        index = rng.integers(-9, 9, size=40)
-        t = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
-        out = t[index]
-        seed = rng.normal(size=out.shape).astype(np.float32)
-        out.backward(seed)
-        expected = np.zeros(shape, dtype=np.float32)
-        np.add.at(expected, index, seed)
-        assert t.grad.dtype == np.float32
-        assert t.grad.tobytes() == expected.tobytes()
 
     def test_matmul_gradient(self, rng):
         a = rng.normal(size=(3, 4))
