@@ -53,7 +53,12 @@ class Graph:
         adjacency = adjacency.tocsr().astype(np.float32)
         if adjacency.shape[0] != adjacency.shape[1]:
             raise GraphError(f"adjacency must be square, got {adjacency.shape}")
-        adjacency.setdiag(0)
+        # Canonical first; then only a stored diagonal needs clearing. On an
+        # empty one scipy's setdiag would still round-trip through COO and
+        # re-sort every row.
+        adjacency.sum_duplicates()
+        if adjacency.diagonal().any():
+            adjacency.setdiag(0)
         adjacency.eliminate_zeros()
         if not assume_symmetric:
             adjacency = adjacency.maximum(adjacency.T)

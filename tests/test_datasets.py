@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.bench.experiments import DEFAULT_SCALES
 from repro.datasets import (
     DATASET_NAMES,
     DATASETS,
@@ -20,8 +25,38 @@ from repro.datasets import (
     stratified_split,
     synthesize,
 )
+from repro.datasets.synthesis import _sample_edges
 from repro.errors import DatasetError
 from repro.graph import node_homophily
+
+#: Every registry spec at the benches' default scale (all ≤ 20 000 nodes)
+#: on two seeds, plus the points the performance benchmark synthesises.
+GOLDEN_CASES = [
+    (name, DEFAULT_SCALES[spec.scale_class], seed)
+    for name, spec in DATASETS.items() for seed in (0, 1)
+] + [("roman", 0.5, 0), ("tolokers", 0.2, 0), ("minesweeper", 0.12, 0),
+     ("pokec", 0.005, 0), ("pokec", 0.01, 0)]
+
+
+def _case_id(name, scale, seed):
+    return f"{name}@{scale:g}/{seed}"
+
+
+def synthesis_digest(graph) -> str:
+    """sha256 over the CSR arrays, features and labels with their dtypes."""
+    digest = hashlib.sha256()
+    adjacency = graph.adjacency
+    for array in (adjacency.indptr, adjacency.indices, adjacency.data,
+                  graph.features, graph.labels):
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def synthesis_golden() -> dict:
+    """Recompute every golden digest (``json.dumps`` this to re-capture)."""
+    return {_case_id(*case): synthesis_digest(synthesize(*case))
+            for case in GOLDEN_CASES}
 
 
 class TestRegistry:
@@ -116,6 +151,33 @@ class TestSynthesis:
             return np.linalg.norm(means - means.mean(axis=0), axis=1).mean()
 
         assert centroid_spread(strong) > centroid_spread(weak)
+
+    def test_all_self_loop_draw_is_an_empty_graph_error(self):
+        with pytest.raises(DatasetError, match="empty graph"):
+            _sample_edges(np.random.default_rng(0), np.zeros(1, np.int64),
+                          10, 0.5, 1.0)
+
+
+class TestSynthesisGolden:
+    """Seeded synthesis is bit-reproducible across implementation changes.
+
+    ``tests/data/synthesis_golden.json`` was captured at commit 4ef51b3,
+    before edge dedup moved from a row-wise ``np.unique(axis=0)`` to one
+    sorted int64 key and ``Graph`` stopped calling ``setdiag`` on an empty
+    diagonal. Both changes must leave every digest unchanged.
+    """
+
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "data" / "synthesis_golden.json").read_text())
+
+    def test_golden_covers_every_case(self):
+        assert sorted(self.GOLDEN) == sorted(_case_id(*c) for c in GOLDEN_CASES)
+
+    @pytest.mark.parametrize("name,scale,seed", GOLDEN_CASES,
+                             ids=[_case_id(*c) for c in GOLDEN_CASES])
+    def test_digest_matches(self, name, scale, seed):
+        graph = synthesize(name, scale=scale, seed=seed)
+        assert synthesis_digest(graph) == self.GOLDEN[_case_id(name, scale, seed)]
 
 
 class TestSplits:

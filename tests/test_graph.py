@@ -5,9 +5,42 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import Graph
+
+
+def _csr_bytes(matrix):
+    return [(a.dtype.str, a.tobytes())
+            for a in (matrix.indptr, matrix.indices, matrix.data)]
+
+
+@st.composite
+def adjacency_inputs(draw):
+    """(matrix, layout, dtype): canonical CSR, raw CSR or COO, ± self-loops."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=0, max_value=40))
+    node = st.integers(min_value=0, max_value=n - 1)
+    rows = np.array(draw(st.lists(node, min_size=m, max_size=m)), dtype=np.int64)
+    cols = np.array(draw(st.lists(node, min_size=m, max_size=m)), dtype=np.int64)
+    if not draw(st.booleans(), label="self_loops"):
+        rows, cols = rows[rows != cols], cols[rows != cols]
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    # Weights include 0, so explicit zeros are stored too.
+    data = np.array(draw(st.lists(st.integers(0, 3), min_size=rows.size,
+                                  max_size=rows.size)), dtype=dtype)
+    layout = draw(st.sampled_from(["canonical", "raw", "coo"]))
+    if layout == "canonical":
+        matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    elif layout == "coo":
+        matrix = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
+    else:  # rows in order, columns unsorted within a row, duplicates kept
+        order = np.argsort(rows, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        matrix = sp.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
+    return matrix, layout, dtype
 
 
 class TestConstruction:
@@ -26,6 +59,30 @@ class TestConstruction:
         adj = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         g = Graph(adj)
         assert g.adjacency.diagonal().sum() == 0.0
+
+    @given(adjacency_inputs(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_adjacency_matches_the_setdiag_expression(self, drawn, symmetric):
+        """Skipping ``setdiag`` on an empty diagonal changes no byte.
+
+        The reference is the constructor's former body. The one input it
+        left non-canonical is a float32 CSR with unsorted or duplicate
+        entries (``astype`` to the same dtype does not canonicalise); there
+        the graph holds the canonical form of the same matrix.
+        """
+        matrix, layout, dtype = drawn
+        expected = matrix.tocsr().astype(np.float32)
+        expected.setdiag(0)
+        expected.eliminate_zeros()
+        if not symmetric:
+            expected = expected.maximum(expected.T)
+
+        adjacency = Graph(matrix.copy(), assume_symmetric=symmetric).adjacency
+        if layout == "raw" and dtype == np.float32:
+            canonical = sp.csr_matrix(expected.toarray())
+            assert _csr_bytes(adjacency) == _csr_bytes(canonical)
+        else:
+            assert _csr_bytes(adjacency) == _csr_bytes(expected)
 
     def test_bad_edge_shape(self):
         with pytest.raises(GraphError):
