@@ -37,6 +37,7 @@ from ..filters.base import PropagationContext
 from ..filters.registry import FILTER_NAMES, REGISTRY, make_filter
 from ..graph.graph import Graph
 from ..graph.metrics import degree_groups
+from ..runtime import cache as runtime_cache
 from ..runtime import plan
 from ..runtime.hardware import PROFILES
 from ..runtime.pool import (
@@ -94,22 +95,46 @@ def _config_for(spec: DatasetSpec, base: Optional[TrainConfig],
 # ======================================================================
 # sweep cells (process-pool units; see repro.runtime.pool)
 # ======================================================================
-#: Per-process memo of synthesized graphs, so consecutive cells of one
-#: dataset share a single synthesis in serial mode (matching the historic
-#: one-load-per-dataset loops) and each worker process pays at most one
-#: synthesis per dataset it touches. Synthesis is deterministic in
-#: (spec, scale, seed), so memo hits are bit-identical to fresh loads.
+#: Per-process memo of synthesized graphs, keyed on (dataset, resolved
+#: scale, seed), so consecutive cells of one dataset share a single
+#: synthesis in serial mode (matching the historic one-load-per-dataset
+#: loops). A pool runs each cell in a fresh process, so there a miss
+#: first looks in the sweep's shared term store: the first cell to
+#: synthesize a graph publishes it as a ``b-<fp>`` blob and later cells
+#: map it, so a store-backed sweep pays at most ``workers`` syntheses per
+#: dataset (the first cells race; the first publisher wins). Synthesis is
+#: deterministic in (spec, scale, seed), so memo and store hits are
+#: bit-identical to fresh loads.
 _GRAPH_MEMO: Dict[Tuple, Graph] = {}
 _GRAPH_MEMO_CAP = 4
 
 
+def _graph_blob(graph: Graph) -> runtime_cache.Blob:
+    arrays, meta = runtime_cache.csr_blob(graph.adjacency)
+    arrays.update(features=graph.features, labels=graph.labels)
+    meta["name"] = graph.name
+    return arrays, meta
+
+
+def _blob_graph(arrays: Dict[str, np.ndarray], meta: dict) -> Graph:
+    """Features and labels stay read-only maps of the blob's files; the
+    constructor copies the adjacency."""
+    return Graph(runtime_cache.csr_from_blob(arrays, meta),
+                 arrays["features"], arrays["labels"],
+                 assume_symmetric=True, name=meta["name"])
+
+
 def _memo_load(name: str, scale: Optional[float], seed: int) -> Graph:
-    key = (name, scale, seed)
+    spec = get_spec(name)
+    resolved = dataset_scale(spec, scale)
+    key = (spec.name, resolved, seed)
     graph = _GRAPH_MEMO.get(key)
     if graph is None:
         if len(_GRAPH_MEMO) >= _GRAPH_MEMO_CAP:
             _GRAPH_MEMO.pop(next(iter(_GRAPH_MEMO)))
-        graph = _GRAPH_MEMO[key] = load_dataset(name, scale, seed=seed)
+        graph = _GRAPH_MEMO[key] = runtime_cache.shared_blob(
+            "graph", key, lambda: load_dataset(spec, resolved, seed=seed),
+            _graph_blob, _blob_graph)
     return graph
 
 

@@ -167,10 +167,11 @@ def _sample_edges(
     sources = rng.choice(n, size=oversample, p=propensity)
     same_class = rng.random(oversample) < homophily
     targets = np.empty(oversample, dtype=np.int64)
+    source_labels = labels[sources]
 
     # Same-class targets: per-class vectorized draws.
     for c in range(num_classes):
-        mask = same_class & (labels[sources] == c)
+        mask = same_class & (source_labels == c)
         count = int(mask.sum())
         if count:
             targets[mask] = rng.choice(class_members[c], size=count, p=class_probs[c])
@@ -188,13 +189,13 @@ def _sample_edges(
         structured = cross & (rng.random(oversample) < hetero_structure)
         for c in range(num_classes):
             partner = (c + 1) % num_classes
-            mask = structured & (labels[sources] == c)
+            mask = structured & (source_labels == c)
             count = int(mask.sum())
             if count:
                 targets[mask] = rng.choice(
                     class_members[partner], size=count, p=class_probs[partner]
                 )
-            mask = cross & ~structured & (labels[sources] == c)
+            mask = cross & ~structured & (source_labels == c)
             count = int(mask.sum())
             if count:
                 complement = np.flatnonzero(labels != c)

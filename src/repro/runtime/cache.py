@@ -42,7 +42,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -328,16 +328,22 @@ def transpose_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
     return transposed
 
 
-def shared_csr(kind: str, parts: Tuple,
-               build: Callable[[], sp.spmatrix]) -> sp.spmatrix:
+#: A blob's payload: named arrays plus JSON metadata (see :mod:`.shm`).
+Blob = Tuple[Dict[str, np.ndarray], dict]
+
+
+def shared_blob(kind: str, parts: Tuple, build: Callable[[], Any],
+                encode: Callable[[Any], Blob],
+                decode: Callable[[Dict[str, np.ndarray], dict], Any]) -> Any:
     """``build()``, shared across pool workers when a store is attached.
 
     The one fetch → build → publish sequence behind the spmm-transpose
-    cache and the per-graph normalization memo: the blob named by
-    ``(kind, *parts)`` is mapped zero-copy and read-only when a sibling
-    already published it; otherwise the matrix is built here and
-    published for the siblings. Without an active store handle — or when
-    the blob is absent or malformed — this is just ``build()``.
+    cache, the per-graph normalization memo and the sweep graph memo:
+    the blob named by ``(kind, *parts)`` is mapped read-only and
+    ``decode``-d when a sibling already published it; otherwise the value
+    is built here and published ``encode``-d for the siblings. Without an
+    active store handle — or when the blob is absent or malformed — this
+    is just ``build()``.
     """
     handle = shm.active_handle()
     if handle is None:
@@ -345,27 +351,38 @@ def shared_csr(kind: str, parts: Tuple,
     fingerprint = shm.blob_fingerprint(kind, *parts)
     blob = handle.fetch_blob(fingerprint)
     if blob is not None:
-        arrays, meta = blob
         try:
-            matrix = sp.csr_matrix(
-                (arrays["data"], arrays["indices"], arrays["indptr"]),
-                shape=tuple(meta["shape"]), copy=False)
+            return decode(*blob)
         except (KeyError, TypeError, ValueError):
             pass  # malformed: build locally, never an error
-        else:
-            if meta.get("sorted"):
-                # Publisher guaranteed sortedness; recording it stops
-                # scipy from attempting an in-place sort of the read-only
-                # index arrays.
-                matrix.has_sorted_indices = True
-            return matrix
-    matrix = build()
+    value = build()
+    handle.publish_blob(fingerprint, *encode(value))
+    return value
+
+
+def csr_blob(matrix: sp.spmatrix) -> Blob:
+    """A sparse matrix as CSR blob arrays plus ``{shape, sorted}``."""
     csr = matrix if sp.isspmatrix_csr(matrix) else matrix.tocsr()
-    handle.publish_blob(
-        fingerprint,
-        {"data": csr.data, "indices": csr.indices, "indptr": csr.indptr},
-        {"shape": list(csr.shape), "sorted": bool(csr.has_sorted_indices)})
+    return ({"data": csr.data, "indices": csr.indices, "indptr": csr.indptr},
+            {"shape": list(csr.shape), "sorted": bool(csr.has_sorted_indices)})
+
+
+def csr_from_blob(arrays: Dict[str, np.ndarray], meta: dict) -> sp.csr_matrix:
+    """The zero-copy CSR view of a blob written by :func:`csr_blob`."""
+    matrix = sp.csr_matrix(
+        (arrays["data"], arrays["indices"], arrays["indptr"]),
+        shape=tuple(meta["shape"]), copy=False)
+    if meta.get("sorted"):
+        # Publisher guaranteed sortedness; recording it stops scipy from
+        # attempting an in-place sort of the read-only index arrays.
+        matrix.has_sorted_indices = True
     return matrix
+
+
+def shared_csr(kind: str, parts: Tuple,
+               build: Callable[[], sp.spmatrix]) -> sp.spmatrix:
+    """:func:`shared_blob` for a sparse matrix, served zero-copy as CSR."""
+    return shared_blob(kind, parts, build, csr_blob, csr_from_blob)
 
 
 def transpose_cache_stats() -> dict:

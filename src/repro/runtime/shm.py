@@ -5,8 +5,10 @@ chains only *within* a process, so a pooled sweep rebuilds identical
 chains in every worker (``ops.spmm.calls`` ≈ ``workers×`` serial). Inside
 a sweep-scoped :class:`SharedTermStore` workers instead publish computed
 terms (and the spmm-transpose / normalization CSR blobs of
-:mod:`repro.runtime.cache`) as files and map each other's read-only,
-keyed by the content fingerprints the in-process caches already use.
+:mod:`repro.runtime.cache`, and the synthesized graphs of the sweep graph
+memo in :mod:`repro.bench.experiments`) as files and map each other's
+read-only, keyed by the content fingerprints the in-process caches
+already use.
 
 Layout: one directory per store, ``/dev/shm/rsm<run8>/`` — a tmpfs, so a
 file there *is* shared memory::
@@ -14,7 +16,8 @@ file there *is* shared memory::
     owner               creator pid (what the leaked-store sweep probes)
     c-<fp>.<k>.npy      order-k term of chain <fp>
     c-<fp>.claim        {"pid": …}: who is computing that chain's suffix
-    b-<fp>.<name>.npy   one array of CSR blob <fp>
+    b-<fp>.<name>.npy   one array of blob <fp>: a CSR operator, or a
+                        graph (its CSR arrays, features and labels)
     b-<fp>.json         the blob's metadata, linked last: its commit point
     stats               one appended JSON line per closing client
 
@@ -214,7 +217,7 @@ def chain_fingerprint(matrix_tok: Tuple, backend: str, x_tok: Tuple,
 
 
 def blob_fingerprint(kind: str, *parts: Any) -> str:
-    """Content address of a CSR blob (``spmm_t``, ``norm`` …)."""
+    """Content address of a blob (``spmm_t``, ``norm``, ``graph`` …)."""
     return _digest(["blob", kind, *parts])
 
 
@@ -349,7 +352,7 @@ class StoreHandle:
             return False
         return landed > 0
 
-    # -- blob protocol (spmm-transpose / normalization CSR) -------------
+    # -- blob protocol (CSR operators, synthesized graphs) --------------
     def fetch_blob(self, fp: str) -> Optional[Tuple[Dict[str, np.ndarray],
                                                     dict]]:
         """Map a published blob: ``(name → read-only array, meta)``."""

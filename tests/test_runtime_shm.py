@@ -24,12 +24,16 @@ four faces, each covered here:
    shared terms and shared CSR blobs are byte-identical to local
    computation across the full 27-filter taxonomy (parametrized + a
    hypothesis property), and ``--no-cache`` semantics turn the store
-   off via :func:`~repro.runtime.shm.active_handle`.
+   off via :func:`~repro.runtime.shm.active_handle`. A sweep cell's
+   graph served from the store is byte-identical to a fresh synthesis,
+   and a pooled grid's rows equal the inline ones under ``fork`` and
+   ``spawn``.
 """
 
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import multiprocessing as mp
 import os
@@ -47,6 +51,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.bench import experiments
+from repro.bench.io import canonical_payload
+from repro.datasets.registry import get_spec
 from repro.filters.registry import FILTER_NAMES, make_filter
 from repro.graph import Graph
 from repro.runtime import cache, plan, shm
@@ -58,6 +65,7 @@ from repro.runtime.shm import (
     sweep_leaked_segments,
     term_name,
 )
+from repro.training.loop import TrainConfig
 
 pytestmark = pytest.mark.skipif(not shm.supported(),
                                 reason="no writable /dev/shm")
@@ -894,6 +902,128 @@ class TestCsrBlobIntegration:
         stats = store.stats()
         assert stats["blobs"] >= 1 and stats["hits"] >= 1, \
             "identical graphs must share one normalization blob"
+
+
+def _graph_digest(graph: Graph) -> str:
+    digest = hashlib.sha256(graph.name.encode())
+    for array in (graph.adjacency.data, graph.adjacency.indices,
+                  graph.adjacency.indptr, graph.features, graph.labels):
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture()
+def graph_memo():
+    """An empty sweep graph memo, emptied again afterwards so no
+    store-backed graph leaks into later tests."""
+    experiments._GRAPH_MEMO.clear()
+    yield experiments._GRAPH_MEMO
+    experiments._GRAPH_MEMO.clear()
+
+
+@pytest.fixture()
+def syntheses(monkeypatch):
+    """Records each ``(name, scale, seed)`` the sweep memo synthesizes."""
+    calls = []
+    real = experiments.synthesize
+
+    def counted(spec, scale, seed):
+        calls.append((spec.name, scale, seed))
+        return real(spec, scale=scale, seed=seed)
+
+    monkeypatch.setattr(experiments, "synthesize", counted)
+    return calls
+
+
+#: The grid below: two S datasets at their default scale, graph seed 2.
+GRID_DATASETS, GRID_SCALE, GRID_SEED = ("cora", "chameleon"), 0.25, 2
+
+
+def _mb_grid(pool=None):
+    config = TrainConfig(epochs=2, patience=0, eval_every=10 ** 9)
+    return experiments.efficiency_experiment(
+        GRID_DATASETS, filters=("ppr", "chebyshev"), schemes=("mini_batch",),
+        config=config, seed=GRID_SEED, pool=pool)
+
+
+def _graph_fp(name: str) -> str:
+    return blob_fingerprint("graph", name, GRID_SCALE, GRID_SEED)
+
+
+class TestGraphBlob:
+    """The sweep graph memo's miss path reads the shared store first."""
+
+    SCALE = 0.1
+
+    def test_memo_key_resolves_the_default_scale(self, graph_memo):
+        default = experiments.DEFAULT_SCALES[get_spec("cora").scale_class]
+        assert experiments._memo_load("cora", None, 0) \
+            is experiments._memo_load("cora", default, 0)
+        assert len(graph_memo) == 1
+
+    def test_served_from_the_store(self, store, graph_memo, monkeypatch):
+        expected = _graph_digest(experiments.load_dataset("cora", self.SCALE))
+        with shm.worker_scope(store.worker_handle()):
+            published = experiments._memo_load("cora", self.SCALE, 0)
+            graph_memo.clear()
+
+            def never(*_args, **_kwargs):
+                raise AssertionError("a published graph must be served")
+
+            monkeypatch.setattr(experiments, "synthesize", never)
+            served = experiments._memo_load("cora", self.SCALE, 0)
+        assert served is not published
+        assert _graph_digest(published) == _graph_digest(served) == expected
+        assert not served.features.flags.writeable
+        assert not served.labels.flags.writeable
+        assert served.adjacency.data.flags.writeable, \
+            "the constructor copies the adjacency"
+        assert store.stats()["hits"] == 1
+
+    def test_other_seed_or_scale_misses(self, store, graph_memo, syntheses):
+        with shm.worker_scope(store.worker_handle()):
+            experiments._memo_load("cora", self.SCALE, 0)
+            graph_memo.clear()
+            experiments._memo_load("cora", self.SCALE, 0)
+            experiments._memo_load("cora", self.SCALE, 1)
+            experiments._memo_load("cora", 0.2, 0)
+        assert syntheses == [("cora", self.SCALE, 0), ("cora", self.SCALE, 1),
+                             ("cora", 0.2, 0)]
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pooled_grid_matches_inline(self, graph_memo, start_method):
+        if start_method not in mp.get_all_start_methods():
+            pytest.skip(f"{start_method} start method unavailable")
+        inline = canonical_payload(_mb_grid())
+        graph_memo.clear()  # a fork must not inherit the inline graphs
+        store = SharedTermStore()
+        with shm.store_scope(store):
+            rows = _mb_grid(PoolConfig(workers=2, start_method=start_method))
+            for name in GRID_DATASETS:
+                assert store.fetch_blob(_graph_fp(name)) is not None, name
+        assert canonical_payload(rows) == inline
+        assert all(row["status"] == "ok" for row in rows)
+
+    def test_failed_graph_publish_keeps_rows(self, graph_memo, monkeypatch):
+        inline = canonical_payload(_mb_grid())
+        graph_memo.clear()
+
+        def full(_src, _dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        telemetry.configure()
+        store = SharedTermStore()
+        try:
+            with shm.worker_scope(store.worker_handle()), \
+                    monkeypatch.context() as patch:
+                patch.setattr(shm.os, "replace", full)
+                rows = _mb_grid()
+            assert store.fetch_blob(_graph_fp("cora")) is None
+        finally:
+            store.close()
+        assert canonical_payload(rows) == inline
+        assert _counters()["shm.store.disabled"] == 1
 
 
 class TestScopes:
