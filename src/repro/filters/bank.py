@@ -27,7 +27,6 @@ from ..autodiff.tensor import (Tensor, concatenate as tensor_concat,
                                contract_channels, linear_combination,
                                stack as tensor_stack)
 from ..errors import FilterError
-from ..graph.graph import Graph
 from ..runtime import plan
 from .base import Context, ParamSpec, Signal, SpectralFilter, monomial_bases
 from .fixed import GaussianFilter, IdentityFilter, MonomialFilter, PPRFilter
@@ -173,18 +172,20 @@ class FilterBank(SpectralFilter):
     # ------------------------------------------------------------------
     # mini-batch path
     # ------------------------------------------------------------------
-    def precompute(self, graph: Graph, x: np.ndarray, rho: float = 0.5,
-                   backend: str = "csr") -> np.ndarray:
-        stacks = []
+    def _channel_count(self) -> int:
+        return sum(channel._channel_count() for channel in self.channels)
+
+    def _fill_channels(self, ctx: Context, x: np.ndarray,
+                       out: np.ndarray) -> None:
+        """Each channel fills its own slice of the bank's channel tensor."""
         slices: List[Tuple[int, int]] = []
         offset = 0
         for channel in self.channels:
-            block = channel.precompute(graph, x, rho=rho, backend=backend)
-            stacks.append(block)
-            slices.append((offset, offset + block.shape[1]))
-            offset += block.shape[1]
+            stop = offset + channel._channel_count()
+            channel._fill_channels(ctx, x, out[:, offset:stop])
+            slices.append((offset, stop))
+            offset = stop
         self._channel_slices = slices
-        return np.concatenate(stacks, axis=1)
 
     def batch_combine(self, batch: Tensor, params: Optional[Dict] = None) -> Tensor:
         if self._channel_slices is None:
@@ -406,14 +407,9 @@ class AdaGNNFilter(SpectralFilter):
             out = out * (1.0 - mean_gamma[j] * ctx.lams)
         return out
 
-    def precompute(self, graph: Graph, x: np.ndarray, rho: float = 0.5,
-                   backend: str = "csr") -> np.ndarray:
-        from .base import PropagationContext
-
-        ctx = PropagationContext.for_graph(graph, rho, backend)
-        hops = list(monomial_bases(ctx, np.asarray(x, dtype=np.float32),
-                                   self.num_hops + 1, operator="lap"))
-        return np.stack(hops, axis=1).astype(np.float32, copy=False)
+    def _bases(self, ctx: Context, x: Signal) -> Iterator[Signal]:
+        """The mini-batch channels: Laplacian powers ``L̃^k x``, k = 0…K."""
+        yield from monomial_bases(ctx, x, self.num_hops + 1, operator="lap")
 
     def batch_combine(self, batch: Tensor, params: Optional[Dict] = None) -> Tensor:
         gamma = self._gamma(params)

@@ -279,14 +279,41 @@ class SpectralFilter:
         memory row of Table 1). Variable filters must keep every basis term
         so θ can be learned downstream (C = K + 1, the paper's K-fold RAM
         increase for variable filters under mini-batch).
+
+        The float32 channel tensor is allocated once and each basis term is
+        written into it as the recurrence yields it, so outside a planner
+        scope a term is dropped as soon as the recurrence has moved past
+        it: the peak is the channels plus the recurrence's live terms.
         """
         ctx = PropagationContext.for_graph(graph, rho, backend)
         x = np.asarray(x, dtype=np.float32)
+        channels = np.empty((x.shape[0], self._channel_count()) + x.shape[1:],
+                            dtype=np.float32)
+        self._fill_channels(ctx, x, channels)
+        return channels
+
+    def _channel_count(self) -> int:
+        """C of :meth:`precompute`'s ``(n, C, F)`` result."""
+        return 1 if self.category == "fixed" else self.basis_count()
+
+    def _fill_channels(self, ctx: Context, x: np.ndarray,
+                       out: np.ndarray) -> None:
+        """Write this filter's precompute channels into ``out`` (n, C, F)."""
         if self.category == "fixed":
-            combined = np.asarray(self.forward(ctx, x), dtype=np.float32)
-            return combined[:, None, :]
-        bases = list(self._bases(ctx, x))
-        return np.stack(bases, axis=1).astype(np.float32, copy=False)
+            out[:, 0] = self.forward(ctx, x)
+            return
+        count = out.shape[1]
+        filled = 0
+        for basis in self._bases(ctx, x):
+            if filled == count:
+                raise FilterError(f"filter {self.name!r} yields more than "
+                                  f"basis_count() = {count} basis terms")
+            out[:, filled] = basis
+            del basis  # not held while the recurrence computes the next
+            filled += 1
+        if filled != count:
+            raise FilterError(f"filter {self.name!r} yields {filled} basis "
+                              f"terms, basis_count() = {count}")
 
     def batch_combine(self, batch: Tensor, params: Optional[Dict] = None) -> Tensor:
         """Combine precomputed channels for a row batch ``(B, C, F) → (B, F)``."""

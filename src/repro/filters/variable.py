@@ -194,7 +194,7 @@ class BernsteinFilter(SpectralFilter):
     """BernNet: Bernstein basis ``C(K,k) 2^{-K} (2I−L̃)^{K−k} L̃^k``.
 
     The only O(K²mF) filter in the taxonomy: every basis term needs its own
-    chain of (2I − L̃) applications on top of the stored L̃-powers. Each
+    chain of (2I − L̃) applications on top of its L̃-power. Each
     basis value is the Bernstein polynomial ``b_{k,K}(λ/2)``, non-negative
     and partitioning unity — so flat θ means an all-pass filter and θ is
     directly interpretable as the response at λ ≈ 2k/K.
@@ -212,17 +212,18 @@ class BernsteinFilter(SpectralFilter):
     def _bases(self, ctx: Context, x: Signal) -> Iterator[Signal]:
         from math import comb
 
-        # Stage 1: Laplacian powers l_k = L̃^k x (K extra live arrays) —
-        # the same chain FBGNN/ACMGNN/AdaGNN precompute, so shared.
-        powers: List[Signal] = list(
-            monomial_bases(ctx, x, self.num_hops + 1, operator="lap"))
-        # Stage 2: (K−k) applications of (2I − L̃) = I + Ã per term.
+        # Stage 1: Laplacian powers l_k = L̃^k x — the same chain
+        # FBGNN/ACMGNN/AdaGNN precompute, so shared. Stage 2: (K−k)
+        # applications of (2I − L̃) = I + Ã to each power as the chain
+        # yields it, so one power is live at a time, not K + 1.
         scale = 0.5 ** self.num_hops
-        for k in range(self.num_hops + 1):
-            term = powers[k]
+        for k, term in enumerate(
+                monomial_bases(ctx, x, self.num_hops + 1, operator="lap")):
             for _ in range(self.num_hops - k):
                 term = term + ctx.adj(term)
-            yield term * float(comb(self.num_hops, k) * scale)
+            # Rebound, so the unscaled term is not held across the yield.
+            term = term * float(comb(self.num_hops, k) * scale)
+            yield term
 
 
 class LegendreFilter(SpectralFilter):

@@ -35,9 +35,11 @@ changes a single result bit. The hypothesis suite in
 ``tests/test_runtime_plan.py`` holds every family to this property.
 
 Scope and lifetime: the store only exists inside a :func:`plan_scope`
-(the bench sweeps open one per sweep; the mini-batch trainer opens a
-nested one around precompute). Scopes nest by reuse, so chains live for
-the outermost scope. Pool workers open a *fresh* scope per cell, which
+(the bench sweeps open one per sweep). The mini-batch trainer opens none
+of its own: inside a sweep its precompute is served by the sweep's
+planner, and a standalone fit streams, holding only the recurrence's
+live terms. Scopes nest by reuse, so chains live for the outermost
+scope. Pool workers open a *fresh* scope per cell, which
 keeps worker runs deterministic regardless of start method — and means
 ``ops.spmm.calls`` legitimately depends on the execution mode when the
 planner is on (serial sweeps share across cells; an isolated worker's
@@ -636,9 +638,9 @@ def plan_scope(capacity: Optional[int] = None,
                fresh: bool = False) -> Iterator[BasisPlanner]:
     """Activate a planner for the dynamic extent of the ``with`` body.
 
-    Nested scopes *reuse* the innermost active planner (so the MB
-    trainer's per-fit scope joins a surrounding sweep scope instead of
-    shadowing it); ``fresh=True`` forces a new empty planner — what pool
+    Nested scopes *reuse* the innermost active planner (so a scope opened
+    inside a sweep joins the sweep's instead of shadowing it);
+    ``fresh=True`` forces a new empty planner — what pool
     workers use so cell results never depend on inherited store state.
     The planner created by a scope is cleared when the scope exits.
     """

@@ -30,7 +30,6 @@ from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..autodiff.tensor import _notify_op
 from ..errors import GraphError
@@ -127,6 +126,10 @@ def laplacian_eigendecomposition(
 def extremal_eigenvalues(graph: Graph, rho: float = 0.5, k: int = 2
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """Smallest and largest ``k`` eigenvalues of ``L̃`` via sparse Lanczos."""
+    # Imported here, its only use: scipy.sparse.linalg (and scipy.linalg
+    # behind it) would otherwise load in every process that imports repro.
+    import scipy.sparse.linalg as spla
+
     laplacian = graph.laplacian(rho=0.5).astype(np.float64)
     laplacian = (laplacian + laplacian.T) / 2.0
     small = spla.eigsh(laplacian, k=k, which="SA", return_eigenvectors=False)

@@ -37,7 +37,6 @@ from ..graph.graph import Graph
 from ..graph.partition import bfs_partition, cut_edges
 from ..models.decoupled import DecoupledModel, MiniBatchModel
 from ..nn.module import Module
-from ..runtime import plan
 from ..runtime.device import DeviceModel, nbytes_of
 from ..runtime.profiler import StageProfiler
 from .loop import Placement, RunResult, TrainConfig, parameters_bytes
@@ -106,16 +105,15 @@ class MiniBatchTrainer(Placement):
     def precompute(self, profiler: StageProfiler) -> None:
         """Graph ops happen exactly once, on CPU. The propagation matrix is
         built here and reused for the RAM accounting instead of re-deriving
-        it just to size it. The basis planner joins an enclosing sweep scope
-        when one is active (cross-filter term sharing); otherwise the scope
-        is ephemeral and chains die with this call."""
+        it just to size it. Inside an enclosing planner scope (a sweep or a
+        pooled cell) the basis chains are served from, and left in, the
+        sweep's planner for the next filter; a standalone fit opens no scope
+        and streams, holding the channels plus the recurrence's live terms."""
         config, graph = self.config, self.graph
         with profiler.stage("precompute", op_class="propagation"):
             propagation = graph.normalized_adjacency(config.rho)
-            with plan.plan_scope():
-                self.channels = self.filter.precompute(
-                    graph, graph.features, rho=config.rho,
-                    backend=config.backend)
+            self.channels = self.filter.precompute(
+                graph, graph.features, rho=config.rho, backend=config.backend)
         profiler.record_ram(
             "precompute", self.channels.nbytes + nbytes_of(propagation))
 

@@ -7,6 +7,8 @@
 2. **Path consistency**: full-batch ``forward`` and mini-batch
    ``precompute`` + ``batch_combine`` compute the same function.
 3. **Backend consistency**: the csr and coo_gather backends agree.
+4. **Channel layout**: the channel tensor precompute fills term by term is
+   byte-identical to stacking (and, for banks, concatenating) the terms.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
+from repro.errors import FilterError
 from repro.filters import FILTER_NAMES, REGISTRY, make_filter
+from repro.filters.bank import FilterBank
 from repro.filters.base import PropagationContext
 from repro.spectral import laplacian_eigendecomposition
 
@@ -96,6 +100,41 @@ def test_full_batch_equals_minibatch_path(small_graph, signal, name):
 
     scale = max(np.abs(full).max(), 1.0)
     np.testing.assert_allclose(combined, full, atol=1e-3 * scale)
+
+
+def _reference_channels(filter_, ctx, x) -> np.ndarray:
+    """Precompute's channels the explicit way: combine fixed filters, stack
+    every basis term of the others, concatenate a bank's channels."""
+    if isinstance(filter_, FilterBank):
+        return np.concatenate([_reference_channels(channel, ctx, x)
+                               for channel in filter_.channels], axis=1)
+    if filter_.category == "fixed":
+        return np.asarray(filter_.forward(ctx, x), dtype=np.float32)[:, None]
+    return np.stack(list(filter_._bases(ctx, x)), axis=1).astype(np.float32)
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_precompute_fills_the_reference_channels(small_graph, signal, name):
+    """Streaming each term into one channel tensor changes no byte, and
+    the tensor has the reference's shape, dtype and C layout."""
+    filter_ = make_filter(name, num_hops=5, num_features=signal.shape[1])
+    channels = filter_.precompute(small_graph, signal, rho=0.5)
+    ctx = PropagationContext.for_graph(small_graph, rho=0.5)
+    reference = _reference_channels(filter_, ctx, signal)
+    assert channels.shape == reference.shape
+    assert channels.dtype == reference.dtype == np.float32
+    assert channels.flags["C_CONTIGUOUS"]
+    assert channels.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("declared", [3, 5])
+def test_precompute_rejects_a_wrong_basis_count(small_graph, signal, declared):
+    """A recurrence yielding other than ``basis_count()`` terms is an error,
+    not a silently mis-shaped channel tensor."""
+    filter_ = make_filter("chebyshev", num_hops=3)
+    filter_.basis_count = lambda: declared
+    with pytest.raises(FilterError, match="basis_count"):
+        filter_.precompute(small_graph, signal)
 
 
 @pytest.mark.parametrize("name", FILTER_NAMES)

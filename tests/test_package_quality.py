@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,3 +93,21 @@ class TestErrorHierarchy:
     def test_repro_error_catchable_for_all(self):
         with pytest.raises(ReproError):
             raise FilterError("x")
+
+
+class TestImportFootprint:
+    def test_entry_points_leave_scipy_linalg_unloaded(self):
+        """``scipy.sparse.linalg`` (and ``scipy.linalg`` behind it) is
+        imported by its one caller, not by every process — and every pool
+        worker — that imports the package and the training entry points."""
+        code = ("import sys, repro, repro.tasks.node_classification, "
+                "repro.bench.experiments; print(sorted(m for m in "
+                "('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules))")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.datasets import random_split
 from repro.filters import make_filter
+from repro.filters.base import SpectralFilter
+from repro.runtime import plan
+from repro.runtime.profiler import StageProfiler
 from repro.tasks import run_node_classification
 from repro.training import (
     EarlyStopper,
@@ -229,6 +235,81 @@ class TestCacheInvisibility:
             config=TrainConfig(epochs=4, patience=0, eval_every=10))
         # one propagation matrix → at most one Pᵀ materialization
         assert cache.transpose_build_count() <= 1
+
+
+class TestRunFootprint:
+    """A run holds only what it still reads: precompute streams its terms
+    into the channel tensor, and the epoch loop keeps one step's graph."""
+
+    @staticmethod
+    def _record_planner(monkeypatch):
+        """The active planner at every filter precompute, in call order."""
+        seen = []
+        original = SpectralFilter.precompute
+
+        def recording(self, *args, **kwargs):
+            seen.append(plan.active_planner())
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralFilter, "precompute", recording)
+        return seen
+
+    @pytest.mark.parametrize("name", ["chebyshev", "horner", "figure"])
+    def test_standalone_precompute_holds_channels_plus_live_terms(
+            self, small_graph, name):
+        trainer = MiniBatchTrainer()
+        trainer.graph, trainer.config = small_graph, TrainConfig()
+        trainer.filter = make_filter(name, num_hops=10)
+        small_graph.normalized_adjacency(trainer.config.rho)  # memoised
+        tracemalloc.start()
+        try:
+            trainer.precompute(StageProfiler())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        term = small_graph.num_nodes * small_graph.num_features * 4
+        assert peak <= trainer.channels.nbytes + 5 * term
+
+    def test_full_batch_fit_keeps_one_step_graph(self, small_graph):
+        """Live bytes do not grow with the epoch count: step t's autodiff
+        graph is gone before step t+1's forward and before inference."""
+        split = random_split(small_graph.num_nodes, seed=0)
+        peaks = []
+        for epochs in (1, 3):
+            telemetry.configure()
+            try:
+                run_node_classification(
+                    small_graph, "chebyshev", scheme="full_batch",
+                    config=TrainConfig(epochs=epochs, patience=0), split=split)
+                peaks.append(telemetry.get_ledger().summary()["peak_bytes"])
+            finally:
+                telemetry.shutdown()
+        assert 0 < peaks[1] <= 1.15 * peaks[0]
+
+    def test_standalone_precompute_opens_no_planner(self, small_graph,
+                                                    monkeypatch):
+        seen = self._record_planner(monkeypatch)
+        run_node_classification(small_graph, "ppr", scheme="mini_batch",
+                                config=TrainConfig(epochs=1, patience=0))
+        assert seen == [None]
+
+    def test_sweep_precompute_joins_the_sweep_planner(self, monkeypatch):
+        from repro.bench.experiments import efficiency_experiment
+
+        seen = self._record_planner(monkeypatch)
+        telemetry.configure()
+        try:
+            rows = efficiency_experiment(
+                ("cora",), filters=("ppr", "monomial"),
+                schemes=("mini_batch",), scale_override=0.1,
+                config=TrainConfig(epochs=1, patience=0, eval_every=10))
+            hits = telemetry.get_metrics().counter_values().get(
+                "plan.terms.hit", 0)
+        finally:
+            telemetry.shutdown()
+        assert [row["status"] for row in rows] == ["ok", "ok"]
+        assert len(seen) == 2 and seen[0] is not None and seen[0] is seen[1]
+        assert hits > 0
 
 
 class TestDeviceFactory:
