@@ -8,7 +8,7 @@ Public surface::
 """
 
 from . import functional, init, optim
-from .sparse import scatter_add, spmm, spmm_numpy
+from .sparse import segment_sum, spmm, spmm_numpy
 from .tensor import (
     Tensor,
     add_allocation_hook,
@@ -37,7 +37,7 @@ __all__ = [
     "add_allocation_hook",
     "remove_allocation_hook",
     "set_op_hook",
-    "scatter_add",
+    "segment_sum",
     "spmm",
     "spmm_numpy",
     "functional",

@@ -4,17 +4,20 @@ Graph propagation in every spectral filter is the product of a constant
 ``n × n`` sparse matrix (the normalized adjacency or Laplacian) with a dense
 ``n × F`` representation. The sparse operand never needs a gradient — the
 graph is data, not a parameter — so only the dense-side gradient
-``Pᵀ · grad_out`` is implemented.
+``Pᵀ · grad_out`` is implemented: each backend's backward is its own
+forward applied to the cached transpose (:func:`repro.runtime.cache.
+transpose_csr`), which is the operator itself when it is symmetric.
 
 Two backends are provided, mirroring the paper's Table 6 comparison between
 PyG's ``torch.sparse`` (SP) and ``EdgeIndex`` (EI) backends:
 
 - ``csr``: scipy CSR matmul. Fast, O(m) index memory.
-- ``coo_gather``: explicit gather / multiply / scatter-add over the edge
-  list. Materializes an O(mF) message buffer — exactly the memory blow-up
+- ``coo_gather``: explicit gather / multiply / segment-sum over the CSR
+  arrays. Materializes an O(mF) message buffer — exactly the memory blow-up
   the paper measures for the EI backend — and reduces it with
-  :func:`scatter_add`, a 0/1 selector product that sums every target row
-  in edge order.
+  :func:`segment_sum`, the product with the operator's 0/1 row-segment
+  selector. Like ``EdgeIndex``, which caches its CSR/CSC pointers, the
+  selector is built once per operator, not once per hop.
 
 Both backends accept a 1-D ``(n,)`` or 2-D ``(n, F)`` signal and add each
 output row's terms in the operator's stored order, so for operands of one
@@ -24,7 +27,7 @@ memory and the time spent gathering and reducing the O(mF) buffer.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,95 +49,85 @@ def spmm(matrix: sp.spmatrix, dense: Tensor, backend: str = "csr") -> Tensor:
         ``(n, F)`` or ``(n,)`` tensor; gradient flows through this operand.
     backend:
         ``"csr"`` (scipy matmul) or ``"coo_gather"`` (edge-wise gather /
-        scatter, the memory-hungrier PyG-EdgeIndex analogue).
+        segment-sum, the memory-hungrier PyG-EdgeIndex analogue).
     """
     if matrix.shape[1] != dense.shape[0]:
         raise AutodiffError(
             f"spmm shape mismatch: {matrix.shape} @ {dense.shape}"
         )
+    csr = matrix.tocsr()
+    flops = 2 * csr.nnz * _width(dense)
     if backend == "csr":
         # All CSR products route through the blocked tier hook: a no-op
         # `csr @ dense` without an active blocked scope, row-tiled (and
         # bit-identical, since CSR rows accumulate independently) with one.
-        csr = matrix.tocsr()
         data = _blocked.spmm_csr(csr, dense.data)
-        _notify_op("spmm", 2 * csr.nnz * _width(dense), data.nbytes)
-        csr_t: Optional[sp.csr_matrix] = None
+        _notify_op("spmm", flops, data.nbytes)
+        product, op = _blocked.spmm_csr, "spmm"
+    elif backend == "coo_gather":
+        # The O(mF) intermediate is what we meter, in forward and backward.
+        dtype = dense.dtype
+        data, messages = _gather(csr, dense.data, dtype, meter=True)
+        _notify_op("spmm", flops, data.nbytes + messages.nbytes)
+        op = "spmm_coo"
 
-        def backward(grad: np.ndarray):
-            # The sparse operand is constant, so its transpose is too: the
-            # process-wide cache materializes Pᵀ once per matrix instead of
-            # once per forward closure (cache.spmm_t.* counters show the
-            # traffic). With caching disabled the seed behaviour returns:
-            # one materialization per closure, memoized across multiple
-            # backward passes through the same node.
-            nonlocal csr_t
-            if _cache.is_enabled():
-                return (_blocked.spmm_csr(_cache.transpose_csr(csr), grad),)
-            if csr_t is None:
-                csr_t = _cache.materialize_transpose(csr)
-            return (_blocked.spmm_csr(csr_t, grad),)
+        def product(csr_t: sp.csr_matrix, grad: np.ndarray) -> np.ndarray:
+            return _gather(csr_t, grad, dtype, meter=True)[0]
+    else:
+        raise AutodiffError(f"unknown spmm backend {backend!r}")
+    csr_t: Optional[sp.csr_matrix] = None
 
-        return Tensor._make(np.asarray(data), (dense,), backward, "spmm")
-    if backend == "coo_gather":
-        return _spmm_coo_gather(matrix, dense)
-    raise AutodiffError(f"unknown spmm backend {backend!r}")
+    def backward(grad: np.ndarray):
+        # The sparse operand is constant, so its transpose is too: the
+        # process-wide cache materializes Pᵀ once per matrix — none for a
+        # symmetric one — instead of once per forward closure
+        # (cache.spmm_t.* counters show the traffic). With caching disabled
+        # the seed behaviour returns: one materialization per closure,
+        # memoized across multiple backward passes through the same node.
+        nonlocal csr_t
+        if _cache.is_enabled():
+            return (product(_cache.transpose_csr(csr), grad),)
+        if csr_t is None:
+            csr_t = _cache.materialize_transpose(csr)
+        return (product(csr_t, grad),)
+
+    return Tensor._make(np.asarray(data), (dense,), backward, op)
 
 
 def _width(dense) -> int:
     return dense.shape[1] if dense.ndim > 1 else 1
 
 
-def scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Sum the rows of ``values`` into ``size`` bins: ``out[index[e]] += values[e]``.
+def segment_sum(csr: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
+    """Row ``i`` of the result sums ``values[indptr[i]:indptr[i + 1]]``.
 
-    ``index`` is a 1-D array of non-negative bin numbers, one per row of the
-    ``(m,)`` or ``(m, F)`` array ``values``; bins may repeat or stay empty.
-    The sum is taken as the product of the 0/1 selector matrix
-    ``S[index[e], e] = 1`` with ``values``: scipy's CSR kernel accumulates
-    each output row sequentially in stored (= ``e``) order and multiplying by
-    1 is exact, so the result is bit-identical to numpy's unbuffered
-    ``add.at`` on zeros at a tenth of that element-at-a-time loop's cost.
+    ``values`` is ``(nnz,)`` or ``(nnz, F)``, one row per stored entry of
+    ``csr``; empty rows sum to zero. The sum is the product of the
+    operator's cached boolean selector (:func:`repro.runtime.cache.
+    segment_selector`) with ``values``: scipy's CSR kernel accumulates each
+    output row sequentially in stored order in ``values``' dtype and
+    multiplying by 1 is exact, so the result is bit-identical to numpy's
+    unbuffered ``add.at`` over the entries' row numbers.
     """
-    m = len(index)
-    selector = sp.csr_matrix(
-        (np.ones(m, dtype=values.dtype), (index, np.arange(m))), shape=(size, m))
-    return selector @ values
+    return _cache.segment_selector(csr) @ values
 
 
-def _messages(dense: np.ndarray, source: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The per-edge buffer ``vals[e] * dense[source[e]]``, shape ``(m, F)``."""
-    messages = np.take(dense, source, axis=0)
-    weights = vals[:, None] if dense.ndim > 1 else vals
+def _gather(csr: sp.csr_matrix, x: np.ndarray, dtype: np.dtype,
+            meter: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Edge-wise ``csr @ x`` as ``(out, messages)``.
+
+    ``messages[e] = data[e] · x[indices[e]]`` is the ``(m, F)`` buffer,
+    handed to the ledger first when ``meter``; :func:`segment_sum` reduces
+    it to ``out``, cast to ``dtype``.
+    """
+    messages = np.take(x, csr.indices, axis=0)
+    weights = csr.data[:, None] if x.ndim > 1 else csr.data
     # Weight in place unless the operator's dtype widens the product.
-    fits = np.result_type(messages, vals) == messages.dtype
-    return np.multiply(messages, weights, out=messages if fits else None)
-
-
-def _spmm_coo_gather(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
-    """Edge-list propagation: gather source rows, weight, scatter to targets.
-
-    Bit-equal to the CSR backend but allocates an ``(m, F)`` message
-    buffer, reproducing the O(mF) footprint of edge-indexed
-    message-passing backends.
-    """
-    coo = matrix.tocoo()
-    rows, cols, vals = coo.row, coo.col, coo.data
-
-    messages = _messages(dense.data, cols, vals)
-    _notify_alloc(messages)  # the O(mF) intermediate is what we meter
-    data = scatter_add(rows, messages, matrix.shape[0]).astype(
-        dense.dtype, copy=False)
-    _notify_op("spmm", 2 * len(vals) * _width(dense),
-               data.nbytes + messages.nbytes)
-
-    def backward(grad: np.ndarray):
-        gathered = _messages(grad, rows, vals)
-        _notify_alloc(gathered)
-        out = scatter_add(cols, gathered, dense.shape[0])
-        return (out.astype(dense.dtype, copy=False),)
-
-    return Tensor._make(data, (dense,), backward, "spmm_coo")
+    fits = np.result_type(messages, csr.data) == messages.dtype
+    messages = np.multiply(messages, weights, out=messages if fits else None)
+    if meter:
+        _notify_alloc(messages)
+    return segment_sum(csr, messages).astype(dtype, copy=False), messages
 
 
 def spmm_numpy(matrix: sp.spmatrix, dense: np.ndarray, backend: str = "csr") -> np.ndarray:
@@ -148,17 +141,14 @@ def spmm_numpy(matrix: sp.spmatrix, dense: np.ndarray, backend: str = "csr") -> 
         raise AutodiffError(
             f"spmm shape mismatch: {matrix.shape} @ {dense.shape}"
         )
+    csr = matrix.tocsr()
     if backend == "csr":
-        csr = matrix.tocsr()
         out = _blocked.spmm_csr(csr, dense)
-        _notify_op("spmm", 2 * csr.nnz * _width(dense), out.nbytes)
-        return out
-    if backend == "coo_gather":
-        coo = matrix.tocoo()
-        messages = _messages(dense, coo.col, coo.data)
-        out = scatter_add(coo.row, messages, matrix.shape[0]).astype(
-            dense.dtype, copy=False)
-        _notify_op("spmm", 2 * coo.nnz * _width(dense),
-                   out.nbytes + messages.nbytes)
-        return out
-    raise AutodiffError(f"unknown spmm backend {backend!r}")
+        extra = 0
+    elif backend == "coo_gather":
+        out, messages = _gather(csr, dense, dense.dtype, meter=False)
+        extra = messages.nbytes
+    else:
+        raise AutodiffError(f"unknown spmm backend {backend!r}")
+    _notify_op("spmm", 2 * csr.nnz * _width(dense), out.nbytes + extra)
+    return out

@@ -187,11 +187,13 @@ class Graph:
         Pool workers synthesize content-identical graphs, so the first
         worker to normalize an operator publishes it and siblings map
         the same bytes instead of repeating the O(m) build. The
-        fingerprint binds the memo key to the adjacency payload token,
-        so a mutated graph can never be served a sibling's operator.
+        fingerprint binds the memo key to the adjacency's full digest,
+        so a different (or mutated) graph is never served a sibling's
+        operator, even one with the same node and edge counts.
         """
         return _cache.shared_csr(
-            "norm", (key, _cache.matrix_token(self.adjacency)), builder)
+            "norm", lambda: (key, _cache.operator_digest(self.adjacency)),
+            builder)
 
     def _build_laplacian(self, rho: float, self_loops: bool) -> sp.csr_matrix:
         identity = sp.identity(self.num_nodes, format="csr", dtype=np.float32)

@@ -16,10 +16,20 @@ This module closes both with a small, observable memoization layer:
   hits / misses / evictions are both tracked locally and mirrored into
   telemetry counters (``<prefix>.hit`` / ``.miss`` / ``.evict``), so any
   trace shows exactly what the caches did.
-- :func:`transpose_csr` — a process-wide cache of ``Pᵀ`` keyed by the
-  identity of the forward-pass matrix and validated against a mutation
-  fingerprint (:func:`matrix_token`), so an in-place edit of the sparse
-  data invalidates the entry instead of silently serving stale bytes.
+- One process-wide entry per propagation operator, keyed by the
+  operator's identity and validated against a mutation fingerprint
+  (:func:`matrix_token`), so an in-place edit of the sparse data
+  invalidates the entry instead of silently serving stale bytes. It
+  holds what is derived from the operator once, the way PyG's
+  ``EdgeIndex`` caches its CSR/CSC pointers:
+
+  - :func:`transpose_csr` — ``Pᵀ`` for every spmm backward. An operator
+    whose transpose has its exact bytes (each ρ = ½ ``Ã`` and ``L̃``) is
+    its own transpose: the entry stores a marker, not a second copy.
+  - :func:`segment_selector` — the 0/1 row-segment matrix with which the
+    ``coo_gather`` backend sums its message buffer.
+  - :func:`operator_digest` — a full content digest that names the
+    operator's blobs in the cross-process store.
 - Per-graph normalization memos use :class:`LRUCache` directly (see
   :meth:`repro.graph.graph.Graph.normalized_adjacency`).
 
@@ -30,7 +40,9 @@ property-test suite assert bit-identical numerics cached vs. uncached.
 
 Counters emitted (when telemetry is configured):
 
-- ``cache.spmm_t.{hit,miss,evict}`` — transpose cache traffic.
+- ``cache.spmm_t.{hit,miss}`` — transpose lookups (selector and digest
+  lookups are not counted); ``cache.spmm_t.evict`` — operator entries
+  evicted.
 - ``cache.norm_adj.{hit,miss,evict}`` — normalization memo traffic.
 - ``ops.spmm.transpose_builds`` — actual ``csr.T.tocsr()``
   materializations; with the cache on this stays at ≤ 1 per matrix.
@@ -38,11 +50,12 @@ Counters emitted (when telemetry is configured):
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,8 +63,9 @@ import scipy.sparse as sp
 from .. import telemetry
 from . import shm
 
-#: Default bound on process-wide cached transposes. MB sweeps touch many
-#: graphs; bounding the entry count keeps host RAM growth bounded too.
+#: Default bound on process-wide operator entries (transpose, selector,
+#: digest). MB sweeps touch many graphs; bounding the entry count keeps
+#: host RAM growth bounded too.
 TRANSPOSE_CACHE_ENTRIES = 32
 
 #: Default bound on per-graph normalization memo entries — one entry per
@@ -135,26 +149,34 @@ class LRUCache:
             telemetry.inc_counter(f"{self.counter_prefix}.{outcome}")
 
     def get(self, key: Any,
-            validate: Optional[Callable[[Any], bool]] = None) -> Any:
+            validate: Optional[Callable[[Any], bool]] = None,
+            count: bool = True) -> Any:
         """Return the cached value or ``MISSING``; refreshes recency.
 
         ``validate(value)`` may reject a structurally-present entry (e.g.
         the cached matrix was mutated); rejection counts as a miss and
-        drops the entry.
+        drops the entry. ``count=False`` leaves the outcome to the caller's
+        own :meth:`record`.
         """
         with self._lock:
             value = self._entries.get(key, _MISSING)
             if value is not _MISSING and validate is not None and not validate(value):
                 del self._entries[key]
                 value = _MISSING
-            if value is _MISSING:
-                self.misses += 1
-                self._count("miss")
-                return _MISSING
-            self._entries.move_to_end(key)
-            self.hits += 1
-            self._count("hit")
+            if value is not _MISSING:
+                self._entries.move_to_end(key)
+            if count:
+                self.record(value is not _MISSING)
             return value
+
+    def record(self, hit: bool) -> None:
+        """Count one lookup as a hit or a miss, locally and in telemetry."""
+        with self._lock:
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
+        self._count("hit" if hit else "miss")
 
     def put(self, key: Any, value: Any) -> None:
         """Insert/overwrite an entry, evicting the LRU tail past capacity."""
@@ -237,7 +259,6 @@ def data_token(value: Any) -> str:
     runs. The artifact store (:mod:`repro.runtime.artifacts`) keys cell
     content addresses on it.
     """
-    import hashlib
     import json
 
     from ..telemetry.manifest import _plain
@@ -267,10 +288,79 @@ def matrix_token(matrix: sp.spmatrix) -> Tuple:
     return (matrix.shape, nnz, data.dtype.str, checksum)
 
 
-_transpose_cache = LRUCache(TRANSPOSE_CACHE_ENTRIES,
-                            counter_prefix="cache.spmm_t")
+def operator_digest(matrix: sp.spmatrix) -> str:
+    """Full content digest of a sparse operator (32 hex chars).
+
+    Hashes the shape and every byte of ``indptr``, ``indices`` and
+    ``data``, so unlike :func:`matrix_token` it separates two unweighted
+    graphs with the same node and edge counts. It names what crosses a
+    process boundary (the shared store's ``spmm_t`` and ``norm`` blobs) and
+    is computed once per operator per process.
+    """
+    if not is_enabled():
+        return _full_digest(matrix)
+    entry = _derived(matrix)
+    if entry.digest is None:
+        entry.digest = _full_digest(matrix)
+    return entry.digest
+
+
+def _full_digest(matrix: sp.spmatrix) -> str:
+    csr = matrix.tocsr()
+    digest = hashlib.blake2b(repr(csr.shape).encode(), digest_size=16)
+    for array in (csr.indptr, csr.indices, csr.data):
+        digest.update(array.dtype.str.encode())
+        digest.update(_raw(array))
+    return digest.hexdigest()
+
+
+def _raw(array: np.ndarray) -> np.ndarray:
+    """The bytes of a 1-D array as a ``uint8`` array."""
+    return np.ascontiguousarray(array).view(np.uint8)
+
+
+class _Derived:
+    """What the process derived from one operator, bound to it by a weak
+    reference and its :func:`matrix_token`: the transpose (``_SELF`` when
+    the operator is bytewise its own), the segment selector and the
+    :func:`operator_digest`, each filled on first use."""
+
+    __slots__ = ("ref", "token", "transpose", "selector", "digest")
+
+    def __init__(self, ref: weakref.ref, token: Tuple):
+        self.ref, self.token = ref, token
+        self.transpose = self.selector = self.digest = None
+
+
+#: Marks an operator whose transpose has its exact bytes.
+_SELF = object()
+
+_operator_cache = LRUCache(TRANSPOSE_CACHE_ENTRIES,
+                           counter_prefix="cache.spmm_t")
 _transpose_builds = 0
 _builds_lock = threading.Lock()
+
+
+def _derived(matrix: sp.spmatrix) -> _Derived:
+    """The operator's entry (created empty), looked up without counting.
+
+    The entry is bound to the *object*: a weak reference proves the key's
+    ``id`` still names the same matrix (ids recycle after GC), and the
+    token proves its payload was not mutated since caching. Either check
+    failing drops the entry, and everything derived is rebuilt.
+    """
+    key = id(matrix)
+    token = matrix_token(matrix)
+    entry = _operator_cache.get(
+        key, validate=lambda e: e.ref() is matrix and e.token == token,
+        count=False)
+    if entry is _MISSING:
+        def _on_collect(_ref, _key=key):
+            _operator_cache.discard(_key)
+
+        entry = _Derived(weakref.ref(matrix, _on_collect), token)
+        _operator_cache.put(key, entry)
+    return entry
 
 
 def materialize_transpose(matrix: sp.spmatrix) -> sp.csr_matrix:
@@ -298,42 +388,72 @@ def transpose_build_count() -> int:
 
 
 def transpose_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
-    """Cached ``matrixᵀ`` (CSR), keyed by matrix identity + content token.
+    """Cached ``matrixᵀ`` (CSR), held in the operator's entry.
 
-    The entry is bound to the *object*: a weak reference proves the key's
-    ``id`` still names the same matrix (ids recycle after GC), and the
-    token proves its payload was not mutated since caching. Either check
-    failing turns the lookup into a miss and rebuilds the transpose.
+    On a miss the transpose is built (or mapped from the shared store);
+    when its ``indptr``, ``indices`` and ``data`` bytes equal the
+    operator's — every ρ = ½ operator a :class:`~repro.graph.Graph` builds
+    — the entry keeps a marker instead of a second copy, this returns
+    ``matrix`` itself, and nothing is published. Only these lookups move
+    the ``cache.spmm_t.{hit,miss}`` counters.
     """
     if not is_enabled():
         return materialize_transpose(matrix)
-    key = id(matrix)
-    token = matrix_token(matrix)
+    entry = _derived(matrix)
+    _operator_cache.record(entry.transpose is not None)
+    if entry.transpose is None:
+        def build():
+            transposed = materialize_transpose(matrix)
+            return _SELF if _same_csr(matrix, transposed) else transposed
 
-    def validate(entry) -> bool:
-        ref, cached_token, _ = entry
-        return ref() is matrix and cached_token == token
+        entry.transpose = shared_blob(
+            "spmm_t", lambda: (operator_digest(matrix),), build,
+            lambda value: None if value is _SELF else csr_blob(value),
+            csr_from_blob)
+    return matrix if entry.transpose is _SELF else entry.transpose
 
-    cached = _transpose_cache.get(key, validate=validate)
-    if cached is not _MISSING:
-        return cached[2]
-    transposed = shared_csr("spmm_t", (token,),
-                            lambda: materialize_transpose(matrix))
 
-    def _on_collect(_ref, _key=key):
-        _transpose_cache.discard(_key)
+def _same_csr(matrix: sp.spmatrix, other: sp.csr_matrix) -> bool:
+    """Whether ``matrix`` is a CSR matrix with ``other``'s shape and bytes."""
+    if matrix.format != "csr" or matrix.shape != other.shape:
+        return False
+    return all(a.dtype == b.dtype and np.array_equal(_raw(a), _raw(b))
+               for a, b in ((matrix.indptr, other.indptr),
+                            (matrix.indices, other.indices),
+                            (matrix.data, other.data)))
 
-    _transpose_cache.put(key, (weakref.ref(matrix, _on_collect), token,
-                               transposed))
-    return transposed
+
+def segment_selector(csr: sp.csr_matrix) -> sp.csr_matrix:
+    """The boolean ``(n, nnz)`` matrix with ``S[i, e] = 1`` for every
+    stored entry ``e`` of row ``i``, cached in the operator's entry.
+
+    ``S @ values`` sums each row's segment of an ``(nnz, …)`` array in
+    stored order; being boolean, the product takes ``values``' dtype. It
+    is built straight from ``indptr`` — no sort — and rebuilt per call
+    while the cache layer is off.
+    """
+    if not is_enabled():
+        return _build_selector(csr)
+    entry = _derived(csr)
+    if entry.selector is None:
+        entry.selector = _build_selector(csr)
+    return entry.selector
+
+
+def _build_selector(csr: sp.csr_matrix) -> sp.csr_matrix:
+    nnz = int(csr.indptr[-1])
+    return sp.csr_matrix(
+        (np.ones(nnz, dtype=bool), np.arange(nnz, dtype=csr.indptr.dtype),
+         csr.indptr), shape=(csr.shape[0], nnz))
 
 
 #: A blob's payload: named arrays plus JSON metadata (see :mod:`.shm`).
 Blob = Tuple[Dict[str, np.ndarray], dict]
 
 
-def shared_blob(kind: str, parts: Tuple, build: Callable[[], Any],
-                encode: Callable[[Any], Blob],
+def shared_blob(kind: str, parts: Union[Tuple, Callable[[], Tuple]],
+                build: Callable[[], Any],
+                encode: Callable[[Any], Optional[Blob]],
                 decode: Callable[[Dict[str, np.ndarray], dict], Any]) -> Any:
     """``build()``, shared across pool workers when a store is attached.
 
@@ -341,14 +461,16 @@ def shared_blob(kind: str, parts: Tuple, build: Callable[[], Any],
     cache, the per-graph normalization memo and the sweep graph memo:
     the blob named by ``(kind, *parts)`` is mapped read-only and
     ``decode``-d when a sibling already published it; otherwise the value
-    is built here and published ``encode``-d for the siblings. Without an
-    active store handle — or when the blob is absent or malformed — this
-    is just ``build()``.
+    is built here and published ``encode``-d for the siblings (unless
+    ``encode`` returns ``None``). ``parts`` may be a callable, evaluated
+    only when a store is attached. Without an active store handle — or
+    when the blob is absent or malformed — this is just ``build()``.
     """
     handle = shm.active_handle()
     if handle is None:
         return build()
-    fingerprint = shm.blob_fingerprint(kind, *parts)
+    fingerprint = shm.blob_fingerprint(kind, *(parts() if callable(parts)
+                                               else parts))
     blob = handle.fetch_blob(fingerprint)
     if blob is not None:
         try:
@@ -356,7 +478,9 @@ def shared_blob(kind: str, parts: Tuple, build: Callable[[], Any],
         except (KeyError, TypeError, ValueError):
             pass  # malformed: build locally, never an error
     value = build()
-    handle.publish_blob(fingerprint, *encode(value))
+    payload = encode(value)
+    if payload is not None:
+        handle.publish_blob(fingerprint, *payload)
     return value
 
 
@@ -379,23 +503,24 @@ def csr_from_blob(arrays: Dict[str, np.ndarray], meta: dict) -> sp.csr_matrix:
     return matrix
 
 
-def shared_csr(kind: str, parts: Tuple,
+def shared_csr(kind: str, parts: Union[Tuple, Callable[[], Tuple]],
                build: Callable[[], sp.spmatrix]) -> sp.spmatrix:
     """:func:`shared_blob` for a sparse matrix, served zero-copy as CSR."""
     return shared_blob(kind, parts, build, csr_blob, csr_from_blob)
 
 
 def transpose_cache_stats() -> dict:
-    """Traffic/occupancy snapshot of the process-wide transpose cache."""
-    stats = _transpose_cache.stats()
+    """Traffic/occupancy snapshot of the process-wide operator cache:
+    hits / misses count transpose lookups, entries count operators."""
+    stats = _operator_cache.stats()
     stats["builds"] = _transpose_builds
     return stats
 
 
 def clear_transpose_cache() -> None:
-    """Empty the transpose cache and reset its counters (tests, CLI)."""
+    """Empty the operator cache and reset its counters (tests, CLI)."""
     global _transpose_builds
-    _transpose_cache.clear()
+    _operator_cache.clear()
     with _builds_lock:
         _transpose_builds = 0
 

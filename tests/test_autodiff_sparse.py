@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.autodiff import Tensor, scatter_add, spmm, spmm_numpy
+from repro.autodiff import Tensor, segment_sum, spmm, spmm_numpy
 from repro.errors import AutodiffError
+from repro.runtime import cache
 
 BACKENDS = ["csr", "coo_gather"]
 
@@ -167,7 +168,16 @@ class TestBackendsBitEqual:
             telemetry.shutdown()
 
 
-class TestScatterAdd:
+def _segments(index: np.ndarray, size: int) -> sp.csr_matrix:
+    """A ``(size, m)`` operator whose row ``b`` holds the entries ``e`` with
+    ``index[e] == b``, in ascending ``e`` (the order ``np.add.at`` adds)."""
+    order = np.argsort(index, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(index, minlength=size))])
+    return sp.csr_matrix((np.ones(len(index), dtype=np.float32), order, indptr),
+                         shape=(size, len(index)))
+
+
+class TestSegmentSum:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_bit_identical_to_unbuffered_add(self, data):
@@ -184,7 +194,8 @@ class TestScatterAdd:
 
         reference = np.zeros((size, columns), dtype=dtype)
         np.add.at(reference, index, values)
-        result = scatter_add(index, values, size)
+        segments = _segments(index, size)
+        result = segment_sum(segments, values[segments.indices])
         assert result.dtype == reference.dtype
         assert result.shape == reference.shape
         assert result.tobytes() == reference.tobytes()
@@ -195,8 +206,66 @@ class TestScatterAdd:
         values = rng.normal(size=(30,) + trailing).astype(np.float32)
         reference = np.zeros((7,) + trailing, dtype=np.float32)
         np.add.at(reference, index, values)
-        result = scatter_add(index, values, 7)
+        segments = _segments(index, 7)
+        result = segment_sum(segments, values[segments.indices])
         assert result.shape == reference.shape
         assert result.tobytes() == reference.tobytes()
-        empty = scatter_add(index[:0], values[:0], 7)
+        empty = segment_sum(_segments(index[:0], 7), values[:0])
         assert empty.shape == reference.shape and not empty.any()
+
+
+class TestCachedSegments:
+    """``coo_gather`` derives its selector and transpose once per operator."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        for name in ("_build_selector", "materialize_transpose"):
+            def counted(matrix, _name=name, _real=getattr(cache, name)):
+                calls.append(_name)
+                return _real(matrix)
+            monkeypatch.setattr(cache, name, counted)
+        return calls
+
+    @staticmethod
+    def _fit(operator, signal, seed):
+        x = Tensor(signal, requires_grad=True)
+        out = spmm(operator, x, backend="coo_gather")
+        out.backward(seed)
+        return out.data.tobytes(), x.grad.tobytes()
+
+    def test_second_pass_builds_nothing(self, rng, builds):
+        operator = _operator(rng, (30, 30), 0.2)   # unsorted: Pᵀ is distinct
+        signal = rng.normal(size=(30, 4)).astype(np.float32)
+        seed = rng.normal(size=(30, 4))
+        first = self._fit(operator, signal, seed)
+        assert sorted(builds) == ["_build_selector", "_build_selector",
+                                  "materialize_transpose"]
+        builds.clear()
+        assert self._fit(operator, signal, seed) == first
+        assert builds == []
+
+        operator.data *= np.float32(2.0)   # an in-place edit rebuilds
+        edited = self._fit(operator, signal, seed)
+        assert "materialize_transpose" in builds
+        assert "_build_selector" in builds
+        with cache.caches_disabled():
+            assert self._fit(operator, signal, seed) == edited
+        expected = operator.toarray() @ signal
+        np.testing.assert_allclose(
+            np.frombuffer(edited[0], dtype=np.float32).reshape(30, 4),
+            expected, rtol=1e-5, atol=1e-5)
+
+    def test_symmetric_operator_needs_one_selector(self, small_graph, signal,
+                                                   builds):
+        operator = small_graph.normalized_adjacency(0.5)
+        seed = np.ones_like(signal)
+        first = self._fit(operator, signal, seed)
+        # The transpose is built once to find it equal, then not kept.
+        assert builds == ["_build_selector", "materialize_transpose"]
+        assert cache.transpose_csr(operator) is operator
+        builds.clear()
+        assert self._fit(operator, signal, seed) == first
+        assert builds == []
+        with cache.caches_disabled():
+            assert self._fit(operator, signal, seed) == first

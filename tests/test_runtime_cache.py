@@ -31,6 +31,8 @@ from repro.autodiff.sparse import spmm
 from repro.graph import Graph
 from repro.runtime import cache
 
+from .test_autodiff_sparse import _operator
+
 
 @pytest.fixture(autouse=True)
 def _clean_cache_state():
@@ -211,6 +213,77 @@ class TestTransposeCache:
         matrix.data *= np.float32(scale)
         refreshed = cache.transpose_csr(matrix).toarray()
         np.testing.assert_array_equal(refreshed, matrix.T.toarray())
+
+
+@st.composite
+def _edge_graphs(draw) -> Graph:
+    """``Graph.from_edges`` on 1–30 nodes; nodes no edge touches stay
+    isolated."""
+    n = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=3 * n))
+    edges = np.array([p for p in pairs if p[0] != p[1]],
+                     dtype=np.int64).reshape(-1, 2)
+    return Graph.from_edges(n, edges)
+
+
+def _same_bytes(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    return a.shape == b.shape and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
+                     (a.data, b.data)))
+
+
+class TestSymmetricTranspose:
+    """A ρ = ½ operator is bytewise its own transpose; nothing else is
+    served as one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=_edge_graphs())
+    def test_half_normalized_operators_are_their_own_transpose(self, graph):
+        for operator in (graph.normalized_adjacency(0.5),
+                         graph.laplacian(0.5)):
+            assert cache.transpose_csr(operator) is operator
+            assert cache.transpose_csr(operator) is operator  # the hit path
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=_edge_graphs(), rho=st.sampled_from([0.0, 1.0]))
+    def test_other_rho_gets_a_correct_transpose(self, graph, rho):
+        operator = graph.normalized_adjacency(rho)
+        reference = operator.T.tocsr()
+        result = cache.transpose_csr(operator)
+        assert _same_bytes(result, reference)
+        # Only an operator with its transpose's exact bytes (a regular
+        # graph under ρ = 1, say) may be served as its own transpose.
+        assert (result is operator) == _same_bytes(operator, reference)
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    def test_irregular_graph_gets_a_distinct_transpose(self, rho):
+        path = Graph.from_edges(4, np.array([[0, 1], [1, 2], [2, 3]]))
+        operator = path.normalized_adjacency(rho)
+        result = cache.transpose_csr(operator)
+        assert result is not operator
+        assert _same_bytes(result, operator.T.tocsr())
+
+    @pytest.mark.parametrize("shape", [(40, 40), (30, 50), (50, 30)])
+    def test_unsorted_and_rectangular_operators(self, rng, shape):
+        operator = _operator(rng, shape, 0.3)
+        result = cache.transpose_csr(operator)
+        assert result is not operator
+        assert _same_bytes(result, operator.T.tocsr())
+
+    def test_symmetric_values_with_unsorted_indices(self):
+        symmetric = _random_graph(20, seed=15).normalized_adjacency(0.5)
+        order = np.concatenate([   # each row's entries reversed
+            np.arange(start, stop)[::-1]
+            for start, stop in zip(symmetric.indptr[:-1],
+                                   symmetric.indptr[1:])]).astype(np.intp)
+        shuffled = sp.csr_matrix(
+            (symmetric.data[order], symmetric.indices[order],
+             symmetric.indptr), shape=symmetric.shape)
+        result = cache.transpose_csr(shuffled)
+        assert result is not shuffled
+        assert _same_bytes(result, symmetric)
 
 
 # ----------------------------------------------------------------------

@@ -903,6 +903,41 @@ class TestCsrBlobIntegration:
         assert stats["blobs"] >= 1 and stats["hits"] >= 1, \
             "identical graphs must share one normalization blob"
 
+    def test_blob_names_bind_the_whole_operator(self, store):
+        # Same n, same nnz, all-ones data: one sampled token, two graphs.
+        ring = Graph.from_edges(6, np.array([[i, (i + 1) % 6]
+                                             for i in range(6)]))
+        triangles = Graph.from_edges(6, np.array(
+            [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]))
+        assert cache.matrix_token(ring.adjacency) \
+            == cache.matrix_token(triangles.adjacency)
+        with shm.store_scope(store), shm.worker_scope(store.worker_handle()):
+            ring.normalized_adjacency()
+            served = triangles.normalized_adjacency()
+        with cache.caches_disabled():
+            expected = triangles.normalized_adjacency()
+        assert (served != expected).nnz == 0
+
+        # The transpose blob too: two directed 3-cycles, one token.
+        forward = sp.csr_matrix((np.ones(3), ([0, 1, 2], [1, 2, 0])),
+                                shape=(3, 3))
+        backward = sp.csr_matrix((np.ones(3), ([0, 1, 2], [2, 0, 1])),
+                                 shape=(3, 3))
+        other = SharedTermStore()
+        with shm.worker_scope(other.worker_handle()):
+            cache.transpose_csr(forward)
+            served = cache.transpose_csr(backward)
+        other.close()
+        assert (served != backward.T).nnz == 0
+
+    def test_symmetric_operator_publishes_no_transpose(self, store):
+        operator = Graph.from_edges(
+            4, np.array([[0, 1], [1, 2], [2, 3]])).normalized_adjacency()
+        with shm.worker_scope(store.worker_handle()):
+            cache.clear_transpose_cache()
+            assert cache.transpose_csr(operator) is operator
+        assert store.stats()["blobs"] == 0
+
 
 def _graph_digest(graph: Graph) -> str:
     digest = hashlib.sha256(graph.name.encode())
