@@ -658,7 +658,7 @@ def main(argv=None) -> int:
         artifacts_info = dict(
             {"mode": "fresh" if args.fresh else "resume",
              "dir": str(sweep_artifacts.store.root)},
-            **sweep_artifacts.stats())
+            **sweep_artifacts.store.stats())
         print(f"artifacts: {sweep_artifacts.store.root}  "
               f"mode={artifacts_info['mode']}  "
               f"hit={artifacts_info['hit']} miss={artifacts_info['miss']} "

@@ -95,18 +95,17 @@ def _config_for(spec: DatasetSpec, base: Optional[TrainConfig],
 # ======================================================================
 # sweep cells (process-pool units; see repro.runtime.pool)
 # ======================================================================
-#: Per-process memo of synthesized graphs, keyed on (dataset, resolved
-#: scale, seed), so consecutive cells of one dataset share a single
-#: synthesis in serial mode (matching the historic one-load-per-dataset
-#: loops). A pool runs each cell in a fresh process, so there a miss
-#: first looks in the sweep's shared term store: the first cell to
-#: synthesize a graph publishes it as a ``b-<fp>`` blob and later cells
-#: map it, so a store-backed sweep pays at most ``workers`` syntheses per
-#: dataset (the first cells race; the first publisher wins). Synthesis is
-#: deterministic in (spec, scale, seed), so memo and store hits are
-#: bit-identical to fresh loads.
-_GRAPH_MEMO: Dict[Tuple, Graph] = {}
-_GRAPH_MEMO_CAP = 4
+#: Per-process LRU memo of up to four synthesized graphs (uncounted),
+#: keyed on (dataset, resolved scale, seed), so consecutive cells of one
+#: dataset share a single synthesis in serial mode (matching the historic
+#: one-load-per-dataset loops). A pool runs each cell in a fresh process,
+#: so there a miss first looks in the sweep's shared term store: the first
+#: cell to synthesize a graph publishes it as a ``b-<fp>`` blob and later
+#: cells map it, so a store-backed sweep pays at most ``workers``
+#: syntheses per dataset (the first cells race; the first publisher
+#: wins). Synthesis is deterministic in (spec, scale, seed), so memo and
+#: store hits are bit-identical to fresh loads.
+_GRAPH_MEMO = runtime_cache.LRUCache(4)
 
 
 def _graph_blob(graph: Graph) -> runtime_cache.Blob:
@@ -128,14 +127,9 @@ def _memo_load(name: str, scale: Optional[float], seed: int) -> Graph:
     spec = get_spec(name)
     resolved = dataset_scale(spec, scale)
     key = (spec.name, resolved, seed)
-    graph = _GRAPH_MEMO.get(key)
-    if graph is None:
-        if len(_GRAPH_MEMO) >= _GRAPH_MEMO_CAP:
-            _GRAPH_MEMO.pop(next(iter(_GRAPH_MEMO)))
-        graph = _GRAPH_MEMO[key] = runtime_cache.shared_blob(
-            "graph", key, lambda: load_dataset(spec, resolved, seed=seed),
-            _graph_blob, _blob_graph)
-    return graph
+    return _GRAPH_MEMO.get_or_compute(key, lambda: runtime_cache.shared_blob(
+        "graph", key, lambda: load_dataset(spec, resolved, seed=seed),
+        _graph_blob, _blob_graph))
 
 
 def _failure_row(result: CellResult, **coordinates) -> Dict:

@@ -24,12 +24,13 @@ that could change its result:
 Any change to any component flips the address, which the staleness test
 suite (``tests/test_runtime_artifacts.py``) holds as an invariant.
 
-**Store layout and durability.** One JSON payload file plus one metadata
-sidecar per cell, both written atomically (temp file + ``os.replace``) in
-sidecar-first order so the payload is the commit point: a crash can leave
-a sidecar without a payload (a miss) but never a payload the reader
-would trust without its write having completed. Torn or truncated files
-read as misses, mirroring the run registry's crash discipline.
+**Store layout and durability.** One ``<address>.json`` document per
+cell — value, telemetry shard and metadata together — landed through the
+file tier (:mod:`repro.runtime.files`), so it exists whole or not at all.
+Torn or truncated files read as misses, mirroring the run registry's
+crash discipline. A write the directory refuses (``ENOSPC``, ``EACCES``)
+skips persisting that cell: the sweep completes, and the cell
+re-executes on resume.
 
 **Correctness contract.** The store is a *cache of deterministic
 computations*: a hit substitutes bytes that a live execution would have
@@ -47,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,6 +56,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from .. import telemetry
 from .cache import data_token
+from .files import ArrayFiles
 
 PathLike = Union[str, Path]
 
@@ -68,9 +71,9 @@ ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
 #: (the repo root in every documented workflow).
 DEFAULT_ARTIFACT_DIR = Path("benchmarks") / "results" / "artifacts"
 
-#: Payload / sidecar suffixes inside the store directory.
-PAYLOAD_SUFFIX = ".json"
-META_SUFFIX = ".meta.json"
+#: A cell's file name: its 64-hex content address. Any other file in the
+#: store directory (a scratch file, a stray ``*.json``) is not a cell.
+_ADDRESS = re.compile(r"[0-9a-f]{64}")
 
 
 def default_artifact_dir(override: Optional[PathLike] = None) -> Path:
@@ -132,51 +135,28 @@ class CellArtifact:
 class ArtifactStore:
     """On-disk, content-addressed store of completed sweep cells.
 
-    Parameters
-    ----------
-    root:
-        Store directory (created on first put). ``None`` resolves through
-        :func:`default_artifact_dir`.
-    max_cells:
-        Optional bound on stored cells; a put past it evicts the oldest
-        payloads (by modification time) until the bound holds. ``None``
-        (default) keeps everything.
-
-    Traffic is tallied locally (``hits``/``misses``/``stores``/
-    ``evictions``/``torn``) and mirrored to telemetry counters
-    (``artifacts.{hit,miss,store,evict}``) so registry records and traces
-    show what the store did.
+    ``root`` is the store directory (created on first put); ``None``
+    resolves through :func:`default_artifact_dir`. Traffic is tallied
+    locally (``hits``/``misses``/``stores``/``torn``) and mirrored to
+    telemetry counters (``artifacts.{hit,miss,store}``) so registry
+    records and traces show what the store did.
     """
 
-    def __init__(self, root: Optional[PathLike] = None,
-                 max_cells: Optional[int] = None):
+    def __init__(self, root: Optional[PathLike] = None):
         self.root = default_artifact_dir(root)
-        if max_cells is not None and max_cells < 1:
-            raise ValueError(f"max_cells must be >= 1, got {max_cells}")
-        self.max_cells = max_cells
+        self.files = ArrayFiles(self.root)
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.evictions = 0
         self.torn = 0
 
-    # ------------------------------------------------------------------
-    # paths
-    # ------------------------------------------------------------------
     def payload_path(self, address: str) -> Path:
-        return self.root / f"{address}{PAYLOAD_SUFFIX}"
-
-    def meta_path(self, address: str) -> Path:
-        return self.root / f"{address}{META_SUFFIX}"
+        return self.root / f"{address}.json"
 
     def addresses(self) -> List[str]:
-        """Sorted addresses of every committed (payload-present) cell."""
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            path.name[:-len(PAYLOAD_SUFFIX)]
-            for path in self.root.glob(f"*{PAYLOAD_SUFFIX}")
-            if not path.name.endswith(META_SUFFIX))
+        """Sorted addresses of every stored cell."""
+        return sorted(path.stem for path in self.root.glob("*.json")
+                      if _ADDRESS.fullmatch(path.stem))
 
     def __len__(self) -> int:
         return len(self.addresses())
@@ -184,41 +164,27 @@ class ArtifactStore:
     def __contains__(self, address: str) -> bool:
         return self.payload_path(address).is_file()
 
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
     def get(self, address: str) -> Optional[CellArtifact]:
         """Decode one artifact, or ``None`` on any miss.
 
-        A miss is: no payload file, a torn/truncated payload (crashed
-        writer — counted on :attr:`torn` and the broken file dropped so
-        the rerun overwrites it cleanly), or a schema/address mismatch.
+        A miss is: no file, a torn/truncated file (crashed writer —
+        counted on :attr:`torn` and the broken file dropped so the rerun
+        overwrites it cleanly), or a schema/address mismatch.
         """
-        path = self.payload_path(address)
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            self._count_miss()
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
+            payload = self.files.get_json(address)
+        except (ValueError, OSError):
             self.torn += 1
-            self._discard_files(address)
-            self._count_miss()
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("schema") != ARTIFACT_SCHEMA
-                or payload.get("address") != address):
-            self._discard_files(address)
+            payload = {}
+        if not (isinstance(payload, dict)
+                and payload.get("schema") == ARTIFACT_SCHEMA
+                and payload.get("address") == address):
+            if payload is not None:
+                self.discard(address)
             self._count_miss()
             return None
         from ..bench.io import unjsonify  # lazy: bench imports runtime
 
-        meta = {}
-        try:
-            meta = json.loads(self.meta_path(address).read_text(
-                encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            pass  # sidecar is informational; the payload is authoritative
         self.hits += 1
         telemetry.inc_counter("artifacts.hit")
         return CellArtifact(
@@ -226,109 +192,51 @@ class ArtifactStore:
             value=unjsonify(payload.get("value")),
             events=[dict(event) for event in payload.get("events") or ()],
             metrics_state=payload.get("metrics"),
-            meta=meta,
+            meta=payload.get("meta") or {},
         )
 
     def _count_miss(self) -> None:
         self.misses += 1
         telemetry.inc_counter("artifacts.miss")
 
-    # ------------------------------------------------------------------
-    # writing
-    # ------------------------------------------------------------------
     def put(self, address: str, value: Any,
             events: Optional[Sequence[Dict]] = None,
             metrics_state: Optional[Dict] = None,
             meta: Optional[Dict] = None) -> Path:
-        """Persist one cell atomically; returns the payload path.
+        """Persist one cell, replacing any earlier file; returns its path.
 
-        Sidecar first, payload last: the payload rename is the commit
-        point, so a reader never sees a half-written artifact — a crash
-        between the two writes leaves an orphan sidecar that reads as a
-        plain miss.
+        Raises ``ReproError`` for a value the JSON encoding cannot take
+        and ``OSError`` when the directory refuses the write.
         """
         from ..bench.io import jsonify  # lazy: bench imports runtime
 
-        self.root.mkdir(parents=True, exist_ok=True)
+        # Insertion order, not sort_keys: a cached row must decode with
+        # the same key order a live execution produced, so downstream
+        # tables and saved result files match a never-cached run exactly.
         payload = {
             "schema": ARTIFACT_SCHEMA,
             "address": address,
             "value": jsonify(value),
             "events": jsonify(list(events or ())),
             "metrics": jsonify(metrics_state) if metrics_state else None,
+            "meta": dict(meta or {}),
         }
-        self._atomic_write(self.meta_path(address),
-                           dict(meta or {}, schema=ARTIFACT_SCHEMA,
-                                address=address))
-        path = self._atomic_write(self.payload_path(address), payload)
+        self.root.mkdir(parents=True, exist_ok=True)
+        path = self.files.put_json(address, payload)
         self.stores += 1
         telemetry.inc_counter("artifacts.store")
-        if self.max_cells is not None:
-            self._evict_over_bound(keep=address)
         return path
-
-    def _atomic_write(self, path: Path, payload: Dict) -> Path:
-        # Temp name must not match *PAYLOAD_SUFFIX so a crash mid-write
-        # never leaves a file that addresses()/get() would consider.
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        # Insertion order, not sort_keys: a cached row must decode with
-        # the same key order a live execution produced, so downstream
-        # tables and saved result files match a never-cached run exactly.
-        tmp.write_text(json.dumps(payload, separators=(",", ":")),
-                       encoding="utf-8")
-        os.replace(tmp, path)
-        return path
-
-    def _discard_files(self, address: str) -> None:
-        for path in (self.payload_path(address), self.meta_path(address)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
 
     def discard(self, address: str) -> None:
-        """Drop one cell (payload + sidecar) if present."""
-        self._discard_files(address)
-
-    def _evict_over_bound(self, keep: Optional[str] = None) -> None:
-        addresses = self.addresses()
-        if len(addresses) <= self.max_cells:
-            return
-        by_age = sorted(
-            addresses,
-            key=lambda addr: (self.payload_path(addr).stat().st_mtime, addr))
-        for address in by_age:
-            if len(self.addresses()) <= self.max_cells:
-                break
-            if address == keep:
-                continue
-            self._discard_files(address)
-            self.evictions += 1
-            telemetry.inc_counter("artifacts.evict")
+        """Drop one cell if present."""
+        self.payload_path(address).unlink(missing_ok=True)
 
     def purge(self) -> int:
-        """Drop every stored cell (``--fresh``); returns the count dropped.
-
-        Stray temp files from crashed writers are swept too; the local
-        traffic tallies are left intact so a fresh-then-populate run still
-        reports what it stored.
-        """
-        dropped = 0
-        for address in self.addresses():
-            self._discard_files(address)
-            dropped += 1
-        if self.root.is_dir():
-            for tmp in self.root.glob("*.tmp.*"):
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
-            # Orphan sidecars (crash between sidecar and payload writes).
-            for sidecar in self.root.glob(f"*{META_SUFFIX}"):
-                try:
-                    sidecar.unlink()
-                except OSError:
-                    pass
+        """Drop every cell and stray file (``--fresh``); returns the count
+        of cells dropped. The local tallies are kept, so a
+        fresh-then-populate run still reports what it stored."""
+        dropped = len(self)
+        self.files.purge()
         return dropped
 
     def stats(self) -> Dict[str, int]:
@@ -338,7 +246,6 @@ class ArtifactStore:
             "hit": self.hits,
             "miss": self.misses,
             "stored": self.stores,
-            "evicted": self.evictions,
             "torn": self.torn,
         }
 
@@ -392,11 +299,12 @@ class SweepArtifacts:
     def save(self, cell, value: Any,
              events: Optional[Sequence[Dict]] = None,
              metrics_state: Optional[Dict] = None) -> Optional[Path]:
-        """Persist one *successful* cell; unserializable values are skipped.
+        """Persist one *successful* cell; returns the file's path.
 
-        Returns the payload path, or ``None`` when the value cannot take
-        the JSON round trip (the sweep still completes — such a cell just
-        re-executes on resume).
+        ``None`` (counted as ``artifacts.unstorable``) when the value
+        cannot take the JSON round trip or the directory refuses the
+        write: the sweep still completes, and the cell re-executes on
+        resume.
         """
         from ..errors import ReproError
 
@@ -410,12 +318,9 @@ class SweepArtifacts:
         try:
             return self.store.put(address, value, events=events,
                                   metrics_state=metrics_state, meta=meta)
-        except ReproError:
+        except (ReproError, OSError):
             telemetry.inc_counter("artifacts.unstorable")
             return None
-
-    def stats(self) -> Dict[str, int]:
-        return self.store.stats()
 
 
 # ----------------------------------------------------------------------

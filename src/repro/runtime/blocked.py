@@ -13,17 +13,13 @@ makes those rows *measurable* instead of extrapolated:
   the tiled result is bit-identical to the in-core path (the same
   contract the planner and every cache in this repo already hold, and
   what the ``bench-blocked`` CI gate asserts end to end).
-- **Spill store** — :class:`SpillStore` persists whole ``T^(k)(L̃)·X``
-  term matrices through :class:`repro.runtime.shm.ArrayFiles` — the one
-  file tier, shared with the cross-process term store: ``.npy`` files
-  written atomically (tmp file + ``os.replace``), served back as
-  read-only ``numpy.memmap`` views, named by the planner's existing
-  operator/signal fingerprints
-  (:func:`repro.runtime.shm.chain_fingerprint`). The basis planner's
-  LRU (:mod:`repro.runtime.plan`) evicts chains *into* this store
-  instead of dropping them, so a later filter re-requesting a spilled
-  chain maps the identical bytes from disk rather than recomputing the
-  spmm chain.
+- **Spill directory** — :attr:`BlockedTier.spill`, a plain
+  :class:`repro.runtime.files.ArrayFiles`, holds whole ``T^(k)(L̃)·X``
+  term matrices under the shared store's file names
+  (:func:`repro.runtime.shm.term_name`). The basis planner's LRU
+  (:mod:`repro.runtime.plan`) evicts chains *into* it instead of
+  dropping them, so a later filter re-requesting a spilled chain maps
+  the identical bytes back read-only rather than recomputing them.
 - **RAM-budget auto-tuning** — block size derives from a byte budget
   (:func:`choose_block_rows`); the budget comes from ``--ram-budget``
   or, by default, from the process's current RSS
@@ -41,12 +37,12 @@ Counters emitted (when telemetry is configured):
 
 - ``blocked.spmm_calls`` / ``blocked.tiles`` — tiled products and the
   row tiles they split into.
-- ``blocked.spill_bytes`` / ``blocked.spill_files`` — bytes/files the
-  spill store wrote.
+- ``blocked.spill_bytes`` — bytes the spill directory took (the terms
+  themselves are counted once, as the planner's ``plan.terms.spill`` /
+  ``plan.terms.spill_load``).
 - ``blocked.spill_failed`` — terms dropped (recomputed on the next
   request) because the spill directory refused the write.
-- ``blocked.load_files`` — spilled matrices served back as memmaps.
-- ``blocked.mmap_peak_bytes`` (gauge) — peak bytes mapped from disk.
+- ``blocked.mmap_peak_bytes`` (gauge) — bytes mapped back from disk.
 
 The registry ``memory`` block (schema v6) folds these into a
 ``blocked`` sub-block so ``memory.peak_bytes`` attribution stays
@@ -61,14 +57,14 @@ import shutil
 import tempfile
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .. import telemetry
 from ..telemetry.rss import current_rss_bytes
-from .shm import ArrayFiles
+from .files import ArrayFiles
 
 #: Floor for a derived RAM budget: even on a tiny container the tier
 #: should not degenerate into single-row tiles.
@@ -123,59 +119,6 @@ def blocked_spmm(csr: sp.csr_matrix, dense: np.ndarray, block_rows: int,
     return out
 
 
-class SpillStore(ArrayFiles):
-    """The blocked tier's on-disk term store: :class:`~repro.runtime.shm
-    .ArrayFiles` over a spill directory, plus traffic accounting.
-
-    Names are the planner's content-addressed term names
-    (:func:`repro.runtime.shm.term_name`), so the store is safe to share
-    across runs of identical configurations (same name ⇒ byte-identical
-    payload by the planner's bit-identity contract).
-    """
-
-    def __init__(self, root: os.PathLike):
-        super().__init__(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self.files_stored = 0
-        self.files_loaded = 0
-        self.spilled_bytes = 0
-        self.mapped_bytes = 0
-        self.mapped_peak_bytes = 0
-
-    def put(self, name: str, array: np.ndarray) -> int:
-        nbytes = super().put(name, array)
-        if nbytes:
-            with self._lock:
-                self.files_stored += 1
-                self.spilled_bytes += nbytes
-            telemetry.inc_counter("blocked.spill_files")
-            telemetry.inc_counter("blocked.spill_bytes", nbytes)
-        return nbytes
-
-    def get(self, name: str) -> Optional[np.ndarray]:
-        array = super().get(name)
-        if array is not None:
-            with self._lock:
-                self.files_loaded += 1
-                self.mapped_bytes += int(array.nbytes)
-                if self.mapped_bytes > self.mapped_peak_bytes:
-                    self.mapped_peak_bytes = self.mapped_bytes
-                    telemetry.set_gauge("blocked.mmap_peak_bytes",
-                                        self.mapped_peak_bytes)
-            telemetry.inc_counter("blocked.load_files")
-        return array
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "spill_files": self.files_stored,
-                "spill_bytes": self.spilled_bytes,
-                "load_files": self.files_loaded,
-                "mmap_peak_bytes": self.mapped_peak_bytes,
-            }
-
-
 class BlockedTier:
     """One run's blocked-execution configuration: budget, spill, tiling.
 
@@ -185,7 +128,7 @@ class BlockedTier:
         Byte budget the tier tunes against (``--ram-budget``); ``None``
         derives it from the current RSS (:func:`default_ram_budget`).
     spill_dir:
-        Spill-store directory; ``None`` creates a private temp directory
+        Spill directory; ``None`` creates a private temp directory
         removed by :meth:`close`.
     block_rows:
         Fixed tile height override; ``None`` auto-tunes per product via
@@ -202,13 +145,19 @@ class BlockedTier:
         self._owns_dir = spill_dir is None
         root = spill_dir if spill_dir is not None \
             else tempfile.mkdtemp(prefix="repro-spill-")
-        self.spill = SpillStore(root)
+        os.makedirs(root, exist_ok=True)
+        self.spill = ArrayFiles(root)
         self._block_rows = None if block_rows is None else int(block_rows)
         #: Resident-term budget the planner enforces before spilling.
         self.term_budget_bytes = max(
             1, int(self.ram_budget_bytes * TERM_BUDGET_FRACTION))
         self.spmm_calls = 0
         self.tiles = 0
+        self._spill_lock = threading.Lock()
+        self.spill_files = 0
+        self.spill_bytes = 0
+        self.load_files = 0
+        self.mapped_bytes = 0
         self.closed = False
 
     def block_rows_for(self, num_rows: int, row_nbytes: int) -> int:
@@ -230,6 +179,27 @@ class BlockedTier:
         telemetry.inc_counter("blocked.tiles", ntiles)
         return blocked_spmm(csr, dense, block_rows)
 
+    def spill_term(self, name: str, term: np.ndarray) -> int:
+        """Write one evicted term; its bytes, 0 when already spilled."""
+        nbytes = self.spill.put(name, term)
+        if nbytes:
+            with self._spill_lock:
+                self.spill_files += 1
+                self.spill_bytes += nbytes
+            telemetry.inc_counter("blocked.spill_bytes", nbytes)
+        return nbytes
+
+    def load_terms(self, names: Iterable[str]) -> List[np.ndarray]:
+        """Map back the longest present prefix of ``names``, read-only."""
+        loaded = self.spill.leading(names)
+        if loaded:
+            with self._spill_lock:
+                self.load_files += len(loaded)
+                self.mapped_bytes += sum(int(term.nbytes) for term in loaded)
+                mapped = self.mapped_bytes
+            telemetry.set_gauge("blocked.mmap_peak_bytes", mapped)
+        return loaded
+
     def close(self) -> None:
         """Purge spill files; remove the directory when tier-owned."""
         if self.closed:
@@ -240,14 +210,16 @@ class BlockedTier:
             shutil.rmtree(self.spill.root, ignore_errors=True)
 
     def stats(self) -> Dict[str, int]:
-        out = {
+        return {
             "ram_budget_bytes": self.ram_budget_bytes,
             "term_budget_bytes": self.term_budget_bytes,
             "spmm_calls": self.spmm_calls,
             "tiles": self.tiles,
+            "spill_files": self.spill_files,
+            "spill_bytes": self.spill_bytes,
+            "load_files": self.load_files,
+            "mmap_peak_bytes": self.mapped_bytes,
         }
-        out.update(self.spill.stats())
-        return out
 
 
 # ======================================================================
@@ -300,7 +272,6 @@ def spmm_csr(csr: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
 
 __all__ = [
     "BlockedTier",
-    "SpillStore",
     "active_tier",
     "blocked_scope",
     "blocked_spmm",

@@ -61,20 +61,21 @@ what the seed code computed.
 Spill tier: inside a :func:`repro.runtime.blocked.blocked_scope` the
 store gains a disk-backed level. Evicting a chain — by LRU capacity or
 because resident term bytes exceed the tier's byte budget — writes its
-computed ``T^(k)(L̃)·X`` terms to the tier's :class:`~repro.runtime
-.blocked.SpillStore` (atomic ``.npy`` files named by the chain's content
-fingerprint + order, the same :class:`~repro.runtime.shm.ArrayFiles` the
-shared store uses) instead of dropping them; a later request for the
-same chain maps the identical bytes back read-only (``numpy.memmap``)
-rather than recomputing the spmm suffix. Spilled-then-reloaded terms are
-bit-identical by construction, so the planner's bit-identity guarantee
-is unchanged.
+computed ``T^(k)(L̃)·X`` terms to the tier's spill directory (a
+:class:`~repro.runtime.files.ArrayFiles` of ``.npy`` files named by the
+chain's content fingerprint + order, like the shared store's) instead
+of dropping them; a later request for the same chain maps the identical
+bytes back read-only (``numpy.memmap``) rather than recomputing the spmm
+suffix. Spilled-then-reloaded terms are bit-identical by construction,
+so the planner's bit-identity guarantee is unchanged. The chain store
+itself is an :class:`~repro.runtime.cache.LRUCache` whose ``on_evict``
+hook does the spilling.
 
 Counters emitted (when telemetry is configured):
 
 - ``plan.terms.{hit,miss,evict}`` — order-k≥1 term traffic in the store.
 - ``plan.terms.{spill,spill_load}`` — terms written to / mapped back
-  from the blocked tier's spill store (zero outside a blocked scope).
+  from the blocked tier's spill directory (zero outside a blocked scope).
 - ``plan.spmm_avoided`` — spmm applications *not* executed because the
   term was served (a Gaussian chain term avoids 2 per hit).
 - ``plan.chains.{hit,miss,evict}`` — chain-level LRU traffic.
@@ -469,7 +470,7 @@ class BasisPlanner:
                 # already file-backed under this same fingerprint.
                 continue
             try:
-                if tier.spill.put(runtime_shm.term_name(
+                if tier.spill_term(runtime_shm.term_name(
                         entry.fingerprint, order), term):
                     spilled += 1
             except OSError:
@@ -568,7 +569,7 @@ class BasisPlanner:
                 fingerprint, have=len(entry.terms) - 1, want=count - 1)
             self._serve(entry, fam, served)
         if tier is not None:
-            loaded = tier.spill.leading(
+            loaded = tier.load_terms(
                 runtime_shm.term_name(fingerprint, order)
                 for order in range(len(entry.terms), count))
             self._serve(entry, fam, loaded)

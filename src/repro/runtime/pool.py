@@ -32,11 +32,11 @@ guarantees the benchmark methodology depends on:
   adopt that shard's attribution) — so pooled alloc totals equal serial
   totals with no executor-level plumbing.
 
-Caches (:mod:`repro.runtime.cache`) are per-process by construction: a
-worker inherits (fork) or rebuilds (spawn) its own memos, and cache hits
-only ever substitute bit-identical values, so cell numerics are
-cache-schedule-invariant even though ``cache.*`` hit counts differ
-between execution modes.
+In-memory memos (each an :class:`~repro.runtime.cache.LRUCache`) are
+per-process — a worker inherits (fork) or rebuilds (spawn) its own, and
+a hit only ever substitutes a bit-identical value — while what crosses
+processes travels as files (:mod:`repro.runtime.files`): the shared term
+store and the cell artifact store.
 
 With ``workers=1`` (the default) no subprocess machinery is involved at
 all: cells run inline, in order, in the calling process — the exact
@@ -46,8 +46,8 @@ Resumable sweeps: when a :class:`repro.runtime.artifacts.SweepArtifacts`
 scope is active (``--resume``/``--fresh`` on the bench CLI), the executor
 consults the content-addressed store *before* launching anything. Hits
 come back as :data:`CACHED` results — value and persisted telemetry
-shard decoded from disk, folded into grid-order reassembly exactly like
-a live cell's — and only misses execute; their successful results (never
+shard decoded from disk, folded in grid order exactly like a live
+cell's — and only misses execute; their successful results (never
 ``failed:*`` ones) persist on completion. Because cells are
 deterministic, a cache-served sweep's canonical payload is byte-identical
 to an uninterrupted one, which the ``bench-resume`` CI job enforces.

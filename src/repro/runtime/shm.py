@@ -21,15 +21,14 @@ file there *is* shared memory::
     b-<fp>.json         the blob's metadata, linked last: its commit point
     stats               one appended JSON line per closing client
 
-Every file lands by renaming or hard-linking a fully written scratch
-file, so it exists completely or not at all, and its bytes are a pure
-function of its name: there is no index to keep consistent and nothing
-for a lock to protect. Readers take the leading run of a chain's orders
-that are present and compute the rest, so any subset of a chain's files
-is valid and eviction is just ``unlink``. :class:`ArrayFiles` is the one
-class that writes ``.npy`` term files; the blocked tier's
-:class:`~repro.runtime.blocked.SpillStore` is the same class over a temp
-directory.
+Every file lands through the file tier (:mod:`repro.runtime.files`), so
+it exists completely or not at all, and its bytes are a pure function of
+its name: there is no index to keep consistent and nothing for a lock to
+protect. Readers take the leading run of a chain's orders that are
+present and compute the rest, so any subset of a chain's files is valid
+and eviction is just ``unlink``. The term and blob arrays are one
+:class:`~repro.runtime.files.ArrayFiles` over the store directory; the
+blocked tier's spill directory is another, with the same file names.
 
 Claims: the first process to need a chain suffix links ``c-<fp>.claim``
 (an exclusive create), re-scans, computes the remainder, publishes it
@@ -61,18 +60,17 @@ import hashlib
 import json
 import os
 import shutil
-import tempfile
 import threading
 import time
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .. import telemetry
+from .files import ArrayFiles, link_new
 
 #: Store-directory name prefix; the 8-hex run id follows.
 SEGMENT_PREFIX = "rsm"
@@ -93,85 +91,6 @@ _RUN_ID_LEN = 8
 def supported() -> bool:
     """Whether this host has a writable ``/dev/shm`` to hold a store."""
     return os.name == "posix" and os.access(_SHM_DIR, os.W_OK | os.X_OK)
-
-
-# ======================================================================
-# the one file tier
-# ======================================================================
-def _land(path: Path, write: Callable[[Any], None], exclusive: bool) -> bool:
-    """Write a scratch file beside ``path`` and move it into place, so
-    ``path`` exists completely or not at all. ``exclusive`` hard-links
-    (of racing creators exactly one wins; False when ``path`` exists),
-    otherwise the rename replaces. No scratch file survives, pass or fail.
-    """
-    fd, scratch = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            write(handle)
-        (os.link if exclusive else os.replace)(scratch, path)
-        return True
-    except FileExistsError:
-        return False
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(scratch)
-
-
-def _link_new(path: Path, text: str) -> bool:
-    """Create ``path`` holding ``text`` unless it exists; True if created."""
-    return _land(path, lambda handle: handle.write(text.encode("utf-8")),
-                 exclusive=True)
-
-
-class ArrayFiles:
-    """A directory of ``<name>.npy`` arrays that exist whole or not at all.
-
-    :meth:`put` renames a fully written scratch file into place, so no
-    reader sees a torn array and a crashed writer leaves only a ``*.tmp``.
-    Names are content addresses (same name ⇒ same bytes), which is what
-    lets processes share the directory without coordination. :meth:`get`
-    serves read-only memory maps that outlive the file's name.
-    """
-
-    def __init__(self, root: os.PathLike):
-        self.root = Path(root)
-
-    def put(self, name: str, array: np.ndarray) -> int:
-        """Store ``array`` as ``name``; returns its bytes, or 0 when the
-        name is already present (which is kept: same name, same bytes)."""
-        path = self.root / f"{name}.npy"
-        if path.exists():
-            return 0
-        array = np.ascontiguousarray(array)
-        _land(path, lambda handle: np.save(handle, array), exclusive=False)
-        return int(array.nbytes)
-
-    def get(self, name: str) -> Optional[np.ndarray]:
-        """Memory-map ``name`` read-only, or ``None`` when absent."""
-        try:
-            return np.load(self.root / f"{name}.npy", mmap_mode="r")
-        except FileNotFoundError:
-            return None
-
-    def leading(self, names: Iterable[str]) -> List[np.ndarray]:
-        """The arrays of the longest prefix of ``names`` that is present."""
-        found: List[np.ndarray] = []
-        for name in names:
-            array = self.get(name)
-            if array is None:
-                break
-            found.append(array)
-        return found
-
-    def purge(self) -> int:
-        """Delete every array (and stale scratch file); returns the count."""
-        removed = 0
-        for path in list(self.root.glob("*.npy")) \
-                + list(self.root.glob("*.tmp")):
-            with contextlib.suppress(OSError):
-                path.unlink()
-                removed += 1
-        return removed
 
 
 def _remove_tree(root: os.PathLike) -> int:
@@ -222,7 +141,8 @@ def blob_fingerprint(kind: str, *parts: Any) -> str:
 
 
 def term_name(fingerprint: str, order: int) -> str:
-    """Name of a chain's order-``order`` term file, in either file tier."""
+    """Name of a chain's order-``order`` term file, in the shared store
+    and in the blocked tier's spill directory alike."""
     return f"c-{fingerprint}.{order}"
 
 
@@ -263,13 +183,13 @@ class StoreHandle:
             holder = json.loads(path.read_text()).get("pid")
             age = time.time() - path.stat().st_mtime
         except FileNotFoundError:
-            won = _link_new(path, text)  # unclaimed: race for it
+            won = link_new(path, text)  # unclaimed: race for it
         else:
             if holder != os.getpid() and _pid_alive(holder) \
                     and age <= CLAIM_TIMEOUT_S:
                 return False  # a waiter's poll costs one read, no write
             path.unlink(missing_ok=True)
-            won = _link_new(path, text)
+            won = link_new(path, text)
             if won:
                 telemetry.inc_counter("shm.claims.adopted")
         if won:
@@ -388,7 +308,7 @@ class StoreHandle:
                 return False
             for name, array in arrays.items():
                 self.files.put(f"b-{fp}.{name}", array)
-            if not _link_new(commit, json.dumps(
+            if not link_new(commit, json.dumps(
                     {"arrays": list(arrays), "meta": meta or {}})):
                 return False
             self._published(1, "shm.blobs.publish", f"b-{fp}")
@@ -479,7 +399,7 @@ class SharedTermStore(StoreHandle):
         super().__init__(os.path.join(_SHM_DIR, SEGMENT_PREFIX + run_id),
                          run_id)
         self.root.mkdir(mode=0o700)
-        _link_new(self.root / "owner", str(os.getpid()))
+        link_new(self.root / "owner", str(os.getpid()))
         self._final_stats: Optional[dict] = None
 
     def worker_handle(self) -> StoreHandle:

@@ -141,7 +141,7 @@ class RunRecord:
     #: artifact store and pre-v4 records): the resume mode
     #: (``resume``/``fresh``), the store directory, and the store's
     #: :meth:`~repro.runtime.artifacts.ArtifactStore.stats` traffic
-    #: (hit/miss/stored/...). Outside the config fingerprint by design —
+    #: (cells/hit/miss/stored/torn). Outside the config fingerprint by design —
     #: a resumed run and a fresh run of one config share a fingerprint.
     artifacts: Dict = field(default_factory=dict)
     #: Memory observatory block (schema v5; empty for pre-v5 records and

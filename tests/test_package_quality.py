@@ -1,11 +1,14 @@
-"""Package-level quality gates: API surface, docstrings, error hierarchy."""
+"""Package-level quality gates: API surface, docstrings, error hierarchy,
+and the two store implementations."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,3 +114,39 @@ class TestImportFootprint:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+class TestStores:
+    """Two store implementations: :class:`repro.runtime.cache.LRUCache`
+    for every in-memory memo, :mod:`repro.runtime.files` for every file
+    on disk. A new store is a client of one of them, not a third."""
+
+    SRC = Path(repro.__file__).resolve().parent
+
+    def _sources(self):
+        return sorted(self.SRC.rglob("*.py"))
+
+    def test_only_the_file_tier_moves_files_into_place(self):
+        writers = re.compile(r"\bos\.(replace|link)\b|\bmkstemp\b")
+        offenders = [
+            f"{path.relative_to(self.SRC)}:{number}"
+            for path in self._sources()
+            if path != self.SRC / "runtime" / "files.py"
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1)
+            if writers.search(line)]
+        assert not offenders, offenders
+
+    def test_no_store_subclasses(self):
+        offenders = []
+        for path in self._sources():
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                bases = {getattr(base, "id", getattr(base, "attr", None))
+                         for base in node.bases}
+                if bases & {"ArrayFiles", "LRUCache"}:
+                    offenders.append(f"{path.relative_to(self.SRC)}:"
+                                     f"{node.name}")
+        assert not offenders, offenders

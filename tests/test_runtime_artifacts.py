@@ -10,7 +10,9 @@ point is byte-identical to an uninterrupted one across worker counts.
 
 from __future__ import annotations
 
+import errno
 import json
+import multiprocessing as mp
 import os
 
 import numpy as np
@@ -21,7 +23,6 @@ from hypothesis import strategies as st
 from repro import telemetry
 from repro.bench.io import canonical_payload
 from repro.runtime.artifacts import (
-    ARTIFACT_SCHEMA,
     ArtifactStore,
     CellArtifact,
     SweepArtifacts,
@@ -122,7 +123,7 @@ class TestRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# durability: atomic write, torn files, orphan sidecars
+# durability: atomic write, torn files, refused writes
 # ---------------------------------------------------------------------------
 
 class TestDurability:
@@ -151,21 +152,42 @@ class TestDurability:
         store.payload_path(address).write_text(json.dumps(payload))
         assert store.get(address) is None
 
-    def test_orphan_sidecar_is_not_a_committed_cell(self, store):
-        # Crash between the sidecar write and the payload rename.
-        address = "1" * 64
-        store.root.mkdir(parents=True, exist_ok=True)
-        store.meta_path(address).write_text(json.dumps(
-            {"schema": ARTIFACT_SCHEMA, "address": address}))
-        assert address not in store
-        assert store.addresses() == []
-        assert store.get(address) is None
-
     def test_tmp_files_never_read_as_artifacts(self, store):
         store.put("2" * 64, {"v": 1})
         stray = store.root / f"{'3' * 64}.json.tmp.{os.getpid()}"
         stray.write_text("{")
         assert store.addresses() == ["2" * 64]
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pooled"])
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES])
+    def test_refused_write_skips_the_cell(self, store, code, workers,
+                                          monkeypatch):
+        """A store directory that refuses the write costs persistence,
+        never the sweep: the rows are the fault-free ones, each cell is
+        counted unstorable, and no file (not even a scratch file) stays."""
+        if workers > 1 and "fork" not in mp.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        cells = _make_cells(2)
+        config = PoolConfig(workers=workers, start_method="fork")
+        expected = canonical_payload(
+            [r.value for r in execute_cells(cells, config)])
+
+        def refuse(_src, _dst):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        telemetry.configure()
+        try:
+            with sweep_scope(_sweep(store)):
+                results = execute_cells(cells, config)
+            counters = telemetry.get_metrics().to_state()["counters"]
+        finally:
+            telemetry.shutdown()
+        assert [r.status for r in results] == ["ok", "ok"]
+        assert canonical_payload([r.value for r in results]) == expected
+        assert counters.get("artifacts.unstorable") == 2
+        assert "artifacts.store" not in counters
+        assert list(store.root.glob("*")) == []
 
     def test_put_is_atomic_replace(self, store):
         address = "4" * 64
@@ -230,60 +252,15 @@ class TestAddressSensitivity:
 
 
 # ---------------------------------------------------------------------------
-# eviction and purge (--fresh)
+# purge (--fresh)
 # ---------------------------------------------------------------------------
 
 class TestEvictionAndPurge:
-    def test_bounded_store_evicts_oldest(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store", max_cells=2)
-        addresses = [c * 64 for c in "abc"]
-        for i, address in enumerate(addresses):
-            store.put(address, {"v": i})
-            os.utime(store.payload_path(address), (i, i))
-        assert len(store) == 2
-        assert addresses[0] not in store, "the oldest payload is evicted"
-        assert addresses[2] in store, "the just-written cell is protected"
-        assert store.evictions == 1
-
-    def test_identical_mtimes_evict_in_address_order(self, tmp_path):
-        """FAT/coarse-clock filesystems: ties break on the address.
-
-        With every payload stamped the same mtime the LRU key degenerates
-        to its ``(mtime, addr)`` tiebreaker — victim selection must be
-        the lexicographically smallest addresses, on every platform, or
-        resumed sweeps would serve different survivors per filesystem.
-        """
-        store = ArtifactStore(tmp_path / "store", max_cells=2)
-        addresses = [c * 64 for c in "dbca"]
-        for address in addresses:
-            store.put(address, {"v": address[0]})
-            # Same second-granularity timestamp for every payload, as a
-            # coarse-clock filesystem would report.
-            os.utime(store.payload_path(address), (1000, 1000))
-        # Victims at each over-bound check are the lexicographically
-        # smallest tied addresses ("b" when "c" lands, then "c" when "a"
-        # lands); the just-written cell is always protected.
-        assert sorted(store.addresses()) == ["a" * 64, "d" * 64]
-        assert store.evictions == 2
-
-    def test_identical_mtimes_eviction_is_reproducible(self, tmp_path):
-        """Two identical insert sequences pick identical victims."""
-        def run():
-            root = tmp_path / f"store-{run.count}"
-            run.count += 1
-            store = ArtifactStore(root, max_cells=3)
-            for c in "fbeadc":
-                store.put(c * 64, {"v": c})
-                os.utime(store.payload_path(c * 64), (1000, 1000))
-            return sorted(store.addresses())
-        run.count = 0
-        assert run() == run()
-
     def test_purge_drops_everything_and_strays(self, store):
         for c in "ab":
             store.put(c * 64, {"v": c})
-        (store.root / f"{'c' * 64}.json.tmp.123").write_text("{")
-        store.meta_path("d" * 64).write_text("{}")  # orphan sidecar
+        (store.root / "crashed.tmp").write_text("{")  # scratch file
+        (store.root / f"{'d' * 64}.meta.json").write_text("{}")  # stray
         assert store.purge() == 2
         assert len(store) == 0
         assert list(store.root.iterdir()) == []

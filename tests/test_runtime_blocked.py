@@ -7,13 +7,13 @@ basis planner spill whole term matrices to mmap-backed files. Contracts:
    blocked-scope precompute are byte-for-byte identical to the in-core
    path — the same contract the planner and every cache already hold.
 2. **Spill round-trip**: a planner chain evicted under a tiny term
-   budget lands in the spill store and is served back bit-identical as a
+   budget lands in the spill directory and is served back bit-identical as a
    read-only memmap, with ``plan.terms.spill`` / ``plan.terms.spill_load``
    traffic on the counters.
-3. **Atomicity / hygiene**: spill writes land via ``os.replace``; purge
-   sweeps payloads and stale temp files.
-4. **Budget tuning**: ``choose_block_rows`` respects its bounds.
-5. **GP integration**: graph-partition training reports cut-edge
+3. **Budget tuning**: ``choose_block_rows`` respects its bounds. (The
+   spill directory's file mechanics are the file tier's, tested in
+   ``tests/test_runtime_files.py``.)
+4. **GP integration**: graph-partition training reports cut-edge
    accounting and OOMs exactly when the largest cluster cannot fit.
 """
 
@@ -36,7 +36,6 @@ from repro.graph import Graph
 from repro.runtime import blocked, plan
 from repro.runtime.blocked import (
     BlockedTier,
-    SpillStore,
     blocked_scope,
     blocked_spmm,
     choose_block_rows,
@@ -150,17 +149,22 @@ class TestPlannerSpill:
                     planner.chain_terms(ctx, x, "chebyshev", (), 4)
                     stats = planner.stats()
                     assert stats["terms_spilled"] >= 1
-                    assert tier.spill.files_stored >= 1
+                    assert tier.stats()["spill_files"] \
+                        == stats["terms_spilled"]
                     # Re-request: terms come back as read-only memmaps,
                     # bit-identical, with zero recomputation of order-1.
                     terms = planner.chain_terms(ctx, x, "monomial_adj",
                                                 (), 4)
                     assert terms[1].tobytes() == expected.tobytes()
                     assert planner.stats()["terms_loaded"] >= 1
+                    assert tier.stats()["load_files"] \
+                        == planner.stats()["terms_loaded"]
             counters = telemetry.get_metrics().snapshot()["counters"]
             assert counters["plan.terms.spill"] >= 1
             assert counters["plan.terms.spill_load"] >= 1
-            assert counters["blocked.spill_files"] >= 1
+            # Each spill and load is counted once, by the planner.
+            assert "blocked.spill_files" not in counters
+            assert "blocked.load_files" not in counters
         finally:
             telemetry.shutdown()
 
@@ -193,7 +197,7 @@ class TestPlannerSpill:
                     other.precompute(graph, x, rho=0.5)
                     again = filter_.precompute(graph, x, rho=0.5)
                 assert list(tier.spill.root.iterdir()) == []
-                assert tier.spill.files_stored == 0
+                assert tier.stats()["spill_files"] == 0
             counters = telemetry.get_metrics().snapshot()["counters"]
         finally:
             telemetry.shutdown()
@@ -227,55 +231,7 @@ class TestPlannerSpill:
 
 
 # ----------------------------------------------------------------------
-# 3. spill store mechanics
-# ----------------------------------------------------------------------
-class TestSpillStore:
-    def test_roundtrip_is_readonly_memmap(self, tmp_path):
-        store = SpillStore(tmp_path / "spill")
-        array = np.arange(12, dtype=np.float64).reshape(3, 4)
-        nbytes = store.put("fp.1", array)
-        assert nbytes == array.nbytes
-        loaded = store.get("fp.1")
-        assert isinstance(loaded, np.memmap)
-        assert loaded.tobytes() == array.tobytes()
-        with pytest.raises((ValueError, OSError)):
-            loaded[0, 0] = 99.0
-
-    def test_put_is_idempotent(self, tmp_path):
-        store = SpillStore(tmp_path / "spill")
-        array = np.ones((4, 4))
-        assert store.put("k", array) > 0
-        assert store.put("k", array) == 0
-        assert store.files_stored == 1
-
-    def test_miss_returns_none(self, tmp_path):
-        store = SpillStore(tmp_path / "spill")
-        assert store.get("absent") is None
-
-    def test_no_tmp_residue_after_put(self, tmp_path):
-        store = SpillStore(tmp_path / "spill")
-        store.put("k", np.ones(8))
-        assert list(store.root.glob("*.tmp")) == []
-        assert len(list(store.root.glob("*.npy"))) == 1
-
-    def test_purge_sweeps_payloads_and_stale_tmp(self, tmp_path):
-        store = SpillStore(tmp_path / "spill")
-        store.put("a", np.ones(4))
-        (store.root / "crashed.tmp").write_bytes(b"torn")
-        removed = store.purge()
-        assert removed == 2
-        assert list(store.root.iterdir()) == []
-
-    def test_distinct_keys_distinct_files(self, tmp_path):
-        store = SpillStore(tmp_path / "spill")
-        store.put("fp.1", np.ones(4))
-        store.put("fp.2", np.zeros(4))
-        assert len(list(store.root.glob("*.npy"))) == 2
-        assert store.get("fp.2").sum() == 0.0
-
-
-# ----------------------------------------------------------------------
-# 4. budget tuning and scope rules
+# 3. budget tuning and scope rules
 # ----------------------------------------------------------------------
 class TestBudget:
     @given(num_rows=st.integers(0, 10 ** 6),
@@ -327,7 +283,7 @@ class TestBudget:
 
 
 # ----------------------------------------------------------------------
-# 5. GP training scheme integration
+# 4. GP training scheme integration
 # ----------------------------------------------------------------------
 class TestGraphPartitionScheme:
     def _fit(self, graph, device=None, num_parts=3, epochs=2):

@@ -3,9 +3,8 @@
 The store is a directory of content-addressed files; its contract has
 four faces, each covered here:
 
-1. **File mechanics** — fingerprints are content addresses;
-   :class:`~repro.runtime.shm.ArrayFiles` lands arrays whole or not at
-   all and serves them back as read-only memory maps.
+1. **Fingerprints** — chain and blob names are content addresses (the
+   file tier under them is tested in ``tests/test_runtime_files.py``).
 2. **Protocol** — blob publish/fetch is first-publisher-wins (also
    between racing processes); chain claims are exclusive, adoptable when
    their holder dies, abandonable, and a waiter gives up after
@@ -119,7 +118,7 @@ def _counters() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# 1. fingerprints + the file tier
+# 1. fingerprints
 # ---------------------------------------------------------------------------
 
 class TestFingerprints:
@@ -152,32 +151,6 @@ class TestFingerprints:
             != blob_fingerprint("norm", token)
         assert blob_fingerprint("spmm_t", token) \
             == blob_fingerprint("spmm_t", token)
-
-
-class TestArrayFiles:
-    def test_empty_array_round_trips(self, tmp_path):
-        files = shm.ArrayFiles(tmp_path)
-        files.put("empty", np.zeros((0, 3), dtype=np.float32))
-        loaded = files.get("empty")
-        assert loaded.shape == (0, 3) and loaded.dtype == np.float32
-
-    def test_leading_stops_at_first_gap(self, tmp_path):
-        files = shm.ArrayFiles(tmp_path)
-        for order in (1, 2, 4):
-            files.put(f"t.{order}", np.full(3, float(order)))
-        run = files.leading(f"t.{order}" for order in range(1, 6))
-        assert [float(term[0]) for term in run] == [1.0, 2.0]
-
-    def test_failed_put_leaves_no_scratch_file(self, tmp_path, monkeypatch):
-        files = shm.ArrayFiles(tmp_path)
-
-        def full(_src, _dst):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(shm.os, "replace", full)
-        with pytest.raises(OSError):
-            files.put("k", np.ones(4))
-        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
