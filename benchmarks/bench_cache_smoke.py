@@ -26,7 +26,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.datasets import random_split, synthesize
-from repro.runtime import cache
+from repro.runtime import cache, context
 from repro.tasks import run_node_classification
 from repro.training import TrainConfig
 
@@ -51,7 +51,7 @@ def _one_run(cache_on: bool, epochs: int):
             result = run_node_classification(
                 graph, "ppr", scheme="full_batch", config=config, split=split)
         else:
-            with cache.caches_disabled():
+            with context.using(cache=False):
                 result = run_node_classification(
                     graph, "ppr", scheme="full_batch", config=config,
                     split=split)

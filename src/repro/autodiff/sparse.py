@@ -35,6 +35,7 @@ import scipy.sparse as sp
 from ..errors import AutodiffError
 from ..runtime import blocked as _blocked
 from ..runtime import cache as _cache
+from ..runtime import context as _context
 from .tensor import Tensor, _notify_alloc, _notify_op
 
 
@@ -59,7 +60,7 @@ def spmm(matrix: sp.spmatrix, dense: Tensor, backend: str = "csr") -> Tensor:
     flops = 2 * csr.nnz * _width(dense)
     if backend == "csr":
         # All CSR products route through the blocked tier hook: a no-op
-        # `csr @ dense` without an active blocked scope, row-tiled (and
+        # `csr @ dense` without a blocked tier, row-tiled (and
         # bit-identical, since CSR rows accumulate independently) with one.
         data = _blocked.spmm_csr(csr, dense.data)
         _notify_op("spmm", flops, data.nbytes)
@@ -85,7 +86,7 @@ def spmm(matrix: sp.spmatrix, dense: Tensor, backend: str = "csr") -> Tensor:
         # the seed behaviour returns: one materialization per closure,
         # memoized across multiple backward passes through the same node.
         nonlocal csr_t
-        if _cache.is_enabled():
+        if _context.current().config.cache:
             return (product(_cache.transpose_csr(csr), grad),)
         if csr_t is None:
             csr_t = _cache.materialize_transpose(csr)

@@ -82,22 +82,30 @@ and the registry record (schema v4) carries the store's hit/miss
 accounting outside the config fingerprint::
 
     python -m repro.bench efficiency --workers 4 --resume
+
+Run context: the execution flags above (``--no-plan`` … ``--workers``)
+are the fields of one frozen :class:`repro.runtime.context.RunConfig`.
+:func:`main` builds it from argv and validates the combination once — a
+rejected one is a usage error naming the flag (README's "Legal option
+combinations" lists the rules) — then runs the experiment inside
+``RunConfig.open(manifest)``, which builds the live monitor, artifact
+sweep, shared term store and blocked tier the flags ask for, makes them
+the current run context (what the pool ships to its workers) and tears
+them down afterwards. The manifest's execution fields come from the same
+config.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
 from typing import Dict
 
 from .. import telemetry
-from ..runtime import blocked as runtime_blocked
-from ..runtime import cache as runtime_cache
-from ..runtime import plan as runtime_plan
+from ..errors import ReproError
 from ..runtime import pool as runtime_pool
-from ..runtime import shm as runtime_shm
+from ..runtime.context import GRID_SWEEPS, RunConfig
 from ..runtime.pool import PoolConfig
 from ..training.loop import TrainConfig
 from . import experiments
@@ -119,9 +127,6 @@ EXPERIMENTS: Dict[str, tuple] = {
     "degree-bias": (experiments.degree_bias_experiment, "Figure 9", True),
     "normalization": (experiments.normalization_experiment, "Figure 10", True),
 }
-
-#: Experiments whose grids run through the process-pool executor.
-POOLED_EXPERIMENTS = ("efficiency", "effectiveness", "hops", "scale-shift")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulated device capacity (GiB)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="process-pool size for the grid sweeps "
-                             f"({', '.join(POOLED_EXPERIMENTS)}); 1 = "
+                             f"({', '.join(GRID_SWEEPS)}); 1 = "
                              "serial in-process execution (default)")
     parser.add_argument("--cell-timeout", type=float, default=None,
                         metavar="SECONDS",
@@ -398,6 +403,24 @@ def _compare_registry(args) -> int:
     return 0
 
 
+def run_config(args: argparse.Namespace) -> RunConfig:
+    """The run's execution settings, one :class:`RunConfig` field per
+    execution flag (a :class:`~repro.errors.ReproError` for a pool value
+    out of range)."""
+    return RunConfig(
+        plan=not args.no_plan, cache=not args.no_cache,
+        shared_terms=("required" if args.shared_terms
+                      else "off" if args.no_shared_terms else "default"),
+        blocked=args.blocked, ram_budget_mib=args.ram_budget,
+        spill_dir=args.spill_dir, resume=args.resume, fresh=args.fresh,
+        artifact_dir=args.artifact_dir, watch=args.watch, live=args.live,
+        stall_fraction=args.stall_fraction,
+        telemetry=not args.no_telemetry, trace=args.trace,
+        mem_trace=args.mem_trace,
+        pool=PoolConfig(workers=args.workers, cell_timeout=args.cell_timeout,
+                        max_retries=args.max_retries))
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv[:1] == ["compare"]:
@@ -411,20 +434,10 @@ def main(argv=None) -> int:
         print(render_table(rows, title="available experiments"))
         return 0
 
-    if args.trace and args.no_telemetry:
-        parser.error("--trace requires telemetry; drop --no-telemetry")
-    if args.mem_trace and args.no_telemetry:
-        parser.error("--mem-trace requires telemetry; drop --no-telemetry")
-
-    live_requested = args.watch or args.live is not None
-    if live_requested and args.no_telemetry:
-        parser.error("--watch/--live require telemetry; drop --no-telemetry")
-    if live_requested and args.experiment not in POOLED_EXPERIMENTS:
-        parser.error(f"--watch/--live apply to the grid sweeps only "
-                     f"({', '.join(POOLED_EXPERIMENTS)})")
-    if not 0.0 < args.stall_fraction < 1.0:
-        parser.error("--stall-fraction must be strictly between 0 and 1")
-
+    entry = EXPERIMENTS.get(args.experiment)
+    if entry is None:
+        parser.error(f"unknown experiment {args.experiment!r}; use --list")
+    runner, artifact, takes_config = entry
     if args.scale is not None:
         from ..datasets.synthesis import validate_scale
         from ..errors import DatasetError
@@ -433,21 +446,12 @@ def main(argv=None) -> int:
             validate_scale(args.scale)
         except DatasetError as error:
             parser.error(str(error))
-
-    if args.ram_budget is not None and not args.blocked:
-        parser.error("--ram-budget requires --blocked")
-    if args.spill_dir is not None and not args.blocked:
-        parser.error("--spill-dir requires --blocked")
-    if args.ram_budget is not None and args.ram_budget <= 0:
-        parser.error("--ram-budget must be a positive MiB count")
-    if args.blocked and args.workers > 1:
-        parser.error("--blocked is serial-only (the tier scope is "
-                     "process-local); drop --workers")
-
-    entry = EXPERIMENTS.get(args.experiment)
-    if entry is None:
-        parser.error(f"unknown experiment {args.experiment!r}; use --list")
-    runner, artifact, takes_config = entry
+    if args.root_seed is not None and args.experiment != "effectiveness":
+        parser.error("--root-seed applies to effectiveness only")
+    try:
+        cfg = run_config(args).validate(args.experiment, epochs=args.epochs)
+    except ReproError as error:
+        parser.error(str(error))
 
     kwargs = {}
     if args.datasets:
@@ -474,139 +478,33 @@ def main(argv=None) -> int:
                                        patience=max(args.epochs // 2, 1))
     if not takes_config and args.epochs is not None:
         kwargs["epochs"] = args.epochs
-
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
-    pool_requested = (args.workers != 1 or args.cell_timeout is not None
-                      or args.max_retries != 1)
-    if args.experiment in POOLED_EXPERIMENTS:
-        kwargs["pool"] = PoolConfig(workers=args.workers,
-                                    cell_timeout=args.cell_timeout,
-                                    max_retries=args.max_retries)
-    elif pool_requested:
-        parser.error(f"--workers/--cell-timeout/--max-retries apply to "
-                     f"the grid sweeps only ({', '.join(POOLED_EXPERIMENTS)})")
+    grid = args.experiment in GRID_SWEEPS
+    if grid:
+        kwargs["pool"] = cfg.pool
     if args.root_seed is not None:
-        if args.experiment != "effectiveness":
-            parser.error("--root-seed applies to effectiveness only")
         kwargs["root_seed"] = args.root_seed
 
-    if args.shared_terms:
-        if args.experiment not in POOLED_EXPERIMENTS:
-            parser.error(f"--shared-terms applies to the grid sweeps only "
-                         f"({', '.join(POOLED_EXPERIMENTS)})")
-        if args.workers <= 1:
-            parser.error("--shared-terms requires --workers > 1 "
-                         "(a serial sweep already shares chains in-process)")
-        if args.no_cache:
-            parser.error("--shared-terms conflicts with --no-cache "
-                         "(the store is part of the cache layer)")
-        if not runtime_shm.supported():
-            parser.error("--shared-terms requires a writable /dev/shm")
-    # Default: sharing is ON for pooled grid sweeps — the store is what
-    # keeps pooled ops.spmm.calls at serial levels with the planner on.
-    # --no-plan only disables *chain* sharing (the planner is the chain
-    # producer); the CSR blobs still share.
-    shared_terms = (args.experiment in POOLED_EXPERIMENTS
-                    and args.workers > 1
-                    and not args.no_shared_terms
-                    and not args.no_cache
-                    and runtime_shm.supported())
-
-    resume_requested = args.resume or args.fresh
-    if args.artifact_dir is not None and not resume_requested:
-        parser.error("--artifact-dir requires --resume or --fresh")
-    if resume_requested and args.no_telemetry:
-        parser.error("--resume/--fresh require telemetry; "
-                     "drop --no-telemetry")
-    if resume_requested and args.experiment not in POOLED_EXPERIMENTS:
-        parser.error(f"--resume/--fresh apply to the grid sweeps only "
-                     f"({', '.join(POOLED_EXPERIMENTS)})")
-
-    telemetry_on = not args.no_telemetry
     # The manifest is deterministic and fully known pre-run, which is
     # what lets the artifact store address cells with the *same* config
     # fingerprint the registry stamps on the record afterwards (argv/
     # workers/plan/shared_terms live outside the fingerprint keys).
     run_manifest = None
-    if telemetry_on:
+    span_epoch_wall = None
+    if cfg.telemetry:
         run_manifest = telemetry.build_manifest(
             config=kwargs.get("config"),
             seed=(args.seeds[0] if args.seeds else None),
-            extra={"experiment": args.experiment, "artifact": artifact,
-                   "cache": not args.no_cache, "argv": argv,
-                   "workers": args.workers,
-                   "plan": not (args.no_plan or args.no_cache),
-                   "shared_terms": shared_terms,
-                   "blocked": args.blocked,
-                   "ram_budget_mib": args.ram_budget})
-    span_epoch_wall = None
-    if telemetry_on:
-        tracer = telemetry.configure(trace_path=args.trace,
-                                     mem_trace=args.mem_trace)
+            extra=cfg.manifest_extra(args.experiment, artifact, argv))
+        tracer = telemetry.configure(trace_path=cfg.trace,
+                                     mem_trace=cfg.mem_trace)
         span_epoch_wall = tracer.wall_epoch
-    monitor = None
-    monitor_scope = contextlib.nullcontext()
-    if live_requested:
-        monitor = telemetry.SweepMonitor(
-            sink=telemetry.JsonlSink(args.live) if args.live else None,
-            config=telemetry.LiveConfig(stall_fraction=args.stall_fraction,
-                                        watch=args.watch))
-        monitor_scope = telemetry.monitoring(monitor)
-    sweep_artifacts = None
-    artifact_scope = contextlib.nullcontext()
-    if resume_requested:
-        from ..runtime import artifacts as runtime_artifacts
-
-        store = runtime_artifacts.ArtifactStore(args.artifact_dir)
-        if args.fresh:
-            purged = store.purge()
-            print(f"artifacts: purged {purged} stored cell(s) from "
-                  f"{store.root}", file=sys.stderr)
-        sweep_artifacts = runtime_artifacts.SweepArtifacts(
-            store=store,
-            config_fingerprint=telemetry.config_fingerprint(run_manifest),
-            consult=not args.fresh)
-        artifact_scope = runtime_artifacts.sweep_scope(sweep_artifacts)
-    shm_store = None
-    shm_scope = contextlib.nullcontext()
-    if shared_terms:
-        shm_store = runtime_shm.SharedTermStore()
-        shm_scope = runtime_shm.store_scope(shm_store)
-    blocked_tier = None
-    blocked_scope = contextlib.nullcontext()
-    if args.blocked:
-        blocked_tier = runtime_blocked.BlockedTier(
-            ram_budget_bytes=(int(args.ram_budget * 2 ** 20)
-                              if args.ram_budget is not None else None),
-            spill_dir=args.spill_dir)
-        blocked_scope = runtime_blocked.blocked_scope(blocked_tier)
-    cache_was_enabled = runtime_cache.is_enabled()
-    plan_was_enabled = runtime_plan.is_enabled()
-    if args.no_cache:
-        from ..spectral.decomposition import clear_eig_cache
-
-        runtime_cache.set_enabled(False)
-        runtime_cache.clear_transpose_cache()
-        clear_eig_cache()
-    if args.no_plan or args.no_cache:
-        runtime_plan.set_enabled(False)
-    blocked_info = None
     try:
-        with monitor_scope, artifact_scope, shm_scope, blocked_scope, \
+        with cfg.open(run_manifest) as run, \
                 telemetry.span("experiment", experiment=args.experiment,
                                artifact=artifact):
             rows = runner(**kwargs)
     finally:
-        if blocked_tier is not None:
-            # Capture before close(): close purges the spill dir.
-            blocked_info = blocked_tier.stats()
-            blocked_tier.close()
-        events = telemetry.shutdown() if telemetry_on else []
-        if args.no_cache:
-            runtime_cache.set_enabled(cache_was_enabled)
-        if args.no_plan or args.no_cache:
-            runtime_plan.set_enabled(plan_was_enabled)
+        events = telemetry.shutdown() if cfg.telemetry else []
 
     printable = [{k: v for k, v in row.items() if k != "embedding"}
                  for row in rows]
@@ -632,20 +530,21 @@ def main(argv=None) -> int:
             live_file.with_name(live_file.stem + ".trace.json"),
             telemetry.load_events(live_file),
             span_events=events, span_epoch_wall=span_epoch_wall)
-        live_summary = monitor.summary() if monitor is not None else {}
+        live_summary = run.monitor.summary()
         print(f"live: {args.live}  chrome-trace: {chrome_trace_path}  "
               f"(heartbeats: {live_summary.get('heartbeats', 0)}, "
               f"stalls: {live_summary.get('stalls', 0)})")
     shm_info = None
-    if shm_store is not None:
-        shm_info = shm_store.stats()
+    if run.store is not None:
+        shm_info = run.store.stats()
         print(f"shared-terms: chains={shm_info.get('chains', 0)} "
               f"blobs={shm_info.get('blobs', 0)} "
               f"hits={shm_info.get('hits', 0)} "
               f"publishes={shm_info.get('publishes', 0)} "
               f"peak_bytes={shm_info.get('peak_bytes', 0)} "
               f"unlinked={shm_info.get('segments_unlinked', 0)}")
-    if blocked_info is not None:
+    if run.tier is not None:
+        blocked_info = run.tier.stats()
         print(f"blocked: budget={blocked_info['ram_budget_bytes']} "
               f"spmm={blocked_info['spmm_calls']} "
               f"tiles={blocked_info['tiles']} "
@@ -654,12 +553,12 @@ def main(argv=None) -> int:
               f"loads={blocked_info['load_files']} "
               f"mmap_peak_bytes={blocked_info['mmap_peak_bytes']}")
     artifacts_info = None
-    if sweep_artifacts is not None:
+    if run.sweep is not None:
         artifacts_info = dict(
-            {"mode": "fresh" if args.fresh else "resume",
-             "dir": str(sweep_artifacts.store.root)},
-            **sweep_artifacts.store.stats())
-        print(f"artifacts: {sweep_artifacts.store.root}  "
+            {"mode": "fresh" if cfg.fresh else "resume",
+             "dir": str(run.sweep.store.root)},
+            **run.sweep.store.stats())
+        print(f"artifacts: {run.sweep.store.root}  "
               f"mode={artifacts_info['mode']}  "
               f"hit={artifacts_info['hit']} miss={artifacts_info['miss']} "
               f"stored={artifacts_info['stored']} "
@@ -668,11 +567,11 @@ def main(argv=None) -> int:
         from .io import summarize_rows
 
         pool_info = None
-        if args.experiment in POOLED_EXPERIMENTS:
-            pool_info = {"workers": args.workers,
-                         "cell_timeout": args.cell_timeout,
-                         "max_retries": args.max_retries,
-                         "shared_terms": shared_terms}
+        if grid:
+            pool_info = {"workers": cfg.pool.workers,
+                         "cell_timeout": cfg.pool.cell_timeout,
+                         "max_retries": cfg.pool.max_retries,
+                         "shared_terms": cfg.shares_terms}
             sweep_stats = runtime_pool.last_run_stats()
             if sweep_stats is not None:
                 pool_info["stats"] = sweep_stats
@@ -682,7 +581,7 @@ def main(argv=None) -> int:
             run_manifest, events=events, summary=summarize_rows(printable),
             trace_path=args.trace, result_path=args.output,
             registry_dir=args.registry_dir,
-            workers=args.workers, pool=pool_info,
+            workers=cfg.pool.workers, pool=pool_info,
             live_path=args.live, chrome_trace_path=chrome_trace_path,
             artifacts=artifacts_info)
         registry_path = telemetry.default_registry_dir(args.registry_dir)

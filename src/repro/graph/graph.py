@@ -13,8 +13,8 @@ the instrumented LRU layer in :mod:`repro.runtime.cache` because every
 filter re-uses the same propagation matrix across hops, epochs, and
 (filter, scheme) sweep combinations. Memo traffic lands on the
 ``cache.norm_adj.{hit,miss,evict}`` telemetry counters, and the memo is
-bypassed entirely while :func:`repro.runtime.cache.is_enabled` is false
-(the bench ``--no-cache`` mode).
+bypassed entirely while the run context's ``cache`` switch is off (the
+bench ``--no-cache`` mode, :mod:`repro.runtime.context`).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import scipy.sparse as sp
 
 from ..errors import GraphError
 from ..runtime import cache as _cache
+from ..runtime import context as _context
 
 
 class Graph:
@@ -153,7 +154,7 @@ class Graph:
         if not 0.0 <= rho <= 1.0:
             raise GraphError(f"normalization coefficient must be in [0, 1], got {rho}")
         key = ("adj", round(float(rho), 6), bool(self_loops))
-        if not _cache.is_enabled():
+        if not _context.current().config.cache:
             return self._build_normalized_adjacency(rho, self_loops)
         return self._norm_memo.get_or_compute(
             key, lambda: self._shared_norm(
@@ -175,7 +176,7 @@ class Graph:
     def laplacian(self, rho: float = 0.5, self_loops: bool = True) -> sp.csr_matrix:
         """Return the normalized Laplacian ``L̃ = I − Ã`` (memoized)."""
         key = ("lap", round(float(rho), 6), bool(self_loops))
-        if not _cache.is_enabled():
+        if not _context.current().config.cache:
             return self._build_laplacian(rho, self_loops)
         return self._norm_memo.get_or_compute(
             key, lambda: self._shared_norm(

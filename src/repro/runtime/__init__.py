@@ -1,8 +1,8 @@
 """Execution-environment simulation: device memory, profiling, hardware,
 the instrumented sparse-compute cache layer, the basis-term propagation
 planner, the process-pool grid executor for parallel benchmark sweeps,
-and the content-addressed cell artifact store that makes sweeps
-resumable."""
+the content-addressed cell artifact store that makes sweeps resumable,
+and the run context that owns what is active for a run."""
 
 from .artifacts import (
     ARTIFACT_DIR_ENV,
@@ -11,39 +11,31 @@ from .artifacts import (
     ArtifactStore,
     CellArtifact,
     SweepArtifacts,
-    active_sweep,
     cell_address,
     default_artifact_dir,
     default_code_rev,
-    sweep_scope,
 )
 from .cache import (
     MISSING,
     NORM_MEMO_ENTRIES,
     TRANSPOSE_CACHE_ENTRIES,
     LRUCache,
-    caches_disabled,
     clear_transpose_cache,
     data_token,
-    is_enabled as cache_enabled,
     matrix_token,
     norm_memo,
-    set_enabled as set_cache_enabled,
     transpose_build_count,
     transpose_cache_stats,
     transpose_csr,
 )
+from .context import RunConfig, RunContext
 from .device import GIBIBYTE, DeviceModel, nbytes_of
 from .hardware import PROFILES, S1, S2, HardwareProfile
 from .plan import (
     PLAN_CHAIN_ENTRIES,
     BasisPlanner,
-    active_planner,
     chain_bases,
-    is_enabled as plan_enabled,
     plan_scope,
-    plans_disabled,
-    set_enabled as set_plan_enabled,
 )
 from .pool import (
     Cell,
@@ -57,12 +49,9 @@ from .pool import (
 from .profiler import StageProfiler, StageStats
 from .shm import (
     SharedTermStore,
-    active_handle as active_shm_handle,
-    active_store as active_shm_store,
     store_scope as shm_store_scope,
     supported as shm_supported,
     sweep_leaked_segments,
-    worker_scope as shm_worker_scope,
 )
 
 __all__ = [
@@ -80,9 +69,6 @@ __all__ = [
     "MISSING",
     "NORM_MEMO_ENTRIES",
     "TRANSPOSE_CACHE_ENTRIES",
-    "cache_enabled",
-    "set_cache_enabled",
-    "caches_disabled",
     "clear_transpose_cache",
     "data_token",
     "matrix_token",
@@ -93,12 +79,8 @@ __all__ = [
     # basis-term planner
     "BasisPlanner",
     "PLAN_CHAIN_ENTRIES",
-    "active_planner",
     "chain_bases",
-    "plan_enabled",
     "plan_scope",
-    "plans_disabled",
-    "set_plan_enabled",
     # parallel sweep executor
     "Cell",
     "CellResult",
@@ -109,11 +91,8 @@ __all__ = [
     "pool_stats",
     # cross-process shared term store
     "SharedTermStore",
-    "active_shm_handle",
-    "active_shm_store",
     "shm_supported",
     "shm_store_scope",
-    "shm_worker_scope",
     "sweep_leaked_segments",
     # resumable-sweep artifact store
     "ARTIFACT_DIR_ENV",
@@ -122,9 +101,10 @@ __all__ = [
     "ArtifactStore",
     "CellArtifact",
     "SweepArtifacts",
-    "active_sweep",
     "cell_address",
     "default_artifact_dir",
     "default_code_rev",
-    "sweep_scope",
+    # run context
+    "RunConfig",
+    "RunContext",
 ]

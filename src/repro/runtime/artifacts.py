@@ -49,10 +49,9 @@ import hashlib
 import json
 import os
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from .. import telemetry
 from .cache import data_token
@@ -321,32 +320,3 @@ class SweepArtifacts:
         except (ReproError, OSError):
             telemetry.inc_counter("artifacts.unstorable")
             return None
-
-
-# ----------------------------------------------------------------------
-# scope: how the pool executor finds the active sweep's store
-# ----------------------------------------------------------------------
-_active_sweep: Optional[SweepArtifacts] = None
-
-
-def active_sweep() -> Optional[SweepArtifacts]:
-    """The installed :class:`SweepArtifacts`, or ``None`` (store off)."""
-    return _active_sweep
-
-
-@contextmanager
-def sweep_scope(sweep: Optional[SweepArtifacts]) -> Iterator[
-        Optional[SweepArtifacts]]:
-    """Install ``sweep`` for the duration of the body (None = disable).
-
-    :func:`repro.runtime.pool.execute_cells` consults the active sweep on
-    entry — hits are served as completed results, misses execute and
-    persist. Scopes nest; the previous sweep is restored on exit.
-    """
-    global _active_sweep
-    previous = _active_sweep
-    _active_sweep = sweep
-    try:
-        yield sweep
-    finally:
-        _active_sweep = previous

@@ -25,13 +25,13 @@ makes those rows *measurable* instead of extrapolated:
   or, by default, from the process's current RSS
   (:func:`default_ram_budget` via :mod:`repro.telemetry.rss`).
 
-Scope and lifetime: like the planner, the tier only acts inside a
-:func:`blocked_scope` (the bench CLI opens one under ``--blocked``).
-:func:`spmm_csr` is the single integration hook — the autodiff spmm
-paths (:mod:`repro.autodiff.sparse`) route every CSR product through it,
-so full-batch training, mini-batch precompute, and per-cluster GP
-propagation all tile transparently when a scope is active and run the
-original one-shot product otherwise.
+Lifetime: the tier acts only while it is the run context's ``tier``
+(:mod:`repro.runtime.context`; the bench CLI's ``--blocked`` builds one
+for the run). :func:`spmm_csr` is the single integration hook — the
+autodiff spmm paths (:mod:`repro.autodiff.sparse`) route every CSR
+product through it, so full-batch training, mini-batch precompute, and
+per-cluster GP propagation all tile transparently when a tier is active
+and run the original one-shot product otherwise.
 
 Counters emitted (when telemetry is configured):
 
@@ -56,14 +56,14 @@ import os
 import shutil
 import tempfile
 import threading
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .. import telemetry
 from ..telemetry.rss import current_rss_bytes
+from . import context
 from .files import ArrayFiles
 
 #: Floor for a derived RAM budget: even on a tiny container the tier
@@ -222,49 +222,11 @@ class BlockedTier:
         }
 
 
-# ======================================================================
-# scope management
-# ======================================================================
-_scope_lock = threading.RLock()
-_tiers: List[BlockedTier] = []
-
-
-@contextmanager
-def blocked_scope(tier: Optional[BlockedTier] = None,
-                  **tier_kwargs) -> Iterator[BlockedTier]:
-    """Activate a blocked tier for the dynamic extent of the body.
-
-    A caller-provided ``tier`` is left open on exit (the CLI prints its
-    stats after the run and closes it explicitly); a scope-created one
-    is closed — spill files purged — when the scope exits.
-    """
-    created = tier is None
-    if created:
-        tier = BlockedTier(**tier_kwargs)
-    with _scope_lock:
-        _tiers.append(tier)
-    try:
-        yield tier
-    finally:
-        with _scope_lock:
-            _tiers.remove(tier)
-        if created:
-            tier.close()
-
-
-def active_tier() -> Optional[BlockedTier]:
-    """The innermost active tier, or ``None`` outside any scope."""
-    if not _tiers:
-        return None
-    with _scope_lock:
-        return _tiers[-1] if _tiers else None
-
-
 def spmm_csr(csr: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
-    """The autodiff integration hook: ``csr @ dense``, tiled when a
-    blocked scope is active, the plain one-shot product otherwise.
+    """The autodiff integration hook: ``csr @ dense``, tiled when the run
+    context carries a blocked tier, the plain one-shot product otherwise.
     Bit-identical either way."""
-    tier = active_tier()
+    tier = context.current().tier
     if tier is None:
         return np.asarray(csr @ dense)
     return tier.spmm(csr, dense)
@@ -272,8 +234,6 @@ def spmm_csr(csr: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
 
 __all__ = [
     "BlockedTier",
-    "active_tier",
-    "blocked_scope",
     "blocked_spmm",
     "choose_block_rows",
     "default_ram_budget",

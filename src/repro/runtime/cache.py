@@ -33,8 +33,9 @@ This module closes both with a small, observable memoization layer:
 - Per-graph normalization memos use :class:`LRUCache` directly (see
   :meth:`repro.graph.graph.Graph.normalized_adjacency`).
 
-Everything respects a single process-wide switch (:func:`set_enabled`,
-``--no-cache`` on the bench CLI). Disabled means *bypass*: callers
+Everything respects the run context's ``cache`` switch
+(:mod:`repro.runtime.context`; ``--no-cache`` on the bench CLI,
+``context.using(cache=False)`` in code). Off means *bypass*: callers
 recompute exactly what the seed code computed, which is what lets the
 property-test suite assert bit-identical numerics cached vs. uncached.
 
@@ -53,15 +54,14 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
-from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
+from collections import Counter, OrderedDict
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from .. import telemetry
-from . import shm
+from . import context, shm
 
 #: Default bound on process-wide operator entries (transpose, selector,
 #: digest). MB sweeps touch many graphs; bounding the entry count keeps
@@ -74,33 +74,6 @@ TRANSPOSE_CACHE_ENTRIES = 32
 NORM_MEMO_ENTRIES = 16
 
 _MISSING = object()
-
-_enabled = True
-_enabled_lock = threading.Lock()
-
-
-def set_enabled(enabled: bool) -> bool:
-    """Switch the whole cache layer on/off; returns the previous state."""
-    global _enabled
-    with _enabled_lock:
-        previous = _enabled
-        _enabled = bool(enabled)
-    return previous
-
-
-def is_enabled() -> bool:
-    """Whether the cache layer is active (``--no-cache`` clears this)."""
-    return _enabled
-
-
-@contextmanager
-def caches_disabled() -> Iterator[None]:
-    """Context manager running its body with every cache bypassed."""
-    previous = set_enabled(False)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
 
 
 class LRUCache:
@@ -297,7 +270,7 @@ def operator_digest(matrix: sp.spmatrix) -> str:
     process boundary (the shared store's ``spmm_t`` and ``norm`` blobs) and
     is computed once per operator per process.
     """
-    if not is_enabled():
+    if not context.current().config.cache:
         return _full_digest(matrix)
     entry = _derived(matrix)
     if entry.digest is None:
@@ -337,7 +310,7 @@ _SELF = object()
 
 _operator_cache = LRUCache(TRANSPOSE_CACHE_ENTRIES,
                            counter_prefix="cache.spmm_t")
-_transpose_builds = 0
+_builds: Counter = Counter()
 _builds_lock = threading.Lock()
 
 
@@ -371,9 +344,8 @@ def materialize_transpose(matrix: sp.spmatrix) -> sp.csr_matrix:
     the acceptance criterion (≤ 1 build per matrix with the cache on)
     read.
     """
-    global _transpose_builds
     with _builds_lock:
-        _transpose_builds += 1
+        _builds["transpose"] += 1
     transposed = matrix.T.tocsr()
     telemetry.inc_counter("ops.spmm.transpose_builds")
     telemetry.inc_counter("ops.spmm.transpose_bytes",
@@ -384,7 +356,7 @@ def materialize_transpose(matrix: sp.spmatrix) -> sp.csr_matrix:
 
 def transpose_build_count() -> int:
     """Process-wide count of actual transpose materializations."""
-    return _transpose_builds
+    return _builds["transpose"]
 
 
 def transpose_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
@@ -397,7 +369,7 @@ def transpose_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
     ``matrix`` itself, and nothing is published. Only these lookups move
     the ``cache.spmm_t.{hit,miss}`` counters.
     """
-    if not is_enabled():
+    if not context.current().config.cache:
         return materialize_transpose(matrix)
     entry = _derived(matrix)
     _operator_cache.record(entry.transpose is not None)
@@ -432,7 +404,7 @@ def segment_selector(csr: sp.csr_matrix) -> sp.csr_matrix:
     is built straight from ``indptr`` — no sort — and rebuilt per call
     while the cache layer is off.
     """
-    if not is_enabled():
+    if not context.current().config.cache:
         return _build_selector(csr)
     entry = _derived(csr)
     if entry.selector is None:
@@ -463,10 +435,11 @@ def shared_blob(kind: str, parts: Union[Tuple, Callable[[], Tuple]],
     ``decode``-d when a sibling already published it; otherwise the value
     is built here and published ``encode``-d for the siblings (unless
     ``encode`` returns ``None``). ``parts`` may be a callable, evaluated
-    only when a store is attached. Without an active store handle — or
-    when the blob is absent or malformed — this is just ``build()``.
+    only when a store is attached. Without a serving store client on the
+    run context — or when the blob is absent or malformed — this is just
+    ``build()``.
     """
-    handle = shm.active_handle()
+    handle = context.current().active_handle
     if handle is None:
         return build()
     fingerprint = shm.blob_fingerprint(kind, *(parts() if callable(parts)
@@ -513,16 +486,15 @@ def transpose_cache_stats() -> dict:
     """Traffic/occupancy snapshot of the process-wide operator cache:
     hits / misses count transpose lookups, entries count operators."""
     stats = _operator_cache.stats()
-    stats["builds"] = _transpose_builds
+    stats["builds"] = _builds["transpose"]
     return stats
 
 
 def clear_transpose_cache() -> None:
     """Empty the operator cache and reset its counters (tests, CLI)."""
-    global _transpose_builds
     _operator_cache.clear()
     with _builds_lock:
-        _transpose_builds = 0
+        _builds.clear()
 
 
 def norm_memo(capacity: int = NORM_MEMO_ENTRIES) -> LRUCache:

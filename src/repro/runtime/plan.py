@@ -15,7 +15,10 @@ The planner canonicalizes each filter's recurrence into a *chain*:
 - an **operator fingerprint** — the propagation matrix's identity plus
   the mutation token from :func:`repro.runtime.cache.matrix_token` (the
   matrix itself already encodes ρ/self-loops via the per-graph
-  normalization memo) and the spmm backend;
+  normalization memo) and the spmm backend; the file tiers name a chain
+  by the operator's full :func:`~repro.runtime.cache.operator_digest`
+  instead, since a sampled token cannot tell two unweighted graphs with
+  the same node and edge counts apart;
 - a **signal fingerprint** — the identity + content token of ``X``;
 - a **basis family + scaling** — e.g. ``("jacobi", (a, b))`` — naming
   the recurrence step;
@@ -34,32 +37,33 @@ streaming expressions ufunc by ufunc — so enabling the planner never
 changes a single result bit. The hypothesis suite in
 ``tests/test_runtime_plan.py`` holds every family to this property.
 
-Scope and lifetime: the store only exists inside a :func:`plan_scope`
-(the bench sweeps open one per sweep). The mini-batch trainer opens none
-of its own: inside a sweep its precompute is served by the sweep's
-planner, and a standalone fit streams, holding only the recurrence's
-live terms. Scopes nest by reuse, so chains live for the outermost
-scope. Pool workers open a *fresh* scope per cell, which
-keeps worker runs deterministic regardless of start method — and means
-``ops.spmm.calls`` legitimately depends on the execution mode when the
-planner is on (serial sweeps share across cells; an isolated worker's
-local store cannot). The cross-process shared term store
+Scope and lifetime: the store only exists inside a :func:`plan_scope`,
+which installs its planner on the run context
+(:mod:`repro.runtime.context`; the bench sweeps open one per sweep). The
+mini-batch trainer opens none of its own: inside a sweep its precompute
+is served by the sweep's planner, and a standalone fit streams, holding
+only the recurrence's live terms. Scopes nest by reuse, so chains live
+for the outermost scope. Pool workers open a *fresh* scope per cell,
+which keeps worker runs deterministic regardless of start method — and
+means ``ops.spmm.calls`` legitimately depends on the execution mode when
+the planner is on (serial sweeps share across cells; an isolated
+worker's local store cannot). The cross-process shared term store
 (:mod:`repro.runtime.shm`, on by default for pooled sweeps) closes that
 gap: :meth:`BasisPlanner.chain_terms` consults the sweep's store
 directory before computing a chain suffix and publishes what it
 computed, so sibling workers map the identical bytes instead of
-recomputing.
-Tensor (autodiff) and spectral-grid signals always stream:
+recomputing. Tensor (autodiff) and spectral-grid signals always stream:
 caching per-epoch activations would be useless and planning must never
 capture autodiff graphs.
 
-Bypass: ``--no-plan`` (this module's :func:`set_enabled`) or the global
-``--no-cache`` switch (:func:`repro.runtime.cache.is_enabled`) turns
-:func:`active_planner` off at serve time; filters then stream exactly
-what the seed code computed.
+Bypass: the run config's ``plan`` switch (``--no-plan``,
+``context.using(plan=False)``) or its ``cache`` switch (``--no-cache``)
+turns the context's ``active_planner`` off at serve time; filters then
+stream exactly what the seed code computed.
 
-Spill tier: inside a :func:`repro.runtime.blocked.blocked_scope` the
-store gains a disk-backed level. Evicting a chain — by LRU capacity or
+Spill tier: while the run context carries a blocked tier
+(:mod:`repro.runtime.blocked`, ``--blocked``) the store gains a
+disk-backed level. Evicting a chain — by LRU capacity or
 because resident term bytes exceed the tier's byte budget — writes its
 computed ``T^(k)(L̃)·X`` terms to the tier's spill directory (a
 :class:`~repro.runtime.files.ArrayFiles` of ``.npy`` files named by the
@@ -75,7 +79,7 @@ Counters emitted (when telemetry is configured):
 
 - ``plan.terms.{hit,miss,evict}`` — order-k≥1 term traffic in the store.
 - ``plan.terms.{spill,spill_load}`` — terms written to / mapped back
-  from the blocked tier's spill directory (zero outside a blocked scope).
+  from the blocked tier's spill directory (zero without a blocked tier).
 - ``plan.spmm_avoided`` — spmm applications *not* executed because the
   term was served (a Gaussian chain term avoids 2 per hit).
 - ``plan.chains.{hit,miss,evict}`` — chain-level LRU traffic.
@@ -95,42 +99,14 @@ import scipy.sparse as sp
 
 from .. import telemetry
 from ..autodiff.tensor import Tensor, linear_combination
-from . import blocked as runtime_blocked
-from . import cache as runtime_cache
+from . import context
 from . import shm as runtime_shm
-from .cache import LRUCache, MISSING, matrix_token
+from .cache import LRUCache, MISSING, matrix_token, operator_digest
 
 #: Default bound on live chains per planner. Each chain holds up to K+1
 #: dense (n, F) terms, so the bound — not the term count — is what caps
 #: host RAM growth; a sweep touches ~2-4 distinct chains per dataset.
 PLAN_CHAIN_ENTRIES = 8
-
-_enabled = True
-_enabled_lock = threading.Lock()
-
-
-def set_enabled(enabled: bool) -> bool:
-    """Switch the planner on/off process-wide; returns the previous state."""
-    global _enabled
-    with _enabled_lock:
-        previous = _enabled
-        _enabled = bool(enabled)
-    return previous
-
-
-def is_enabled() -> bool:
-    """Whether the planner is active (``--no-plan`` clears this)."""
-    return _enabled
-
-
-@contextmanager
-def plans_disabled() -> Iterator[None]:
-    """Context manager running its body with the planner bypassed."""
-    previous = set_enabled(False)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
 
 
 def array_token(array: np.ndarray) -> Tuple:
@@ -452,15 +428,15 @@ class BasisPlanner:
         self._resident_bytes = 0
 
     def _on_evict(self, key: Any, entry: _ChainEntry) -> None:
-        """Chain eviction: count dropped terms and, inside a blocked
-        scope, spill them to disk so re-requests map instead of
+        """Chain eviction: count dropped terms and, under a blocked
+        tier, spill them to disk so re-requests map instead of
         recompute."""
         dropped = max(len(entry.terms) - 1, 0)
         if dropped:
             telemetry.inc_counter("plan.terms.evict", dropped)
         self._resident_bytes -= entry.resident_bytes
         entry.resident_bytes = 0
-        tier = runtime_blocked.active_tier()
+        tier = context.current().tier
         if tier is None or entry.fingerprint is None:
             return
         spilled = 0
@@ -484,7 +460,7 @@ class BasisPlanner:
     def _enforce_term_budget(self, current_key: Any) -> None:
         """Shed least-recent chains while resident term bytes exceed the
         blocked tier's budget (never the chain being served)."""
-        tier = runtime_blocked.active_tier()
+        tier = context.current().tier
         if tier is None:
             return
         while self._resident_bytes > tier.term_budget_bytes \
@@ -517,11 +493,12 @@ class BasisPlanner:
                 entry = _ChainEntry(weakref.ref(matrix, _purge), token,
                                     x_tok, [x], fam.spmm_per_step)
                 self._chains.put(key, entry)
+            run = context.current()
             if entry.fingerprint is None and (
-                    runtime_blocked.active_tier() is not None
-                    or runtime_shm.active_handle() is not None):
+                    run.tier is not None or run.active_handle is not None):
                 entry.fingerprint = runtime_shm.chain_fingerprint(
-                    token, ctx.backend, x_tok, fam.name, params)
+                    operator_digest(matrix), ctx.backend, x_tok, fam.name,
+                    params)
             hits = max(min(len(entry.terms), count) - 1, 0)
             if hits:
                 self.terms_served += hits
@@ -553,15 +530,15 @@ class BasisPlanner:
         fingerprint (:func:`repro.runtime.shm.term_name`) and serve them
         as read-only maps, bit-identical by construction (whoever wrote
         them ran the same in-place kernels this process would have). The
-        shared store (:func:`repro.runtime.shm.active_handle`, pooled
+        shared store (the run context's ``active_handle``, pooled
         sweeps) is asked first and may hand this process the claim on the
-        remainder; the spill tier (blocked scope) then maps back what
+        remainder; the spill tier (blocked tier) then maps back what
         this planner evicted earlier. Whatever is still missing is
         computed locally and published for the siblings waiting on it.
         Without either tier this is exactly the original compute loop.
         """
-        shared = runtime_shm.active_handle()
-        tier = runtime_blocked.active_tier()
+        run = context.current()
+        shared, tier = run.active_handle, run.tier
         fingerprint = entry.fingerprint
         claimed = False
         if shared is not None:
@@ -630,47 +607,27 @@ class BasisPlanner:
 # ======================================================================
 # scope management
 # ======================================================================
-_scope_lock = threading.RLock()
-_scopes: List[BasisPlanner] = []
-
-
 @contextmanager
 def plan_scope(capacity: Optional[int] = None,
                fresh: bool = False) -> Iterator[BasisPlanner]:
-    """Activate a planner for the dynamic extent of the ``with`` body.
+    """Install a planner on the run context for the ``with`` body.
 
-    Nested scopes *reuse* the innermost active planner (so a scope opened
-    inside a sweep joins the sweep's instead of shadowing it);
-    ``fresh=True`` forces a new empty planner — what pool
+    A scope opened while the context already has a planner *reuses* it
+    (so a scope opened inside a sweep joins the sweep's instead of
+    shadowing it); ``fresh=True`` forces a new empty planner — what pool
     workers use so cell results never depend on inherited store state.
     The planner created by a scope is cleared when the scope exits.
     """
-    with _scope_lock:
-        reused = bool(_scopes) and not fresh
-        if reused:
-            planner = _scopes[-1]
-        else:
-            planner = BasisPlanner(capacity or PLAN_CHAIN_ENTRIES)
-            _scopes.append(planner)
+    outer = context.current().planner
+    if outer is not None and not fresh:
+        yield outer
+        return
+    planner = BasisPlanner(capacity or PLAN_CHAIN_ENTRIES)
     try:
-        yield planner
+        with context.using(planner=planner):
+            yield planner
     finally:
-        if not reused:
-            with _scope_lock:
-                _scopes.remove(planner)
-            planner.clear()
-
-
-def active_planner() -> Optional[BasisPlanner]:
-    """The serving planner, or ``None`` when no scope is active or either
-    the planner (``--no-plan``) or the cache layer (``--no-cache``) is
-    disabled."""
-    if not _scopes:
-        return None
-    if not is_enabled() or not runtime_cache.is_enabled():
-        return None
-    with _scope_lock:
-        return _scopes[-1] if _scopes else None
+        planner.clear()
 
 
 def _plannable(ctx, x) -> bool:
@@ -696,7 +653,7 @@ def chain_bases(ctx, x, family: str, params: Tuple, count: int):
     """
     if count < 1:
         return
-    planner = active_planner()
+    planner = context.current().active_planner
     if planner is not None and _plannable(ctx, x):
         yield from planner.chain_terms(ctx, x, family, params, count)
         return

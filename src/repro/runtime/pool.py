@@ -42,8 +42,9 @@ With ``workers=1`` (the default) no subprocess machinery is involved at
 all: cells run inline, in order, in the calling process — the exact
 serial path, where a raising cell propagates like any other exception.
 
-Resumable sweeps: when a :class:`repro.runtime.artifacts.SweepArtifacts`
-scope is active (``--resume``/``--fresh`` on the bench CLI), the executor
+Resumable sweeps: when the run context carries a
+:class:`repro.runtime.artifacts.SweepArtifacts` (``--resume``/``--fresh``
+on the bench CLI), the executor
 consults the content-addressed store *before* launching anything. Hits
 come back as :data:`CACHED` results — value and persisted telemetry
 shard decoded from disk, folded in grid order exactly like a live
@@ -118,20 +119,22 @@ class PoolConfig:
     Parameters
     ----------
     workers:
-        Process count. ``1`` (default) runs cells inline in the calling
-        process — the exact serial path, no subprocesses.
+        Process count (≥ 1). ``1`` (default) runs cells inline in the
+        calling process — the exact serial path, no subprocesses.
     cell_timeout:
-        Per-attempt wall-clock budget in seconds; an attempt past it is
-        terminated and counts as a :data:`TIMEOUT` failure. ``None``
+        Per-attempt wall-clock budget in seconds (> 0); an attempt past it
+        is terminated and counts as a :data:`TIMEOUT` failure. ``None``
         disables the limit. Ignored in inline mode.
     max_retries:
-        Additional attempts after a failed one, so a cell runs at most
-        ``1 + max_retries`` times. Ignored in inline mode.
+        Additional attempts after a failed one (≥ 0), so a cell runs at
+        most ``1 + max_retries`` times. Ignored in inline mode.
     start_method:
         ``multiprocessing`` start method; default prefers ``fork``
         (cheap, inherits loaded modules) and falls back to ``spawn``.
     poll_interval_s:
         Scheduler sleep between liveness sweeps when nothing completed.
+
+    Out-of-range values raise :class:`~repro.errors.ReproError`.
     """
 
     workers: int = 1
@@ -139,6 +142,18 @@ class PoolConfig:
     max_retries: int = 1
     start_method: Optional[str] = None
     poll_interval_s: float = 0.02
+
+    def __post_init__(self):
+        from ..errors import ReproError
+
+        if self.workers < 1:
+            raise ReproError(f"--workers must be >= 1, got {self.workers}")
+        if self.cell_timeout is not None and not self.cell_timeout > 0:
+            raise ReproError(f"--cell-timeout must be > 0 seconds, got "
+                             f"{self.cell_timeout:g}")
+        if self.max_retries < 0:
+            raise ReproError(f"--max-retries must be >= 0, got "
+                             f"{self.max_retries}")
 
 
 @dataclass
@@ -231,10 +246,8 @@ def _record_run_stats(results: Sequence[CellResult]) -> None:
 # ======================================================================
 # worker side
 # ======================================================================
-def _cell_entry(conn, cell: Cell, telemetry_on: bool, attempt: int = 1,
-                live_conn=None, rss_interval_s: float = 0.2,
-                shm_handle=None,
-                switches: Tuple[bool, bool] = (True, True)) -> None:
+def _cell_entry(conn, cell: Cell, attempt: int, context,
+                live_conn=None) -> None:
     """Worker-process entry: run one cell, ship value + telemetry shard.
 
     The worker reconfigures telemetry from scratch (dropping any tracer
@@ -244,35 +257,32 @@ def _cell_entry(conn, cell: Cell, telemetry_on: bool, attempt: int = 1,
     exception. ``live_conn`` is the attempt's dedicated side pipe for
     live heartbeat/RSS events (``None`` when monitoring is off); it is
     separate from the result pipe so a sheared live channel never
-    corrupts the result protocol. ``shm_handle`` is the sweep's shared
-    term-store client (``None`` when sharing is off); it is installed
-    *around* the fresh plan scope so the planner's chain suffixes fall
-    through to the sweep's store directory. ``switches`` is the parent's
-    ``(plan, cache)`` enabled pair (``--no-plan`` / ``--no-cache``): they
-    are module globals, which ``fork`` inherits and ``spawn`` does not.
+    corrupts the result protocol. ``context`` is the parent's
+    :class:`~repro.runtime.context.WorkerContext`: the run's switches
+    (``--no-plan`` / ``--no-cache``, which a ``spawn`` worker would not
+    otherwise see), the sweep's shared term-store client, whether the
+    parent collects telemetry and the live RSS sampling period. It
+    replaces whatever context ``fork`` inherited.
     """
     import os
 
-    from . import cache, plan
-    from . import shm as shm_mod
+    from . import plan
     from ..telemetry import live
 
-    plan.set_enabled(switches[0])
-    cache.set_enabled(switches[1])
     payload: Dict[str, Any] = {"pid": os.getpid()}
     send = live_conn.send if live_conn is not None else None
     try:
         # A fresh planner scope per attempt: chains never leak in via
         # fork, so a cell computes the same value under any start method.
-        with live.worker_session(send, cell.label, attempt,
-                                 rss_interval_s=rss_interval_s):
-            if telemetry_on:
+        with context.install(), \
+                live.worker_session(send, cell.label, attempt,
+                                    rss_interval_s=context.rss_interval_s):
+            if context.telemetry:
                 from .. import telemetry
 
                 telemetry.shutdown()  # discard fork-inherited tracer state
                 tracer = telemetry.configure()
                 with telemetry.span("cell", cell=cell.label), \
-                        shm_mod.worker_scope(shm_handle), \
                         plan.plan_scope(fresh=True):
                     value = cell.fn(**cell.kwargs)
                 metrics_state = tracer.metrics.to_state()
@@ -280,8 +290,7 @@ def _cell_entry(conn, cell: Cell, telemetry_on: bool, attempt: int = 1,
                 payload.update(ok=True, value=value, events=events,
                                metrics=metrics_state)
             else:
-                with shm_mod.worker_scope(shm_handle), \
-                        plan.plan_scope(fresh=True):
+                with plan.plan_scope(fresh=True):
                     payload.update(ok=True, value=cell.fn(**cell.kwargs))
     except BaseException as exc:  # noqa: BLE001 - crash isolation boundary
         payload = {"pid": payload.get("pid"), "ok": False,
@@ -329,24 +338,25 @@ def execute_cells(cells: Sequence[Cell],
     bounded retry, and crash isolation, then folds each successful cell's
     telemetry shard into the active run in deterministic cell order.
 
-    When a :class:`~repro.telemetry.live.SweepMonitor` is installed
-    (``live.monitoring(...)`` around the sweep), the executor streams
-    live heartbeat/RSS/stall events through it — observability only,
-    never part of the results or the canonical payload.
+    When the run context (:mod:`repro.runtime.context`) carries a
+    :class:`~repro.telemetry.live.SweepMonitor` (``--watch``/``--live``),
+    the executor streams live heartbeat/RSS/stall events through it —
+    observability only, never part of the results or the canonical
+    payload.
 
-    When a :class:`~repro.runtime.artifacts.SweepArtifacts` scope is
-    active, every cell's content address is consulted first: hits become
+    When the run context carries a
+    :class:`~repro.runtime.artifacts.SweepArtifacts`, every cell's
+    content address is consulted first: hits become
     :data:`CACHED` results (persisted value + telemetry shard, folded in
     grid order like any live cell's), and only misses execute — their
     successful results persisting back to the store.
     """
-    from ..telemetry import live
-    from . import artifacts as artifact_mod
+    from . import context
 
     config = config or PoolConfig()
     cells = list(cells)
-    sweep = artifact_mod.active_sweep()
-    monitor = live.current_monitor()
+    run = context.current()
+    sweep, monitor = run.sweep, run.monitor
     if monitor is not None:
         monitor.sweep_started(len(cells), config.workers,
                               config.cell_timeout)
@@ -447,20 +457,14 @@ def _run_pooled(cells: List[Cell], config: PoolConfig,
                 sweep=None) -> List[CellResult]:
     import multiprocessing as mp
 
-    from . import cache, plan
-    from . import shm as shm_mod
+    from . import context
     from .. import telemetry
     from ..telemetry import live
 
     ctx = mp.get_context(config.start_method or _default_start_method())
-    telemetry_on = telemetry.enabled()
-    # A store handle is a path and a run id: it pickles into a worker
-    # under any start method.
-    store = shm_mod.active_store()
-    shm_handle = store.worker_handle() if store is not None else None
-    # --no-plan / --no-cache are module globals: fork inherits them, a
-    # spawn worker would start with both back on.
-    switches = (plan.is_enabled(), cache.is_enabled())
+    # Switches, a store client (a path and a run id) and two scalars: it
+    # pickles into a worker under any start method.
+    worker = context.current().for_worker()
     cached = cached or {}
     results: List[Optional[CellResult]] = [None] * len(cells)
     for index, result in cached.items():
@@ -522,10 +526,8 @@ def _run_pooled(cells: List[Cell], config: PoolConfig,
                 live_parent, live_child = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_cell_entry,
-                args=(child_conn, cells[index], telemetry_on, attempt_no,
-                      live_child, (monitor.config.rss_interval_s
-                                   if monitor is not None else 0.2),
-                      shm_handle, switches),
+                args=(child_conn, cells[index], attempt_no, worker,
+                      live_child),
                 daemon=True)
             proc.start()
             child_conn.close()

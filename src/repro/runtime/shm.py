@@ -40,8 +40,9 @@ claimant (or two adopters racing for one stale claim) costs duplicated
 work, never wrongness.
 
 Crash safety: a SIGKILLed publisher leaves at most a ``*.tmp`` scratch
-file and a claim naming a dead pid. :func:`store_scope` removes the
-run's directory on exit, crash or not; :func:`sweep_leaked_segments`,
+file and a claim naming a dead pid. Closing the store (on the exit of
+:func:`store_scope` or of the bench run that built it) removes the run's
+directory, crash or not; :func:`sweep_leaked_segments`,
 run on every store creation, reaps directories whose owner is dead. Any
 ``OSError`` (``ENOSPC``, ``EACCES``, a vanished directory) turns the
 client off for the session, releasing its claims; callers compute locally.
@@ -60,7 +61,6 @@ import hashlib
 import json
 import os
 import shutil
-import threading
 import time
 import uuid
 from contextlib import contextmanager
@@ -70,6 +70,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .. import telemetry
+from . import context
 from .files import ArrayFiles, link_new
 
 #: Store-directory name prefix; the 8-hex run id follows.
@@ -127,12 +128,13 @@ def _digest(parts: Sequence[Any]) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def chain_fingerprint(matrix_tok: Tuple, backend: str, x_tok: Tuple,
+def chain_fingerprint(operator: Any, backend: str, x_tok: Tuple,
                       family: str, params: Tuple) -> str:
-    """Content address of a basis chain: operator token + backend +
-    signal token + family + scaling params — the cross-process analogue
-    of the planner's ``id()``-based local key."""
-    return _digest(["chain", matrix_tok, backend, x_tok, family, params])
+    """Content address of a basis chain: operator digest
+    (:func:`repro.runtime.cache.operator_digest`) + backend + signal
+    token + family + scaling params — the cross-process analogue of the
+    planner's ``id()``-based local key."""
+    return _digest(["chain", operator, backend, x_tok, family, params])
 
 
 def blob_fingerprint(kind: str, *parts: Any) -> str:
@@ -469,53 +471,14 @@ def sweep_leaked_segments(max_age_s: float = 300.0) -> int:
     return removed
 
 
-# ======================================================================
-# scope management
-# ======================================================================
-_scope_lock = threading.RLock()
-#: The sweep's store (parent side) and the serving client (worker side).
-_active: Dict[str, Optional[StoreHandle]] = {"store": None, "handle": None}
-
-
 @contextmanager
-def _scope(slot: str, client: StoreHandle) -> Iterator[StoreHandle]:
-    with _scope_lock:
-        previous, _active[slot] = _active[slot], client
+def store_scope(store: SharedTermStore) -> Iterator[SharedTermStore]:
+    """Install ``store`` as the run context's store for the body of a
+    sweep (parent side), so a pooled sweep ships its workers a client;
+    the store is closed — stats snapshotted, its directory removed — on
+    exit, crash or not."""
     try:
-        yield client
+        with context.using(store=store):
+            yield store
     finally:
-        with _scope_lock:
-            _active[slot] = previous
-        client.close()
-
-
-def store_scope(store: SharedTermStore):
-    """Install a store for the dynamic extent of a sweep (parent side).
-
-    The store is closed — stats snapshotted, its directory removed — on
-    exit, crash or not.
-    """
-    return _scope("store", store)
-
-
-def worker_scope(handle: Optional[StoreHandle]):
-    """Install a worker's store handle for one cell execution (``None``:
-    sharing is off, nothing to install)."""
-    return contextlib.nullcontext() if handle is None \
-        else _scope("handle", handle)
-
-
-def active_store() -> Optional[SharedTermStore]:
-    """The sweep's store (parent process), or None."""
-    return _active["store"]
-
-
-def active_handle() -> Optional[StoreHandle]:
-    """The serving store client, or None when sharing is off.
-
-    Consulted by the planner (:func:`repro.runtime.plan`) and the CSR
-    caches; ``--no-cache`` turns it off with the rest of the cache
-    layer.
-    """
-    from . import cache as runtime_cache
-    return _active["handle"] if runtime_cache.is_enabled() else None
+        store.close()

@@ -20,7 +20,7 @@ Caching: dense eigenpairs are memoized through
 fingerprint, ρ) with traffic on ``cache.eig.{hit,miss,evict}``. Cached
 arrays are returned read-only so a caller cannot silently corrupt the
 shared spectra; the memo is bypassed entirely under ``--no-cache`` /
-:func:`repro.runtime.cache.caches_disabled`, restoring seed behaviour.
+``repro.runtime.context.using(cache=False)``, restoring seed behaviour.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from ..autodiff.tensor import _notify_op
 from ..errors import GraphError
 from ..graph.graph import Graph
 from ..runtime import cache as _cache
+from ..runtime import context as _context
 
 #: Dense decomposition guardrail; above this the O(n³) cost is the point
 #: the paper makes about decomposition-based frameworks.
@@ -97,7 +98,7 @@ def laplacian_eigendecomposition(
             f"dense eigendecomposition capped at {MAX_DENSE_NODES} nodes "
             f"(got {n}); use extremal_eigenvalues for large graphs"
         )
-    if not _cache.is_enabled():
+    if not _context.current().config.cache:
         return _decompose_dense(graph)
 
     key = (id(graph), float(rho))

@@ -54,7 +54,6 @@ from .live import (
     LiveEmitter,
     RssSampler,
     SweepMonitor,
-    monitoring,
     tick,
     worker_session,
 )
@@ -412,7 +411,6 @@ __all__ = [
     "LiveEmitter",
     "RssSampler",
     "SweepMonitor",
-    "monitoring",
     "tick",
     "worker_session",
     "chrome_trace_events",

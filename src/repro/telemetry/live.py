@@ -10,7 +10,7 @@ module adds a *streaming* side channel between workers and the parent:
   with counter deltas, sampled ``rss`` watermarks from a
   :class:`RssSampler` daemon thread) over the attempt's dedicated side
   pipe. Instrumented code (the per-epoch trainer hook) calls
-  :func:`tick`, a one-global-check no-op when no emitter is installed.
+  :func:`tick`, a no-op unless the run context carries an emitter.
 - **Parent side** — the pool's scheduler loop drains the side pipes
   without blocking and feeds a :class:`SweepMonitor`, which aggregates a
   live sweep state (cells running/ok/failed/retrying, per-attempt
@@ -154,37 +154,17 @@ class RssSampler(threading.Thread):
         self._stop_event.set()
 
 
-#: The attempt-scoped emitter instrumented code reaches through
-#: :func:`tick`. One per process at a time (a worker runs one attempt).
-_emitter: Optional[LiveEmitter] = None
-
-
-def install_emitter(emitter: LiveEmitter) -> LiveEmitter:
-    """Make ``emitter`` the process-wide emitter ``tick()`` routes to."""
-    global _emitter
-    _emitter = emitter
-    return emitter
-
-
-def uninstall_emitter() -> None:
-    """Detach the process-wide emitter; ``tick()`` becomes a no-op."""
-    global _emitter
-    _emitter = None
-
-
-def current_emitter() -> Optional[LiveEmitter]:
-    """The installed emitter, or ``None`` outside a worker session."""
-    return _emitter
-
-
 def tick(kind: str = "tick", **fields) -> None:
-    """Heartbeat from instrumented code; one-global-check no-op otherwise.
+    """Heartbeat from instrumented code to the run context's emitter (the
+    current cell attempt's); a no-op outside a live worker session.
 
     The per-epoch trainer hook calls this on every epoch, so any cell
     that is actually training produces a heartbeat stream regardless of
     how chatty its spans are.
     """
-    emitter = _emitter
+    from ..runtime import context
+
+    emitter = context.current().emitter
     if emitter is not None:
         emitter.heartbeat(kind, **fields)
 
@@ -194,27 +174,29 @@ def worker_session(send: Optional[Callable[[Dict], None]], cell: str,
                    attempt: int = 1, rss_interval_s: float = 0.2):
     """Live-telemetry scope of one cell attempt (worker or inline).
 
-    Installs the emitter, announces ``cell_start``, runs the RSS sampler
-    for the duration, and on exit ships a final ``rss`` watermark before
-    detaching. With ``send=None`` (live monitoring off) the body runs
-    with zero live machinery.
+    Installs the emitter on the run context, announces ``cell_start``,
+    runs the RSS sampler for the duration, and on exit ships a final
+    ``rss`` watermark before detaching. With ``send=None`` (live
+    monitoring off) the body runs with zero live machinery.
     """
+    from ..runtime import context
+
     if send is None:
         yield None
         return
-    emitter = install_emitter(LiveEmitter(send, cell, attempt))
+    emitter = LiveEmitter(send, cell, attempt)
     sampler = RssSampler(emitter, interval_s=rss_interval_s)
     emitter.emit("cell_start")
     sampler.start()
     try:
-        yield emitter
+        with context.using(emitter=emitter):
+            yield emitter
     finally:
         sampler.stop()
         sampler.join(timeout=1.0)
         rss = _rss_bytes()
         emitter.emit("rss", rss_bytes=rss,
                      watermark_bytes=max(sampler.watermark, rss))
-        uninstall_emitter()
         emitter.detach()
 
 
@@ -485,37 +467,3 @@ class SweepMonitor:
             self._render(final=True)
             self._closed = True
         self.sink.close()
-
-
-#: The sweep-scoped monitor the pool executor reaches for. Installed by
-#: the bench CLI via :func:`monitoring` around the experiment runner.
-_monitor: Optional[SweepMonitor] = None
-
-
-def install_monitor(monitor: SweepMonitor) -> SweepMonitor:
-    """Make ``monitor`` discoverable by ``execute_cells`` via this module."""
-    global _monitor
-    _monitor = monitor
-    return monitor
-
-
-def uninstall_monitor() -> None:
-    """Detach the session monitor; sweeps run unobserved again."""
-    global _monitor
-    _monitor = None
-
-
-def current_monitor() -> Optional[SweepMonitor]:
-    """The installed sweep monitor, or ``None`` when not monitoring."""
-    return _monitor
-
-
-@contextmanager
-def monitoring(monitor: SweepMonitor):
-    """Scope a sweep under live monitoring; closes the sink on exit."""
-    install_monitor(monitor)
-    try:
-        yield monitor
-    finally:
-        uninstall_monitor()
-        monitor.close()

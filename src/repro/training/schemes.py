@@ -173,9 +173,9 @@ class GraphPartitionTrainer(Placement):
     its propagation operator plus its feature rows — is resident on the
     device per step (:meth:`DeviceModel.resident`), so GP OOMs iff the
     *largest* cluster exceeds capacity, never the whole graph. Cluster
-    propagation flows through the autodiff spmm hooks, so under an active
-    :func:`repro.runtime.blocked.blocked_scope` each per-cluster spmm is
-    tiled against the blocked tier's RAM budget.
+    propagation flows through the autodiff spmm hooks, so under a blocked
+    tier (:mod:`repro.runtime.blocked`, ``--blocked``) each per-cluster
+    spmm is tiled against the tier's RAM budget.
     """
 
     device_name = "gp-device"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro import telemetry
 from repro.autodiff import Tensor, segment_sum, spmm, spmm_numpy
 from repro.errors import AutodiffError
-from repro.runtime import cache
+from repro.runtime import cache, context
 
 BACKENDS = ["csr", "coo_gather"]
 
@@ -249,7 +249,7 @@ class TestCachedSegments:
         edited = self._fit(operator, signal, seed)
         assert "materialize_transpose" in builds
         assert "_build_selector" in builds
-        with cache.caches_disabled():
+        with context.using(cache=False):
             assert self._fit(operator, signal, seed) == edited
         expected = operator.toarray() @ signal
         np.testing.assert_allclose(
@@ -267,5 +267,5 @@ class TestCachedSegments:
         builds.clear()
         assert self._fit(operator, signal, seed) == first
         assert builds == []
-        with cache.caches_disabled():
+        with context.using(cache=False):
             assert self._fit(operator, signal, seed) == first

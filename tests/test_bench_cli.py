@@ -7,6 +7,14 @@ import pytest
 from repro.bench.__main__ import EXPERIMENTS, build_parser, main
 
 
+def rejects(capsys, argv, message):
+    """``argv`` is a usage error whose message contains ``message``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 class TestParser:
     def test_lists_experiments(self, capsys):
         assert main(["--list"]) == 0
@@ -18,9 +26,8 @@ class TestParser:
         assert main([]) == 0
         assert "Table 1" in capsys.readouterr().out
 
-    def test_unknown_experiment_errors(self):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+    def test_unknown_experiment_errors(self, capsys):
+        rejects(capsys, ["frobnicate"], "unknown experiment 'frobnicate'")
 
     def test_every_experiment_registered_with_artifact(self):
         artifacts = [artifact for _, artifact, _ in EXPERIMENTS.values()]
@@ -118,9 +125,9 @@ class TestRegistryCli:
         assert "stages.train.seconds" in out
         assert "trend" in out
 
-    def test_history_requires_registry(self):
-        with pytest.raises(SystemExit):
-            main(["compare", "a.json", "b.json", "--history", "3"])
+    def test_history_requires_registry(self, capsys):
+        rejects(capsys, ["compare", "a.json", "b.json", "--history", "3"],
+                "--history requires --registry SPEC")
 
     def test_compare_registry_end_to_end(self, tmp_path, capsys):
         """Two runs, then resolve + diff by fingerprint with no file paths."""
@@ -155,13 +162,22 @@ class TestPoolCli:
         assert args.cell_timeout == 600.0
         assert args.max_retries == 2
 
-    def test_pool_flags_rejected_outside_grid_sweeps(self):
-        with pytest.raises(SystemExit):
-            main(["taxonomy", "--workers", "4"])
-        with pytest.raises(SystemExit):
-            main(["efficiency", "--workers", "0"])
-        with pytest.raises(SystemExit):
-            main(["efficiency", "--root-seed", "7"])  # effectiveness-only
+    def test_pool_flags_rejected_outside_grid_sweeps(self, capsys):
+        rejects(capsys, ["taxonomy", "--workers", "4"],
+                "--workers/--cell-timeout/--max-retries apply to the grid "
+                "sweeps only")
+        rejects(capsys, ["efficiency", "--workers", "0"],
+                "--workers must be >= 1")
+        rejects(capsys, ["efficiency", "--root-seed", "7"],
+                "--root-seed applies to effectiveness only")
+
+    def test_out_of_range_pool_and_epoch_values_rejected(self, capsys):
+        rejects(capsys, ["efficiency", "--workers", "2", "--cell-timeout", "0"],
+                "--cell-timeout must be > 0 seconds, got 0")
+        rejects(capsys, ["efficiency", "--max-retries", "-3"],
+                "--max-retries must be >= 0, got -3")
+        rejects(capsys, ["efficiency", "--epochs", "0"],
+                "--epochs must be >= 1, got 0")
 
     def test_parser_accepts_blocked_flags(self):
         parser = build_parser()
@@ -172,23 +188,21 @@ class TestPoolCli:
         assert args.ram_budget == 64.0
         assert args.spill_dir == "/tmp/spill"
 
-    def test_blocked_flag_validation(self):
-        with pytest.raises(SystemExit):
-            main(["efficiency", "--ram-budget", "64"])  # needs --blocked
-        with pytest.raises(SystemExit):
-            main(["efficiency", "--spill-dir", "/tmp/x"])  # needs --blocked
-        with pytest.raises(SystemExit):
-            main(["efficiency", "--blocked", "--ram-budget", "0"])
-        with pytest.raises(SystemExit):
-            main(["efficiency", "--blocked", "--workers", "4"])
+    def test_blocked_flag_validation(self, capsys):
+        rejects(capsys, ["efficiency", "--ram-budget", "64"],
+                "--ram-budget requires --blocked")
+        rejects(capsys, ["efficiency", "--spill-dir", "/tmp/x"],
+                "--spill-dir requires --blocked")
+        rejects(capsys, ["efficiency", "--blocked", "--ram-budget", "0"],
+                "--ram-budget must be a positive MiB count")
+        rejects(capsys, ["efficiency", "--blocked", "--workers", "4"],
+                "--blocked is serial-only")
 
     def test_unsupported_scale_fails_at_parse_time(self, capsys):
         # Out-of-range scales error immediately with the supported range
         # in the message — not deep inside dataset generation.
         for bad in ("4.2", "0", "-0.5", "1e-9", "nan"):
-            with pytest.raises(SystemExit):
-                main(["efficiency", "--scale", bad])
-            assert "supported range" in capsys.readouterr().err
+            rejects(capsys, ["efficiency", "--scale", bad], "supported range")
 
     def test_supported_scale_parses(self):
         parser = build_parser()
@@ -237,22 +251,21 @@ class TestLiveCli:
         assert args.live == "out/live.jsonl"
         assert args.stall_fraction == 0.3
 
-    def test_watch_rejected_with_no_telemetry(self):
-        with pytest.raises(SystemExit):
-            main(["efficiency", "--watch", "--no-telemetry"])
-        with pytest.raises(SystemExit):
-            main(["efficiency", "--live", "x.jsonl", "--no-telemetry"])
+    def test_watch_rejected_with_no_telemetry(self, capsys):
+        for argv in (["efficiency", "--watch", "--no-telemetry"],
+                     ["efficiency", "--live", "x.jsonl", "--no-telemetry"]):
+            rejects(capsys, argv,
+                    "--watch/--live require telemetry; drop --no-telemetry")
 
-    def test_watch_rejected_outside_grid_sweeps(self):
-        with pytest.raises(SystemExit):
-            main(["taxonomy", "--watch"])
-        with pytest.raises(SystemExit):
-            main(["regression", "--live", "x.jsonl"])
+    def test_watch_rejected_outside_grid_sweeps(self, capsys):
+        for argv in (["taxonomy", "--watch"],
+                     ["regression", "--live", "x.jsonl"]):
+            rejects(capsys, argv, "--watch/--live apply to the grid sweeps")
 
-    def test_stall_fraction_must_be_a_proper_fraction(self):
+    def test_stall_fraction_must_be_a_proper_fraction(self, capsys):
         for bad in ("0", "1", "1.5", "-0.2"):
-            with pytest.raises(SystemExit):
-                main(["efficiency", "--watch", "--stall-fraction", bad])
+            rejects(capsys, ["efficiency", "--watch", "--stall-fraction", bad],
+                    "--stall-fraction must be strictly between 0 and 1")
 
     def test_live_run_writes_stream_trace_and_registry_pointers(
             self, tmp_path, capsys):
@@ -293,11 +306,11 @@ class TestRegistryCliErrors:
         assert code == 2
         assert "need 2" in capsys.readouterr().err
 
-    def test_compare_rejects_mixed_modes(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["compare", "a.json", "b.json", "--registry", "abc"])
-        with pytest.raises(SystemExit):
-            main(["compare", "only-one.json"])
+    def test_compare_rejects_mixed_modes(self, capsys):
+        rejects(capsys, ["compare", "a.json", "b.json", "--registry", "abc"],
+                "--registry takes no file paths")
+        rejects(capsys, ["compare", "only-one.json"],
+                "file mode needs exactly BASELINE and CANDIDATE paths")
 
 
 class TestResumeCli:
@@ -314,25 +327,22 @@ class TestResumeCli:
         args = parser.parse_args(["efficiency", "--fresh"])
         assert args.fresh and not args.resume
 
-    def test_resume_and_fresh_are_mutually_exclusive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["efficiency", "--resume", "--fresh"])
+    def test_resume_and_fresh_are_mutually_exclusive(self, capsys):
+        rejects(capsys, ["efficiency", "--resume", "--fresh"],
+                "argument --fresh: not allowed with argument --resume")
 
-    def test_artifact_dir_requires_a_mode_flag(self):
-        with pytest.raises(SystemExit):
-            main(["efficiency", "--artifact-dir", "store"])
+    def test_artifact_dir_requires_a_mode_flag(self, capsys):
+        rejects(capsys, ["efficiency", "--artifact-dir", "store"],
+                "--artifact-dir requires --resume or --fresh")
 
-    def test_resume_rejected_without_telemetry(self):
-        with pytest.raises(SystemExit):
-            main(["efficiency", "--resume", "--no-telemetry"])
-        with pytest.raises(SystemExit):
-            main(["efficiency", "--fresh", "--no-telemetry"])
+    def test_resume_rejected_without_telemetry(self, capsys):
+        for mode in ("--resume", "--fresh"):
+            rejects(capsys, ["efficiency", mode, "--no-telemetry"],
+                    "--resume/--fresh require telemetry; drop --no-telemetry")
 
-    def test_resume_rejected_outside_grid_sweeps(self):
-        with pytest.raises(SystemExit):
-            main(["taxonomy", "--resume"])
-        with pytest.raises(SystemExit):
-            main(["regression", "--fresh"])
+    def test_resume_rejected_outside_grid_sweeps(self, capsys):
+        for argv in (["taxonomy", "--resume"], ["regression", "--fresh"]):
+            rejects(capsys, argv, "--resume/--fresh apply to the grid sweeps")
 
     def test_fresh_then_resume_byte_identical_and_recorded(self, tmp_path,
                                                            capsys):

@@ -150,18 +150,18 @@ def test_backends_agree(small_graph, signal, name):
 @pytest.mark.parametrize("name", FILTER_NAMES)
 def test_precompute_identical_with_cache_on_and_off(small_graph, signal, name):
     """The normalization memo + transpose cache never change channel bytes."""
-    from repro.runtime import cache
+    from repro.runtime import context
 
     filter_ = make_filter(name, num_hops=4, num_features=signal.shape[1])
     cached = filter_.precompute(small_graph, signal, rho=0.5)
-    with cache.caches_disabled():
+    with context.using(cache=False):
         plain = filter_.precompute(small_graph, signal, rho=0.5)
     np.testing.assert_array_equal(cached, plain)
 
 
 def test_forward_gradients_identical_with_cache_on_and_off(small_graph, signal):
     """One FB forward/backward: θ gradients match bitwise, cache on vs off."""
-    from repro.runtime import cache
+    from repro.runtime import cache, context
 
     filter_ = make_filter("chebyshev", num_hops=5,
                           num_features=signal.shape[1])
@@ -176,7 +176,7 @@ def test_forward_gradients_identical_with_cache_on_and_off(small_graph, signal):
 
     cache.clear_transpose_cache()
     cached_out, cached_grad = run()
-    with cache.caches_disabled():
+    with context.using(cache=False):
         plain_out, plain_grad = run()
     np.testing.assert_array_equal(cached_out, plain_out)
     np.testing.assert_array_equal(cached_grad, plain_grad)

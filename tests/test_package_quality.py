@@ -150,3 +150,43 @@ class TestStores:
                     offenders.append(f"{path.relative_to(self.SRC)}:"
                                      f"{node.name}")
         assert not offenders, offenders
+
+
+class TestRunState:
+    """Run state has one owner: :mod:`repro.runtime.context` installs what
+    is active for a run, and every consumer reads ``context.current()``.
+    A module global that code rebinds is a second owner — a switch a
+    ``spawn`` worker never sees — so the runtime and the live channel
+    rebind none outside the context (and the pool's last-sweep stats)."""
+
+    SRC = Path(repro.__file__).resolve().parent
+    ALLOWED = {("runtime/context.py", None),
+               ("runtime/pool.py", "_record_run_stats")}
+
+    def _globals(self, path):
+        """(enclosing function, line) of each ``global`` statement."""
+        found = []
+
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Global):
+                    found.append((function, child.lineno))
+                name = child.name if isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    else function
+                visit(child, name)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+        return found
+
+    def test_only_the_context_rebinds_run_state(self):
+        paths = sorted((self.SRC / "runtime").rglob("*.py")) \
+            + [self.SRC / "telemetry" / "live.py"]
+        offenders = []
+        for path in paths:
+            relative = path.relative_to(self.SRC).as_posix()
+            for function, line in self._globals(path):
+                if (relative, None) not in self.ALLOWED \
+                        and (relative, function) not in self.ALLOWED:
+                    offenders.append(f"{relative}:{line} ({function})")
+        assert not offenders, offenders

@@ -26,12 +26,11 @@ from repro.runtime.artifacts import (
     ArtifactStore,
     CellArtifact,
     SweepArtifacts,
-    active_sweep,
     cell_address,
     default_artifact_dir,
     default_code_rev,
-    sweep_scope,
 )
+from repro.runtime.context import current, using
 from repro.runtime.pool import Cell, PoolConfig, derive_cell_seed, execute_cells
 
 
@@ -178,7 +177,7 @@ class TestDurability:
         monkeypatch.setattr(os, "replace", refuse)
         telemetry.configure()
         try:
-            with sweep_scope(_sweep(store)):
+            with using(sweep=_sweep(store)):
                 results = execute_cells(cells, config)
             counters = telemetry.get_metrics().to_state()["counters"]
         finally:
@@ -241,10 +240,10 @@ class TestAddressSensitivity:
 
     def test_stale_store_reexecutes_on_new_rev(self, store):
         cells = _make_cells(2)
-        with sweep_scope(_sweep(store, rev="rev1")):
+        with using(sweep=_sweep(store, rev="rev1")):
             execute_cells(cells, PoolConfig(workers=1))
         new_rev = _sweep(ArtifactStore(store.root), rev="rev2")
-        with sweep_scope(new_rev):
+        with using(sweep=new_rev):
             results = execute_cells(cells, PoolConfig(workers=1))
         assert all(r.status == "ok" for r in results), \
             "new code must never trust old bytes"
@@ -288,17 +287,17 @@ class TestEvictionAndPurge:
 class TestSweepScope:
     def test_nesting_restores_previous(self, store):
         outer, inner = _sweep(store), _sweep(store, fingerprint="fp-inner")
-        assert active_sweep() is None
-        with sweep_scope(outer):
-            assert active_sweep() is outer
-            with sweep_scope(inner):
-                assert active_sweep() is inner
-            assert active_sweep() is outer
-        assert active_sweep() is None
+        assert current().sweep is None
+        with using(sweep=outer):
+            assert current().sweep is outer
+            with using(sweep=inner):
+                assert current().sweep is inner
+            assert current().sweep is outer
+        assert current().sweep is None
 
     def test_none_scope_disables_the_store(self, store):
-        with sweep_scope(_sweep(store)):
-            with sweep_scope(None):
+        with using(sweep=_sweep(store)):
+            with using(sweep=None):
                 results = execute_cells(_make_cells(1),
                                         PoolConfig(workers=1))
         assert results[0].status == "ok"
@@ -331,7 +330,7 @@ class TestResumeByteIdentity:
         uninterrupted = execute_cells(cells, config)
 
         first = _sweep(ArtifactStore(tmp_path / "store"))
-        with sweep_scope(first):
+        with using(sweep=first):
             execute_cells(cells, config)
         committed = {first.address_for(cell) for cell in cells[:keep]}
         for address in first.store.addresses():
@@ -339,7 +338,7 @@ class TestResumeByteIdentity:
                 first.store.discard(address)
 
         resumed_sweep = _sweep(ArtifactStore(tmp_path / "store"))
-        with sweep_scope(resumed_sweep):
+        with using(sweep=resumed_sweep):
             resumed = execute_cells(cells, config)
 
         assert sum(1 for r in resumed if r.status == "cached") == keep

@@ -4,7 +4,7 @@
 basis planner spill whole term matrices to mmap-backed files. Contracts:
 
 1. **Bit-identity** (hypothesis + taxonomy sweep): tiled spmm and
-   blocked-scope precompute are byte-for-byte identical to the in-core
+   blocked-tier precompute are byte-for-byte identical to the in-core
    path — the same contract the planner and every cache already hold.
 2. **Spill round-trip**: a planner chain evicted under a tiny term
    budget lands in the spill directory and is served back bit-identical as a
@@ -33,10 +33,9 @@ from repro.datasets.splits import random_split
 from repro.filters.base import PropagationContext
 from repro.filters.registry import FILTER_NAMES, make_filter
 from repro.graph import Graph
-from repro.runtime import blocked, plan
+from repro.runtime import blocked, context, plan
 from repro.runtime.blocked import (
     BlockedTier,
-    blocked_scope,
     blocked_spmm,
     choose_block_rows,
     default_ram_budget,
@@ -45,6 +44,14 @@ from repro.runtime.blocked import (
 from repro.runtime.device import DeviceModel
 from repro.training.loop import TrainConfig
 from repro.training.schemes import GraphPartitionTrainer
+
+
+def blocked_scope(ram_budget_bytes, spill_dir=None):
+    """A run with the blocked tier on — what ``--blocked --ram-budget``
+    opens; the tier is closed (spill files purged) on exit."""
+    return context.RunConfig(
+        blocked=True, ram_budget_mib=ram_budget_bytes / 2 ** 20,
+        spill_dir=None if spill_dir is None else str(spill_dir)).open()
 
 
 def _random_graph(n: int, seed: int, num_features: int = 4) -> Graph:
@@ -92,7 +99,7 @@ class TestBitIdentity:
 
     def test_spmm_csr_without_scope_is_plain(self):
         csr, dense = _random_csr(15, 2, 9)
-        assert blocked.active_tier() is None
+        assert context.current().tier is None
         assert spmm_csr(csr, dense).tobytes() == \
             np.asarray(csr @ dense).tobytes()
 
@@ -140,7 +147,8 @@ class TestPlannerSpill:
         telemetry.configure()
         try:
             with blocked_scope(ram_budget_bytes=64 * 2 ** 20,
-                               spill_dir=tmp_path / "spill") as tier:
+                               spill_dir=tmp_path / "spill") as run:
+                tier = run.tier
                 # Shrink the term budget so the first chain must spill
                 # as soon as a second one needs room.
                 tier.term_budget_bytes = 1
@@ -190,7 +198,8 @@ class TestPlannerSpill:
         telemetry.configure()
         try:
             with blocked_scope(ram_budget_bytes=64 * 2 ** 20,
-                               spill_dir=tmp_path / "spill") as tier:
+                               spill_dir=tmp_path / "spill") as run:
+                tier = run.tier
                 tier.term_budget_bytes = 1
                 with plan.plan_scope():
                     first = filter_.precompute(graph, x, rho=0.5)
@@ -261,18 +270,19 @@ class TestBudget:
             tier.close()
 
     def test_scope_stack_and_cleanup(self, tmp_path):
-        assert blocked.active_tier() is None
-        with blocked_scope(ram_budget_bytes=1024) as tier:
-            assert blocked.active_tier() is tier
+        assert context.current().tier is None
+        with blocked_scope(ram_budget_bytes=1024) as run:
+            tier = run.tier
+            assert context.current().tier is tier
             spill_root = tier.spill.root
             assert spill_root.exists()
-        assert blocked.active_tier() is None
+        assert context.current().tier is None
         assert not spill_root.exists()  # scope-created tier owns its dir
 
     def test_caller_tier_left_open(self, tmp_path):
         tier = BlockedTier(ram_budget_bytes=1024,
                            spill_dir=tmp_path / "spill")
-        with blocked_scope(tier):
+        with context.using(tier=tier):
             pass
         assert not tier.closed
         tier.close()

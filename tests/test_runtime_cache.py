@@ -29,7 +29,7 @@ from repro import telemetry
 from repro.autodiff import Tensor
 from repro.autodiff.sparse import spmm
 from repro.graph import Graph
-from repro.runtime import cache
+from repro.runtime import cache, context
 
 from .test_autodiff_sparse import _operator
 
@@ -37,10 +37,8 @@ from .test_autodiff_sparse import _operator
 @pytest.fixture(autouse=True)
 def _clean_cache_state():
     """Isolate tests from each other's global transpose-cache traffic."""
-    cache.set_enabled(True)
     cache.clear_transpose_cache()
     yield
-    cache.set_enabled(True)
     cache.clear_transpose_cache()
 
 
@@ -179,7 +177,7 @@ class TestTransposeCache:
 
     def test_disabled_bypasses_cache(self):
         matrix = _random_csr(16, seed=5)
-        with cache.caches_disabled():
+        with context.using(cache=False):
             a = cache.transpose_csr(matrix)
             b = cache.transpose_csr(matrix)
         assert a is not b
@@ -313,7 +311,7 @@ class TestNormalizationMemo:
     def test_disabled_recomputes_equal_values(self):
         graph = _random_graph(20, seed=10)
         cached = graph.normalized_adjacency(0.5)
-        with cache.caches_disabled():
+        with context.using(cache=False):
             fresh = graph.normalized_adjacency(0.5)
         assert fresh is not cached
         np.testing.assert_array_equal(fresh.toarray(), cached.toarray())
@@ -334,7 +332,7 @@ class TestNormalizationMemo:
         graph = _random_graph(n, seed=seed)
         cached = graph.normalized_adjacency(rho, self_loops)
         cached_again = graph.normalized_adjacency(rho, self_loops)
-        with cache.caches_disabled():
+        with context.using(cache=False):
             fresh = graph.normalized_adjacency(rho, self_loops)
         assert cached is cached_again
         np.testing.assert_array_equal(cached.data, fresh.data)
@@ -347,7 +345,7 @@ class TestNormalizationMemo:
     def test_property_laplacian_bit_identical(self, n, seed, rho):
         graph = _random_graph(n, seed=seed)
         cached = graph.laplacian(rho)
-        with cache.caches_disabled():
+        with context.using(cache=False):
             fresh = graph.laplacian(rho)
         np.testing.assert_array_equal(cached.toarray(), fresh.toarray())
 
@@ -374,7 +372,7 @@ class TestSpmmCacheInvisibility:
             return out.data, x.grad
 
         cached_out, cached_grad = run()
-        with cache.caches_disabled():
+        with context.using(cache=False):
             plain_out, plain_grad = run()
 
         np.testing.assert_array_equal(cached_out, plain_out)
@@ -390,7 +388,7 @@ class TestSpmmCacheInvisibility:
     def test_disabled_builds_once_per_closure(self):
         """Seed behaviour under --no-cache: one build per forward closure."""
         matrix = _random_csr(20, seed=13)
-        with cache.caches_disabled():
+        with context.using(cache=False):
             for _ in range(3):
                 x = Tensor(np.ones((20, 3), dtype=np.float32),
                            requires_grad=True)

@@ -15,8 +15,9 @@ its contracts:
    report their dropped terms on ``plan.terms.evict``.
 4. **Sharing**: monomial-family filters reuse one adjacency chain — the
    second filter's chain terms cost zero spmm calls.
-5. **Bypass**: ``--no-plan`` / ``--no-cache`` semantics and scope rules
-   (no scope → stream; nested scopes reuse; ``fresh=True`` isolates).
+5. **Bypass**: ``--no-plan`` / ``--no-cache`` semantics (the run
+   context's ``plan`` / ``cache`` switches) and scope rules (no scope →
+   stream; nested scopes reuse; ``fresh=True`` isolates).
 """
 
 from __future__ import annotations
@@ -33,17 +34,7 @@ from repro.autodiff import Tensor
 from repro.filters.base import PropagationContext
 from repro.filters.registry import FILTER_NAMES, make_filter
 from repro.graph import Graph
-from repro.runtime import cache, plan
-
-
-@pytest.fixture(autouse=True)
-def _clean_plan_state():
-    """Isolate tests from each other's global planner/cache switches."""
-    plan.set_enabled(True)
-    cache.set_enabled(True)
-    yield
-    plan.set_enabled(True)
-    cache.set_enabled(True)
+from repro.runtime import context, plan
 
 
 def _random_graph(n: int, seed: int, num_features: int = 3) -> Graph:
@@ -305,29 +296,29 @@ class TestSharing:
 # ----------------------------------------------------------------------
 class TestBypassAndScopes:
     def test_no_scope_no_planner(self):
-        assert plan.active_planner() is None
+        assert context.current().active_planner is None
 
     def test_disabled_planner_streams(self):
         graph = _random_graph(16, seed=41)
         ctx = PropagationContext(graph.normalized_adjacency(0.5))
         x = np.asarray(graph.features, dtype=np.float32)
         with plan.plan_scope() as planner:
-            with plan.plans_disabled():
-                assert plan.active_planner() is None
+            with context.using(plan=False):
+                assert context.current().active_planner is None
                 list(plan.chain_bases(ctx, x, "monomial_adj", (), 3))
             assert planner.stats()["terms_computed"] == 0
 
     def test_no_cache_disables_planner_at_serve_time(self):
         with plan.plan_scope():
-            with cache.caches_disabled():
-                assert plan.active_planner() is None
-            assert plan.active_planner() is not None
+            with context.using(cache=False):
+                assert context.current().active_planner is None
+            assert context.current().active_planner is not None
 
     def test_nested_scope_reuses_planner(self):
         with plan.plan_scope() as outer:
             with plan.plan_scope() as inner:
                 assert inner is outer
-            assert plan.active_planner() is outer
+            assert context.current().active_planner is outer
 
     def test_fresh_scope_isolates(self):
         graph = _random_graph(16, seed=42)
@@ -338,8 +329,8 @@ class TestBypassAndScopes:
             with plan.plan_scope(fresh=True) as worker:
                 assert worker is not outer
                 assert worker.stats()["chains"] == 0
-                assert plan.active_planner() is worker
-            assert plan.active_planner() is outer
+                assert context.current().active_planner is worker
+            assert context.current().active_planner is outer
 
     def test_scope_exit_clears_chains(self):
         graph = _random_graph(16, seed=43)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro import telemetry
+from repro.runtime.context import using
 from repro.runtime.pool import (
     CACHED,
     CRASHED,
@@ -343,14 +344,12 @@ class TestCachedCells:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_second_run_serves_every_cell_from_store(self, tmp_path,
                                                      workers):
-        from repro.runtime.artifacts import sweep_scope
-
         sweep = _make_sweep(tmp_path)
         cells = make_cells(3)
         config = PoolConfig(workers=workers)
-        with sweep_scope(sweep):
+        with using(sweep=sweep):
             first = execute_cells(cells, config)
-        with sweep_scope(_make_sweep(tmp_path)):
+        with using(sweep=_make_sweep(tmp_path)):
             second = execute_cells(cells, config)
 
         assert all(r.status == OK for r in first)
@@ -366,8 +365,6 @@ class TestCachedCells:
         """PR 4 fold parity extended to store-served cells: merged op
         counters/histograms must not depend on whether a cell executed
         or was decoded from disk."""
-        from repro.runtime.artifacts import sweep_scope
-
         cells = [Cell(key=("cell", i), fn=_ops_cell,
                       kwargs={"amount": i + 1}) for i in range(3)]
         config = PoolConfig(workers=workers)
@@ -375,7 +372,7 @@ class TestCachedCells:
         def run(sweep):
             telemetry.configure()
             try:
-                with sweep_scope(sweep), telemetry.span("experiment"):
+                with using(sweep=sweep), telemetry.span("experiment"):
                     execute_cells(cells, config)
                 state = telemetry.get_metrics().to_state()
             finally:
@@ -400,15 +397,13 @@ class TestCachedCells:
         assert names.count("work") == 3 and names.count("cell") == 3
 
     def test_retried_attempt_counters_never_reach_the_store(self, tmp_path):
-        from repro.runtime.artifacts import sweep_scope
-
         marker = tmp_path / "attempted"
         cells = [Cell(key=("flaky",), fn=_flaky_ops_cell,
                       kwargs={"marker": str(marker), "amount": 5})]
 
         telemetry.configure()
         try:
-            with sweep_scope(_make_sweep(tmp_path)):
+            with using(sweep=_make_sweep(tmp_path)):
                 results = execute_cells(
                     cells, PoolConfig(workers=2, max_retries=1))
             live = telemetry.get_metrics().to_state()["counters"]
@@ -420,7 +415,7 @@ class TestCachedCells:
 
         telemetry.configure()
         try:
-            with sweep_scope(_make_sweep(tmp_path)):
+            with using(sweep=_make_sweep(tmp_path)):
                 resumed = execute_cells(
                     cells, PoolConfig(workers=2, max_retries=1))
             cached = telemetry.get_metrics().to_state()["counters"]
@@ -431,12 +426,10 @@ class TestCachedCells:
             "the persisted shard must hold only the successful attempt"
 
     def test_failed_cells_are_never_persisted(self, tmp_path):
-        from repro.runtime.artifacts import sweep_scope
-
         sweep = _make_sweep(tmp_path)
         cells = make_cells(2)
         cells[1] = Cell(key=("cell", 1), fn=_raise, kwargs={"msg": "boom"})
-        with sweep_scope(sweep):
+        with using(sweep=sweep):
             results = execute_cells(cells, PoolConfig(workers=2,
                                                       max_retries=0))
         assert results[1].status == ERROR
@@ -444,13 +437,11 @@ class TestCachedCells:
         assert sweep.address_for(cells[1]) not in sweep.store
 
     def test_no_consult_reexecutes_but_repopulates(self, tmp_path):
-        from repro.runtime.artifacts import sweep_scope
-
         cells = make_cells(2)
-        with sweep_scope(_make_sweep(tmp_path)):
+        with using(sweep=_make_sweep(tmp_path)):
             execute_cells(cells, PoolConfig(workers=1))
         fresh = _make_sweep(tmp_path, consult=False)
-        with sweep_scope(fresh):
+        with using(sweep=fresh):
             results = execute_cells(cells, PoolConfig(workers=1))
         assert all(r.status == OK for r in results), \
             "--fresh mode must execute every cell live"
@@ -502,7 +493,7 @@ class TestKillAndResume:
             f"sys.path.insert(0, {str(tmp_path)!r})\n"
             f"import resume_cells\n"
             f"from repro import telemetry\n"
-            f"from repro.runtime import artifacts\n"
+            f"from repro.runtime import artifacts, context\n"
             f"from repro.runtime.pool import (Cell, PoolConfig,\n"
             f"                                derive_cell_seed,\n"
             f"                                execute_cells)\n"
@@ -515,12 +506,11 @@ class TestKillAndResume:
             f"                      'seed': derive_cell_seed(0, 'cell', i),\n"
             f"                      'delay': {self.DELAY}}})\n"
             f"         for i in range({self.CELLS})]\n"
-            f"with artifacts.sweep_scope(sweep):\n"
+            f"with context.using(sweep=sweep):\n"
             f"    execute_cells(cells, PoolConfig(workers=2,\n"
             f"                                    start_method='fork'))\n")
 
-        from repro.runtime.artifacts import (ArtifactStore, SweepArtifacts,
-                                             sweep_scope)
+        from repro.runtime.artifacts import ArtifactStore, SweepArtifacts
 
         src = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.Popen([sys.executable, str(driver)],
@@ -554,7 +544,7 @@ class TestKillAndResume:
         resumed_sweep = SweepArtifacts(store=ArtifactStore(store_dir),
                                        config_fingerprint="fp-kill",
                                        code_rev="rev1")
-        with sweep_scope(resumed_sweep):
+        with using(sweep=resumed_sweep):
             resumed = execute_cells(cells, PoolConfig(workers=2))
 
         stats = pool_stats(resumed)
@@ -593,7 +583,7 @@ import time
 
 import numpy as np
 
-from repro.runtime import shm
+from repro.runtime import context, shm
 from repro.runtime.shm import SharedTermStore, blob_fingerprint
 
 assert shm.supported()
@@ -610,7 +600,9 @@ def victim(handle, ready):
         ready.send(float(np.asarray(got["a"]).sum()))
         time.sleep(300)
 
-    with shm.worker_scope(handle) as active:
+    worker = context.WorkerContext(context.RunConfig(), handle=handle)
+    with worker.install() as run:
+        active = run.handle
         got, _meta = active.fetch_blob(fp)  # live map of a store file
         _, claimed = active.plan_chain(chain, have=0, want=2)
         assert claimed

@@ -23,7 +23,7 @@ four faces, each covered here:
    shared terms and shared CSR blobs are byte-identical to local
    computation across the full 27-filter taxonomy (parametrized + a
    hypothesis property), and ``--no-cache`` semantics turn the store
-   off via :func:`~repro.runtime.shm.active_handle`. A sweep cell's
+   off via the run context's ``active_handle``. A sweep cell's
    graph served from the store is byte-identical to a fresh synthesis,
    and a pooled grid's rows equal the inline ones under ``fork`` and
    ``spawn``.
@@ -31,6 +31,7 @@ four faces, each covered here:
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
 import json
@@ -55,7 +56,8 @@ from repro.bench.io import canonical_payload
 from repro.datasets.registry import get_spec
 from repro.filters.registry import FILTER_NAMES, make_filter
 from repro.graph import Graph
-from repro.runtime import cache, plan, shm
+from repro.runtime import cache, context, plan, shm
+from repro.runtime.context import WorkerContext
 from repro.runtime.pool import Cell, PoolConfig, execute_cells
 from repro.runtime.shm import (
     SharedTermStore,
@@ -72,14 +74,19 @@ pytestmark = pytest.mark.skipif(not shm.supported(),
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    """Isolate tests from global cache switches and leftover telemetry."""
-    cache.set_enabled(True)
-    plan.set_enabled(True)
+    """Isolate tests from leftover telemetry."""
     telemetry.shutdown()
     yield
-    cache.set_enabled(True)
-    plan.set_enabled(True)
     telemetry.shutdown()
+
+
+@contextlib.contextmanager
+def serving(handle):
+    """Run the body as a pool worker runs a cell: ``handle`` is the run
+    context's store client, closed (its traffic reported) on exit."""
+    worker = WorkerContext(context.current().config, handle=handle)
+    with worker.install() as run:
+        yield run.handle
 
 
 @pytest.fixture()
@@ -200,7 +207,7 @@ class TestBlobProtocol:
 
 
 def _race_publish(handle, fps, barrier, value):
-    with shm.worker_scope(handle) as active:
+    with serving(handle) as active:
         barrier.wait(timeout=30.0)
         for fp in fps:
             active.publish_blob(fp, {"a": np.full(2048, value)},
@@ -531,7 +538,7 @@ class TestLeakedSegmentSweep:
 def _child_roundtrip(handle, fp_in, fp_out, conn):
     """Fork-child: fetch the parent's blob, publish one back."""
     try:
-        with shm.worker_scope(handle) as active:
+        with serving(handle) as active:
             got, _meta = active.fetch_blob(fp_in)
             value = np.asarray(got["a"]).copy()
             active.publish_blob(fp_out, {"b": value * 2.0})
@@ -565,7 +572,8 @@ def _precompute_cell(name, seed):
 
 
 def _switches_cell():
-    return plan.is_enabled(), cache.is_enabled()
+    config = context.current().config
+    return config.plan, config.cache
 
 
 class TestCrossProcess:
@@ -640,14 +648,14 @@ class TestCrossProcess:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_pool_workers_honour_no_plan_and_no_cache(self, start_method):
-        """``--no-plan`` / ``--no-cache`` are module globals: only ``fork``
-        inherits them, so the pool ships them to the worker."""
+        """``--no-plan`` / ``--no-cache`` live on the run context, which
+        the pool ships whole: a ``spawn`` worker inherits nothing."""
         if start_method not in mp.get_all_start_methods():
             pytest.skip(f"{start_method} start method unavailable")
         cells = [Cell(key=(index,), fn=_switches_cell, kwargs={})
                  for index in range(2)]
         pool = PoolConfig(workers=2, start_method=start_method)
-        with plan.plans_disabled(), cache.caches_disabled():
+        with context.using(plan=False, cache=False):
             off = execute_cells(cells, pool)
         on = execute_cells(cells, pool)
         assert [result.value for result in off] == [(False, False)] * 2
@@ -678,7 +686,7 @@ def _shared_vs_local(name: str, graph: Graph, num_hops: int, rho: float):
         local = filter_.precompute(graph, x, rho=rho)
     store = SharedTermStore()
     try:
-        with shm.worker_scope(store.worker_handle()):
+        with serving(store.worker_handle()):
             # Fresh plan scopes per pass model isolated pool workers:
             # pass 1 computes and publishes, pass 2 must be served the
             # same bytes from shared memory.
@@ -725,7 +733,7 @@ class TestSharedStoreInvisibility:
 
 
 def _publish_chain(store, filter_, graph, x):
-    with shm.worker_scope(store.worker_handle()), \
+    with serving(store.worker_handle()), \
             plan.plan_scope(fresh=True) as planner:
         out = filter_.precompute(graph, x, rho=0.5)
         return out, planner.stats()["terms_computed"]
@@ -837,7 +845,7 @@ class TestCsrBlobIntegration:
         def never():
             raise AssertionError("a published blob must be served")
 
-        with shm.worker_scope(store.worker_handle()):
+        with serving(store.worker_handle()):
             built = cache.shared_csr("spmm_t", parts, lambda: matrix)
             fetched = cache.shared_csr("spmm_t", parts, never)
         assert built is matrix
@@ -852,7 +860,7 @@ class TestCsrBlobIntegration:
 
     def test_transpose_routes_through_store(self, store):
         matrix = self._csr(seed=3)
-        with shm.worker_scope(store.worker_handle()):
+        with serving(store.worker_handle()):
             cache.clear_transpose_cache()
             first = cache.transpose_csr(matrix)
             assert cache.transpose_build_count() == 1
@@ -866,7 +874,7 @@ class TestCsrBlobIntegration:
 
     def test_normalization_routes_through_store(self, store):
         edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
-        with shm.worker_scope(store.worker_handle()):
+        with serving(store.worker_handle()):
             first = Graph.from_edges(4, edges.copy(),
                                      name="n1").normalized_adjacency()
             second = Graph.from_edges(4, edges.copy(),
@@ -884,10 +892,10 @@ class TestCsrBlobIntegration:
             [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]))
         assert cache.matrix_token(ring.adjacency) \
             == cache.matrix_token(triangles.adjacency)
-        with shm.store_scope(store), shm.worker_scope(store.worker_handle()):
+        with shm.store_scope(store), serving(store.worker_handle()):
             ring.normalized_adjacency()
             served = triangles.normalized_adjacency()
-        with cache.caches_disabled():
+        with context.using(cache=False):
             expected = triangles.normalized_adjacency()
         assert (served != expected).nnz == 0
 
@@ -897,7 +905,7 @@ class TestCsrBlobIntegration:
         backward = sp.csr_matrix((np.ones(3), ([0, 1, 2], [2, 0, 1])),
                                  shape=(3, 3))
         other = SharedTermStore()
-        with shm.worker_scope(other.worker_handle()):
+        with serving(other.worker_handle()):
             cache.transpose_csr(forward)
             served = cache.transpose_csr(backward)
         other.close()
@@ -906,7 +914,7 @@ class TestCsrBlobIntegration:
     def test_symmetric_operator_publishes_no_transpose(self, store):
         operator = Graph.from_edges(
             4, np.array([[0, 1], [1, 2], [2, 3]])).normalized_adjacency()
-        with shm.worker_scope(store.worker_handle()):
+        with serving(store.worker_handle()):
             cache.clear_transpose_cache()
             assert cache.transpose_csr(operator) is operator
         assert store.stats()["blobs"] == 0
@@ -972,7 +980,7 @@ class TestGraphBlob:
 
     def test_served_from_the_store(self, store, graph_memo, monkeypatch):
         expected = _graph_digest(experiments.load_dataset("cora", self.SCALE))
-        with shm.worker_scope(store.worker_handle()):
+        with serving(store.worker_handle()):
             published = experiments._memo_load("cora", self.SCALE, 0)
             graph_memo.clear()
 
@@ -990,7 +998,7 @@ class TestGraphBlob:
         assert store.stats()["hits"] == 1
 
     def test_other_seed_or_scale_misses(self, store, graph_memo, syntheses):
-        with shm.worker_scope(store.worker_handle()):
+        with serving(store.worker_handle()):
             experiments._memo_load("cora", self.SCALE, 0)
             graph_memo.clear()
             experiments._memo_load("cora", self.SCALE, 0)
@@ -1023,7 +1031,7 @@ class TestGraphBlob:
         telemetry.configure()
         store = SharedTermStore()
         try:
-            with shm.worker_scope(store.worker_handle()), \
+            with serving(store.worker_handle()), \
                     monkeypatch.context() as patch:
                 patch.setattr(shm.os, "replace", full)
                 rows = _mb_grid()
@@ -1038,21 +1046,21 @@ class TestScopes:
     def test_store_scope_installs_and_closes(self):
         store = SharedTermStore()
         with shm.store_scope(store) as active:
-            assert shm.active_store() is active
-        assert shm.active_store() is None
+            assert context.current().store is active
+        assert context.current().store is None
         assert not _run_segments(store.run_id), \
             "scope exit must close the store"
 
     def test_worker_scope_none_passthrough(self):
-        with shm.worker_scope(None) as handle:
+        with serving(None) as handle:
             assert handle is None
-        assert shm.active_handle() is None
+            assert context.current().active_handle is None
+        assert context.current().active_handle is None
 
     def test_no_cache_disables_active_handle(self, store):
-        with shm.worker_scope(store.worker_handle()) as handle:
-            assert shm.active_handle() is handle
-            cache.set_enabled(False)
-            assert shm.active_handle() is None, \
-                "--no-cache must turn the shared store off too"
-            cache.set_enabled(True)
-            assert shm.active_handle() is handle
+        with serving(store.worker_handle()) as handle:
+            assert context.current().active_handle is handle
+            with context.using(cache=False):
+                assert context.current().active_handle is None, \
+                    "--no-cache must turn the shared store off too"
+            assert context.current().active_handle is handle

@@ -139,10 +139,10 @@ class TestEigObservability:
 
     def test_disabled_caches_bypass_memo(self, tiny_graph):
         from repro import telemetry
-        from repro.runtime.cache import caches_disabled
+        from repro.runtime.context import using
 
         telemetry.configure()
-        with caches_disabled():
+        with using(cache=False):
             first = laplacian_eigendecomposition(tiny_graph)
             second = laplacian_eigendecomposition(tiny_graph)
         metrics = telemetry.get_metrics()

@@ -1,7 +1,7 @@
 """Live sweep observatory (:mod:`repro.telemetry.live`) tests.
 
 Covers the worker-side channel (emitter stamping/throttling/detach, RSS
-sampler, worker_session lifecycle, the `tick` global), the parent-side
+sampler, worker_session lifecycle, `tick`), the parent-side
 :class:`SweepMonitor` (stall detection against a fake clock, accounting,
 watch-line rendering), the Chrome trace exporter, and the end-to-end
 pooled integration: heartbeats for every cell, and a hung cell's stall
@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro import telemetry
+from repro.runtime import context
 from repro.runtime.pool import OK, TIMEOUT, Cell, PoolConfig, execute_cells
 from repro.telemetry import live
 from repro.telemetry.live import (
@@ -38,12 +39,8 @@ from repro.telemetry.trace_export import (
 @pytest.fixture(autouse=True)
 def _clean_state():
     telemetry.shutdown()
-    live.uninstall_emitter()
-    live.uninstall_monitor()
     yield
     telemetry.shutdown()
-    live.uninstall_emitter()
-    live.uninstall_monitor()
 
 
 # --- module-level cell functions: picklable under any start method ------
@@ -147,12 +144,12 @@ class TestRssSampler:
 class TestWorkerSession:
     def test_installs_emitter_and_brackets_with_events(self):
         events = []
-        assert live.current_emitter() is None
+        assert context.current().emitter is None
         with worker_session(events.append, "cora/ppr", attempt=1,
                             rss_interval_s=10.0):
-            assert live.current_emitter() is not None
+            assert context.current().emitter is not None
             live.tick("epoch", epoch=0)
-        assert live.current_emitter() is None
+        assert context.current().emitter is None
         types = [e["type"] for e in events]
         assert types[0] == "cell_start"
         assert "heartbeat" in types
@@ -161,7 +158,7 @@ class TestWorkerSession:
     def test_none_send_is_a_noop(self):
         with worker_session(None, "c") as emitter:
             assert emitter is None
-            assert live.current_emitter() is None
+            assert context.current().emitter is None
             live.tick()  # must not raise
 
     def test_tick_without_session_is_noop(self):
@@ -286,11 +283,11 @@ class TestSweepMonitor:
     def test_monitoring_scope_installs_and_closes(self):
         sink = MemorySink()
         monitor = make_monitor(sink=sink)
-        assert live.current_monitor() is None
-        with live.monitoring(monitor) as scoped:
-            assert scoped is monitor
-            assert live.current_monitor() is monitor
-        assert live.current_monitor() is None
+        assert context.current().monitor is None
+        with context.using(monitor=monitor) as run:
+            assert run.monitor is monitor
+            assert context.current().monitor is monitor
+        assert context.current().monitor is None
 
 
 # ======================================================================
@@ -381,7 +378,7 @@ class TestPooledIntegration:
         monitor = SweepMonitor(sink=sink, config=LiveConfig(), out=None)
         cells = [Cell(key=("cell", i), fn=_ticking_cell, kwargs={"x": i})
                  for i in range(3)]
-        with live.monitoring(monitor):
+        with context.using(monitor=monitor):
             results = execute_cells(cells, PoolConfig(workers=2))
         assert [r.status for r in results] == [OK] * 3
         labels = {c.label for c in cells}
@@ -398,7 +395,7 @@ class TestPooledIntegration:
         sink = MemorySink()
         monitor = SweepMonitor(sink=sink, config=LiveConfig(), out=None)
         cells = [Cell(key=("cell", 0), fn=_ticking_cell, kwargs={"x": 2})]
-        with live.monitoring(monitor):
+        with context.using(monitor=monitor):
             results = execute_cells(cells, PoolConfig(workers=1))
         assert results[0].value == 4
         types = [e["type"] for e in sink.events]
@@ -412,7 +409,7 @@ class TestPooledIntegration:
                                config=LiveConfig(stall_fraction=0.3),
                                out=None)
         cells = [Cell(key=("hung",), fn=_hang)]
-        with live.monitoring(monitor):
+        with context.using(monitor=monitor):
             results = execute_cells(
                 cells, PoolConfig(workers=2, cell_timeout=2.0,
                                   max_retries=0))

@@ -11,7 +11,7 @@ from repro import telemetry
 from repro.datasets import random_split
 from repro.filters import make_filter
 from repro.filters.base import SpectralFilter
-from repro.runtime import plan
+from repro.runtime import context
 from repro.runtime.profiler import StageProfiler
 from repro.tasks import run_node_classification
 from repro.training import (
@@ -196,7 +196,7 @@ class TestCacheInvisibility:
 
     def _paired_runs(self, filter_name, scheme):
         from repro.datasets import synthesize
-        from repro.runtime import cache
+        from repro.runtime import cache, context
 
         split = random_split(270, seed=1)
         config = TrainConfig(epochs=2, patience=0, eval_every=1)
@@ -204,7 +204,7 @@ class TestCacheInvisibility:
         cached = run_node_classification(
             synthesize("cora", scale=0.1, seed=3), filter_name,
             scheme=scheme, config=config, split=split)
-        with cache.caches_disabled():
+        with context.using(cache=False):
             plain = run_node_classification(
                 synthesize("cora", scale=0.1, seed=3), filter_name,
                 scheme=scheme, config=config, split=split)
@@ -248,7 +248,7 @@ class TestRunFootprint:
         original = SpectralFilter.precompute
 
         def recording(self, *args, **kwargs):
-            seen.append(plan.active_planner())
+            seen.append(context.current().active_planner)
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(SpectralFilter, "precompute", recording)
