@@ -12,6 +12,10 @@ and bypassed — under telemetry, then checks the contract the cache layer
   the last bit with the caches on and off.
 - **delta**: the transpose-materialization count drops from one per epoch
   to ≤ 1 per matrix, measured with the ``ops.spmm.*`` counters.
+- **backend parity**: ``ppr`` and ``chebyshev`` trained full batch on the
+  ``coo_gather`` backend at ρ = ½ (a symmetric operator, its own
+  transpose) and ρ = 0.3 predict the same bits with the caches on and
+  off, and the same bits as on the ``csr`` backend.
 
 The before/after counter comparison is emitted as a table and persisted
 as JSON under ``benchmarks/results/cache_smoke.json`` so the FLOP/byte
@@ -33,6 +37,9 @@ from repro.training import TrainConfig
 from .conftest import RESULTS_DIR, emit, env_epochs, run_once
 
 EPOCHS_DEFAULT = 6
+#: (filter, ρ) cells of the backend-parity check.
+BACKEND_CELLS = [(name, rho) for name in ("ppr", "chebyshev")
+                 for rho in (0.5, 0.3)]
 SPMM_COUNTERS = ("ops.spmm.calls", "ops.spmm.flops", "ops.spmm.bytes",
                  "ops.spmm.transpose_builds", "ops.spmm.transpose_bytes",
                  "cache.spmm_t.hit", "cache.spmm_t.miss",
@@ -62,10 +69,38 @@ def _one_run(cache_on: bool, epochs: int):
     return result, counters
 
 
+def _predictions(name: str, rho: float, backend: str, cache_on: bool,
+                 epochs: int) -> np.ndarray:
+    """Full-batch logits of one (filter, ρ, backend) fit."""
+    graph = synthesize("cora", scale=0.15, seed=5)
+    split = random_split(graph.num_nodes, seed=0)
+    config = TrainConfig(epochs=epochs, patience=0, eval_every=epochs,
+                         rho=rho, backend=backend)
+    with context.using(cache=cache_on):
+        return run_node_classification(
+            graph, name, scheme="full_batch", config=config,
+            split=split).predictions
+
+
+def _backend_parity(epochs: int) -> list:
+    rows = []
+    for name, rho in BACKEND_CELLS:
+        edge = _predictions(name, rho, "coo_gather", True, epochs)
+        rows.append({
+            "filter": name, "rho": rho,
+            "cache_on_off_bit_equal": bool(np.array_equal(
+                edge, _predictions(name, rho, "coo_gather", False, epochs))),
+            "csr_bit_equal": bool(np.array_equal(
+                edge, _predictions(name, rho, "csr", True, epochs))),
+        })
+    return rows
+
+
 def _cache_smoke(epochs: int) -> dict:
     cached_result, cached_counters = _one_run(cache_on=True, epochs=epochs)
     plain_result, plain_counters = _one_run(cache_on=False, epochs=epochs)
     return {
+        "backend_parity": _backend_parity(epochs),
         "epochs": epochs,
         "cached": {"test_score": cached_result.test_score,
                    "counters": cached_counters},
@@ -112,3 +147,10 @@ def test_cache_smoke_gate(benchmark):
     # redundant transpose materializations, it does not change propagation
     assert cached["ops.spmm.calls"] == plain["ops.spmm.calls"]
     assert cached["ops.spmm.flops"] == plain["ops.spmm.flops"]
+
+    # --- backend parity: coo_gather predicts csr's bits, cached or not.
+    emit(report["backend_parity"],
+         title="coo_gather predictions: cache on vs off, vs csr")
+    for row in report["backend_parity"]:
+        assert row["cache_on_off_bit_equal"], row
+        assert row["csr_bit_equal"], row

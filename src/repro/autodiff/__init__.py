@@ -8,7 +8,7 @@ Public surface::
 """
 
 from . import functional, init, optim
-from .sparse import segment_sum, spmm, spmm_numpy
+from .sparse import spmm, spmm_numpy
 from .tensor import (
     Tensor,
     add_allocation_hook,
@@ -37,7 +37,6 @@ __all__ = [
     "add_allocation_hook",
     "remove_allocation_hook",
     "set_op_hook",
-    "segment_sum",
     "spmm",
     "spmm_numpy",
     "functional",

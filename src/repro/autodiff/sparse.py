@@ -12,12 +12,13 @@ Two backends are provided, mirroring the paper's Table 6 comparison between
 PyG's ``torch.sparse`` (SP) and ``EdgeIndex`` (EI) backends:
 
 - ``csr``: scipy CSR matmul. Fast, O(m) index memory.
-- ``coo_gather``: explicit gather / multiply / segment-sum over the CSR
+- ``coo_gather``: explicit gather / weighted segment-sum over the CSR
   arrays. Materializes an O(mF) message buffer — exactly the memory blow-up
-  the paper measures for the EI backend — and reduces it with
-  :func:`segment_sum`, the product with the operator's 0/1 row-segment
-  selector. Like ``EdgeIndex``, which caches its CSR/CSC pointers, the
-  selector is built once per operator, not once per hop.
+  the paper measures for the EI backend — and reduces it with the
+  operator's segment reducer (:func:`repro.runtime.cache.segment_reducer`),
+  which weighs each message where it sums it. Like ``EdgeIndex``, which
+  caches its CSR/CSC pointers, the reducer is built once per operator,
+  not once per hop.
 
 Both backends accept a 1-D ``(n,)`` or 2-D ``(n, F)`` signal and add each
 output row's terms in the operator's stored order, so for operands of one
@@ -99,36 +100,22 @@ def _width(dense) -> int:
     return dense.shape[1] if dense.ndim > 1 else 1
 
 
-def segment_sum(csr: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
-    """Row ``i`` of the result sums ``values[indptr[i]:indptr[i + 1]]``.
-
-    ``values`` is ``(nnz,)`` or ``(nnz, F)``, one row per stored entry of
-    ``csr``; empty rows sum to zero. The sum is the product of the
-    operator's cached boolean selector (:func:`repro.runtime.cache.
-    segment_selector`) with ``values``: scipy's CSR kernel accumulates each
-    output row sequentially in stored order in ``values``' dtype and
-    multiplying by 1 is exact, so the result is bit-identical to numpy's
-    unbuffered ``add.at`` over the entries' row numbers.
-    """
-    return _cache.segment_selector(csr) @ values
-
-
 def _gather(csr: sp.csr_matrix, x: np.ndarray, dtype: np.dtype,
             meter: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Edge-wise ``csr @ x`` as ``(out, messages)``.
 
-    ``messages[e] = data[e] · x[indices[e]]`` is the ``(m, F)`` buffer,
-    handed to the ledger first when ``meter``; :func:`segment_sum` reduces
-    it to ``out``, cast to ``dtype``.
+    ``messages[e] = x[indices[e]]`` is the ``(m, F)`` buffer, in the dtype
+    of its product with the operator's data, handed to the ledger first
+    when ``meter``. The operator's segment reducer adds each entry's
+    ``data[e] · messages[e]`` to its row in stored order, and the sum is
+    cast to ``dtype``.
     """
-    messages = np.take(x, csr.indices, axis=0)
-    weights = csr.data[:, None] if x.ndim > 1 else csr.data
-    # Weight in place unless the operator's dtype widens the product.
-    fits = np.result_type(messages, csr.data) == messages.dtype
-    messages = np.multiply(messages, weights, out=messages if fits else None)
+    messages = np.take(x.astype(np.result_type(x, csr.data), copy=False),
+                       csr.indices, axis=0)
     if meter:
         _notify_alloc(messages)
-    return segment_sum(csr, messages).astype(dtype, copy=False), messages
+    out = _cache.segment_reducer(csr) @ messages
+    return out.astype(dtype, copy=False), messages
 
 
 def spmm_numpy(matrix: sp.spmatrix, dense: np.ndarray, backend: str = "csr") -> np.ndarray:

@@ -26,8 +26,8 @@ This module closes both with a small, observable memoization layer:
   - :func:`transpose_csr` — ``Pᵀ`` for every spmm backward. An operator
     whose transpose has its exact bytes (each ρ = ½ ``Ã`` and ``L̃``) is
     its own transpose: the entry stores a marker, not a second copy.
-  - :func:`segment_selector` — the 0/1 row-segment matrix with which the
-    ``coo_gather`` backend sums its message buffer.
+  - :func:`segment_reducer` — the weighted row-segment matrix with which
+    the ``coo_gather`` backend weighs and sums its message buffer.
   - :func:`operator_digest` — a full content digest that names the
     operator's blobs in the cross-process store.
 - Per-graph normalization memos use :class:`LRUCache` directly (see
@@ -41,7 +41,7 @@ property-test suite assert bit-identical numerics cached vs. uncached.
 
 Counters emitted (when telemetry is configured):
 
-- ``cache.spmm_t.{hit,miss}`` — transpose lookups (selector and digest
+- ``cache.spmm_t.{hit,miss}`` — transpose lookups (reducer and digest
   lookups are not counted); ``cache.spmm_t.evict`` — operator entries
   evicted.
 - ``cache.norm_adj.{hit,miss,evict}`` — normalization memo traffic.
@@ -63,7 +63,7 @@ import scipy.sparse as sp
 from .. import telemetry
 from . import context, shm
 
-#: Default bound on process-wide operator entries (transpose, selector,
+#: Default bound on process-wide operator entries (transpose, reducer,
 #: digest). MB sweeps touch many graphs; bounding the entry count keeps
 #: host RAM growth bounded too.
 TRANSPOSE_CACHE_ENTRIES = 32
@@ -295,14 +295,14 @@ def _raw(array: np.ndarray) -> np.ndarray:
 class _Derived:
     """What the process derived from one operator, bound to it by a weak
     reference and its :func:`matrix_token`: the transpose (``_SELF`` when
-    the operator is bytewise its own), the segment selector and the
+    the operator is bytewise its own), the segment reducer and the
     :func:`operator_digest`, each filled on first use."""
 
-    __slots__ = ("ref", "token", "transpose", "selector", "digest")
+    __slots__ = ("ref", "token", "transpose", "reducer", "digest")
 
     def __init__(self, ref: weakref.ref, token: Tuple):
         self.ref, self.token = ref, token
-        self.transpose = self.selector = self.digest = None
+        self.transpose = self.reducer = self.digest = None
 
 
 #: Marks an operator whose transpose has its exact bytes.
@@ -395,28 +395,30 @@ def _same_csr(matrix: sp.spmatrix, other: sp.csr_matrix) -> bool:
                             (matrix.data, other.data)))
 
 
-def segment_selector(csr: sp.csr_matrix) -> sp.csr_matrix:
-    """The boolean ``(n, nnz)`` matrix with ``S[i, e] = 1`` for every
+def segment_reducer(csr: sp.csr_matrix) -> sp.csr_matrix:
+    """The ``(n, nnz)`` matrix ``R`` with ``R[i, e] = data[e]`` for every
     stored entry ``e`` of row ``i``, cached in the operator's entry.
 
-    ``S @ values`` sums each row's segment of an ``(nnz, …)`` array in
-    stored order; being boolean, the product takes ``values``' dtype. It
-    is built straight from ``indptr`` — no sort — and rebuilt per call
-    while the cache layer is off.
+    ``R @ x[indices]`` is ``csr @ x`` computed edge-wise: scipy's CSR
+    kernel adds ``data[e] · x[indices[e]]`` to row ``i`` in stored order,
+    one rounded multiply and one rounded add per entry — the roundings of
+    weighing the gathered rows first and summing them after. ``R`` shares
+    ``data`` and ``indptr`` with the operator, so a build costs one
+    ``arange``; it is rebuilt per call while the cache layer is off.
     """
     if not context.current().config.cache:
-        return _build_selector(csr)
+        return _build_reducer(csr)
     entry = _derived(csr)
-    if entry.selector is None:
-        entry.selector = _build_selector(csr)
-    return entry.selector
+    if entry.reducer is None:
+        entry.reducer = _build_reducer(csr)
+    return entry.reducer
 
 
-def _build_selector(csr: sp.csr_matrix) -> sp.csr_matrix:
+def _build_reducer(csr: sp.csr_matrix) -> sp.csr_matrix:
     nnz = int(csr.indptr[-1])
     return sp.csr_matrix(
-        (np.ones(nnz, dtype=bool), np.arange(nnz, dtype=csr.indptr.dtype),
-         csr.indptr), shape=(csr.shape[0], nnz))
+        (csr.data, np.arange(nnz, dtype=csr.indptr.dtype), csr.indptr),
+        shape=(csr.shape[0], nnz))
 
 
 #: A blob's payload: named arrays plus JSON metadata (see :mod:`.shm`).

@@ -19,7 +19,9 @@ The planner canonicalizes each filter's recurrence into a *chain*:
   by the operator's full :func:`~repro.runtime.cache.operator_digest`
   instead, since a sampled token cannot tell two unweighted graphs with
   the same node and edge counts apart;
-- a **signal fingerprint** — the identity + content token of ``X``;
+- a **signal fingerprint** — the identity + content token of ``X``; the
+  file tiers name a chain by the signal's full :func:`signal_digest`
+  instead, for the same reason;
 - a **basis family + scaling** — e.g. ``("jacobi", (a, b))`` — naming
   the recurrence step;
 
@@ -87,6 +89,7 @@ Counters emitted (when telemetry is configured):
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import weakref
 from contextlib import contextmanager
@@ -129,6 +132,38 @@ def array_token(array: np.ndarray) -> Tuple:
         checksum = float(np.asarray(sample, dtype=np.float64).sum())
         checksum += float(flat[0]) * 3.0 + float(flat[-1]) * 7.0
     return (tuple(data.shape), data.dtype.str, checksum)
+
+
+#: Full digests of chain signals, one entry per signal object.
+_signal_digests = LRUCache(PLAN_CHAIN_ENTRIES)
+
+
+def signal_digest(x: np.ndarray) -> str:
+    """Full content digest of a dense signal (32 hex chars).
+
+    Hashes the shape, the dtype and every byte of ``x``, so unlike
+    :func:`array_token` it separates two signals that differ off the
+    token's sample grid. It names chains in the file tiers, where a
+    chain computed for one signal must never be served for another, and
+    is computed once per signal object: the memo is bound to ``x`` by a
+    weak reference and its :func:`array_token`, like
+    :func:`~repro.runtime.cache.operator_digest`.
+    """
+    token = array_token(x)
+    key = id(x)
+    entry = _signal_digests.get(
+        key, validate=lambda e: e[0]() is x and e[1] == token, count=False)
+    if entry is MISSING:
+        digest = hashlib.blake2b(repr((x.shape, x.dtype.str)).encode(),
+                                 digest_size=16)
+        digest.update(np.ascontiguousarray(x))
+
+        def _on_collect(_ref, _key=key):
+            _signal_digests.discard(_key)
+
+        entry = (weakref.ref(x, _on_collect), token, digest.hexdigest())
+        _signal_digests.put(key, entry)
+    return entry[2]
 
 
 # ======================================================================
@@ -497,8 +532,8 @@ class BasisPlanner:
             if entry.fingerprint is None and (
                     run.tier is not None or run.active_handle is not None):
                 entry.fingerprint = runtime_shm.chain_fingerprint(
-                    operator_digest(matrix), ctx.backend, x_tok, fam.name,
-                    params)
+                    operator_digest(matrix), ctx.backend,
+                    signal_digest(x), fam.name, params)
             hits = max(min(len(entry.terms), count) - 1, 0)
             if hits:
                 self.terms_served += hits

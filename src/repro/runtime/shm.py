@@ -128,13 +128,14 @@ def _digest(parts: Sequence[Any]) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def chain_fingerprint(operator: Any, backend: str, x_tok: Tuple,
+def chain_fingerprint(operator: Any, backend: str, signal: Any,
                       family: str, params: Tuple) -> str:
     """Content address of a basis chain: operator digest
     (:func:`repro.runtime.cache.operator_digest`) + backend + signal
-    token + family + scaling params — the cross-process analogue of the
-    planner's ``id()``-based local key."""
-    return _digest(["chain", operator, backend, x_tok, family, params])
+    digest (:func:`repro.runtime.plan.signal_digest`) + family + scaling
+    params — the cross-process analogue of the planner's ``id()``-based
+    local key."""
+    return _digest(["chain", operator, backend, signal, family, params])
 
 
 def blob_fingerprint(kind: str, *parts: Any) -> str:

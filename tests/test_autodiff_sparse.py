@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.autodiff import Tensor, segment_sum, spmm, spmm_numpy
+from repro.autodiff import (Tensor, add_allocation_hook,
+                            remove_allocation_hook, spmm, spmm_numpy)
 from repro.errors import AutodiffError
 from repro.runtime import cache, context
 
@@ -168,59 +169,109 @@ class TestBackendsBitEqual:
             telemetry.shutdown()
 
 
-def _segments(index: np.ndarray, size: int) -> sp.csr_matrix:
-    """A ``(size, m)`` operator whose row ``b`` holds the entries ``e`` with
-    ``index[e] == b``, in ascending ``e`` (the order ``np.add.at`` adds)."""
-    order = np.argsort(index, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(index, minlength=size))])
-    return sp.csr_matrix((np.ones(len(index), dtype=np.float32), order, indptr),
-                         shape=(size, len(index)))
+def _edge_operator(rows, cols, data, shape) -> sp.csr_matrix:
+    """A CSR operator storing ``data[e]`` at ``(rows[e], cols[e])`` as
+    drawn: duplicates kept, each row's entries in their drawn order."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=shape)
+
+
+def _edge_sum(targets, sources, weights, x, size) -> np.ndarray:
+    """``out[targets[e]] += weights[e] · x[sources[e]]`` by numpy's
+    unbuffered ``add.at``, in ascending ``e``, cast to ``x``'s dtype."""
+    messages = x[sources] * (weights[:, None] if x.ndim > 1 else weights)
+    out = np.zeros((size,) + x.shape[1:], dtype=messages.dtype)
+    np.add.at(out, targets, messages)
+    return out.astype(x.dtype)
+
+
+def _stored_rows(csr: sp.csr_matrix) -> np.ndarray:
+    return np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
 
 
 class TestSegmentSum:
+    """``coo_gather`` weighs and sums each row's messages in stored order,
+    exactly as ``np.add.at`` over ``x[indices] · data`` does."""
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_bit_identical_to_unbuffered_add(self, data):
-        size = data.draw(st.integers(0, 12), label="size")
-        count = data.draw(st.integers(0, 40) if size else st.just(0), label="m")
-        index = np.array(data.draw(
-            st.lists(st.integers(0, max(size - 1, 0)),
-                     min_size=count, max_size=count), label="index"), dtype=np.int64)
-        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
-        columns = data.draw(st.integers(1, 3), label="columns")
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        values = (np.random.default_rng(seed).normal(size=(count, columns))
-                  * 10.0 ** data.draw(st.integers(-3, 3))).astype(dtype)
+        shape = (data.draw(st.integers(1, 10), label="rows"),
+                 data.draw(st.integers(1, 10), label="cols"))
+        count = data.draw(st.integers(0, 40), label="m")
+        rows = np.array(data.draw(st.lists(
+            st.integers(0, shape[0] - 1), min_size=count, max_size=count),
+            label="row"), dtype=np.int64)
+        cols = np.array(data.draw(st.lists(
+            st.integers(0, shape[1] - 1), min_size=count, max_size=count),
+            label="col"), dtype=np.int64)
+        dtypes = st.sampled_from([np.float32, np.float64])
+        op_dtype = data.draw(dtypes, label="operator")
+        x_dtype = data.draw(dtypes, label="signal")
+        width = data.draw(st.sampled_from([(), (1,), (3,)]), label="width")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = 10.0 ** data.draw(st.integers(-3, 3), label="scale")
+        matrix = _edge_operator(
+            rows, cols, rng.normal(size=count).astype(op_dtype), shape)
+        x = (rng.normal(size=(shape[1],) + width) * scale).astype(x_dtype)
+        seed = rng.normal(size=(shape[0],) + width).astype(x_dtype)
 
-        reference = np.zeros((size, columns), dtype=dtype)
-        np.add.at(reference, index, values)
-        segments = _segments(index, size)
-        result = segment_sum(segments, values[segments.indices])
-        assert result.dtype == reference.dtype
-        assert result.shape == reference.shape
-        assert result.tobytes() == reference.tobytes()
+        stored = _stored_rows(matrix)
+        expected = _edge_sum(stored, matrix.indices, matrix.data, x,
+                             shape[0])
+        expected_grad = _edge_sum(matrix.indices, stored, matrix.data, seed,
+                                  shape[1])
+        metered = []
+
+        def hook(nbytes, _array, op):
+            if op == "leaf":
+                metered.append(nbytes)
+
+        tensor = Tensor(x, requires_grad=True, dtype=x_dtype)
+        add_allocation_hook(hook)
+        try:
+            out = spmm(matrix, tensor, backend="coo_gather")
+            out.backward(seed)
+        finally:
+            remove_allocation_hook(hook)
+        flat = spmm_numpy(matrix, x, backend="coo_gather")
+        for result, reference in ((out.data, expected), (flat, expected),
+                                  (tensor.grad, expected_grad)):
+            assert result.dtype == reference.dtype == x_dtype
+            assert result.shape == reference.shape
+            assert result.tobytes() == reference.tobytes()
+        # One (m, F) message buffer each way, in the product's dtype.
+        itemsize = np.result_type(x_dtype, op_dtype).itemsize
+        assert metered == [count * int(np.prod(width)) * itemsize] * 2
 
     @pytest.mark.parametrize("trailing", [(), (4,)])
     def test_trailing_axes(self, rng, trailing):
-        index = rng.integers(0, 5, size=30)
-        values = rng.normal(size=(30,) + trailing).astype(np.float32)
-        reference = np.zeros((7,) + trailing, dtype=np.float32)
-        np.add.at(reference, index, values)
-        segments = _segments(index, 7)
-        result = segment_sum(segments, values[segments.indices])
+        rows = rng.integers(0, 5, size=30)
+        rows[rows == 3] = 4                       # an empty row
+        cols = rng.integers(0, 7, size=30)        # duplicates, unsorted
+        matrix = _edge_operator(rows, cols,
+                                rng.normal(size=30).astype(np.float32), (7, 7))
+        x = rng.normal(size=(7,) + trailing).astype(np.float32)
+        reference = _edge_sum(_stored_rows(matrix), matrix.indices,
+                              matrix.data, x, 7)
+        result = spmm_numpy(matrix, x, backend="coo_gather")
         assert result.shape == reference.shape
         assert result.tobytes() == reference.tobytes()
-        empty = segment_sum(_segments(index[:0], 7), values[:0])
+        assert not reference[3].any()
+        empty = spmm_numpy(sp.csr_matrix((7, 7), dtype=np.float32), x,
+                           backend="coo_gather")
         assert empty.shape == reference.shape and not empty.any()
 
 
 class TestCachedSegments:
-    """``coo_gather`` derives its selector and transpose once per operator."""
+    """``coo_gather`` derives its reducer and transpose once per operator."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
-        for name in ("_build_selector", "materialize_transpose"):
+        for name in ("_build_reducer", "materialize_transpose"):
             def counted(matrix, _name=name, _real=getattr(cache, name)):
                 calls.append(_name)
                 return _real(matrix)
@@ -239,7 +290,7 @@ class TestCachedSegments:
         signal = rng.normal(size=(30, 4)).astype(np.float32)
         seed = rng.normal(size=(30, 4))
         first = self._fit(operator, signal, seed)
-        assert sorted(builds) == ["_build_selector", "_build_selector",
+        assert sorted(builds) == ["_build_reducer", "_build_reducer",
                                   "materialize_transpose"]
         builds.clear()
         assert self._fit(operator, signal, seed) == first
@@ -248,7 +299,7 @@ class TestCachedSegments:
         operator.data *= np.float32(2.0)   # an in-place edit rebuilds
         edited = self._fit(operator, signal, seed)
         assert "materialize_transpose" in builds
-        assert "_build_selector" in builds
+        assert "_build_reducer" in builds
         with context.using(cache=False):
             assert self._fit(operator, signal, seed) == edited
         expected = operator.toarray() @ signal
@@ -256,13 +307,13 @@ class TestCachedSegments:
             np.frombuffer(edited[0], dtype=np.float32).reshape(30, 4),
             expected, rtol=1e-5, atol=1e-5)
 
-    def test_symmetric_operator_needs_one_selector(self, small_graph, signal,
-                                                   builds):
+    def test_symmetric_operator_needs_one_reducer(self, small_graph, signal,
+                                                  builds):
         operator = small_graph.normalized_adjacency(0.5)
         seed = np.ones_like(signal)
         first = self._fit(operator, signal, seed)
         # The transpose is built once to find it equal, then not kept.
-        assert builds == ["_build_selector", "materialize_transpose"]
+        assert builds == ["_build_reducer", "materialize_transpose"]
         assert cache.transpose_csr(operator) is operator
         builds.clear()
         assert self._fit(operator, signal, seed) == first

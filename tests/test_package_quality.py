@@ -1,5 +1,5 @@
 """Package-level quality gates: API surface, docstrings, error hierarchy,
-and the two store implementations."""
+the two store implementations, and DESIGN.md's module map."""
 
 from __future__ import annotations
 
@@ -150,6 +150,38 @@ class TestStores:
                     offenders.append(f"{path.relative_to(self.SRC)}:"
                                      f"{node.name}")
         assert not offenders, offenders
+
+
+class TestDesignMap:
+    """DESIGN.md's package inventory (§3) names only modules that exist:
+    a deleted or renamed module must leave the map with it."""
+
+    SRC = Path(repro.__file__).resolve().parent
+    #: A tree entry: a directory or a ``.py`` path at the names column
+    #: (indent 2 under ``src/repro/``, 4 inside a directory).
+    ENTRY = re.compile(r"^( {2}| {4})([\w/]+\.py|\w+/)(?:\s|$)")
+
+    def _listed(self):
+        text = (self.SRC.parents[1] / "DESIGN.md").read_text(encoding="utf-8")
+        section = text.split("## 3. Package inventory", 1)[1]
+        directory = ""
+        for line in section.split("\n## ", 1)[0].splitlines():
+            match = self.ENTRY.match(line)
+            if match is None:
+                continue
+            indent, name = match.groups()
+            if len(indent) == 4:
+                yield directory + name
+            elif name.endswith("/"):
+                directory = name
+            else:
+                yield name
+
+    def test_every_listed_module_exists(self):
+        listed = list(self._listed())
+        assert len(listed) > 50, listed
+        missing = [path for path in listed if not (self.SRC / path).is_file()]
+        assert not missing, missing
 
 
 class TestRunState:

@@ -53,7 +53,9 @@ from hypothesis import strategies as st
 from repro import telemetry
 from repro.bench import experiments
 from repro.bench.io import canonical_payload
+from repro.datasets import synthesize
 from repro.datasets.registry import get_spec
+from repro.filters.base import PropagationContext
 from repro.filters.registry import FILTER_NAMES, make_filter
 from repro.graph import Graph
 from repro.runtime import cache, context, plan, shm
@@ -910,6 +912,46 @@ class TestCsrBlobIntegration:
             served = cache.transpose_csr(backward)
         other.close()
         assert (served != backward.T).nnz == 0
+
+    @staticmethod
+    def _twin_signals():
+        """``chameleon@0.2`` features and a copy differing in one element
+        off :func:`~repro.runtime.plan.array_token`'s sample grid."""
+        graph = synthesize("chameleon", scale=0.2, seed=0)
+        first = np.asarray(graph.features, dtype=np.float32)
+        second = first.copy()
+        second.flat[1] += 1.0
+        assert plan.array_token(first) == plan.array_token(second)
+        ctx = PropagationContext(graph.normalized_adjacency(0.5))
+        with context.using(plan=False):
+            expected = [term.tobytes() for term in plan.chain_bases(
+                ctx, second, "monomial_adj", (), 4)]
+        return ctx, first, second, expected
+
+    def test_chain_names_bind_the_whole_signal(self, store):
+        ctx, first, second, expected = self._twin_signals()
+        with serving(store.worker_handle()):
+            with plan.plan_scope(fresh=True):
+                list(plan.chain_bases(ctx, first, "monomial_adj", (), 4))
+            with plan.plan_scope(fresh=True):
+                served = list(plan.chain_bases(ctx, second, "monomial_adj",
+                                               (), 4))
+        assert [term.tobytes() for term in served] == expected
+
+    def test_spilled_chain_names_bind_the_whole_signal(self, tmp_path):
+        ctx, first, second, expected = self._twin_signals()
+        config = context.RunConfig(blocked=True, ram_budget_mib=64,
+                                   spill_dir=str(tmp_path / "spill"))
+        with config.open() as run, plan.plan_scope() as planner:
+            # A 1-byte term budget spills the first chain as soon as a
+            # second one is resident.
+            run.tier.term_budget_bytes = 1
+            planner.chain_terms(ctx, first, "monomial_adj", (), 4)
+            planner.chain_terms(ctx, first, "chebyshev", (), 4)
+            assert planner.stats()["terms_spilled"] >= 3
+            served = planner.chain_terms(ctx, second, "monomial_adj", (), 4)
+            assert planner.stats()["terms_loaded"] == 0
+        assert [term.tobytes() for term in served] == expected
 
     def test_symmetric_operator_publishes_no_transpose(self, store):
         operator = Graph.from_edges(
