@@ -58,7 +58,8 @@ def _controlled_accounting() -> dict:
     telemetry.shutdown()
     telemetry.configure()
     with telemetry.span("probe"):
-        tensor = Tensor(np.zeros(PROBE_BYTES // 4, dtype=np.float32))
+        # Written pages (not calloc'd zeros) so the probe is resident.
+        tensor = Tensor(np.ones(PROBE_BYTES // 4, dtype=np.float32))
     ledger = telemetry.get_ledger()
     out = {
         "peak_bytes": ledger.peak_bytes,

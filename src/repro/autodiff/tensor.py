@@ -13,6 +13,16 @@ Design notes
   tensors; ``data`` should not be mutated after a tensor participates in a
   graph (optimizers mutate leaf parameters between graph builds, which is
   fine).
+- The graph is made of :class:`_Node` vertices, not of tensors. A node
+  holds its backward closure, its parent nodes (``None`` for a constant
+  parent) and its op name; only a leaf's node points back at its tensor,
+  so ``.grad`` can land there. Each closure captures only the arrays its
+  backward reads (the other operand of a product, its own output, a
+  mask), so an activation no backward reads dies as soon as the code that
+  made it lets go of it, as under PyTorch autograd.
+- :meth:`Tensor.backward` releases each node once it has run, so a step's
+  graph is gone when its backward returns; a second backward through it
+  raises :class:`~repro.errors.AutodiffError`.
 - Broadcasting follows numpy semantics; gradients are un-broadcast by
   summing over the broadcast axes.
 - An optional allocation hook lets the runtime layer meter every array the
@@ -138,6 +148,36 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class _Node:
+    """One vertex of the autodiff graph, apart from the data it was built on.
+
+    ``_backward`` maps the node's gradient to one gradient per entry of
+    ``_parents``; a gradient may be a deferred ``(grad, weight)`` pair whose
+    product the engine forms where it first reads it. ``tensor`` is set on a
+    leaf's node only.
+    """
+
+    __slots__ = ("_backward", "_parents", "_op", "tensor")
+
+    def __init__(self, backward: Optional[Callable], parents: tuple, op: str,
+                 tensor: Optional["Tensor"] = None):
+        self._backward = backward
+        self._parents = parents
+        self._op = op
+        self.tensor = tensor
+
+
+def _resolve(grad):
+    """Form a deferred ``(grad, weight)`` gradient; pass arrays through."""
+    if type(grad) is tuple:
+        return np.multiply(*grad)
+    return grad
+
+
+def _accumulate_leaf(tensor: "Tensor", grad: np.ndarray) -> None:
+    tensor.grad = grad.copy() if tensor.grad is None else tensor.grad + grad
+
+
 class Tensor:
     """A numpy array with an optional gradient and autodiff history.
 
@@ -154,7 +194,7 @@ class Tensor:
         gradient checks can run in double precision.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_op", "_node")
 
     def __init__(
         self,
@@ -172,9 +212,8 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad)
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self._parents: tuple = ()
         self._op: str = "leaf"
+        self._node: Optional[_Node] = None
         _notify_alloc(self.data, "leaf")
 
     # ------------------------------------------------------------------
@@ -187,20 +226,36 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
         op: str,
     ) -> "Tensor":
-        requires = _grad_enabled and any(p.requires_grad for p in parents)
+        nodes = tuple(p._graph_node() for p in parents) if _grad_enabled else ()
+        return Tensor._attach(data, nodes, backward, op)
+
+    @staticmethod
+    def _attach(
+        data: np.ndarray,
+        nodes: Sequence[Optional[_Node]],
+        backward: Callable[[np.ndarray], None],
+        op: str,
+    ) -> "Tensor":
+        """An op output over parents already reduced to graph nodes, so
+        an op that streams its operands need not hold them."""
+        requires = _grad_enabled and any(node is not None for node in nodes)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
         out.requires_grad = requires
-        if requires:
-            out._backward = backward
-            out._parents = tuple(parents)
-        else:
-            out._backward = None
-            out._parents = ()
         out._op = op
+        out._node = _Node(backward, tuple(nodes), op) if requires else None
         _notify_alloc(data, op)
         return out
+
+    def _graph_node(self) -> Optional[_Node]:
+        """This tensor's graph vertex, or ``None`` for a constant; a
+        leaf's node is made the first time an op reads the leaf."""
+        if not self.requires_grad:
+            return None
+        if self._node is None:
+            self._node = _Node(None, (), "leaf", self)
+        return self._node
 
     # ------------------------------------------------------------------
     # basic properties
@@ -249,9 +304,8 @@ class Tensor:
         out.data = self.data
         out.grad = None
         out.requires_grad = False
-        out._backward = None
-        out._parents = ()
         out._op = "detach"
+        out._node = None
         return out
 
     def zero_grad(self) -> None:
@@ -280,62 +334,65 @@ class Tensor:
                     f"seed gradient shape {grad.shape} != tensor shape {self.data.shape}"
                 )
 
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        root = self._graph_node()
+        order: list[_Node] = []
+        seen: set[_Node] = set()
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 order.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            if node._backward is None and node.tensor is None:
+                raise AutodiffError(
+                    f"backward() through a released {node._op!r} node: a "
+                    "graph's backward runs once")
+            seen.add(node)
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
+                if parent is not None and parent not in seen:
                     stack.append((parent, False))
 
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        grads: dict[_Node, object] = {root: grad}
         for node in reversed(order):
-            node_grad = grads.pop(id(node), None)
-            if node_grad is None:
+            node_grad = grads.pop(node, None)
+            if node.tensor is not None:
+                if node_grad is not None:
+                    _accumulate_leaf(node.tensor, _resolve(node_grad))
                 continue
-            if node._backward is None:
-                # Leaf: accumulate into .grad
-                if node.grad is None:
-                    node.grad = node_grad.copy()
-                else:
-                    node.grad = node.grad + node_grad
-                continue
-            node._accumulate_parent_grads(node_grad, grads)
+            if node_grad is not None:
+                Tensor._accumulate_parent_grads(node, _resolve(node_grad), grads)
+            # Released: the closure's saved arrays die here, not with the
+            # last reference to the loss.
+            node._backward = None
+            node._parents = ()
 
+    @staticmethod
     def _accumulate_parent_grads(
-        self, node_grad: np.ndarray, grads: dict[int, np.ndarray]
+        node: _Node, node_grad: np.ndarray, grads: dict
     ) -> None:
-        parent_grads = self._backward(node_grad)
+        """Run ``node``'s backward and route each parent's gradient: into
+        a leaf's ``.grad``, else summed into ``grads`` (a deferred pair is
+        formed on its first add)."""
+        parent_grads = node._backward(node_grad)
         if not isinstance(parent_grads, tuple):
             parent_grads = (parent_grads,)
-        if len(parent_grads) != len(self._parents):
+        if len(parent_grads) != len(node._parents):
             raise AutodiffError(
-                f"op {self._op!r} returned {len(parent_grads)} grads for "
-                f"{len(self._parents)} parents"
+                f"op {node._op!r} returned {len(parent_grads)} grads for "
+                f"{len(node._parents)} parents"
             )
-        for parent, pgrad in zip(self._parents, parent_grads):
-            if pgrad is None or not parent.requires_grad:
+        for parent, pgrad in zip(node._parents, parent_grads):
+            if pgrad is None or parent is None:
                 continue
-            if parent._backward is None:
-                # Leaf node: accumulate directly.
-                if parent.grad is None:
-                    parent.grad = pgrad.copy()
-                else:
-                    parent.grad = parent.grad + pgrad
+            if parent.tensor is not None:
+                _accumulate_leaf(parent.tensor, _resolve(pgrad))
+            elif parent in grads:
+                grads[parent] = _resolve(grads[parent]) + _resolve(pgrad)
             else:
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pgrad
-                else:
-                    grads[key] = pgrad
+                grads[parent] = pgrad
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -350,11 +407,13 @@ class Tensor:
         a, b = self, other
         data = a.data + b.data
         _notify_ewise(data)
+        a_shape, b_shape = a.shape, b.shape
+        need_a, need_b = a.requires_grad, b.requires_grad
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad, a.shape) if a.requires_grad else None,
-                _unbroadcast(grad, b.shape) if b.requires_grad else None,
+                _unbroadcast(grad, a_shape) if need_a else None,
+                _unbroadcast(grad, b_shape) if need_b else None,
             )
 
         return Tensor._make(data, (a, b), backward, "add")
@@ -366,11 +425,13 @@ class Tensor:
         a, b = self, other
         data = a.data - b.data
         _notify_ewise(data)
+        a_shape, b_shape = a.shape, b.shape
+        need_a, need_b = a.requires_grad, b.requires_grad
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad, a.shape) if a.requires_grad else None,
-                _unbroadcast(-grad, b.shape) if b.requires_grad else None,
+                _unbroadcast(grad, a_shape) if need_a else None,
+                _unbroadcast(-grad, b_shape) if need_b else None,
             )
 
         return Tensor._make(data, (a, b), backward, "sub")
@@ -383,11 +444,15 @@ class Tensor:
         a, b = self, other
         data = a.data * b.data
         _notify_ewise(data)
+        a_shape, b_shape = a.shape, b.shape
+        # Each side's gradient reads the other side only.
+        a_data = a.data if b.requires_grad else None
+        b_data = b.data if a.requires_grad else None
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(grad * a.data, b.shape) if b.requires_grad else None,
+                _unbroadcast(grad * b_data, a_shape) if b_data is not None else None,
+                _unbroadcast(grad * a_data, b_shape) if a_data is not None else None,
             )
 
         return Tensor._make(data, (a, b), backward, "mul")
@@ -399,12 +464,16 @@ class Tensor:
         a, b = self, other
         data = a.data / b.data
         _notify_ewise(data)
+        a_shape, b_shape = a.shape, b.shape
+        need_a = a.requires_grad
+        a_data = a.data if b.requires_grad else None
+        b_data = b.data
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad / b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(-grad * a.data / (b.data * b.data), b.shape)
-                if b.requires_grad else None,
+                _unbroadcast(grad / b_data, a_shape) if need_a else None,
+                _unbroadcast(-grad * a_data / (b_data * b_data), b_shape)
+                if a_data is not None else None,
             )
 
         return Tensor._make(data, (a, b), backward, "div")
@@ -425,14 +494,14 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise AutodiffError("tensor exponents are not supported; use exp/log")
-        a = self
-        data = a.data ** exponent
+        x = self.data
+        data = x ** exponent
         _notify_ewise(data)
 
         def backward(grad: np.ndarray):
-            return (grad * exponent * a.data ** (exponent - 1),)
+            return (grad * exponent * x ** (exponent - 1),)
 
-        return Tensor._make(data, (a,), backward, "pow")
+        return Tensor._make(data, (self,), backward, "pow")
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._coerce(other)
@@ -443,10 +512,12 @@ class Tensor:
         if _op_hook is not None:
             inner = a.data.shape[-1] if a.ndim else 1
             _op_hook("matmul", 2 * data.size * inner, data.nbytes)
+        a_data = a.data if b.requires_grad else None
+        b_data = b.data if a.requires_grad else None
 
         def backward(grad: np.ndarray):
-            grad_a = grad @ b.data.T if a.requires_grad else None
-            grad_b = a.data.T @ grad if b.requires_grad else None
+            grad_a = grad @ b_data.T if b_data is not None else None
+            grad_b = a_data.T @ grad if a_data is not None else None
             return (grad_a, grad_b)
 
         return Tensor._make(data, (a, b), backward, "matmul")
@@ -465,14 +536,14 @@ class Tensor:
         return Tensor._make(data, (a,), backward, "exp")
 
     def log(self) -> "Tensor":
-        a = self
-        data = np.log(a.data)
+        x = self.data
+        data = np.log(x)
         _notify_ewise(data)
 
         def backward(grad: np.ndarray):
-            return (grad / a.data,)
+            return (grad / x,)
 
-        return Tensor._make(data, (a,), backward, "log")
+        return Tensor._make(data, (self,), backward, "log")
 
     def sqrt(self) -> "Tensor":
         a = self
@@ -485,14 +556,14 @@ class Tensor:
         return Tensor._make(data, (a,), backward, "sqrt")
 
     def abs(self) -> "Tensor":
-        a = self
-        data = np.abs(a.data)
+        x = self.data
+        data = np.abs(x)
         _notify_ewise(data)
 
         def backward(grad: np.ndarray):
-            return (grad * np.sign(a.data),)
+            return (grad * np.sign(x),)
 
-        return Tensor._make(data, (a,), backward, "abs")
+        return Tensor._make(data, (self,), backward, "abs")
 
     def tanh(self) -> "Tensor":
         a = self
@@ -545,38 +616,38 @@ class Tensor:
     # reductions
     # ------------------------------------------------------------------
     def sum(self, axis: Optional[Union[int, tuple]] = None, keepdims: bool = False) -> "Tensor":
-        a = self
-        data = a.data.sum(axis=axis, keepdims=keepdims)
+        shape = self.shape
+        data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(grad: np.ndarray):
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
 
-        return Tensor._make(np.asarray(data), (a,), backward, "sum")
+        return Tensor._make(np.asarray(data), (self,), backward, "sum")
 
     def mean(self, axis: Optional[Union[int, tuple]] = None, keepdims: bool = False) -> "Tensor":
-        a = self
-        data = a.data.mean(axis=axis, keepdims=keepdims)
+        shape = self.shape
+        data = self.data.mean(axis=axis, keepdims=keepdims)
         if axis is None:
-            count = a.data.size
+            count = self.data.size
         elif isinstance(axis, tuple):
-            count = int(np.prod([a.shape[i] for i in axis]))
+            count = int(np.prod([shape[i] for i in axis]))
         else:
-            count = a.shape[axis]
+            count = shape[axis]
 
         def backward(grad: np.ndarray):
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, a.shape) / count,)
+            return (np.broadcast_to(g, shape) / count,)
 
-        return Tensor._make(np.asarray(data), (a,), backward, "mean")
+        return Tensor._make(np.asarray(data), (self,), backward, "mean")
 
     def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        a = self
-        data = a.data.max(axis=axis, keepdims=keepdims)
+        x = self.data
+        data = x.max(axis=axis, keepdims=keepdims)
 
         def backward(grad: np.ndarray):
             g = grad
@@ -584,12 +655,12 @@ class Tensor:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
                 d = np.expand_dims(d, axis)
-            mask = a.data == d
+            mask = x == d
             # Split gradient evenly among ties (matches subgradient choice).
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             return (mask * g / counts,)
 
-        return Tensor._make(np.asarray(data), (a,), backward, "max")
+        return Tensor._make(np.asarray(data), (self,), backward, "max")
 
     # ------------------------------------------------------------------
     # shape manipulation
@@ -597,13 +668,13 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        data = a.data.reshape(shape)
+        source_shape = self.shape
+        data = self.data.reshape(shape)
 
         def backward(grad: np.ndarray):
-            return (grad.reshape(a.shape),)
+            return (grad.reshape(source_shape),)
 
-        return Tensor._make(data, (a,), backward, "reshape")
+        return Tensor._make(data, (self,), backward, "reshape")
 
     def transpose(self, axes: Optional[tuple] = None) -> "Tensor":
         a = self
@@ -619,22 +690,22 @@ class Tensor:
         return Tensor._make(data, (a,), backward, "transpose")
 
     def __getitem__(self, index) -> "Tensor":
-        a = self
-        data = a.data[index]
+        shape, dtype = self.shape, self.dtype
+        data = self.data[index]
         # A basic index selects every element at most once, so a plain
         # assignment scatters the gradient; only integer/boolean array
         # indices can repeat an element and need the unbuffered add.
         basic = _is_basic_index(index)
 
         def backward(grad: np.ndarray):
-            out = np.zeros_like(a.data)
+            out = np.zeros(shape, dtype=dtype)
             if basic:
                 out[index] = grad
             else:
                 np.add.at(out, index, grad)
             return (out,)
 
-        return Tensor._make(data, (a,), backward, "getitem")
+        return Tensor._make(data, (self,), backward, "getitem")
 
 
 def _is_basic_index(index) -> bool:
@@ -649,14 +720,17 @@ def _batched_matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
     if _op_hook is not None:
         _op_hook("matmul", 2 * data.size * a.data.shape[-1], data.nbytes)
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(grad: np.ndarray):
-        grad_a = grad @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
-        grad_b = np.swapaxes(a.data, -1, -2) @ grad if b.requires_grad else None
+        grad_a = grad @ np.swapaxes(b_data, -1, -2) if b_data is not None else None
+        grad_b = np.swapaxes(a_data, -1, -2) @ grad if a_data is not None else None
         if grad_a is not None:
-            grad_a = _unbroadcast(grad_a, a.shape)
+            grad_a = _unbroadcast(grad_a, a_shape)
         if grad_b is not None:
-            grad_b = _unbroadcast(grad_b, b.shape)
+            grad_b = _unbroadcast(grad_b, b_shape)
         return (grad_a, grad_b)
 
     return Tensor._make(data, (a, b), backward, "bmm")
@@ -669,14 +743,13 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing."""
     parts = list(tensors)
     data = np.concatenate([t.data for t in parts], axis=axis)
-    sizes = [t.shape[axis] for t in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in parts])
 
     def backward(grad: np.ndarray):
         slicer: list = [slice(None)] * grad.ndim
         grads = []
-        for i in range(len(parts)):
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
+        for start, stop in zip(offsets[:-1], offsets[1:]):
+            slicer[axis] = slice(start, stop)
             grads.append(grad[tuple(slicer)])
         return tuple(grads)
 
@@ -687,9 +760,10 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient routing."""
     parts = list(tensors)
     data = np.stack([t.data for t in parts], axis=axis)
+    count = len(parts)
 
     def backward(grad: np.ndarray):
-        return tuple(np.take(grad, i, axis=axis) for i in range(len(parts)))
+        return tuple(np.take(grad, i, axis=axis) for i in range(count))
 
     return Tensor._make(data, parts, backward, "stack")
 
@@ -699,13 +773,13 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     cond = np.asarray(condition, dtype=bool)
     data = np.where(cond, a.data, b.data)
     _notify_ewise(data)
+    a_shape, b_shape = a.shape, b.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(grad: np.ndarray):
         return (
-            _unbroadcast(np.where(cond, grad, 0.0), a.shape)
-            if a.requires_grad else None,
-            _unbroadcast(np.where(cond, 0.0, grad), b.shape)
-            if b.requires_grad else None,
+            _unbroadcast(np.where(cond, grad, 0.0), a_shape) if need_a else None,
+            _unbroadcast(np.where(cond, 0.0, grad), b_shape) if need_b else None,
         )
 
     return Tensor._make(data, (a, b), backward, "where")
@@ -722,12 +796,16 @@ def linear_combination(
     the unfused ``B_k * c_k`` / ``out + term`` chain executes, so forward
     values are bit-identical to it. ``coefficients`` is a constant 1-D
     array or a 1-D :class:`Tensor` θ. Backward gives ``∂B_k = c_k · grad``
-    to the terms that require it and ``∂θ_k = ⟨grad, B_k⟩`` as one dot
-    product per term; only the terms backward reads are retained.
+    to the terms that require it, as a deferred ``(grad, c_k)`` pair the
+    engine multiplies out where it first reads it, and ``∂θ_k = ⟨grad,
+    B_k⟩`` as one dot product per term; only the terms backward reads are
+    retained, which is none of them unless θ requires grad.
     """
     theta = coefficients if isinstance(coefficients, Tensor) else None
     track_theta = _grad_enabled and theta is not None and theta.requires_grad
-    kept: list[tuple[int, Tensor]] = []
+    kept: list[Optional[_Node]] = []     # the terms on the graph, in order
+    slots: list[tuple[int, bool]] = []   # (k, ∂B_k wanted) per kept term
+    basis: list[np.ndarray] = []         # kept terms' data, read by ∂θ only
     weights = out = scratch = None
     for k, term in enumerate(terms):
         term = as_tensor(term)
@@ -751,29 +829,31 @@ def linear_combination(
             np.multiply(term.data, weights[k], out=scratch)
             np.add(out, scratch, out=out)
         if track_theta or (_grad_enabled and term.requires_grad):
-            kept.append((k, term))
+            kept.append(term._graph_node())
+            slots.append((k, term.requires_grad))
+            if track_theta:
+                basis.append(term.data)
     if out is None:
         raise AutodiffError("linear_combination of no terms")
     if _op_hook is not None:
         _op_hook("ewise", 2 * out.size * (k + 1), out.nbytes)
+    has_theta = theta is not None
 
     def backward(grad: np.ndarray):
-        grads = [np.multiply(grad, weights[k]) if term.requires_grad else None
-                 for k, term in kept]
-        if theta is None:
+        grads = [(grad, weights[k]) if live else None for k, live in slots]
+        if not has_theta:
             return tuple(grads)
         grad_theta = None
-        if theta.requires_grad:
+        if track_theta:
             grad_theta = np.zeros_like(weights)
             flat = grad.reshape(-1)
-            for k, term in kept:
-                grad_theta[k] = np.dot(flat, term.data.reshape(-1))
+            for (k, _), data in zip(slots, basis):
+                grad_theta[k] = np.dot(flat, data.reshape(-1))
         return (*grads, grad_theta)
 
-    parents = [term for _, term in kept]
-    if theta is not None:
-        parents.append(theta)
-    return Tensor._make(out, parents, backward, "combine")
+    if has_theta:
+        kept.append(theta._graph_node())
+    return Tensor._attach(out, kept, backward, "combine")
 
 
 def contract_channels(batch: Tensor, weights: Tensor) -> Tensor:
@@ -790,13 +870,15 @@ def contract_channels(batch: Tensor, weights: Tensor) -> Tensor:
     data = np.einsum(f"bcf,{w}->bf", batch.data, weights.data)
     if _op_hook is not None:
         _op_hook("ewise", 2 * batch.size, data.nbytes)
+    batch_data = batch.data if weights.requires_grad else None
+    weights_data = weights.data if batch.requires_grad else None
 
     def backward(grad: np.ndarray):
         grad_batch = grad_weights = None
-        if batch.requires_grad:
-            grad_batch = np.einsum(f"bf,{w}->bcf", grad, weights.data)
-        if weights.requires_grad:
-            grad_weights = np.einsum(f"bf,bcf->{w}", grad, batch.data)
+        if weights_data is not None:
+            grad_batch = np.einsum(f"bf,{w}->bcf", grad, weights_data)
+        if batch_data is not None:
+            grad_weights = np.einsum(f"bf,bcf->{w}", grad, batch_data)
         return (grad_batch, grad_weights)
 
     return Tensor._make(data, (batch, weights), backward, "contract")

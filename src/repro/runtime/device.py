@@ -8,8 +8,10 @@ rows and weights on the device. We reproduce that with an accounting model:
 - **Persistent** allocations are tensors explicitly moved to the device
   (parameters, and under full-batch the graph + feature matrices).
 - **Transient** allocations are every array the autodiff engine
-  materializes inside one training/inference step — a faithful stand-in for
-  activation memory, since reverse mode retains activations until backward.
+  materializes inside one training/inference step. The meter counts
+  allocations, not live bytes: an array the engine frees mid-step (an
+  activation no backward reads, a node backward has released) still
+  counts, so the figure does not depend on when arrays die.
 
 Peak device usage is ``persistent + max(transient within any step)``; a
 configurable capacity raises :class:`~repro.errors.DeviceOOMError` exactly

@@ -298,10 +298,6 @@ def run_training(placement: Placement) -> RunResult:
                             loss.backward()
                         optimizer.step()
                         losses.append(float(loss.data))
-                        # The loss holds this step's whole autodiff graph;
-                        # drop it so the next forward and inference run
-                        # without this step's activations.
-                        del loss
             result.epochs_run = epoch + 1
             score, stop = None, False
             if placement.validates and (epoch + 1) % config.eval_every == 0:

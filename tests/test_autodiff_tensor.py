@@ -303,7 +303,7 @@ class TestGradMode:
         t = Tensor(np.ones(2), requires_grad=True)
         d = (t * 2.0).detach()
         assert not d.requires_grad
-        assert d._parents == ()
+        assert d._node is None
 
 
 class TestUnbroadcast:

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.autodiff import Tensor
 from repro.datasets import random_split
+from repro.errors import AutodiffError
+from repro.filters import base as filters_base
 from repro.filters import make_filter
-from repro.filters.base import SpectralFilter
+from repro.filters.base import PropagationContext, SpectralFilter
 from repro.runtime import context
 from repro.runtime.profiler import StageProfiler
 from repro.tasks import run_node_classification
@@ -239,7 +243,8 @@ class TestCacheInvisibility:
 
 class TestRunFootprint:
     """A run holds only what it still reads: precompute streams its terms
-    into the channel tensor, and the epoch loop keeps one step's graph."""
+    into the channel tensor, a step's graph holds only what its backward
+    reads, and backward releases it."""
 
     @staticmethod
     def _record_planner(monkeypatch):
@@ -285,6 +290,82 @@ class TestRunFootprint:
             finally:
                 telemetry.shutdown()
         assert 0 < peaks[1] <= 1.15 * peaks[0]
+
+    @staticmethod
+    def _record_hops(monkeypatch):
+        """Weakrefs to the data of every combined basis term but the
+        first (the signal itself), in the order the combine reads them."""
+        hops = []
+        original = filters_base.linear_combination
+
+        def recording(terms, coefficients):
+            def watched():
+                for k, term in enumerate(terms):
+                    if k:
+                        hops.append(weakref.ref(term.data))
+                    yield term
+            return original(watched(), coefficients)
+
+        monkeypatch.setattr(filters_base, "linear_combination", recording)
+        return hops
+
+    def test_fixed_filter_hops_die_in_forward(self, small_graph, monkeypatch):
+        """ppr's θ is a constant, so its backward reads no hop output."""
+        hops = self._record_hops(monkeypatch)
+        x = Tensor(small_graph.features, requires_grad=True)
+        out = make_filter("ppr", num_hops=4).forward(
+            PropagationContext.for_graph(small_graph), x)
+        assert out.requires_grad and len(hops) == 4
+        assert [hop() for hop in hops] == [None] * 4
+
+    def test_trainable_filter_hops_live_until_backward(self, small_graph,
+                                                       monkeypatch):
+        """∂θ_k = ⟨grad, B_k⟩ reads every hop; backward then frees them,
+        and a second backward through the released graph is an error."""
+        hops = self._record_hops(monkeypatch)
+        filter_ = make_filter("monomial_var", num_hops=4)
+        theta = Tensor(filter_.parameter_spec()["theta"].init,
+                       requires_grad=True)
+        x = Tensor(small_graph.features, requires_grad=True)
+        loss = filter_.forward(PropagationContext.for_graph(small_graph), x,
+                               {"theta": theta}).sum()
+        assert len(hops) == 4 and all(hop() is not None for hop in hops)
+        loss.backward()
+        assert theta.grad is not None
+        assert [hop() for hop in hops] == [None] * 4
+        with pytest.raises(AutodiffError):
+            loss.backward()
+
+    def test_fbgnn2_step_ledger_peak(self, small_graph):
+        """One fbgnn2 step (K = 3, forward then backward) peaks at five
+        ``n·F`` float32 terms: 5 · 271 · 1433 · 4 = 7 766 860 B.
+
+        The step makes 13 metered arrays: the leaf x, the low-pass
+        channel's three spmm hops and its combine output, the high-pass
+        channel's three ``L̃ p = p − Ã p`` steps (an spmm and a sub each)
+        and its combine output, and the γ combine. Its constant θ keeps
+        no hop, so each dies once the recurrence moves past it. The peak
+        is the high-pass channel's second step: x, the low-pass output,
+        ``L̃x``, ``ÃL̃x`` and ``L̃²x`` are live. Backward allocates nothing
+        metered.
+        """
+        filter_ = make_filter("fbgnn2", num_hops=3)
+        gamma = Tensor(filter_.parameter_spec()["gamma"].init,
+                       requires_grad=True)
+        ctx = PropagationContext.for_graph(small_graph)
+        telemetry.configure()
+        try:
+            x = Tensor(small_graph.features, requires_grad=True)
+            out = filter_.forward(ctx, x, {"gamma": gamma})
+            out.backward(np.ones_like(out.data))
+            ledger = telemetry.get_ledger()
+            count, peak = ledger.alloc_count, ledger.peak_bytes
+        finally:
+            telemetry.shutdown()
+        term = x.data.nbytes
+        assert term == 271 * 1433 * 4
+        assert (count, peak) == (13, 5 * term) == (13, 7_766_860)
+        assert gamma.grad is not None
 
     def test_standalone_precompute_opens_no_planner(self, small_graph,
                                                     monkeypatch):
