@@ -1,4 +1,4 @@
-"""Memory-observatory smoke gate: the ledger must *account* and *gate*.
+"""Memory-observatory smoke gate: the ledger must *account* and *record*.
 
 Exercises the full memory vertical on a small efficiency slice:
 
@@ -11,20 +11,17 @@ Exercises the full memory vertical on a small efficiency slice:
   carries the ledger peak and the accounting-coverage ratios; the
   ``--mem-trace`` run's Chrome trace contains the ``ledger_live`` counter
   track next to the RSS track.
+  Their allocation totals (``total_alloc_bytes``, ``alloc_count``) are
+  equal: the ledger counts the same arrays on every run.
 - **Payload isolation**: the canonical result payloads of the two runs
   are byte-identical — the observatory is observability, never payload.
-- **Gate calibration**: the pinned ``benchmarks/thresholds/efficiency
-  .json`` memory rules pass on the clean pair and fail when a synthetic
-  2× ledger-peak inflation is injected into the candidate — the memory
-  gate is neither vacuous nor trigger-happy.
 
-Artifacts (registry, traces, verdict tables) persist under
+Artifacts (registry, traces) persist under
 ``benchmarks/results/memory_smoke/`` for the ``bench-memory`` CI job.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import shutil
 
@@ -34,19 +31,12 @@ from repro import telemetry
 from repro.autodiff import Tensor
 from repro.bench.__main__ import main as bench_main
 from repro.bench.io import canonical_payload, load_rows
-from repro.telemetry.regression import (
-    evaluate_pair,
-    passed,
-    pinned_thresholds,
-    render_verdict_table,
-)
 from repro.telemetry.registry import RunRegistry
 
 from .conftest import RESULTS_DIR, emit, env_epochs, run_once
 
 EPOCHS_DEFAULT = 4
 MEMORY_DIR = RESULTS_DIR / "memory_smoke"
-THRESHOLDS_DIR = RESULTS_DIR.parent / "thresholds"
 
 #: The controlled allocation: large enough that allocator reuse and
 #: interpreter noise cannot hide it, small enough for any CI runner.
@@ -111,17 +101,6 @@ def _memory_smoke(epochs: int) -> dict:
     baseline, candidate = registry.resolve_pair(
         records[-1].config_fingerprint)
 
-    thresholds = pinned_thresholds("efficiency", directory=THRESHOLDS_DIR)
-    clean_verdicts = evaluate_pair(baseline, candidate, thresholds)
-
-    # Synthetic memory regression: a candidate whose accounted peak (and
-    # total) is 2× the baseline's — +100%, past the 50%/75% memory gates.
-    inflated = copy.deepcopy(candidate)
-    for field in ("peak_bytes", "total_alloc_bytes"):
-        if field in inflated.memory and field in baseline.memory:
-            inflated.memory[field] = 2 * baseline.memory[field]
-    inflated_verdicts = evaluate_pair(baseline, inflated, thresholds)
-
     return {
         "probe": probe,
         "exit_codes": exit_codes,
@@ -130,9 +109,6 @@ def _memory_smoke(epochs: int) -> dict:
         "entries": len(records),
         "baseline": baseline,
         "candidate": candidate,
-        "thresholds": thresholds,
-        "clean_verdicts": clean_verdicts,
-        "inflated_verdicts": inflated_verdicts,
     }
 
 
@@ -152,13 +128,6 @@ def test_memory_smoke_gate(benchmark):
           {"check": "candidate.memory.device_peak_bytes",
            "value": candidate.memory.get("device_peak_bytes")}],
          title="memory observatory smoke")
-
-    verdict_text = (render_verdict_table(report["clean_verdicts"])
-                    + "\n\n-- with synthetic 2x ledger-peak inflation --\n"
-                    + render_verdict_table(report["inflated_verdicts"]))
-    (MEMORY_DIR / "verdicts.txt").write_text(verdict_text + "\n")
-    print()
-    print(verdict_text)
 
     # --- accounting sanity: the controlled 64 MiB probe is byte-exact.
     assert probe["peak_bytes"] >= PROBE_BYTES
@@ -191,14 +160,3 @@ def test_memory_smoke_gate(benchmark):
     # --- payload isolation: --mem-trace must not move a single result
     # byte (the observatory is observability, never payload).
     assert report["payloads"][0] == report["payloads"][1]
-
-    # --- gate calibration: clean pair passes, 2x inflation fails on the
-    # memory axis specifically.
-    assert any(t.metric.startswith("memory.") for t in report["thresholds"]), \
-        "pinned benchmarks/thresholds/efficiency.json lacks memory rules"
-    assert passed(report["clean_verdicts"]), \
-        render_verdict_table(report["clean_verdicts"])
-    assert not passed(report["inflated_verdicts"]), \
-        "a synthetic 2x ledger-peak inflation must trip the memory gate"
-    failed = [v for v in report["inflated_verdicts"] if v.failed]
-    assert failed and all(v.metric.startswith("memory.") for v in failed)

@@ -20,6 +20,15 @@ pre-planner code path) — and holds the propagation planner
   precompute spmm per dataset vs 20 planned (one 10-term adjacency chain
   + one 10-term Chebyshev chain): a 60% reduction, so the gate has slack
   without being vacuous.
+- **exact counters**: at ``EPOCHS_DEFAULT`` each mode's schedule-invariant
+  op counters (:func:`repro.bench.io.deterministic_counters`: spmm /
+  matmul / ewise calls, FLOPs and bytes) and each planned row's
+  ``device_bytes`` must equal the committed
+  ``benchmarks/golden/plan_smoke.json``. Any change in what the sweep
+  computes or keeps resident shows here as a diff. A run under a
+  ``REPRO_BENCH_EPOCHS`` override skips only this check. On a mismatch
+  the assertion prints the observed values in the golden's layout; a
+  deliberate change re-captures the file by pasting them in and says so.
 
 The two runs use *separate* registry directories: the ``plan`` manifest
 field is execution strategy, not configuration, so both runs share one
@@ -36,15 +45,17 @@ from __future__ import annotations
 
 import json
 import shutil
+from pathlib import Path
 
 from repro.bench.__main__ import main as bench_main
-from repro.bench.io import canonical_payload, load_rows
+from repro.bench.io import canonical_payload, deterministic_counters, load_rows
 from repro.telemetry.registry import RunRegistry
 
 from .conftest import RESULTS_DIR, emit, env_epochs, run_once
 
 EPOCHS_DEFAULT = 3
 PLAN_DIR = RESULTS_DIR / "plan_smoke"
+GOLDEN = Path(__file__).parent / "golden" / "plan_smoke.json"
 MODES = ("planned", "unplanned")
 #: Chosen for chain overlap: three monomial-adjacency filters plus two
 #: Chebyshev-recurrence filters (chebinterp subclasses chebyshev).
@@ -76,9 +87,10 @@ def _plan_smoke(epochs: int) -> dict:
 
     exit_codes = {mode: _one_cli_run(mode, epochs) for mode in MODES}
 
-    payloads = {}
+    payloads, rows = {}, {}
     for mode in MODES:
-        payload = canonical_payload(load_rows(PLAN_DIR / f"{mode}.json"))
+        rows[mode] = load_rows(PLAN_DIR / f"{mode}.json")
+        payload = canonical_payload(rows[mode])
         payloads[mode] = payload
         (PLAN_DIR / f"payload_{mode}.json").write_bytes(payload)
 
@@ -102,12 +114,20 @@ def _plan_smoke(epochs: int) -> dict:
     }
     (PLAN_DIR / "spmm_delta.json").write_text(json.dumps(delta, indent=1))
 
+    observed = {
+        "counters": {mode: deterministic_counters(counters[mode])
+                     for mode in MODES},
+        "device_bytes": {f"{row['dataset']}/{row['filter']}":
+                         row["device_bytes"] for row in rows["planned"]},
+    }
+
     return {
         "exit_codes": exit_codes,
         "payloads": payloads,
         "records": records,
         "counters": counters,
         "delta": delta,
+        "observed": observed,
     }
 
 
@@ -153,3 +173,10 @@ def test_plan_smoke_gate(benchmark):
                           report["records"]["unplanned"])
     assert planned.config_fingerprint == unplanned.config_fingerprint, \
         "--no-plan leaked into the config fingerprint"
+
+    # --- exact counters and device bytes against the committed golden.
+    if epochs == EPOCHS_DEFAULT:
+        observed = report["observed"]
+        assert observed == json.loads(GOLDEN.read_text()), (
+            f"counters or device_bytes differ from {GOLDEN}; observed:\n"
+            + json.dumps(observed, indent=1, sort_keys=True))

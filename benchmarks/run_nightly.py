@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Nightly driver: slow suite, every bench smoke gate, cross-night gate.
+"""Nightly driver: slow suite, every bench smoke gate, the perf harness.
 
 Runs the full second-tier battery back-to-back in one process tree so the
 scheduled ``nightly`` workflow (and anyone locally) needs exactly one
@@ -13,14 +13,18 @@ Steps, in order:
    skippable with ``--skip-slow`` for local iteration;
 2. every ``benchmarks/bench_*_smoke.py`` CI gate, discovered by glob so
    new gates are picked up without touching this driver;
-3. a pinned nightly efficiency sweep through the real CLI, recorded into
+3. the perf harness: ``benchmarks/perf/run.py --trace 0`` and
+   ``--trace 1`` (``--seconds 3``) run every ``BENCHMARK.json`` workload
+   with telemetry off and on, and fail when an output check fails. This
+   is not ``--check-repeat``: on a 2-vCPU runner two back-to-back runs
+   of one commit moved ``setup_s`` by up to 33 %, past its 25 % bound, so
+   a same-commit timing gate would fail on noise. Timings are gated per
+   change, against the parent, by the benchmark pipeline;
+4. a pinned nightly efficiency sweep through the real CLI, recorded into
    one *persistent* registry directory (the workflow restores/saves it
-   with ``actions/cache``, so records accumulate across nights);
-4. ``python -m repro.bench compare --registry efficiency --gate`` over
-   that registry — the two most recent nightly records are diffed and
-   the pinned thresholds (``benchmarks/thresholds/efficiency.json``)
-   must pass. The first night (a single record) skips the gate with a
-   note instead of failing.
+   with ``actions/cache``, so records accumulate across nights). It is
+   history, not a gate: ``python -m repro.bench compare --registry
+   efficiency --history N --registry-dir DIR`` renders its trend.
 
 Every step's exit code and duration land in ``nightly_report.json``
 inside the registry dir; the driver exits non-zero if any step failed.
@@ -42,9 +46,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = REPO_ROOT / "benchmarks"
 DEFAULT_REGISTRY = BENCH_DIR / "results" / "nightly_registry"
 
-#: The cross-night sweep. The slice must stay constant between nights —
-#: the regression gate diffs consecutive registry records of one config
-#: fingerprint, and a slice change starts a fresh comparison lineage.
+#: The recorded nightly sweep. The slice must stay constant between
+#: nights — ``compare --history`` follows the registry records of one
+#: config fingerprint, and a slice change starts a fresh lineage.
 NIGHTLY_SWEEP = [
     "efficiency", "--datasets", "cora", "citeseer",
     "--filters", "ppr", "hk", "monomial", "--schemes", "mini_batch",
@@ -84,7 +88,7 @@ def _run(name: str, argv: list, results: list) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Run the nightly battery: slow suite + bench gates + "
-                    "cross-night regression gate.")
+                    "perf harness + recorded sweep.")
     parser.add_argument(
         "--registry-dir", default=str(DEFAULT_REGISTRY), metavar="DIR",
         help="persistent registry the nightly sweeps accumulate in "
@@ -92,7 +96,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--epochs", type=int, default=3,
         help="epochs for the nightly sweep (default: %(default)s; must "
-             "stay constant across nights for the gate to be comparable)")
+             "stay constant across nights for its history to be comparable)")
     parser.add_argument(
         "--skip-slow", action="store_true",
         help="skip the slow-marker suite (local iteration)")
@@ -129,29 +133,21 @@ def main(argv=None) -> int:
           str(BENCH_DIR / "bench_table5_fullscale.py"), "-x", "-q"],
          results)
 
+    for trace in ("0", "1"):
+        _run(f"perf-trace-{trace}",
+             [python, str(BENCH_DIR / "perf" / "run.py"), "--trace", trace,
+              "--seconds", "3"], results)
+
     before = _record_count(registry_dir)
-    sweep_ok = _run(
+    _run(
         "nightly-sweep",
         [python, "-m", "repro.bench", *NIGHTLY_SWEEP,
          "--epochs", str(args.epochs),
          "--registry-dir", str(registry_dir),
          "--output", str(registry_dir / "nightly_sweep.json"),
          "--trace", str(registry_dir / "nightly_sweep.jsonl")],
-        results) == 0
+         results)
     after = _record_count(registry_dir)
-
-    if sweep_ok and after >= 2:
-        _run("cross-night-gate",
-             [python, "-m", "repro.bench", "compare",
-              "--registry", "efficiency",
-              "--registry-dir", str(registry_dir), "--gate"], results)
-    else:
-        why = (f"sweep failed" if not sweep_ok
-               else f"{after} registry record(s); needs two nights")
-        print(f"== nightly step: cross-night-gate skipped ({why})",
-              flush=True)
-        results.append({"step": "cross-night-gate", "exit_code": None,
-                        "seconds": 0.0, "skipped": why})
 
     report = {"registry_dir": str(registry_dir),
               "records_before": before, "records_after": after,

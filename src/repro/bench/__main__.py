@@ -26,15 +26,17 @@ is also indexed in the append-only run registry
 ``--registry-dir`` relocates it), which is what powers run history::
 
     python -m repro.bench compare --registry <config-fingerprint>
-    python -m repro.bench compare --registry efficiency --gate
+    python -m repro.bench compare --registry efficiency --history 10
     python -m repro.bench compare baseline.json candidate.json
 
-The first forms resolve the two most recent runs of a configuration from
-the registry — no file paths — and diff their stage timings, counters,
-and summaries; ``--gate`` additionally evaluates regression thresholds
-(:mod:`repro.telemetry.regression`) and exits non-zero on a failure;
-``--history N`` switches to a trend report (min/max/last + sparkline per
-stage/summary metric over the fingerprint's last N runs).
+The first form resolves the two most recent runs of a configuration from
+the registry — no file paths — and diffs their stage timings, counters,
+and summaries; ``--history N`` switches to a trend report (min/max/last +
+sparkline per stage/summary metric over the fingerprint's last N runs).
+The file form prints a ``REGRESSION`` line per metric that worsened
+beyond its tolerance. Both are reports: a worse number never changes the
+exit code. The regression gate is the perf harness
+(``benchmarks/perf/run.py``).
 
 Caching: the sparse-compute cache layer (:mod:`repro.runtime.cache`) is on
 by default — spmm-backward transposes, per-graph normalized operators, and
@@ -284,15 +286,6 @@ def build_compare_parser() -> argparse.ArgumentParser:
                         help="registry mode: instead of diffing two runs, "
                              "render one sparkline per stage/headline "
                              "metric over the last N runs of the config")
-    parser.add_argument("--gate", action="store_true",
-                        help="evaluate regression thresholds and exit "
-                             "non-zero on any failure")
-    parser.add_argument("--thresholds", type=str, default=None,
-                        metavar="FILE",
-                        help="JSON threshold file (default: the pinned "
-                             "benchmarks/thresholds/<experiment>.json, "
-                             "falling back to the stock stage time/RAM "
-                             "thresholds)")
     return parser
 
 
@@ -334,7 +327,6 @@ def _compare_files(args) -> int:
     if regressions:
         print(f"{len(regressions)} regression(s) beyond "
               f"{TOLERANCE:.0%} tolerance")
-        return 1 if args.gate else 0
     return 0
 
 
@@ -363,9 +355,6 @@ def _registry_history(args) -> int:
 
 def _compare_registry(args) -> int:
     from ..errors import ReproError
-    from ..telemetry.regression import (evaluate_pair, load_thresholds,
-                                        pinned_thresholds,
-                                        render_verdict_table)
     from ..telemetry.report import render_run_diff
     from ..telemetry.sinks import load_events
     from .compare import compare_registry
@@ -391,15 +380,6 @@ def _compare_registry(args) -> int:
         print()
         print(render_run_diff(load_events(trace_paths[0]),
                               load_events(trace_paths[1])))
-
-    if args.gate or args.thresholds:
-        thresholds = load_thresholds(args.thresholds) if args.thresholds \
-            else pinned_thresholds(candidate.experiment)
-        verdicts = evaluate_pair(baseline, candidate, thresholds)
-        print()
-        print(render_verdict_table(verdicts))
-        if args.gate and any(v.failed for v in verdicts):
-            return 1
     return 0
 
 

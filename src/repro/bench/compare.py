@@ -118,9 +118,11 @@ def compare_rows(
 
     baseline_index = {_row_key(r, keys): r for r in baseline}
     candidate_index = {_row_key(r, keys): r for r in candidate}
-    if len(baseline_index) != len(baseline):
-        raise ReproError(f"key columns {keys} do not uniquely identify "
-                         "baseline rows")
+    for name, rows, index in (("baseline", baseline, baseline_index),
+                              ("candidate", candidate, candidate_index)):
+        if len(index) != len(rows):
+            raise ReproError(f"key columns {keys} do not uniquely identify "
+                             f"{name} rows")
 
     shared = [k for k in baseline_index if k in candidate_index]
     comparison = Comparison(

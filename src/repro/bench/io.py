@@ -117,8 +117,8 @@ def summarize_rows(rows: Sequence[Mapping]) -> Dict[str, float]:
     """Column means of every finite numeric column across result rows.
 
     The flat ``name -> mean`` map stored as a run's ``summary`` in the run
-    registry (:mod:`repro.telemetry.registry`), so regression thresholds
-    can gate on e.g. ``summary.mean`` (accuracy) or
+    registry (:mod:`repro.telemetry.registry`), so ``compare --registry``
+    and ``--history`` can diff e.g. ``summary.mean`` (accuracy) or
     ``summary.train_s_per_epoch`` without reparsing result files.
     """
     sums: Dict[str, float] = {}

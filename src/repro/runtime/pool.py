@@ -21,7 +21,7 @@ guarantees the benchmark methodology depends on:
   :class:`~repro.telemetry.metrics.MetricsRegistry`; the shard (span
   events + metrics state) ships back through the result pipe and the
   parent merges it via :func:`repro.telemetry.fold_shard`, so op
-  counters, histograms, and the trace file describe the whole sweep as
+  counters, gauges, and the trace file describe the whole sweep as
   one coherent run. Only the *successful* attempt of a cell contributes
   telemetry — a retried attempt's partial counters are discarded, which
   is what keeps merged totals equal to a serial run's. The worker's
@@ -611,7 +611,7 @@ def _run_pooled(cells: List[Cell], config: PoolConfig,
             time.sleep(config.poll_interval_s)
 
     # Fold telemetry shards in cell-list order — never completion order —
-    # so merged histograms and the trace are schedule-independent.
+    # so the merged trace is schedule-independent.
     finished = [result for result in results if result is not None]
     for result in finished:
         if result.ok and (result.events or result.metrics_state):

@@ -91,9 +91,6 @@ class StageProfiler:
     def seconds(self, name: str) -> float:
         return self.stages[name].seconds if name in self.stages else 0.0
 
-    def total_seconds(self) -> float:
-        return sum(stage.seconds for stage in self.stages.values())
-
     def peak_ram_bytes(self) -> int:
         return max((stage.ram_bytes for stage in self.stages.values()), default=0)
 

@@ -144,7 +144,7 @@ def extremal_eigenvalues(graph: Graph, rho: float = 0.5, k: int = 2
 
 
 def spectral_density(graph: Graph, bins: int = 20, rho: float = 0.5) -> np.ndarray:
-    """Histogram of the Laplacian spectrum over [0, 2] (small graphs)."""
+    """Share of Laplacian eigenvalues per bin over [0, 2] (small graphs)."""
     eigenvalues, _ = laplacian_eigendecomposition(graph, rho)
     histogram, _ = np.histogram(eigenvalues, bins=bins, range=(0.0, 2.0))
     return histogram / histogram.sum()

@@ -7,9 +7,8 @@ It provides three connected layers:
   and the profiler open nested spans (``precompute → train → epoch →
   forward/backward``) whose wall time, allocated bytes, and RAM growth
   land on an event sink.
-- **Metrics** (:mod:`.metrics`): counters/gauges/streaming histograms fed
-  by op hooks in :mod:`repro.autodiff` (matmul/spmm FLOPs and bytes),
-  per-epoch hooks in :mod:`repro.training` (loss, score, grad norm), and
+- **Metrics** (:mod:`.metrics`): counters and gauges fed by op hooks in
+  :mod:`repro.autodiff` (matmul/spmm FLOPs and bytes) and by
   the :mod:`repro.runtime` cache/planner layers (``cache.*`` memo
   traffic; ``plan.terms.{hit,miss,evict}`` / ``plan.chains.*`` /
   ``plan.spmm_avoided`` basis-term store traffic).
@@ -17,10 +16,11 @@ It provides three connected layers:
   trace file, a deterministic run manifest written next to every result
   file, and a terminal report (top spans with inclusive *and* exclusive
   cost, per-epoch sparklines, cross-run trace diffs).
-- **History** (:mod:`.registry`, :mod:`.regression`): an append-only run
-  registry indexing every bench invocation by config fingerprint, with
-  query APIs (``latest`` / ``by_config`` / ``history``) and declarative
-  regression thresholds gating CI on runtime/memory drift.
+- **History** (:mod:`.registry`): an append-only run registry indexing
+  every bench invocation by config fingerprint, with query APIs
+  (``latest`` / ``by_config`` / ``history``) behind ``compare --registry``
+  and ``compare --history``. Regressions are gated by the perf harness
+  (``benchmarks/perf/run.py``), not here.
 
 Module-level usage — the pattern every instrumented call site follows::
 
@@ -69,7 +69,7 @@ from .manifest import (
     write_manifest,
 )
 from .memory import MEMORY_SCHEMA, AllocationLedger, memory_block
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, MetricsRegistry
 from .registry import (
     RunRecord,
     RunRegistry,
@@ -78,16 +78,6 @@ from .registry import (
     default_registry_dir,
     metric_value,
     record_run,
-)
-from .regression import (
-    Threshold,
-    Verdict,
-    default_thresholds,
-    evaluate_pair,
-    evaluate_registry,
-    load_thresholds,
-    render_verdict_table,
-    save_thresholds,
 )
 from .report import (
     aggregate_spans,
@@ -226,7 +216,7 @@ def fold_shard(events: Optional[List[Dict]] = None,
 
     - ``metrics_state`` (a :meth:`MetricsRegistry.to_state` dict) merges
       via :meth:`MetricsRegistry.merge_from` — counters add, gauges keep
-      the max peak, histograms combine deterministically.
+      the max peak.
     - ``events`` are re-emitted onto the parent sink with span ids
       remapped to parent-unique ids, the worker's root spans re-parented
       under the parent's current span, depths shifted accordingly, and
@@ -355,12 +345,6 @@ def inc_counter(name: str, amount: float = 1) -> None:
         _tracer.metrics.counter(name).inc(amount)
 
 
-def observe(name: str, value: float) -> None:
-    """Feed a histogram on the active registry (no-op while disabled)."""
-    if _tracer is not None:
-        _tracer.metrics.histogram(name).observe(value)
-
-
 __all__ = [
     # lifecycle
     "configure",
@@ -376,14 +360,12 @@ __all__ = [
     "shard_capture",
     "set_gauge",
     "inc_counter",
-    "observe",
     "NOOP_SPAN",
     # building blocks
     "Span",
     "Tracer",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "AllocationLedger",
     "MEMORY_SCHEMA",
@@ -434,15 +416,6 @@ __all__ = [
     "default_registry_dir",
     "metric_value",
     "record_run",
-    # regression gates
-    "Threshold",
-    "Verdict",
-    "default_thresholds",
-    "evaluate_pair",
-    "evaluate_registry",
-    "load_thresholds",
-    "save_thresholds",
-    "render_verdict_table",
     # hooks
     "install_op_hooks",
     "uninstall_op_hooks",

@@ -20,8 +20,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .memory import TOP_PATH, AllocationLedger
 from .spans import Tracer
 
@@ -85,8 +83,3 @@ def uninstall_alloc_hooks() -> None:
     if _alloc_hook is not None:
         tensor_mod.remove_allocation_hook(_alloc_hook)
         _alloc_hook = None
-
-
-def installed_alloc_hook() -> Optional[object]:
-    """The currently-subscribed telemetry allocation hook (tests/debug)."""
-    return _alloc_hook

@@ -1,21 +1,17 @@
-"""Counters, gauges, and streaming histograms for op- and epoch-level data.
+"""Counters and gauges for op-level data.
 
 The registry is the numeric side of telemetry: op hooks in
-:mod:`repro.autodiff` feed FLOP/byte counters, the device model feeds peak
-gauges, and the training loop feeds loss/score histograms. Everything is
-designed for cheap unlocked reads and locked writes, and for a plain-dict
-:meth:`MetricsRegistry.snapshot` that serializes into the trace.
-
-The histogram keeps a *deterministic decimating reservoir*: once the
-sample buffer fills, every other sample is dropped and the sampling stride
-doubles. Quantiles stay representative for arbitrarily long streams
-without unbounded memory and without randomness (reproducible traces).
+:mod:`repro.autodiff` feed FLOP/byte counters and the device model feeds
+peak gauges. Everything is designed for cheap unlocked reads and locked
+writes, and for a plain-dict :meth:`MetricsRegistry.snapshot` that
+serializes into the trace. Per-epoch loss / score / grad norm and span
+durations are not metrics: the ``epoch`` and span events carry them.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 
 class Counter:
@@ -51,181 +47,12 @@ class Gauge:
                 self.max_value = value
 
 
-class Histogram:
-    """Streaming distribution summary: count/mean plus p50/p95/max.
-
-    Parameters
-    ----------
-    max_samples:
-        Reservoir capacity. When full, the buffer is decimated (every
-        second sample kept) and the keep-stride doubles, so memory stays
-        bounded while the kept samples remain evenly spread over the
-        stream.
-    """
-
-    __slots__ = ("name", "count", "total", "min_value", "max_value",
-                 "_samples", "_stride", "_lock", "max_samples")
-
-    def __init__(self, name: str, max_samples: int = 1024):
-        self.name = name
-        self.max_samples = int(max_samples)
-        self.count = 0
-        self.total = 0.0
-        self.min_value = float("inf")
-        self.max_value = float("-inf")
-        self._samples: List[float] = []
-        self._stride = 1
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        with self._lock:
-            self.count += 1
-            self.total += value
-            if value < self.min_value:
-                self.min_value = value
-            if value > self.max_value:
-                self.max_value = value
-            if (self.count - 1) % self._stride == 0:
-                self._samples.append(value)
-                if len(self._samples) >= self.max_samples:
-                    self._samples = self._samples[::2]
-                    self._stride *= 2
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile over the kept samples."""
-        with self._lock:
-            samples = sorted(self._samples)
-        if not samples:
-            return 0.0
-        if len(samples) == 1:
-            return samples[0]
-        position = q * (len(samples) - 1)
-        low = int(position)
-        high = min(low + 1, len(samples) - 1)
-        fraction = position - low
-        return samples[low] * (1.0 - fraction) + samples[high] * fraction
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "max": self.max_value if self.count else 0.0,
-        }
-
-    def _weighted_samples(self) -> List[Tuple[float, float]]:
-        """Kept samples with their decimation weight (the current stride)."""
-        with self._lock:
-            return [(value, float(self._stride)) for value in self._samples]
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Combine two streaming histograms (t-digest-style, deterministic).
-
-        Exact fields (count, total/mean, min, max) add exactly. The sample
-        reservoirs are combined as *weighted* points — each kept sample
-        stands for ``stride`` observations — sorted by value and compressed
-        into equal-mass centroids (weighted bucket means) so the result
-        fits the reservoir bound again; the endpoints are then pinned to
-        the exactly-tracked min/max so extreme quantiles stay exact even
-        when decimation dropped the extreme observations. The procedure
-        has no randomness and sorts by value, so ``a.merge(b)`` and
-        ``b.merge(a)`` produce identical summaries — the property
-        multi-process runs rely on to combine shards in any arrival order.
-        """
-        merged = Histogram(self.name,
-                           max_samples=max(self.max_samples,
-                                           other.max_samples))
-        merged.count = self.count + other.count
-        merged.total = self.total + other.total
-        merged.min_value = min(self.min_value, other.min_value)
-        merged.max_value = max(self.max_value, other.max_value)
-
-        weighted = sorted(self._weighted_samples()
-                          + other._weighted_samples())
-        if not weighted:
-            return merged
-        # Future observes keep decimating sensibly from the merged state.
-        merged._stride = max(self._stride, other._stride)
-        capacity = merged.max_samples - 1
-        if len(weighted) <= capacity:
-            merged._samples = merged._pin_extremes(
-                [value for value, _ in weighted])
-            return merged
-        # Equal-mass compression: walk the sorted weighted points, cutting
-        # a centroid every total/capacity of mass (t-digest with a uniform
-        # scale function), then pin the endpoints so extreme quantiles
-        # still reach the kept extremes.
-        total_weight = sum(weight for _, weight in weighted)
-        mass_per_centroid = total_weight / capacity
-        centroids: List[float] = []
-        bucket_weight = 0.0
-        bucket_sum = 0.0
-        for value, weight in weighted:
-            bucket_weight += weight
-            bucket_sum += value * weight
-            if bucket_weight >= mass_per_centroid:
-                centroids.append(bucket_sum / bucket_weight)
-                bucket_weight = 0.0
-                bucket_sum = 0.0
-        if bucket_weight > 0:
-            centroids.append(bucket_sum / bucket_weight)
-        merged._samples = merged._pin_extremes(centroids)
-        return merged
-
-    def _pin_extremes(self, samples: List[float]) -> List[float]:
-        """Clamp a sorted sample list's endpoints to the exact min/max."""
-        if len(samples) >= 2:
-            samples[0] = self.min_value
-            samples[-1] = self.max_value
-        return samples
-
-    def to_state(self) -> Dict:
-        """Full serializable state (reservoir included, unlike ``summary``).
-
-        The lossless wire format worker processes use to ship their
-        histogram shards to the sweep parent, where
-        :meth:`from_state` rebuilds an equivalent histogram for
-        :meth:`merge`.
-        """
-        with self._lock:
-            return {
-                "name": self.name,
-                "max_samples": self.max_samples,
-                "count": self.count,
-                "total": self.total,
-                "min": self.min_value,
-                "max": self.max_value,
-                "samples": list(self._samples),
-                "stride": self._stride,
-            }
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "Histogram":
-        """Rebuild a histogram from :meth:`to_state` output."""
-        histogram = cls(state["name"],
-                        max_samples=int(state.get("max_samples", 1024)))
-        histogram.count = int(state.get("count", 0))
-        histogram.total = float(state.get("total", 0.0))
-        histogram.min_value = float(state.get("min", float("inf")))
-        histogram.max_value = float(state.get("max", float("-inf")))
-        histogram._samples = [float(v) for v in state.get("samples", ())]
-        histogram._stride = max(1, int(state.get("stride", 1)))
-        return histogram
-
-
 class MetricsRegistry:
-    """Get-or-create registry of named counters, gauges, and histograms."""
+    """Get-or-create registry of named counters and gauges."""
 
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
         self._lock = threading.Lock()
 
     def counter(self, name: str) -> Counter:
@@ -241,16 +68,6 @@ class MetricsRegistry:
             if metric is None:
                 metric = self._gauges[name] = Gauge(name)
         return metric
-
-    def histogram(self, name: str, max_samples: int = 1024) -> Histogram:
-        with self._lock:
-            metric = self._histograms.get(name)
-            if metric is None:
-                metric = self._histograms[name] = Histogram(name, max_samples)
-        return metric
-
-    def get_counter(self, name: str) -> Optional[Counter]:
-        return self._counters.get(name)
 
     def counter_values(self) -> Dict[str, float]:
         """Point-in-time ``name -> value`` read of every counter.
@@ -277,8 +94,7 @@ class MetricsRegistry:
         """Fold another registry (e.g. a worker process's) into this one.
 
         Counters add, gauges keep the other shard's last value and the max
-        of both peaks, histograms combine via :meth:`Histogram.merge`.
-        Returns ``self`` for chaining over many shards.
+        of both peaks. Returns ``self`` for chaining over many shards.
         """
         for name, counter in sorted(other._counters.items()):
             self.counter(name).inc(counter.value)
@@ -287,20 +103,11 @@ class MetricsRegistry:
             if gauge.max_value > ours.max_value:
                 ours.set(gauge.max_value)
             ours.set(gauge.value)
-        for name, histogram in sorted(other._histograms.items()):
-            with self._lock:
-                mine = self._histograms.get(name)
-                if mine is None:
-                    mine = self._histograms[name] = Histogram(
-                        name, histogram.max_samples)
-                self._histograms[name] = mine.merge(histogram)
         return self
 
     def to_state(self) -> Dict[str, Dict]:
-        """Lossless serializable state of every metric (cf. ``snapshot``).
+        """Serializable state of every metric (cf. ``snapshot``).
 
-        Unlike :meth:`snapshot` — a human/JSON-facing summary — the state
-        keeps histogram reservoirs and strides, so
         ``MetricsRegistry.from_state(reg.to_state())`` yields a registry
         that merges (:meth:`merge_from`) exactly like the original. This
         is how worker processes ship their shards across the result pipe:
@@ -312,8 +119,6 @@ class MetricsRegistry:
                          for n, c in sorted(self._counters.items())},
             "gauges": {n: {"value": g.value, "max": g.max_value}
                        for n, g in sorted(self._gauges.items())},
-            "histograms": {n: h.to_state()
-                           for n, h in sorted(self._histograms.items())},
         }
 
     @classmethod
@@ -326,8 +131,6 @@ class MetricsRegistry:
             gauge = registry.gauge(name)
             gauge.value = payload.get("value", 0.0)
             gauge.max_value = payload.get("max", float("-inf"))
-        for name, payload in (state.get("histograms") or {}).items():
-            registry._histograms[name] = Histogram.from_state(payload)
         return registry
 
     def snapshot(self) -> Dict[str, Dict]:
@@ -339,9 +142,5 @@ class MetricsRegistry:
             out["gauges"] = {
                 n: {"value": g.value, "max": g.max_value}
                 for n, g in sorted(self._gauges.items())
-            }
-        if self._histograms:
-            out["histograms"] = {
-                n: h.summary() for n, h in sorted(self._histograms.items())
             }
         return out

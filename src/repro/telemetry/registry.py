@@ -15,8 +15,8 @@ fields that define *which code* measured it (git SHA, platform, library
 versions). Two runs of the same configuration on different commits share
 a fingerprint, which is exactly what lets ``python -m repro.bench compare
 --registry <fingerprint>`` diff the two most recent runs of a
-configuration without any file-path argument, and what the regression
-detector (:mod:`repro.telemetry.regression`) keys its history on.
+configuration without any file-path argument, and what ``compare
+--history`` keys its trend report on.
 
 Durability discipline: appends are single ``write()`` calls of one
 newline-terminated line (interleaved writers cannot shear each other's
@@ -149,9 +149,8 @@ class RunRecord:
     #: (:func:`repro.telemetry.memory.memory_block`) — accounted
     #: peak/live/total bytes, per-path and per-op peak attribution, top
     #: allocations — plus the DeviceModel peak and the accounting
-    #: coverage ratios (ledger vs measured RSS, device vs ledger). The
-    #: memory regression thresholds (``memory.peak_bytes`` …) gate these
-    #: fields. Outside the config fingerprint by design.
+    #: coverage ratios (ledger vs measured RSS, device vs ledger).
+    #: Outside the config fingerprint by design.
     memory: Dict = field(default_factory=dict)
 
     def to_dict(self) -> Dict:

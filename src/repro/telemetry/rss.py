@@ -19,8 +19,8 @@ Span ``ram_delta_bytes`` is current-RSS based since the memory
 observatory landed: it is the **signed** change in resident memory across
 the span — negative when the span net-freed memory — instead of the old
 "growth of the process peak", which under-reported every stage that ran
-after the largest one. The regression thresholds over
-``stages.*.ram_delta_bytes`` gate the same quantity.
+after the largest one. The run registry records it per stage as
+``stages.*.ram_delta_bytes``.
 """
 
 from __future__ import annotations

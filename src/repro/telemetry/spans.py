@@ -132,7 +132,7 @@ class Tracer:
         (:class:`~repro.telemetry.sinks.MemorySink`,
         :class:`~repro.telemetry.sinks.JsonlSink`, ...).
     metrics:
-        Registry receiving per-span duration histograms; a fresh registry
+        Registry the run's counters and gauges land in; a fresh registry
         is created when omitted.
     """
 
@@ -185,7 +185,6 @@ class Tracer:
         if stack:
             stack.pop()
         self.sink.emit(span.to_event())
-        self.metrics.histogram(f"span.{span.name}.seconds").observe(span.duration_s)
 
     def current_span(self) -> Optional[Span]:
         """The innermost open span on this thread, if any."""

@@ -192,15 +192,16 @@ def grad_global_norm(model: Module) -> float:
 def record_epoch_telemetry(epoch: int, loss: Optional[float],
                            valid_score: Optional[float],
                            stopper: EarlyStopper, model: Module) -> None:
-    """Emit one per-epoch telemetry event plus metric-series updates.
+    """Emit one per-epoch telemetry event and count the epoch.
 
     Feeds the trace's ``epoch`` events (loss, eval metric, grad norm,
-    early-stop state) and the loss/score histograms the report's sparkline
-    table renders. A no-op when telemetry is disabled, so the loop calls it
-    unconditionally; the (mildly costly) grad norm is only computed while
-    a tracer is active. Also the sweep's liveness pulse: each epoch sends
-    a throttled live heartbeat (one global ``None`` check when no live
-    emitter is installed) so monitored cells prove progress every epoch.
+    early-stop state), which the report's sparkline table reads, and the
+    ``train.epochs`` counter. A no-op when telemetry is disabled, so the
+    loop calls it unconditionally; the (mildly costly) grad norm is only
+    computed while a tracer is active. Also the sweep's liveness pulse:
+    each epoch sends a throttled live heartbeat (one global ``None`` check
+    when no live emitter is installed) so monitored cells prove progress
+    every epoch.
     """
     live.tick("epoch", epoch=int(epoch),
               loss=None if loss is None else float(loss))
@@ -218,11 +219,6 @@ def record_epoch_telemetry(epoch: int, loss: Optional[float],
                     if np.isfinite(stopper.best_score) else None),
     )
     telemetry.inc_counter("train.epochs")
-    if loss is not None:
-        telemetry.observe("train.loss", float(loss))
-    if valid_score is not None:
-        telemetry.observe("train.valid_score", float(valid_score))
-    telemetry.observe("train.grad_norm", grad_norm)
 
 
 def parameters_bytes(model: Module) -> int:

@@ -139,14 +139,13 @@ class TestRegistryCli:
         fingerprint = RunRegistry(tmp_path).load()[-1].config_fingerprint
 
         code = main(["compare", "--registry", fingerprint,
-                     "--registry-dir", str(tmp_path), "--gate"])
+                     "--registry-dir", str(tmp_path)])
         out = capsys.readouterr().out
-        assert code in (0, 1)  # gate may legitimately flag smoke noise
+        assert code == 0
         assert f"config {fingerprint}" in out
         assert "registry diff" in out
         assert "stages.train.seconds" in out
         assert "span diff" in out            # traces existed for both runs
-        assert "regression verdicts" in out  # --gate renders the table
 
 class TestPoolCli:
     EFFICIENCY = ["efficiency", "--datasets", "cora",

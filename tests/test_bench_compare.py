@@ -45,6 +45,13 @@ class TestAlignment:
         with pytest.raises(ReproError):
             compare_rows(BASE + [BASE[0]], candidate())
 
+    def test_duplicate_candidate_keys_rejected(self):
+        # A second candidate row under one key must not silently replace
+        # the first and leave the deltas covering only one of them.
+        slower = dict(BASE[0], train_s_per_epoch=1.0)
+        with pytest.raises(ReproError, match="candidate rows"):
+            compare_rows(BASE, candidate() + [slower])
+
     def test_empty_rejected(self):
         with pytest.raises(ReproError):
             compare_rows([], BASE)

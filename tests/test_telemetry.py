@@ -6,8 +6,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.autodiff import Tensor, spmm
@@ -15,7 +13,7 @@ from repro.bench.io import load_jsonl, load_manifest, save_jsonl, save_rows
 from repro.datasets.synthesis import synthesize
 from repro.runtime.profiler import StageProfiler
 from repro.tasks.node_classification import run_node_classification
-from repro.telemetry.metrics import Histogram, MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 from repro.training.loop import TrainConfig
 import scipy.sparse as sp
 
@@ -109,7 +107,6 @@ class TestDisabledMode:
         telemetry.emit_event("e", a=1)
         telemetry.set_gauge("g", 2.0)
         telemetry.inc_counter("c")
-        telemetry.observe("h", 3.0)
         assert not telemetry.enabled()
         assert telemetry.get_tracer() is None
         assert telemetry.get_metrics() is None
@@ -130,30 +127,6 @@ class TestMetrics:
         snap = registry.snapshot()
         assert snap["counters"]["c"] == 6
         assert snap["gauges"]["g"] == {"value": 1.0, "max": 3.0}
-
-    def test_histogram_quantiles_exact_small(self):
-        hist = Histogram("h")
-        for v in range(1, 101):  # 1..100
-            hist.observe(float(v))
-        assert hist.quantile(0.5) == pytest.approx(50.5)
-        assert hist.quantile(0.95) == pytest.approx(95.05, rel=0.01)
-        assert hist.max_value == 100.0
-        assert hist.mean == pytest.approx(50.5)
-
-    def test_histogram_decimation_bounds_memory(self):
-        hist = Histogram("h", max_samples=64)
-        for v in range(10_000):
-            hist.observe(float(v))
-        assert len(hist._samples) < 64
-        assert hist.count == 10_000
-        # Quantiles remain representative after decimation.
-        assert hist.quantile(0.5) == pytest.approx(5000, rel=0.15)
-        assert hist.summary()["max"] == 9999.0
-
-    def test_histogram_empty(self):
-        hist = Histogram("h")
-        assert hist.quantile(0.5) == 0.0
-        assert hist.summary()["count"] == 0
 
 
 class TestOpCounters:
@@ -620,83 +593,8 @@ class TestRunDiff:
         assert "no spans" in text and "no counter changes" in text
 
 
-class TestHistogramMerge:
-    def test_exact_fields_combine_exactly(self):
-        a, b = Histogram("h"), Histogram("h")
-        for v in (1.0, 2.0, 3.0):
-            a.observe(v)
-        for v in (10.0, 20.0):
-            b.observe(v)
-        merged = a.merge(b)
-        assert merged.count == 5
-        assert merged.mean == pytest.approx(36.0 / 5)
-        assert merged.min_value == 1.0 and merged.max_value == 20.0
-        # Small reservoirs merge losslessly: quantiles are exact.
-        assert merged.quantile(0.5) == 3.0
-
-    def test_merge_is_commutative(self):
-        rng = np.random.default_rng(0)
-        a, b = Histogram("h", max_samples=64), Histogram("h", max_samples=64)
-        for v in rng.normal(size=500):
-            a.observe(float(v))
-        for v in rng.normal(loc=3.0, size=300):
-            b.observe(float(v))
-        ab, ba = a.merge(b), b.merge(a)
-        assert ab.summary() == ba.summary()
-
-    def test_merge_with_empty(self):
-        a, empty = Histogram("h"), Histogram("h")
-        for v in (1.0, 2.0):
-            a.observe(v)
-        assert a.merge(empty).summary() == a.summary()
-        assert empty.merge(a).summary() == a.summary()
-        assert empty.merge(Histogram("h")).count == 0
-
-    def test_compression_respects_reservoir_bound(self):
-        a, b = Histogram("h", max_samples=32), Histogram("h", max_samples=32)
-        for i in range(1000):
-            a.observe(float(i))
-            b.observe(float(2000 + i))
-        merged = a.merge(b)
-        assert len(merged._samples) < merged.max_samples
-        assert merged.quantile(0.0) == merged.min_value
-        assert merged.quantile(1.0) == merged.max_value
-
-    @given(
-        left=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=400),
-        right=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=400),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merged_quantiles_within_rank_error(self, left, right):
-        """Merged quantile(q) sits within a bounded *rank* neighborhood.
-
-        Equal-mass compression with capacity C moves any quantile by at
-        most a few centroids of mass; we assert merged quantiles stay
-        inside the value range spanned by ranks q ± 3/C of the exact
-        combined distribution (endpoints exact by construction).
-        """
-        capacity = 64
-        a, b = Histogram("h", capacity), Histogram("h", capacity)
-        for v in left:
-            a.observe(v)
-        for v in right:
-            b.observe(v)
-        merged = a.merge(b)
-        data = sorted(left + right)
-        n = len(data)
-        assert merged.quantile(0.0) == min(data)
-        assert merged.quantile(1.0) == max(data)
-        rank_eps = 3.0 / capacity
-        for q in (0.1, 0.25, 0.5, 0.75, 0.9):
-            low = data[max(0, int(np.floor((q - rank_eps) * (n - 1))))]
-            high = data[min(n - 1, int(np.ceil((q + rank_eps) * (n - 1))))]
-            value = merged.quantile(q)
-            slack = 1e-9 * max(1.0, abs(low), abs(high))  # float roundoff
-            assert low - slack <= value <= high + slack
-
-
 class TestRegistryMergeFrom:
-    def test_counters_gauges_histograms_fold(self):
+    def test_counters_and_gauges_fold(self):
         main, shard = MetricsRegistry(), MetricsRegistry()
         main.counter("ops.spmm.calls").inc(5)
         shard.counter("ops.spmm.calls").inc(7)
@@ -704,14 +602,8 @@ class TestRegistryMergeFrom:
         main.gauge("ram").set(100)
         shard.gauge("ram").set(80)
         shard.gauge("ram").set(60)
-        for v in (1.0, 2.0):
-            main.histogram("lat").observe(v)
-        for v in (3.0, 4.0):
-            shard.histogram("lat").observe(v)
         merged = main.merge_from(shard).snapshot()
         assert merged["counters"]["ops.spmm.calls"] == 12
         assert merged["counters"]["ops.eig.calls"] == 1
         assert merged["gauges"]["ram"]["max"] == 100
         assert merged["gauges"]["ram"]["value"] == 60
-        assert merged["histograms"]["lat"]["count"] == 4
-        assert merged["histograms"]["lat"]["mean"] == pytest.approx(2.5)

@@ -1,4 +1,4 @@
-"""The memory observatory: allocation ledger, attribution, and gates.
+"""The memory observatory: allocation ledger, attribution, and exports.
 
 Four layers under test, mirroring the observatory's data path:
 
@@ -15,8 +15,8 @@ Four layers under test, mirroring the observatory's data path:
    inclusive totals — hypothesis-checked over random span/alloc scripts.
 4. **Exports**: the trace report's memory section, the Chrome trace's
    ``ledger_live`` counter track, registry schema v5 ``memory`` blocks
-   (with v4 backward compatibility), the memory regression thresholds,
-   and the ``--mem-trace`` CLI wiring.
+   (with v4 backward compatibility) and their registry diff rows, and
+   the ``--mem-trace`` CLI wiring.
 """
 
 from __future__ import annotations
@@ -459,8 +459,7 @@ class TestMemoryBlock:
         assert "coverage" in loaded.memory
 
     def test_v4_line_loads_with_empty_memory(self, tmp_path):
-        """A registry written before the observatory still loads (and the
-        memory thresholds skip on it rather than fail)."""
+        """A registry written before the observatory still loads."""
         from repro.telemetry.registry import REGISTRY_FILENAME
 
         registry = telemetry.RunRegistry(tmp_path)
@@ -485,7 +484,7 @@ class TestMemoryBlock:
 
 
 # ---------------------------------------------------------------------------
-# 4b. memory regression thresholds
+# 4b. memory fields in the registry diff
 # ---------------------------------------------------------------------------
 
 def _memory_record(timestamp, peak, total=None):
@@ -497,46 +496,6 @@ def _memory_record(timestamp, peak, total=None):
 
 
 class TestMemoryGate:
-    def test_doubled_peak_fails_default_gate(self):
-        baseline = _memory_record(1.0, 64 * 2 ** 20)
-        candidate = _memory_record(2.0, 128 * 2 ** 20)
-        verdicts = telemetry.evaluate_pair(baseline, candidate)
-        failed = {v.metric for v in verdicts if v.failed}
-        assert "memory.peak_bytes" in failed
-
-    def test_clean_pair_passes_gate(self):
-        from repro.telemetry.regression import passed
-
-        baseline = _memory_record(1.0, 64 * 2 ** 20)
-        candidate = _memory_record(2.0, 66 * 2 ** 20)
-        assert passed(telemetry.evaluate_pair(baseline, candidate))
-
-    def test_pre_v5_baseline_skips_not_fails(self):
-        baseline = telemetry.build_record(
-            telemetry.build_manifest(extra={"experiment": "mem"}),
-            timestamp=1.0)  # no memory block: pre-observatory
-        candidate = _memory_record(2.0, 512 * 2 ** 20)
-        verdicts = telemetry.evaluate_pair(baseline, candidate)
-        memory_verdicts = [v for v in verdicts
-                           if v.metric.startswith("memory.")]
-        assert memory_verdicts
-        assert all(v.status == "skip" for v in memory_verdicts)
-
-    def test_small_baselines_under_noise_floor_skip(self):
-        baseline = _memory_record(1.0, 2 ** 20)       # 1 MiB < 16 MiB floor
-        candidate = _memory_record(2.0, 8 * 2 ** 20)  # 8x, but tiny
-        verdicts = telemetry.evaluate_pair(baseline, candidate)
-        assert all(v.status == "skip" for v in verdicts
-                   if v.metric.startswith("memory."))
-
-    def test_pinned_thresholds_include_memory_rules(self):
-        from repro.telemetry.regression import pinned_thresholds
-
-        for experiment in ("efficiency", "effectiveness"):
-            metrics = {t.metric for t in pinned_thresholds(experiment)}
-            assert "memory.peak_bytes" in metrics
-            assert "memory.total_alloc_bytes" in metrics
-
     def test_compare_rows_include_memory_metrics(self):
         from repro.bench.compare import registry_delta_rows
 

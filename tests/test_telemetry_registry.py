@@ -1,8 +1,7 @@
-"""Run registry + regression observatory tests.
+"""Run registry tests.
 
 Covers the durability contract of the append-only index (interleaved
-writers, truncated tails), fingerprint identity, history queries, and the
-declarative regression gate built on top.
+writers, truncated tails), fingerprint identity, and history queries.
 """
 
 from __future__ import annotations
@@ -22,16 +21,6 @@ from repro.telemetry.registry import (
     default_registry_dir,
     metric_value,
     record_run,
-)
-from repro.telemetry.regression import (
-    Threshold,
-    default_thresholds,
-    evaluate_pair,
-    evaluate_registry,
-    load_thresholds,
-    passed,
-    render_verdict_table,
-    save_thresholds,
 )
 
 BASE_MANIFEST = {
@@ -254,7 +243,7 @@ class TestSchemaV2:
         assert (baseline.workers, candidate.workers) == (1, 8)
 
     def test_v1_line_loads_with_serial_defaults(self, tmp_path):
-        """A registry written before PR 4 still loads (and gates)."""
+        """A registry written before PR 4 still loads."""
         registry = RunRegistry(tmp_path)
         registry.append(make_record(2.0))
         v1 = make_record(1.0).to_dict()
@@ -270,12 +259,11 @@ class TestSchemaV2:
         old = next(r for r in records if r.schema.endswith("/v1"))
         assert old.workers == 1
         assert old.pool == {}
-        # Mixed-generation lineage still resolves and gates as one config:
-        # the v1 line is the baseline, the v2 append the candidate.
+        # Mixed-generation lineage still resolves as one config: the v1
+        # line is the baseline, the v2 append the candidate.
         baseline, candidate = registry.resolve_pair(old.config_fingerprint)
         assert baseline.schema.endswith("/v1")
         assert candidate.schema.endswith("/v6")
-        assert passed(evaluate_pair(baseline, candidate, default_thresholds()))
 
 
 class TestSchemaV3:
@@ -349,86 +337,3 @@ class TestSchemaV4:
         assert registry.corrupt_lines == 0
         assert loaded.artifacts == {}
         assert loaded.schema.endswith("/v3")
-
-
-# ---------------------------------------------------------------------------
-# regression gate
-# ---------------------------------------------------------------------------
-
-class TestRegression:
-    def test_unmodified_pair_passes(self):
-        base, cand = make_record(1.0, seconds=1.0), make_record(2.0, seconds=1.1)
-        verdicts = evaluate_pair(base, cand, default_thresholds())
-        assert passed(verdicts)
-        assert any(v.status == "pass" for v in verdicts)
-
-    def test_double_slowdown_fails(self):
-        base, cand = make_record(1.0, seconds=1.0), make_record(2.0, seconds=2.0)
-        verdicts = evaluate_pair(base, cand, default_thresholds())
-        assert not passed(verdicts)
-        failed = [v for v in verdicts if v.failed]
-        assert [v.metric for v in failed] == ["stages.train.seconds"]
-        assert "+100%" in failed[0].reason
-
-    def test_ignore_below_skips_noise(self):
-        base = make_record(1.0, seconds=0.001)
-        cand = make_record(2.0, seconds=0.005)  # 5x, but microscopic
-        verdicts = evaluate_pair(base, cand, default_thresholds())
-        assert passed(verdicts)
-        seconds = [v for v in verdicts if v.metric == "stages.train.seconds"]
-        assert seconds[0].status == "skip"
-        assert "noise floor" in seconds[0].reason
-
-    def test_min_value_floor(self):
-        base, cand = make_record(1.0), make_record(2.0)
-        floor = [Threshold("summary.mean", min_value=0.9)]
-        verdicts = evaluate_pair(base, cand, floor)
-        assert not passed(verdicts)
-        assert "floor" in verdicts[0].reason
-        assert passed(evaluate_pair(
-            base, cand, [Threshold("summary.mean", min_value=0.5)]))
-
-    def test_absent_metric_skips(self):
-        base, cand = make_record(1.0), make_record(2.0)
-        verdicts = evaluate_pair(
-            base, cand, [Threshold("stages.ghost.seconds",
-                                   max_rel_increase=0.1)])
-        assert verdicts[0].status == "skip"
-        assert passed(verdicts)
-
-    def test_wildcard_expands_over_both_records(self):
-        base = make_record(1.0)
-        cand = make_record(2.0)
-        cand.stages["eval"] = {"seconds": 9.0}
-        verdicts = evaluate_pair(
-            base, cand, [Threshold("stages.*.seconds", max_rel_increase=0.75)])
-        assert {v.metric for v in verdicts} \
-            == {"stages.train.seconds", "stages.eval.seconds"}
-
-    def test_evaluate_registry_gates_latest_pair(self, tmp_path):
-        registry = RunRegistry(tmp_path)
-        registry.append(make_record(1.0, seconds=1.0))
-        registry.append(make_record(2.0, seconds=5.0))
-        verdicts, baseline, candidate = evaluate_registry(
-            config_fingerprint(make_manifest()), registry_dir=tmp_path)
-        assert baseline.timestamp == 1.0 and candidate.timestamp == 2.0
-        assert not passed(verdicts)
-
-    def test_verdict_table_renders_failures_first(self):
-        base, cand = make_record(1.0, seconds=1.0), make_record(2.0, seconds=9.0)
-        text = render_verdict_table(evaluate_pair(base, cand))
-        assert "FAILURE(S)" in text
-        lines = text.splitlines()
-        assert lines[2].startswith("FAIL")
-        clean = render_verdict_table(
-            evaluate_pair(base, make_record(3.0, seconds=1.0)))
-        assert "all clear" in clean
-
-    def test_thresholds_json_round_trip(self, tmp_path):
-        thresholds = default_thresholds() + [
-            Threshold("summary.mean", min_value=0.6),
-            Threshold("stages.train.seconds", max_abs_increase=0.5,
-                      ignore_below=0.01),
-        ]
-        path = save_thresholds(thresholds, tmp_path / "gates" / "pin.json")
-        assert load_thresholds(path) == thresholds
