@@ -116,221 +116,3 @@ def test_ablation_streaming_vs_stored(benchmark):
           {"strategy": "stored per hop (learnable θ)", "bytes": variable_bytes}],
          title="Ablation: channel storage")
     assert variable_bytes == 11 * fixed_bytes
-
-
-def test_ablation_sparsification(benchmark):
-    """Extension ablation: importance-sampling sparsification (§2.3).
-
-    Sweeps the edge budget on a dense graph and records the propagation
-    speed / accuracy trade — the orthogonal acceleration the paper says
-    its pipeline can incorporate.
-    """
-    import time
-
-    from repro.graph import sparsify, spectral_distortion
-    from repro.tasks import run_node_classification
-    from repro.training import TrainConfig
-
-    graph = load_dataset("tolokers", scale=0.15)
-    config = TrainConfig(epochs=8, patience=0, eval_every=100,
-                         metric="roc_auc")
-
-    def sweep():
-        rows = []
-        for keep in (1.0, 0.5, 0.25):
-            rng = np.random.default_rng(0)
-            lighter = sparsify(graph, keep, rng=rng)
-            start = time.perf_counter()
-            result = run_node_classification(lighter, "monomial",
-                                             scheme="full_batch",
-                                             config=config)
-            rows.append(
-                {
-                    "keep": keep,
-                    "edges": lighter.num_edges,
-                    "auc": result.test_score,
-                    "train_s_per_epoch": result.train_seconds_per_epoch,
-                    "wall_s": time.perf_counter() - start,
-                    "distortion": 0.0 if keep == 1.0 else
-                        spectral_distortion(graph, lighter),
-                }
-            )
-        return rows
-
-    rows = run_once(benchmark, sweep)
-    emit(rows, title="Ablation: sparsification budget sweep")
-    assert rows[0]["edges"] > rows[1]["edges"] > rows[2]["edges"]
-    # Propagation gets cheaper with fewer edges...
-    assert rows[2]["train_s_per_epoch"] < rows[0]["train_s_per_epoch"] * 1.05
-    # ...while a 50% budget keeps effectiveness close to the full graph.
-    assert abs(rows[1]["auc"] - rows[0]["auc"]) < 0.15
-
-
-def test_ablation_decomposition_cost(benchmark):
-    """Appendix A.3's exclusion rationale, measured.
-
-    Full eigendecomposition (SpectralCNN-style setup) vs polynomial
-    propagation across graph scales: the decomposition-to-propagation cost
-    ratio explodes with n, which is why decomposition-based models are
-    outside the benchmark's scope.
-    """
-    import time
-
-    from repro.datasets import synthesize
-    from repro.models import SpectralCNNLite, lanczos_decomposition
-
-    def sweep():
-        rows = []
-        for scale in (0.1, 0.3, 0.9):
-            graph = synthesize("cora", scale=scale, seed=0)
-            start = time.perf_counter()
-            SpectralCNNLite(graph, graph.num_features, 4, num_modes=16,
-                            rng=np.random.default_rng(0))
-            dense_s = time.perf_counter() - start
-
-            start = time.perf_counter()
-            lanczos_decomposition(graph, num_steps=16)
-            lanczos_s = time.perf_counter() - start
-
-            start = time.perf_counter()
-            make_filter("ppr", num_hops=10).precompute(graph, graph.features)
-            polynomial_s = time.perf_counter() - start
-            rows.append(
-                {
-                    "n": graph.num_nodes,
-                    "dense_decomposition_s": dense_s,
-                    "lanczos_s": lanczos_s,
-                    "polynomial_propagation_s": polynomial_s,
-                    "dense_over_polynomial": dense_s / max(polynomial_s, 1e-9),
-                }
-            )
-        return rows
-
-    rows = run_once(benchmark, sweep)
-    emit(rows, title="Ablation: decomposition vs polynomial filtering cost")
-    # The dense-decomposition penalty grows with n...
-    assert rows[-1]["dense_over_polynomial"] > rows[0]["dense_over_polynomial"]
-    # ...while the Lanczos shortcut stays cheaper than dense at the top size.
-    assert rows[-1]["lanczos_s"] < rows[-1]["dense_decomposition_s"]
-
-
-def test_ablation_architecture(benchmark):
-    """Iterative vs decoupled architecture (Appendix A.1).
-
-    Same filter family under both architectures: comparable accuracy (the
-    paper's equal-expressiveness claim), different per-epoch cost, and the
-    iterative model's composed response deepens with layers.
-    """
-    from repro.autodiff import Tensor, functional as F, no_grad
-    from repro.autodiff.optim import Adam
-    from repro.datasets import random_split
-    from repro.models import IterativeSpectralModel
-    from repro.tasks import run_node_classification
-    from repro.training import TrainConfig
-    from repro.training.metrics import accuracy
-
-    graph = load_dataset("cora", scale=0.35)
-    split = random_split(graph.num_nodes, seed=0)
-    config = TrainConfig(epochs=30, patience=0, eval_every=100)
-
-    def run_both():
-        decoupled = run_node_classification(
-            graph, "monomial_var", scheme="full_batch", config=config,
-            split=split)
-
-        import time
-
-        model = IterativeSpectralModel(
-            lambda: make_filter("monomial_var", num_hops=3),
-            in_features=graph.num_features,
-            out_features=graph.num_classes,
-            hidden=64, num_layers=2, dropout=0.5,
-            rng=np.random.default_rng(0))
-        optimizer = Adam(model.parameters(), lr=0.01, weight_decay=5e-4)
-        labels = graph.labels
-        start = time.perf_counter()
-        for _ in range(config.epochs):
-            model.train()
-            logits = model(graph)
-            loss = F.cross_entropy(logits[split.train], labels[split.train])
-            model.zero_grad()
-            loss.backward()
-            optimizer.step()
-        iterative_epoch_s = (time.perf_counter() - start) / config.epochs
-        model.eval()
-        with no_grad():
-            iterative_acc = accuracy(model(graph).data[split.test],
-                                     labels[split.test])
-        return [
-            {"architecture": "decoupled (K=10)",
-             "accuracy": decoupled.test_score,
-             "train_s_per_epoch": decoupled.train_seconds_per_epoch},
-            {"architecture": "iterative (J=2, K=3)",
-             "accuracy": iterative_acc,
-             "train_s_per_epoch": iterative_epoch_s},
-        ]
-
-    rows = run_once(benchmark, run_both)
-    emit(rows, title="Ablation: decoupled vs iterative architecture")
-    # Equal-expressiveness in practice: accuracies land close together.
-    assert abs(rows[0]["accuracy"] - rows[1]["accuracy"]) < 0.15
-
-
-def test_ablation_wavelet_frame(benchmark):
-    """Extension: SGWT wavelet frame as a multi-band front end (App. A.3).
-
-    Compares a single low-pass filter against the wavelet filter bank's
-    concatenated sub-bands on a heterophilous graph, where coverage of
-    high-frequency bands should pay off; also reports the frame bounds
-    (information preservation).
-    """
-    from repro.filters import WaveletFilterBank
-    from repro.tasks import run_node_classification
-    from repro.training import TrainConfig
-    from repro.datasets import random_split
-    from repro.models import MiniBatchModel
-    from repro.autodiff import Tensor, functional as F, no_grad
-    from repro.autodiff.optim import Adam
-    from repro.training.metrics import accuracy
-
-    graph = load_dataset("chameleon", scale=1.0)
-    split = random_split(graph.num_nodes, seed=0)
-    config = TrainConfig(epochs=40, patience=0, eval_every=100)
-
-    def run_both():
-        low_pass = run_node_classification(
-            graph, "hk", scheme="mini_batch", config=config, split=split)
-
-        bank = WaveletFilterBank(num_scales=3, num_hops=10)
-        lower, upper = bank.frame_bounds()
-        channels = bank.precompute(graph, graph.features)
-        model = MiniBatchModel(bank, in_features=graph.num_features,
-                               out_features=graph.num_classes,
-                               phi1_layers=2,
-                               rng=np.random.default_rng(0))
-        optimizer = Adam(model.parameters(), lr=0.01, weight_decay=5e-4)
-        labels = graph.labels
-        for _ in range(config.epochs):
-            model.train()
-            logits = model(Tensor(channels[split.train]))
-            loss = F.cross_entropy(logits, labels[split.train])
-            model.zero_grad()
-            loss.backward()
-            optimizer.step()
-        model.eval()
-        with no_grad():
-            wavelet_acc = accuracy(model(Tensor(channels[split.test])).data,
-                                   labels[split.test])
-        return [
-            {"front_end": "HK low-pass", "accuracy": low_pass.test_score,
-             "frame_lower": "-", "frame_upper": "-"},
-            {"front_end": "SGWT frame (4 bands)", "accuracy": wavelet_acc,
-             "frame_lower": round(lower, 3), "frame_upper": round(upper, 3)},
-        ]
-
-    rows = run_once(benchmark, run_both)
-    emit(rows, title="Ablation: wavelet frame vs single low-pass front end")
-    # Multi-band coverage does not lose to the single low-pass under
-    # heterophily (usually wins).
-    assert rows[1]["accuracy"] > rows[0]["accuracy"] - 0.05
-    assert rows[1]["frame_lower"] > 0.5

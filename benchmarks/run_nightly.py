@@ -20,7 +20,11 @@ Steps, in order:
    of one commit moved ``setup_s`` by up to 33 %, past its 25 % bound, so
    a same-commit timing gate would fail on noise. Timings are gated per
    change, against the parent, by the benchmark pipeline;
-4. a pinned nightly efficiency sweep through the real CLI, recorded into
+4. the reach run (``benchmarks/reach.py``): every paper bench at one
+   epoch under a call profiler, writing ``reach.json`` (the ``src/repro``
+   modules each bench run executes) next to ``nightly_report.json``. It
+   reports, never gates;
+5. a pinned nightly efficiency sweep through the real CLI, recorded into
    one *persistent* registry directory (the workflow restores/saves it
    with ``actions/cache``, so records accumulate across nights). It is
    history, not a gate: ``python -m repro.bench compare --registry
@@ -75,10 +79,10 @@ def _record_count(registry_dir: Path) -> int:
         sys.path.pop(0)
 
 
-def _run(name: str, argv: list, results: list) -> int:
+def _run(name: str, argv: list, results: list, cwd: Path = REPO_ROOT) -> int:
     print(f"== nightly step: {name}\n   $ {' '.join(argv)}", flush=True)
     start = time.monotonic()
-    code = subprocess.call(argv, cwd=REPO_ROOT, env=_child_env())
+    code = subprocess.call(argv, cwd=cwd, env=_child_env())
     elapsed = round(time.monotonic() - start, 2)
     print(f"== nightly step: {name} -> exit {code} in {elapsed}s", flush=True)
     results.append({"step": name, "exit_code": code, "seconds": elapsed})
@@ -137,6 +141,9 @@ def main(argv=None) -> int:
         _run(f"perf-trace-{trace}",
              [python, str(BENCH_DIR / "perf" / "run.py"), "--trace", trace,
               "--seconds", "3"], results)
+
+    _run("reach", [python, str(BENCH_DIR / "reach.py")], results,
+         cwd=registry_dir)
 
     before = _record_count(registry_dir)
     _run(

@@ -32,13 +32,6 @@ def glorot_uniform(shape: tuple, rng: np.random.Generator, dtype=np.float32) -> 
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def kaiming_uniform(shape: tuple, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
-    """Kaiming / He uniform for ReLU networks: U(-a, a), a = sqrt(6/fan_in)."""
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
 def uniform(shape: tuple, rng: np.random.Generator, low: float = -1.0, high: float = 1.0,
             dtype=np.float32) -> np.ndarray:
     """Plain uniform initialization over ``[low, high)``."""

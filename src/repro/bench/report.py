@@ -1,9 +1,8 @@
-"""Paper-style result formatting.
+"""Result rendering: experiment rows as monospace tables and pivots.
 
-Turns experiment rows into the exact presentation the paper uses: accuracy
-cells like ``86.58±1.96``, ``(OOM)`` markers, time in ms/epoch, and memory
-in GB — so a bench run can be compared against the published tables line
-by line.
+Bench output reads side by side with the published tables; the Table
+5/10 score cell (``86.58±1.96``) comes from
+:meth:`repro.tasks.node_classification.SeedSummary.cell`.
 """
 
 from __future__ import annotations
@@ -12,36 +11,13 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..telemetry.report import render_trace_report, sparkline
 
-GIBIBYTE = 1024 ** 3
-
 __all__ = [
-    "format_score_cell",
-    "format_memory",
-    "format_seconds",
     "render_table",
     "render_run_telemetry",
     "render_trace_report",
     "sparkline",
     "pivot",
 ]
-
-
-def format_score_cell(mean: float, std: float, percent: bool = True) -> str:
-    """``86.58±1.96`` — the Table 5/10 cell format."""
-    factor = 100.0 if percent else 1.0
-    return f"{mean * factor:.2f}±{std * factor:.2f}"
-
-
-def format_memory(nbytes: float) -> str:
-    """GB with one decimal, the Figure 2 / Table 9 unit."""
-    return f"{nbytes / GIBIBYTE:.2f}GB"
-
-
-def format_seconds(seconds: float) -> str:
-    """Adaptive s/ms formatting for stage timings."""
-    if seconds >= 1.0:
-        return f"{seconds:.2f}s"
-    return f"{seconds * 1e3:.1f}ms"
 
 
 def render_table(

@@ -4,11 +4,8 @@ from .registry import (
     DATASET_NAMES,
     DATASETS,
     DatasetSpec,
-    by_homophily,
-    by_scale,
     get_spec,
 )
-from .io import load_graph, save_graph
 from .signals import (
     SIGNAL_FUNCTIONS,
     SIGNAL_NAMES,
@@ -23,8 +20,6 @@ __all__ = [
     "DATASETS",
     "DATASET_NAMES",
     "get_spec",
-    "by_scale",
-    "by_homophily",
     "SynthesisConfig",
     "synthesize",
     "load",
@@ -32,8 +27,6 @@ __all__ = [
     "random_split",
     "stratified_split",
     "edge_split",
-    "save_graph",
-    "load_graph",
     "SIGNAL_FUNCTIONS",
     "SIGNAL_NAMES",
     "RegressionTask",

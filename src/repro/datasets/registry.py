@@ -94,12 +94,3 @@ def get_spec(name: str) -> DatasetSpec:
         )
     return spec
 
-
-def by_scale(scale_class: str) -> List[DatasetSpec]:
-    """All specs in one scale class ("S", "M" or "L")."""
-    return [s for s in DATASETS.values() if s.scale_class == scale_class]
-
-
-def by_homophily(homophily_class: str) -> List[DatasetSpec]:
-    """All specs in one homophily class ("homo" or "hetero")."""
-    return [s for s in DATASETS.values() if s.homophily_class == homophily_class]

@@ -21,12 +21,6 @@ from .base import (
     SpectralContext,
     SpectralFilter,
 )
-from .approx import (
-    approximate_precompute,
-    approximation_error,
-    last_pruning_stats,
-)
-from .design import basis_matrix, design_error, fit_filter_to_response
 from .fixed import (
     GaussianFilter,
     HeatKernelFilter,
@@ -46,7 +40,6 @@ from .registry import (
     make_filter,
     taxonomy_table,
 )
-from .wavelets import WaveletFilterBank, dyadic_scales, scaling_kernel, wavelet_kernel
 from .variable import (
     BernsteinFilter,
     ChebInterpFilter,
@@ -68,12 +61,6 @@ __all__ = [
     "SpectralContext",
     "make_filter",
     "taxonomy_table",
-    "fit_filter_to_response",
-    "design_error",
-    "basis_matrix",
-    "approximate_precompute",
-    "approximation_error",
-    "last_pruning_stats",
     "FilterEntry",
     "REGISTRY",
     "FILTER_NAMES",
@@ -106,8 +93,4 @@ __all__ = [
     "G2CNFilter",
     "GNNLFHFFilter",
     "FiGUReFilter",
-    "WaveletFilterBank",
-    "dyadic_scales",
-    "scaling_kernel",
-    "wavelet_kernel",
 ]

@@ -180,9 +180,6 @@ class SpectralFilter:
     #: Asymptotic complexity strings reported in Table 1.
     time_complexity: str = "O(KmF)"
     memory_complexity: str = "O(nF)"
-    #: True when the basis is plain adjacency powers ``(I − L̃)^k`` — the
-    #: precondition for AGP-style approximate propagation (filters.approx).
-    adjacency_monomial_basis: bool = False
 
     def __init__(self, num_hops: int = 10):
         if num_hops < 0:
@@ -348,7 +345,7 @@ class SpectralFilter:
     # misc
     # ------------------------------------------------------------------
     def hyperparameters(self) -> Dict[str, float]:
-        """Tunable (non-learned) hyperparameters, for the search scheme."""
+        """Tunable (non-learned) hyperparameters, shown in ``repr``."""
         return {}
 
     def __repr__(self) -> str:

@@ -25,7 +25,6 @@ class IdentityFilter(SpectralFilter):
 
     name = "identity"
     category = "fixed"
-    adjacency_monomial_basis = True
     time_complexity = "O(KnF)"
 
     def basis_count(self) -> int:
@@ -43,7 +42,6 @@ class LinearFilter(SpectralFilter):
 
     name = "linear"
     category = "fixed"
-    adjacency_monomial_basis = True
 
     def basis_count(self) -> int:
         return 2
@@ -61,7 +59,6 @@ class ImpulseFilter(SpectralFilter):
 
     name = "impulse"
     category = "fixed"
-    adjacency_monomial_basis = True
 
     def fixed_coefficients(self) -> np.ndarray:
         theta = np.zeros(self.num_hops + 1)
@@ -77,7 +74,6 @@ class MonomialFilter(SpectralFilter):
 
     name = "monomial"
     category = "fixed"
-    adjacency_monomial_basis = True
 
     def fixed_coefficients(self) -> np.ndarray:
         return np.full(self.num_hops + 1, 1.0 / (self.num_hops + 1))
@@ -98,7 +94,6 @@ class PPRFilter(SpectralFilter):
 
     name = "ppr"
     category = "fixed"
-    adjacency_monomial_basis = True
 
     def __init__(self, num_hops: int = 10, alpha: float = 0.1):
         super().__init__(num_hops)
@@ -128,7 +123,6 @@ class HeatKernelFilter(SpectralFilter):
 
     name = "hk"
     category = "fixed"
-    adjacency_monomial_basis = True
 
     def __init__(self, num_hops: int = 10, alpha: float = 1.0):
         super().__init__(num_hops)

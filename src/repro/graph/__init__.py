@@ -21,7 +21,6 @@ from .metrics import (
     rayleigh_quotient,
 )
 from .partition import bfs_partition, cut_edges
-from .sparsify import edge_importance, sparsify, spectral_distortion
 
 __all__ = [
     "Graph",
@@ -32,9 +31,6 @@ __all__ = [
     "label_frequency_profile",
     "bfs_partition",
     "cut_edges",
-    "sparsify",
-    "edge_importance",
-    "spectral_distortion",
     "cycle_graph",
     "cycle_spectrum",
     "path_graph",

@@ -82,7 +82,7 @@ def label_frequency_profile(graph: Graph, labels: np.ndarray | None = None) -> f
 
     A compact scalar describing whether the classification signal is
     low-frequency (homophilous clusters) or high-frequency (heterophilous
-    alternation); used by the filter-selection guideline helper.
+    alternation).
     """
     labels = _resolve_labels(graph, labels)
     num_classes = int(labels.max()) + 1

@@ -7,13 +7,7 @@ from .baselines import (
     make_gcn,
     make_graphsage,
 )
-from .decomposition_models import (
-    LanczosNetLite,
-    SpectralCNNLite,
-    lanczos_decomposition,
-)
 from .decoupled import DecoupledModel, MiniBatchModel
-from .iterative_spectral import IterativeSpectralModel
 from .iterative import (
     IterativeModel,
     cheb_propagation,
@@ -25,7 +19,6 @@ __all__ = [
     "DecoupledModel",
     "MiniBatchModel",
     "IterativeModel",
-    "IterativeSpectralModel",
     "gcn_propagation",
     "sage_propagation",
     "cheb_propagation",
@@ -34,7 +27,4 @@ __all__ = [
     "make_chebnet",
     "NAGphormerLite",
     "ANSGTLite",
-    "SpectralCNNLite",
-    "LanczosNetLite",
-    "lanczos_decomposition",
 ]

@@ -1,11 +1,5 @@
 """Spectral analysis: decomposition, frequency response, visualization."""
 
-from .guidelines import (
-    CATEGORY_COST,
-    Recommendation,
-    label_spectral_energy,
-    recommend_filters,
-)
 from .decomposition import (
     EIG_CACHE_ENTRIES,
     MAX_DENSE_NODES,
@@ -13,32 +7,19 @@ from .decomposition import (
     eig_cache_stats,
     extremal_eigenvalues,
     laplacian_eigendecomposition,
-    spectral_density,
 )
-from .response import (
-    low_frequency_mass,
-    response_alignment,
-    response_on_grid,
-    response_on_spectrum,
-)
+from .response import response_alignment, response_on_grid
 from .tsne import cluster_separation, tsne
 
 __all__ = [
     "laplacian_eigendecomposition",
     "extremal_eigenvalues",
-    "spectral_density",
     "MAX_DENSE_NODES",
     "EIG_CACHE_ENTRIES",
     "clear_eig_cache",
     "eig_cache_stats",
     "response_on_grid",
-    "response_on_spectrum",
-    "low_frequency_mass",
     "response_alignment",
     "tsne",
-    "recommend_filters",
-    "Recommendation",
-    "label_spectral_energy",
-    "CATEGORY_COST",
     "cluster_separation",
 ]

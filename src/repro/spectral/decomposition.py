@@ -142,9 +142,3 @@ def extremal_eigenvalues(graph: Graph, rho: float = 0.5, k: int = 2
     _notify_op("eig", 2 * 10 * ncv * 2 * nnz, small.nbytes + large.nbytes)
     return np.sort(small), np.sort(large)
 
-
-def spectral_density(graph: Graph, bins: int = 20, rho: float = 0.5) -> np.ndarray:
-    """Share of Laplacian eigenvalues per bin over [0, 2] (small graphs)."""
-    eigenvalues, _ = laplacian_eigendecomposition(graph, rho)
-    histogram, _ = np.histogram(eigenvalues, bins=bins, range=(0.0, 2.0))
-    return histogram / histogram.sum()

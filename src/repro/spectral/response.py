@@ -27,35 +27,6 @@ def response_on_grid(
     return lams, filter_.response(lams, params)
 
 
-def response_on_spectrum(
-    filter_: SpectralFilter,
-    graph: Graph,
-    params: Optional[Dict[str, np.ndarray]] = None,
-    rho: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate ``g`` at the graph's exact eigenvalues (small graphs)."""
-    eigenvalues, _ = laplacian_eigendecomposition(graph, rho)
-    return eigenvalues, filter_.response(eigenvalues, params)
-
-
-def low_frequency_mass(
-    filter_: SpectralFilter,
-    params: Optional[Dict[str, np.ndarray]] = None,
-    cutoff: float = 1.0,
-) -> float:
-    """Fraction of squared response mass below ``cutoff`` on [0, 2].
-
-    1.0 = pure low-pass, 0.0 = pure high-pass; the scalar the guideline
-    helper compares against a dataset's homophily to pick filters (C5).
-    """
-    lams, response = response_on_grid(filter_, 201, params)
-    energy = response ** 2
-    total = energy.sum()
-    if total <= 0:
-        return 0.5
-    return float(energy[lams <= cutoff].sum() / total)
-
-
 def response_alignment(
     filter_: SpectralFilter,
     graph: Graph,

@@ -8,7 +8,6 @@ from .node_classification import (
     run_seeds,
 )
 from .signal_regression import RegressionResult, run_signal_regression
-from .tuning import TuningOutcome, tune_and_run
 
 __all__ = [
     "run_node_classification",
@@ -19,6 +18,4 @@ __all__ = [
     "LinkPredictor",
     "run_signal_regression",
     "RegressionResult",
-    "tune_and_run",
-    "TuningOutcome",
 ]

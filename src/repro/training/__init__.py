@@ -1,15 +1,5 @@
-"""Training: schemes (FB/MB/GP), loop machinery, metrics, hyper search."""
+"""Training: schemes (FB/MB/GP), loop machinery, metrics."""
 
-from .checkpoint import load_checkpoint, save_checkpoint
-from .hyper import (
-    FILTER_SEARCH_RANGES,
-    INDIVIDUAL_RANGES,
-    UNIVERSAL_DEFAULTS,
-    UNIVERSAL_GRID,
-    SearchSpace,
-    random_search,
-    sample_configuration,
-)
 from .loop import (
     EarlyStopper,
     Placement,
@@ -49,13 +39,4 @@ __all__ = [
     "macro_f1",
     "evaluate",
     "METRICS",
-    "SearchSpace",
-    "random_search",
-    "sample_configuration",
-    "UNIVERSAL_GRID",
-    "UNIVERSAL_DEFAULTS",
-    "INDIVIDUAL_RANGES",
-    "FILTER_SEARCH_RANGES",
-    "save_checkpoint",
-    "load_checkpoint",
 ]

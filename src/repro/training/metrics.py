@@ -12,12 +12,22 @@ import numpy as np
 from ..errors import TrainingError
 
 
+def _check_rows(metric: str, outputs: np.ndarray, labels: np.ndarray) -> None:
+    """Reject labels whose length differs from the outputs' first axis."""
+    if labels.shape[:1] != outputs.shape[:1]:
+        raise TrainingError(
+            f"{metric}: labels of shape {labels.shape} for outputs of shape "
+            f"{outputs.shape}"
+        )
+
+
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 accuracy from (N, C) logits and integer labels."""
     logits = np.asarray(logits)
     labels = np.asarray(labels)
     if logits.ndim != 2:
         raise TrainingError(f"accuracy expects (N, C) logits, got {logits.shape}")
+    _check_rows("accuracy", logits, labels)
     predictions = logits.argmax(axis=1)
     return float((predictions == labels).mean())
 
@@ -26,10 +36,16 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Binary ROC AUC via the rank statistic (ties get midranks).
 
     ``scores`` may be (N,) raw scores, (N, 1), or (N, 2) logits — for the
-    latter, the positive-class margin is used.
+    latter, the positive-class margin is used. Labels must be 0/1 (or
+    bool), one per score.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
+    _check_rows("roc_auc", scores, labels)
+    if not np.isin(labels, (0, 1)).all():
+        raise TrainingError(
+            f"roc_auc expects 0/1 labels, got {np.unique(labels)}"
+        )
     if scores.ndim == 2:
         if scores.shape[1] == 1:
             scores = scores[:, 0]
@@ -83,8 +99,10 @@ def r2_score(prediction: np.ndarray, target: np.ndarray) -> float:
 
 def macro_f1(logits: np.ndarray, labels: np.ndarray) -> float:
     """Macro-averaged F1 over classes present in the labels."""
-    predictions = np.asarray(logits).argmax(axis=1)
+    logits = np.asarray(logits)
     labels = np.asarray(labels)
+    _check_rows("macro_f1", logits, labels)
+    predictions = logits.argmax(axis=1)
     scores = []
     for cls in np.unique(labels):
         tp = int(((predictions == cls) & (labels == cls)).sum())

@@ -12,9 +12,6 @@ from repro.bench import (
     dataset_scale,
     effectiveness_experiment,
     efficiency_experiment,
-    format_memory,
-    format_score_cell,
-    format_seconds,
     linkpred_experiment,
     load_dataset,
     pivot,
@@ -29,17 +26,6 @@ TINY = TrainConfig(epochs=2, patience=0, eval_every=5)
 
 
 class TestFormatting:
-    def test_score_cell(self):
-        assert format_score_cell(0.8658, 0.0196) == "86.58±1.96"
-        assert format_score_cell(0.5, 0.0, percent=False) == "0.50±0.00"
-
-    def test_memory(self):
-        assert format_memory(2 * 1024 ** 3) == "2.00GB"
-
-    def test_seconds(self):
-        assert format_seconds(1.5) == "1.50s"
-        assert format_seconds(0.0123) == "12.3ms"
-
     def test_render_table_aligns(self):
         text = render_table([{"a": 1, "b": "x"}, {"a": 22, "b": "yy"}],
                             title="T")

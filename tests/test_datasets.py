@@ -16,8 +16,6 @@ from repro.datasets import (
     SIGNAL_FUNCTIONS,
     SIGNAL_NAMES,
     SynthesisConfig,
-    by_homophily,
-    by_scale,
     edge_split,
     get_spec,
     make_regression_task,
@@ -64,12 +62,13 @@ class TestRegistry:
         assert len(DATASET_NAMES) == 22
 
     def test_scale_partition(self):
-        assert len(by_scale("S")) == 11
-        assert len(by_scale("M")) == 6
-        assert len(by_scale("L")) == 5
+        classes = [spec.scale_class for spec in DATASETS.values()]
+        assert (classes.count("S"), classes.count("M"),
+                classes.count("L")) == (11, 6, 5)
 
     def test_homophily_partition_covers_all(self):
-        assert len(by_homophily("homo")) + len(by_homophily("hetero")) == 22
+        assert all(spec.homophily_class in ("homo", "hetero")
+                   for spec in DATASETS.values())
 
     def test_known_stats(self):
         cora = get_spec("cora")
@@ -265,49 +264,3 @@ class TestSignals:
         assert task.input_signal.shape == (small_graph.num_nodes, 3)
         assert task.target_signal.shape == (small_graph.num_nodes, 3)
         assert task.eigenvalues.shape == (small_graph.num_nodes,)
-
-
-class TestGraphIO:
-    def test_round_trip(self, small_graph, tmp_path):
-        from repro.datasets import load_graph, save_graph
-
-        path = tmp_path / "graph.npz"
-        save_graph(small_graph, path, metadata={"spec": "cora", "scale": 0.1})
-        loaded, metadata = load_graph(path)
-        assert metadata == {"spec": "cora", "scale": 0.1}
-        assert loaded.name == small_graph.name
-        assert (loaded.adjacency != small_graph.adjacency).nnz == 0
-        np.testing.assert_array_equal(loaded.features, small_graph.features)
-        np.testing.assert_array_equal(loaded.labels, small_graph.labels)
-
-    def test_featureless_graph(self, tmp_path):
-        from repro.datasets import load_graph, save_graph
-        from repro.graph import Graph
-
-        g = Graph.from_edges(4, np.array([[0, 1], [2, 3]]))
-        path = tmp_path / "bare.npz"
-        save_graph(g, path)
-        loaded, metadata = load_graph(path)
-        assert loaded.features is None
-        assert loaded.labels is None
-        assert metadata == {}
-
-    def test_non_graph_file_rejected(self, tmp_path):
-        from repro.datasets import load_graph
-
-        path = tmp_path / "junk.npz"
-        np.savez(path, a=np.ones(3))
-        with pytest.raises(DatasetError):
-            load_graph(path)
-
-    def test_loaded_graph_trains(self, small_graph, tmp_path):
-        from repro.datasets import load_graph, save_graph
-        from repro.tasks import run_node_classification
-        from repro.training import TrainConfig
-
-        path = tmp_path / "graph.npz"
-        save_graph(small_graph, path)
-        loaded, _ = load_graph(path)
-        result = run_node_classification(
-            loaded, "ppr", config=TrainConfig(epochs=5, patience=0))
-        assert result.status == "ok"

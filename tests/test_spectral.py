@@ -14,11 +14,8 @@ from repro.spectral import (
     eig_cache_stats,
     extremal_eigenvalues,
     laplacian_eigendecomposition,
-    low_frequency_mass,
     response_alignment,
     response_on_grid,
-    response_on_spectrum,
-    spectral_density,
     tsne,
 )
 
@@ -55,11 +52,6 @@ class TestDecomposition:
         small, large = extremal_eigenvalues(small_graph, k=2)
         np.testing.assert_allclose(small, eigenvalues[:2], atol=1e-4)
         np.testing.assert_allclose(large, eigenvalues[-2:], atol=1e-4)
-
-    def test_spectral_density_normalized(self, small_graph):
-        density = spectral_density(small_graph, bins=10)
-        assert density.shape == (10,)
-        assert density.sum() == pytest.approx(1.0)
 
 
 class TestEigObservability:
@@ -156,18 +148,6 @@ class TestResponseAnalysis:
     def test_grid_shape(self):
         lams, response = response_on_grid(make_filter("ppr"), num_points=31)
         assert lams.shape == response.shape == (31,)
-
-    def test_on_spectrum(self, small_graph):
-        lams, response = response_on_spectrum(make_filter("linear"), small_graph)
-        np.testing.assert_allclose(response, 2.0 - lams, atol=1e-8)
-
-    def test_low_frequency_mass_orders_filters(self):
-        low_pass = low_frequency_mass(make_filter("hk", alpha=2.0))
-        from repro.filters.bank import LaplacianMonomialFilter
-
-        high_pass = low_frequency_mass(LaplacianMonomialFilter(num_hops=10))
-        assert low_pass > 0.8
-        assert high_pass < 0.4
 
     def test_alignment_prefers_matching_filter(self, small_graph):
         """A smooth signal aligns better with a low-pass filter."""

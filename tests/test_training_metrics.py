@@ -22,6 +22,12 @@ class TestAccuracy:
         with pytest.raises(TrainingError):
             accuracy(np.zeros(4), np.zeros(4))
 
+    def test_label_length_checked(self):
+        # A length-1 label array used to broadcast against every row.
+        logits = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(TrainingError):
+            accuracy(logits, np.array([1]))
+
 
 class TestRocAuc:
     def test_perfect_separation(self):
@@ -66,6 +72,19 @@ class TestRocAuc:
         with pytest.raises(TrainingError):
             roc_auc(np.zeros((3, 4)), np.array([0, 1, 0]))
 
+    def test_label_outside_01_rejected(self):
+        # Label 2 used to enter the rank sum as neither class: AUC 2.0.
+        with pytest.raises(TrainingError):
+            roc_auc(np.array([0.1, 0.2, 0.3]), np.array([2, 0, 1]))
+
+    def test_bool_labels(self):
+        scores = np.array([0.1, 0.2, 0.8, 0.9])
+        assert roc_auc(scores, np.array([False, False, True, True])) == 1.0
+
+    def test_label_length_checked(self):
+        with pytest.raises(TrainingError):
+            roc_auc(np.array([0.1, 0.2, 0.3]), np.array([0, 1]))
+
 
 class TestR2:
     def test_perfect(self, rng):
@@ -97,6 +116,11 @@ class TestMacroF1:
         labels = np.array([0, 0, 1, 1])
         # class0: precision 0.5 recall 1 -> F1 2/3; class1: 0.
         assert macro_f1(logits, labels) == pytest.approx(1.0 / 3.0)
+
+    def test_label_length_checked(self):
+        logits = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(TrainingError):
+            macro_f1(logits, np.array([1]))
 
 
 class TestDispatch:
