@@ -24,6 +24,14 @@ Both backends accept a 1-D ``(n,)`` or 2-D ``(n, F)`` signal and add each
 output row's terms in the operator's stored order, so for operands of one
 dtype their values and gradients are bit-equal; what differs is the metered
 memory and the time spent gathering and reducing the O(mF) buffer.
+
+Every CSR product either backend computes — ``csr``'s ``P @ X`` and
+``coo_gather``'s reducer product alike — goes through one hook,
+:func:`repro.runtime.blocked.spmm_csr`, so both get the same kernel
+policy: a large product of a training step runs in row tiles on the
+run's spmm threads, a blocked tier tiles any product under a RAM budget,
+and the rest stay a single scipy call. Row tiles add each row's terms in
+the same order, so none of this moves a bit.
 """
 
 from __future__ import annotations
@@ -60,21 +68,18 @@ def spmm(matrix: sp.spmatrix, dense: Tensor, backend: str = "csr") -> Tensor:
     csr = matrix.tocsr()
     flops = 2 * csr.nnz * _width(dense)
     if backend == "csr":
-        # All CSR products route through the blocked tier hook: a no-op
-        # `csr @ dense` without a blocked tier, row-tiled (and
-        # bit-identical, since CSR rows accumulate independently) with one.
         data = _blocked.spmm_csr(csr, dense.data)
         _notify_op("spmm", flops, data.nbytes)
         product, op = _blocked.spmm_csr, "spmm"
     elif backend == "coo_gather":
         # The O(mF) intermediate is what we meter, in forward and backward.
         dtype = dense.dtype
-        data, messages = _gather(csr, dense.data, dtype, meter=True)
+        data, messages = _gather(csr, dense.data, dtype, training=True)
         _notify_op("spmm", flops, data.nbytes + messages.nbytes)
         op = "spmm_coo"
 
         def product(csr_t: sp.csr_matrix, grad: np.ndarray) -> np.ndarray:
-            return _gather(csr_t, grad, dtype, meter=True)[0]
+            return _gather(csr_t, grad, dtype, training=True)[0]
     else:
         raise AutodiffError(f"unknown spmm backend {backend!r}")
     csr_t: Optional[sp.csr_matrix] = None
@@ -101,20 +106,23 @@ def _width(dense) -> int:
 
 
 def _gather(csr: sp.csr_matrix, x: np.ndarray, dtype: np.dtype,
-            meter: bool) -> Tuple[np.ndarray, np.ndarray]:
+            training: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Edge-wise ``csr @ x`` as ``(out, messages)``.
 
     ``messages[e] = x[indices[e]]`` is the ``(m, F)`` buffer, in the dtype
     of its product with the operator's data, handed to the ledger first
-    when ``meter``. The operator's segment reducer adds each entry's
-    ``data[e] · messages[e]`` to its row in stored order, and the sum is
-    cast to ``dtype``.
+    in a ``training`` step. The operator's segment reducer adds each
+    entry's ``data[e] · messages[e]`` to its row in stored order, and the
+    sum is cast to ``dtype``. That product goes through the CSR hook (the
+    reducer's row tiles are row tiles of the operator), threaded in a
+    ``training`` step like ``csr``'s.
     """
     messages = np.take(x.astype(np.result_type(x, csr.data), copy=False),
                        csr.indices, axis=0)
-    if meter:
+    if training:
         _notify_alloc(messages)
-    out = _cache.segment_reducer(csr) @ messages
+    out = _blocked.spmm_csr(_cache.segment_reducer(csr), messages,
+                            threaded=training)
     return out.astype(dtype, copy=False), messages
 
 
@@ -123,7 +131,9 @@ def spmm_numpy(matrix: sp.spmatrix, dense: np.ndarray, backend: str = "csr") -> 
 
     Mini-batch precomputation runs outside the autodiff graph (on "CPU", in
     the paper's terms); this helper keeps that code path free of Tensor
-    bookkeeping while still supporting both backends.
+    bookkeeping while still supporting both backends. Its products stay
+    on the calling thread: threaded, they made the training that follows
+    the precompute slower than the precompute got faster (CHANGES.md).
     """
     if matrix.shape[1] != dense.shape[0]:
         raise AutodiffError(
@@ -131,10 +141,10 @@ def spmm_numpy(matrix: sp.spmatrix, dense: np.ndarray, backend: str = "csr") -> 
         )
     csr = matrix.tocsr()
     if backend == "csr":
-        out = _blocked.spmm_csr(csr, dense)
+        out = _blocked.spmm_csr(csr, dense, threaded=False)
         extra = 0
     elif backend == "coo_gather":
-        out, messages = _gather(csr, dense, dense.dtype, meter=False)
+        out, messages = _gather(csr, dense, dense.dtype, training=False)
         extra = messages.nbytes
     else:
         raise AutodiffError(f"unknown spmm backend {backend!r}")

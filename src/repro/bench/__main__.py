@@ -474,7 +474,8 @@ def main(argv=None) -> int:
         run_manifest = telemetry.build_manifest(
             config=kwargs.get("config"),
             seed=(args.seeds[0] if args.seeds else None),
-            extra=cfg.manifest_extra(args.experiment, artifact, argv))
+            extra=cfg.manifest_extra(args.experiment, artifact, argv),
+            workers=cfg.pool.workers)
         tracer = telemetry.configure(trace_path=cfg.trace,
                                      mem_trace=cfg.mem_trace)
         span_epoch_wall = tracer.wall_epoch

@@ -28,6 +28,8 @@ This module closes both with a small, observable memoization layer:
     its own transpose: the entry stores a marker, not a second copy.
   - :func:`segment_reducer` — the weighted row-segment matrix with which
     the ``coo_gather`` backend weighs and sums its message buffer.
+  - :func:`operator_tiles` — the row tiles a threaded or blocked product
+    (:mod:`repro.runtime.blocked`) splits the operator into.
   - :func:`operator_digest` — a full content digest that names the
     operator's blobs in the cross-process store.
 - Per-graph normalization memos use :class:`LRUCache` directly (see
@@ -295,14 +297,16 @@ def _raw(array: np.ndarray) -> np.ndarray:
 class _Derived:
     """What the process derived from one operator, bound to it by a weak
     reference and its :func:`matrix_token`: the transpose (``_SELF`` when
-    the operator is bytewise its own), the segment reducer and the
-    :func:`operator_digest`, each filled on first use."""
+    the operator is bytewise its own), the segment reducer, the
+    :func:`operator_digest` and the row tilings by key, each filled on
+    first use."""
 
-    __slots__ = ("ref", "token", "transpose", "reducer", "digest")
+    __slots__ = ("ref", "token", "transpose", "reducer", "digest", "tiles")
 
     def __init__(self, ref: weakref.ref, token: Tuple):
         self.ref, self.token = ref, token
         self.transpose = self.reducer = self.digest = None
+        self.tiles: Dict[Any, Any] = {}
 
 
 #: Marks an operator whose transpose has its exact bytes.
@@ -419,6 +423,20 @@ def _build_reducer(csr: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix(
         (csr.data, np.arange(nnz, dtype=csr.indptr.dtype), csr.indptr),
         shape=(csr.shape[0], nnz))
+
+
+def operator_tiles(csr: sp.csr_matrix, key: Any,
+                   build: Callable[[], Any]) -> Any:
+    """``build()`` — the operator's row tiles for ``key`` — cached in the
+    operator's entry beside its transpose and reducer; built per call
+    while the cache layer is off. A tiling holds views of the operator's
+    ``indices`` and ``data``, so only its shifted ``indptr`` costs bytes."""
+    if not context.current().config.cache:
+        return build()
+    tiles = _derived(csr).tiles
+    if key not in tiles:
+        tiles[key] = build()
+    return tiles[key]
 
 
 #: A blob's payload: named arrays plus JSON metadata (see :mod:`.shm`).

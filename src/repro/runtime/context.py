@@ -14,7 +14,11 @@ one :class:`RunContext`:
   (parent side) and the client that serves from it (worker side);
 - ``tier`` — the out-of-core blocked tier (``--blocked``);
 - ``sweep`` — the resumable sweep's artifact view (``--resume``/``--fresh``);
-- ``monitor`` / ``emitter`` — live observability, sweep and cell side.
+- ``monitor`` / ``emitter`` — live observability, sweep and cell side;
+- ``spmm_threads`` — how many threads one large CSR product may use
+  (:func:`repro.runtime.blocked.spmm_csr`). It is derived, never set by a
+  flag: every CPU the process may run on inline, an equal share of them
+  in a pool worker (:meth:`RunContext.worker_threads`).
 
 Exactly one context is current (:func:`current`, a plain module global;
 outside any run it is the default one: caches and planner on, nothing
@@ -28,9 +32,10 @@ switch reaches ``spawn`` workers the way it reaches ``fork`` ones.
 from __future__ import annotations
 
 import dataclasses
+import os
 import sys
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional,
                     Sequence)
 
@@ -181,11 +186,13 @@ class RunConfig:
         crash or not, the store is closed (stats snapshotted, directory
         removed), then the monitor's sink, then the tier's spill files;
         each object stays on the yielded context for the run's report.
+        The spmm thread budget is the enclosing context's.
         """
         from .. import telemetry
         from . import artifacts, blocked, cache, shm
 
-        run = RunContext(config=self)
+        run = RunContext(config=self,
+                         spmm_threads=current().spmm_threads)
         try:
             with ExitStack() as stack:
                 if self.watch or self.live is not None:
@@ -226,6 +233,15 @@ class RunConfig:
                 run.tier.close()
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, which a
+    container's cpuset or ``taskset`` narrows below ``os.cpu_count()``."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
 @dataclass
 class RunContext:
     """What is active for one run: its config and what was built from it.
@@ -241,6 +257,7 @@ class RunContext:
     sweep: Optional["SweepArtifacts"] = None
     monitor: Optional["SweepMonitor"] = None
     emitter: Optional["LiveEmitter"] = None
+    spmm_threads: int = field(default_factory=available_cpus)
 
     @property
     def active_planner(self) -> Optional["BasisPlanner"]:
@@ -254,8 +271,14 @@ class RunContext:
         or the cache layer is (``--no-cache``)."""
         return self.handle if self.config.cache else None
 
-    def for_worker(self) -> "WorkerContext":
-        """What a pool worker runs this context's cells under."""
+    def worker_threads(self, workers: int) -> int:
+        """Each of ``workers`` pool workers' share of :attr:`spmm_threads`,
+        so that the pool's threads never outnumber the CPUs."""
+        return max(1, self.spmm_threads // workers)
+
+    def for_worker(self, workers: int) -> "WorkerContext":
+        """What each of ``workers`` pool workers runs this context's cells
+        under."""
         from .. import telemetry
 
         return WorkerContext(
@@ -263,19 +286,22 @@ class RunContext:
             handle=None if self.store is None else self.store.worker_handle(),
             telemetry=telemetry.enabled(),
             rss_interval_s=(self.monitor.config.rss_interval_s
-                            if self.monitor is not None else 0.2))
+                            if self.monitor is not None else 0.2),
+            spmm_threads=self.worker_threads(workers))
 
 
 @dataclass(frozen=True)
 class WorkerContext:
     """The picklable part of a run context that a pool worker runs under:
     the switches, a client of the sweep's shared store, whether the parent
-    collects telemetry, and the live RSS sampling period."""
+    collects telemetry, the live RSS sampling period and the worker's
+    spmm thread budget."""
 
     config: RunConfig
     handle: Optional["StoreHandle"] = None
     telemetry: bool = False
     rss_interval_s: float = 0.2
+    spmm_threads: int = 1
 
     @contextmanager
     def install(self) -> Iterator[RunContext]:
@@ -284,7 +310,9 @@ class WorkerContext:
         traffic to the store's owner."""
         try:
             with _installed(RunContext(config=self.config,
-                                       handle=self.handle)) as run:
+                                       handle=self.handle,
+                                       spmm_threads=self.spmm_threads)
+                            ) as run:
                 yield run
         finally:
             if self.handle is not None:
@@ -336,6 +364,7 @@ __all__ = [
     "RunContext",
     "SHARED_TERMS_MODES",
     "WorkerContext",
+    "available_cpus",
     "current",
     "using",
 ]

@@ -462,9 +462,9 @@ def _run_pooled(cells: List[Cell], config: PoolConfig,
     from ..telemetry import live
 
     ctx = mp.get_context(config.start_method or _default_start_method())
-    # Switches, a store client (a path and a run id) and two scalars: it
+    # Switches, a store client (a path and a run id) and three scalars: it
     # pickles into a worker under any start method.
-    worker = context.current().for_worker()
+    worker = context.current().for_worker(config.workers)
     cached = cached or {}
     results: List[Optional[CellResult]] = [None] * len(cells)
     for index, result in cached.items():

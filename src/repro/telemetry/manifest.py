@@ -54,8 +54,11 @@ def platform_info() -> Dict[str, str]:
     }
 
 
-def hardware_info() -> Dict[str, int]:
-    """Host capacity snapshot: logical CPU count and total RAM in bytes.
+def hardware_info(workers: int = 1) -> Dict[str, int]:
+    """Host capacity snapshot: logical CPU count, total RAM in bytes and
+    the spmm thread budget the run derives from the host — inline
+    (``spmm_threads``) and in each of ``workers`` pool workers
+    (``spmm_threads_per_worker``; :mod:`repro.runtime.blocked`).
 
     Makes registry diffs across machines interpretable — a 2× stage
     slowdown means something different on a 4-core laptop than on the
@@ -64,7 +67,12 @@ def hardware_info() -> Dict[str, int]:
     fingerprint, like the rest of the platform block. Unknown values
     report 0 rather than failing the manifest build.
     """
-    info = {"cpu_count": os.cpu_count() or 0, "total_ram_bytes": 0}
+    from ..runtime import context
+
+    run = context.current()
+    info = {"cpu_count": os.cpu_count() or 0, "total_ram_bytes": 0,
+            "spmm_threads": run.spmm_threads,
+            "spmm_threads_per_worker": run.worker_threads(workers)}
     try:
         info["total_ram_bytes"] = (int(os.sysconf("SC_PHYS_PAGES"))
                                    * int(os.sysconf("SC_PAGE_SIZE")))
@@ -115,6 +123,7 @@ def build_manifest(
     seed: Optional[int] = None,
     datasets: Optional[Mapping[str, str]] = None,
     extra: Optional[Mapping] = None,
+    workers: int = 1,
 ) -> Dict:
     """Assemble the deterministic manifest dict.
 
@@ -128,6 +137,9 @@ def build_manifest(
         ``name -> fingerprint`` map from :func:`dataset_fingerprint`.
     extra:
         Free-form additions (experiment name, CLI argv, artifact label).
+    workers:
+        The run's pool workers, for the hardware block's per-worker
+        thread budget.
     """
     from .. import __version__
 
@@ -136,7 +148,7 @@ def build_manifest(
         "repro_version": __version__,
         "git_sha": git_sha(Path(__file__).resolve().parent),
         "platform": platform_info(),
-        "hardware": hardware_info(),
+        "hardware": hardware_info(workers),
         "seed": None if seed is None else int(seed),
         "config": _plain(config) if config is not None else None,
         "datasets": dict(sorted((datasets or {}).items())),

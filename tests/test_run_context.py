@@ -14,6 +14,9 @@ combination of execution options gives one answer.
    epoch values out of range, fail with a message naming the flag.
 3. **Chain names** — two operators one sampled token cannot tell apart
    are never served each other's chain terms.
+4. **Threaded products** — with every CSR product on threads, the grid
+   still gives the default payload, inline and in ``fork`` workers that
+   are started after the parent's helper threads ran.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import multiprocessing as mp
+import threading
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from repro.bench.io import canonical_payload
 from repro.errors import ReproError
 from repro.filters.base import PropagationContext
 from repro.graph import Graph
-from repro.runtime import cache, context, plan, shm
+from repro.runtime import blocked, cache, context, plan, shm
 from repro.runtime.context import RunConfig
 from repro.runtime.pool import PoolConfig
 from repro.training.loop import TrainConfig
@@ -85,7 +89,7 @@ def _config(combo, start_method=None, **extra) -> RunConfig:
         **extra)
 
 
-def _grid(cfg: RunConfig) -> tuple:
+def _grid(cfg: RunConfig, scheme: str = "mini_batch") -> tuple:
     """Run the grid under ``cfg``; (payload digest, artifact-store hits)."""
     manifest = telemetry.build_manifest(
         config=CONFIG, seed=0,
@@ -94,7 +98,7 @@ def _grid(cfg: RunConfig) -> tuple:
     try:
         with cfg.open(manifest) as run:
             rows = experiments.efficiency_experiment(
-                DATASETS, filters=FILTERS, schemes=("mini_batch",),
+                DATASETS, filters=FILTERS, schemes=(scheme,),
                 config=CONFIG, scale_override=SCALE, pool=cfg.pool)
     finally:
         telemetry.shutdown()
@@ -285,3 +289,45 @@ class TestChainNames:
                     assert _chains((graph,)) == [want]
         finally:
             store.close()
+
+
+class TestThreadedProducts:
+    """Threaded spmm is one more execution option: it must not move a
+    grid's payload, and no helper thread may cross a fork. Full batch is
+    the scheme whose products run on threads."""
+
+    @pytest.fixture(autouse=True)
+    def _tile_every_product(self, monkeypatch):
+        monkeypatch.setattr(blocked, "THREADED_MIN_WORK", 0)
+
+    @pytest.mark.parametrize("scheme", ["mini_batch", "full_batch"])
+    def test_inline_grid_payload_unchanged(self, scheme, reference):
+        with context.using(spmm_threads=1):
+            serial = _grid(RunConfig(), scheme)[0]
+        with context.using(spmm_threads=2):
+            assert _grid(RunConfig(), scheme)[0] == serial
+        if scheme == "mini_batch":
+            assert serial == reference
+
+    def test_worker_threads_split_the_budget(self):
+        with context.using(spmm_threads=4):
+            assert context.current().for_worker(2).spmm_threads == 2
+            assert context.current().worker_threads(3) == 1
+        with context.using(spmm_threads=2):
+            assert context.current().for_worker(2).spmm_threads == 1
+
+    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                        reason="fork start method unavailable")
+    def test_forked_workers_tile_after_the_parent_did(self):
+        """The parent's helper threads are alive when the pool forks; each
+        worker (two threads of a budget of four) must still finish its
+        tiled cells inside the timeout, with the inline payload."""
+        with context.using(spmm_threads=2):
+            inline = _grid(RunConfig(), "full_batch")[0]
+        assert any(thread.name.startswith("repro-spmm")
+                   for thread in threading.enumerate())
+        cfg = RunConfig(pool=PoolConfig(workers=2, start_method="fork",
+                                        cell_timeout=30, max_retries=0))
+        with context.using(spmm_threads=4):
+            assert _grid(cfg.validate("efficiency"), "full_batch")[0] \
+                == inline

@@ -3,9 +3,10 @@
 `repro.runtime.blocked` tiles CSR spmm against a RAM budget and lets the
 basis planner spill whole term matrices to mmap-backed files. Contracts:
 
-1. **Bit-identity** (hypothesis + taxonomy sweep): tiled spmm and
-   blocked-tier precompute are byte-for-byte identical to the in-core
-   path — the same contract the planner and every cache already hold.
+1. **Bit-identity** (hypothesis + taxonomy sweep): tiled spmm — on one
+   thread or several, with or without a tier — and blocked-tier
+   precompute are byte-for-byte identical to the in-core path — the same
+   contract the planner and every cache already hold.
 2. **Spill round-trip**: a planner chain evicted under a tiny term
    budget lands in the spill directory and is served back bit-identical as a
    read-only memmap, with ``plan.terms.spill`` / ``plan.terms.spill_load``
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import errno
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.autodiff import Tensor, spmm
 from repro.datasets.splits import random_split
 from repro.filters.base import PropagationContext
 from repro.filters.registry import FILTER_NAMES, make_filter
@@ -39,6 +42,7 @@ from repro.runtime.blocked import (
     blocked_spmm,
     choose_block_rows,
     default_ram_budget,
+    row_tiles,
     spmm_csr,
 )
 from repro.runtime.device import DeviceModel
@@ -103,6 +107,43 @@ class TestBitIdentity:
         assert spmm_csr(csr, dense).tobytes() == \
             np.asarray(csr @ dense).tobytes()
 
+    @given(n=st.integers(0, 40), density=st.sampled_from([0.0, 0.05, 0.3]),
+           width=st.sampled_from([None, 1, 3]),
+           dtypes=st.sampled_from([(np.float32, np.float32),
+                                   (np.float64, np.float64),
+                                   (np.float32, np.float64),
+                                   (np.float64, np.float32)]),
+           fortran=st.booleans(), threads=st.sampled_from([1, 2, 3, 5]),
+           block_rows=st.sampled_from([None, 1, 4]), seed=st.integers(0, 30))
+    @settings(max_examples=80, deadline=None)
+    def test_threaded_product_equals_oneshot(self, n, density, width, dtypes,
+                                             fortran, threads, block_rows,
+                                             seed):
+        """Every product tiles (the work minimum is 0): empty rows, no
+        nonzeros, fewer rows than threads, a 1-D or Fortran-ordered
+        signal, mixed dtypes, with a tier (``block_rows``) and without."""
+        rng = np.random.default_rng(seed)
+        csr = sp.random(n, n, density=density, format="csr",
+                        random_state=np.random.RandomState(seed),
+                        dtype=dtypes[0])
+        shape = (n,) if width is None else (n, width)
+        dense = rng.normal(size=shape).astype(dtypes[1])
+        if fortran:
+            dense = np.asfortranarray(dense)
+        expected = np.asarray(csr @ dense)
+        tier = None if block_rows is None else BlockedTier(
+            ram_budget_bytes=1, block_rows=block_rows)
+        try:
+            with mock.patch.object(blocked, "THREADED_MIN_WORK", 0), \
+                    context.using(spmm_threads=threads, tier=tier):
+                tiled = spmm_csr(csr, dense)
+        finally:
+            if tier is not None:
+                tier.close()
+        assert tiled.dtype == expected.dtype
+        assert tiled.shape == expected.shape
+        assert tiled.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("name", FILTER_NAMES)
     def test_taxonomy_precompute_blocked_equals_streamed(
             self, name, tmp_path):
@@ -132,6 +173,80 @@ class TestBitIdentity:
                 second = filter_.precompute(graph, x, rho=0.5)
         assert baseline.tobytes() == first.tobytes()
         assert baseline.tobytes() == second.tobytes()
+
+
+class TestRowTiles:
+    """One tiling per operator: views of its arrays, equal nnz, claimed
+    by whichever thread is free."""
+
+    def test_tiles_view_the_operator_and_balance_nnz(self):
+        csr, _ = _random_csr(200, 1, 4)
+        tiles = row_tiles(csr, 3)
+        assert len(tiles) == 3
+        assert (tiles[0][0], tiles[-1][1]) == (0, 200)
+        nnz = []
+        for (start, stop, indptr, indices, data), following in zip(
+                tiles, tiles[1:] + ((200,),)):
+            assert stop == following[0]
+            assert np.shares_memory(indices, csr.indices)
+            assert np.shares_memory(data, csr.data)
+            assert indptr[0] == 0
+            assert indptr[-1] == csr.indptr[stop] - csr.indptr[start]
+            nnz.append(int(indptr[-1]))
+        widest = int(np.diff(csr.indptr).max())
+        assert max(nnz) - min(nnz) <= 2 * widest
+
+    def test_tiles_cached_per_operator_unless_cache_off(self):
+        csr, _ = _random_csr(50, 1, 6)
+        assert row_tiles(csr, 2) is row_tiles(csr, 2)
+        assert row_tiles(csr, 2, 5) is not row_tiles(csr, 2)
+        with context.using(cache=False):
+            assert row_tiles(csr, 2) is not row_tiles(csr, 2)
+
+    def test_small_product_stays_one_call(self):
+        csr, dense = _random_csr(30, 2, 8)
+        assert csr.nnz * 2 < blocked.THREADED_MIN_WORK
+        with context.using(spmm_threads=4), \
+                mock.patch.object(blocked, "_spmm_tiles") as tiled:
+            result = spmm_csr(csr, dense)
+        tiled.assert_not_called()
+        assert result.tobytes() == np.asarray(csr @ dense).tobytes()
+
+    def test_large_product_runs_on_threads(self):
+        csr, dense = _random_csr(300, 2, 8)
+        with context.using(spmm_threads=2), \
+                mock.patch.object(blocked, "THREADED_MIN_WORK", 1), \
+                mock.patch.object(blocked, "_spmm_tiles",
+                                  wraps=blocked._spmm_tiles) as tiled:
+            result = spmm_csr(csr, dense)
+            precompute = spmm_csr(csr, dense, threaded=False)
+        assert tiled.call_count == 1
+        _, _, tiles, threads = tiled.call_args.args
+        assert threads == 2
+        assert len(tiles) == 2 * blocked.TILES_PER_THREAD
+        assert result.tobytes() == np.asarray(csr @ dense).tobytes()
+        assert precompute.tobytes() == result.tobytes()
+
+    def test_helper_that_never_runs_holds_nothing_up(self):
+        """A helper the OS does not schedule leaves its tiles to the
+        caller: the product completes on the calling thread alone."""
+        csr, dense = _random_csr(300, 2, 8)
+
+        class Idle:
+            def submit(self, fn):
+                return None
+
+        with mock.patch.object(blocked._helpers, "executor",
+                               return_value=Idle()):
+            result = blocked_spmm(csr, dense, threads=3)
+        assert result.tobytes() == np.asarray(csr @ dense).tobytes()
+
+    def test_tile_error_reaches_the_caller(self):
+        csr, dense = _random_csr(300, 2, 8)
+        with mock.patch.object(blocked._sparsetools, "csr_matvecs",
+                               side_effect=RuntimeError("kernel")), \
+                pytest.raises(RuntimeError, match="kernel"):
+            blocked_spmm(csr, dense, threads=2)
 
 
 # ----------------------------------------------------------------------
@@ -268,6 +383,38 @@ class TestBudget:
             assert stats["tiles"] == 4
         finally:
             tier.close()
+
+    def test_tier_counts_tiles_on_the_coo_gather_path(self, tmp_path):
+        """The edge-list backend's segment sum goes through the same hook:
+        the tier tiles the reducer product, bit-identically."""
+        csr, dense = _random_csr(32, 2, 3)
+        tier = BlockedTier(ram_budget_bytes=1, block_rows=8,
+                           spill_dir=tmp_path / "spill")
+        try:
+            with context.using(tier=tier):
+                out = spmm(csr, Tensor(dense), backend="coo_gather")
+            stats = tier.stats()
+            assert stats["spmm_calls"] == 1
+            assert stats["tiles"] == 4
+        finally:
+            tier.close()
+        assert out.data.tobytes() == \
+            spmm(csr, Tensor(dense), backend="coo_gather").data.tobytes()
+
+    def test_threads_share_the_tile_budget(self, tmp_path):
+        csr, dense = _random_csr(32, 2, 3)
+        tier = BlockedTier(ram_budget_bytes=1, block_rows=8,
+                           spill_dir=tmp_path / "spill")
+        try:
+            with mock.patch.object(blocked, "THREADED_MIN_WORK", 0), \
+                    context.using(spmm_threads=2, tier=tier):
+                result = spmm_csr(csr, dense)
+            # Two threads halve the tile height to 4 rows: at least 8
+            # tiles cover the 32 rows.
+            assert tier.stats()["tiles"] >= 8
+        finally:
+            tier.close()
+        assert result.tobytes() == np.asarray(csr @ dense).tobytes()
 
     def test_scope_stack_and_cleanup(self, tmp_path):
         assert context.current().tier is None

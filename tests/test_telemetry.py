@@ -332,6 +332,17 @@ class TestManifest:
         assert hardware["total_ram_bytes"] >= 0
         assert telemetry.hardware_info() == hardware  # stable on one host
 
+    def test_hardware_records_the_spmm_thread_budget(self):
+        from repro.runtime import context
+
+        hardware = telemetry.hardware_info()
+        assert hardware["spmm_threads"] == context.available_cpus()
+        with context.using(spmm_threads=4):
+            hardware = telemetry.build_manifest(seed=0,
+                                                workers=2)["hardware"]
+        assert hardware["spmm_threads"] == 4
+        assert hardware["spmm_threads_per_worker"] == 2
+
     def test_hardware_outside_config_fingerprint(self):
         from repro.telemetry.registry import config_fingerprint
 

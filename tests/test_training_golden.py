@@ -5,6 +5,9 @@ single-loop refactor (commit 4ac9e6c, seven hand-written epoch loops) on
 the ``small_graph`` fixture at seed 0. The one value that is *not* the
 parent's is link prediction's ``ram_peak_bytes``, which takes the fixed
 accounting (channels + propagation matrix, as the mini-batch scheme).
+The same numbers hold when every CSR product runs in row tiles on two
+threads (:class:`TestGoldenThreaded`); :class:`TestGolden` itself is the
+one-thread case, since its products sit below the threading minimum.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from repro.bench.baseline_runners import (
 )
 from repro.datasets import random_split
 from repro.filters import make_filter
+from repro.runtime import blocked, context
 from repro.runtime.device import DeviceModel, nbytes_of
 from repro.runtime.profiler import StageProfiler
 from repro.tasks import run_link_prediction, run_node_classification
@@ -121,6 +125,26 @@ class TestGolden:
         assert result.ram_peak_bytes == expected
         assert result.ram_peak_bytes == run_node_classification(
             small_graph, "ppr", scheme="mini_batch", config=LP).ram_peak_bytes
+
+
+class TestGoldenThreaded:
+    """Every training-step product tiled (the work minimum is 0) on two
+    threads: the golden numbers do not move."""
+
+    @pytest.fixture(autouse=True)
+    def _threaded(self, monkeypatch):
+        monkeypatch.setattr(blocked, "THREADED_MIN_WORK", 0)
+        with context.using(spmm_threads=2):
+            yield
+
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    @pytest.mark.parametrize("filter_name", FILTERS)
+    def test_schemes(self, small_graph, scheme, filter_name):
+        TestGolden().test_schemes(small_graph, scheme, filter_name)
+
+    @pytest.mark.parametrize("model_name", list(BASELINES))
+    def test_baselines(self, small_graph, model_name):
+        TestGolden().test_baselines(small_graph, model_name)
 
 
 def _entry_points():
