@@ -6,13 +6,11 @@ Exercises the full memory vertical on a small efficiency slice:
   64 MiB engine allocation inside a span is accounted byte-exactly by the
   ledger, attributed to the right span path, and the ledger peak never
   exceeds the measured RSS peak (accounted ⊆ measured).
-- **CLI vertical**: two real CLI runs — one with ``--mem-trace``, one
-  without — both append registry records whose schema-v5 ``memory`` block
-  carries the ledger peak and the accounting-coverage ratios; the
-  ``--mem-trace`` run's Chrome trace contains the ``ledger_live`` counter
-  track next to the RSS track.
-  Their allocation totals (``total_alloc_bytes``, ``alloc_count``) are
-  equal: the ledger counts the same arrays on every run.
+- **CLI vertical**: two identical real CLI runs both append registry
+  records whose schema-v5 ``memory`` block carries the ledger peak and
+  the accounting-coverage ratios. Their allocation totals
+  (``total_alloc_bytes``, ``alloc_count``) are equal: the ledger counts
+  the same arrays on every run.
 - **Payload isolation**: the canonical result payloads of the two runs
   are byte-identical — the observatory is observability, never payload.
 
@@ -22,7 +20,6 @@ Artifacts (registry, traces) persist under
 
 from __future__ import annotations
 
-import json
 import shutil
 
 import numpy as np
@@ -64,18 +61,14 @@ def _controlled_accounting() -> dict:
     return out
 
 
-def _cli_run(index: int, epochs: int, mem_trace: bool) -> int:
-    argv = [
+def _cli_run(index: int, epochs: int) -> int:
+    return bench_main([
         "efficiency", "--datasets", "cora", "--filters", "ppr",
         "--schemes", "mini_batch", "--epochs", str(epochs),
         "--registry-dir", str(MEMORY_DIR),
         "--trace", str(MEMORY_DIR / f"run{index}.jsonl"),
         "--output", str(MEMORY_DIR / f"run{index}.json"),
-        "--live", str(MEMORY_DIR / f"run{index}.live.jsonl"),
-    ]
-    if mem_trace:
-        argv.append("--mem-trace")
-    return bench_main(argv)
+    ])
 
 
 def _memory_smoke(epochs: int) -> dict:
@@ -83,18 +76,12 @@ def _memory_smoke(epochs: int) -> dict:
         shutil.rmtree(MEMORY_DIR)
     probe = _controlled_accounting()
 
-    # Run 1 untraced timeline, run 2 with --mem-trace: the pair doubles as
-    # the payload-isolation check and the registry's (baseline, candidate).
-    exit_codes = [_cli_run(1, epochs, mem_trace=False),
-                  _cli_run(2, epochs, mem_trace=True)]
+    # The pair doubles as the payload-isolation check and the registry's
+    # (baseline, candidate).
+    exit_codes = [_cli_run(1, epochs), _cli_run(2, epochs)]
 
     payloads = [canonical_payload(load_rows(MEMORY_DIR / f"run{i}.json"))
                 for i in (1, 2)]
-
-    trace_json = json.loads(
-        (MEMORY_DIR / "run2.live.trace.json").read_text())
-    counter_tracks = {e.get("name") for e in trace_json["traceEvents"]
-                      if e.get("ph") == "C"}
 
     registry = RunRegistry(MEMORY_DIR)
     records = registry.load()
@@ -105,7 +92,6 @@ def _memory_smoke(epochs: int) -> dict:
         "probe": probe,
         "exit_codes": exit_codes,
         "payloads": payloads,
-        "counter_tracks": counter_tracks,
         "entries": len(records),
         "baseline": baseline,
         "candidate": candidate,
@@ -152,11 +138,6 @@ def test_memory_smoke_gate(benchmark):
         == candidate.memory["total_alloc_bytes"]
     assert baseline.memory["alloc_count"] == candidate.memory["alloc_count"]
 
-    # --- Chrome trace: accounted + measured tracks side by side.
-    assert "ledger_live" in report["counter_tracks"], \
-        "--mem-trace run's Chrome trace is missing the ledger counter track"
-    assert "rss" in report["counter_tracks"]
-
-    # --- payload isolation: --mem-trace must not move a single result
+    # --- payload isolation: the ledger must not move a single result
     # byte (the observatory is observability, never payload).
     assert report["payloads"][0] == report["payloads"][1]

@@ -17,11 +17,7 @@ mode used for timing-sensitive comparisons). The memory observatory
 allocation ledger accounts every tensor allocation against the open span
 path, and its summary — accounted peak, attribution, coverage vs
 measured RSS — lands in the trace report and the registry record.
-``--mem-trace`` additionally samples the ledger's live-bytes timeline,
-which the Chrome trace export renders as a ``ledger_live`` counter track
-next to the sampled-RSS track (accounted vs measured memory, side by
-side, in Perfetto). Every telemetry-enabled run
-is also indexed in the append-only run registry
+Every telemetry-enabled run is also indexed in the append-only run registry
 (:mod:`repro.telemetry.registry`; ``--no-registry`` skips it,
 ``--registry-dir`` relocates it), which is what powers run history::
 
@@ -60,17 +56,6 @@ record one coherent run annotated with the worker count::
 
     python -m repro.bench efficiency --workers 4 --cell-timeout 600
 
-Live observability (grid sweeps): ``--watch`` renders a one-line live
-status while the sweep runs; ``--live PATH`` streams worker heartbeats,
-sampled RSS watermarks, and stall flags (silent for ``--stall-fraction``
-of the cell timeout, flagged *before* the kill) to a JSONL file and
-exports a Perfetto-loadable Chrome trace next to it after the run. Live
-events are observability only — they never enter the canonical result
-payload, so the serial≡parallel byte-identity gate is unaffected::
-
-    python -m repro.bench efficiency --workers 4 --cell-timeout 600 \\
-        --watch --live benchmarks/results/live.jsonl
-
 Resumable sweeps (grid sweeps): ``--resume`` consults the
 content-addressed cell artifact store (:mod:`repro.runtime.artifacts`)
 before launching any worker — cells whose address (config fingerprint,
@@ -90,16 +75,17 @@ are the fields of one frozen :class:`repro.runtime.context.RunConfig`.
 :func:`main` builds it from argv and validates the combination once — a
 rejected one is a usage error naming the flag (README's "Legal option
 combinations" lists the rules) — then runs the experiment inside
-``RunConfig.open(manifest)``, which builds the live monitor, artifact
-sweep, shared term store and blocked tier the flags ask for, makes them
-the current run context (what the pool ships to its workers) and tears
-them down afterwards. The manifest's execution fields come from the same
+``RunConfig.open(manifest)``, which builds the artifact sweep, shared
+term store and blocked tier the flags ask for, makes them the current
+run context (what the pool ships to its workers) and tears them down
+afterwards. The manifest's execution fields come from the same
 config.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Dict
@@ -167,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "a private temp dir removed after the run); "
                              "requires --blocked")
     parser.add_argument("--capacity-gib", type=float, default=None,
-                        help="simulated device capacity (GiB)")
+                        help="simulated device capacity (GiB, > 0; "
+                             "efficiency and baselines only)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="process-pool size for the grid sweeps "
                              f"({', '.join(GRID_SWEEPS)}); 1 = "
@@ -191,28 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", type=str, default=None, metavar="PATH",
                         help="stream telemetry events to this JSONL file and "
                              "write a run manifest next to it")
-    parser.add_argument("--mem-trace", action="store_true",
-                        help="sample the allocation ledger's live-bytes "
-                             "timeline during the run; the samples ride the "
-                             "final memory event and render as a "
-                             "'ledger_live' counter track in the Chrome "
-                             "trace (the ledger itself — peaks, totals, "
-                             "attribution — is always on with telemetry)")
-    parser.add_argument("--watch", action="store_true",
-                        help="render a one-line live status of the sweep "
-                             "(cells running/ok/failed, stragglers, stalls, "
-                             "peak RSS) to stderr while it runs "
-                             "(grid sweeps with telemetry only)")
-    parser.add_argument("--live", type=str, default=None, metavar="PATH",
-                        help="stream live heartbeat/stall/RSS events to this "
-                             "JSONL file and export a Perfetto-loadable "
-                             "Chrome trace (same stem, .trace.json) after "
-                             "the run (grid sweeps with telemetry only)")
-    parser.add_argument("--stall-fraction", type=float, default=0.5,
-                        metavar="F",
-                        help="flag a cell stalled once its heartbeat has "
-                             "been silent for F x --cell-timeout, before "
-                             "the timeout kill (0 < F < 1, default 0.5)")
     resume_group = parser.add_mutually_exclusive_group()
     resume_group.add_argument(
         "--resume", action="store_true",
@@ -393,10 +358,8 @@ def run_config(args: argparse.Namespace) -> RunConfig:
                       else "off" if args.no_shared_terms else "default"),
         blocked=args.blocked, ram_budget_mib=args.ram_budget,
         spill_dir=args.spill_dir, resume=args.resume, fresh=args.fresh,
-        artifact_dir=args.artifact_dir, watch=args.watch, live=args.live,
-        stall_fraction=args.stall_fraction,
+        artifact_dir=args.artifact_dir,
         telemetry=not args.no_telemetry, trace=args.trace,
-        mem_trace=args.mem_trace,
         pool=PoolConfig(workers=args.workers, cell_timeout=args.cell_timeout,
                         max_retries=args.max_retries))
 
@@ -428,6 +391,13 @@ def main(argv=None) -> int:
             parser.error(str(error))
     if args.root_seed is not None and args.experiment != "effectiveness":
         parser.error("--root-seed applies to effectiveness only")
+    if args.capacity_gib is not None:
+        if args.experiment not in ("efficiency", "baselines"):
+            parser.error("--capacity-gib applies to efficiency and "
+                         "baselines only")
+        if not (math.isfinite(args.capacity_gib) and args.capacity_gib > 0):
+            parser.error(f"--capacity-gib must be a finite number > 0, "
+                         f"got {args.capacity_gib:g}")
     try:
         cfg = run_config(args).validate(args.experiment, epochs=args.epochs)
     except ReproError as error:
@@ -450,8 +420,7 @@ def main(argv=None) -> int:
     if args.scale is not None and args.experiment in ("efficiency",
                                                       "effectiveness"):
         kwargs["scale_override"] = args.scale
-    if args.capacity_gib is not None and args.experiment in ("efficiency",
-                                                             "baselines"):
+    if args.capacity_gib is not None:
         kwargs["device_capacity_gib"] = args.capacity_gib
     if takes_config and args.epochs is not None:
         kwargs["config"] = TrainConfig(epochs=args.epochs,
@@ -469,16 +438,13 @@ def main(argv=None) -> int:
     # fingerprint the registry stamps on the record afterwards (argv/
     # workers/plan/shared_terms live outside the fingerprint keys).
     run_manifest = None
-    span_epoch_wall = None
     if cfg.telemetry:
         run_manifest = telemetry.build_manifest(
             config=kwargs.get("config"),
             seed=(args.seeds[0] if args.seeds else None),
             extra=cfg.manifest_extra(args.experiment, artifact, argv),
             workers=cfg.pool.workers)
-        tracer = telemetry.configure(trace_path=cfg.trace,
-                                     mem_trace=cfg.mem_trace)
-        span_epoch_wall = tracer.wall_epoch
+        telemetry.configure(trace_path=cfg.trace)
     try:
         with cfg.open(run_manifest) as run, \
                 telemetry.span("experiment", experiment=args.experiment,
@@ -504,17 +470,6 @@ def main(argv=None) -> int:
         telemetry.write_manifest(manifest_path, run_manifest)
         print(f"trace: {args.trace}  manifest: {manifest_path}")
         print(render_run_telemetry(events))
-    chrome_trace_path = None
-    if args.live:
-        live_file = Path(args.live)
-        chrome_trace_path = telemetry.export_chrome_trace(
-            live_file.with_name(live_file.stem + ".trace.json"),
-            telemetry.load_events(live_file),
-            span_events=events, span_epoch_wall=span_epoch_wall)
-        live_summary = run.monitor.summary()
-        print(f"live: {args.live}  chrome-trace: {chrome_trace_path}  "
-              f"(heartbeats: {live_summary.get('heartbeats', 0)}, "
-              f"stalls: {live_summary.get('stalls', 0)})")
     shm_info = None
     if run.store is not None:
         shm_info = run.store.stats()
@@ -563,7 +518,6 @@ def main(argv=None) -> int:
             trace_path=args.trace, result_path=args.output,
             registry_dir=args.registry_dir,
             workers=cfg.pool.workers, pool=pool_info,
-            live_path=args.live, chrome_trace_path=chrome_trace_path,
             artifacts=artifacts_info)
         registry_path = telemetry.default_registry_dir(args.registry_dir)
         print(f"registry: {registry_path}  "

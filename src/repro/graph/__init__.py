@@ -16,7 +16,6 @@ from .graph import Graph
 from .metrics import (
     degree_groups,
     edge_homophily,
-    label_frequency_profile,
     node_homophily,
     rayleigh_quotient,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "edge_homophily",
     "degree_groups",
     "rayleigh_quotient",
-    "label_frequency_profile",
     "bfs_partition",
     "cut_edges",
     "cycle_graph",

@@ -77,21 +77,6 @@ def rayleigh_quotient(graph: Graph, signal: np.ndarray, rho: float = 0.5) -> flo
     return float(np.mean(numerator / denominator))
 
 
-def label_frequency_profile(graph: Graph, labels: np.ndarray | None = None) -> float:
-    """Rayleigh quotient of the one-hot label matrix.
-
-    A compact scalar describing whether the classification signal is
-    low-frequency (homophilous clusters) or high-frequency (heterophilous
-    alternation).
-    """
-    labels = _resolve_labels(graph, labels)
-    num_classes = int(labels.max()) + 1
-    one_hot = np.zeros((graph.num_nodes, num_classes), dtype=np.float64)
-    one_hot[np.arange(graph.num_nodes), labels] = 1.0
-    one_hot -= one_hot.mean(axis=0, keepdims=True)
-    return rayleigh_quotient(graph, one_hot)
-
-
 def _resolve_labels(graph: Graph, labels: np.ndarray | None) -> np.ndarray:
     if labels is None:
         labels = graph.labels

@@ -14,7 +14,6 @@ one :class:`RunContext`:
   (parent side) and the client that serves from it (worker side);
 - ``tier`` — the out-of-core blocked tier (``--blocked``);
 - ``sweep`` — the resumable sweep's artifact view (``--resume``/``--fresh``);
-- ``monitor`` / ``emitter`` — live observability, sweep and cell side;
 - ``spmm_threads`` — how many threads one large CSR product may use
   (:func:`repro.runtime.blocked.spmm_csr`). It is derived, never set by a
   flag: every CPU the process may run on inline, an equal share of them
@@ -43,14 +42,13 @@ from ..errors import ReproError
 from .pool import PoolConfig
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..telemetry.live import LiveEmitter, SweepMonitor
     from .artifacts import SweepArtifacts
     from .blocked import BlockedTier
     from .plan import BasisPlanner
     from .shm import SharedTermStore, StoreHandle
 
 #: The experiments whose grids run through the process pool: the only
-#: ones the pool, live, resume and shared-terms options apply to.
+#: ones the pool, resume and shared-terms options apply to.
 GRID_SWEEPS = ("efficiency", "effectiveness", "hops", "scale-shift")
 
 #: ``RunConfig.shared_terms``: never share, share whenever a pooled sweep
@@ -79,12 +77,8 @@ class RunConfig:
     resume: bool = False
     fresh: bool = False
     artifact_dir: Optional[str] = None
-    watch: bool = False
-    live: Optional[str] = None
-    stall_fraction: float = 0.5
     telemetry: bool = True
     trace: Optional[str] = None
-    mem_trace: bool = False
     pool: PoolConfig = PoolConfig()
 
     @property
@@ -111,7 +105,6 @@ class RunConfig:
 
         grid = experiment in GRID_SWEEPS
         sweeps = f"the grid sweeps only ({', '.join(GRID_SWEEPS)})"
-        live = self.watch or self.live is not None
         resume = self.resume or self.fresh
         pooled = self.pool.workers > 1
         required = self.shared_terms == "required"
@@ -123,13 +116,6 @@ class RunConfig:
              f"shared_terms must be one of {SHARED_TERMS_MODES}"),
             (self.trace is not None and not self.telemetry,
              "--trace requires telemetry; drop --no-telemetry"),
-            (self.mem_trace and not self.telemetry,
-             "--mem-trace requires telemetry; drop --no-telemetry"),
-            (live and not self.telemetry,
-             "--watch/--live require telemetry; drop --no-telemetry"),
-            (live and not grid, f"--watch/--live apply to {sweeps}"),
-            (not 0.0 < self.stall_fraction < 1.0,
-             "--stall-fraction must be strictly between 0 and 1"),
             (self.ram_budget_mib is not None and not self.blocked,
              "--ram-budget requires --blocked"),
             (self.spill_dir is not None and not self.blocked,
@@ -180,12 +166,12 @@ class RunConfig:
              ) -> Iterator["RunContext"]:
         """Build the run, make it the current context, tear it down.
 
-        Builds the live monitor, the artifact sweep (whose cells are
-        addressed by ``manifest``'s config fingerprint), the shared term
-        store and the blocked tier that this config asks for. On exit,
-        crash or not, the store is closed (stats snapshotted, directory
-        removed), then the monitor's sink, then the tier's spill files;
-        each object stays on the yielded context for the run's report.
+        Builds the artifact sweep (whose cells are addressed by
+        ``manifest``'s config fingerprint), the shared term store and the
+        blocked tier that this config asks for. On exit, crash or not,
+        the store is closed (stats snapshotted, directory removed), then
+        the tier's spill files; each object stays on the yielded context
+        for the run's report.
         The spmm thread budget is the enclosing context's.
         """
         from .. import telemetry
@@ -195,14 +181,6 @@ class RunConfig:
                          spmm_threads=current().spmm_threads)
         try:
             with ExitStack() as stack:
-                if self.watch or self.live is not None:
-                    run.monitor = telemetry.SweepMonitor(
-                        sink=telemetry.JsonlSink(self.live)
-                        if self.live else None,
-                        config=telemetry.LiveConfig(
-                            stall_fraction=self.stall_fraction,
-                            watch=self.watch))
-                    stack.callback(run.monitor.close)
                 if self.resume or self.fresh:
                     store = artifacts.ArtifactStore(self.artifact_dir)
                     if self.fresh:
@@ -255,8 +233,6 @@ class RunContext:
     handle: Optional["StoreHandle"] = None
     tier: Optional["BlockedTier"] = None
     sweep: Optional["SweepArtifacts"] = None
-    monitor: Optional["SweepMonitor"] = None
-    emitter: Optional["LiveEmitter"] = None
     spmm_threads: int = field(default_factory=available_cpus)
 
     @property
@@ -285,8 +261,6 @@ class RunContext:
             config=self.config,
             handle=None if self.store is None else self.store.worker_handle(),
             telemetry=telemetry.enabled(),
-            rss_interval_s=(self.monitor.config.rss_interval_s
-                            if self.monitor is not None else 0.2),
             spmm_threads=self.worker_threads(workers))
 
 
@@ -294,13 +268,11 @@ class RunContext:
 class WorkerContext:
     """The picklable part of a run context that a pool worker runs under:
     the switches, a client of the sweep's shared store, whether the parent
-    collects telemetry, the live RSS sampling period and the worker's
-    spmm thread budget."""
+    collects telemetry and the worker's spmm thread budget."""
 
     config: RunConfig
     handle: Optional["StoreHandle"] = None
     telemetry: bool = False
-    rss_interval_s: float = 0.2
     spmm_threads: int = 1
 
     @contextmanager

@@ -246,37 +246,29 @@ def _record_run_stats(results: Sequence[CellResult]) -> None:
 # ======================================================================
 # worker side
 # ======================================================================
-def _cell_entry(conn, cell: Cell, attempt: int, context,
-                live_conn=None) -> None:
+def _cell_entry(conn, cell: Cell, attempt: int, context) -> None:
     """Worker-process entry: run one cell, ship value + telemetry shard.
 
     The worker reconfigures telemetry from scratch (dropping any tracer
     state inherited through fork) so its shard contains exactly this
     cell's spans and counters. Failures are reported as data — the
     parent decides on retries; nothing propagates across the pipe as an
-    exception. ``live_conn`` is the attempt's dedicated side pipe for
-    live heartbeat/RSS events (``None`` when monitoring is off); it is
-    separate from the result pipe so a sheared live channel never
-    corrupts the result protocol. ``context`` is the parent's
+    exception. ``context`` is the parent's
     :class:`~repro.runtime.context.WorkerContext`: the run's switches
     (``--no-plan`` / ``--no-cache``, which a ``spawn`` worker would not
-    otherwise see), the sweep's shared term-store client, whether the
-    parent collects telemetry and the live RSS sampling period. It
-    replaces whatever context ``fork`` inherited.
+    otherwise see), the sweep's shared term-store client and whether the
+    parent collects telemetry. It replaces whatever context ``fork``
+    inherited.
     """
     import os
 
     from . import plan
-    from ..telemetry import live
 
     payload: Dict[str, Any] = {"pid": os.getpid()}
-    send = live_conn.send if live_conn is not None else None
     try:
         # A fresh planner scope per attempt: chains never leak in via
         # fork, so a cell computes the same value under any start method.
-        with context.install(), \
-                live.worker_session(send, cell.label, attempt,
-                                    rss_interval_s=context.rss_interval_s):
+        with context.install():
             if context.telemetry:
                 from .. import telemetry
 
@@ -301,11 +293,6 @@ def _cell_entry(conn, cell: Cell, attempt: int, context,
         pass  # parent gone or payload unpicklable; parent sees a crash
     finally:
         conn.close()
-        if live_conn is not None:
-            try:
-                live_conn.close()
-            except OSError:
-                pass
 
 
 # ======================================================================
@@ -318,9 +305,6 @@ class _Attempt:
     attempt: int
     deadline: Optional[float]
     started: float
-    #: Parent end of the attempt's live-event side pipe (None when live
-    #: monitoring is off or the channel has sheared).
-    live_conn: Any = None
 
 
 def _default_start_method() -> str:
@@ -339,12 +323,6 @@ def execute_cells(cells: Sequence[Cell],
     telemetry shard into the active run in deterministic cell order.
 
     When the run context (:mod:`repro.runtime.context`) carries a
-    :class:`~repro.telemetry.live.SweepMonitor` (``--watch``/``--live``),
-    the executor streams live heartbeat/RSS/stall events through it —
-    observability only, never part of the results or the canonical
-    payload.
-
-    When the run context carries a
     :class:`~repro.runtime.artifacts.SweepArtifacts`, every cell's
     content address is consulted first: hits become
     :data:`CACHED` results (persisted value + telemetry shard, folded in
@@ -355,11 +333,7 @@ def execute_cells(cells: Sequence[Cell],
 
     config = config or PoolConfig()
     cells = list(cells)
-    run = context.current()
-    sweep, monitor = run.sweep, run.monitor
-    if monitor is not None:
-        monitor.sweep_started(len(cells), config.workers,
-                              config.cell_timeout)
+    sweep = context.current().sweep
     cached: Dict[int, CellResult] = {}
     if sweep is not None:
         for index, cell in enumerate(cells):
@@ -371,28 +345,15 @@ def execute_cells(cells: Sequence[Cell],
                     events=list(artifact.events),
                     metrics_state=artifact.metrics_state)
     if config.workers <= 1:
-        results = _run_inline_all(cells, cached, sweep, monitor)
+        results = _run_inline_all(cells, cached, sweep)
     else:
-        results = _run_pooled(cells, config, monitor,
-                              cached=cached, sweep=sweep)
+        results = _run_pooled(cells, config, cached=cached, sweep=sweep)
     _record_run_stats(results)
-    if monitor is not None:
-        monitor.sweep_finished(pool_stats(results))
     return results
 
 
-def _serve_cached(result: CellResult, monitor=None) -> CellResult:
-    """Account one store-served cell (counter, monitor event)."""
-    from .. import telemetry
-
-    telemetry.inc_counter("pool.cells.cached")
-    if monitor is not None:
-        monitor.cell_finished(result.label, 0, CACHED, 0.0)
-    return result
-
-
 def _run_inline_all(cells: Sequence[Cell], cached: Dict[int, CellResult],
-                    sweep, monitor=None) -> List[CellResult]:
+                    sweep) -> List[CellResult]:
     """Inline (workers=1) sweep: cached cells fold, misses run serially.
 
     Folding happens in cell-list order here too — a cached cell's
@@ -407,43 +368,28 @@ def _run_inline_all(cells: Sequence[Cell], cached: Dict[int, CellResult],
         if result is not None:
             telemetry.fold_shard(result.events, result.metrics_state,
                                  label=result.label)
-            results.append(_serve_cached(result, monitor))
+            telemetry.inc_counter("pool.cells.cached")
+            results.append(result)
             continue
-        results.append(_run_inline(cell, monitor, sweep=sweep))
+        results.append(_run_inline(cell, sweep=sweep))
     return results
 
 
-def _run_inline(cell: Cell, monitor=None, sweep=None) -> CellResult:
+def _run_inline(cell: Cell, sweep=None) -> CellResult:
     from .. import telemetry
-    from ..telemetry import live
 
-    send = monitor.handle_event if monitor is not None else None
-    rss_interval = (monitor.config.rss_interval_s
-                    if monitor is not None else 0.2)
-    if monitor is not None:
-        monitor.attempt_launched(cell.label, 1)
     # Capture this cell's spans/metrics in an isolated shard (mirroring
     # a worker's from-scratch tracer) so the artifact store can persist
     # it and fold-in is identical whether the cell ran live or cached.
     shard: Dict[str, Any] = {}
     started = time.perf_counter()
-    try:
-        with live.worker_session(send, cell.label, 1,
-                                 rss_interval_s=rss_interval), \
-                telemetry.shard_capture(shard), \
-                telemetry.span("cell", cell=cell.label):
-            value = cell.fn(**cell.kwargs)
-    except BaseException:
-        if monitor is not None:
-            monitor.cell_finished(cell.label, 1, ERROR,
-                                  time.perf_counter() - started)
-        raise
+    with telemetry.shard_capture(shard), \
+            telemetry.span("cell", cell=cell.label):
+        value = cell.fn(**cell.kwargs)
     seconds = time.perf_counter() - started
     events = list(shard.get("events") or ())
     metrics_state = shard.get("metrics")
     telemetry.fold_shard(events, metrics_state, label=cell.label)
-    if monitor is not None:
-        monitor.cell_finished(cell.label, 1, OK, seconds)
     telemetry.inc_counter("pool.cells.ok")
     if sweep is not None:
         sweep.save(cell, value, events, metrics_state)
@@ -453,44 +399,27 @@ def _run_inline(cell: Cell, monitor=None, sweep=None) -> CellResult:
 
 
 def _run_pooled(cells: List[Cell], config: PoolConfig,
-                monitor=None, cached: Optional[Dict[int, CellResult]] = None,
+                cached: Optional[Dict[int, CellResult]] = None,
                 sweep=None) -> List[CellResult]:
     import multiprocessing as mp
 
     from . import context
     from .. import telemetry
-    from ..telemetry import live
 
     ctx = mp.get_context(config.start_method or _default_start_method())
-    # Switches, a store client (a path and a run id) and three scalars: it
+    # Switches, a store client (a path and a run id) and two scalars: it
     # pickles into a worker under any start method.
     worker = context.current().for_worker(config.workers)
     cached = cached or {}
     results: List[Optional[CellResult]] = [None] * len(cells)
     for index, result in cached.items():
-        results[index] = _serve_cached(result, monitor)
+        telemetry.inc_counter("pool.cells.cached")
+        results[index] = result
     pending = deque((index, 1) for index in range(len(cells))
                     if index not in cached)
     active: Dict[int, _Attempt] = {}
 
-    def drain_live(attempt: _Attempt) -> None:
-        # Non-blocking: ship whatever live events the worker has queued to
-        # the monitor; a sheared live channel just ends the stream.
-        if monitor is None or attempt.live_conn is None:
-            return
-        try:
-            while attempt.live_conn.poll(0):
-                monitor.handle_event(attempt.live_conn.recv())
-        except (EOFError, OSError):
-            attempt.live_conn = None
-
     def retire(index: int, attempt: _Attempt) -> None:
-        drain_live(attempt)
-        if attempt.live_conn is not None:
-            try:
-                attempt.live_conn.close()
-            except OSError:
-                pass
         try:
             attempt.conn.close()
         except OSError:
@@ -500,55 +429,33 @@ def _run_pooled(cells: List[Cell], config: PoolConfig,
 
     def fail_or_retry(index: int, attempt: _Attempt, status: str,
                       error: str) -> None:
-        seconds = time.monotonic() - attempt.started
         if attempt.attempt <= config.max_retries:
             telemetry.inc_counter("pool.cells.retried")
-            if monitor is not None:
-                monitor.cell_finished(cells[index].label, attempt.attempt,
-                                      live.RETRYING, seconds)
             pending.append((index, attempt.attempt + 1))
             return
         results[index] = CellResult(
             key=cells[index].key, status=status, error=error,
-            attempts=attempt.attempt, seconds=seconds)
+            attempts=attempt.attempt,
+            seconds=time.monotonic() - attempt.started)
         telemetry.inc_counter("pool.cells.failed")
         telemetry.inc_counter(f"pool.cells.{status}")
-        if monitor is not None:
-            monitor.cell_finished(cells[index].label, attempt.attempt,
-                                  status, seconds)
 
     while pending or active:
         while pending and len(active) < config.workers:
             index, attempt_no = pending.popleft()
             parent_conn, child_conn = ctx.Pipe(duplex=False)
-            live_parent = live_child = None
-            if monitor is not None:
-                live_parent, live_child = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_cell_entry,
-                args=(child_conn, cells[index], attempt_no, worker,
-                      live_child),
+                args=(child_conn, cells[index], attempt_no, worker),
                 daemon=True)
             proc.start()
             child_conn.close()
-            if live_child is not None:
-                live_child.close()
-            if monitor is not None:
-                monitor.attempt_launched(cells[index].label, attempt_no)
             now = time.monotonic()
             deadline = now + config.cell_timeout \
                 if config.cell_timeout is not None else None
             active[index] = _Attempt(proc=proc, conn=parent_conn,
                                      attempt=attempt_no, deadline=deadline,
-                                     started=now, live_conn=live_parent)
-
-        # Drain live side pipes and run stall detection *before* the
-        # completion/timeout scan: a stalled attempt's ``stall`` event is
-        # emitted strictly before the deadline kill below retires it.
-        if monitor is not None:
-            for attempt in active.values():
-                drain_live(attempt)
-            monitor.check()
+                                     started=now)
 
         progressed = False
         for index, attempt in list(active.items()):
@@ -578,10 +485,6 @@ def _run_pooled(cells: List[Cell], config: PoolConfig,
                                    results[index].events,
                                    results[index].metrics_state)
                     retire(index, attempt)
-                    if monitor is not None:
-                        monitor.cell_finished(cells[index].label,
-                                              attempt.attempt, OK,
-                                              results[index].seconds)
                 elif payload is not None:
                     error = payload.get("error") or "cell raised"
                     retire(index, attempt)

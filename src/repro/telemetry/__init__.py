@@ -49,14 +49,6 @@ from .hooks import (
     uninstall_alloc_hooks,
     uninstall_op_hooks,
 )
-from .live import (
-    LiveConfig,
-    LiveEmitter,
-    RssSampler,
-    SweepMonitor,
-    tick,
-    worker_session,
-)
 from .manifest import (
     MANIFEST_SUFFIX,
     build_manifest,
@@ -101,7 +93,6 @@ from .sinks import (
     load_events,
 )
 from .spans import NOOP_SPAN, Span, Tracer
-from .trace_export import chrome_trace_events, export_chrome_trace
 
 _tracer: Optional[Tracer] = None
 _memory: Optional[MemorySink] = None
@@ -111,8 +102,7 @@ _config_lock = threading.Lock()
 
 def configure(trace_path: Optional[str] = None,
               sink: Optional[EventSink] = None,
-              metrics: Optional[MetricsRegistry] = None,
-              mem_trace: bool = False) -> Tracer:
+              metrics: Optional[MetricsRegistry] = None) -> Tracer:
     """Enable telemetry process-wide; returns the active tracer.
 
     Events always accumulate in an in-process :class:`MemorySink` (so
@@ -122,9 +112,7 @@ def configure(trace_path: Optional[str] = None,
     previous tracer first.
 
     An :class:`AllocationLedger` is always installed alongside the tracer
-    (live/peak accounting is a handful of dict updates per allocation);
-    ``mem_trace=True`` additionally records the throttled live-bytes
-    timeline that the Chrome trace exporter renders as a counter track.
+    (live/peak accounting is a handful of dict updates per allocation).
     """
     global _tracer, _memory, _ledger
     with _config_lock:
@@ -140,7 +128,7 @@ def configure(trace_path: Optional[str] = None,
             else:
                 active_sink = _memory
         _tracer = Tracer(sink=active_sink, metrics=metrics)
-        _ledger = AllocationLedger(sample=mem_trace)
+        _ledger = AllocationLedger()
         install_op_hooks(_tracer)
         install_alloc_hooks(_tracer, _ledger)
         return _tracer
@@ -295,16 +283,7 @@ def shard_capture(shard: Dict):
             uninstall_alloc_hooks()
             _memory = MemorySink()
             _tracer = Tracer(sink=_memory)
-            # Inherit the parent's timeline-sampling config so a
-            # --mem-trace run's counter track covers inline cells too
-            # (their summaries — samples included — fold back via
-            # merge_summary).
-            if parent_ledger is not None:
-                _ledger = AllocationLedger(
-                    sample=parent_ledger.sample,
-                    sample_interval_s=parent_ledger.sample_interval_s)
-            else:
-                _ledger = AllocationLedger()
+            _ledger = AllocationLedger()
             install_op_hooks(_tracer)
             install_alloc_hooks(_tracer, _ledger)
     if parent is None:
@@ -388,15 +367,6 @@ __all__ = [
     "platform_info",
     "hardware_info",
     "MANIFEST_SUFFIX",
-    # live sweep observatory
-    "LiveConfig",
-    "LiveEmitter",
-    "RssSampler",
-    "SweepMonitor",
-    "tick",
-    "worker_session",
-    "chrome_trace_events",
-    "export_chrome_trace",
     # reporting
     "render_trace_report",
     "render_top_spans",

@@ -21,10 +21,6 @@ engine's multi-hook allocation dispatch
   there".
 - **Top-N largest allocations** — a bounded ranking of the biggest single
   arrays ever allocated, with their op and span path.
-- **Timeline samples** — an optional throttled, bounded ``(wall_t,
-  live_bytes)`` series (``--mem-trace``) that the Chrome trace exporter
-  renders as a live-bytes counter track alongside the sampled RSS track,
-  so Perfetto shows accounted vs measured memory on one timeline.
 
 Determinism discipline: allocation *totals* (``total_alloc_bytes``,
 ``alloc_count``, ``alloc_by_op``) are functions of the executed code path
@@ -41,9 +37,8 @@ observability, never payload.
 from __future__ import annotations
 
 import threading
-import time
 import weakref
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from .rss import current_rss_bytes, peak_rss_bytes
 
@@ -62,31 +57,13 @@ class AllocationLedger:
     ----------
     top_n:
         How many of the largest single allocations to rank.
-    sample:
-        Record the throttled ``(wall_t, live_bytes)`` timeline (the
-        ``--mem-trace`` Chrome counter track). Off by default: the
-        summary stays a handful of scalars and small dicts.
-    sample_interval_s:
-        Minimum seconds between timeline samples.
-    max_samples:
-        Timeline bound; when reached the series is decimated (every
-        second sample dropped) and the interval doubled, so arbitrarily
-        long runs keep a bounded, coarsening timeline.
-    clock:
-        Wall-clock source for samples (overridable in tests).
     """
 
-    def __init__(self, top_n: int = 8, sample: bool = False,
-                 sample_interval_s: float = 0.05, max_samples: int = 2048,
-                 clock: Callable[[], float] = time.time):
+    def __init__(self, top_n: int = 8):
         # Reentrant: the cyclic GC can run a finalizer (_on_free) in the
         # middle of on_alloc's own critical section on the same thread.
         self._lock = threading.RLock()
-        self._clock = clock
         self.top_n = int(top_n)
-        self.sample = bool(sample)
-        self.sample_interval_s = float(sample_interval_s)
-        self.max_samples = int(max_samples)
         self.closed = False
 
         self.live_bytes = 0
@@ -107,9 +84,6 @@ class AllocationLedger:
         self.peak_by_op: Dict[str, int] = {}
         #: Largest single allocations ever seen, descending by size.
         self.top_allocations: List[Dict] = []
-        #: Throttled ``[wall_t, live_bytes]`` timeline (when sampling).
-        self.samples: List[List[float]] = []
-        self._last_sample_t: Optional[float] = None
 
     # ------------------------------------------------------------------
     # allocation stream
@@ -132,8 +106,6 @@ class AllocationLedger:
                 self.peak_by_path = dict(self.live_by_path)
                 self.peak_by_op = dict(self.live_by_op)
             self._rank(nbytes, op, path)
-            if self.sample:
-                self._maybe_sample()
         if array is not None:
             try:
                 weakref.finalize(array, self._on_free, nbytes, op, path)
@@ -165,19 +137,6 @@ class AllocationLedger:
                     table[key] = remaining
                 else:
                     table.pop(key, None)
-            if self.sample:
-                self._maybe_sample()
-
-    def _maybe_sample(self) -> None:
-        now = self._clock()
-        if self._last_sample_t is not None \
-                and now - self._last_sample_t < self.sample_interval_s:
-            return
-        self._last_sample_t = now
-        self.samples.append([round(now, 6), self.live_bytes])
-        if len(self.samples) >= self.max_samples:
-            self.samples = self.samples[::2]
-            self.sample_interval_s *= 2
 
     # ------------------------------------------------------------------
     # shard folding
@@ -192,8 +151,7 @@ class AllocationLedger:
         processes never overlap in time, so summing them would invent a
         peak nobody measured). The shard's residual ``live_bytes`` (arrays
         still referenced at worker shutdown) dies with the worker process
-        and is deliberately not added. Timeline samples are per-process
-        and are not merged.
+        and is deliberately not added.
         """
         if not isinstance(summary, Mapping):
             return
@@ -221,20 +179,6 @@ class AllocationLedger:
                     self._rank(int(entry["nbytes"]),
                                str(entry.get("op") or ""),
                                str(entry.get("path") or ""))
-            if self.sample:
-                incoming = [[float(s[0]), int(s[1])]
-                            for s in summary.get("samples") or ()
-                            if isinstance(s, (list, tuple)) and len(s) == 2]
-                if incoming:
-                    # Wall-clock stamps are comparable across processes on
-                    # one host (same convention as the live event stream),
-                    # so shard timelines interleave by time; decimate to
-                    # keep the merged series bounded.
-                    merged = sorted(self.samples + incoming,
-                                    key=lambda s: s[0])
-                    while len(merged) > self.max_samples:
-                        merged = merged[::2]
-                    self.samples = merged
 
     # ------------------------------------------------------------------
     # reporting
@@ -242,7 +186,7 @@ class AllocationLedger:
     def summary(self) -> Dict:
         """Serializable snapshot: the ``memory`` event / registry block."""
         with self._lock:
-            out: Dict = {
+            return {
                 "schema": MEMORY_SCHEMA,
                 "live_bytes": self.live_bytes,
                 "peak_bytes": self.peak_bytes,
@@ -263,9 +207,6 @@ class AllocationLedger:
                 "rss_peak_bytes": peak_rss_bytes(),
                 "rss_current_bytes": current_rss_bytes(),
             }
-            if self.sample:
-                out["samples"] = [list(s) for s in self.samples]
-            return out
 
     def close(self) -> None:
         """Stop accounting: late finalizers (gc after shutdown) are ignored."""
@@ -276,8 +217,8 @@ def memory_block(events=(), metrics: Optional[Mapping] = None) -> Dict:
     """The registry record's ``memory`` block from a finished run's events.
 
     Takes the last ``{"type": "memory", ...}`` event (the ledger summary
-    emitted at telemetry shutdown, shard summaries folded in), strips the
-    bulky timeline samples, and augments it with the DeviceModel peak (the
+    emitted at telemetry shutdown, shard summaries folded in) and augments
+    it with the DeviceModel peak (the
     max over ``device.*.peak_bytes`` gauges in the metrics snapshot) and
     the **accounting-coverage ratios** — how much of the measured RSS peak
     the ledger explains and how much of the ledger the device accounting
@@ -291,7 +232,6 @@ def memory_block(events=(), metrics: Optional[Mapping] = None) -> Dict:
             summary = dict(event["memory"])
     if not summary:
         return {}
-    summary.pop("samples", None)  # timeline stays in the trace, not the index
 
     device_peak = 0
     gauges = (metrics or {}).get("gauges") or {}

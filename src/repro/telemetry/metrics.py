@@ -73,8 +73,8 @@ class MetricsRegistry:
         """Point-in-time ``name -> value`` read of every counter.
 
         Unlocked reads (counter values are single attributes), sorted for
-        stable output — the cheap snapshot the live heartbeat path diffs
-        to report per-tick counter deltas.
+        stable output — the cheap read a caller takes before and after a
+        region to see which counters it moved.
         """
         return {name: counter.value
                 for name, counter in sorted(self._counters.items())}

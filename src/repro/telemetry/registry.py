@@ -40,9 +40,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 PathLike = Union[str, Path]
 
 #: Record schema. v2 (PR 4) added the ``workers`` count and the ``pool``
-#: execution-policy block for parallel sweeps; v3 (PR 6) added the
-#: ``live_path``/``chrome_trace_path`` pointers to a run's live-telemetry
-#: artifacts; v4 (PR 7) added the ``artifacts`` block — resume mode and
+#: execution-policy block for parallel sweeps; v3 (PR 6) added two
+#: pointers to live-telemetry artifacts, ``live_path`` and
+#: ``chrome_trace_path``, which are no longer written (lines that carry
+#: them still load; :meth:`RunRecord.from_dict` drops unknown keys);
+#: v4 (PR 7) added the ``artifacts`` block — resume mode and
 #: artifact-store hit/miss/store accounting, deliberately outside the
 #: config fingerprint (serving cells from the store must not change
 #: *what* was measured); v5 (PR 8) added the ``memory`` block — the
@@ -131,12 +133,6 @@ class RunRecord:
     summary: Dict = field(default_factory=dict)
     trace_path: Optional[str] = None
     result_path: Optional[str] = None
-    #: Live-telemetry artifacts of a monitored sweep (schema v3; None for
-    #: unmonitored runs and pre-v3 records): the ``live.jsonl`` heartbeat/
-    #: stall/RSS event stream and the Perfetto-loadable Chrome trace
-    #: exported from it post-run.
-    live_path: Optional[str] = None
-    chrome_trace_path: Optional[str] = None
     #: Resumable-sweep accounting (schema v4; empty for runs without the
     #: artifact store and pre-v4 records): the resume mode
     #: (``resume``/``fresh``), the store directory, and the store's
@@ -172,8 +168,6 @@ def build_record(
     timestamp: Optional[float] = None,
     workers: int = 1,
     pool: Optional[Mapping] = None,
-    live_path: Optional[PathLike] = None,
-    chrome_trace_path: Optional[PathLike] = None,
     artifacts: Optional[Mapping] = None,
     memory: Optional[Mapping] = None,
 ) -> RunRecord:
@@ -184,8 +178,6 @@ def build_record(
     any flat name → number map (e.g. column means of the result rows).
     ``workers``/``pool`` annotate parallel sweeps (schema v2): the pool
     width and its execution policy / retry accounting.
-    ``live_path``/``chrome_trace_path`` point at the live event stream
-    and the exported Chrome trace of a monitored sweep (schema v3).
     ``artifacts`` is the resumable-sweep block (schema v4): resume mode,
     store directory, and artifact-store traffic. ``memory`` is the
     memory-observatory block (schema v5): the allocation ledger summary
@@ -212,9 +204,6 @@ def build_record(
         summary=dict(summary or {}),
         trace_path=str(trace_path) if trace_path is not None else None,
         result_path=str(result_path) if result_path is not None else None,
-        live_path=str(live_path) if live_path is not None else None,
-        chrome_trace_path=(str(chrome_trace_path)
-                           if chrome_trace_path is not None else None),
         artifacts=dict(artifacts or {}),
         memory=dict(memory or {}),
     )
@@ -393,8 +382,6 @@ def record_run(
     registry_dir: Optional[PathLike] = None,
     workers: int = 1,
     pool: Optional[Mapping] = None,
-    live_path: Optional[PathLike] = None,
-    chrome_trace_path: Optional[PathLike] = None,
     artifacts: Optional[Mapping] = None,
 ) -> RunRecord:
     """One-call indexing: fold a finished run's artifacts into the registry.
@@ -421,8 +408,6 @@ def record_run(
         result_path=result_path,
         workers=workers,
         pool=pool,
-        live_path=live_path,
-        chrome_trace_path=chrome_trace_path,
         artifacts=artifacts,
         memory=memory_block(events, metrics),
     )

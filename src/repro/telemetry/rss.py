@@ -1,11 +1,7 @@
 """One RSS reader for all of telemetry: current and peak, one semantics.
 
-Before this module existed the package had two divergent readers:
-:mod:`.spans` measured span RAM deltas against the *monotone* peak-RSS
-rusage counter (``ru_maxrss``) — so every span opened after the process
-high-water mark reported ``ram_delta_bytes == 0`` — while :mod:`.live`
-sampled the *current* RSS from ``/proc/self/statm``. Both now read
-through here:
+:mod:`.spans` (span RAM deltas) and :mod:`.memory` (the ledger's
+coverage ratios) both read through here:
 
 - :func:`current_rss_bytes` — the instantaneous resident set, from
   ``/proc/self/statm`` on Linux (resident pages × page size). Falls back

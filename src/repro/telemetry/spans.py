@@ -141,11 +141,6 @@ class Tracer:
         self.sink: EventSink = sink or NullSink()
         self.metrics = metrics or MetricsRegistry()
         self.epoch_s = time.perf_counter()
-        #: Wall-clock time of the tracer epoch: every span's ``t_start_s``
-        #: is relative to this instant, which is what lets the Chrome
-        #: trace exporter place spans on the same timeline as the live
-        #: events' wall-clock stamps.
-        self.wall_epoch = time.time()
         self._ids = itertools.count(1)
         self._local = threading.local()
 

@@ -17,7 +17,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..telemetry import live
 from ..autodiff.optim import Adam
 from ..errors import DeviceOOMError
 from ..nn.module import Module
@@ -198,13 +197,8 @@ def record_epoch_telemetry(epoch: int, loss: Optional[float],
     early-stop state), which the report's sparkline table reads, and the
     ``train.epochs`` counter. A no-op when telemetry is disabled, so the
     loop calls it unconditionally; the (mildly costly) grad norm is only
-    computed while a tracer is active. Also the sweep's liveness pulse:
-    each epoch sends a throttled live heartbeat (one global ``None`` check
-    when no live emitter is installed) so monitored cells prove progress
-    every epoch.
+    computed while a tracer is active.
     """
-    live.tick("epoch", epoch=int(epoch),
-              loss=None if loss is None else float(loss))
     if not telemetry.enabled():
         return
     grad_norm = grad_global_norm(model)

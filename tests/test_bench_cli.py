@@ -81,6 +81,15 @@ class TestExecution:
         assert [row["status"] for row in rows] == ["oom", "oom"]
         assert all(row["device_bytes"] <= 1e-6 * 2 ** 30 for row in rows)
 
+    def test_unusable_capacity_gib_rejected(self, capsys):
+        for bad in ("-1", "0", "nan", "inf"):
+            rejects(capsys, ["efficiency", "--capacity-gib", bad],
+                    "--capacity-gib must be a finite number > 0")
+        rejects(capsys, ["taxonomy", "--capacity-gib", "-5"],
+                "--capacity-gib applies to efficiency and baselines only")
+        rejects(capsys, ["effectiveness", "--capacity-gib", "4"],
+                "--capacity-gib applies to efficiency and baselines only")
+
 
 class TestRegistryCli:
     EFFICIENCY = ["efficiency", "--datasets", "cora", "--filters", "ppr",
@@ -236,66 +245,10 @@ class TestPoolCli:
         assert all(cell["status"] == "ok" and cell["attempts"] == 1
                    and cell["seconds"] >= 0.0
                    for cell in stats["per_cell"])
+        assert stats["stragglers"], \
+            "straggler ranking missing from the registry record"
         # One folded shard per grid cell (2 filters x 1 dataset).
         assert record.metrics["counters"]["pool.cells.ok"] == 2
-
-
-class TestLiveCli:
-    def test_parser_accepts_live_flags(self):
-        parser = build_parser()
-        args = parser.parse_args(["efficiency", "--watch",
-                                  "--live", "out/live.jsonl",
-                                  "--stall-fraction", "0.3"])
-        assert args.watch is True
-        assert args.live == "out/live.jsonl"
-        assert args.stall_fraction == 0.3
-
-    def test_watch_rejected_with_no_telemetry(self, capsys):
-        for argv in (["efficiency", "--watch", "--no-telemetry"],
-                     ["efficiency", "--live", "x.jsonl", "--no-telemetry"]):
-            rejects(capsys, argv,
-                    "--watch/--live require telemetry; drop --no-telemetry")
-
-    def test_watch_rejected_outside_grid_sweeps(self, capsys):
-        for argv in (["taxonomy", "--watch"],
-                     ["regression", "--live", "x.jsonl"]):
-            rejects(capsys, argv, "--watch/--live apply to the grid sweeps")
-
-    def test_stall_fraction_must_be_a_proper_fraction(self, capsys):
-        for bad in ("0", "1", "1.5", "-0.2"):
-            rejects(capsys, ["efficiency", "--watch", "--stall-fraction", bad],
-                    "--stall-fraction must be strictly between 0 and 1")
-
-    def test_live_run_writes_stream_trace_and_registry_pointers(
-            self, tmp_path, capsys):
-        from repro.telemetry.registry import RunRegistry
-        from repro.telemetry.sinks import load_events
-
-        live_path = tmp_path / "live.jsonl"
-        code = main(TestPoolCli.EFFICIENCY
-                    + ["--workers", "2", "--live", str(live_path),
-                       "--registry-dir", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "live:" in out and "chrome-trace:" in out
-
-        events = load_events(live_path)
-        types = {e["type"] for e in events}
-        assert {"sweep_start", "cell_start", "heartbeat",
-                "cell_finish", "sweep_finish"} <= types
-
-        trace_path = tmp_path / "live.trace.json"
-        assert trace_path.exists()
-        import json
-
-        trace = json.loads(trace_path.read_text())
-        assert trace["traceEvents"], "empty Chrome trace"
-
-        record = RunRegistry(tmp_path).load()[0]
-        assert record.live_path == str(live_path)
-        assert record.chrome_trace_path == str(trace_path)
-        assert record.pool["stats"]["stragglers"], \
-            "straggler ranking missing from the registry record"
 
 
 class TestRegistryCliErrors:

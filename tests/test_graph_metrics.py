@@ -10,7 +10,6 @@ from repro.graph import (
     Graph,
     degree_groups,
     edge_homophily,
-    label_frequency_profile,
     node_homophily,
     rayleigh_quotient,
 )
@@ -96,8 +95,3 @@ class TestRayleigh:
     def test_shape_validation(self, tiny_graph):
         with pytest.raises(GraphError):
             rayleigh_quotient(tiny_graph, np.ones(5))
-
-    def test_label_frequency_orders_homophily(self):
-        homo = path_graph([0, 0, 0, 1, 1, 1])
-        hetero = path_graph([0, 1, 0, 1, 0, 1])
-        assert label_frequency_profile(homo) < label_frequency_profile(hetero)

@@ -188,8 +188,8 @@ class TestRunState:
     """Run state has one owner: :mod:`repro.runtime.context` installs what
     is active for a run, and every consumer reads ``context.current()``.
     A module global that code rebinds is a second owner — a switch a
-    ``spawn`` worker never sees — so the runtime and the live channel
-    rebind none outside the context (and the pool's last-sweep stats)."""
+    ``spawn`` worker never sees — so the runtime rebinds none outside the
+    context (and the pool's last-sweep stats)."""
 
     SRC = Path(repro.__file__).resolve().parent
     ALLOWED = {("runtime/context.py", None),
@@ -212,8 +212,7 @@ class TestRunState:
         return found
 
     def test_only_the_context_rebinds_run_state(self):
-        paths = sorted((self.SRC / "runtime").rglob("*.py")) \
-            + [self.SRC / "telemetry" / "live.py"]
+        paths = sorted((self.SRC / "runtime").rglob("*.py"))
         offenders = []
         for path in paths:
             relative = path.relative_to(self.SRC).as_posix()

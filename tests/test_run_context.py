@@ -158,13 +158,6 @@ class TestRejections:
     @pytest.mark.parametrize("experiment,changes,message", [
         ("efficiency", dict(trace="t.jsonl", telemetry=False),
          "--trace requires telemetry"),
-        ("efficiency", dict(mem_trace=True, telemetry=False),
-         "--mem-trace requires telemetry"),
-        ("efficiency", dict(watch=True, telemetry=False),
-         "--watch/--live require telemetry"),
-        ("taxonomy", dict(live="x.jsonl"), "--watch/--live apply to the grid"),
-        ("efficiency", dict(stall_fraction=1.0),
-         "--stall-fraction must be strictly between 0 and 1"),
         ("efficiency", dict(ram_budget_mib=64.0),
          "--ram-budget requires --blocked"),
         ("efficiency", dict(spill_dir="spill"), "--spill-dir requires --blocked"),

@@ -13,10 +13,9 @@ Four layers under test, mirroring the observatory's data path:
 3. **Span attribution** (:mod:`repro.telemetry.spans` / ``report``): the
    exclusive per-span ledger bytes telescope back to the root spans'
    inclusive totals — hypothesis-checked over random span/alloc scripts.
-4. **Exports**: the trace report's memory section, the Chrome trace's
-   ``ledger_live`` counter track, registry schema v5 ``memory`` blocks
-   (with v4 backward compatibility) and their registry diff rows, and
-   the ``--mem-trace`` CLI wiring.
+4. **Exports**: the trace report's memory section, registry schema v5
+   ``memory`` blocks (with v4 backward compatibility) and their registry
+   diff rows, and the CLI wiring.
 """
 
 from __future__ import annotations
@@ -222,20 +221,6 @@ class TestAllocationLedger:
         assert summary["peak_bytes"] == 100
         assert summary["peak_attribution"]["path"] == "a"
         assert summary["rss_peak_bytes"] > 0
-        assert "samples" not in summary  # only with sample=True
-
-    def test_sampling_is_throttled_and_bounded(self):
-        now = [0.0]
-        ledger = AllocationLedger(sample=True, sample_interval_s=1.0,
-                                  max_samples=8, clock=lambda: now[0])
-        for i in range(40):
-            now[0] = float(i)  # 1 tick per alloc: every alloc sampled
-            ledger.on_alloc(10, None, "leaf")
-        # Decimation keeps the series under the bound and doubles the
-        # interval, so it coarsens instead of growing.
-        assert len(ledger.samples) < 8
-        assert ledger.sample_interval_s > 1.0
-        assert ledger.summary()["samples"] == ledger.samples
 
     def test_merge_summary_adds_totals_and_maxes_peak(self):
         parent = AllocationLedger()
@@ -407,7 +392,7 @@ class TestMemoryBlock:
         assert memory_block([], {}) == {}
 
     def test_strips_samples_and_adds_coverage(self):
-        ledger = AllocationLedger(sample=True, sample_interval_s=0.0)
+        ledger = AllocationLedger()
         ledger.on_alloc(2 ** 20, None, "leaf", "a")
         events = [{"type": "memory", "memory": ledger.summary()}]
         metrics = {"gauges": {"device.d.peak_bytes":
@@ -420,14 +405,14 @@ class TestMemoryBlock:
         assert ratio is not None and 0 < ratio <= 1.0
 
     def test_blocked_subblock_absent_when_tier_never_ran(self):
-        ledger = AllocationLedger(sample=True, sample_interval_s=0.0)
+        ledger = AllocationLedger()
         ledger.on_alloc(2 ** 20, None, "leaf", "a")
         events = [{"type": "memory", "memory": ledger.summary()}]
         block = memory_block(events, {"counters": {}, "gauges": {}})
         assert "blocked" not in block
 
     def test_blocked_subblock_carries_spill_traffic(self):
-        ledger = AllocationLedger(sample=True, sample_interval_s=0.0)
+        ledger = AllocationLedger()
         ledger.on_alloc(2 ** 20, None, "leaf", "a")
         events = [{"type": "memory", "memory": ledger.summary()}]
         metrics = {
@@ -508,7 +493,7 @@ class TestMemoryGate:
 
 
 # ---------------------------------------------------------------------------
-# 4c. rendering + Chrome trace export
+# 4c. rendering
 # ---------------------------------------------------------------------------
 
 class TestMemoryReporting:
@@ -541,31 +526,6 @@ class TestMemoryReporting:
         assert "allocation ledger" not in \
             telemetry.render_trace_report(events)
 
-    def test_chrome_trace_has_ledger_live_counter_track(self):
-        telemetry.configure(mem_trace=True)
-        ledger = telemetry.get_ledger()
-        ledger.sample_interval_s = 0.0  # sample every allocation
-        with telemetry.span("stage"):
-            for _ in range(4):
-                _tensor(8)
-        events = telemetry.shutdown()
-        trace = telemetry.chrome_trace_events(
-            [], events, span_epoch_wall=None)
-        counters = [e for e in trace if e.get("name") == "ledger_live"
-                    and e.get("ph") == "C"]
-        assert counters
-        assert all("MiB" in e["args"] for e in counters)
-        assert [e["ts"] for e in counters] \
-            == sorted(e["ts"] for e in counters)
-
-    def test_no_counter_track_without_mem_trace(self):
-        telemetry.configure()  # ledger on, timeline sampling off
-        with telemetry.span("stage"):
-            _tensor(8)
-        events = telemetry.shutdown()
-        trace = telemetry.chrome_trace_events([], events)
-        assert not [e for e in trace if e.get("name") == "ledger_live"]
-
 
 # ---------------------------------------------------------------------------
 # rss helper
@@ -588,29 +548,15 @@ class TestRssHelpers:
 # CLI wiring
 # ---------------------------------------------------------------------------
 
-class TestMemTraceCli:
-    def test_mem_trace_conflicts_with_no_telemetry(self, capsys):
-        from repro.bench.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["efficiency", "--mem-trace", "--no-telemetry"])
-        assert "--mem-trace requires telemetry" in capsys.readouterr().err
-
-    def test_parser_accepts_mem_trace(self):
-        from repro.bench.__main__ import build_parser
-
-        args = build_parser().parse_args(["efficiency", "--mem-trace"])
-        assert args.mem_trace
-        assert not build_parser().parse_args(["efficiency"]).mem_trace
-
-    def test_mem_trace_run_writes_memory_artifacts(self, tmp_path, capsys):
+class TestMemoryCli:
+    def test_run_writes_memory_artifacts(self, tmp_path, capsys):
         from repro.bench.__main__ import main
         from repro.bench.io import load_jsonl
 
         trace = tmp_path / "run.jsonl"
         code = main(["efficiency", "--datasets", "cora", "--filters", "ppr",
                      "--schemes", "mini_batch", "--epochs", "2",
-                     "--trace", str(trace), "--mem-trace",
+                     "--trace", str(trace),
                      "--registry-dir", str(tmp_path / "registry")])
         assert code == 0
         out = capsys.readouterr().out
@@ -620,8 +566,6 @@ class TestMemTraceCli:
         summary = memory_event["memory"]
         assert summary["schema"] == MEMORY_SCHEMA
         assert summary["peak_bytes"] > 0
-        assert summary["samples"], "--mem-trace must record the timeline"
         record = telemetry.RunRegistry(tmp_path / "registry").load()[-1]
         assert record.memory["peak_bytes"] == summary["peak_bytes"]
-        assert "samples" not in record.memory
         assert record.memory["coverage"]["ledger_vs_rss"] is not None

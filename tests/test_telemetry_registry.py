@@ -266,35 +266,26 @@ class TestSchemaV2:
         assert candidate.schema.endswith("/v6")
 
 
-class TestSchemaV3:
-    def test_live_artifact_pointers_round_trip(self, tmp_path):
-        record = record_run(make_manifest(), registry_dir=tmp_path,
-                            workers=2, live_path="out/live.jsonl",
-                            chrome_trace_path="out/live.trace.json")
-        loaded = RunRegistry(tmp_path).load()[0]
-        assert loaded.run_id == record.run_id
-        assert loaded.live_path == "out/live.jsonl"
-        assert loaded.chrome_trace_path == "out/live.trace.json"
-
-    def test_unmonitored_run_has_no_pointers(self, tmp_path):
-        record_run(make_manifest(), registry_dir=tmp_path)
-        loaded = RunRegistry(tmp_path).load()[0]
-        assert loaded.live_path is None
-        assert loaded.chrome_trace_path is None
-
-    def test_v2_line_loads_with_none_pointers(self, tmp_path):
-        """A registry written before PR 6 still loads cleanly."""
+class TestRetiredLiveKeys:
+    def test_v6_line_with_live_pointers_loads_and_pairs(self, tmp_path):
+        """A v6 line that still carries the retired ``live_path`` /
+        ``chrome_trace_path`` keys loads cleanly and pairs with a new
+        record of the same config."""
         registry = RunRegistry(tmp_path)
-        v2 = make_record(1.0).to_dict()
-        v2["schema"] = "repro.telemetry.registry/v2"
-        del v2["live_path"]
-        del v2["chrome_trace_path"]
+        old = make_record(1.0).to_dict()
+        old["live_path"] = "out/live.jsonl"
+        old["chrome_trace_path"] = "out/live.trace.json"
         with (tmp_path / REGISTRY_FILENAME).open("a") as handle:
-            handle.write(json.dumps(v2) + "\n")
-        (loaded,) = registry.load()
+            handle.write(json.dumps(old) + "\n")
+        new = registry.append(make_record(2.0))
+
+        records = registry.load()
         assert registry.corrupt_lines == 0
-        assert loaded.live_path is None
-        assert loaded.chrome_trace_path is None
+        assert len(records) == 2
+        assert not hasattr(records[0], "live_path")
+        baseline, candidate = registry.resolve_pair(new.config_fingerprint)
+        assert (baseline.run_id, candidate.run_id) == (old["run_id"],
+                                                       new.run_id)
 
 
 # ---------------------------------------------------------------------------
