@@ -13,18 +13,22 @@ Steps, in order:
    skippable with ``--skip-slow`` for local iteration;
 2. every ``benchmarks/bench_*_smoke.py`` CI gate, discovered by glob so
    new gates are picked up without touching this driver;
-3. the perf harness: ``benchmarks/perf/run.py --trace 0`` and
+3. the paper step: the 14 paper benches (every ``bench_fig*.py`` and
+   ``bench_table*.py`` but the full-scale Table 5 gate, which runs on
+   its own) at their default epochs, each asserting its artifact's
+   finding;
+4. the perf harness: ``benchmarks/perf/run.py --trace 0`` and
    ``--trace 1`` (``--seconds 3``) run every ``BENCHMARK.json`` workload
    with telemetry off and on, and fail when an output check fails. This
    is not ``--check-repeat``: on a 2-vCPU runner two back-to-back runs
    of one commit moved ``setup_s`` by up to 33 %, past its 25 % bound, so
    a same-commit timing gate would fail on noise. Timings are gated per
    change, against the parent, by the benchmark pipeline;
-4. the reach run (``benchmarks/reach.py``): every paper bench at one
+5. the reach run (``benchmarks/reach.py``): every paper bench at one
    epoch under a call profiler, writing ``reach.json`` (the ``src/repro``
    modules each bench run executes) next to ``nightly_report.json``. It
    reports, never gates;
-5. a pinned nightly efficiency sweep through the real CLI, recorded into
+6. a pinned nightly efficiency sweep through the real CLI, recorded into
    one *persistent* registry directory (the workflow restores/saves it
    with ``actions/cache``, so records accumulate across nights). It is
    history, not a gate: ``python -m repro.bench compare --registry
@@ -136,6 +140,11 @@ def main(argv=None) -> int:
          [python, "-m", "pytest",
           str(BENCH_DIR / "bench_table5_fullscale.py"), "-x", "-q"],
          results)
+
+    benches = [str(path) for path in sorted(BENCH_DIR.glob("bench_fig*.py"))
+               + sorted(BENCH_DIR.glob("bench_table*.py"))
+               if path.name != "bench_table5_fullscale.py"]
+    _run("paper", [python, "-m", "pytest", *benches, "-q"], results)
 
     for trace in ("0", "1"):
         _run(f"perf-trace-{trace}",

@@ -785,17 +785,35 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(data, (a, b), backward, "where")
 
 
+def accumulate(out: Optional[np.ndarray], scratch: Optional[np.ndarray],
+               term: np.ndarray, weight) -> tuple:
+    """One term of ``Σ w_k·B_k`` over numpy arrays: ``(out, scratch)``.
+
+    The first term (``out`` is None) is ``term · weight``, fresh; each
+    later one is multiplied into ``scratch`` (allocated by the second
+    term) and added into ``out`` in place. Products take numpy's own
+    dtype promotion, and the terms of one sum share a shape and dtype, so
+    the sum rounds exactly as the plain ``B_0·w_0 + B_1·w_1 + …`` does
+    while holding one accumulator and one scratch.
+    """
+    if out is None:
+        return np.multiply(term, weight), scratch
+    scratch = np.multiply(term, weight, out=scratch)
+    np.add(out, scratch, out=out)
+    return out, scratch
+
+
 def linear_combination(
     terms: Iterable[Tensor], coefficients: Union[Tensor, ArrayLike]
 ) -> Tensor:
     """``Σ_k c_k · B_k`` over same-shaped terms as one graph node.
 
     ``terms`` is consumed as an iterator, so a basis recurrence streams
-    through one accumulator and one scratch buffer; the ufunc sequence
-    (multiply, then add into the accumulator, in term order) is the one
-    the unfused ``B_k * c_k`` / ``out + term`` chain executes, so forward
-    values are bit-identical to it. ``coefficients`` is a constant 1-D
-    array or a 1-D :class:`Tensor` θ. Backward gives ``∂B_k = c_k · grad``
+    through one accumulator and one scratch buffer (:func:`accumulate`);
+    the ufunc sequence (multiply, then add into the accumulator, in term
+    order) is the one the unfused ``B_k * c_k`` / ``out + term`` chain
+    executes, so forward values are bit-identical to it.
+    ``coefficients`` is a constant 1-D array or a 1-D :class:`Tensor` θ. Backward gives ``∂B_k = c_k · grad``
     to the terms that require it, as a deferred ``(grad, c_k)`` pair the
     engine multiplies out where it first reads it, and ``∂θ_k = ⟨grad,
     B_k⟩`` as one dot product per term; only the terms backward reads are
@@ -818,16 +836,10 @@ def linear_combination(
         if k >= len(weights):
             raise AutodiffError(
                 f"more terms than the {len(weights)} coefficients")
-        if out is None:
-            out = np.multiply(term.data, weights[0])
-        else:
-            if term.shape != out.shape:
-                raise AutodiffError(
-                    f"term {k} has shape {term.shape}, expected {out.shape}")
-            if scratch is None:
-                scratch = np.empty_like(out)
-            np.multiply(term.data, weights[k], out=scratch)
-            np.add(out, scratch, out=out)
+        if out is not None and term.shape != out.shape:
+            raise AutodiffError(
+                f"term {k} has shape {term.shape}, expected {out.shape}")
+        out, scratch = accumulate(out, scratch, term.data, weights[k])
         if track_theta or (_grad_enabled and term.requires_grad):
             kept.append(term._graph_node())
             slots.append((k, term.requires_grad))

@@ -85,13 +85,16 @@ config.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from pathlib import Path
-from typing import Dict
+from typing import Any, Dict
 
 from .. import telemetry
+from ..datasets import DATASET_NAMES
 from ..errors import ReproError
+from ..filters import FILTER_NAMES
 from ..runtime import pool as runtime_pool
 from ..runtime.context import GRID_SWEEPS, RunConfig
 from ..runtime.pool import PoolConfig
@@ -126,8 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list", action="store_true",
                         help="list experiments and exit")
     parser.add_argument("--datasets", nargs="+", default=None,
+                        choices=DATASET_NAMES, metavar="NAME",
                         help="dataset registry names")
     parser.add_argument("--filters", nargs="+", default=None,
+                        choices=FILTER_NAMES, metavar="NAME",
                         help="filter registry names")
     parser.add_argument("--schemes", nargs="+", default=None,
                         choices=["full_batch", "mini_batch", "graph_partition"])
@@ -364,6 +369,43 @@ def run_config(args: argparse.Namespace) -> RunConfig:
                         max_retries=args.max_retries))
 
 
+def selection_kwargs(parser: argparse.ArgumentParser,
+                     args: argparse.Namespace, runner) -> Dict[str, Any]:
+    """The runner's arguments from the selection flags, or a usage error.
+
+    A flag fills the runner parameter that takes it — all values for a
+    sequence parameter (``seeds``), exactly one for a single-value one
+    (``seed``) — and a flag the runner has no parameter for is rejected,
+    never dropped. Seeds must be ≥ 0.
+    """
+    if args.seeds and min(args.seeds) < 0:
+        parser.error(f"--seeds must be >= 0, got {min(args.seeds)}")
+    params = inspect.signature(runner).parameters
+    kwargs: Dict[str, Any] = {}
+    for flag, many, one in (("datasets", "dataset_names", "dataset_name"),
+                            ("filters", "filters", None),
+                            ("schemes", "schemes", "scheme"),
+                            ("seeds", "seeds", "seed")):
+        values = getattr(args, flag)
+        if values is None:
+            continue
+        if many in params:
+            kwargs[many] = tuple(values)
+        elif one in params and len(values) == 1:
+            kwargs[one] = values[0]
+        elif one in params:
+            parser.error(f"{args.experiment} takes one --{flag} value, "
+                         f"got {len(values)}")
+        else:
+            parser.error(f"--{flag} does not apply to {args.experiment}")
+    if args.scale is not None:
+        if "scale_override" not in params:
+            parser.error("--scale applies to efficiency and effectiveness "
+                         "only")
+        kwargs["scale_override"] = args.scale
+    return kwargs
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv[:1] == ["compare"]:
@@ -403,23 +445,7 @@ def main(argv=None) -> int:
     except ReproError as error:
         parser.error(str(error))
 
-    kwargs = {}
-    if args.datasets:
-        if args.experiment == "hardware":
-            kwargs["dataset_name"] = args.datasets[0]
-        else:
-            kwargs["dataset_names"] = tuple(args.datasets)
-    if args.filters:
-        kwargs["filters"] = tuple(args.filters)
-    if args.schemes and args.experiment == "efficiency":
-        kwargs["schemes"] = tuple(args.schemes)
-    if args.seeds and args.experiment in ("effectiveness", "stability",
-                                          "scale-shift", "hops",
-                                          "degree-bias", "normalization"):
-        kwargs["seeds"] = tuple(args.seeds)
-    if args.scale is not None and args.experiment in ("efficiency",
-                                                      "effectiveness"):
-        kwargs["scale_override"] = args.scale
+    kwargs = selection_kwargs(parser, args, runner)
     if args.capacity_gib is not None:
         kwargs["device_capacity_gib"] = args.capacity_gib
     if takes_config and args.epochs is not None:

@@ -23,7 +23,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autodiff.tensor import (Tensor, concatenate as tensor_concat,
+from ..autodiff.tensor import (Tensor, accumulate,
+                               concatenate as tensor_concat,
                                contract_channels, linear_combination,
                                stack as tensor_stack)
 from ..errors import FilterError
@@ -154,15 +155,15 @@ class FilterBank(SpectralFilter):
 
     def _fuse(self, outputs: Sequence[Signal], gamma) -> Signal:
         """``⊕_q γ_q · g_q``: one fused node for an autodiff sum."""
-        if self.fusion == "sum" and isinstance(outputs[0], Tensor):
+        if self.fusion == "concat":
+            return _fuse_concat(
+                [out * gamma[index] for index, out in enumerate(outputs)])
+        if isinstance(outputs[0], Tensor):
             return linear_combination(outputs, gamma)
-        scaled = [out * gamma[index] for index, out in enumerate(outputs)]
-        if self.fusion == "sum":
-            fused = scaled[0]
-            for out in scaled[1:]:
-                fused = fused + out
-            return fused
-        return _fuse_concat(scaled)
+        fused = scratch = None
+        for index, out in enumerate(outputs):
+            fused, scratch = accumulate(fused, scratch, out, gamma[index])
+        return fused
 
     def output_width(self, in_features: int) -> int:
         if self.fusion == "concat":

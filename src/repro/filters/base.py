@@ -37,8 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..autodiff.sparse import spmm, spmm_numpy
-from ..autodiff.tensor import (Tensor, as_tensor, contract_channels,
-                               linear_combination)
+from ..autodiff.tensor import (Tensor, accumulate, as_tensor,
+                               contract_channels, linear_combination)
 from ..errors import FilterError
 from ..graph.graph import Graph
 from ..runtime import plan
@@ -146,17 +146,18 @@ def _combine(bases: Iterator[Signal], coefficients) -> Signal:
     """Σ θ_k B_k, streaming (holds one accumulator + current basis).
 
     Autodiff signals go through the fused :func:`linear_combination` node;
-    numpy and spectral-grid signals evaluate the plain expression.
+    numpy and spectral-grid signals through its accumulate step.
     """
     bases = iter(bases)
     first = next(bases, None)
     if first is None:
         raise FilterError("filter produced no basis terms")
+    bases = chain((first,), bases)
     if isinstance(first, Tensor):
-        return linear_combination(chain((first,), bases), coefficients)
-    out = first * coefficients[0]
-    for k, basis in enumerate(bases, start=1):
-        out = out + basis * coefficients[k]
+        return linear_combination(bases, coefficients)
+    out = scratch = None
+    for k, basis in enumerate(bases):
+        out, scratch = accumulate(out, scratch, basis, coefficients[k])
     return out
 
 

@@ -446,16 +446,8 @@ class OptBasisFilter(SpectralFilter):
         """Replay channel-averaged recurrence coefficients on the λ grid."""
         if self._last_beta is None:
             # Not yet propagated: report the Chebyshev-like default shape.
-            prev_prev = x
-            yield prev_prev
-            if self.num_hops == 0:
-                return
-            prev = -ctx.adj(x)
-            yield prev
-            for _ in range(self.num_hops - 1):
-                current = -ctx.adj(prev) * 2.0 - prev_prev
-                yield current
-                prev_prev, prev = prev, current
+            yield from plan.stream_chain(ctx, x, "chebyshev", (),
+                                         self.num_hops + 1)
             return
         h_prev = x
         h_prev_prev = None

@@ -31,6 +31,7 @@ switch reaches ``spawn`` workers the way it reaches ``fork`` ones.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import sys
 from contextlib import ExitStack, contextmanager
@@ -120,8 +121,11 @@ class RunConfig:
              "--ram-budget requires --blocked"),
             (self.spill_dir is not None and not self.blocked,
              "--spill-dir requires --blocked"),
-            (self.ram_budget_mib is not None and self.ram_budget_mib <= 0,
-             "--ram-budget must be a positive MiB count"),
+            (self.ram_budget_mib is not None
+             and not (math.isfinite(self.ram_budget_mib)
+                      and self.ram_budget_mib > 0),
+             f"--ram-budget must be a positive MiB count, "
+             f"got {self.ram_budget_mib}"),
             (self.blocked and pooled,
              "--blocked is serial-only (the tier is process-local); "
              "drop --workers"),

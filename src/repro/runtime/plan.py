@@ -28,16 +28,22 @@ The planner canonicalizes each filter's recurrence into a *chain*:
 and serves order-k terms from a bounded, instrumented term store.
 Requests extend a chain incrementally: a later filter asking for a
 higher order recomputes only the missing suffix, never the shared
-prefix. Recurrence steps run through preallocated ping-pong scratch
-buffers (dirty-checked per shape/dtype) so the planned numpy path
-allocates one fresh array per stored term and zero per-step temporaries.
+prefix.
+
+Each family is declared once, as a coefficient rule mapping step k to
+``(operand, coefficient)`` pairs over ``Ã·prev``, ``prev``,
+``prev_prev`` and ``x``, and one executor evaluates every rule: a numpy
+or spectral-grid step accumulates in place into its fresh ``Ã·prev``
+(one array per term plus one scratch per chain), an autodiff step is
+one graph node.
 
 **Bit-identity guarantee** (same contract as the spmm transpose cache):
-the planned and unplanned paths execute the *same floating-point
-operations in the same order* — the in-place kernels mirror the
-streaming expressions ufunc by ufunc — so enabling the planner never
-changes a single result bit. The hypothesis suite in
-``tests/test_runtime_plan.py`` holds every family to this property.
+the planned and unplanned paths run the *same executor*, hence the same
+floating-point operations in the same order, so enabling the planner
+never changes a single result bit. ``tests/test_basis_golden.py`` holds
+every filter to digests captured before the rules replaced per-family
+kernels, and the hypothesis suite in ``tests/test_runtime_plan.py``
+holds planned to streamed.
 
 Scope and lifetime: the store only exists inside a :func:`plan_scope`,
 which installs its planner on the run context
@@ -169,199 +175,81 @@ def signal_digest(x: np.ndarray) -> str:
 # ======================================================================
 # basis families
 # ======================================================================
-# Each step function computes term k (k >= 1) of its recurrence from the
-# window (prev_prev, prev); ``prev_prev`` is None at k == 1. With
-# ``ws=None`` the step evaluates the plain streaming expression (numpy
-# arrays and spectral-grid signals) or, for autodiff Tensors, the same
-# expression as one fused ``linear_combination`` node wherever it would
-# otherwise be several; with a Workspace it runs the numpy in-place
-# variant. The branches MUST stay bit-identical — that is the planner's
-# contract — so edit them only together. The fused form folds signs into
-# the coefficients (``(-t)·c ≡ t·(-c)``, ``a − b ≡ a + (−b)``), which IEEE
-# rounding, being sign-symmetric, cannot tell apart.
+# A family is declared once, as coefficient rules: ``rule(k, params)``
+# gives one stage of step k as ``(operand, coefficient)`` pairs whose sum
+# is the stage's value. A step is one stage, except Gaussian's, which
+# composes three. Operands name the stage's input ``"in"`` (T_{k-1} for
+# the first stage, the previous stage's value after it), ``"adj"`` =
+# Ã·in, the chain's ``"prev"`` = T_{k-1} and ``"prev_prev"`` = T_{k-2},
+# and the signal ``"x"``. One executor (:func:`_stepper`) evaluates every
+# rule, for streamed and planned chains and for every signal type, so
+# each family has exactly one sequence of floating-point operations.
 
 
-class Workspace:
-    """Preallocated ping-pong scratch buffers for recurrence temporaries.
-
-    ``scratch(template, slot)`` returns a reusable buffer matching the
-    template's shape/dtype (slot 0 = ping, 1 = pong), dirty-checked on
-    every take so a stale buffer from a different signal shape can never
-    be served. Buffers only ever hold *intra-step* temporaries — stored
-    chain terms are always fresh arrays — which is what makes serving
-    cached terms safe without copying.
-    """
-
-    def __init__(self):
-        self._buffers: Dict[Tuple, np.ndarray] = {}
-
-    def scratch(self, template: np.ndarray, slot: int = 0) -> np.ndarray:
-        key = (template.shape, template.dtype.str, int(slot))
-        buffer = self._buffers.get(key)
-        if buffer is None or buffer.shape != template.shape \
-                or buffer.dtype != template.dtype:
-            buffer = self._buffers[key] = np.empty(template.shape,
-                                                   dtype=template.dtype)
-        return buffer
-
-    def clear(self) -> None:
-        self._buffers.clear()
-
-
-def _step_monomial_adj(ctx, x, prev_prev, prev, k, params, ws=None):
+def _monomial_adj(k, params):
     """Adjacency powers: ``T_k = Ã T_{k-1}``."""
-    return ctx.adj(prev)
+    return (("adj", 1.0),)
 
 
-def _step_monomial_lap(ctx, x, prev_prev, prev, k, params, ws=None):
+def _monomial_lap(k, params):
     """Laplacian powers: ``T_k = L̃ T_{k-1} = T_{k-1} − Ã T_{k-1}``."""
-    if ws is None:
-        return prev - ctx.adj(prev)
-    term = ctx.adj(prev)
-    np.subtract(prev, term, out=term)
-    return term
+    return (("prev", 1.0), ("adj", -1.0))
 
 
-def _step_chebyshev(ctx, x, prev_prev, prev, k, params, ws=None):
+def _chebyshev(k, params):
     """First-kind Chebyshev on ``L̂ = −Ã``: ``T_k = 2L̂T_{k-1} − T_{k-2}``."""
-    if isinstance(prev, Tensor) and k > 1:
-        return linear_combination((ctx.adj(prev), prev_prev), (-2.0, -1.0))
-    if ws is None:
-        shifted = -ctx.adj(prev)
-        if k == 1:
-            return shifted
-        return shifted * 2.0 - prev_prev
-    term = ctx.adj(prev)
-    np.negative(term, out=term)
     if k == 1:
-        return term
-    np.multiply(term, 2.0, out=term)
-    np.subtract(term, prev_prev, out=term)
-    return term
+        return (("adj", -1.0),)
+    return (("adj", -2.0), ("prev_prev", -1.0))
 
 
-def _step_clenshaw(ctx, x, prev_prev, prev, k, params, ws=None):
+def _clenshaw(k, params):
     """Second-kind Chebyshev: ``U_1 = 2L̂``, ``U_k = 2L̂U_{k-1} − U_{k-2}``."""
-    if isinstance(prev, Tensor):
-        if k == 1:
-            return linear_combination((ctx.adj(prev),), (-2.0,))
-        return linear_combination((ctx.adj(prev), prev_prev), (-2.0, -1.0))
-    if ws is None:
-        shifted = -ctx.adj(prev)
-        if k == 1:
-            return shifted * 2.0
-        return shifted * 2.0 - prev_prev
-    term = ctx.adj(prev)
-    np.negative(term, out=term)
-    np.multiply(term, 2.0, out=term)
     if k == 1:
-        return term
-    np.subtract(term, prev_prev, out=term)
-    return term
+        return (("adj", -2.0),)
+    return (("adj", -2.0), ("prev_prev", -1.0))
 
 
-def _step_legendre(ctx, x, prev_prev, prev, k, params, ws=None):
+def _legendre(k, params):
     """Legendre: ``P_k = ((2k−1)/k) L̂ P_{k-1} − ((k−1)/k) P_{k-2}``."""
-    if isinstance(prev, Tensor) and k > 1:
-        return linear_combination((ctx.adj(prev), prev_prev),
-                                  (-(2.0 * k - 1.0) / k, -(k - 1.0) / k))
-    if ws is None:
-        shifted = -ctx.adj(prev)
-        if k == 1:
-            return shifted
-        return shifted * ((2.0 * k - 1.0) / k) - prev_prev * ((k - 1.0) / k)
-    term = ctx.adj(prev)
-    np.negative(term, out=term)
     if k == 1:
-        return term
-    np.multiply(term, (2.0 * k - 1.0) / k, out=term)
-    scratch = ws.scratch(term)
-    np.multiply(prev_prev, (k - 1.0) / k, out=scratch)
-    np.subtract(term, scratch, out=term)
-    return term
+        return (("adj", -1.0),)
+    return (("adj", -(2.0 * k - 1.0) / k), ("prev_prev", -(k - 1.0) / k))
 
 
-def _step_jacobi(ctx, x, prev_prev, prev, k, params, ws=None):
+def _jacobi(k, params):
     """Jacobi ``P_k^{(a,b)}(1 − λ)`` (Wang & Zhang 2022 recurrence)."""
     a, b = params
     if k == 1:
-        if isinstance(x, Tensor):
-            return linear_combination(
-                (x, ctx.adj(x)), ((a - b) / 2.0, (a + b + 2.0) / 2.0))
-        if ws is None:
-            return x * ((a - b) / 2.0) + ctx.adj(x) * ((a + b + 2.0) / 2.0)
-        term = ctx.adj(x)
-        np.multiply(term, (a + b + 2.0) / 2.0, out=term)
-        scratch = ws.scratch(term)
-        np.multiply(x, (a - b) / 2.0, out=scratch)
-        np.add(scratch, term, out=term)
-        return term
+        return (("x", (a - b) / 2.0), ("adj", (a + b + 2.0) / 2.0))
     denom = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
     c1 = (2.0 * k + a + b - 1.0) * (2.0 * k + a + b) \
         * (2.0 * k + a + b - 2.0) / denom
     c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b) / denom
     c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b) / denom
-    if isinstance(prev, Tensor):
-        return linear_combination((ctx.adj(prev), prev, prev_prev),
-                                  (c1, c2, -c3))
-    if ws is None:
-        return ctx.adj(prev) * c1 + prev * c2 - prev_prev * c3
-    term = ctx.adj(prev)
-    np.multiply(term, c1, out=term)
-    scratch = ws.scratch(term)
-    np.multiply(prev, c2, out=scratch)
-    np.add(term, scratch, out=term)
-    np.multiply(prev_prev, c3, out=scratch)
-    np.subtract(term, scratch, out=term)
-    return term
+    return (("adj", c1), ("prev", c2), ("prev_prev", -c3))
 
 
-def _step_horner(ctx, x, prev_prev, prev, k, params, ws=None):
+def _horner(k, params):
     """Horner residual: ``b_k = Ã b_{k-1} + x``."""
-    if ws is None:
-        return ctx.adj(prev) + x
-    term = ctx.adj(prev)
-    np.add(term, x, out=term)
-    return term
+    return (("adj", 1.0), ("x", 1.0))
 
 
-def _step_shifted_monomial(ctx, x, prev_prev, prev, k, params, ws=None):
+def _shifted_monomial(k, params):
     """FAGNN channel powers: ``T_k = s·Ã T_{k-1} + β T_{k-1}``."""
     beta, sign = params
-    if isinstance(prev, Tensor):
-        return linear_combination((ctx.adj(prev), prev), (sign, beta))
-    if ws is None:
-        return ctx.adj(prev) * sign + prev * beta
-    term = ctx.adj(prev)
-    np.multiply(term, sign, out=term)
-    scratch = ws.scratch(term)
-    np.multiply(prev, beta, out=scratch)
-    np.add(term, scratch, out=term)
-    return term
+    return (("adj", sign), ("prev", beta))
 
 
-def _step_gaussian(ctx, x, prev_prev, prev, k, params, ws=None):
-    """One G²CN product layer: ``H ← H − (α/J)·C²H`` with ``C = βI + Ã``."""
-    alpha, beta, layers = params
-    step = alpha / layers
-    if isinstance(prev, Tensor):
-        inner = linear_combination((ctx.adj(prev), prev), (1.0, beta))
-        squared = linear_combination((ctx.adj(inner), inner), (1.0, beta))
-        return linear_combination((prev, squared), (1.0, -step))
-    if ws is None:
-        inner = ctx.adj(prev) + prev * beta
-        squared = ctx.adj(inner) + inner * beta
-        return prev - squared * step
-    inner = ctx.adj(prev)
-    scratch = ws.scratch(inner)
-    np.multiply(prev, beta, out=scratch)
-    np.add(inner, scratch, out=inner)
-    squared = ctx.adj(inner)
-    np.multiply(inner, beta, out=scratch)
-    np.add(squared, scratch, out=squared)
-    np.multiply(squared, step, out=squared)
-    np.subtract(prev, squared, out=squared)
-    return squared
+def _gaussian_shift(k, params):
+    """Half a G²CN layer: ``C·H`` with ``C = βI + Ã``."""
+    return (("adj", 1.0), ("in", params[1]))
+
+
+def _gaussian_update(k, params):
+    """One G²CN product layer: ``H ← H − (α/J)·C²H``."""
+    alpha, _, layers = params
+    return (("prev", 1.0), ("in", -(alpha / layers)))
 
 
 @dataclass(frozen=True)
@@ -369,7 +257,8 @@ class ChainFamily:
     """One canonicalized basis recurrence the planner knows how to run."""
 
     name: str
-    step: Callable
+    #: coefficient rules, one per stage of a step.
+    stages: Tuple[Callable, ...]
     #: spmm applications per recurrence step (what a served term avoids).
     spmm_per_step: int = 1
     #: recurrence history: 2 for three-term recurrences, else 1.
@@ -379,40 +268,109 @@ class ChainFamily:
 FAMILIES: Dict[str, ChainFamily] = {
     family.name: family
     for family in (
-        ChainFamily("monomial_adj", _step_monomial_adj),
-        ChainFamily("monomial_lap", _step_monomial_lap),
-        ChainFamily("chebyshev", _step_chebyshev, history=2),
-        ChainFamily("clenshaw", _step_clenshaw, history=2),
-        ChainFamily("legendre", _step_legendre, history=2),
-        ChainFamily("jacobi", _step_jacobi, history=2),
-        ChainFamily("horner", _step_horner),
-        ChainFamily("shifted_monomial", _step_shifted_monomial),
-        ChainFamily("gaussian", _step_gaussian, spmm_per_step=2),
+        ChainFamily("monomial_adj", (_monomial_adj,)),
+        ChainFamily("monomial_lap", (_monomial_lap,)),
+        ChainFamily("chebyshev", (_chebyshev,), history=2),
+        ChainFamily("clenshaw", (_clenshaw,), history=2),
+        ChainFamily("legendre", (_legendre,), history=2),
+        ChainFamily("jacobi", (_jacobi,), history=2),
+        ChainFamily("horner", (_horner,)),
+        ChainFamily("shifted_monomial", (_shifted_monomial,)),
+        ChainFamily("gaussian", (_gaussian_shift, _gaussian_shift,
+                                 _gaussian_update), spmm_per_step=2),
     )
 }
 
 
-def _family(name: str) -> ChainFamily:
-    family = FAMILIES.get(name)
-    if family is None:
-        raise KeyError(f"unknown basis family {name!r}; "
-                       f"known: {', '.join(sorted(FAMILIES))}")
-    return family
+def _node(terms: List[Tensor], coefficients: List[float]) -> Tensor:
+    """One graph node for ``Σ c·t``, as the plain expression builds it."""
+    if len(terms) == 1 and coefficients[0] in (1.0, -1.0):
+        return terms[0] if coefficients[0] == 1.0 else -terms[0]
+    if len(terms) == 2 and coefficients[0] == 1.0 \
+            and coefficients[1] in (1.0, -1.0):
+        return terms[0] + terms[1] if coefficients[1] == 1.0 \
+            else terms[0] - terms[1]
+    return linear_combination(terms, coefficients)
+
+
+def _stepper(ctx, x, family: ChainFamily, params: Tuple) -> Callable:
+    """The executor of one chain: ``step(k, prev_prev, prev)`` is T_k.
+
+    Tensor signals get one graph node per stage (:func:`_node`). Numpy
+    and spectral-grid signals accumulate in place into the stage's fresh
+    array — ``Ã·in``, or in a stage that applies no Ã the previous
+    stage's value — in the rule's term order: a ±1 coefficient is an add
+    or a subtract, any other goes through one scratch buffer the chain
+    reuses. Only the first two terms of a sum commute exactly, so the
+    fresh array must be one of them. Every form rounds as the plain
+    expression ``Σ c·t`` does (IEEE rounding is sign-symmetric, so a
+    negation folded into a coefficient or an add moves no bit), which is
+    what keeps streamed, planned and full-batch chains bit-identical.
+    """
+    scratch = None
+
+    def sum_in_place(terms, coefficients, fresh):
+        nonlocal scratch
+        out = terms[fresh]
+        # ``out`` holds −Σ while ``negated``; the next +1 or scaled term
+        # flips it back in its own pass (t − s), so −1 rarely costs one.
+        negated = coefficients[fresh] == -1.0
+        if not negated and coefficients[fresh] != 1.0:
+            np.multiply(out, coefficients[fresh], out=out)
+        for index, (term, c) in enumerate(zip(terms, coefficients)):
+            if index == fresh:
+                continue
+            if c not in (1.0, -1.0):
+                if scratch is None:  # every Ã·in of a chain is alike
+                    scratch = np.empty_like(out)
+                np.multiply(term, c, out=scratch)
+                term, c = scratch, 1.0
+            if negated and c == 1.0:
+                np.subtract(term, out, out=out)  # −s + t = t − s
+                negated = False
+            elif negated or c == 1.0:
+                np.add(out, term, out=out)  # s + t, or −s − t = −(s + t)
+            else:
+                np.subtract(out, term, out=out)
+        if negated:
+            np.negative(out, out=out)
+        return out
+
+    def stage(rule, k, inputs, owned):
+        pairs = rule(k, params)
+        adj = ctx.adj(inputs["in"]) \
+            if any(name == "adj" for name, _ in pairs) else None
+        terms = [adj if name == "adj" else inputs[name] for name, _ in pairs]
+        coefficients = [c for _, c in pairs]
+        if isinstance(x, Tensor):
+            return _node(terms, coefficients)
+        fresh = next(index for index, (name, _) in enumerate(pairs)
+                     if name == "adj" or (owned and name == "in"))
+        return sum_in_place(terms, coefficients, fresh)
+
+    def step(k, prev_prev, prev):
+        inputs = {"in": prev, "prev": prev, "prev_prev": prev_prev, "x": x}
+        for index, rule in enumerate(family.stages):
+            inputs["in"] = stage(rule, k, inputs, owned=index > 0)
+        return inputs["in"]
+
+    return step
 
 
 def stream_chain(ctx, x, family: str, params: Tuple, count: int):
     """Unplanned chain evaluation: yield ``count`` terms, windowed.
 
-    This is the exact seed propagation path — a sliding window of at
-    most :attr:`ChainFamily.history` previous terms, no term storage —
-    and works on numpy, Tensor, and spectral-grid signals alike.
+    A sliding window of at most :attr:`ChainFamily.history` previous
+    terms, no term storage, through the same executor as the planner;
+    works on numpy, Tensor, and spectral-grid signals alike.
     """
-    fam = _family(family)
+    fam = FAMILIES[family]
+    step = _stepper(ctx, x, fam, params)
     prev_prev = None
     prev = x
     yield x
     for k in range(1, count):
-        term = fam.step(ctx, x, prev_prev, prev, k, params, None)
+        term = step(k, prev_prev, prev)
         yield term
         prev_prev = prev if fam.history == 2 else None
         prev = term
@@ -428,7 +386,6 @@ class _ChainEntry:
     x_token: Tuple
     #: ``terms[0]`` is the signal itself; computed terms are read-only.
     terms: List[Any]
-    spmm_per_step: int
     #: Content fingerprint naming the chain's files in the spill and
     #: shared tiers (``None`` while neither is active).
     fingerprint: Optional[str] = None
@@ -443,17 +400,16 @@ class BasisPlanner:
     Chains are keyed by (operator identity + mutation token + backend,
     signal identity + mutation token, family, scaling params) and extend
     incrementally: serving ``count`` terms reuses the stored prefix and
-    computes only the missing suffix through the family's in-place
-    kernels. Computed terms are returned read-only — they are shared
-    across filters, so a consumer mutating one would corrupt its
-    siblings; making that a loud ``ValueError`` instead of silent
-    corruption is part of the bit-identity contract.
+    computes only the missing suffix through the chain executor.
+    Computed terms are returned read-only — they are shared across
+    filters, so a consumer mutating one would corrupt its siblings;
+    making that a loud ``ValueError`` instead of silent corruption is
+    part of the bit-identity contract.
     """
 
     def __init__(self, capacity: int = PLAN_CHAIN_ENTRIES):
         self._chains = LRUCache(capacity, counter_prefix="plan.chains",
                                 on_evict=self._on_evict)
-        self._workspace = Workspace()
         self._lock = threading.RLock()
         self.terms_served = 0
         self.terms_computed = 0
@@ -506,7 +462,7 @@ class BasisPlanner:
     def chain_terms(self, ctx, x: np.ndarray, family: str, params: Tuple,
                     count: int) -> Sequence[np.ndarray]:
         """Serve ``count`` chain terms, computing only the missing suffix."""
-        fam = _family(family)
+        fam = FAMILIES[family]
         matrix = ctx.matrix
         key = (id(matrix), ctx.backend, id(x), fam.name, params)
         token = matrix_token(matrix)
@@ -526,7 +482,7 @@ class BasisPlanner:
                     _chains.discard(_key)
 
                 entry = _ChainEntry(weakref.ref(matrix, _purge), token,
-                                    x_tok, [x], fam.spmm_per_step)
+                                    x_tok, [x])
                 self._chains.put(key, entry)
             run = context.current()
             if entry.fingerprint is None and (
@@ -564,7 +520,7 @@ class BasisPlanner:
         Both tiers hold the chain's terms as files named by one content
         fingerprint (:func:`repro.runtime.shm.term_name`) and serve them
         as read-only maps, bit-identical by construction (whoever wrote
-        them ran the same in-place kernels this process would have). The
+        them ran the same executor this process would have). The
         shared store (the run context's ``active_handle``, pooled
         sweeps) is asked first and may hand this process the claim on the
         remainder; the spill tier (blocked tier) then maps back what
@@ -590,15 +546,13 @@ class BasisPlanner:
                 telemetry.inc_counter("plan.terms.spill_load", len(loaded))
         first_order = len(entry.terms)
         computed: List[np.ndarray] = []
+        step = _stepper(ctx, x, fam, params)
         try:
             while len(entry.terms) < count:
                 k = len(entry.terms)
-                prev = entry.terms[-1]
-                prev_prev = entry.terms[-2] if k >= 2 else None
-                term = np.asarray(fam.step(ctx, x, prev_prev, prev, k,
-                                           params, self._workspace))
-                if term is not x:
-                    term.setflags(write=False)
+                term = step(k, entry.terms[-2] if k >= 2 else None,
+                            entry.terms[-1])
+                term.setflags(write=False)
                 entry.terms.append(term)
                 computed.append(term)
                 entry.resident_bytes += int(term.nbytes)
@@ -617,10 +571,9 @@ class BasisPlanner:
             shared.abandon_claim(fingerprint)
 
     def clear(self) -> None:
-        """Drop every chain and scratch buffer (scope exit, tests)."""
+        """Drop every chain (scope exit, tests)."""
         with self._lock:
             self._chains.clear()
-            self._workspace.clear()
             self._resident_bytes = 0
 
     def stats(self) -> dict:

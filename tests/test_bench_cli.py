@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.bench.__main__ import EXPERIMENTS, build_parser, main
@@ -89,6 +91,71 @@ class TestExecution:
                 "--capacity-gib applies to efficiency and baselines only")
         rejects(capsys, ["effectiveness", "--capacity-gib", "4"],
                 "--capacity-gib applies to efficiency and baselines only")
+
+
+def capture_kwargs(monkeypatch, experiment):
+    """Swap ``experiment``'s runner for a stub with its signature that
+    records the arguments it is called with and returns no rows."""
+    runner, artifact, takes_config = EXPERIMENTS[experiment]
+    seen = {}
+
+    @functools.wraps(runner)
+    def stub(**kwargs):
+        seen.update(kwargs)
+        return []
+
+    monkeypatch.setitem(EXPERIMENTS, experiment,
+                        (stub, artifact, takes_config))
+    return seen
+
+
+class TestSelectionFlags:
+    """A selection flag is forwarded to the runner or rejected."""
+
+    @pytest.mark.parametrize("experiment", ["efficiency", "taxonomy",
+                                            "baselines", "linkpred"])
+    def test_single_seed_runner_gets_the_seed(self, monkeypatch,
+                                              experiment):
+        seen = capture_kwargs(monkeypatch, experiment)
+        assert main([experiment, "--seeds", "3", "--no-telemetry"]) == 0
+        assert seen["seed"] == 3
+
+    def test_single_seed_runner_rejects_more_seeds(self, capsys):
+        rejects(capsys, ["efficiency", "--seeds", "0", "1"],
+                "efficiency takes one --seeds value, got 2")
+
+    def test_effectiveness_takes_one_scheme(self, monkeypatch):
+        seen = capture_kwargs(monkeypatch, "effectiveness")
+        assert main(["effectiveness", "--schemes", "mini_batch",
+                     "--no-telemetry"]) == 0
+        assert seen["scheme"] == "mini_batch"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["stability", "--schemes", "mini_batch"],
+         "--schemes does not apply to stability"),
+        (["hops", "--scale", "0.05"],
+         "--scale applies to efficiency and effectiveness only"),
+        (["regression", "--scale", "0.05"],
+         "--scale applies to efficiency and effectiveness only"),
+        (["baselines", "--filters", "ppr"],
+         "--filters does not apply to baselines"),
+        (["taxonomy", "--datasets", "cora"],
+         "--datasets does not apply to taxonomy"),
+        (["hardware", "--datasets", "cora", "roman"],
+         "hardware takes one --datasets value, got 2"),
+    ])
+    def test_unused_flag_rejected(self, capsys, argv, message):
+        rejects(capsys, argv, message)
+
+    def test_unknown_names_rejected(self, capsys):
+        rejects(capsys, ["efficiency", "--datasets", "cora", "nope"],
+                "argument --datasets: invalid choice: 'nope'")
+        rejects(capsys, ["effectiveness", "--filters", "ppr", "nope"],
+                "argument --filters: invalid choice: 'nope'")
+
+    def test_negative_seed_rejected(self, capsys):
+        rejects(capsys, ["effectiveness", "--seeds", "-1"],
+                "--seeds must be >= 0, got -1")
 
 
 class TestRegistryCli:
@@ -201,8 +268,9 @@ class TestPoolCli:
                 "--ram-budget requires --blocked")
         rejects(capsys, ["efficiency", "--spill-dir", "/tmp/x"],
                 "--spill-dir requires --blocked")
-        rejects(capsys, ["efficiency", "--blocked", "--ram-budget", "0"],
-                "--ram-budget must be a positive MiB count")
+        for bad in ("0", "nan", "inf"):
+            rejects(capsys, ["efficiency", "--blocked", "--ram-budget", bad],
+                    "--ram-budget must be a positive MiB count")
         rejects(capsys, ["efficiency", "--blocked", "--workers", "4"],
                 "--blocked is serial-only")
 

@@ -182,6 +182,13 @@ class TestRejections:
         with pytest.raises(ReproError, match=message):
             RunConfig(**changes).validate(experiment)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_non_finite_ram_budget_rejected(self, budget):
+        with pytest.raises(ReproError,
+                           match="--ram-budget must be a positive MiB count"):
+            RunConfig(blocked=True, ram_budget_mib=budget).validate(
+                "efficiency")
+
     def test_default_config_is_legal_everywhere(self):
         for experiment in ("taxonomy", "efficiency", "regression"):
             assert RunConfig().validate(experiment) == RunConfig()

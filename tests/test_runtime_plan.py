@@ -18,11 +18,17 @@ its contracts:
 5. **Bypass**: ``--no-plan`` / ``--no-cache`` semantics (the run
    context's ``plan`` / ``cache`` switches) and scope rules (no scope →
    stream; nested scopes reuse; ``fresh=True`` isolates).
+6. **Streamed memory**: a streamed chain holds its history, the new
+   term and at most one scratch buffer.
+
+Planned ≡ streamed holds because both run one executor; that executor is
+held to digests captured before it existed by ``test_basis_golden.py``.
 """
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +37,7 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.autodiff import Tensor
+from repro.datasets import synthesize
 from repro.filters.base import PropagationContext
 from repro.filters.registry import FILTER_NAMES, make_filter
 from repro.graph import Graph
@@ -346,6 +353,42 @@ class TestBypassAndScopes:
         x = np.asarray(graph.features, dtype=np.float32)
         with pytest.raises(KeyError):
             list(plan.chain_bases(ctx, x, "not_a_family", (), 3))
+
+
+# ----------------------------------------------------------------------
+# streamed chains hold their history, the new term and one scratch
+# ----------------------------------------------------------------------
+class TestStreamedChainMemory:
+    """Traced peak of a streamed K = 10 chain whose consumer drops each
+    term after reading it, in units of one ``(n, F)`` float32 term (4.2 MB
+    here), plus 64 KiB for the interpreter's own objects."""
+
+    @pytest.fixture(scope="class")
+    def pokec(self):
+        graph = synthesize("pokec", scale=0.01)
+        return (PropagationContext.for_graph(graph, 0.5),
+                np.asarray(graph.features, dtype=np.float32))
+
+    @pytest.mark.parametrize("family,params,count,terms", [
+        ("chebyshev", (), 11, 3),
+        ("monomial_lap", (), 11, 2),
+        ("legendre", (), 11, 4),
+        ("gaussian", (1.0, -1.0, 5), 6, 4),
+        ("jacobi", (1.0, 1.0), 11, 4),
+    ])
+    def test_peak_within_bound(self, pokec, family, params, count, terms):
+        ctx, x = pokec
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for term in plan.stream_chain(ctx, x, family, params, count):
+                del term
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= terms * x.nbytes + 64 * 1024, \
+            f"{peak / x.nbytes:.3f} terms"
 
 
 # ----------------------------------------------------------------------
