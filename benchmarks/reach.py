@@ -7,18 +7,27 @@ process through ``pytest.main`` at ``REPRO_BENCH_EPOCHS=1``, with a
 Python function called from a file under ``src/repro``. The hook is on
 only while tests run, so the imports done at collection do not count,
 and module and class bodies are skipped wherever they run. A paper
-assertion that fails at one epoch still counts as reach; the step
+assertion that fails at one epoch still counts as reach; the run
 reports how many tests failed and never gates.
+
+``--paper`` profiles the paper benches as they gate instead: the 14 of
+them without ``bench_table5_fullscale.py`` (a gate of its own), at
+their default epochs, exiting with pytest's code, so a failed finding
+fails the run. The full-scale bench is the only one that goes through
+the bench CLI, so this report also lists the modules only the CLI
+reaches (telemetry, registry, file tier, graph partition) as zero-call;
+the default run over all 15 is the one to read as a dead-code list.
 
 Writes ``reach.json`` to the current directory: per module, the number
 of functions it defines and how many of them ran, plus the modules that
 define functions of which none ran. Usage::
 
-    python benchmarks/reach.py
+    python benchmarks/reach.py [--paper]
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import inspect
 import json
@@ -67,11 +76,21 @@ def _defined(path: Path) -> int:
                for node in ast.walk(tree))
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--paper", action="store_true",
+        help="the paper step: default epochs, no full-scale Table 5, and "
+             "the exit code of the benches")
+    args = parser.parse_args(argv)
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    os.environ["REPRO_BENCH_EPOCHS"] = "1"
     benches = sorted(BENCH_DIR.glob("bench_fig*.py")) + sorted(
         BENCH_DIR.glob("bench_table*.py"))
+    if args.paper:
+        benches = [path for path in benches
+                   if path.name != "bench_table5_fullscale.py"]
+    else:
+        os.environ["REPRO_BENCH_EPOCHS"] = "1"
     reach = _Reach()
     # pytest-benchmark pauses any profiler while it times a round;
     # --benchmark-disable makes the fixture call the bench plainly.
@@ -93,7 +112,7 @@ def main() -> int:
           f"{len(zero)} modules with zero calls:")
     for name in zero:
         print(f"   {name}")
-    return 0
+    return int(code) if args.paper else 0
 
 
 if __name__ == "__main__":

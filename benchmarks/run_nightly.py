@@ -16,7 +16,9 @@ Steps, in order:
 3. the paper step: the 14 paper benches (every ``bench_fig*.py`` and
    ``bench_table*.py`` but the full-scale Table 5 gate, which runs on
    its own) at their default epochs, each asserting its artifact's
-   finding;
+   finding, run once, through ``benchmarks/reach.py --paper``: the same
+   run writes ``reach.json`` (the ``src/repro`` modules the benches
+   execute) next to ``nightly_report.json``;
 4. the perf harness: ``benchmarks/perf/run.py --trace 0`` and
    ``--trace 1`` (``--seconds 3``) run every ``BENCHMARK.json`` workload
    with telemetry off and on, and fail when an output check fails. This
@@ -24,11 +26,7 @@ Steps, in order:
    of one commit moved ``setup_s`` by up to 33 %, past its 25 % bound, so
    a same-commit timing gate would fail on noise. Timings are gated per
    change, against the parent, by the benchmark pipeline;
-5. the reach run (``benchmarks/reach.py``): every paper bench at one
-   epoch under a call profiler, writing ``reach.json`` (the ``src/repro``
-   modules each bench run executes) next to ``nightly_report.json``. It
-   reports, never gates;
-6. a pinned nightly efficiency sweep through the real CLI, recorded into
+5. a pinned nightly efficiency sweep through the real CLI, recorded into
    one *persistent* registry directory (the workflow restores/saves it
    with ``actions/cache``, so records accumulate across nights). It is
    history, not a gate: ``python -m repro.bench compare --registry
@@ -134,25 +132,21 @@ def main(argv=None) -> int:
 
     # Full-scale Table 5 gate (not a *_smoke, so chained explicitly):
     # chameleon at scale=1.0 through the blocked tier, under its pinned
-    # memory ceiling — the nightly proof that full-size size-S rows stay
-    # measurable, not extrapolated.
+    # memory ceiling — the nightly proof that the planner spills at full
+    # size and that every cell of the slice stays measured, not
+    # extrapolated.
     _run("bench-table5-fullscale",
          [python, "-m", "pytest",
           str(BENCH_DIR / "bench_table5_fullscale.py"), "-x", "-q"],
          results)
 
-    benches = [str(path) for path in sorted(BENCH_DIR.glob("bench_fig*.py"))
-               + sorted(BENCH_DIR.glob("bench_table*.py"))
-               if path.name != "bench_table5_fullscale.py"]
-    _run("paper", [python, "-m", "pytest", *benches, "-q"], results)
+    _run("paper", [python, str(BENCH_DIR / "reach.py"), "--paper"],
+         results, cwd=registry_dir)
 
     for trace in ("0", "1"):
         _run(f"perf-trace-{trace}",
              [python, str(BENCH_DIR / "perf" / "run.py"), "--trace", trace,
               "--seconds", "3"], results)
-
-    _run("reach", [python, str(BENCH_DIR / "reach.py")], results,
-         cwd=registry_dir)
 
     before = _record_count(registry_dir)
     _run(

@@ -29,9 +29,8 @@ Every CSR product either backend computes — ``csr``'s ``P @ X`` and
 ``coo_gather``'s reducer product alike — goes through one hook,
 :func:`repro.runtime.blocked.spmm_csr`, so both get the same kernel
 policy: a large product of a training step runs in row tiles on the
-run's spmm threads, a blocked tier tiles any product under a RAM budget,
-and the rest stay a single scipy call. Row tiles add each row's terms in
-the same order, so none of this moves a bit.
+run's spmm threads, and the rest stay a single scipy call. Row tiles add
+each row's terms in the same order, so none of this moves a bit.
 """
 
 from __future__ import annotations

@@ -804,7 +804,8 @@ def accumulate(out: Optional[np.ndarray], scratch: Optional[np.ndarray],
 
 
 def linear_combination(
-    terms: Iterable[Tensor], coefficients: Union[Tensor, ArrayLike]
+    terms: Iterable[Tensor], coefficients: Union[Tensor, ArrayLike],
+    meter: str = "ewise",
 ) -> Tensor:
     """``Σ_k c_k · B_k`` over same-shaped terms as one graph node.
 
@@ -817,7 +818,9 @@ def linear_combination(
     to the terms that require it, as a deferred ``(grad, c_k)`` pair the
     engine multiplies out where it first reads it, and ``∂θ_k = ⟨grad,
     B_k⟩`` as one dot product per term; only the terms backward reads are
-    retained, which is none of them unless θ requires grad.
+    retained, which is none of them unless θ requires grad. ``meter`` is
+    the op class the op hook counts it under: a matrix-vector product
+    written as a combination of the matrix's columns is a ``"matmul"``.
     """
     theta = coefficients if isinstance(coefficients, Tensor) else None
     track_theta = _grad_enabled and theta is not None and theta.requires_grad
@@ -848,7 +851,7 @@ def linear_combination(
     if out is None:
         raise AutodiffError("linear_combination of no terms")
     if _op_hook is not None:
-        _op_hook("ewise", 2 * out.size * (k + 1), out.nbytes)
+        _op_hook(meter, 2 * out.size * (k + 1), out.nbytes)
     has_theta = theta is not None
 
     def backward(grad: np.ndarray):

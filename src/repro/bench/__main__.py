@@ -142,9 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="dataset scale override (validated against the "
                              "synthesizer's supported range at parse time)")
     parser.add_argument("--blocked", action="store_true",
-                        help="run propagation through the out-of-core "
-                             "blocked tier: row-tiled CSR spmm sized to the "
-                             "RAM budget, and planner terms that spill to "
+                        help="bound the planner's resident terms to half "
+                             "the RAM budget: terms beyond it spill to "
                              "mmap-backed files instead of being recomputed "
                              "(bit-identical to the in-core path; serial "
                              "runs only)")
@@ -508,12 +507,10 @@ def main(argv=None) -> int:
     if run.tier is not None:
         blocked_info = run.tier.stats()
         print(f"blocked: budget={blocked_info['ram_budget_bytes']} "
-              f"spmm={blocked_info['spmm_calls']} "
-              f"tiles={blocked_info['tiles']} "
               f"spill_files={blocked_info['spill_files']} "
               f"spill_bytes={blocked_info['spill_bytes']} "
               f"loads={blocked_info['load_files']} "
-              f"mmap_peak_bytes={blocked_info['mmap_peak_bytes']}")
+              f"load_bytes={blocked_info['load_bytes']}")
     artifacts_info = None
     if run.sweep is not None:
         artifacts_info = dict(

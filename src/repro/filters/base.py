@@ -250,9 +250,12 @@ class SpectralFilter:
         transform = self.coefficient_transform()
         if transform is None:
             return theta
+        # w = Cθ as Σ_j θ_j·C[:, j] in term order, not a BLAS product:
+        # its bits are then the same on every host.
         if isinstance(theta, Tensor):
-            return Tensor(transform.astype(np.float32)) @ theta
-        return transform @ np.asarray(theta)
+            return linear_combination(transform.astype(np.float32).T, theta,
+                                      meter="matmul")
+        return _combine(transform.T, np.asarray(theta))
 
     def propagate(self, graph: Graph, x: np.ndarray, rho: float = 0.5,
                   backend: str = "csr") -> np.ndarray:

@@ -71,7 +71,8 @@ ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
 DEFAULT_ARTIFACT_DIR = Path("benchmarks") / "results" / "artifacts"
 
 #: A cell's file name: its 64-hex content address. Any other file in the
-#: store directory (a scratch file, a stray ``*.json``) is not a cell.
+#: store directory (a scratch file, a stray ``*.json``) is not a cell,
+#: and only a scratch file of a cell is the store's to purge.
 _ADDRESS = re.compile(r"[0-9a-f]{64}")
 
 
@@ -231,11 +232,13 @@ class ArtifactStore:
         self.payload_path(address).unlink(missing_ok=True)
 
     def purge(self) -> int:
-        """Drop every cell and stray file (``--fresh``); returns the count
-        of cells dropped. The local tallies are kept, so a
-        fresh-then-populate run still reports what it stored."""
+        """Drop every cell and the scratch files of crashed writes
+        (``--fresh``); returns the count of cells dropped. Any other file
+        in the directory is not the store's and stays. The local tallies
+        are kept, so a fresh-then-populate run still reports what it
+        stored."""
         dropped = len(self)
-        self.files.purge()
+        self.files.purge(_ADDRESS.pattern + r"\.json")
         return dropped
 
     def stats(self) -> Dict[str, int]:

@@ -1,14 +1,10 @@
-"""repro.runtime.blocked — row-tiled CSR products: threaded, and out of core.
+"""repro.runtime.blocked — threaded CSR products, and the planner's spill.
 
-The paper's efficiency/memory tables (Tables 5–6) are defined on
-full-size graphs, but every propagation path in this repo materializes
-dense ``n × d`` term matrices in RAM — nothing downstream of the
-synthesizer survived ``scale=1.0`` before this module. The blocked tier
-makes those rows *measurable* instead of extrapolated, and the same row
-tiles let one large product use every CPU the process owns (the paper
-times propagation on parallel hardware):
+The paper's efficiency/memory tables (Tables 5–6) are about where bytes
+live at full size. This module holds the two pieces of propagation that
+decide it beyond the autodiff engine:
 
-- **Tiled CSR spmm** — :func:`blocked_spmm` evaluates ``P @ X`` over
+- **Threaded CSR spmm** — :func:`blocked_spmm` evaluates ``P @ X`` over
   row tiles that view the operator's ``indices`` and ``data`` (only a
   shifted ``indptr`` is copied; :func:`repro.runtime.cache.
   operator_tiles` keeps them per operator). A product on T threads is
@@ -19,9 +15,8 @@ times propagation on parallel hardware):
   computes each output row independently from that row's nonzeros, so
   row tiling executes the *same floating-point operations in the same
   order* as the one-shot product: the tiled result is bit-identical to
-  the in-core path (the same contract the planner and every cache in
-  this repo already hold, and what the ``bench-blocked`` CI gate
-  asserts end to end).
+  it. The output is the full ``n × F`` array either way, so tiling
+  bounds no memory; it only spreads the work.
 - **Thread budget** — T is the run context's ``spmm_threads``
   (:mod:`repro.runtime.context`): every CPU of the process's affinity
   mask inline, an equal share in a pool worker. Only a product of a
@@ -31,38 +26,32 @@ times propagation on parallel hardware):
   precompute product, stays one ``csr @ dense`` call. No helper thread
   is alive across a ``fork``: the pool is shut down before one and
   forgotten in the child.
-- **Spill directory** — :attr:`BlockedTier.spill`, a plain
-  :class:`repro.runtime.files.ArrayFiles`, holds whole ``T^(k)(L̃)·X``
-  term matrices under the shared store's file names
-  (:func:`repro.runtime.shm.term_name`). The basis planner's LRU
-  (:mod:`repro.runtime.plan`) evicts chains *into* it instead of
-  dropping them, so a later filter re-requesting a spilled chain maps
-  the identical bytes back read-only rather than recomputing them.
-- **RAM-budget auto-tuning** — block size derives from a byte budget
-  (:func:`choose_block_rows`); the budget comes from ``--ram-budget``
-  or, by default, from the process's current RSS
-  (:func:`default_ram_budget` via :mod:`repro.telemetry.rss`).
+- **Spill directory** — :class:`BlockedTier` (the bench CLI's
+  ``--blocked``) bounds the basis planner's resident terms
+  (:mod:`repro.runtime.plan`) to :data:`TERM_BUDGET_FRACTION` of a RAM
+  budget: ``--ram-budget``, or by default the process's current RSS
+  (:func:`default_ram_budget` via :mod:`repro.telemetry.rss`). Chains
+  the planner's LRU evicts go *into* :attr:`BlockedTier.spill`, a plain
+  :class:`repro.runtime.files.ArrayFiles` under the shared store's file
+  names (:func:`repro.runtime.shm.term_name`), instead of being
+  dropped, so a later filter re-requesting a spilled chain maps the
+  identical bytes back read-only rather than recomputing them.
 
-Lifetime: the tier acts only while it is the run context's ``tier``
-(:mod:`repro.runtime.context`; the bench CLI's ``--blocked`` builds one
-for the run); its RAM budget caps the tile height, divided by T since T
-tiles are in flight at once. :func:`spmm_csr` is the single integration
-hook — the autodiff spmm paths (:mod:`repro.autodiff.sparse`) route
-every CSR product through it, the ``coo_gather`` segment-sum included,
-so full-batch training, mini-batch precompute, and per-cluster GP
-propagation all tile transparently, and the training-step products
-also run on threads.
+:func:`spmm_csr` is the single integration hook — the autodiff spmm
+paths (:mod:`repro.autodiff.sparse`) route every CSR product through it,
+the ``coo_gather`` segment-sum included. The tier acts only while it is
+the run context's ``tier`` (:mod:`repro.runtime.context`); a product
+never consults it.
 
 Counters emitted (when telemetry is configured):
 
-- ``blocked.spmm_calls`` / ``blocked.tiles`` — tiled products and the
-  row tiles they split into.
 - ``blocked.spill_bytes`` — bytes the spill directory took (the terms
   themselves are counted once, as the planner's ``plan.terms.spill`` /
   ``plan.terms.spill_load``).
 - ``blocked.spill_failed`` — terms dropped (recomputed on the next
   request) because the spill directory refused the write.
-- ``blocked.mmap_peak_bytes`` (gauge) — bytes mapped back from disk.
+- ``blocked.load_bytes`` — bytes mapped back from disk, summed over
+  every load (a term loaded twice counts twice).
 
 The registry ``memory`` block (schema v6) folds these into a
 ``blocked`` sub-block so ``memory.peak_bytes`` attribution stays
@@ -89,12 +78,9 @@ from ..telemetry.rss import current_rss_bytes
 from . import cache, context
 from .files import ArrayFiles
 
-#: Floor for a derived RAM budget: even on a tiny container the tier
-#: should not degenerate into single-row tiles.
+#: Floor for a derived RAM budget: even on a tiny container the planner
+#: should keep more than a term or two resident.
 MIN_RAM_BUDGET_BYTES = 64 * 2 ** 20
-
-#: Fraction of the RAM budget one spmm tile (output rows) may occupy.
-TILE_BUDGET_FRACTION = 0.25
 
 #: Fraction of the RAM budget the planner's resident term store may
 #: occupy before chains spill to disk.
@@ -128,18 +114,6 @@ def default_ram_budget() -> int:
     current RSS (headroom comparable to what the run already uses),
     floored at :data:`MIN_RAM_BUDGET_BYTES`."""
     return max(MIN_RAM_BUDGET_BYTES, int(current_rss_bytes()))
-
-
-def choose_block_rows(num_rows: int, row_nbytes: int,
-                      budget_bytes: int,
-                      fraction: float = TILE_BUDGET_FRACTION) -> int:
-    """Rows per tile such that one tile's output fits ``fraction`` of the
-    budget; always at least 1 and never more than ``num_rows``."""
-    if num_rows <= 0:
-        return 1
-    tile_bytes = max(1, int(budget_bytes * fraction))
-    rows = tile_bytes // max(1, int(row_nbytes))
-    return int(min(max(rows, 1), num_rows))
 
 
 class _Helpers:
@@ -177,27 +151,19 @@ if hasattr(os, "register_at_fork"):
                         after_in_child=_helpers.forget)
 
 
-def row_tiles(csr: sp.csr_matrix, parts: int,
-              block_rows: Optional[int] = None) -> Tuple[Tile, ...]:
-    """``csr``'s rows cut into up to ``parts`` runs of about equal nnz,
-    each cut again into tiles at most ``block_rows`` high; cached per
-    operator."""
-    return cache.operator_tiles(csr, (parts, block_rows),
-                                lambda: _cut_tiles(csr, parts, block_rows))
+def row_tiles(csr: sp.csr_matrix, parts: int) -> Tuple[Tile, ...]:
+    """``csr``'s rows cut into up to ``parts`` tiles of about equal nnz;
+    cached per operator."""
+    return cache.operator_tiles(csr, parts, lambda: _cut_tiles(csr, parts))
 
 
-def _cut_tiles(csr: sp.csr_matrix, parts: int,
-               block_rows: Optional[int]) -> Tuple[Tile, ...]:
+def _cut_tiles(csr: sp.csr_matrix, parts: int) -> Tuple[Tile, ...]:
     indptr, num_rows = csr.indptr, csr.shape[0]
     targets = np.arange(1, parts) * (int(indptr[-1]) / parts)
     cuts = np.minimum(np.searchsorted(indptr, targets), num_rows)
     bounds = np.unique(np.concatenate(([0], cuts, [num_rows])))
-    tiles = []
-    for first, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        height = block_rows or end - first
-        tiles.extend(_tile(csr, start, min(start + height, end))
-                     for start in range(first, end, height))
-    return tuple(tiles)
+    return tuple(_tile(csr, first, end) for first, end
+                 in zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
 def _tile(csr: sp.csr_matrix, start: int, end: int) -> Tile:
@@ -211,20 +177,12 @@ def _parts(threads: int) -> int:
 
 
 def blocked_spmm(csr: sp.csr_matrix, dense: np.ndarray,
-                 block_rows: Optional[int] = None,
-                 out: Optional[np.ndarray] = None,
                  threads: int = 1) -> np.ndarray:
-    """``csr @ dense`` over row tiles at most ``block_rows`` high, on
-    ``threads`` threads, bit-identical to the one-shot product (each
-    output row's accumulation order is unchanged by row slicing). ``out``
-    may be any preallocated array of the result shape (including a
-    ``numpy.memmap``)."""
-    tiles = row_tiles(csr, _parts(threads), block_rows)
-    result = _spmm_tiles(csr, np.asarray(dense), tiles, threads)
-    if out is None:
-        return result
-    out[...] = result
-    return out
+    """``csr @ dense`` over equal-nnz row tiles on ``threads`` threads,
+    bit-identical to the one-shot product (each output row's
+    accumulation order is unchanged by row slicing)."""
+    return _spmm_tiles(csr, np.asarray(dense),
+                       row_tiles(csr, _parts(threads)), threads)
 
 
 def _spmm_tiles(csr: sp.csr_matrix, dense: np.ndarray,
@@ -280,24 +238,21 @@ def _spmm_tiles(csr: sp.csr_matrix, dense: np.ndarray,
 
 
 class BlockedTier:
-    """One run's blocked-execution configuration: budget, spill, tiling.
+    """One run's spill directory and the term budget that fills it.
 
     Parameters
     ----------
     ram_budget_bytes:
-        Byte budget the tier tunes against (``--ram-budget``); ``None``
+        Byte budget (``--ram-budget``); the planner keeps
+        :data:`TERM_BUDGET_FRACTION` of it in resident terms. ``None``
         derives it from the current RSS (:func:`default_ram_budget`).
     spill_dir:
         Spill directory; ``None`` creates a private temp directory
         removed by :meth:`close`.
-    block_rows:
-        Fixed tile height override; ``None`` auto-tunes per product via
-        :func:`choose_block_rows`.
     """
 
     def __init__(self, ram_budget_bytes: Optional[int] = None,
-                 spill_dir: Optional[os.PathLike] = None,
-                 block_rows: Optional[int] = None):
+                 spill_dir: Optional[os.PathLike] = None):
         self.ram_budget_bytes = int(ram_budget_bytes or default_ram_budget())
         if self.ram_budget_bytes < 1:
             raise ValueError("ram budget must be positive, got "
@@ -307,40 +262,15 @@ class BlockedTier:
             else tempfile.mkdtemp(prefix="repro-spill-")
         os.makedirs(root, exist_ok=True)
         self.spill = ArrayFiles(root)
-        self._block_rows = None if block_rows is None else int(block_rows)
         #: Resident-term budget the planner enforces before spilling.
         self.term_budget_bytes = max(
             1, int(self.ram_budget_bytes * TERM_BUDGET_FRACTION))
-        self.spmm_calls = 0
-        self.tiles = 0
         self._spill_lock = threading.Lock()
         self.spill_files = 0
         self.spill_bytes = 0
         self.load_files = 0
-        self.mapped_bytes = 0
+        self.load_bytes = 0
         self.closed = False
-
-    def block_rows_for(self, num_rows: int, row_nbytes: int) -> int:
-        if self._block_rows is not None:
-            return max(1, min(self._block_rows, max(num_rows, 1)))
-        return choose_block_rows(num_rows, row_nbytes,
-                                 self.ram_budget_bytes)
-
-    def spmm(self, csr: sp.csr_matrix, dense: np.ndarray,
-             threads: int = 1) -> np.ndarray:
-        """Tiled ``csr @ dense`` under this tier's budget, on ``threads``
-        threads (their tiles in flight at once share the budget)."""
-        dense = np.asarray(dense)
-        width = dense.shape[1] if dense.ndim > 1 else 1
-        row_nbytes = width * np.result_type(csr.dtype, dense.dtype).itemsize
-        block_rows = max(1, self.block_rows_for(csr.shape[0], row_nbytes)
-                         // threads)
-        tiles = row_tiles(csr, _parts(threads), block_rows)
-        self.spmm_calls += 1
-        self.tiles += len(tiles)
-        telemetry.inc_counter("blocked.spmm_calls")
-        telemetry.inc_counter("blocked.tiles", len(tiles))
-        return _spmm_tiles(csr, dense, tiles, threads)
 
     def spill_term(self, name: str, term: np.ndarray) -> int:
         """Write one evicted term; its bytes, 0 when already spilled."""
@@ -356,19 +286,20 @@ class BlockedTier:
         """Map back the longest present prefix of ``names``, read-only."""
         loaded = self.spill.leading(names)
         if loaded:
+            nbytes = sum(int(term.nbytes) for term in loaded)
             with self._spill_lock:
                 self.load_files += len(loaded)
-                self.mapped_bytes += sum(int(term.nbytes) for term in loaded)
-                mapped = self.mapped_bytes
-            telemetry.set_gauge("blocked.mmap_peak_bytes", mapped)
+                self.load_bytes += nbytes
+            telemetry.inc_counter("blocked.load_bytes", nbytes)
         return loaded
 
     def close(self) -> None:
-        """Purge spill files; remove the directory when tier-owned."""
+        """Purge the spilled terms; remove the directory when tier-owned."""
         if self.closed:
             return
         self.closed = True
-        self.spill.purge()
+        # The files of shm.term_name's names: the only ones the tier writes.
+        self.spill.purge(r"c-[0-9a-f]+\.[0-9]+\.npy")
         if self._owns_dir:
             shutil.rmtree(self.spill.root, ignore_errors=True)
 
@@ -376,12 +307,10 @@ class BlockedTier:
         return {
             "ram_budget_bytes": self.ram_budget_bytes,
             "term_budget_bytes": self.term_budget_bytes,
-            "spmm_calls": self.spmm_calls,
-            "tiles": self.tiles,
             "spill_files": self.spill_files,
             "spill_bytes": self.spill_bytes,
             "load_files": self.load_files,
-            "mmap_peak_bytes": self.mapped_bytes,
+            "load_bytes": self.load_bytes,
         }
 
 
@@ -389,19 +318,15 @@ def spmm_csr(csr: sp.csr_matrix, dense: np.ndarray,
              threaded: bool = True) -> np.ndarray:
     """The autodiff integration hook: ``csr @ dense``. A ``threaded``
     product whose work reaches :data:`THREADED_MIN_WORK` runs on the run
-    context's ``spmm_threads``; with a blocked tier on the context it is
-    tiled under the tier's budget; otherwise it is the plain one-shot
-    product. Bit-identical either way."""
-    run = context.current()
+    context's ``spmm_threads``; any other is the plain one-shot product.
+    Bit-identical either way."""
     dense = np.asarray(dense)
     width = dense.shape[1] if dense.ndim > 1 else 1
-    threads = run.spmm_threads \
+    threads = context.current().spmm_threads \
         if threaded and csr.nnz * width >= THREADED_MIN_WORK else 1
-    if run.tier is not None:
-        return run.tier.spmm(csr, dense, threads)
     if threads == 1:
         return np.asarray(csr @ dense)
-    return blocked_spmm(csr, dense, threads=threads)
+    return blocked_spmm(csr, dense, threads)
 
 
 __all__ = [
@@ -409,7 +334,6 @@ __all__ = [
     "THREADED_MIN_WORK",
     "TILES_PER_THREAD",
     "blocked_spmm",
-    "choose_block_rows",
     "default_ram_budget",
     "row_tiles",
     "spmm_csr",

@@ -28,7 +28,7 @@ This module closes both with a small, observable memoization layer:
     its own transpose: the entry stores a marker, not a second copy.
   - :func:`segment_reducer` — the weighted row-segment matrix with which
     the ``coo_gather`` backend weighs and sums its message buffer.
-  - :func:`operator_tiles` — the row tiles a threaded or blocked product
+  - :func:`operator_tiles` — the row tiles a threaded product
     (:mod:`repro.runtime.blocked`) splits the operator into.
   - :func:`operator_digest` — a full content digest that names the
     operator's blobs in the cross-process store.
@@ -306,7 +306,7 @@ class _Derived:
     def __init__(self, ref: weakref.ref, token: Tuple):
         self.ref, self.token = ref, token
         self.transpose = self.reducer = self.digest = None
-        self.tiles: Dict[Any, Any] = {}
+        self.tiles: Dict[int, Any] = {}
 
 
 #: Marks an operator whose transpose has its exact bytes.
@@ -425,18 +425,18 @@ def _build_reducer(csr: sp.csr_matrix) -> sp.csr_matrix:
         shape=(csr.shape[0], nnz))
 
 
-def operator_tiles(csr: sp.csr_matrix, key: Any,
+def operator_tiles(csr: sp.csr_matrix, parts: int,
                    build: Callable[[], Any]) -> Any:
-    """``build()`` — the operator's row tiles for ``key`` — cached in the
+    """``build()`` — the operator's ``parts`` row tiles — cached in the
     operator's entry beside its transpose and reducer; built per call
     while the cache layer is off. A tiling holds views of the operator's
     ``indices`` and ``data``, so only its shifted ``indptr`` costs bytes."""
     if not context.current().config.cache:
         return build()
     tiles = _derived(csr).tiles
-    if key not in tiles:
-        tiles[key] = build()
-    return tiles[key]
+    if parts not in tiles:
+        tiles[parts] = build()
+    return tiles[parts]
 
 
 #: A blob's payload: named arrays plus JSON metadata (see :mod:`.shm`).

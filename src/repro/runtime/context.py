@@ -36,6 +36,7 @@ import os
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional,
                     Sequence)
 
@@ -102,11 +103,12 @@ class RunConfig:
         """Return ``self``, or raise :class:`~repro.errors.ReproError`
         naming the first rejected combination for ``experiment``
         (``epochs`` is the run's epoch override, if any)."""
-        from . import shm
+        from . import artifacts, shm
 
         grid = experiment in GRID_SWEEPS
         sweeps = f"the grid sweeps only ({', '.join(GRID_SWEEPS)})"
         resume = self.resume or self.fresh
+        store_dir = artifacts.default_artifact_dir(self.artifact_dir)
         pooled = self.pool.workers > 1
         required = self.shared_terms == "required"
         pool_requested = (self.pool.workers != 1
@@ -126,6 +128,9 @@ class RunConfig:
                       and self.ram_budget_mib > 0),
              f"--ram-budget must be a positive MiB count, "
              f"got {self.ram_budget_mib}"),
+            (self.blocked and self.spill_dir is not None
+             and _not_a_directory(self.spill_dir),
+             f"--spill-dir {self.spill_dir} is not a directory"),
             (self.blocked and pooled,
              "--blocked is serial-only (the tier is process-local); "
              "drop --workers"),
@@ -147,6 +152,8 @@ class RunConfig:
             (resume and not self.telemetry,
              "--resume/--fresh require telemetry; drop --no-telemetry"),
             (resume and not grid, f"--resume/--fresh apply to {sweeps}"),
+            (resume and _not_a_directory(store_dir),
+             f"artifact store {store_dir} is not a directory"),
             (epochs is not None and epochs < 1,
              f"--epochs must be >= 1, got {epochs}"),
         )
@@ -213,6 +220,15 @@ class RunConfig:
         finally:
             if run.tier is not None:
                 run.tier.close()
+
+
+def _not_a_directory(path: str) -> bool:
+    """Whether no directory can be made at ``path``: it, or its nearest
+    existing ancestor, is something other than a directory."""
+    existing = Path(path).absolute()
+    while not existing.exists():
+        existing = existing.parent
+    return not existing.is_dir()
 
 
 def available_cpus() -> int:

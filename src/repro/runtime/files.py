@@ -6,7 +6,7 @@ Every file this package keeps on disk lands through :func:`land`: a
 place by ``os.replace`` (the newest writer wins) or an exclusive
 ``os.link`` (the first creator wins). A reader never sees a torn file,
 and no scratch file survives a failed write; a crashed writer leaves at
-most a ``*.tmp``.
+most a ``.<name>.<random>.tmp``, which names the file it was to become.
 
 :class:`ArrayFiles` is such a directory. The shared term store
 (:mod:`repro.runtime.shm`) and the blocked tier's spill directory
@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Any, Callable, Iterable, List, Optional
@@ -32,9 +33,12 @@ def land(path: Path, write: Callable[[Any], None], exclusive: bool) -> bool:
     """Write a scratch file beside ``path`` and move it into place, so
     ``path`` exists completely or not at all. ``exclusive`` hard-links
     (of racing creators exactly one wins; False when ``path`` exists),
-    otherwise the rename replaces. No scratch file survives, pass or fail.
+    otherwise the rename replaces. No scratch file survives, pass or fail;
+    the scratch file is ``.<path's name>.<random>.tmp``, hidden from the
+    directory's payload names and owned by whatever owns ``path``.
     """
-    fd, scratch = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    fd, scratch = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                                   suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             write(handle)
@@ -111,12 +115,17 @@ class ArrayFiles:
         except FileNotFoundError:
             return None
 
-    def purge(self) -> int:
-        """Delete every file, stale scratch files included; returns the
-        count."""
+    def purge(self, names: str) -> int:
+        """Delete every file whose name matches the regular expression
+        ``names``, and the scratch files a crashed :func:`land` left for
+        such a name; returns the count. Any other file is not the
+        caller's and stays."""
         removed = 0
-        for pattern in ("*.npy", "*.json", "*.tmp"):
-            for path in self.root.glob(pattern):
+        for path in self.root.glob("*"):
+            name = path.name
+            if name.startswith(".") and name.endswith(".tmp"):
+                name = name[1:].rpartition(".")[0].rpartition(".")[0]
+            if re.fullmatch(names, name):
                 with contextlib.suppress(OSError):
                     path.unlink()
                     removed += 1

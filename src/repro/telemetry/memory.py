@@ -266,7 +266,7 @@ def memory_block(events=(), metrics: Optional[Mapping] = None) -> Dict:
     # Blocked-tier accounting (schema v6): bytes living in spill files or
     # memory-mapped read-only are *not* allocation-ledger RAM — they are
     # reported next to the peak, never inside it, so peak attribution
-    # stays truthful. All-zero (tier never active) → no key, keeping
+    # stays truthful. All-zero (nothing spilled) → no key, keeping
     # v5-shaped records byte-identical when the tier is off.
     counters = (metrics or {}).get("counters") or {}
     if not isinstance(counters, Mapping):
@@ -276,20 +276,11 @@ def memory_block(events=(), metrics: Optional[Mapping] = None) -> Dict:
         value = counters.get(name)
         return int(value) if isinstance(value, (int, float)) else 0
 
-    mmap_peak = 0
-    if isinstance(gauges, Mapping):
-        value = gauges.get("blocked.mmap_peak_bytes")
-        if isinstance(value, Mapping):
-            value = value.get("max", value.get("value"))
-        if isinstance(value, (int, float)):
-            mmap_peak = int(value)
     blocked = {
-        "spmm_calls": _count("blocked.spmm_calls"),
-        "tiles": _count("blocked.tiles"),
         "spill_bytes": _count("blocked.spill_bytes"),
         "spill_terms": _count("plan.terms.spill"),
         "spill_loads": _count("plan.terms.spill_load"),
-        "mmap_bytes": mmap_peak,
+        "mmap_bytes": _count("blocked.load_bytes"),
     }
     if any(blocked.values()):
         summary["blocked"] = blocked

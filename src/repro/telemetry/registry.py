@@ -52,9 +52,12 @@ PathLike = Union[str, Path]
 #: DeviceModel-vs-ledger-vs-RSS accounting-coverage ratios, also outside
 #: the fingerprint (how memory was *observed* must not change what was
 #: measured); v6 (PR 10) added the ``blocked`` sub-block inside
-#: ``memory`` — out-of-core tier accounting (tile counts, spill bytes,
-#: spilled/reloaded planner terms, peak mmap bytes), present only when
-#: the blocked tier actually ran so tier-off records stay v5-shaped.
+#: ``memory`` — spill accounting of the blocked tier (spill bytes,
+#: spilled/reloaded planner terms, and ``mmap_bytes``: the bytes mapped
+#: back from spill files, summed over every load), present only when
+#: the tier spilled so tier-off records stay v5-shaped. Records written
+#: before the tier stopped tiling products also carry ``spmm_calls`` and
+#: ``tiles`` there.
 #: Older lines (no such keys) still load —
 #: :meth:`RunRecord.from_dict` fills the serial/None/empty defaults.
 REGISTRY_SCHEMA = "repro.telemetry.registry/v6"

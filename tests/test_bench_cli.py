@@ -274,6 +274,25 @@ class TestPoolCli:
         rejects(capsys, ["efficiency", "--blocked", "--workers", "4"],
                 "--blocked is serial-only")
 
+    def test_spill_dir_naming_a_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "file"
+        path.write_text("")
+        for spill in (path, path / "sub"):
+            rejects(capsys, ["efficiency", "--blocked",
+                             "--spill-dir", str(spill)],
+                    f"--spill-dir {spill} is not a directory")
+
+    def test_blocked_run_keeps_foreign_files_in_spill_dir(self, tmp_path):
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        for name in ("notes.json", "weights.npy"):
+            (spill / name).write_text("mine")
+        assert main(self.EFFICIENCY + [
+            "--blocked", "--ram-budget", "2", "--spill-dir", str(spill),
+            "--no-registry"]) == 0
+        assert sorted(path.name for path in spill.iterdir()) == [
+            "notes.json", "weights.npy"]
+
     def test_unsupported_scale_fails_at_parse_time(self, capsys):
         # Out-of-range scales error immediately with the supported range
         # in the message — not deep inside dataset generation.
@@ -411,6 +430,24 @@ class TestResumeCli:
         captured = capsys.readouterr()
         assert "purged 1 stored cell(s)" in captured.err
         assert "hit=0 miss=1 stored=1" in captured.out
+
+    def test_artifact_dir_naming_a_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "file"
+        path.write_text("")
+        for mode in ("--resume", "--fresh"):
+            rejects(capsys, self.EFFICIENCY + [mode, "--artifact-dir",
+                                               str(path)],
+                    f"artifact store {path} is not a directory")
+
+    def test_fresh_keeps_foreign_files_in_artifact_dir(self, tmp_path,
+                                                       capsys):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        (store_dir / "notes.json").write_text("{}")
+        assert main(self.EFFICIENCY + ["--fresh", "--artifact-dir",
+                                       str(store_dir), "--no-registry"]) == 0
+        assert "purged 0 stored cell(s)" in capsys.readouterr().err
+        assert (store_dir / "notes.json").read_text() == "{}"
 
     def test_runs_without_flags_do_not_touch_the_store(self, tmp_path):
         store_dir = tmp_path / "store"

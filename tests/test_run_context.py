@@ -44,7 +44,7 @@ DATASETS = ("cora", "chameleon")
 FILTERS = ("ppr", "chebyshev")
 SCALE = 0.05
 CONFIG = TrainConfig(epochs=1, patience=0, eval_every=10 ** 9)
-#: A budget small enough that the blocked tier tiles and spills.
+#: A budget small enough that the blocked tier spills.
 BLOCKED_BUDGET_MIB = 1 / 16
 
 #: The combinations of matrix options ``RunConfig.validate`` rejects,

@@ -255,14 +255,19 @@ class TestAddressSensitivity:
 # ---------------------------------------------------------------------------
 
 class TestEvictionAndPurge:
-    def test_purge_drops_everything_and_strays(self, store):
+    def test_purge_drops_cells_and_their_scratch_only(self, store):
         for c in "ab":
             store.put(c * 64, {"v": c})
-        (store.root / "crashed.tmp").write_text("{")  # scratch file
-        (store.root / f"{'d' * 64}.meta.json").write_text("{}")  # stray
+        # A crashed write of a cell leaves its scratch file.
+        (store.root / f".{'c' * 64}.json.k3x9_q1z.tmp").write_text("{")
+        foreign = ["crashed.tmp", "notes.json", f"{'d' * 64}.meta.json",
+                   "weights.npy"]
+        for name in foreign:
+            (store.root / name).write_text("{}")
         assert store.purge() == 2
         assert len(store) == 0
-        assert list(store.root.iterdir()) == []
+        assert sorted(path.name for path in store.root.iterdir()) \
+            == sorted(foreign)
 
     def test_purge_on_missing_dir_is_a_noop(self, tmp_path):
         assert ArtifactStore(tmp_path / "never-created").purge() == 0

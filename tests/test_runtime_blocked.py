@@ -1,19 +1,21 @@
 """The blocked tier must be *invisible* — and must actually go out of core.
 
-`repro.runtime.blocked` tiles CSR spmm against a RAM budget and lets the
-basis planner spill whole term matrices to mmap-backed files. Contracts:
+`repro.runtime.blocked` runs large CSR products over equal-nnz row tiles
+on threads and lets the basis planner spill whole term matrices to
+mmap-backed files. Contracts:
 
 1. **Bit-identity** (hypothesis + taxonomy sweep): tiled spmm — on one
-   thread or several, with or without a tier — and blocked-tier
-   precompute are byte-for-byte identical to the in-core path — the same
-   contract the planner and every cache already hold.
+   thread or several — and blocked-tier precompute are byte-for-byte
+   identical to the in-core path — the same contract the planner and
+   every cache already hold.
 2. **Spill round-trip**: a planner chain evicted under a tiny term
    budget lands in the spill directory and is served back bit-identical as a
    read-only memmap, with ``plan.terms.spill`` / ``plan.terms.spill_load``
    traffic on the counters.
-3. **Budget tuning**: ``choose_block_rows`` respects its bounds. (The
-   spill directory's file mechanics are the file tier's, tested in
-   ``tests/test_runtime_files.py``.)
+3. **Budget and scope rules**: the derived budget is floored, the tier
+   is closed with its run, and closing it deletes only the terms it
+   spilled. (The spill directory's file mechanics are the file tier's,
+   tested in ``tests/test_runtime_files.py``.)
 4. **GP integration**: graph-partition training reports cut-edge
    accounting and OOMs exactly when the largest cluster cannot fit.
 """
@@ -40,7 +42,6 @@ from repro.runtime import blocked, context, plan
 from repro.runtime.blocked import (
     BlockedTier,
     blocked_spmm,
-    choose_block_rows,
     default_ram_budget,
     row_tiles,
     spmm_csr,
@@ -86,20 +87,13 @@ def _random_csr(n: int, width: int, seed: int):
 # ----------------------------------------------------------------------
 class TestBitIdentity:
     @given(n=st.integers(1, 60), width=st.integers(1, 5),
-           block_rows=st.integers(1, 70), seed=st.integers(0, 30))
+           threads=st.integers(1, 6), seed=st.integers(0, 30))
     @settings(max_examples=40, deadline=None)
-    def test_blocked_spmm_equals_oneshot(self, n, width, block_rows, seed):
+    def test_blocked_spmm_equals_oneshot(self, n, width, threads, seed):
         csr, dense = _random_csr(n, width, seed)
         expected = np.asarray(csr @ dense)
-        tiled = blocked_spmm(csr, dense, block_rows)
+        tiled = blocked_spmm(csr, dense, threads)
         assert expected.tobytes() == tiled.tobytes()
-
-    def test_blocked_spmm_into_out(self):
-        csr, dense = _random_csr(20, 3, 5)
-        out = np.empty((20, 3), dtype=np.float64)
-        result = blocked_spmm(csr, dense, 7, out=out)
-        assert result is out
-        assert out.tobytes() == np.asarray(csr @ dense).tobytes()
 
     def test_spmm_csr_without_scope_is_plain(self):
         csr, dense = _random_csr(15, 2, 9)
@@ -114,14 +108,13 @@ class TestBitIdentity:
                                    (np.float32, np.float64),
                                    (np.float64, np.float32)]),
            fortran=st.booleans(), threads=st.sampled_from([1, 2, 3, 5]),
-           block_rows=st.sampled_from([None, 1, 4]), seed=st.integers(0, 30))
+           seed=st.integers(0, 30))
     @settings(max_examples=80, deadline=None)
     def test_threaded_product_equals_oneshot(self, n, density, width, dtypes,
-                                             fortran, threads, block_rows,
-                                             seed):
+                                             fortran, threads, seed):
         """Every product tiles (the work minimum is 0): empty rows, no
         nonzeros, fewer rows than threads, a 1-D or Fortran-ordered
-        signal, mixed dtypes, with a tier (``block_rows``) and without."""
+        signal, mixed dtypes."""
         rng = np.random.default_rng(seed)
         csr = sp.random(n, n, density=density, format="csr",
                         random_state=np.random.RandomState(seed),
@@ -131,15 +124,9 @@ class TestBitIdentity:
         if fortran:
             dense = np.asfortranarray(dense)
         expected = np.asarray(csr @ dense)
-        tier = None if block_rows is None else BlockedTier(
-            ram_budget_bytes=1, block_rows=block_rows)
-        try:
-            with mock.patch.object(blocked, "THREADED_MIN_WORK", 0), \
-                    context.using(spmm_threads=threads, tier=tier):
-                tiled = spmm_csr(csr, dense)
-        finally:
-            if tier is not None:
-                tier.close()
+        with mock.patch.object(blocked, "THREADED_MIN_WORK", 0), \
+                context.using(spmm_threads=threads):
+            tiled = spmm_csr(csr, dense)
         assert tiled.dtype == expected.dtype
         assert tiled.shape == expected.shape
         assert tiled.tobytes() == expected.tobytes()
@@ -152,7 +139,7 @@ class TestBitIdentity:
         x = np.asarray(graph.features, dtype=np.float32)
         filter_ = make_filter(name, num_hops=6, num_features=x.shape[1])
         streamed = filter_.precompute(graph, x, rho=0.5)
-        # Tiny budget: single-digit tile heights, term store spills.
+        # Tiny budget: the term store spills.
         with blocked_scope(ram_budget_bytes=4096,
                            spill_dir=tmp_path / "spill"):
             with plan.plan_scope():
@@ -199,7 +186,7 @@ class TestRowTiles:
     def test_tiles_cached_per_operator_unless_cache_off(self):
         csr, _ = _random_csr(50, 1, 6)
         assert row_tiles(csr, 2) is row_tiles(csr, 2)
-        assert row_tiles(csr, 2, 5) is not row_tiles(csr, 2)
+        assert row_tiles(csr, 3) is not row_tiles(csr, 2)
         with context.using(cache=False):
             assert row_tiles(csr, 2) is not row_tiles(csr, 2)
 
@@ -226,6 +213,19 @@ class TestRowTiles:
         assert len(tiles) == 2 * blocked.TILES_PER_THREAD
         assert result.tobytes() == np.asarray(csr @ dense).tobytes()
         assert precompute.tobytes() == result.tobytes()
+
+    def test_coo_gather_segment_sum_runs_on_threads(self):
+        """The edge-list backend's segment sum goes through the same hook:
+        a training product of the reducer runs on threads, bit-identically."""
+        csr, dense = _random_csr(300, 2, 3)
+        with context.using(spmm_threads=2), \
+                mock.patch.object(blocked, "THREADED_MIN_WORK", 1), \
+                mock.patch.object(blocked, "_spmm_tiles",
+                                  wraps=blocked._spmm_tiles) as tiled:
+            out = spmm(csr, Tensor(dense), backend="coo_gather")
+        assert tiled.call_count == 1
+        assert out.data.tobytes() == \
+            spmm(csr, Tensor(dense), backend="coo_gather").data.tobytes()
 
     def test_helper_that_never_runs_holds_nothing_up(self):
         """A helper the OS does not schedule leaves its tiles to the
@@ -355,66 +355,25 @@ class TestPlannerSpill:
 
 
 # ----------------------------------------------------------------------
-# 3. budget tuning and scope rules
+# 3. budget and scope rules
 # ----------------------------------------------------------------------
 class TestBudget:
-    @given(num_rows=st.integers(0, 10 ** 6),
-           row_nbytes=st.integers(1, 10 ** 6),
-           budget=st.integers(1, 10 ** 9))
-    @settings(max_examples=60, deadline=None)
-    def test_choose_block_rows_bounds(self, num_rows, row_nbytes, budget):
-        rows = choose_block_rows(num_rows, row_nbytes, budget)
-        assert 1 <= rows <= max(num_rows, 1)
-
-    def test_large_budget_single_tile(self):
-        assert choose_block_rows(100, 8, 2 ** 40) == 100
-
     def test_default_budget_floored(self):
         assert default_ram_budget() >= blocked.MIN_RAM_BUDGET_BYTES
 
-    def test_tier_counts_tiles(self, tmp_path):
-        csr, dense = _random_csr(32, 2, 3)
-        tier = BlockedTier(ram_budget_bytes=1, block_rows=8,
-                           spill_dir=tmp_path / "spill")
-        try:
-            tier.spmm(csr, dense)
-            stats = tier.stats()
-            assert stats["spmm_calls"] == 1
-            assert stats["tiles"] == 4
-        finally:
-            tier.close()
-
-    def test_tier_counts_tiles_on_the_coo_gather_path(self, tmp_path):
-        """The edge-list backend's segment sum goes through the same hook:
-        the tier tiles the reducer product, bit-identically."""
-        csr, dense = _random_csr(32, 2, 3)
-        tier = BlockedTier(ram_budget_bytes=1, block_rows=8,
-                           spill_dir=tmp_path / "spill")
-        try:
-            with context.using(tier=tier):
-                out = spmm(csr, Tensor(dense), backend="coo_gather")
-            stats = tier.stats()
-            assert stats["spmm_calls"] == 1
-            assert stats["tiles"] == 4
-        finally:
-            tier.close()
-        assert out.data.tobytes() == \
-            spmm(csr, Tensor(dense), backend="coo_gather").data.tobytes()
-
-    def test_threads_share_the_tile_budget(self, tmp_path):
-        csr, dense = _random_csr(32, 2, 3)
-        tier = BlockedTier(ram_budget_bytes=1, block_rows=8,
-                           spill_dir=tmp_path / "spill")
-        try:
-            with mock.patch.object(blocked, "THREADED_MIN_WORK", 0), \
-                    context.using(spmm_threads=2, tier=tier):
-                result = spmm_csr(csr, dense)
-            # Two threads halve the tile height to 4 rows: at least 8
-            # tiles cover the 32 rows.
-            assert tier.stats()["tiles"] >= 8
-        finally:
-            tier.close()
-        assert result.tobytes() == np.asarray(csr @ dense).tobytes()
+    def test_close_purges_only_spilled_terms(self, tmp_path):
+        """A user-named spill directory keeps every file the tier did not
+        write; its terms and a crashed write's scratch file go."""
+        root = tmp_path / "spill"
+        root.mkdir()
+        for name in ("notes.json", "weights.npy", "keep.tmp"):
+            (root / name).write_text("mine")
+        tier = BlockedTier(ram_budget_bytes=1024, spill_dir=root)
+        tier.spill_term("c-0123456789abcdef.1", np.ones(3))
+        (root / ".c-0123456789abcdef.2.npy.k3x9_q1z.tmp").write_bytes(b"")
+        tier.close()
+        assert sorted(path.name for path in root.iterdir()) == [
+            "keep.tmp", "notes.json", "weights.npy"]
 
     def test_scope_stack_and_cleanup(self, tmp_path):
         assert context.current().tier is None

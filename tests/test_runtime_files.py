@@ -11,7 +11,8 @@ arrays and ``.json`` documents alike:
    name, same bytes); putting a document twice leaves the same file.
 3. **Miss** — an absent name reads ``None``.
 4. **Hygiene** — no scratch file survives a put or a failed put, and
-   :meth:`~repro.runtime.files.ArrayFiles.purge` sweeps stale ones.
+   :meth:`~repro.runtime.files.ArrayFiles.purge` deletes the names its
+   caller owns and their stale scratch files, nothing else.
 5. **Addresses** — the artifact store counts only 64-hex names as cells,
    so a stray ``*.json`` in its directory is never one.
 """
@@ -137,8 +138,28 @@ class TestScratchFiles:
     def test_purge_removes_files_and_stale_scratch(self, files):
         files.put("a", np.ones(4))
         files.put_json("b", {"v": 1})
-        (files.root / "crashed.tmp").write_bytes(b"torn")
-        assert files.purge() == 3
+        (files.root / ".a.npy.x1y2z3_q.tmp").write_bytes(b"torn")
+        (files.root / "crashed.tmp").write_bytes(b"not ours")
+        (files.root / ".other.npy.x1y2z3_q.tmp").write_bytes(b"not ours")
+        assert files.purge(r"a\.npy|b\.json") == 3
+        assert sorted(path.name for path in files.root.iterdir()) == [
+            ".other.npy.x1y2z3_q.tmp", "crashed.tmp"]
+
+    def test_scratch_file_names_its_destination(self, files, monkeypatch):
+        """A writer killed mid-put leaves ``.<name>.<random>.tmp``, which
+        a purge of ``name`` recognises."""
+        def die(_src, _dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", die)
+        monkeypatch.setattr(os, "unlink", lambda _path: None)
+        with pytest.raises(KeyboardInterrupt):
+            files.put("a", np.ones(4))
+        monkeypatch.undo()
+        (scratch,) = files.root.iterdir()
+        assert scratch.name.startswith(".a.npy.")
+        assert scratch.name.endswith(".tmp")
+        assert files.purge(r"a\.npy") == 1
         assert list(files.root.iterdir()) == []
 
     def test_link_new_first_creator_wins(self, tmp_path):

@@ -416,16 +416,15 @@ class TestMemoryBlock:
         ledger.on_alloc(2 ** 20, None, "leaf", "a")
         events = [{"type": "memory", "memory": ledger.summary()}]
         metrics = {
-            "counters": {"blocked.spmm_calls": 7, "blocked.tiles": 21,
-                         "blocked.spill_bytes": 4096,
+            "counters": {"blocked.spill_bytes": 4096,
+                         "blocked.load_bytes": 2048,
                          "plan.terms.spill": 3, "plan.terms.spill_load": 2},
-            "gauges": {"blocked.mmap_peak_bytes":
-                       {"value": 1024, "max": 2048}},
+            "gauges": {},
         }
         block = memory_block(events, metrics)
         assert block["blocked"] == {
-            "spmm_calls": 7, "tiles": 21, "spill_bytes": 4096,
-            "spill_terms": 3, "spill_loads": 2, "mmap_bytes": 2048}
+            "spill_bytes": 4096, "spill_terms": 3, "spill_loads": 2,
+            "mmap_bytes": 2048}
         # Spill/mmap bytes sit next to the peak, never inside it.
         assert block["peak_bytes"] == 2 ** 20
 
