@@ -7,10 +7,10 @@ Exercises the full memory vertical on a small efficiency slice:
   ledger, attributed to the right span path, and the ledger peak never
   exceeds the measured RSS peak (accounted ⊆ measured).
 - **CLI vertical**: two identical real CLI runs both append registry
-  records whose schema-v5 ``memory`` block carries the ledger peak and
-  the accounting-coverage ratios. Their allocation totals
-  (``total_alloc_bytes``, ``alloc_count``) are equal: the ledger counts
-  the same arrays on every run.
+  records of one config fingerprint whose schema-v5 ``memory`` block
+  carries the ledger peak and the accounting-coverage ratios. Their
+  allocation totals (``total_alloc_bytes``, ``alloc_count``) are equal:
+  the ledger counts the same arrays on every run.
 - **Payload isolation**: the canonical result payloads of the two runs
   are byte-identical — the observatory is observability, never payload.
 
@@ -77,16 +77,14 @@ def _memory_smoke(epochs: int) -> dict:
     probe = _controlled_accounting()
 
     # The pair doubles as the payload-isolation check and the registry's
-    # (baseline, candidate).
+    # (baseline, candidate): two records of one configuration.
     exit_codes = [_cli_run(1, epochs), _cli_run(2, epochs)]
 
     payloads = [canonical_payload(load_rows(MEMORY_DIR / f"run{i}.json"))
                 for i in (1, 2)]
 
-    registry = RunRegistry(MEMORY_DIR)
-    records = registry.load()
-    baseline, candidate = registry.resolve_pair(
-        records[-1].config_fingerprint)
+    records = RunRegistry(MEMORY_DIR).load()
+    baseline, candidate = records[-2:]
 
     return {
         "probe": probe,
@@ -125,6 +123,7 @@ def test_memory_smoke_gate(benchmark):
     # --- CLI vertical: both runs indexed, memory blocks populated.
     assert report["exit_codes"] == [0, 0]
     assert report["entries"] == 2
+    assert baseline.config_fingerprint == candidate.config_fingerprint
     for record in (baseline, candidate):
         assert record.schema.endswith("/v6")
         assert record.memory["peak_bytes"] > 0

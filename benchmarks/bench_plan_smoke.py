@@ -32,7 +32,7 @@ pre-planner code path) — and holds the propagation planner
 
 The two runs use *separate* registry directories: the ``plan`` manifest
 field is execution strategy, not configuration, so both runs share one
-config fingerprint and would otherwise collapse into one history.
+config fingerprint, and each mode reads its own record as ``load()[-1]``.
 
 The normalized payloads and a ``spmm_delta.json`` report (per-mode spmm
 calls, absolute and relative reduction, ``plan.*`` term-store counters)

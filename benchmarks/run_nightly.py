@@ -26,11 +26,10 @@ Steps, in order:
    of one commit moved ``setup_s`` by up to 33 %, past its 25 % bound, so
    a same-commit timing gate would fail on noise. Timings are gated per
    change, against the parent, by the benchmark pipeline;
-5. a pinned nightly efficiency sweep through the real CLI, recorded into
-   one *persistent* registry directory (the workflow restores/saves it
-   with ``actions/cache``, so records accumulate across nights). It is
-   history, not a gate: ``python -m repro.bench compare --registry
-   efficiency --history N --registry-dir DIR`` renders its trend.
+5. a pinned 4-worker efficiency sweep through the real CLI, which must
+   exit 0. Its registry record, rows and trace land in the registry dir
+   and are uploaded with that night's report; timings are compared
+   across commits by the perf harness, not across nights here.
 
 Every step's exit code and duration land in ``nightly_report.json``
 inside the registry dir; the driver exits non-zero if any step failed.
@@ -52,9 +51,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = REPO_ROOT / "benchmarks"
 DEFAULT_REGISTRY = BENCH_DIR / "results" / "nightly_registry"
 
-#: The recorded nightly sweep. The slice must stay constant between
-#: nights — ``compare --history`` follows the registry records of one
-#: config fingerprint, and a slice change starts a fresh lineage.
+#: The nightly sweep: a pooled grid through the CLI end to end (pool,
+#: shared term store, shard fold, registry record), small enough to
+#: finish in minutes on a CI runner.
 NIGHTLY_SWEEP = [
     "efficiency", "--datasets", "cora", "citeseer",
     "--filters", "ppr", "hk", "monomial", "--schemes", "mini_batch",
@@ -97,12 +96,11 @@ def main(argv=None) -> int:
                     "perf harness + recorded sweep.")
     parser.add_argument(
         "--registry-dir", default=str(DEFAULT_REGISTRY), metavar="DIR",
-        help="persistent registry the nightly sweeps accumulate in "
-             "(default: %(default)s)")
+        help="directory for the nightly sweep's registry record, rows "
+             "and trace, and the nightly report (default: %(default)s)")
     parser.add_argument(
         "--epochs", type=int, default=3,
-        help="epochs for the nightly sweep (default: %(default)s; must "
-             "stay constant across nights for its history to be comparable)")
+        help="epochs for the nightly sweep (default: %(default)s)")
     parser.add_argument(
         "--skip-slow", action="store_true",
         help="skip the slow-marker suite (local iteration)")

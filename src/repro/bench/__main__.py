@@ -17,22 +17,13 @@ mode used for timing-sensitive comparisons). The memory observatory
 allocation ledger accounts every tensor allocation against the open span
 path, and its summary — accounted peak, attribution, coverage vs
 measured RSS — lands in the trace report and the registry record.
-Every telemetry-enabled run is also indexed in the append-only run registry
+Every telemetry-enabled run also appends one record to the run registry
 (:mod:`repro.telemetry.registry`; ``--no-registry`` skips it,
-``--registry-dir`` relocates it), which is what powers run history::
-
-    python -m repro.bench compare --registry <config-fingerprint>
-    python -m repro.bench compare --registry efficiency --history 10
-    python -m repro.bench compare baseline.json candidate.json
-
-The first form resolves the two most recent runs of a configuration from
-the registry — no file paths — and diffs their stage timings, counters,
-and summaries; ``--history N`` switches to a trend report (min/max/last +
-sparkline per stage/summary metric over the fingerprint's last N runs).
-The file form prints a ``REGRESSION`` line per metric that worsened
-beyond its tolerance. Both are reports: a worse number never changes the
-exit code. The regression gate is the perf harness
-(``benchmarks/perf/run.py``).
+``--registry-dir`` relocates it): the run's config fingerprint, stage
+aggregates, counters and its ``memory`` / ``pool`` / ``artifacts`` blocks,
+which the smoke gates read back with ``RunRegistry.load()``. The registry
+is one record per run, not a history: timings are compared by the perf
+harness (``benchmarks/perf/run.py``).
 
 Caching: the sparse-compute cache layer (:mod:`repro.runtime.cache`) is on
 by default — spmm-backward transposes, per-graph normalized operators, and
@@ -88,7 +79,6 @@ import argparse
 import inspect
 import math
 import sys
-from pathlib import Path
 from typing import Any, Dict
 
 from .. import telemetry
@@ -209,21 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(every filter streams its own recurrence; "
                              "the baseline mode for measuring "
                              "plan.spmm_avoided)")
-    shared_group = parser.add_mutually_exclusive_group()
-    shared_group.add_argument(
-        "--shared-terms", action="store_true",
-        help="require the cross-process shared term store (a directory "
-             "of content-addressed files under /dev/shm): pool workers "
-             "memory-map planner-served basis chains (and the "
-             "spmm-transpose/normalization CSRs) published by their "
-             "siblings instead of recomputing them (grid sweeps with "
-             "--workers > 1; on by default there — this flag makes a "
-             "silently unavailable store an error)")
-    shared_group.add_argument(
+    parser.add_argument(
         "--no-shared-terms", action="store_true",
-        help="disable the shared term store; each pool worker recomputes "
-             "its own chains (the pre-shm baseline for measuring the "
-             "pooled ops.spmm.calls gap)")
+        help="disable the cross-process shared term store (on by default "
+             "for grid sweeps with --workers > 1, where pool workers "
+             "memory-map basis chains published by their siblings); each "
+             "pool worker recomputes its own chains")
     parser.add_argument("--registry-dir", type=str, default=None,
                         metavar="DIR",
                         help="run-registry directory (default: "
@@ -234,132 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_compare_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench compare",
-        description="Diff two runs: saved result files, or the two most "
-                    "recent registry runs of one config fingerprint.")
-    parser.add_argument("paths", nargs="*", metavar="RESULT.json",
-                        help="baseline and candidate result files "
-                             "(omit both when using --registry)")
-    parser.add_argument("--registry", type=str, default=None, metavar="SPEC",
-                        help="resolve baseline/candidate from the run "
-                             "registry by config fingerprint (prefix) or "
-                             "experiment name")
-    parser.add_argument("--registry-dir", type=str, default=None,
-                        metavar="DIR",
-                        help="run-registry directory (default: "
-                             "$REPRO_REGISTRY_DIR or "
-                             "benchmarks/results/registry)")
-    parser.add_argument("--history", type=int, default=None, metavar="N",
-                        help="registry mode: instead of diffing two runs, "
-                             "render one sparkline per stage/headline "
-                             "metric over the last N runs of the config")
-    return parser
-
-
-def compare_main(argv) -> int:
-    """``python -m repro.bench compare ...`` — file or registry mode."""
-    parser = build_compare_parser()
-    args = parser.parse_args(argv)
-
-    if args.history is not None and args.registry is None:
-        parser.error("--history requires --registry SPEC")
-    if args.registry is not None:
-        if args.paths:
-            parser.error("--registry takes no file paths")
-        if args.history is not None:
-            return _registry_history(args)
-        return _compare_registry(args)
-    if len(args.paths) != 2:
-        parser.error("file mode needs exactly BASELINE and CANDIDATE paths "
-                     "(or use --registry SPEC)")
-    return _compare_files(args)
-
-
-def _compare_files(args) -> int:
-    from .compare import TOLERANCE, compare_files
-
-    comparison = compare_files(args.paths[0], args.paths[1])
-    print(render_table(comparison.summary_rows(),
-                       title=f"compare: {args.paths[0]} -> {args.paths[1]} "
-                             f"({comparison.matched} rows matched)"))
-    regressions = comparison.regressions()
-    for delta in regressions:
-        print(f"REGRESSION {'/'.join(map(str, delta.key))} {delta.metric}: "
-              f"{delta.baseline:g} -> {delta.candidate:g} "
-              f"({delta.relative:+.1%})")
-    if comparison.baseline_only:
-        print(f"baseline-only rows: {len(comparison.baseline_only)}")
-    if comparison.candidate_only:
-        print(f"candidate-only rows: {len(comparison.candidate_only)}")
-    if regressions:
-        print(f"{len(regressions)} regression(s) beyond "
-              f"{TOLERANCE:.0%} tolerance")
-    return 0
-
-
-def _registry_history(args) -> int:
-    from ..errors import ReproError
-    from .compare import registry_history
-
-    try:
-        latest, rows = registry_history(args.registry, count=args.history,
-                                        registry_dir=args.registry_dir)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if not rows:
-        print(f"config {latest.config_fingerprint}: no numeric stage or "
-              "summary metrics recorded yet")
-        return 0
-    print(f"config {latest.config_fingerprint}  experiment "
-          f"{latest.experiment}  latest run {latest.run_id} "
-          f"(git {latest.git_sha or '?'})")
-    print(render_table(
-        rows, title=f"registry history: {args.registry} "
-                    f"(last {args.history} runs, oldest -> newest)"))
-    return 0
-
-
-def _compare_registry(args) -> int:
-    from ..errors import ReproError
-    from ..telemetry.report import render_run_diff
-    from ..telemetry.sinks import load_events
-    from .compare import compare_registry
-
-    try:
-        baseline, candidate, rows = compare_registry(
-            args.registry, registry_dir=args.registry_dir)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    print(f"config {candidate.config_fingerprint}  "
-          f"baseline run {baseline.run_id} "
-          f"(git {baseline.git_sha or '?'})  ->  "
-          f"candidate run {candidate.run_id} "
-          f"(git {candidate.git_sha or '?'})")
-    print(render_table(
-        rows, title=f"registry diff: {args.registry} "
-                    f"(2 most recent of {candidate.config_fingerprint})"))
-
-    trace_paths = (baseline.trace_path, candidate.trace_path)
-    if all(p and Path(p).exists() for p in trace_paths):
-        print()
-        print(render_run_diff(load_events(trace_paths[0]),
-                              load_events(trace_paths[1])))
-    return 0
-
-
 def run_config(args: argparse.Namespace) -> RunConfig:
     """The run's execution settings, one :class:`RunConfig` field per
     execution flag (a :class:`~repro.errors.ReproError` for a pool value
     out of range)."""
     return RunConfig(
         plan=not args.no_plan, cache=not args.no_cache,
-        shared_terms=("required" if args.shared_terms
-                      else "off" if args.no_shared_terms else "default"),
+        shared_terms=not args.no_shared_terms,
         blocked=args.blocked, ram_budget_mib=args.ram_budget,
         spill_dir=args.spill_dir, resume=args.resume, fresh=args.fresh,
         artifact_dir=args.artifact_dir,
@@ -407,10 +269,14 @@ def selection_kwargs(parser: argparse.ArgumentParser,
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["compare"]:
-        return compare_main(argv[1:])
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # Name an unknown experiment before its trailing arguments, so a
+    # retired subcommand reads as what it is.
+    args, extra = parser.parse_known_args(argv)
+    if args.experiment is not None and args.experiment not in EXPERIMENTS:
+        parser.error(f"unknown experiment {args.experiment!r}; use --list")
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
 
     if args.list or not args.experiment:
         rows = [{"experiment": name, "reproduces": artifact}
@@ -418,10 +284,7 @@ def main(argv=None) -> int:
         print(render_table(rows, title="available experiments"))
         return 0
 
-    entry = EXPERIMENTS.get(args.experiment)
-    if entry is None:
-        parser.error(f"unknown experiment {args.experiment!r}; use --list")
-    runner, artifact, takes_config = entry
+    runner, artifact, takes_config = EXPERIMENTS[args.experiment]
     if args.scale is not None:
         from ..datasets.synthesis import validate_scale
         from ..errors import DatasetError
@@ -523,8 +386,6 @@ def main(argv=None) -> int:
               f"stored={artifacts_info['stored']} "
               f"cells={artifacts_info['cells']}")
     if run_manifest is not None and not args.no_registry:
-        from .io import summarize_rows
-
         pool_info = None
         if grid:
             pool_info = {"workers": cfg.pool.workers,
@@ -537,7 +398,7 @@ def main(argv=None) -> int:
             if shm_info is not None:
                 pool_info["shm"] = shm_info
         record = telemetry.record_run(
-            run_manifest, events=events, summary=summarize_rows(printable),
+            run_manifest, events=events,
             trace_path=args.trace, result_path=args.output,
             registry_dir=args.registry_dir,
             workers=cfg.pool.workers, pool=pool_info,

@@ -113,28 +113,6 @@ def load_metadata(path: PathLike) -> Dict:
     return unjsonify(payload.get("metadata", {}))
 
 
-def summarize_rows(rows: Sequence[Mapping]) -> Dict[str, float]:
-    """Column means of every finite numeric column across result rows.
-
-    The flat ``name -> mean`` map stored as a run's ``summary`` in the run
-    registry (:mod:`repro.telemetry.registry`), so ``compare --registry``
-    and ``--history`` can diff e.g. ``summary.mean`` (accuracy) or
-    ``summary.train_s_per_epoch`` without reparsing result files.
-    """
-    sums: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    for row in rows:
-        for name, value in row.items():
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float, np.integer, np.floating)):
-                continue
-            if not np.isfinite(value):
-                continue
-            sums[name] = sums.get(name, 0.0) + float(value)
-            counts[name] = counts.get(name, 0) + 1
-    return {name: sums[name] / counts[name] for name in sorted(sums)}
-
-
 #: Row keys that measure *this execution* rather than the configuration:
 #: wall-clock timings (``*_s``, ``*_s_per_epoch``, ``*seconds*``), host
 #: RSS peaks (``ram_bytes`` — :func:`resource.getrusage` is process- and

@@ -16,7 +16,9 @@ that could change its result:
 - the cell's *grid coordinates* (its ``Cell.key``),
 - the cell's *derived seed(s)* (the ``seed``/``seeds`` kwargs),
 - the *code-relevant rev* (git SHA, falling back to the package
-  version — new code never trusts old bytes),
+  version — new code never trusts old bytes — plus numpy's SIMD
+  dispatch, so a store filled on a host whose ufuncs round differently
+  is not served here),
 - a fingerprint of the cell's full kwargs and function identity
   (:func:`repro.runtime.cache.data_token`), which catches knobs like
   ``scale_override`` that travel in kwargs rather than the run config.
@@ -91,13 +93,16 @@ def default_code_rev() -> str:
 
     The current git SHA when available — any commit invalidates the
     store, the conservative end of the staleness trade-off — falling back
-    to the package version outside a checkout.
+    to the package version outside a checkout, joined with numpy's SIMD
+    dispatch (:func:`repro.telemetry.manifest.simd_dispatch`): float64
+    ufunc bits differ between dispatch targets, so a host without
+    AVX-512 never reads cells an AVX-512 host computed.
     """
     from .. import __version__
-    from ..telemetry.manifest import git_sha
+    from ..telemetry.manifest import git_sha, simd_dispatch
 
     sha = git_sha(Path(__file__).resolve().parent)
-    return sha if sha else f"repro-{__version__}"
+    return f"{sha or f'repro-{__version__}'}+{simd_dispatch()}"
 
 
 def cell_address(config_fingerprint: str, coordinates: Sequence,

@@ -53,26 +53,20 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: ones the pool, resume and shared-terms options apply to.
 GRID_SWEEPS = ("efficiency", "effectiveness", "hops", "scale-shift")
 
-#: ``RunConfig.shared_terms``: never share, share whenever a pooled sweep
-#: can (the default), or share and fail when the store is unavailable.
-SHARED_TERMS_MODES = ("off", "default", "required")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A run's execution settings: one field per bench-CLI flag.
 
-    ``plan``/``cache``/``telemetry`` are ``--no-plan``/``--no-cache``/
-    ``--no-telemetry`` inverted, ``shared_terms`` is a
-    :data:`SHARED_TERMS_MODES` value (``--no-shared-terms`` / default /
-    ``--shared-terms``), ``ram_budget_mib`` is ``--ram-budget`` and
-    ``pool`` carries ``--workers``, ``--cell-timeout`` and
-    ``--max-retries``; every other field is the flag of the same name.
+    ``plan``/``cache``/``shared_terms``/``telemetry`` are ``--no-plan``/
+    ``--no-cache``/``--no-shared-terms``/``--no-telemetry`` inverted,
+    ``ram_budget_mib`` is ``--ram-budget`` and ``pool`` carries
+    ``--workers``, ``--cell-timeout`` and ``--max-retries``; every other
+    field is the flag of the same name.
     """
 
     plan: bool = True
     cache: bool = True
-    shared_terms: str = "default"
+    shared_terms: bool = True
     blocked: bool = False
     ram_budget_mib: Optional[float] = None
     spill_dir: Optional[str] = None
@@ -91,11 +85,11 @@ class RunConfig:
     @property
     def shares_terms(self) -> bool:
         """Whether the run builds a shared term store: a pooled sweep
-        with sharing not off, the cache layer on, and a writable
+        with sharing on, the cache layer on, and a writable
         ``/dev/shm``."""
         from . import shm
 
-        return (self.pool.workers > 1 and self.shared_terms != "off"
+        return (self.pool.workers > 1 and self.shared_terms
                 and self.cache and shm.supported())
 
     def validate(self, experiment: str,
@@ -103,20 +97,16 @@ class RunConfig:
         """Return ``self``, or raise :class:`~repro.errors.ReproError`
         naming the first rejected combination for ``experiment``
         (``epochs`` is the run's epoch override, if any)."""
-        from . import artifacts, shm
+        from . import artifacts
 
         grid = experiment in GRID_SWEEPS
         sweeps = f"the grid sweeps only ({', '.join(GRID_SWEEPS)})"
         resume = self.resume or self.fresh
         store_dir = artifacts.default_artifact_dir(self.artifact_dir)
-        pooled = self.pool.workers > 1
-        required = self.shared_terms == "required"
         pool_requested = (self.pool.workers != 1
                           or self.pool.cell_timeout is not None
                           or self.pool.max_retries != 1)
         rules = (
-            (self.shared_terms not in SHARED_TERMS_MODES,
-             f"shared_terms must be one of {SHARED_TERMS_MODES}"),
             (self.trace is not None and not self.telemetry,
              "--trace requires telemetry; drop --no-telemetry"),
             (self.ram_budget_mib is not None and not self.blocked,
@@ -131,20 +121,11 @@ class RunConfig:
             (self.blocked and self.spill_dir is not None
              and _not_a_directory(self.spill_dir),
              f"--spill-dir {self.spill_dir} is not a directory"),
-            (self.blocked and pooled,
+            (self.blocked and self.pool.workers > 1,
              "--blocked is serial-only (the tier is process-local); "
              "drop --workers"),
             (pool_requested and not grid,
              f"--workers/--cell-timeout/--max-retries apply to {sweeps}"),
-            (required and not grid, f"--shared-terms applies to {sweeps}"),
-            (required and not pooled,
-             "--shared-terms requires --workers > 1 (a serial sweep "
-             "already shares chains in-process)"),
-            (required and not self.cache,
-             "--shared-terms conflicts with --no-cache (the store is part "
-             "of the cache layer)"),
-            (required and not shm.supported(),
-             "--shared-terms requires a writable /dev/shm"),
             (self.resume and self.fresh,
              "--resume and --fresh are mutually exclusive"),
             (self.artifact_dir is not None and not resume,
@@ -354,7 +335,6 @@ __all__ = [
     "GRID_SWEEPS",
     "RunConfig",
     "RunContext",
-    "SHARED_TERMS_MODES",
     "WorkerContext",
     "available_cpus",
     "current",

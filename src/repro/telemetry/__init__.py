@@ -15,12 +15,12 @@ It provides three connected layers:
 - **Artifacts** (:mod:`.sinks`, :mod:`.manifest`, :mod:`.report`): a JSONL
   trace file, a deterministic run manifest written next to every result
   file, and a terminal report (top spans with inclusive *and* exclusive
-  cost, per-epoch sparklines, cross-run trace diffs).
-- **History** (:mod:`.registry`): an append-only run registry indexing
-  every bench invocation by config fingerprint, with query APIs
-  (``latest`` / ``by_config`` / ``history``) behind ``compare --registry``
-  and ``compare --history``. Regressions are gated by the perf harness
-  (``benchmarks/perf/run.py``), not here.
+  cost, per-epoch sparklines).
+- **Run records** (:mod:`.registry`): an append-only run registry holding
+  one record per bench invocation — config fingerprint, stage aggregates,
+  counters, and the ``memory`` / ``pool`` / ``artifacts`` blocks the
+  smoke gates read back with ``RunRegistry.load()``. Regressions and
+  history are the perf harness's (``benchmarks/perf/run.py``), not here.
 
 Module-level usage — the pattern every instrumented call site follows::
 
@@ -68,7 +68,6 @@ from .registry import (
     build_record,
     config_fingerprint,
     default_registry_dir,
-    metric_value,
     record_run,
 )
 from .report import (
@@ -78,7 +77,6 @@ from .report import (
     render_counters,
     render_epoch_table,
     render_memory,
-    render_run_diff,
     render_top_spans,
     render_trace_report,
     sparkline,
@@ -373,7 +371,6 @@ __all__ = [
     "render_epoch_table",
     "render_counters",
     "render_memory",
-    "render_run_diff",
     "aggregate_spans",
     "final_metrics",
     "final_memory",
@@ -384,7 +381,6 @@ __all__ = [
     "build_record",
     "config_fingerprint",
     "default_registry_dir",
-    "metric_value",
     "record_run",
     # hooks
     "install_op_hooks",

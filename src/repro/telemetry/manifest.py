@@ -54,11 +54,31 @@ def platform_info() -> Dict[str, str]:
     }
 
 
-def hardware_info(workers: int = 1) -> Dict[str, int]:
-    """Host capacity snapshot: logical CPU count, total RAM in bytes and
+def simd_dispatch() -> str:
+    """numpy's version and the SIMD targets its ufuncs dispatch to here,
+    e.g. ``numpy-2.4.6:X86_V3,X86_V4,AVX512_ICL,AVX512_SPR``.
+
+    float64 ufunc results depend on the kernel numpy picks at run time
+    (``NPY_DISABLE_CPU_FEATURES`` or a host without AVX-512 picks
+    another and rounds differently), so two hosts with one git SHA can
+    still compute different bits. The BLAS kernel (OpenBLAS core type)
+    is not covered.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    targets = [target for target in umath.__cpu_dispatch__
+               if umath.__cpu_features__.get(target)]
+    return f"numpy-{np.__version__}:{','.join(targets)}"
+
+
+def hardware_info(workers: int = 1) -> Dict[str, Union[int, str]]:
+    """Host capacity snapshot: logical CPU count, total RAM in bytes,
     the spmm thread budget the run derives from the host — inline
     (``spmm_threads``) and in each of ``workers`` pool workers
-    (``spmm_threads_per_worker``; :mod:`repro.runtime.blocked`).
+    (``spmm_threads_per_worker``; :mod:`repro.runtime.blocked`) — and
+    numpy's SIMD dispatch (``simd_dispatch``, :func:`simd_dispatch`).
 
     Makes registry diffs across machines interpretable — a 2× stage
     slowdown means something different on a 4-core laptop than on the
@@ -72,7 +92,8 @@ def hardware_info(workers: int = 1) -> Dict[str, int]:
     run = context.current()
     info = {"cpu_count": os.cpu_count() or 0, "total_ram_bytes": 0,
             "spmm_threads": run.spmm_threads,
-            "spmm_threads_per_worker": run.worker_threads(workers)}
+            "spmm_threads_per_worker": run.worker_threads(workers),
+            "simd_dispatch": simd_dispatch()}
     try:
         info["total_ram_bytes"] = (int(os.sysconf("SC_PHYS_PAGES"))
                                    * int(os.sysconf("SC_PAGE_SIZE")))

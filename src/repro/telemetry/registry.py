@@ -1,22 +1,24 @@
-"""Run registry: the session-level index over every bench invocation.
+"""Run registry: one record per bench invocation.
 
 A single ``--trace`` run leaves one JSONL trace and one manifest sidecar;
-this module makes those runs *queryable as history*. Every bench
+this module keeps what the run itself measured beside them. Every bench
 invocation appends one :class:`RunRecord` — manifest hash, config
 fingerprint, git rev, metric/counter snapshot, per-stage span aggregates,
-trace path — to an append-only JSONL index (``runs.jsonl`` under
-``benchmarks/results/registry/`` by default, overridable via the
-``REPRO_REGISTRY_DIR`` environment variable or an explicit path).
+and the ``memory`` / ``pool`` / ``artifacts`` blocks — to an append-only
+JSONL file (``runs.jsonl`` under ``benchmarks/results/registry/`` by
+default, overridable via the ``REPRO_REGISTRY_DIR`` environment variable
+or an explicit path). The smoke gates read those records back with
+:meth:`RunRegistry.load`; timings across commits are the perf harness's
+job (``benchmarks/perf/run.py``), not this file's.
 
-The *config fingerprint* is the longitudinal identity of a run: a hash
-over the manifest fields that define **what** was measured (experiment,
-config, seed, datasets, cache mode) and deliberately **not** over the
-fields that define *which code* measured it (git SHA, platform, library
-versions). Two runs of the same configuration on different commits share
-a fingerprint, which is exactly what lets ``python -m repro.bench compare
---registry <fingerprint>`` diff the two most recent runs of a
-configuration without any file-path argument, and what ``compare
---history`` keys its trend report on.
+The *config fingerprint* is the identity of a run's configuration: a
+hash over the manifest fields that define **what** was measured
+(experiment, config, seed, datasets, cache mode) and deliberately
+**not** over the fields that define *which code* measured it (git SHA,
+platform, library versions) or how it was executed (workers, shared
+terms, resume). Runs of one configuration share a fingerprint, which is
+what the artifact store addresses cells by and what the parallel, plan
+and resume gates check across their runs.
 
 Durability discipline: appends are single ``write()`` calls of one
 newline-terminated line (interleaved writers cannot shear each other's
@@ -35,7 +37,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 PathLike = Union[str, Path]
 
@@ -57,7 +59,9 @@ PathLike = Union[str, Path]
 #: back from spill files, summed over every load), present only when
 #: the tier spilled so tier-off records stay v5-shaped. Records written
 #: before the tier stopped tiling products also carry ``spmm_calls`` and
-#: ``tiles`` there.
+#: ``tiles`` there, and v1–v6 records written before the registry stopped
+#: answering history queries carry a ``summary`` block of result-column
+#: means, which is dropped on load like any unknown key.
 #: Older lines (no such keys) still load —
 #: :meth:`RunRecord.from_dict` fills the serial/None/empty defaults.
 REGISTRY_SCHEMA = "repro.telemetry.registry/v6"
@@ -133,7 +137,6 @@ class RunRecord:
     pool: Dict = field(default_factory=dict)
     metrics: Dict = field(default_factory=dict)
     stages: Dict = field(default_factory=dict)
-    summary: Dict = field(default_factory=dict)
     trace_path: Optional[str] = None
     result_path: Optional[str] = None
     #: Resumable-sweep accounting (schema v4; empty for runs without the
@@ -165,7 +168,6 @@ def build_record(
     manifest: Mapping,
     metrics: Optional[Mapping] = None,
     stages: Optional[Mapping] = None,
-    summary: Optional[Mapping] = None,
     trace_path: Optional[PathLike] = None,
     result_path: Optional[PathLike] = None,
     timestamp: Optional[float] = None,
@@ -176,9 +178,8 @@ def build_record(
 ) -> RunRecord:
     """Assemble a :class:`RunRecord` from a manifest plus run snapshots.
 
-    ``metrics`` is a :meth:`MetricsRegistry.snapshot` dict, ``stages`` a
-    :func:`repro.telemetry.report.aggregate_spans` dict, and ``summary``
-    any flat name → number map (e.g. column means of the result rows).
+    ``metrics`` is a :meth:`MetricsRegistry.snapshot` dict and ``stages``
+    a :func:`repro.telemetry.report.aggregate_spans` dict.
     ``workers``/``pool`` annotate parallel sweeps (schema v2): the pool
     width and its execution policy / retry accounting.
     ``artifacts`` is the resumable-sweep block (schema v4): resume mode,
@@ -204,40 +205,11 @@ def build_record(
         pool=dict(pool or {}),
         metrics=dict(metrics or {}),
         stages={str(k): dict(v) for k, v in (stages or {}).items()},
-        summary=dict(summary or {}),
         trace_path=str(trace_path) if trace_path is not None else None,
         result_path=str(result_path) if result_path is not None else None,
         artifacts=dict(artifacts or {}),
         memory=dict(memory or {}),
     )
-
-
-def metric_value(record: Union[RunRecord, Mapping], path: str):
-    """Resolve a dotted path into a record, tolerating dotted leaf keys.
-
-    ``stages.train.seconds`` walks nested dicts; ``metrics.counters.
-    ops.eig.flops`` works even though the counter name itself contains
-    dots, because at every level the *longest remaining* key is tried
-    first. Returns ``None`` when the path does not resolve.
-    """
-    node = record.to_dict() if isinstance(record, RunRecord) else record
-    remaining = path
-    while remaining:
-        if not isinstance(node, Mapping):
-            return None
-        if remaining in node:
-            return node[remaining]
-        # Split at successive dots, preferring the longest prefix match.
-        prefix = remaining
-        while "." in prefix:
-            prefix = prefix.rsplit(".", 1)[0]
-            if prefix in node:
-                node = node[prefix]
-                remaining = remaining[len(prefix) + 1:]
-                break
-        else:
-            return None
-    return node
 
 
 class RunRegistry:
@@ -305,81 +277,11 @@ class RunRegistry:
         records.sort(key=lambda r: r.timestamp)
         return records
 
-    def __len__(self) -> int:
-        return len(self.load())
-
-    def fingerprints(self) -> Dict[str, int]:
-        """``fingerprint -> run count`` over the whole registry."""
-        counts: Dict[str, int] = {}
-        for record in self.load():
-            counts[record.config_fingerprint] = \
-                counts.get(record.config_fingerprint, 0) + 1
-        return counts
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def by_config(self, fingerprint: str) -> List[RunRecord]:
-        """Runs whose fingerprint matches (prefix match, history order)."""
-        return [r for r in self.load()
-                if r.config_fingerprint.startswith(fingerprint)]
-
-    def latest(self, fingerprint: Optional[str] = None) -> Optional[RunRecord]:
-        """Most recent run, optionally restricted to one config."""
-        records = self.by_config(fingerprint) if fingerprint else self.load()
-        return records[-1] if records else None
-
-    def history(self, metric: str, fingerprint: Optional[str] = None,
-                ) -> List[Tuple[float, float]]:
-        """``(timestamp, value)`` series of one metric across history.
-
-        ``metric`` is a dotted path (see :func:`metric_value`); runs where
-        it does not resolve to a number are skipped.
-        """
-        records = self.by_config(fingerprint) if fingerprint else self.load()
-        series: List[Tuple[float, float]] = []
-        for record in records:
-            value = metric_value(record, metric)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                series.append((record.timestamp, float(value)))
-        return series
-
-    def resolve(self, spec: str) -> List[RunRecord]:
-        """Runs matching a spec: fingerprint prefix or experiment name.
-
-        When the spec names an experiment with several distinct configs,
-        the most recently run config's history is returned, so
-        ``compare --registry efficiency`` always diffs like against like.
-        """
-        records = self.load()
-        matched = [r for r in records if r.config_fingerprint.startswith(spec)]
-        if not matched:
-            by_experiment = [r for r in records if r.experiment == spec]
-            if by_experiment:
-                newest = by_experiment[-1].config_fingerprint
-                matched = [r for r in records
-                           if r.config_fingerprint == newest]
-        return matched
-
-    def resolve_pair(self, spec: str) -> Tuple[RunRecord, RunRecord]:
-        """The two most recent runs of one config: (baseline, candidate)."""
-        matched = self.resolve(spec)
-        if len(matched) < 2:
-            from ..errors import ReproError
-
-            known = sorted(self.fingerprints().items())
-            hint = ", ".join(f"{fp}×{n}" for fp, n in known) or "(empty)"
-            raise ReproError(
-                f"registry at {self.path} holds {len(matched)} run(s) "
-                f"matching {spec!r}; need 2 to compare. Known configs: {hint}")
-        return matched[-2], matched[-1]
-
 
 def record_run(
     manifest: Mapping,
     events: Sequence[Mapping] = (),
     metrics: Optional[Mapping] = None,
-    summary: Optional[Mapping] = None,
     trace_path: Optional[PathLike] = None,
     result_path: Optional[PathLike] = None,
     registry_dir: Optional[PathLike] = None,
@@ -406,7 +308,6 @@ def record_run(
         manifest,
         metrics=metrics,
         stages=aggregate_spans(events),
-        summary=summary,
         trace_path=trace_path,
         result_path=result_path,
         workers=workers,

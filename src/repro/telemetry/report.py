@@ -270,87 +270,6 @@ def render_counters(events: Iterable[Mapping],
     return _table(["counter", "value"], rows, "op counters")
 
 
-def _numeric(value) -> Optional[float]:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    return float(value)
-
-
-def _format_signed_seconds(seconds: float) -> str:
-    sign = "-" if seconds < 0 else "+"
-    return sign + _format_seconds(abs(seconds))
-
-
-def _format_signed_bytes(nbytes: float) -> str:
-    sign = "-" if nbytes < 0 else "+"
-    return sign + _format_bytes(abs(nbytes))
-
-
-def render_run_diff(baseline_events: Sequence[Mapping],
-                    candidate_events: Sequence[Mapping],
-                    top: int = 12) -> str:
-    """Cross-run trace diff: per-span and per-counter deltas.
-
-    Aggregates both traces (:func:`aggregate_spans`, inclusive and
-    exclusive), aligns spans by name and counters by name, and renders the
-    deltas ranked by absolute self-time change — the view ``python -m
-    repro.bench compare --registry`` prints when both runs kept traces.
-    """
-    base_stats = aggregate_spans(baseline_events)
-    cand_stats = aggregate_spans(candidate_events)
-    names = sorted(set(base_stats) | set(cand_stats),
-                   key=lambda n: -abs(
-                       cand_stats.get(n, {}).get("self_seconds", 0.0)
-                       - base_stats.get(n, {}).get("self_seconds", 0.0)))
-    span_rows = []
-    for name in names[:top]:
-        base = base_stats.get(name, {})
-        cand = cand_stats.get(name, {})
-        base_s = base.get("seconds", 0.0)
-        cand_s = cand.get("seconds", 0.0)
-        rel = (cand_s - base_s) / base_s if base_s else float("inf")
-        span_rows.append([
-            name,
-            _format_seconds(base_s),
-            _format_seconds(cand_s),
-            f"{rel:+.1%}" if base_s else "new",
-            _format_signed_seconds(cand.get("self_seconds", 0.0)
-                                   - base.get("self_seconds", 0.0)),
-            _format_signed_bytes(cand.get("alloc_bytes", 0)
-                                 - base.get("alloc_bytes", 0)),
-        ])
-    sections = [
-        _table(["span", "base", "cand", "Δtotal", "Δself", "Δalloc"],
-               span_rows, "span diff (baseline → candidate)")
-        if span_rows else "-- span diff --\n(no spans in either trace)",
-    ]
-
-    base_counters = final_metrics(baseline_events).get("counters") or {}
-    cand_counters = final_metrics(candidate_events).get("counters") or {}
-    counter_rows = []
-    for name in sorted(set(base_counters) | set(cand_counters)):
-        base_v = _numeric(base_counters.get(name))
-        cand_v = _numeric(cand_counters.get(name))
-        if base_v is None and cand_v is None:
-            continue
-        base_v = base_v or 0.0
-        cand_v = cand_v or 0.0
-        if base_v == cand_v:
-            continue
-        rel = (cand_v - base_v) / abs(base_v) if base_v else float("inf")
-        counter_rows.append([
-            name, f"{base_v:,.0f}", f"{cand_v:,.0f}",
-            f"{cand_v - base_v:+,.0f}",
-            f"{rel:+.1%}" if base_v else "new",
-        ])
-    if counter_rows:
-        sections.append(_table(["counter", "base", "cand", "Δ", "rel"],
-                               counter_rows, "counter diff"))
-    else:
-        sections.append("-- counter diff --\n(no counter changes)")
-    return "\n\n".join(sections)
-
-
 def render_trace_report(events: Sequence[Mapping],
                         metrics: Optional[Mapping] = None,
                         top: int = 10) -> str:

@@ -22,7 +22,10 @@ are held to the bits of the code they replaced, not to themselves.
 
 A value whose bits depend on the host is stored as a seeded random
 projection with a relative tolerance instead of a digest (see
-:data:`HOST_DEPENDENT`).
+:data:`HOST_DEPENDENT`). The file also records the capturing host's
+numpy SIMD dispatch (:data:`DISPATCH_KEY`): float64 ufuncs round
+differently under other dispatch targets, so a mismatch names both
+hosts' tokens.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.autodiff import Tensor
 from repro.datasets import synthesize
 from repro.filters import FILTER_NAMES, PropagationContext, make_filter
 from repro.runtime import plan
+from repro.telemetry.manifest import simd_dispatch
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "basis_golden.json"
 HOPS = (3, 10)
@@ -56,6 +60,9 @@ HOST_DEPENDENT = {
     ("favard", "forward"), ("favard", "grad_x"), ("favard", "response"),
 }
 RTOL = 1e-5
+#: The golden file's one non-fingerprint entry: the capturing host's
+#: :func:`~repro.telemetry.manifest.simd_dispatch`.
+DISPATCH_KEY = "simd_dispatch"
 #: label → (registry name, hyperparameters).
 VARIANTS = {
     "jacobi[a=1.5,b=0.5]": ("jacobi", {"a": 1.5, "b": 0.5}),
@@ -134,8 +141,14 @@ def capture() -> dict:
 
 
 @pytest.fixture(scope="module")
-def golden():
+def golden_file():
     return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden(golden_file):
+    return {key: value for key, value in golden_file.items()
+            if key != DISPATCH_KEY}
 
 
 @pytest.fixture(scope="module")
@@ -144,17 +157,20 @@ def observed():
 
 
 @pytest.mark.parametrize("label", list(FILTERS))
-def test_filter_matches_golden(golden, observed, label):
+def test_filter_matches_golden(golden_file, golden, observed, label):
     keys = sorted(key for key in golden if key.split("/")[0] == label)
     assert keys == sorted(key for key in observed
                           if key.split("/")[0] == label)
+    hosts = (f"captured under {golden_file.get(DISPATCH_KEY)}, "
+             f"this host {simd_dispatch()}")
     for key in keys:
         expected, got = golden[key], observed[key]
         if isinstance(expected, str):
-            assert got == expected, key
+            assert got == expected, f"{key} ({hosts})"
         else:
             assert got["projection"] == pytest.approx(
-                expected["projection"], rel=expected["rtol"]), key
+                expected["projection"], rel=expected["rtol"]), \
+                f"{key} ({hosts})"
 
 
 def test_golden_covers_the_grid(golden):
@@ -168,9 +184,10 @@ if __name__ == "__main__":
                         help=f"rewrite {GOLDEN_PATH.name} from this tree")
     args = parser.parse_args()
     values = capture()
+    values[DISPATCH_KEY] = simd_dispatch()
     if args.capture:
         GOLDEN_PATH.write_text(json.dumps(values, indent=1, sort_keys=True)
                                + "\n")
-        print(f"wrote {len(values)} fingerprints to {GOLDEN_PATH}")
+        print(f"wrote {len(values) - 1} fingerprints to {GOLDEN_PATH}")
     else:
         print(json.dumps(values, indent=1, sort_keys=True))

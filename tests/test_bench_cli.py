@@ -31,6 +31,15 @@ class TestParser:
     def test_unknown_experiment_errors(self, capsys):
         rejects(capsys, ["frobnicate"], "unknown experiment 'frobnicate'")
 
+    def test_retired_compare_subcommand_is_an_unknown_experiment(self,
+                                                                 capsys):
+        rejects(capsys, ["compare", "a.json", "b.json"],
+                "unknown experiment 'compare'")
+
+    def test_stray_arguments_still_rejected(self, capsys):
+        rejects(capsys, ["taxonomy", "extra.json"],
+                "unrecognized arguments: extra.json")
+
     def test_every_experiment_registered_with_artifact(self):
         artifacts = [artifact for _, artifact, _ in EXPERIMENTS.values()]
         assert any("Table 5" in a for a in artifacts)
@@ -187,41 +196,6 @@ class TestRegistryCli:
         assert "registry:" not in capsys.readouterr().out
         assert RunRegistry(tmp_path).load() == []
 
-    def test_compare_history_sparkline_report(self, tmp_path, capsys):
-        """Two runs, then `--history` renders a trend row per metric."""
-        assert self._run(tmp_path, 1) == 0
-        assert self._run(tmp_path, 2) == 0
-        capsys.readouterr()
-
-        code = main(["compare", "--registry", "efficiency",
-                     "--registry-dir", str(tmp_path), "--history", "5"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "registry history: efficiency (last 5 runs" in out
-        assert "stages.train.seconds" in out
-        assert "trend" in out
-
-    def test_history_requires_registry(self, capsys):
-        rejects(capsys, ["compare", "a.json", "b.json", "--history", "3"],
-                "--history requires --registry SPEC")
-
-    def test_compare_registry_end_to_end(self, tmp_path, capsys):
-        """Two runs, then resolve + diff by fingerprint with no file paths."""
-        from repro.telemetry.registry import RunRegistry
-
-        assert self._run(tmp_path, 1) == 0
-        assert self._run(tmp_path, 2) == 0
-        capsys.readouterr()
-        fingerprint = RunRegistry(tmp_path).load()[-1].config_fingerprint
-
-        code = main(["compare", "--registry", fingerprint,
-                     "--registry-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert f"config {fingerprint}" in out
-        assert "registry diff" in out
-        assert "stages.train.seconds" in out
-        assert "span diff" in out            # traces existed for both runs
 
 class TestPoolCli:
     EFFICIENCY = ["efficiency", "--datasets", "cora",
@@ -336,20 +310,6 @@ class TestPoolCli:
             "straggler ranking missing from the registry record"
         # One folded shard per grid cell (2 filters x 1 dataset).
         assert record.metrics["counters"]["pool.cells.ok"] == 2
-
-
-class TestRegistryCliErrors:
-    def test_compare_registry_unknown_spec_exits_2(self, tmp_path, capsys):
-        code = main(["compare", "--registry", "feedfacefeed",
-                     "--registry-dir", str(tmp_path)])
-        assert code == 2
-        assert "need 2" in capsys.readouterr().err
-
-    def test_compare_rejects_mixed_modes(self, capsys):
-        rejects(capsys, ["compare", "a.json", "b.json", "--registry", "abc"],
-                "--registry takes no file paths")
-        rejects(capsys, ["compare", "only-one.json"],
-                "file mode needs exactly BASELINE and CANDIDATE paths")
 
 
 class TestResumeCli:

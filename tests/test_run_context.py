@@ -52,16 +52,12 @@ BLOCKED_BUDGET_MIB = 1 / 16
 ILLEGAL = (
     (lambda c: c["blocked"] and c["workers"] > 1,
      "--blocked is serial-only"),
-    (lambda c: c["shared_terms"] == "required" and c["workers"] == 1,
-     "--shared-terms requires --workers > 1"),
-    (lambda c: c["shared_terms"] == "required" and not c["cache"],
-     "--shared-terms conflicts with --no-cache"),
 )
 
 MATRIX = [dict(zip(("plan", "cache", "shared_terms", "blocked", "resume",
                     "workers"), values))
           for values in itertools.product(
-              (True, False), (True, False), ("default", "off", "required"),
+              (True, False), (True, False), (True, False),
               (False, True), (False, True), (1, 2))]
 
 
@@ -69,7 +65,7 @@ def _combo_id(combo) -> str:
     return "-".join([
         "plan" if combo["plan"] else "noplan",
         "cache" if combo["cache"] else "nocache",
-        f"shared_{combo['shared_terms']}",
+        "shared_on" if combo["shared_terms"] else "shared_off",
         "blocked" if combo["blocked"] else "incore",
         "resume" if combo["resume"] else "once",
         f"w{combo['workers']}"])
@@ -119,7 +115,7 @@ def _check_combination(combo, reference, tmp_path, start_method=None):
         with pytest.raises(ReproError, match=message):
             _config(combo).validate("efficiency")
         return
-    if combo["shared_terms"] != "off" and combo["workers"] > 1 \
+    if combo["shared_terms"] and combo["workers"] > 1 \
             and combo["cache"] and not shm.supported():
         pytest.skip("no writable /dev/shm")
     if not combo["resume"]:
@@ -165,8 +161,8 @@ class TestRejections:
          "--ram-budget must be a positive MiB count"),
         ("taxonomy", dict(pool=PoolConfig(max_retries=2)),
          "--workers/--cell-timeout/--max-retries apply to the grid"),
-        ("regression", dict(shared_terms="required"),
-         "--shared-terms applies to the grid"),
+        ("regression", dict(pool=PoolConfig(workers=2)),
+         "--workers/--cell-timeout/--max-retries apply to the grid"),
         ("efficiency", dict(resume=True, fresh=True),
          "--resume and --fresh are mutually exclusive"),
         ("efficiency", dict(artifact_dir="store"),
@@ -174,8 +170,6 @@ class TestRejections:
         ("efficiency", dict(fresh=True, telemetry=False),
          "--resume/--fresh require telemetry"),
         ("taxonomy", dict(resume=True), "--resume/--fresh apply to the grid"),
-        ("efficiency", dict(shared_terms="sometimes"),
-         "shared_terms must be one of"),
     ])
     def test_validate_names_the_rejected_combination(self, experiment,
                                                      changes, message):

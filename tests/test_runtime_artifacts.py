@@ -219,6 +219,34 @@ class TestAddressSensitivity:
         assert cell_address(**{**self.BASE, field: changed}) \
             != cell_address(**self.BASE), field
 
+    def test_numpy_simd_dispatch_flips_the_default_address(self, store,
+                                                           monkeypatch):
+        """Cells computed under another SIMD dispatch (another host, or
+        ``NPY_DISABLE_CPU_FEATURES``) are not served; this host's are."""
+        from repro.telemetry import manifest
+
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy < 2
+            from numpy.core import _multiarray_umath as umath
+        cell = Cell(key=("cora", "ppr"), fn=_value_cell,
+                    kwargs={"x": 1, "seed": 7})
+
+        def address():
+            return SweepArtifacts(store=store,
+                                  config_fingerprint="fp").address_for(cell)
+
+        here, token = address(), manifest.simd_dispatch()
+        assert address() == here
+        assert default_code_rev().endswith("+" + token)
+        monkeypatch.setattr(umath, "__cpu_features__", {
+            target: not umath.__cpu_features__.get(target)
+            for target in umath.__cpu_dispatch__})
+        assert manifest.simd_dispatch() != token
+        assert address() != here
+        monkeypatch.undo()
+        assert address() == here
+
     def test_sweep_staleness_config_seed_coords_rev_kwargs(self, store):
         cell = Cell(key=("cora", "ppr"), fn=_value_cell,
                     kwargs={"x": 1, "seed": 7})

@@ -330,6 +330,7 @@ class TestManifest:
         hardware = manifest["hardware"]
         assert hardware["cpu_count"] >= 1
         assert hardware["total_ram_bytes"] >= 0
+        assert hardware["simd_dispatch"].startswith(f"numpy-{np.__version__}:")
         assert telemetry.hardware_info() == hardware  # stable on one host
 
     def test_hardware_records_the_spmm_thread_budget(self):
@@ -573,35 +574,6 @@ class TestExclusiveAggregation:
         assert "ops.x.calls" in counters and "note" in counters
         assert "no counters" in telemetry.render_counters(
             [{"type": "metrics", "metrics": {"counters": {}}}])
-
-
-class TestRunDiff:
-    def test_span_and_counter_deltas(self):
-        baseline = TREE_EVENTS + [
-            {"type": "metrics",
-             "metrics": {"counters": {"ops.spmm.flops": 100,
-                                      "ops.matmul.flops": 50}}}]
-        candidate = [
-            _span(3, 2, "c", 1.0, 50),
-            _span(2, 1, "a", 7.0, 300),        # a got 3s slower
-            _span(4, 1, "b", 3.0, 200),
-            _span(1, None, "root", 13.0, 1000),
-            {"type": "metrics",
-             "metrics": {"counters": {"ops.spmm.flops": 300,
-                                      "ops.matmul.flops": 50}}}]
-        text = telemetry.render_run_diff(baseline, candidate)
-        assert "span diff" in text and "counter diff" in text
-        # 'a' has the largest self-time delta, so it leads the table.
-        span_lines = [ln for ln in text.splitlines()
-                      if ln.startswith(("a ", "root ", "b ", "c "))]
-        assert span_lines[0].startswith("a ")
-        assert "+75.0%" in text            # a: 4s -> 7s inclusive
-        assert "ops.spmm.flops" in text and "+200" in text
-        assert "ops.matmul.flops" not in text   # unchanged counters hidden
-
-    def test_empty_traces(self):
-        text = telemetry.render_run_diff([], [])
-        assert "no spans" in text and "no counter changes" in text
 
 
 class TestRegistryMergeFrom:

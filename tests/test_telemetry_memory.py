@@ -468,30 +468,6 @@ class TestMemoryBlock:
 
 
 # ---------------------------------------------------------------------------
-# 4b. memory fields in the registry diff
-# ---------------------------------------------------------------------------
-
-def _memory_record(timestamp, peak, total=None):
-    return telemetry.build_record(
-        telemetry.build_manifest(extra={"experiment": "mem"}),
-        timestamp=timestamp,
-        memory={"peak_bytes": peak,
-                "total_alloc_bytes": total if total is not None else peak})
-
-
-class TestMemoryGate:
-    def test_compare_rows_include_memory_metrics(self):
-        from repro.bench.compare import registry_delta_rows
-
-        baseline = _memory_record(1.0, 100, total=400)
-        candidate = _memory_record(2.0, 150, total=500)
-        rows = registry_delta_rows(baseline, candidate)
-        deltas = {r["metric"]: r["delta"] for r in rows}
-        assert deltas["memory.peak_bytes"] == 50
-        assert deltas["memory.total_alloc_bytes"] == 100
-
-
-# ---------------------------------------------------------------------------
 # 4c. rendering
 # ---------------------------------------------------------------------------
 

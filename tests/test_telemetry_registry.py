@@ -1,7 +1,8 @@
 """Run registry tests.
 
-Covers the durability contract of the append-only index (interleaved
-writers, truncated tails), fingerprint identity, and history queries.
+Covers the durability contract of the append-only file (interleaved
+writers, truncated tails), fingerprint identity, and loading lines of
+every older record generation.
 """
 
 from __future__ import annotations
@@ -9,9 +10,6 @@ from __future__ import annotations
 import json
 import threading
 
-import pytest
-
-from repro.errors import ReproError
 from repro.telemetry.registry import (
     FINGERPRINT_KEYS,
     REGISTRY_FILENAME,
@@ -19,7 +17,6 @@ from repro.telemetry.registry import (
     build_record,
     config_fingerprint,
     default_registry_dir,
-    metric_value,
     record_run,
 )
 
@@ -47,7 +44,7 @@ def make_record(timestamp, *, seconds=1.0, manifest=None, **stage_fields):
                         "ram_delta_bytes": 0, **stage_fields}}
     return build_record(manifest or make_manifest(), stages=stages,
                         metrics={"counters": {"ops.eig.flops": 900.0}},
-                        summary={"mean": 0.8}, timestamp=timestamp)
+                        timestamp=timestamp)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +80,7 @@ class TestFingerprint:
 
 
 # ---------------------------------------------------------------------------
-# append / load / queries
+# append / load
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
@@ -96,40 +93,14 @@ class TestRegistry:
         assert loaded[0].stages["train"]["seconds"] == 2.5
         assert loaded[0].git_sha == "abc123"
 
-    def test_latest_and_by_config(self, tmp_path):
-        registry = RunRegistry(tmp_path)
-        registry.append(make_record(1.0))
-        registry.append(make_record(2.0, manifest=make_manifest(seed=9)))
-        registry.append(make_record(3.0))
-        fp = config_fingerprint(make_manifest())
-        assert len(registry.by_config(fp)) == 2
-        assert registry.latest().timestamp == 3.0
-        other = config_fingerprint(make_manifest(seed=9))
-        assert registry.latest(other).timestamp == 2.0
-        # Prefix match resolves too.
-        assert len(registry.by_config(fp[:6])) == 2
-
-    def test_history_series(self, tmp_path):
-        registry = RunRegistry(tmp_path)
-        for ts, secs in [(1.0, 1.0), (2.0, 2.0), (3.0, 4.0)]:
-            registry.append(make_record(ts, seconds=secs))
-        series = registry.history("stages.train.seconds")
-        assert series == [(1.0, 1.0), (2.0, 2.0), (3.0, 4.0)]
-        # Dotted counter names resolve through the dotted-leaf fallback.
-        flops = registry.history("metrics.counters.ops.eig.flops")
-        assert [v for _, v in flops] == [900.0, 900.0, 900.0]
-
     def test_history_order_stable_under_identical_timestamps(self, tmp_path):
         """Append order is the tiebreak when wall clocks collide."""
         registry = RunRegistry(tmp_path)
         for secs in (1.0, 2.0, 3.0):
             registry.append(make_record(42.0, seconds=secs))
-        series = registry.history("stages.train.seconds")
-        assert [v for _, v in series] == [1.0, 2.0, 3.0]
-        baseline, candidate = registry.resolve_pair(
-            config_fingerprint(make_manifest()))
-        assert baseline.stages["train"]["seconds"] == 2.0
-        assert candidate.stages["train"]["seconds"] == 3.0
+        records = registry.load()
+        assert [r.stages["train"]["seconds"] for r in records] \
+            == [1.0, 2.0, 3.0]
 
     def test_interleaved_writers(self, tmp_path):
         """Two writer instances appending concurrently shear no records."""
@@ -173,24 +144,6 @@ class TestRegistry:
         assert [r.timestamp for r in records] == [1.0, 2.0, 3.0]
         assert registry.corrupt_lines == 1
 
-    def test_resolve_pair_needs_two_runs(self, tmp_path):
-        registry = RunRegistry(tmp_path)
-        with pytest.raises(ReproError, match="need 2"):
-            registry.resolve_pair("efficiency")
-        registry.append(make_record(1.0))
-        with pytest.raises(ReproError, match="1 run"):
-            registry.resolve_pair(config_fingerprint(make_manifest()))
-
-    def test_resolve_by_experiment_picks_newest_config(self, tmp_path):
-        registry = RunRegistry(tmp_path)
-        registry.append(make_record(1.0))
-        registry.append(make_record(2.0))
-        registry.append(make_record(3.0, manifest=make_manifest(seed=9)))
-        registry.append(make_record(4.0, manifest=make_manifest(seed=9)))
-        matched = registry.resolve("efficiency")
-        assert {r.config_fingerprint for r in matched} \
-            == {config_fingerprint(make_manifest(seed=9))}
-
     def test_record_run_extracts_trace_events(self, tmp_path):
         events = [
             {"type": "span", "name": "train", "id": 1, "parent": None,
@@ -204,15 +157,6 @@ class TestRegistry:
         assert loaded[0].run_id == record.run_id
         assert loaded[0].stages["train"]["seconds"] == 2.0
         assert loaded[0].metrics["counters"]["ops.spmm.calls"] == 3
-
-    def test_metric_value_paths(self):
-        record = make_record(1.0, seconds=3.0)
-        assert metric_value(record, "stages.train.seconds") == 3.0
-        assert metric_value(record, "metrics.counters.ops.eig.flops") == 900.0
-        assert metric_value(record, "summary.mean") == 0.8
-        assert metric_value(record, "stages.nope.seconds") is None
-        assert metric_value(record, "no.such.path") is None
-
 
 # ---------------------------------------------------------------------------
 # schema v2: workers/pool annotations + pre-v2 backward compatibility
@@ -231,16 +175,14 @@ class TestSchemaV2:
         assert loaded.pool["cell_timeout"] == 600.0
 
     def test_workers_outside_config_fingerprint(self, tmp_path):
-        """Execution strategy must not fork a run's registry lineage."""
+        """Execution strategy must not change a run's config fingerprint."""
         registry = RunRegistry(tmp_path)
         serial = registry.append(build_record(make_manifest(), timestamp=1.0,
                                               workers=1))
         pooled = registry.append(build_record(make_manifest(), timestamp=2.0,
                                               workers=8, pool={"workers": 8}))
         assert serial.config_fingerprint == pooled.config_fingerprint
-        baseline, candidate = registry.resolve_pair(
-            serial.config_fingerprint)
-        assert (baseline.workers, candidate.workers) == (1, 8)
+        assert [r.workers for r in registry.load()] == [1, 8]
 
     def test_v1_line_loads_with_serial_defaults(self, tmp_path):
         """A registry written before PR 4 still loads."""
@@ -259,18 +201,17 @@ class TestSchemaV2:
         old = next(r for r in records if r.schema.endswith("/v1"))
         assert old.workers == 1
         assert old.pool == {}
-        # Mixed-generation lineage still resolves as one config: the v1
-        # line is the baseline, the v2 append the candidate.
-        baseline, candidate = registry.resolve_pair(old.config_fingerprint)
-        assert baseline.schema.endswith("/v1")
-        assert candidate.schema.endswith("/v6")
+        # Mixed generations load as one config in timestamp order: the
+        # v1 line first, the current append second.
+        assert [r.schema.rsplit("/", 1)[1] for r in records] == ["v1", "v6"]
+        assert len({r.config_fingerprint for r in records}) == 1
 
 
 class TestRetiredLiveKeys:
     def test_v6_line_with_live_pointers_loads_and_pairs(self, tmp_path):
         """A v6 line that still carries the retired ``live_path`` /
-        ``chrome_trace_path`` keys loads cleanly and pairs with a new
-        record of the same config."""
+        ``chrome_trace_path`` keys loads cleanly, before a new record of
+        the same config."""
         registry = RunRegistry(tmp_path)
         old = make_record(1.0).to_dict()
         old["live_path"] = "out/live.jsonl"
@@ -283,9 +224,8 @@ class TestRetiredLiveKeys:
         assert registry.corrupt_lines == 0
         assert len(records) == 2
         assert not hasattr(records[0], "live_path")
-        baseline, candidate = registry.resolve_pair(new.config_fingerprint)
-        assert (baseline.run_id, candidate.run_id) == (old["run_id"],
-                                                       new.run_id)
+        assert [r.run_id for r in records] == [old["run_id"], new.run_id]
+        assert records[0].config_fingerprint == new.config_fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +268,39 @@ class TestSchemaV4:
         assert registry.corrupt_lines == 0
         assert loaded.artifacts == {}
         assert loaded.schema.endswith("/v3")
+
+
+class TestOldLines:
+    def test_every_generation_loads_from_one_file(self, tmp_path):
+        """v1, v3, v6 with the retired live keys and v6 with the retired
+        ``summary`` block load from one file; a torn tail is skipped and
+        repaired by the next append."""
+        v1 = make_record(1.0).to_dict()
+        v1["schema"] = "repro.telemetry.registry/v1"
+        for key in ("workers", "pool", "artifacts", "memory"):
+            del v1[key]
+        v3 = make_record(2.0).to_dict()
+        v3["schema"] = "repro.telemetry.registry/v3"
+        del v3["artifacts"], v3["memory"]
+        v3["live_path"] = None
+        live = make_record(3.0).to_dict()
+        live["live_path"] = "out/live.jsonl"
+        live["chrome_trace_path"] = "out/live.trace.json"
+        summary = make_record(4.0).to_dict()
+        summary["summary"] = {"mean": 0.8, "train_s_per_epoch": 0.1}
+        path = tmp_path / REGISTRY_FILENAME
+        path.write_text("".join(json.dumps(line) + "\n"
+                                for line in (v1, v3, live, summary))
+                        + '{"config_fingerprint": "dead", "timest')
+
+        registry = RunRegistry(tmp_path)
+        records = registry.load()
+        assert [r.timestamp for r in records] == [1.0, 2.0, 3.0, 4.0]
+        assert registry.corrupt_lines == 1
+        assert not hasattr(records[3], "summary")
+        assert (records[0].workers, records[0].pool) == (1, {})
+        assert records[1].artifacts == {}
+        registry.append(make_record(5.0))
+        assert [r.timestamp for r in registry.load()] \
+            == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert registry.corrupt_lines == 1
