@@ -12,8 +12,9 @@ reports how many tests failed and never gates.
 
 ``--paper`` profiles the paper benches as they gate instead: the 14 of
 them without ``bench_table5_fullscale.py`` (a gate of its own), at
-their default epochs, exiting with pytest's code, so a failed finding
-fails the run. The full-scale bench is the only one that goes through
+their default epochs, plus ``bench_stream_equivalence.py`` (per-seed
+scores against a captured reference), exiting with pytest's code, so a
+failed finding fails the run. The full-scale bench is the only one that goes through
 the bench CLI, so this report also lists the modules only the CLI
 reaches (telemetry, registry, file tier, graph partition) as zero-call;
 the default run over all 15 is the one to read as a dead-code list.
@@ -89,6 +90,7 @@ def main(argv=None) -> int:
     if args.paper:
         benches = [path for path in benches
                    if path.name != "bench_table5_fullscale.py"]
+        benches.append(BENCH_DIR / "bench_stream_equivalence.py")
     else:
         os.environ["REPRO_BENCH_EPOCHS"] = "1"
     reach = _Reach()

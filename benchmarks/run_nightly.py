@@ -16,7 +16,9 @@ Steps, in order:
 3. the paper step: the 14 paper benches (every ``bench_fig*.py`` and
    ``bench_table*.py`` but the full-scale Table 5 gate, which runs on
    its own) at their default epochs, each asserting its artifact's
-   finding, run once, through ``benchmarks/reach.py --paper``: the same
+   finding, and the stream-equivalence gate
+   (``bench_stream_equivalence.py``), run once, through
+   ``benchmarks/reach.py --paper``: the same
    run writes ``reach.json`` (the ``src/repro`` modules the benches
    execute) next to ``nightly_report.json``;
 4. the perf harness: ``benchmarks/perf/run.py --trace 0`` and

@@ -103,7 +103,16 @@ def dropout(
 ) -> Tensor:
     """Inverted dropout: zero with probability ``p``, rescale by ``1/(1-p)``.
 
-    A no-op when ``training`` is false or ``p == 0``.
+    A no-op when ``training`` is false or ``p == 0``. Otherwise the mask
+    takes 16 random bits per element straight from the generator's raw
+    stream: ``rng.bit_generator.random_raw(ceil(size / 4))`` viewed as
+    little-endian ``uint16`` (a 32-bit ``MT19937`` output carries two
+    elements, so it draws ``ceil(size / 2)``). An element is kept when its
+    bits are ≥ ``t = round(p · 2¹⁶)`` (ties to even), clamped to
+    ``2¹⁶ − 1``; the effective rate ``t / 2¹⁶`` is within 2⁻¹⁷ of ``p``
+    for ``p ≤ 1 − 2⁻¹⁷`` and ``1 − 2⁻¹⁶`` above that. Kept elements are
+    scaled by exactly ``1/(1-p)``. The generator advances the same way
+    under :func:`no_grad`, where nothing else happens.
     """
     if not 0.0 <= p < 1.0:
         raise AutodiffError(f"dropout probability must be in [0, 1), got {p}")
@@ -111,11 +120,19 @@ def dropout(
         return x
     if rng is None:
         rng = np.random.default_rng()
-    # The draw happens even when no graph is recorded, so a seeded
-    # generator is left in the same state either way.
-    mask = (rng.random(x.shape) >= p).astype(x.dtype)
+    bitgen = rng.bit_generator
+    per_output = 2 if isinstance(bitgen, np.random.MT19937) else 4
+    outputs = -(-x.data.size // per_output)
     if not is_grad_enabled():
+        # Advance the stream as the draw below would, without the draw.
+        bitgen.random_raw(outputs, output=False)
         return x
+    raw = np.asarray(bitgen.random_raw(outputs), dtype="<u8")
+    if per_output == 2:
+        raw = raw.astype("<u4")
+    bits = raw.view("<u2")[:x.data.size].reshape(x.shape)
+    threshold = np.uint16(min(round(p * 65536), 65535))
+    mask = (bits >= threshold).astype(x.dtype)
     np.multiply(mask, 1.0 / (1.0 - p), out=mask)
     _notify_alloc(mask, "dropout")
     data = x.data * mask

@@ -131,8 +131,9 @@ def spmm_numpy(matrix: sp.spmatrix, dense: np.ndarray, backend: str = "csr") -> 
     Mini-batch precomputation runs outside the autodiff graph (on "CPU", in
     the paper's terms); this helper keeps that code path free of Tensor
     bookkeeping while still supporting both backends. Its products stay
-    on the calling thread: threaded, they made the training that follows
-    the precompute slower than the precompute got faster (CHANGES.md).
+    on the calling thread: threaded, they have measured both faster and
+    slower on a 2-vCPU host, and the training that follows them slower
+    (CHANGES.md).
     """
     if matrix.shape[1] != dense.shape[0]:
         raise AutodiffError(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import telemetry
 from ..autodiff.optim import Adam
-from ..errors import DeviceOOMError
+from ..errors import DeviceOOMError, TrainingError
 from ..nn.module import Module
 from ..runtime.device import DeviceModel
 from ..runtime.profiler import StageProfiler
@@ -49,6 +49,13 @@ class TrainConfig:
     backend: str = "csr"
     metric: str = "accuracy"
     seed: int = 0
+
+    def __post_init__(self):
+        # Checked here, not at the first training forward: ``replace()``
+        # builds a new config, so a bad rate never reaches precompute.
+        if not 0.0 <= self.dropout < 1.0:
+            raise TrainingError(
+                f"dropout must be in [0, 1), got {self.dropout!r}")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)

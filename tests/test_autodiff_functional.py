@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tensor, no_grad
 from repro.autodiff import functional as F
 from repro.errors import AutodiffError
 
@@ -141,3 +141,90 @@ class TestDropout:
         a = F.dropout(x, 0.5, training=True, rng=np.random.default_rng(5)).data
         b = F.dropout(x, 0.5, training=True, rng=np.random.default_rng(5)).data
         np.testing.assert_array_equal(a, b)
+
+
+def _keep_rate(p, size, bit_generator):
+    x = Tensor(np.ones(size, dtype=np.float32))
+    out = F.dropout(x, p, training=True, rng=np.random.Generator(bit_generator))
+    return np.count_nonzero(out.data) / size
+
+
+def _quantised(p):
+    """The rate the 16-bit draw realises: round(p·2¹⁶) / 2¹⁶, clamped."""
+    return min(round(p * 2 ** 16), 2 ** 16 - 1) / 2 ** 16
+
+
+class TestDropoutDraw:
+    """The mask draws 16 raw bits per element and keeps bits ≥ round(p·2¹⁶)."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.9])
+    def test_keep_rate_within_five_sigma(self, p):
+        size = 2 ** 20
+        keep = 1.0 - _quantised(p)
+        sigma = np.sqrt(keep * (1.0 - keep) / size)
+        rate = _keep_rate(p, size, np.random.PCG64(int(p * 100)))
+        assert abs(rate - keep) <= 5 * sigma
+        assert abs(_quantised(p) - p) <= 2 ** -17
+
+    def test_rate_next_to_one_clamps_instead_of_overflowing(self):
+        p = 1 - 2 ** -18
+        x = Tensor(np.ones(2 ** 18, dtype=np.float32))
+        out = F.dropout(x, p, training=True, rng=np.random.default_rng(0))
+        # t clamps to 2¹⁶ − 1: only the all-ones pattern survives, at 1/(1-p).
+        kept = out.data[out.data > 0]
+        assert 0 < kept.size < 16
+        np.testing.assert_array_equal(kept, np.float32(1.0 / (1.0 - p)))
+
+    def test_tiny_rate_keeps_everything(self):
+        p = 2 ** -18
+        x = Tensor(np.ones((300, 300), dtype=np.float32))
+        out = F.dropout(x, p, training=True, rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(
+            out.data, np.full(x.shape, 1.0 / (1.0 - p), dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(1,), (4,), (5,), (7, 3), (64, 33)])
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_advances_ceil_size_over_four_raw_outputs(self, shape, grad):
+        rng = np.random.default_rng(3)
+        expected = np.random.default_rng(3)
+        expected.bit_generator.random_raw(-(-int(np.prod(shape)) // 4))
+        x = Tensor(np.ones(shape, dtype=np.float32))
+        if grad:
+            F.dropout(x, 0.5, training=True, rng=rng)
+        else:
+            with no_grad():
+                assert F.dropout(x, 0.5, training=True, rng=rng) is x
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    def test_mask_is_the_raw_words_little_endian(self):
+        shape = (3, 5)
+        raw = np.random.default_rng(4).bit_generator.random_raw(4)
+        bits = raw.astype("<u8").view("<u2")[:15].reshape(shape)
+        x = Tensor(np.ones(shape, dtype=np.float32))
+        out = F.dropout(x, 0.25, training=True, rng=np.random.default_rng(4))
+        np.testing.assert_array_equal(out.data > 0, bits >= 2 ** 14)
+
+    def test_eval_mode_draws_nothing(self):
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        x = Tensor(np.ones((8, 8)))
+        assert F.dropout(x, 0.5, training=False, rng=rng) is x
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937,
+                                               np.random.Philox])
+    def test_other_bit_generators(self, bit_generator):
+        size = 2 ** 18
+        keep = 1.0 - _quantised(0.3)
+        rate = _keep_rate(0.3, size, bit_generator(11))
+        assert abs(rate - keep) <= 5 * np.sqrt(keep * (1 - keep) / size)
+
+    def test_mt19937_takes_two_elements_per_32_bit_output(self):
+        rng = np.random.Generator(np.random.MT19937(5))
+        expected = np.random.Generator(np.random.MT19937(5))
+        raw = expected.bit_generator.random_raw(3)
+        bits = raw.astype("<u4").view("<u2")[:5]
+        x = Tensor(np.ones(5, dtype=np.float32))
+        out = F.dropout(x, 0.5, training=True, rng=rng)
+        np.testing.assert_array_equal(out.data > 0, bits >= 2 ** 15)
+        assert rng.bit_generator.random_raw() == expected.bit_generator.random_raw()

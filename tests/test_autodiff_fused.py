@@ -306,8 +306,11 @@ class TestDropout:
     P = 0.3
 
     def _expected(self, x, seed):
+        """The spec: 16 raw bits per element, kept when ≥ round(p·2¹⁶)."""
         rng = np.random.default_rng(seed)
-        keep = (rng.random(x.shape) >= self.P).astype(x.dtype)
+        raw = rng.bit_generator.random_raw(-(-x.size // 4))
+        bits = raw.astype("<u8").view("<u2")[:x.size].reshape(x.shape)
+        keep = (bits >= round(self.P * 2 ** 16)).astype(x.dtype)
         return x * (keep * (1.0 / (1.0 - self.P))), rng.bit_generator.state
 
     def test_train_mode_is_one_node_with_the_seeded_mask(self):

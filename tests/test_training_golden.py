@@ -5,6 +5,10 @@ single-loop refactor (commit 4ac9e6c, seven hand-written epoch loops) on
 the ``small_graph`` fixture at seed 0. The one value that is *not* the
 parent's is link prediction's ``ram_peak_bytes``, which takes the fixed
 accounting (channels + propagation matrix, as the mini-batch scheme).
+When dropout moved to its 16-bit raw draw, the seeded stream moved, and
+the scores, ``epochs_run`` and ``calls.train`` were re-captured once
+(``benchmarks/bench_stream_equivalence.py`` judges that move); every
+byte count, status and partition value is still the original capture.
 The same numbers hold when every CSR product runs in row tiles on two
 threads (:class:`TestGoldenThreaded`); :class:`TestGolden` itself is the
 one-thread case, since its products sit below the threading minimum.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro import telemetry
 from repro.autodiff import Tensor
 from repro.datasets import random_split
-from repro.errors import AutodiffError
+from repro.errors import AutodiffError, TrainingError
 from repro.filters import base as filters_base
 from repro.filters import make_filter
 from repro.filters.base import PropagationContext, SpectralFilter
@@ -141,6 +142,19 @@ class TestGraphPartition:
     def test_invalid_parts(self):
         with pytest.raises(Exception):
             GraphPartitionTrainer(num_parts=0)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5, float("nan")])
+    def test_rejects_dropout_outside_unit_interval(self, rate):
+        with pytest.raises(TrainingError, match="dropout"):
+            TrainConfig(dropout=rate)
+        with pytest.raises(TrainingError, match="dropout"):
+            replace(FAST, dropout=rate)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5, 0.999])
+    def test_accepts_dropout_in_unit_interval(self, rate):
+        assert replace(FAST, dropout=rate).dropout == rate
 
 
 class TestEarlyStopping:
