@@ -8,7 +8,6 @@ filters widens as n grows.
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.bench import scale_shift_experiment
 from repro.training import TrainConfig

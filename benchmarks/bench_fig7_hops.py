@@ -8,7 +8,6 @@ decaying (PPR) and orthogonal-basis (Chebyshev) filters stay stable.
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.bench import hop_sweep_experiment
 from repro.training import TrainConfig

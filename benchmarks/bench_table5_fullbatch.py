@@ -13,7 +13,6 @@ asserts the paper's headline effectiveness shapes:
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.bench import REPRESENTATIVE_FILTERS, effectiveness_experiment, pivot
 from repro.training import TrainConfig

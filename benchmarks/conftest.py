@@ -19,8 +19,6 @@ import os
 import re
 from pathlib import Path
 
-import pytest
-
 from repro.bench import render_table
 
 #: Rendered tables are also persisted here, because pytest captures stdout

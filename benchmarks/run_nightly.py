@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Nightly driver: slow suite, every bench smoke gate, the perf harness.
+"""Nightly driver: slow suite, every bench gate, the perf harness.
 
 Runs the full second-tier battery back-to-back in one process tree so the
 scheduled ``nightly`` workflow (and anyone locally) needs exactly one
@@ -11,24 +11,23 @@ Steps, in order:
 
 1. the slow-marker integration suite (``pytest tests -m slow``) —
    skippable with ``--skip-slow`` for local iteration;
-2. every ``benchmarks/bench_*_smoke.py`` CI gate, discovered by glob so
-   new gates are picked up without touching this driver;
-3. the paper step: the 14 paper benches (every ``bench_fig*.py`` and
-   ``bench_table*.py`` but the full-scale Table 5 gate, which runs on
-   its own) at their default epochs, each asserting its artifact's
-   finding, and the stream-equivalence gate
-   (``bench_stream_equivalence.py``), run once, through
-   ``benchmarks/reach.py --paper``: the same
-   run writes ``reach.json`` (the ``src/repro`` modules the benches
-   execute) next to ``nightly_report.json``;
-4. the perf harness: ``benchmarks/perf/run.py --trace 0`` and
+2. the paper step, ``benchmarks/reach.py``, the one place the nightly
+   runs the bench gates: the 14 paper benches at their default epochs
+   (each asserts its artifact's finding), the full-scale Table 5 gate,
+   every ``bench_*_smoke.py`` gate (discovered by glob, so new gates are
+   picked up without touching either driver) and the stream-equivalence
+   gate (``bench_stream_equivalence.py``), each under a profiler that
+   follows every process they start. A failing gate fails the step. It
+   writes ``reach.json`` (every ``src/repro`` function none of them
+   ran, as ``file:line:qualname``) next to ``nightly_report.json``;
+3. the perf harness: ``benchmarks/perf/run.py --trace 0`` and
    ``--trace 1`` (``--seconds 3``) run every ``BENCHMARK.json`` workload
    with telemetry off and on, and fail when an output check fails. This
    is not ``--check-repeat``: on a 2-vCPU runner two back-to-back runs
    of one commit moved ``setup_s`` by up to 33 %, past its 25 % bound, so
    a same-commit timing gate would fail on noise. Timings are gated per
    change, against the parent, by the benchmark pipeline;
-5. a pinned 4-worker efficiency sweep through the real CLI, which must
+4. a pinned 4-worker efficiency sweep through the real CLI, which must
    exit 0. Its registry record, rows and trace land in the registry dir
    and are uploaded with that night's report; timings are compared
    across commits by the perf harness, not across nights here.
@@ -120,27 +119,7 @@ def main(argv=None) -> int:
         _run("slow-suite",
              [python, "-m", "pytest", "tests", "-q", "-m", "slow"], results)
 
-    gates = sorted(BENCH_DIR.glob("bench_*_smoke.py"))
-    if not gates:
-        print("== nightly: no bench_*_smoke.py gates found", flush=True)
-        results.append({"step": "bench-gates", "exit_code": 1,
-                        "seconds": 0.0})
-    for gate in gates:
-        name = gate.stem.removeprefix("bench_").removesuffix("_smoke")
-        _run(f"bench-{name}",
-             [python, "-m", "pytest", str(gate), "-x", "-q"], results)
-
-    # Full-scale Table 5 gate (not a *_smoke, so chained explicitly):
-    # chameleon at scale=1.0 through the blocked tier, under its pinned
-    # memory ceiling — the nightly proof that the planner spills at full
-    # size and that every cell of the slice stays measured, not
-    # extrapolated.
-    _run("bench-table5-fullscale",
-         [python, "-m", "pytest",
-          str(BENCH_DIR / "bench_table5_fullscale.py"), "-x", "-q"],
-         results)
-
-    _run("paper", [python, str(BENCH_DIR / "reach.py"), "--paper"],
+    _run("paper", [python, str(BENCH_DIR / "reach.py")],
          results, cwd=registry_dir)
 
     for trace in ("0", "1"):

@@ -5,7 +5,6 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.bench import render_table
 from repro.datasets import synthesize

@@ -32,8 +32,8 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - logsumexp
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Multi-class cross-entropy from raw logits and integer labels.
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean multi-class cross-entropy from raw logits and integer labels.
 
     Parameters
     ----------
@@ -41,8 +41,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "mean") -
         ``(N, C)`` tensor of unnormalized class scores.
     labels:
         ``(N,)`` integer array of target classes.
-    reduction:
-        ``"mean"`` or ``"sum"``.
     """
     labels = np.asarray(labels)
     if logits.ndim != 2:
@@ -54,27 +52,18 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "mean") -
     log_probs = log_softmax(logits, axis=1)
     rows = np.arange(logits.shape[0])
     picked = log_probs[(rows, labels)]
-    if reduction == "mean":
-        return -picked.mean()
-    if reduction == "sum":
-        return -picked.sum()
-    raise AutodiffError(f"unknown reduction {reduction!r}")
+    return -picked.mean()
 
 
-def binary_cross_entropy_with_logits(
-    logits: Tensor, targets: np.ndarray, reduction: str = "mean"
-) -> Tensor:
-    """Stable BCE from logits: ``max(x,0) - x*t + log(1+exp(-|x|))``."""
+def binary_cross_entropy_with_logits(logits: Tensor,
+                                     targets: np.ndarray) -> Tensor:
+    """Mean stable BCE from logits: ``max(x,0) - x*t + log(1+exp(-|x|))``."""
     targets_t = Tensor(np.asarray(targets, dtype=logits.dtype))
     zeros = Tensor(np.zeros_like(logits.data))
     max_part = _maximum(logits, zeros)
     softplus = ((-logits.abs()).exp() + 1.0).log()
     loss = max_part - logits * targets_t + softplus
-    if reduction == "mean":
-        return loss.mean()
-    if reduction == "sum":
-        return loss.sum()
-    raise AutodiffError(f"unknown reduction {reduction!r}")
+    return loss.mean()
 
 
 def _maximum(a: Tensor, b: Tensor) -> Tensor:
@@ -83,16 +72,11 @@ def _maximum(a: Tensor, b: Tensor) -> Tensor:
     return where(a.data >= b.data, a, b)
 
 
-def mse_loss(prediction: Tensor, target: np.ndarray, reduction: str = "mean") -> Tensor:
+def mse_loss(prediction: Tensor, target: np.ndarray) -> Tensor:
     """Mean-squared-error against a constant target array."""
     target_t = Tensor(np.asarray(target, dtype=prediction.dtype))
     diff = prediction - target_t
-    squared = diff * diff
-    if reduction == "mean":
-        return squared.mean()
-    if reduction == "sum":
-        return squared.sum()
-    raise AutodiffError(f"unknown reduction {reduction!r}")
+    return (diff * diff).mean()
 
 
 def dropout(

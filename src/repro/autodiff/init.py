@@ -10,32 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def zeros(shape: tuple, dtype=np.float32) -> np.ndarray:
-    """All-zero initialization (biases, filter residual params)."""
-    return np.zeros(shape, dtype=dtype)
+def zeros(shape: tuple) -> np.ndarray:
+    """All-zero float32 initialization (biases)."""
+    return np.zeros(shape, dtype=np.float32)
 
 
-def ones(shape: tuple, dtype=np.float32) -> np.ndarray:
-    """All-one initialization (scale parameters)."""
-    return np.ones(shape, dtype=dtype)
-
-
-def constant(shape: tuple, value: float, dtype=np.float32) -> np.ndarray:
-    """Constant-fill initialization (fixed-filter coefficient warm starts)."""
-    return np.full(shape, value, dtype=dtype)
-
-
-def glorot_uniform(shape: tuple, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
-    """Glorot / Xavier uniform: U(-a, a), a = sqrt(6 / (fan_in + fan_out))."""
+def glorot_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Float32 Glorot / Xavier uniform: U(-a, a),
+    a = sqrt(6 / (fan_in + fan_out))."""
     fan_in, fan_out = _fans(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
-def uniform(shape: tuple, rng: np.random.Generator, low: float = -1.0, high: float = 1.0,
-            dtype=np.float32) -> np.ndarray:
-    """Plain uniform initialization over ``[low, high)``."""
-    return rng.uniform(low, high, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 def _fans(shape: tuple) -> tuple[int, int]:

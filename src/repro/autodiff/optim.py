@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers with parameter groups.
+"""Adam with parameter groups.
 
 The paper's hyperparameter protocol (Table 4) tunes the learning rate and
 weight decay of the transformation weights (φ0, φ1) separately from those of
@@ -42,8 +42,12 @@ def _normalize_groups(
     return [{"params": params, "lr": float(lr), "weight_decay": float(weight_decay)}]
 
 
-class Optimizer:
-    """Base optimizer over :class:`Tensor` leaf parameters."""
+class Adam:
+    """Adam (Kingma & Ba) with bias correction over :class:`Tensor` leaves.
+
+    Weight decay is L2: ``weight_decay * param`` is added to the gradient
+    before the moments are updated.
+    """
 
     def __init__(
         self,
@@ -56,6 +60,11 @@ class Optimizer:
             for param in group["params"]:
                 if not isinstance(param, Tensor) or not param.requires_grad:
                     raise TrainingError("optimizer parameters must require grad")
+        self.beta1, self.beta2 = 0.9, 0.999
+        self.eps = 1e-8
+        self._step_count = 0
+        self._m: dict[int, np.ndarray] = {}
+        self._v: dict[int, np.ndarray] = {}
 
     def zero_grad(self) -> None:
         """Clear accumulated gradients on every parameter."""
@@ -65,6 +74,7 @@ class Optimizer:
 
     def step(self) -> None:
         """Apply one update; parameters without gradients are skipped."""
+        self._step_count += 1
         for group in self.groups:
             for param in group["params"]:
                 if param.grad is None:
@@ -72,70 +82,16 @@ class Optimizer:
                 grad = param.grad
                 if group["weight_decay"]:
                     grad = grad + group["weight_decay"] * param.data
-                self._update(param, grad, group)
-
-    def _update(self, param: Tensor, grad: np.ndarray, group: ParamGroup) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(
-        self,
-        params,
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr=lr, weight_decay=weight_decay)
-        self.momentum = float(momentum)
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def _update(self, param: Tensor, grad: np.ndarray, group: ParamGroup) -> None:
-        if self.momentum:
-            velocity = self._velocity.get(id(param))
-            if velocity is None:
-                velocity = np.zeros_like(param.data)
-            velocity = self.momentum * velocity + grad
-            self._velocity[id(param)] = velocity
-            grad = velocity
-        param.data = param.data - group["lr"] * grad
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction; the benchmark's default."""
-
-    def __init__(
-        self,
-        params,
-        lr: float = 1e-2,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr=lr, weight_decay=weight_decay)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
-        self._step_count = 0
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        self._step_count += 1
-        super().step()
-
-    def _update(self, param: Tensor, grad: np.ndarray, group: ParamGroup) -> None:
-        key = id(param)
-        m = self._m.get(key)
-        v = self._v.get(key)
-        if m is None:
-            m = np.zeros_like(param.data)
-            v = np.zeros_like(param.data)
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-        self._m[key] = m
-        self._v[key] = v
-        m_hat = m / (1.0 - self.beta1 ** self._step_count)
-        v_hat = v / (1.0 - self.beta2 ** self._step_count)
-        param.data = param.data - group["lr"] * m_hat / (np.sqrt(v_hat) + self.eps)
+                key = id(param)
+                m = self._m.get(key)
+                v = self._v.get(key)
+                if m is None:
+                    m = np.zeros_like(param.data)
+                    v = np.zeros_like(param.data)
+                m = self.beta1 * m + (1.0 - self.beta1) * grad
+                v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+                self._m[key] = m
+                self._v[key] = v
+                m_hat = m / (1.0 - self.beta1 ** self._step_count)
+                v_hat = v / (1.0 - self.beta2 ** self._step_count)
+                param.data = param.data - group["lr"] * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -276,20 +276,12 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     def __len__(self) -> int:
         return len(self.data)
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op!r}{grad_flag})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
 
     def item(self) -> float:
         """Return the value of a single-element tensor as a Python float."""
@@ -564,31 +556,6 @@ class Tensor:
             return (grad * np.sign(x),)
 
         return Tensor._make(data, (self,), backward, "abs")
-
-    def tanh(self) -> "Tensor":
-        a = self
-        data = np.tanh(a.data)
-        _notify_ewise(data)
-
-        def backward(grad: np.ndarray):
-            return (grad * (1.0 - data * data),)
-
-        return Tensor._make(data, (a,), backward, "tanh")
-
-    def sigmoid(self) -> "Tensor":
-        a = self
-        # Numerically stable logistic.
-        data = np.where(
-            a.data >= 0,
-            1.0 / (1.0 + np.exp(-np.clip(a.data, -60, 60))),
-            np.exp(np.clip(a.data, -60, 60)) / (1.0 + np.exp(np.clip(a.data, -60, 60))),
-        )
-        _notify_ewise(data)
-
-        def backward(grad: np.ndarray):
-            return (grad * data * (1.0 - data),)
-
-        return Tensor._make(data, (a,), backward, "sigmoid")
 
     def relu(self) -> "Tensor":
         a = self

@@ -8,8 +8,7 @@ Every result file gets a reproducibility sidecar: :func:`save_rows`
 writes a ``<name>.manifest.json`` run manifest (config, seed, git SHA,
 platform — see :mod:`repro.telemetry.manifest`) next to the rows, so any
 saved table row can be traced back to the exact code and configuration
-that produced it. JSONL telemetry traces round-trip through
-:func:`save_jsonl` / :func:`load_jsonl`.
+that produced it.
 """
 
 from __future__ import annotations
@@ -17,13 +16,12 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Sequence, Union
 
 import numpy as np
 
 from ..errors import ReproError
 from ..telemetry.manifest import build_manifest, manifest_path_for, write_manifest
-from ..telemetry.sinks import load_events
 
 PathLike = Union[str, Path]
 
@@ -91,26 +89,12 @@ def save_rows(rows: Sequence[Mapping], path: PathLike,
         write_manifest(manifest_path_for(path), manifest)
 
 
-def load_manifest(path: PathLike) -> Optional[Dict]:
-    """Read the manifest sidecar of a result file (None when absent)."""
-    sidecar = manifest_path_for(path)
-    if not sidecar.exists():
-        return None
-    return json.loads(sidecar.read_text())
-
-
 def load_rows(path: PathLike) -> List[Dict]:
     """Read rows written by :func:`save_rows`."""
     payload = json.loads(Path(path).read_text())
     if "rows" not in payload:
         raise ReproError(f"{path} is not a saved experiment file")
     return [unjsonify(row) for row in payload["rows"]]
-
-
-def load_metadata(path: PathLike) -> Dict:
-    """Read the metadata block of a saved experiment file."""
-    payload = json.loads(Path(path).read_text())
-    return unjsonify(payload.get("metadata", {}))
 
 
 #: Row keys that measure *this execution* rather than the configuration:
@@ -169,16 +153,3 @@ def deterministic_counters(counters: Mapping) -> Dict[str, float]:
     """
     return {name: value for name, value in sorted(counters.items())
             if _DETERMINISTIC_COUNTER_RE.match(name)}
-
-
-def save_jsonl(records: Sequence[Mapping], path: PathLike) -> None:
-    """Write records as JSON Lines (numpy-safe), one object per line."""
-    lines = [json.dumps(jsonify(dict(record)), separators=(",", ":"),
-                        sort_keys=True)
-             for record in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def load_jsonl(path: PathLike) -> List[Dict]:
-    """Read a JSONL file (e.g. a telemetry trace) into a list of dicts."""
-    return [unjsonify(event) for event in load_events(path)]

@@ -53,14 +53,14 @@ def _render_value(value) -> str:
     return str(value)
 
 
-def render_run_telemetry(events: Sequence[Mapping], top: int = 8) -> str:
+def render_run_telemetry(events: Sequence[Mapping]) -> str:
     """Trace summary appended to CLI output when tracing is enabled.
 
     Thin composition over :func:`repro.telemetry.report.render_trace_report`
     (top spans, per-epoch sparklines, op counters) with a bench-style
     heading, so the trace report reads like the result tables above it.
     """
-    return "== telemetry ==\n" + render_trace_report(events, top=top)
+    return "== telemetry ==\n" + render_trace_report(events, top=8)
 
 
 def pivot(

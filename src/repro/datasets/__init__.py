@@ -13,7 +13,7 @@ from .signals import (
     make_regression_task,
 )
 from .splits import Split, edge_split, random_split, stratified_split
-from .synthesis import SynthesisConfig, load, synthesize
+from .synthesis import SynthesisConfig, synthesize
 
 __all__ = [
     "DatasetSpec",
@@ -22,7 +22,6 @@ __all__ = [
     "get_spec",
     "SynthesisConfig",
     "synthesize",
-    "load",
     "Split",
     "random_split",
     "stratified_split",

@@ -30,14 +30,6 @@ class DatasetSpec:
     num_classes: int      # F_o
     metric: str           # "accuracy" | "roc_auc"
 
-    @property
-    def average_degree(self) -> float:
-        return self.edges / self.nodes
-
-    @property
-    def is_binary(self) -> bool:
-        return self.num_classes == 2
-
 
 def _spec(name, scale_class, homophily_class, nodes, edges, homophily,
           num_features, num_classes, metric="accuracy") -> DatasetSpec:

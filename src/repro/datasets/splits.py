@@ -36,10 +36,6 @@ class Split:
         if len(np.unique(combined)) != total:
             raise DatasetError("split index arrays overlap")
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.train) + len(self.valid) + len(self.test)
-
 
 def random_split(
     num_nodes: int,
@@ -88,17 +84,14 @@ def stratified_split(
     )
 
 
-def edge_split(
-    edges: np.ndarray,
-    seed: int = 0,
-    fractions: Tuple[float, float, float] = (0.8, 0.1, 0.1),
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split undirected edges for link prediction (train/valid/test)."""
-    _validate_fractions(fractions)
+def edge_split(edges: np.ndarray, seed: int = 0
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split undirected edges 80/10/10 for link prediction
+    (train/valid/test)."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(edges.shape[0])
-    train_end = int(round(fractions[0] * len(order)))
-    valid_end = train_end + int(round(fractions[1] * len(order)))
+    train_end = int(round(0.8 * len(order)))
+    valid_end = train_end + int(round(0.1 * len(order)))
     return (
         edges[order[:train_end]],
         edges[order[train_end:valid_end]],

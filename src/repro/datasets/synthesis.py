@@ -241,9 +241,3 @@ def _sample_features(
     features = latent_features @ projection
     features += 0.1 * rng.normal(size=(n, num_features))
     return features.astype(np.float32)
-
-
-def load(name: str, scale: float = 1.0, seed: int = 0,
-         config: Optional[SynthesisConfig] = None) -> Graph:
-    """Registry-name convenience wrapper around :func:`synthesize`."""
-    return synthesize(name, scale=scale, seed=seed, config=config)

@@ -31,14 +31,10 @@ from .fixed import (
     PPRFilter,
 )
 from .registry import (
-    BANK_NAMES,
     FILTER_NAMES,
-    FIXED_NAMES,
     REGISTRY,
-    VARIABLE_NAMES,
     FilterEntry,
     make_filter,
-    taxonomy_table,
 )
 from .variable import (
     BernsteinFilter,
@@ -60,13 +56,9 @@ __all__ = [
     "PropagationContext",
     "SpectralContext",
     "make_filter",
-    "taxonomy_table",
     "FilterEntry",
     "REGISTRY",
     "FILTER_NAMES",
-    "FIXED_NAMES",
-    "VARIABLE_NAMES",
-    "BANK_NAMES",
     "IdentityFilter",
     "LinearFilter",
     "ImpulseFilter",

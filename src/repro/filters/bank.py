@@ -430,14 +430,3 @@ class AdaGNNFilter(SpectralFilter):
             for k in range(min(j + 1, self.num_hops), 0, -1):
                 coeffs[k] = coeffs[k] - coeffs[k - 1] * layer_gamma
         return tensor_stack(coeffs, axis=0)
-
-
-BANK_FILTERS = (
-    AdaGNNFilter,
-    FBGNNFilter,
-    ACMGNNFilter,
-    FAGNNFilter,
-    G2CNFilter,
-    GNNLFHFFilter,
-    FiGUReFilter,
-)

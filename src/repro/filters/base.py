@@ -257,18 +257,6 @@ class SpectralFilter:
                                       meter="matmul")
         return _combine(transform.T, np.asarray(theta))
 
-    def propagate(self, graph: Graph, x: np.ndarray, rho: float = 0.5,
-                  backend: str = "csr") -> np.ndarray:
-        """Convenience fixed-filter application over numpy (no gradients)."""
-        if self.category != "fixed":
-            raise FilterError(
-                f"propagate() is for fixed filters; {self.name!r} has learnable "
-                "parameters — use forward() with params"
-            )
-        ctx = PropagationContext.for_graph(graph, rho, backend)
-        out = self.forward(ctx, np.asarray(x, dtype=np.float32))
-        return np.asarray(out, dtype=np.float32)
-
     # ------------------------------------------------------------------
     # mini-batch path
     # ------------------------------------------------------------------

@@ -194,14 +194,3 @@ class GaussianFilter(SpectralFilter):
 
     def hyperparameters(self) -> Dict[str, float]:
         return {"alpha": self.alpha, "beta": self.beta}
-
-
-FIXED_FILTERS = (
-    IdentityFilter,
-    LinearFilter,
-    ImpulseFilter,
-    MonomialFilter,
-    PPRFilter,
-    HeatKernelFilter,
-    GaussianFilter,
-)

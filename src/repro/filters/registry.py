@@ -18,7 +18,6 @@ from .bank import (
     FAGNNFilter,
     FBGNNFilter,
     FiGUReFilter,
-    FilterBank,
     G2CNFilter,
     GNNLFHFFilter,
 )
@@ -153,9 +152,6 @@ REGISTRY: Dict[str, FilterEntry] = {
 }
 
 FILTER_NAMES: List[str] = list(REGISTRY)
-FIXED_NAMES = [n for n, e in REGISTRY.items() if e.category == "fixed"]
-VARIABLE_NAMES = [n for n, e in REGISTRY.items() if e.category == "variable"]
-BANK_NAMES = [n for n, e in REGISTRY.items() if e.category == "bank"]
 
 
 def make_filter(name: str, num_hops: int = 10,
@@ -179,20 +175,3 @@ def make_filter(name: str, num_hops: int = 10,
             f"unknown filter {name!r}; known: {', '.join(FILTER_NAMES)}"
         )
     return entry.build(num_hops=num_hops, num_features=num_features, **overrides)
-
-
-def taxonomy_table() -> List[Dict[str, str]]:
-    """Rows of Table 1 (name, category, params, complexity, models)."""
-    rows = []
-    for entry in REGISTRY.values():
-        rows.append(
-            {
-                "filter": entry.display,
-                "type": entry.category,
-                "hyperparameters": ", ".join(entry.hyperparameters) or "/",
-                "time": entry.time_complexity,
-                "memory": entry.memory_complexity,
-                "models": ", ".join(entry.models),
-            }
-        )
-    return rows

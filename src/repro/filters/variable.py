@@ -459,18 +459,3 @@ class OptBasisFilter(SpectralFilter):
             h = v / self._last_gamma[k]
             yield h
             h_prev_prev, h_prev = h_prev, h
-
-
-VARIABLE_FILTERS = (
-    LinearVariableFilter,
-    MonomialVariableFilter,
-    HornerFilter,
-    ChebyshevFilter,
-    ChebInterpFilter,
-    ClenshawFilter,
-    BernsteinFilter,
-    LegendreFilter,
-    JacobiFilter,
-    FavardFilter,
-    OptBasisFilter,
-)

@@ -15,18 +15,14 @@ from .families import (
 from .graph import Graph
 from .metrics import (
     degree_groups,
-    edge_homophily,
     node_homophily,
-    rayleigh_quotient,
 )
 from .partition import bfs_partition, cut_edges
 
 __all__ = [
     "Graph",
     "node_homophily",
-    "edge_homophily",
     "degree_groups",
-    "rayleigh_quotient",
     "bfs_partition",
     "cut_edges",
     "cycle_graph",

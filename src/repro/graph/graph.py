@@ -200,10 +200,6 @@ class Graph:
         identity = sp.identity(self.num_nodes, format="csr", dtype=np.float32)
         return (identity - self.normalized_adjacency(rho, self_loops)).tocsr()
 
-    def norm_memo_stats(self) -> dict:
-        """Traffic/occupancy snapshot of this graph's normalization memo."""
-        return self._norm_memo.stats()
-
     # ------------------------------------------------------------------
     # structural utilities
     # ------------------------------------------------------------------
@@ -224,14 +220,6 @@ class Graph:
         """Return the unique undirected edges as an ``(E, 2)`` array, u < v."""
         coo = sp.triu(self.adjacency, k=1).tocoo()
         return np.stack([coo.row, coo.col], axis=1)
-
-    def memory_bytes(self) -> int:
-        """Bytes held by the CSR topology (the O(m) term of Table 1)."""
-        return int(
-            self.adjacency.data.nbytes
-            + self.adjacency.indices.nbytes
-            + self.adjacency.indptr.nbytes
-        )
 
     def __repr__(self) -> str:
         return (

@@ -1,9 +1,8 @@
 """Graph-level measures used throughout the benchmark.
 
 Implements the node-homophily score of Pei et al. (the ``H`` column of the
-paper's Table 3), edge homophily, degree-group assignment for the
-degree-specific evaluation (Section 6.3), and the Rayleigh quotient used to
-summarize how high-frequency a signal is with respect to a graph.
+paper's Table 3) and degree-group assignment for the degree-specific
+evaluation (Section 6.3).
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import GraphError
 from .graph import Graph
@@ -34,15 +32,6 @@ def node_homophily(graph: Graph, labels: np.ndarray | None = None) -> float:
     return float((same_counts[mask] / degrees[mask]).mean())
 
 
-def edge_homophily(graph: Graph, labels: np.ndarray | None = None) -> float:
-    """Fraction of edges joining same-label endpoints."""
-    labels = _resolve_labels(graph, labels)
-    adj = graph.adjacency.tocoo()
-    if adj.nnz == 0:
-        raise GraphError("homophily undefined on an edgeless graph")
-    return float((labels[adj.row] == labels[adj.col]).mean())
-
-
 def degree_groups(graph: Graph, quantile: float = 0.5) -> Tuple[np.ndarray, np.ndarray]:
     """Split nodes into (high-degree, low-degree) index arrays.
 
@@ -54,27 +43,6 @@ def degree_groups(graph: Graph, quantile: float = 0.5) -> Tuple[np.ndarray, np.n
     high = np.flatnonzero(degrees >= threshold)
     low = np.flatnonzero(degrees < threshold)
     return high, low
-
-
-def rayleigh_quotient(graph: Graph, signal: np.ndarray, rho: float = 0.5) -> float:
-    """Spectral-frequency summary ``xᵀ L̃ x / xᵀ x`` of a node signal.
-
-    Small values mean the signal is smooth over edges (low-frequency);
-    values approaching 2 indicate an oscillatory, high-frequency signal.
-    For a multi-column signal the column-mean quotient is returned.
-    """
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim == 1:
-        signal = signal[:, None]
-    if signal.shape[0] != graph.num_nodes:
-        raise GraphError(
-            f"signal has {signal.shape[0]} rows for {graph.num_nodes} nodes"
-        )
-    laplacian = graph.laplacian(rho)
-    numerator = np.einsum("nf,nf->f", signal, laplacian @ signal)
-    denominator = np.einsum("nf,nf->f", signal, signal)
-    denominator = np.maximum(denominator, 1e-12)
-    return float(np.mean(numerator / denominator))
 
 
 def _resolve_labels(graph: Graph, labels: np.ndarray | None) -> np.ndarray:

@@ -93,11 +93,6 @@ def bfs_partition(
     return [np.sort(np.asarray(part, dtype=np.int64)) for part in parts]
 
 
-def cut_fraction(graph: Graph, parts: List[np.ndarray]) -> float:
-    """Fraction of directed edges severed by a partition, in ``[0, 1]``."""
-    return cut_edges(graph, parts) / max(graph.num_edges, 1)
-
-
 def cut_edges(graph: Graph, parts: List[np.ndarray]) -> int:
     """Count directed edges severed by a partition (expressiveness loss proxy)."""
     assignment = np.empty(graph.num_nodes, dtype=np.int64)

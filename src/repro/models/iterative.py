@@ -25,11 +25,11 @@ from ..nn.module import Module, ModuleList
 PropagationRule = Callable[[Graph, Tensor, str], Tensor]
 
 
-def gcn_propagation(rho: float = 0.5) -> PropagationRule:
-    """One hop of ``Ã H`` with the GCN normalization."""
+def gcn_propagation() -> PropagationRule:
+    """One hop of ``Ã H`` with the GCN normalization (ρ = 0.5)."""
 
     def rule(graph: Graph, h: Tensor, backend: str) -> Tensor:
-        return spmm(graph.normalized_adjacency(rho), h, backend=backend)
+        return spmm(graph.normalized_adjacency(0.5), h, backend=backend)
 
     return rule
 
@@ -45,11 +45,12 @@ def sage_propagation() -> PropagationRule:
     return rule
 
 
-def cheb_propagation(order: int = 2, rho: float = 0.5) -> PropagationRule:
-    """Order-``order`` Chebyshev layer: concat of T_k(L̂) h for k ≤ order."""
+def cheb_propagation(order: int = 2) -> PropagationRule:
+    """Order-``order`` Chebyshev layer: concat of T_k(L̂) h for k ≤ order,
+    with L̂ at ρ = 0.5."""
 
     def rule(graph: Graph, h: Tensor, backend: str) -> Tensor:
-        adjacency = graph.normalized_adjacency(rho)
+        adjacency = graph.normalized_adjacency(0.5)
         terms = [h]
         if order >= 1:
             terms.append(-spmm(adjacency, h, backend=backend))
@@ -59,13 +60,6 @@ def cheb_propagation(order: int = 2, rho: float = 0.5) -> PropagationRule:
         return concatenate(terms, axis=1)
 
     return rule
-
-
-#: Width multiplier each rule applies to its input.
-PROPAGATION_WIDTHS = {
-    "gcn": 1,
-    "sage": 2,
-}
 
 
 class IterativeModel(Module):

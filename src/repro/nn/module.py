@@ -60,10 +60,6 @@ class Module:
         """Return all parameters as a flat list."""
         return [param for _, param in self.named_parameters()]
 
-    def parameter_count(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(param.size for param in self.parameters())
-
     def modules(self) -> Iterator["Module"]:
         """Yield this module and all descendants."""
         yield self

@@ -25,7 +25,6 @@ from .cache import (
     matrix_token,
     norm_memo,
     transpose_build_count,
-    transpose_cache_stats,
     transpose_csr,
 )
 from .context import RunConfig, RunContext
@@ -74,7 +73,6 @@ __all__ = [
     "matrix_token",
     "norm_memo",
     "transpose_build_count",
-    "transpose_cache_stats",
     "transpose_csr",
     # basis-term planner
     "BasisPlanner",

@@ -190,10 +190,9 @@ class LRUCache:
                 return key, value
             return None
 
-    def get_or_compute(self, key: Any, factory: Callable[[], Any],
-                       validate: Optional[Callable[[Any], bool]] = None) -> Any:
-        """Memoized call: cached value when valid, else ``factory()``."""
-        value = self.get(key, validate=validate)
+    def get_or_compute(self, key: Any, factory: Callable[[], Any]) -> Any:
+        """Memoized call: the cached value, else ``factory()``."""
+        value = self.get(key)
         if value is _MISSING:
             value = factory()
             self.put(key, value)
@@ -502,14 +501,6 @@ def shared_csr(kind: str, parts: Union[Tuple, Callable[[], Tuple]],
     return shared_blob(kind, parts, build, csr_blob, csr_from_blob)
 
 
-def transpose_cache_stats() -> dict:
-    """Traffic/occupancy snapshot of the process-wide operator cache:
-    hits / misses count transpose lookups, entries count operators."""
-    stats = _operator_cache.stats()
-    stats["builds"] = _builds["transpose"]
-    return stats
-
-
 def clear_transpose_cache() -> None:
     """Empty the operator cache and reset its counters (tests, CLI)."""
     _operator_cache.clear()
@@ -517,6 +508,6 @@ def clear_transpose_cache() -> None:
         _builds.clear()
 
 
-def norm_memo(capacity: int = NORM_MEMO_ENTRIES) -> LRUCache:
+def norm_memo() -> LRUCache:
     """Fresh per-graph normalization memo (``cache.norm_adj.*`` counters)."""
-    return LRUCache(capacity, counter_prefix="cache.norm_adj")
+    return LRUCache(NORM_MEMO_ENTRIES, counter_prefix="cache.norm_adj")

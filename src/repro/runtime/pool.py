@@ -70,8 +70,6 @@ ERROR = "error"        # the cell function raised inside the worker
 CRASHED = "crashed"    # the worker died without reporting (segfault, _exit)
 TIMEOUT = "timeout"    # the attempt exceeded ``cell_timeout`` seconds
 
-FAILURE_STATUSES = (ERROR, CRASHED, TIMEOUT)
-
 #: Seeds stay within the range every numpy BitGenerator accepts.
 _SEED_MODULUS = 2 ** 31 - 1
 

@@ -7,12 +7,10 @@ those tables: trainers open named stages and record byte counts for what
 they hold in host RAM; device peaks come from the paired
 :class:`~repro.runtime.device.DeviceModel`.
 
-Since the telemetry layer landed, the profiler is a *view* over the span
-tracer: every stage entry also opens a ``kind="stage"`` span on the active
-:mod:`repro.telemetry` tracer (a no-op while telemetry is disabled), and
-:meth:`StageProfiler.from_events` rebuilds identical stage statistics from
-a recorded trace, so any JSONL artifact can be re-aggregated into the
-paper's tables offline.
+Every stage entry also opens a ``kind="stage"`` span on the active
+:mod:`repro.telemetry` tracer (a no-op while telemetry is disabled), so a
+recorded trace carries the same stages for
+:func:`repro.telemetry.report.aggregate_spans` to fold offline.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping
+from typing import Dict, Iterator
 
 from .. import telemetry
 
@@ -94,9 +92,6 @@ class StageProfiler:
     def peak_ram_bytes(self) -> int:
         return max((stage.ram_bytes for stage in self.stages.values()), default=0)
 
-    def peak_device_bytes(self) -> int:
-        return max((stage.device_bytes for stage in self.stages.values()), default=0)
-
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Plain-dict view used by the report formatter."""
         return {
@@ -114,53 +109,3 @@ class StageProfiler:
     def reset(self) -> None:
         """Drop all recorded stages (reuse one profiler across runs)."""
         self.stages.clear()
-
-    def merge(self, other: "StageProfiler") -> None:
-        """Fold another profiler's stages into this one (multi-seed runs).
-
-        Timings and calls accumulate; memory peaks take the max. The
-        ``op_class`` keeps the first non-default classification: a stage
-        that was never entered on the incoming side (still carrying the
-        default) must not clobber an explicit classification here, and an
-        already-classified stage keeps its original class.
-        """
-        for name, stage in other.stages.items():
-            mine = self._stage(name)
-            mine.seconds += stage.seconds
-            mine.calls += stage.calls
-            mine.ram_bytes = max(mine.ram_bytes, stage.ram_bytes)
-            mine.device_bytes = max(mine.device_bytes, stage.device_bytes)
-            if mine.op_class == DEFAULT_OP_CLASS and stage.op_class != DEFAULT_OP_CLASS:
-                mine.op_class = stage.op_class
-
-    # ------------------------------------------------------------------
-    # trace view
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_events(cls, events: Iterable[Mapping]) -> "StageProfiler":
-        """Rebuild stage statistics from recorded telemetry events.
-
-        Aggregates ``kind="stage"`` span events (accumulating seconds and
-        calls, exactly like live :meth:`stage` entries) and ``stage.memory``
-        events (taking peaks), making the profiler a pure view over a
-        trace: ``StageProfiler.from_events(load_events(path)).summary()``
-        reproduces the live run's summary.
-        """
-        profiler = cls()
-        for event in events:
-            etype = event.get("type")
-            if etype == "span" and event.get("attrs", {}).get("kind") == "stage":
-                stats = profiler._stage(event["name"])
-                stats.seconds += float(event.get("duration_s", 0.0))
-                stats.calls += 1
-                op_class = event["attrs"].get("op_class")
-                if op_class and stats.op_class == DEFAULT_OP_CLASS:
-                    stats.op_class = op_class
-            elif etype == "stage.memory":
-                stats = profiler._stage(event["stage"])
-                nbytes = int(event.get("bytes", 0))
-                if event.get("kind") == "device":
-                    stats.device_bytes = max(stats.device_bytes, nbytes)
-                else:
-                    stats.ram_bytes = max(stats.ram_bytes, nbytes)
-        return profiler

@@ -2,18 +2,16 @@
 
 Full eigendecomposition is O(n³) and — as the paper stresses — prohibitive
 at graph scale; these helpers exist for the analysis tasks that need exact
-spectra on small graphs (signal regression, response validation) plus a
-sparse Lanczos path for extremal eigenvalues on larger graphs.
+spectra on small graphs (signal regression, response validation).
 
-Observability: both paths feed the autodiff op hook
+Observability: the decomposition feeds the autodiff op hook
 (:func:`repro.autodiff.tensor._notify_op`), so FLOP accounting sees the
 decomposition cost that PR 1's counters could not — ``ops.eig.calls`` /
 ``ops.eig.flops`` / ``ops.eig.bytes`` on any telemetry-enabled run, with
 the output bytes attributed to the open span like every other op. The
 dense FLOP model is the standard ≈ 9n³ for a full symmetric
 eigendecomposition (reduction to tridiagonal + QR iteration + back-
-transform); the Lanczos path reports an order-of-magnitude estimate from
-the matvec volume.
+transform).
 
 Caching: dense eigenpairs are memoized through
 :mod:`repro.runtime.cache` keyed on (graph identity, adjacency mutation
@@ -29,7 +27,6 @@ import weakref
 from typing import Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..autodiff.tensor import _notify_op
 from ..errors import GraphError
@@ -74,11 +71,6 @@ def clear_eig_cache() -> None:
     _eig_cache.clear()
 
 
-def eig_cache_stats() -> dict:
-    """Traffic/occupancy snapshot of the eigenpair memo."""
-    return _eig_cache.stats()
-
-
 def laplacian_eigendecomposition(
     graph: Graph, rho: float = 0.5
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -96,7 +88,7 @@ def laplacian_eigendecomposition(
     if n > MAX_DENSE_NODES:
         raise GraphError(
             f"dense eigendecomposition capped at {MAX_DENSE_NODES} nodes "
-            f"(got {n}); use extremal_eigenvalues for large graphs"
+            f"(got {n})"
         )
     if not _context.current().config.cache:
         return _decompose_dense(graph)
@@ -122,23 +114,3 @@ def laplacian_eigendecomposition(
     _eig_cache.put(key, (weakref.ref(graph, _on_collect), token,
                          (eigenvalues, eigenvectors)))
     return eigenvalues, eigenvectors
-
-
-def extremal_eigenvalues(graph: Graph, rho: float = 0.5, k: int = 2
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest ``k`` eigenvalues of ``L̃`` via sparse Lanczos."""
-    # Imported here, its only use: scipy.sparse.linalg (and scipy.linalg
-    # behind it) would otherwise load in every process that imports repro.
-    import scipy.sparse.linalg as spla
-
-    laplacian = graph.laplacian(rho=0.5).astype(np.float64)
-    laplacian = (laplacian + laplacian.T) / 2.0
-    small = spla.eigsh(laplacian, k=k, which="SA", return_eigenvectors=False)
-    large = spla.eigsh(laplacian, k=k, which="LA", return_eigenvectors=False)
-    # Order-of-magnitude FLOP estimate: two Lanczos solves, each ~10
-    # restarts of ncv matvecs at 2·nnz FLOPs (scipy's default subspace).
-    ncv = min(graph.num_nodes, max(2 * k + 1, 20))
-    nnz = laplacian.nnz if sp.issparse(laplacian) else laplacian.size
-    _notify_op("eig", 2 * 10 * ncv * 2 * nnz, small.nbytes + large.nbytes)
-    return np.sort(small), np.sort(large)
-

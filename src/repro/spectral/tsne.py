@@ -9,8 +9,6 @@ few-thousand-node visualization graphs the paper uses, not for training.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..errors import ReproError
@@ -23,9 +21,10 @@ def _pairwise_squared_distances(x: np.ndarray) -> np.ndarray:
     return np.maximum(distances, 0.0)
 
 
-def _calibrate_affinities(distances: np.ndarray, perplexity: float,
-                          tol: float = 1e-4, max_iter: int = 50) -> np.ndarray:
-    """Per-point binary search for the bandwidth hitting the perplexity."""
+def _calibrate_affinities(distances: np.ndarray,
+                          perplexity: float) -> np.ndarray:
+    """Per-point binary search (≤ 50 steps, entropy within 1e-4) for the
+    bandwidth hitting the perplexity."""
     n = distances.shape[0]
     target_entropy = np.log(perplexity)
     affinities = np.zeros((n, n))
@@ -33,7 +32,7 @@ def _calibrate_affinities(distances: np.ndarray, perplexity: float,
         beta, beta_low, beta_high = 1.0, 0.0, np.inf
         row = distances[i].copy()
         row[i] = np.inf
-        for _ in range(max_iter):
+        for _ in range(50):
             p = np.exp(-row * beta)
             total = p.sum()
             if total <= 0:
@@ -44,7 +43,7 @@ def _calibrate_affinities(distances: np.ndarray, perplexity: float,
                 nonzero = p > 0
                 entropy = -np.sum(p[nonzero] * np.log(p[nonzero]))
             error = entropy - target_entropy
-            if abs(error) < tol:
+            if abs(error) < 1e-4:
                 break
             if error > 0:
                 beta_low = beta
@@ -58,17 +57,15 @@ def _calibrate_affinities(distances: np.ndarray, perplexity: float,
 
 def tsne(
     x: np.ndarray,
-    num_components: int = 2,
     perplexity: float = 30.0,
-    learning_rate: float = 200.0,
     num_iterations: int = 400,
     seed: int = 0,
-    initial: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Embed points into ``num_components`` dimensions with t-SNE.
+    """Embed points into two dimensions with t-SNE.
 
-    Parameters mirror the common reference implementation. Runtime and
-    memory are O(n²); keep n in the low thousands.
+    Parameters mirror the common reference implementation (learning rate
+    200, a random start of scale 1e-4). Runtime and memory are O(n²);
+    keep n in the low thousands.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -83,10 +80,7 @@ def tsne(
     joint = (conditional + conditional.T) / (2.0 * n)
     joint = np.maximum(joint, 1e-12)
 
-    if initial is not None:
-        embedding = np.asarray(initial, dtype=np.float64).copy()
-    else:
-        embedding = rng.normal(scale=1e-4, size=(n, num_components))
+    embedding = rng.normal(scale=1e-4, size=(n, 2))
     velocity = np.zeros_like(embedding)
     gains = np.ones_like(embedding)
 
@@ -108,7 +102,7 @@ def tsne(
         flips = np.sign(grad) != np.sign(velocity)
         gains = np.where(flips, gains + 0.2, gains * 0.8)
         gains = np.maximum(gains, 0.01)
-        velocity = momentum * velocity - learning_rate * gains * grad
+        velocity = momentum * velocity - 200.0 * gains * grad
         embedding = embedding + velocity
         embedding -= embedding.mean(axis=0, keepdims=True)
     return embedding

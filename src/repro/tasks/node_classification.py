@@ -102,12 +102,11 @@ class SeedSummary:
     def std(self) -> float:
         return float(np.std(self.scores)) if self.scores else float("nan")
 
-    def cell(self, percent: bool = True) -> str:
-        """Render like the paper: ``86.58±1.96`` or ``(OOM)``."""
+    def cell(self) -> str:
+        """Render like the paper, in percent: ``86.58±1.96`` or ``(OOM)``."""
         if self.status == "oom":
             return "(OOM)"
-        factor = 100.0 if percent else 1.0
-        return f"{self.mean * factor:.2f}±{self.std * factor:.2f}"
+        return f"{self.mean * 100.0:.2f}±{self.std * 100.0:.2f}"
 
 
 def run_seeds(

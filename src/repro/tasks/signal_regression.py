@@ -21,7 +21,7 @@ import numpy as np
 from ..autodiff import functional as F
 from ..autodiff.optim import Adam
 from ..autodiff.tensor import Tensor
-from ..datasets.signals import RegressionTask, make_regression_task
+from ..datasets.signals import make_regression_task
 from ..filters.base import PropagationContext
 from ..filters.registry import make_filter
 from ..graph.graph import Graph
@@ -57,18 +57,15 @@ def run_signal_regression(
     signal_name: str,
     num_hops: int = 10,
     epochs: int = 200,
-    lr: float = 0.05,
     seed: int = 0,
-    rho: float = 0.5,
-    task: Optional[RegressionTask] = None,
 ) -> RegressionResult:
     """Fit one filter to one of the five Table 7 transfer functions.
 
     Runs on graphs small enough for exact eigendecomposition (the target
-    requires the true spectrum).
+    requires the true spectrum), at ρ = 0.5 with Adam at lr 0.05.
     """
-    if task is None:
-        task = make_regression_task(graph, signal_name, seed=seed, rho=rho)
+    rho = 0.5
+    task = make_regression_task(graph, signal_name, seed=seed, rho=rho)
     filter_ = make_filter(filter_name, num_hops=num_hops,
                           num_features=task.input_signal.shape[1])
     ctx_factory = lambda: PropagationContext.for_graph(graph, rho)
@@ -81,7 +78,7 @@ def run_signal_regression(
                                 r2_score(calibrated, task.target_signal))
 
     params = {name: Parameter(s.init.copy()) for name, s in spec.items()}
-    optimizer = Adam(list(params.values()), lr=lr)
+    optimizer = Adam(list(params.values()), lr=0.05)
     x = Tensor(task.input_signal)
     best_r2 = -np.inf
     best_params: Dict[str, np.ndarray] = {}

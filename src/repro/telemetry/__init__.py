@@ -52,12 +52,10 @@ from .hooks import (
 from .manifest import (
     MANIFEST_SUFFIX,
     build_manifest,
-    dataset_fingerprint,
     git_sha,
     hardware_info,
     manifest_path_for,
     platform_info,
-    read_manifest,
     write_manifest,
 )
 from .memory import MEMORY_SCHEMA, AllocationLedger, memory_block
@@ -88,7 +86,6 @@ from .sinks import (
     MemorySink,
     NullSink,
     TeeSink,
-    load_events,
 )
 from .spans import NOOP_SPAN, Span, Tracer
 
@@ -98,16 +95,13 @@ _ledger: Optional[AllocationLedger] = None
 _config_lock = threading.Lock()
 
 
-def configure(trace_path: Optional[str] = None,
-              sink: Optional[EventSink] = None,
-              metrics: Optional[MetricsRegistry] = None) -> Tracer:
+def configure(trace_path: Optional[str] = None) -> Tracer:
     """Enable telemetry process-wide; returns the active tracer.
 
     Events always accumulate in an in-process :class:`MemorySink` (so
     :func:`shutdown` can hand them to the report renderer); ``trace_path``
-    additionally streams them to a JSONL file. An explicit ``sink``
-    replaces the memory buffer entirely. Re-configuring tears down any
-    previous tracer first.
+    additionally streams them to a JSONL file. Re-configuring tears down
+    any previous tracer first.
 
     An :class:`AllocationLedger` is always installed alongside the tracer
     (live/peak accounting is a handful of dict updates per allocation).
@@ -116,16 +110,10 @@ def configure(trace_path: Optional[str] = None,
     with _config_lock:
         if _tracer is not None:
             _shutdown_locked()
-        if sink is not None:
-            _memory = None
-            active_sink = sink
-        else:
-            _memory = MemorySink()
-            if trace_path is not None:
-                active_sink = TeeSink(_memory, JsonlSink(trace_path))
-            else:
-                active_sink = _memory
-        _tracer = Tracer(sink=active_sink, metrics=metrics)
+        _memory = MemorySink()
+        active_sink = (_memory if trace_path is None
+                       else TeeSink(_memory, JsonlSink(trace_path)))
+        _tracer = Tracer(sink=active_sink)
         _ledger = AllocationLedger()
         install_op_hooks(_tracer)
         install_alloc_hooks(_tracer, _ledger)
@@ -162,11 +150,6 @@ def shutdown() -> List[Dict]:
 def enabled() -> bool:
     """Whether a tracer is currently active."""
     return _tracer is not None
-
-
-def get_tracer() -> Optional[Tracer]:
-    """The active tracer, or ``None`` while telemetry is disabled."""
-    return _tracer
 
 
 def get_metrics() -> Optional[MetricsRegistry]:
@@ -327,7 +310,6 @@ __all__ = [
     "configure",
     "shutdown",
     "enabled",
-    "get_tracer",
     "get_metrics",
     "get_ledger",
     # recording
@@ -354,13 +336,10 @@ __all__ = [
     "JsonlSink",
     "TeeSink",
     "NullSink",
-    "load_events",
     # manifests
     "build_manifest",
     "write_manifest",
-    "read_manifest",
     "manifest_path_for",
-    "dataset_fingerprint",
     "git_sha",
     "platform_info",
     "hardware_info",

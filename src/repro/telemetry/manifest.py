@@ -1,22 +1,21 @@
 """Run manifests: the reproducibility record next to every result file.
 
 A manifest pins everything needed to re-run the row: the exact config and
-seed, the git commit of the code, the platform (interpreter, OS, numpy /
-scipy versions), and content fingerprints of the datasets consumed. It is
-deliberately free of timestamps and hostnames so that two runs of the same
-code with the same seed produce byte-identical manifests — determinism the
-test suite asserts.
+seed, the git commit of the code, and the platform (interpreter, OS,
+numpy / scipy versions). Its ``datasets`` map is always empty; it stays
+because config fingerprints hash it, so dropping it would re-address
+every stored artifact. A manifest is deliberately free of timestamps and
+hostnames so that two runs of the same code with the same seed produce
+byte-identical manifests — determinism the test suite asserts.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import platform
 import subprocess
-import sys
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
 
@@ -102,24 +101,6 @@ def hardware_info(workers: int = 1) -> Dict[str, Union[int, str]]:
     return info
 
 
-def dataset_fingerprint(graph) -> str:
-    """Content hash of a :class:`~repro.graph.graph.Graph` (sha256, hex).
-
-    Covers topology (CSR index arrays + values), features, and labels, so
-    any change to the synthesized data — scale, seed, generator — changes
-    the fingerprint.
-    """
-    digest = hashlib.sha256()
-    adjacency = graph.adjacency.tocsr()
-    digest.update(np.ascontiguousarray(adjacency.indptr).tobytes())
-    digest.update(np.ascontiguousarray(adjacency.indices).tobytes())
-    digest.update(np.ascontiguousarray(adjacency.data).tobytes())
-    for array in (graph.features, graph.labels):
-        if array is not None:
-            digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
-
-
 def _plain(value):
     """Reduce configs to JSON-stable plain data."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -142,7 +123,6 @@ def _plain(value):
 def build_manifest(
     config: Optional[object] = None,
     seed: Optional[int] = None,
-    datasets: Optional[Mapping[str, str]] = None,
     extra: Optional[Mapping] = None,
     workers: int = 1,
 ) -> Dict:
@@ -154,8 +134,6 @@ def build_manifest(
         Any mapping or dataclass (e.g. :class:`repro.training.TrainConfig`).
     seed:
         The run's master seed, surfaced at top level for grepability.
-    datasets:
-        ``name -> fingerprint`` map from :func:`dataset_fingerprint`.
     extra:
         Free-form additions (experiment name, CLI argv, artifact label).
     workers:
@@ -172,7 +150,7 @@ def build_manifest(
         "hardware": hardware_info(workers),
         "seed": None if seed is None else int(seed),
         "config": _plain(config) if config is not None else None,
-        "datasets": dict(sorted((datasets or {}).items())),
+        "datasets": {},
     }
     if extra:
         manifest.update({str(k): _plain(v) for k, v in extra.items()})
@@ -191,8 +169,3 @@ def write_manifest(path: PathLike, manifest: Mapping) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def read_manifest(path: PathLike) -> Dict:
-    """Load a manifest written by :func:`write_manifest`."""
-    return json.loads(Path(path).read_text())

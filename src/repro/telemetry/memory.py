@@ -241,7 +241,7 @@ def memory_block(events=(), metrics: Optional[Mapping] = None) -> Dict:
                     and str(name).endswith(".peak_bytes")):
                 continue
             # Snapshots carry gauges as {"value", "max"} mappings
-            # (MetricsRegistry.to_state / gauge_values); accept bare
+            # (MetricsRegistry.to_state); accept bare
             # scalars too for hand-built test fixtures.
             if isinstance(value, Mapping):
                 value = value.get("max", value.get("value"))

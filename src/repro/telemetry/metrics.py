@@ -79,17 +79,6 @@ class MetricsRegistry:
         return {name: counter.value
                 for name, counter in sorted(self._counters.items())}
 
-    def gauge_values(self) -> Dict[str, Dict[str, float]]:
-        """Point-in-time ``name -> {"value", "max"}`` read of every gauge.
-
-        The gauge counterpart of :meth:`counter_values` — how the memory
-        observatory (:func:`repro.telemetry.memory.memory_block`) picks up
-        ``device.*.peak_bytes`` high-water marks for its accounting
-        coverage ratios.
-        """
-        return {name: {"value": gauge.value, "max": gauge.max_value}
-                for name, gauge in sorted(self._gauges.items())}
-
     def merge_from(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold another registry (e.g. a worker process's) into this one.
 

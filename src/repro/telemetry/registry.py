@@ -281,7 +281,6 @@ class RunRegistry:
 def record_run(
     manifest: Mapping,
     events: Sequence[Mapping] = (),
-    metrics: Optional[Mapping] = None,
     trace_path: Optional[PathLike] = None,
     result_path: Optional[PathLike] = None,
     registry_dir: Optional[PathLike] = None,
@@ -293,17 +292,16 @@ def record_run(
 
     Extracts the final metrics snapshot, the per-stage span aggregate, and
     the memory-observatory block (ledger summary + coverage ratios) from
-    ``events`` (unless ``metrics`` is given explicitly), builds the
-    record, and appends it to the registry at ``registry_dir``.
+    ``events``, builds the record, and appends it to the registry at
+    ``registry_dir``.
     """
     from .memory import memory_block
     from .report import aggregate_spans
 
-    if metrics is None:
-        metrics = {}
-        for event in events:
-            if event.get("type") == "metrics":
-                metrics = event.get("metrics") or {}
+    metrics = {}
+    for event in events:
+        if event.get("type") == "metrics":
+            metrics = event.get("metrics") or {}
     record = build_record(
         manifest,
         metrics=metrics,

@@ -1,21 +1,21 @@
 """Text rendering of traces: top spans, per-epoch sparklines, counters.
 
 Turns a list of trace events (from a :class:`~repro.telemetry.sinks.MemorySink`
-buffer or a JSONL file reloaded with
-:func:`~repro.telemetry.sinks.load_events`) into the compact terminal
+buffer or a reloaded JSONL file) into the compact terminal
 report printed by ``python -m repro.bench --trace``. Kept free of imports
 from :mod:`repro.bench` so the bench layer can build on it without cycles.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 
-def sparkline(values: Sequence[float], width: int = 32) -> str:
-    """Unicode block sparkline of a numeric series, resampled to ``width``."""
+def sparkline(values: Sequence[float]) -> str:
+    """Unicode block sparkline of a numeric series, resampled to 32 marks."""
+    width = 32
     series = [float(v) for v in values if v is not None]
     if not series:
         return ""
@@ -206,8 +206,8 @@ def final_memory(events: Iterable[Mapping]) -> Dict:
     return summary
 
 
-def render_memory(events: Iterable[Mapping], top: int = 5) -> str:
-    """The memory section: ledger totals, peak attribution, top arrays.
+def render_memory(events: Iterable[Mapping]) -> str:
+    """The memory section: ledger totals, peak attribution, top five arrays.
 
     Renders the accounted live/peak/total bytes, where the high-water
     mark sat in the span tree and which op families held it, the largest
@@ -240,7 +240,7 @@ def render_memory(events: Iterable[Mapping], top: int = 5) -> str:
                      f"{attribution.get('path') or '(top)'}"])
     holders = attribution.get("live_by_path") or {}
     for path, nbytes in sorted(holders.items(),
-                               key=lambda kv: -kv[1])[:top]:
+                               key=lambda kv: -kv[1])[:5]:
         rows.append([f"  at peak: {path}", _format_bytes(nbytes)])
     sections = [_table(["memory", "value"], rows, "allocation ledger")]
     top_allocs = mem.get("top_allocations") or []
@@ -248,19 +248,15 @@ def render_memory(events: Iterable[Mapping], top: int = 5) -> str:
         alloc_rows = [[_format_bytes(e.get("nbytes") or 0),
                        str(e.get("op") or "?"),
                        str(e.get("path") or "(top)")]
-                      for e in top_allocs[:top]]
+                      for e in top_allocs[:5]]
         sections.append(_table(["size", "op", "span path"], alloc_rows,
                                "largest allocations"))
     return "\n\n".join(sections)
 
 
-def render_counters(events: Iterable[Mapping],
-                    metrics: Optional[Mapping] = None) -> str:
-    """Counter table from a metrics snapshot (explicit or in-trace)."""
-    snapshot: Optional[Mapping] = metrics
-    if snapshot is None:
-        snapshot = final_metrics(events)
-    counters = (snapshot or {}).get("counters") or {}
+def render_counters(events: Iterable[Mapping]) -> str:
+    """Counter table from the trace's last metrics snapshot."""
+    counters = final_metrics(events).get("counters") or {}
     if not isinstance(counters, Mapping) or not counters:
         return "-- op counters --\n(no counters recorded)"
     rows = [[str(name),
@@ -270,9 +266,7 @@ def render_counters(events: Iterable[Mapping],
     return _table(["counter", "value"], rows, "op counters")
 
 
-def render_trace_report(events: Sequence[Mapping],
-                        metrics: Optional[Mapping] = None,
-                        top: int = 10) -> str:
+def render_trace_report(events: Sequence[Mapping], top: int = 10) -> str:
     """Full report: top spans, per-epoch sparklines, memory, op counters.
 
     The memory section appears only when the trace carries an allocation
@@ -284,5 +278,5 @@ def render_trace_report(events: Sequence[Mapping],
     ]
     if final_memory(events):
         sections.append(render_memory(events))
-    sections.append(render_counters(events, metrics=metrics))
+    sections.append(render_counters(events))
     return "\n\n".join(sections)

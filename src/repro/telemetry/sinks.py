@@ -120,28 +120,3 @@ def _json_default(value):
         except (TypeError, ValueError):
             continue
     return str(value)
-
-
-def load_events(path: PathLike) -> List[Dict]:
-    """Read a JSONL trace back into a list of event dicts.
-
-    A killed writer (timed-out worker, crashed run) legitimately leaves a
-    torn final line, so an undecodable *tail* is silently dropped — the
-    events before it are intact and loadable. An undecodable line in the
-    middle of the file is real corruption and still raises.
-    """
-    raw: List[str] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                raw.append(line)
-    events: List[Dict] = []
-    for index, line in enumerate(raw):
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index == len(raw) - 1:
-                break  # torn tail of an interrupted writer
-            raise
-    return events

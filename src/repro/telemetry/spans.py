@@ -8,8 +8,8 @@ allocated while it was open, the signed change in current host RSS across
 it (see :mod:`repro.telemetry.rss`), and — when the allocation ledger is
 installed — the ledger-accounted bytes and live-memory high-water mark.
 The paper's stage tables (Figure 2, Tables 9–11) are aggregations of
-exactly these records; :class:`repro.runtime.profiler.StageProfiler` can
-be rebuilt as a view over a span stream via ``StageProfiler.from_events``.
+exactly these records, folded by
+:func:`repro.telemetry.report.aggregate_spans`.
 
 Overhead discipline: when telemetry is disabled (no tracer configured),
 callers receive the shared :data:`NOOP_SPAN` singleton whose enter/exit do
@@ -131,15 +131,14 @@ class Tracer:
         Destination for closed-span and free-form events
         (:class:`~repro.telemetry.sinks.MemorySink`,
         :class:`~repro.telemetry.sinks.JsonlSink`, ...).
-    metrics:
-        Registry the run's counters and gauges land in; a fresh registry
-        is created when omitted.
+
+    The run's counters and gauges land in a fresh :attr:`metrics`
+    registry.
     """
 
-    def __init__(self, sink: Optional[EventSink] = None,
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, sink: Optional[EventSink] = None):
         self.sink: EventSink = sink or NullSink()
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.epoch_s = time.perf_counter()
         self._ids = itertools.count(1)
         self._local = threading.local()

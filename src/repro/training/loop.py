@@ -114,23 +114,6 @@ class RunResult:
         }
         return {name: columns[name] for name in names} if names else columns
 
-    def summary(self) -> Dict[str, float]:
-        summary = {
-            "status": self.status,
-            "test": self.test_score,
-            "valid": self.valid_score,
-            "epochs": self.epochs_run,
-            **self.columns("precompute_s", "train_s_per_epoch", "inference_s"),
-            "device_peak_bytes": self.device_peak_bytes,
-            "ram_peak_bytes": self.ram_peak_bytes,
-        }
-        if self.cut_edges is not None:
-            summary["cut_edges"] = self.cut_edges
-            summary["cut_edge_fraction"] = self.cut_edge_fraction
-            summary["num_parts"] = self.num_parts
-        return summary
-
-
 class EarlyStopper:
     """Patience-based early stopping on the validation score (higher=better)."""
 

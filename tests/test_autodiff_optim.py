@@ -6,51 +6,12 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
-from repro.autodiff.optim import SGD, Adam
+from repro.autodiff.optim import Adam
 from repro.errors import TrainingError
 
 
 def quadratic_loss(param: Tensor) -> Tensor:
     return (param * param).sum()
-
-
-class TestSGD:
-    def test_plain_step(self):
-        p = Tensor(np.array([1.0, -2.0]), requires_grad=True, dtype=np.float64)
-        opt = SGD([p], lr=0.1)
-        quadratic_loss(p).backward()
-        opt.step()
-        np.testing.assert_allclose(p.data, [0.8, -1.6])
-
-    def test_momentum_accumulates(self):
-        p = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
-        opt = SGD([p], lr=0.1, momentum=0.9)
-        for _ in range(2):
-            p.grad = np.array([1.0])
-            opt.step()
-        # step1: v=1 -> p=1-0.1; step2: v=0.9+1=1.9 -> p=0.9-0.19
-        np.testing.assert_allclose(p.data, [0.71])
-
-    def test_weight_decay(self):
-        p = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.array([0.0])
-        opt.step()
-        np.testing.assert_allclose(p.data, [1.0 - 0.1 * 0.5])
-
-    def test_converges_on_quadratic(self):
-        p = Tensor(np.array([5.0, -3.0]), requires_grad=True, dtype=np.float64)
-        opt = SGD([p], lr=0.1)
-        for _ in range(100):
-            opt.zero_grad()
-            quadratic_loss(p).backward()
-            opt.step()
-        assert np.abs(p.data).max() < 1e-4
-
-    def test_skips_missing_grad(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        SGD([p], lr=0.1).step()  # no grad: no-op
-        np.testing.assert_allclose(p.data, [1.0])
 
 
 class TestAdam:
@@ -84,25 +45,42 @@ class TestAdam:
             opt.step()
         np.testing.assert_allclose(w.data, true_w, atol=0.02)
 
+    def test_weight_decay(self):
+        p = Tensor(np.array([2.0]), requires_grad=True, dtype=np.float64)
+        opt = Adam([p], lr=0.1, weight_decay=0.5)
+        p.grad = np.array([3.0])
+        opt.step()
+        # The moments see grad + weight_decay·param = 3 + 0.5·2 = 4. The
+        # first step is lr·sign whatever the gradient, so it cannot pin
+        # the coefficient; the moments can.
+        np.testing.assert_allclose(opt._m[id(p)], [(1 - 0.9) * 4.0])
+        np.testing.assert_allclose(opt._v[id(p)], [(1 - 0.999) * 16.0])
+
+    def test_skips_missing_grad(self):
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        Adam([p], lr=0.1).step()  # no grad: no-op
+        np.testing.assert_allclose(p.data, [1.0])
+
 
 class TestParameterGroups:
     def test_separate_learning_rates(self):
         a = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
         b = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
-        opt = SGD([
+        opt = Adam([
             {"params": [a], "lr": 0.1},
             {"params": [b], "lr": 0.01},
         ])
         a.grad = np.array([1.0])
         b.grad = np.array([1.0])
         opt.step()
-        np.testing.assert_allclose(a.data, [0.9])
-        np.testing.assert_allclose(b.data, [0.99])
+        # Adam's first step is lr-sized, so each group moves by its own lr.
+        np.testing.assert_allclose(a.data, [0.9], rtol=1e-5)
+        np.testing.assert_allclose(b.data, [0.99], rtol=1e-5)
 
     def test_group_weight_decay(self):
         a = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
         b = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
-        opt = SGD([
+        opt = Adam([
             {"params": [a], "lr": 0.1, "weight_decay": 1.0},
             {"params": [b], "lr": 0.1, "weight_decay": 0.0},
         ])
@@ -125,11 +103,11 @@ class TestParameterGroups:
 class TestValidation:
     def test_empty_params_rejected(self):
         with pytest.raises(TrainingError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_non_grad_params_rejected(self):
         with pytest.raises(TrainingError):
-            SGD([Tensor(np.ones(2))], lr=0.1)
+            Adam([Tensor(np.ones(2))], lr=0.1)
 
     def test_group_missing_params_key(self):
         with pytest.raises(TrainingError):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 
 from repro.bench import (
     DEFAULT_SCALES,

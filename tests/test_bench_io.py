@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.bench import load_metadata, load_rows, save_rows
+from repro.bench import load_rows, save_rows
 from repro.errors import ReproError
 
 
@@ -16,7 +18,7 @@ class TestRoundTrip:
         save_rows(rows, path, metadata={"experiment": "t"})
         loaded = load_rows(path)
         assert loaded == rows
-        assert load_metadata(path) == {"experiment": "t"}
+        assert json.loads(path.read_text())["metadata"] == {"experiment": "t"}
 
     def test_numpy_scalars(self, tmp_path):
         rows = [{"mean": np.float32(0.5), "count": np.int64(3)}]
@@ -58,4 +60,5 @@ class TestRoundTrip:
         out = tmp_path / "tax.json"
         assert main(["taxonomy", "--output", str(out)]) == 0
         assert len(load_rows(out)) == 27
-        assert load_metadata(out)["experiment"] == "taxonomy"
+        assert json.loads(out.read_text())["metadata"]["experiment"] \
+            == "taxonomy"

@@ -80,7 +80,7 @@ class TestRegistry:
     def test_roc_auc_datasets_binary(self):
         for spec in DATASETS.values():
             if spec.metric == "roc_auc":
-                assert spec.is_binary
+                assert spec.num_classes == 2
 
     def test_case_insensitive_lookup(self):
         assert get_spec("CORA").name == "cora"
@@ -90,7 +90,8 @@ class TestRegistry:
             get_spec("imagenet")
 
     def test_average_degree(self):
-        assert get_spec("wiki").average_degree > get_spec("cora").average_degree
+        wiki, cora = get_spec("wiki"), get_spec("cora")
+        assert wiki.edges / wiki.nodes > cora.edges / cora.nodes
 
 
 class TestSynthesis:
@@ -182,7 +183,7 @@ class TestSynthesisGolden:
 class TestSplits:
     def test_random_split_disjoint_and_complete(self):
         split = random_split(100, seed=0)
-        assert split.num_nodes == 100
+        assert len(split.train) + len(split.valid) + len(split.test) == 100
         combined = np.concatenate([split.train, split.valid, split.test])
         assert len(np.unique(combined)) == 100
 

@@ -35,7 +35,8 @@ class TestZeroHops:
 
     def test_k_zero_impulse_is_identity(self, path_graph):
         filter_ = make_filter("impulse", num_hops=0)
-        out = filter_.propagate(path_graph, path_graph.features)
+        out = filter_.forward(PropagationContext.for_graph(path_graph),
+                              path_graph.features)
         np.testing.assert_allclose(out, path_graph.features, atol=1e-6)
 
 
@@ -107,7 +108,8 @@ class TestDisconnectedGraph:
         edges = np.array([[0, 1]])
         features = np.eye(3, dtype=np.float32)
         graph = Graph.from_edges(3, edges, features=features)
-        out = make_filter("ppr", num_hops=5).propagate(graph, features)
+        out = make_filter("ppr", num_hops=5).forward(
+            PropagationContext.for_graph(graph), features)
         # Node 2 is isolated: the self-looped propagation keeps all of its
         # (truncated-PPR) mass on itself: Σ_k α(1−α)^k = 1 − (1−α)^{K+1}.
         assert out[2, 2] == pytest.approx(1.0 - 0.9 ** 6, abs=1e-5)

@@ -18,7 +18,7 @@ import pytest
 
 from repro.autodiff import Tensor
 from repro.errors import FilterError
-from repro.filters import FILTER_NAMES, REGISTRY, make_filter
+from repro.filters import FILTER_NAMES, make_filter
 from repro.filters.bank import FilterBank
 from repro.filters.base import PropagationContext
 from repro.spectral import laplacian_eigendecomposition

@@ -16,6 +16,7 @@ from repro.filters import (
     LinearFilter,
     MonomialFilter,
     PPRFilter,
+    PropagationContext,
 )
 
 LAMS = np.linspace(0.0, 2.0, 21)
@@ -26,7 +27,8 @@ class TestIdentity:
         np.testing.assert_allclose(IdentityFilter().response(LAMS), np.ones_like(LAMS))
 
     def test_propagate_is_identity(self, small_graph, signal):
-        out = IdentityFilter().propagate(small_graph, signal)
+        out = IdentityFilter().forward(PropagationContext.for_graph(small_graph),
+                                       signal)
         np.testing.assert_allclose(out, signal, atol=1e-6)
 
     def test_single_basis(self):
@@ -53,7 +55,7 @@ class TestImpulse:
 
     def test_propagate_equals_repeated_adjacency(self, small_graph, signal):
         f = ImpulseFilter(num_hops=3)
-        out = f.propagate(small_graph, signal)
+        out = f.forward(PropagationContext.for_graph(small_graph), signal)
         adj = small_graph.normalized_adjacency(0.5)
         expected = signal
         for _ in range(3):
@@ -150,12 +152,6 @@ class TestCommonBehaviour:
     def test_precompute_single_channel(self, small_graph, signal, cls):
         channels = cls(num_hops=4).precompute(small_graph, signal)
         assert channels.shape == (small_graph.num_nodes, 1, signal.shape[1])
-
-    def test_propagate_rejected_for_variable(self, small_graph, signal):
-        from repro.filters import ChebyshevFilter
-
-        with pytest.raises(FilterError):
-            ChebyshevFilter().propagate(small_graph, signal)
 
     def test_negative_hops_rejected(self):
         with pytest.raises(FilterError):

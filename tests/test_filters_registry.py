@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import FilterError
 from repro.filters import (
-    BANK_NAMES,
     FILTER_NAMES,
-    FIXED_NAMES,
     REGISTRY,
-    VARIABLE_NAMES,
     SpectralFilter,
     make_filter,
-    taxonomy_table,
 )
 
 
@@ -23,9 +18,9 @@ class TestInventory:
         assert len(FILTER_NAMES) == 27
 
     def test_category_counts_match_paper(self):
-        assert len(FIXED_NAMES) == 7
-        assert len(VARIABLE_NAMES) == 11
-        assert len(BANK_NAMES) == 9
+        categories = [entry.category for entry in REGISTRY.values()]
+        assert [categories.count(c) for c in ("fixed", "variable", "bank")] \
+            == [7, 11, 9]
 
     def test_names_unique(self):
         assert len(set(FILTER_NAMES)) == len(FILTER_NAMES)
@@ -68,18 +63,8 @@ class TestFactory:
 
 
 class TestTaxonomyTable:
-    def test_row_count(self):
-        assert len(taxonomy_table()) == 27
-
-    def test_row_fields(self):
-        row = taxonomy_table()[0]
-        assert set(row) == {"filter", "type", "hyperparameters", "time",
-                            "memory", "models"}
-
     def test_bernstein_flagged_quadratic(self):
-        rows = {r["filter"]: r for r in taxonomy_table()}
-        assert "K^2" in rows["Bernstein"]["time"]
+        assert "K^2" in REGISTRY["bernstein"].time_complexity
 
     def test_bank_memory_is_q_scaled(self):
-        rows = {r["filter"]: r for r in taxonomy_table()}
-        assert "Q" in rows["FiGURe"]["memory"]
+        assert "Q" in REGISTRY["figure"].memory_complexity

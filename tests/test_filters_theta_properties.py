@@ -6,12 +6,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.filters import BANK_NAMES, VARIABLE_NAMES, make_filter
+from repro.filters import REGISTRY, make_filter
 
 LAMS = np.linspace(0.0, 2.0, 33)
 
 #: Filters whose response is linear in their coefficient vector θ.
-THETA_LINEAR = [n for n in VARIABLE_NAMES if n not in ("favard", "optbasis")]
+THETA_LINEAR = [n for n, e in REGISTRY.items() if e.category == "variable"
+                and n not in ("favard", "optbasis")]
 
 small_floats = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False,
                          allow_infinity=False)
@@ -43,7 +44,8 @@ class TestThetaLinearity:
 
 
 class TestGammaScaling:
-    @given(st.sampled_from([n for n in BANK_NAMES if n != "adagnn"]),
+    @given(st.sampled_from([n for n, e in REGISTRY.items()
+                            if e.category == "bank" and n != "adagnn"]),
            st.floats(min_value=0.1, max_value=3.0),
            st.integers(min_value=0, max_value=100))
     @settings(max_examples=40, deadline=None)

@@ -189,8 +189,5 @@ class TestStructure:
         assert edges.shape == (9, 2)
         assert np.all(edges[:, 0] < edges[:, 1])
 
-    def test_memory_bytes_positive(self, tiny_graph):
-        assert tiny_graph.memory_bytes() > 0
-
     def test_repr(self, tiny_graph):
         assert "tiny" in repr(tiny_graph)

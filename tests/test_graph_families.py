@@ -109,12 +109,13 @@ class TestFilterBehaviourOnKnownSpectra:
 
     def test_heat_kernel_smooths_star(self):
         """Diffusion on a star pulls leaf signals toward the hub mean."""
-        from repro.filters import make_filter
+        from repro.filters import PropagationContext, make_filter
 
         graph = star_graph(8)
         x = np.zeros((9, 1), dtype=np.float32)
         x[1, 0] = 1.0  # one hot leaf
-        out = make_filter("hk", num_hops=20, alpha=3.0).propagate(graph, x)
+        out = make_filter("hk", num_hops=20, alpha=3.0).forward(
+            PropagationContext.for_graph(graph), x)
         # Mass spreads: other leaves now see some signal.
         assert out[2, 0] > 0.01
         assert out[1, 0] < 1.0

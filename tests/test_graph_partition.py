@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graph import Graph, bfs_partition, cut_edges
-from repro.graph.partition import cut_fraction
 
 
 class TestPartition:
@@ -97,9 +96,3 @@ class TestCutEdges:
         parts = bfs_partition(small_graph, 8, rng=rng)
         cut = cut_edges(small_graph, parts)
         assert 0 < cut <= small_graph.num_edges
-
-    def test_cut_fraction_in_unit_interval(self, small_graph, rng):
-        parts = bfs_partition(small_graph, 4, rng=rng)
-        frac = cut_fraction(small_graph, parts)
-        assert 0.0 < frac <= 1.0
-        assert frac == cut_edges(small_graph, parts) / small_graph.num_edges

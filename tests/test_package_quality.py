@@ -221,3 +221,78 @@ class TestRunState:
                         and (relative, function) not in self.ALLOWED:
                     offenders.append(f"{relative}:{line} ({function})")
         assert not offenders, offenders
+
+
+class TestEveryDefinitionHasACaller:
+    """A ``src/repro`` function, class or module-level UPPER_CASE table
+    that nothing outside ``tests/`` names is dead: a test alone does not
+    keep a definition. A reference is a name or an attribute in
+    ``src``, ``benchmarks`` or ``examples``, outside the definition's
+    own body; an import or an ``__all__`` entry re-exports, it does not
+    call. Dunders run by protocol and are not checked."""
+
+    ROOT = Path(repro.__file__).resolve().parents[2]
+    SRC = ROOT / "src" / "repro"
+    #: Module -> why its definitions stay without a caller yet.
+    ALLOWED = {
+        "graph/families.py": "graphs with closed-form spectra, the inputs "
+                             "of the float64 spectral reference "
+                             "(ROADMAP item 11)",
+        "spectral/response.py": "frequency-response readouts that the "
+                                "reference's per-band residuals use "
+                                "(ROADMAP item 11(d))",
+    }
+    DUNDER = re.compile(r"^__\w+__$")
+
+    def _references(self):
+        """name -> [(path, line)] over every program file."""
+        refs = {}
+        for directory in ("src", "benchmarks", "examples"):
+            for path in (self.ROOT / directory).rglob("*.py"):
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                for node in ast.walk(tree):
+                    name = (node.id if isinstance(node, ast.Name) else
+                            node.attr if isinstance(node, ast.Attribute)
+                            else None)
+                    if name is not None:
+                        refs.setdefault(name, []).append((path, node.lineno))
+        return refs
+
+    def _definitions(self, path):
+        """(name, first line, last line) of each definition to check."""
+        def visit(body, top):
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    yield node.name, node.lineno, node.end_lineno
+                    if isinstance(node, ast.ClassDef):
+                        yield from visit(node.body, False)
+                elif top and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                    for target in targets:
+                        if isinstance(target, ast.Name) \
+                                and target.id.isupper():
+                            yield target.id, node.lineno, node.end_lineno
+
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return [entry for entry in visit(tree.body, True)
+                if not self.DUNDER.match(entry[0])]
+
+    def test_allowlist_names_existing_modules(self):
+        for module in self.ALLOWED:
+            assert (self.SRC / module).is_file(), module
+
+    def test_no_definition_is_reached_only_by_tests(self):
+        refs = self._references()
+        dead = []
+        for path in sorted(self.SRC.rglob("*.py")):
+            relative = path.relative_to(self.SRC).as_posix()
+            if relative in self.ALLOWED:
+                continue
+            for name, first, last in self._definitions(path):
+                callers = [ref for ref in refs.get(name, ())
+                           if not (ref[0] == path and first <= ref[1] <= last)]
+                if not callers:
+                    dead.append(f"src/repro/{relative}:{first}:{name}")
+        assert not dead, dead

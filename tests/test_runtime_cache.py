@@ -182,24 +182,24 @@ class TestTransposeCache:
             b = cache.transpose_csr(matrix)
         assert a is not b
         assert cache.transpose_build_count() == 2
-        assert cache.transpose_cache_stats()["entries"] == 0
+        assert cache._operator_cache.stats()["entries"] == 0
 
     def test_bounded_entries_with_eviction(self):
         matrices = [_random_csr(6, seed=100 + i)
                     for i in range(cache.TRANSPOSE_CACHE_ENTRIES + 5)]
         for matrix in matrices:
             cache.transpose_csr(matrix)
-        stats = cache.transpose_cache_stats()
+        stats = cache._operator_cache.stats()
         assert stats["entries"] <= cache.TRANSPOSE_CACHE_ENTRIES
         assert stats["evictions"] >= 5
 
     def test_dead_matrix_entry_purged(self):
         matrix = _random_csr(10, seed=6)
         cache.transpose_csr(matrix)
-        assert cache.transpose_cache_stats()["entries"] == 1
+        assert cache._operator_cache.stats()["entries"] == 1
         del matrix
         gc.collect()
-        assert cache.transpose_cache_stats()["entries"] == 0
+        assert cache._operator_cache.stats()["entries"] == 0
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 24), seed=st.integers(0, 10_000),
@@ -293,7 +293,7 @@ class TestNormalizationMemo:
         a = graph.normalized_adjacency(0.5)
         b = graph.normalized_adjacency(0.5)
         assert a is b
-        stats = graph.norm_memo_stats()
+        stats = graph._norm_memo.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_laplacian_memoized(self):
@@ -306,7 +306,7 @@ class TestNormalizationMemo:
         b = graph.normalized_adjacency(0.5, self_loops=False)
         c = graph.normalized_adjacency(1.0, self_loops=True)
         assert a is not b and a is not c
-        assert graph.norm_memo_stats()["entries"] == 3
+        assert graph._norm_memo.stats()["entries"] == 3
 
     def test_disabled_recomputes_equal_values(self):
         graph = _random_graph(20, seed=10)
@@ -321,7 +321,7 @@ class TestNormalizationMemo:
         rhos = np.linspace(0.0, 1.0, cache.NORM_MEMO_ENTRIES * 2 + 1)
         for rho in rhos:
             graph.normalized_adjacency(float(rho))
-        assert graph.norm_memo_stats()["entries"] <= cache.NORM_MEMO_ENTRIES
+        assert graph._norm_memo.stats()["entries"] <= cache.NORM_MEMO_ENTRIES
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 30), seed=st.integers(0, 10_000),

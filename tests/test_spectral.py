@@ -11,8 +11,7 @@ from repro.spectral import (
     MAX_DENSE_NODES,
     clear_eig_cache,
     cluster_separation,
-    eig_cache_stats,
-    extremal_eigenvalues,
+    decomposition,
     laplacian_eigendecomposition,
     response_alignment,
     response_on_grid,
@@ -47,12 +46,6 @@ class TestDecomposition:
         with pytest.raises(GraphError):
             laplacian_eigendecomposition(g)
 
-    def test_extremal_matches_dense(self, small_graph):
-        eigenvalues, _ = laplacian_eigendecomposition(small_graph)
-        small, large = extremal_eigenvalues(small_graph, k=2)
-        np.testing.assert_allclose(small, eigenvalues[:2], atol=1e-4)
-        np.testing.assert_allclose(large, eigenvalues[-2:], atol=1e-4)
-
 
 class TestEigObservability:
     """The decomposition path is instrumented: op counters + memoization."""
@@ -81,15 +74,6 @@ class TestEigObservability:
         assert metrics.counter("ops.eig.bytes").value \
             == eigenvalues.nbytes + eigenvectors.nbytes
 
-    def test_extremal_eig_flops_counted(self, small_graph):
-        from repro import telemetry
-
-        telemetry.configure()
-        extremal_eigenvalues(small_graph, k=2)
-        metrics = telemetry.get_metrics()
-        assert metrics.counter("ops.eig.calls").value == 1
-        assert metrics.counter("ops.eig.flops").value > 0
-
     def test_memoized_second_call_skips_solve(self, tiny_graph):
         from repro import telemetry
 
@@ -102,7 +86,7 @@ class TestEigObservability:
         assert metrics.counter("cache.eig.hit").value == 1
         assert metrics.counter("cache.eig.miss").value == 1
         assert first[0] is second[0] and first[1] is second[1]
-        stats = eig_cache_stats()
+        stats = decomposition._eig_cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_cached_arrays_are_read_only(self, tiny_graph):
@@ -115,8 +99,8 @@ class TestEigObservability:
     def test_distinct_rho_distinct_entries(self, tiny_graph):
         laplacian_eigendecomposition(tiny_graph, rho=0.5)
         laplacian_eigendecomposition(tiny_graph, rho=1.0)
-        assert eig_cache_stats()["misses"] == 2
-        assert eig_cache_stats()["entries"] == 2
+        assert decomposition._eig_cache.stats()["misses"] == 2
+        assert decomposition._eig_cache.stats()["entries"] == 2
 
     def test_mutation_invalidates(self, tiny_graph):
         from repro import telemetry

@@ -9,13 +9,17 @@ import pytest
 
 from repro import telemetry
 from repro.autodiff import Tensor, spmm
-from repro.bench.io import load_jsonl, load_manifest, save_jsonl, save_rows
+from repro.bench.io import save_rows
 from repro.datasets.synthesis import synthesize
-from repro.runtime.profiler import StageProfiler
 from repro.tasks.node_classification import run_node_classification
 from repro.telemetry.metrics import MetricsRegistry
 from repro.training.loop import TrainConfig
 import scipy.sparse as sp
+
+
+def read_trace(path):
+    """The events of a JSONL trace, one per line."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 @pytest.fixture(autouse=True)
@@ -108,7 +112,6 @@ class TestDisabledMode:
         telemetry.set_gauge("g", 2.0)
         telemetry.inc_counter("c")
         assert not telemetry.enabled()
-        assert telemetry.get_tracer() is None
         assert telemetry.get_metrics() is None
 
     def test_disabled_overhead_no_allocation_per_call(self):
@@ -165,10 +168,10 @@ class TestOpCounters:
     def test_elementwise_unary_ops_counted(self):
         telemetry.configure()
         a = Tensor(np.full((3, 3), 0.5, dtype=np.float32))
-        for op in (a.exp, a.log, a.sqrt, a.abs, a.tanh, a.sigmoid,
-                   a.__neg__, lambda: a.clip(0.0, 1.0), lambda: a ** 2.0):
+        for op in (a.exp, a.log, a.sqrt, a.abs, a.__neg__,
+                   lambda: a.clip(0.0, 1.0), lambda: a ** 2.0):
             op()
-        assert telemetry.get_metrics().counter("ops.ewise.calls").value == 9
+        assert telemetry.get_metrics().counter("ops.ewise.calls").value == 7
 
     def test_bytes_attributed_to_open_span(self):
         telemetry.configure()
@@ -192,40 +195,11 @@ class TestJsonlRoundTrip:
         with telemetry.span("outer", tag="t"):
             telemetry.emit_event("epoch", epoch=0, loss=1.5)
         in_memory = telemetry.shutdown()
-        reloaded = load_jsonl(path)
+        reloaded = read_trace(path)
         assert reloaded == in_memory
-
-    def test_save_load_jsonl(self, tmp_path):
-        records = [{"a": 1, "b": [1.5, 2.5]}, {"a": 2, "c": "x"}]
-        path = tmp_path / "events.jsonl"
-        save_jsonl(records, path)
-        assert load_jsonl(path) == records
-
-    def test_save_jsonl_numpy_safe(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        save_jsonl([{"v": np.float32(0.5), "n": np.int64(3)}], path)
-        loaded = load_jsonl(path)
-        assert loaded[0]["v"] == pytest.approx(0.5)
-        assert loaded[0]["n"] == 3
 
 
 class TestSinkRobustness:
-    def test_load_events_tolerates_torn_tail(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"type":"span","name":"a"}\n'
-                        '{"type":"span","name":"b"}\n'
-                        '{"type":"span","na')  # killed writer mid-line
-        events = telemetry.load_events(path)
-        assert [e["name"] for e in events] == ["a", "b"]
-
-    def test_load_events_raises_on_midfile_corruption(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"type":"span","name":"a"}\n'
-                        'not json at all\n'
-                        '{"type":"span","name":"b"}\n')
-        with pytest.raises(json.JSONDecodeError):
-            telemetry.load_events(path)
-
     def test_jsonl_sink_serializes_exotic_payloads(self, tmp_path):
         from repro.telemetry.sinks import JsonlSink
 
@@ -235,7 +209,7 @@ class TestSinkRobustness:
                    "array_scalar": np.array(7.0),
                    "opaque": object()})  # falls back to str()
         sink.close()
-        (event,) = telemetry.load_events(path)
+        (event,) = read_trace(path)
         assert event["np_int"] == 3
         assert event["np_float"] == pytest.approx(0.5)
         assert event["array_scalar"] == pytest.approx(7.0)
@@ -251,7 +225,7 @@ class TestSinkRobustness:
         sink.emit({"n": 2})   # dropped, not raised
         sink.flush()
         sink.close()          # idempotent
-        assert [e["n"] for e in telemetry.load_events(path)] == [1]
+        assert [e["n"] for e in read_trace(path)] == [1]
 
     def test_tee_sink_fans_out_and_closes_every_child(self):
         class Recorder(telemetry.EventSink):
@@ -299,27 +273,19 @@ class TestManifest:
     def test_write_read_round_trip(self, tmp_path):
         manifest = telemetry.build_manifest(seed=0)
         path = telemetry.write_manifest(tmp_path / "m.manifest.json", manifest)
-        assert telemetry.read_manifest(path) == manifest
-
-    def test_dataset_fingerprint_stable_and_sensitive(self):
-        g1 = synthesize("cora", scale=0.05, seed=0)
-        g2 = synthesize("cora", scale=0.05, seed=0)
-        g3 = synthesize("cora", scale=0.05, seed=1)
-        assert telemetry.dataset_fingerprint(g1) == telemetry.dataset_fingerprint(g2)
-        assert telemetry.dataset_fingerprint(g1) != telemetry.dataset_fingerprint(g3)
+        assert json.loads(path.read_text()) == manifest
 
     def test_sidecar_written_by_save_rows(self, tmp_path):
         path = tmp_path / "rows.json"
         save_rows([{"a": 1}], path, metadata={"experiment": "x"})
-        sidecar = load_manifest(path)
-        assert sidecar is not None
+        sidecar = json.loads(telemetry.manifest_path_for(path).read_text())
         assert sidecar["metadata"] == {"experiment": "x"}
         assert sidecar["num_rows"] == 1
 
     def test_sidecar_suppressed(self, tmp_path):
         path = tmp_path / "rows.json"
         save_rows([{"a": 1}], path, manifest=False)
-        assert load_manifest(path) is None
+        assert not telemetry.manifest_path_for(path).exists()
 
     def test_manifest_path_for(self):
         assert str(telemetry.manifest_path_for("out/x.json")).endswith(
@@ -429,16 +395,15 @@ class TestTrainingIntegration:
         assert counters["train.epochs"] == 3
 
     def test_profiler_view_matches_live_run(self, traced_run):
+        """The trace's stage spans, folded as the run registry folds
+        them, count the live profiler's stage entries and time."""
         result, events = traced_run
-        view = StageProfiler.from_events(events)
+        view = telemetry.aggregate_spans(events)
         live = result.profiler
         for stage in ("precompute", "train", "inference"):
-            assert view.stages[stage].calls == live.stages[stage].calls
-            assert view.stages[stage].seconds == pytest.approx(
+            assert view[stage]["calls"] == live.stages[stage].calls
+            assert view[stage]["seconds"] == pytest.approx(
                 live.stages[stage].seconds, rel=0.2)
-        assert view.stages["train"].op_class == "transform"
-        assert view.stages["precompute"].op_class == "propagation"
-        assert view.peak_ram_bytes() == live.peak_ram_bytes()
 
     def test_result_unaffected_by_tracing(self):
         graph = synthesize("cora", scale=0.05, seed=0)
@@ -464,12 +429,11 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "telemetry" in out and "per-epoch metrics" in out
-        events = load_jsonl(trace)
+        events = read_trace(trace)
         names = {e["name"] for e in events if e["type"] == "span"}
         assert {"experiment", "precompute", "train", "epoch",
                 "forward", "backward"} <= names
-        manifest = telemetry.read_manifest(
-            telemetry.manifest_path_for(trace))
+        manifest = json.loads(telemetry.manifest_path_for(trace).read_text())
         assert manifest["experiment"] == "efficiency"
         assert manifest["config"]["epochs"] == 2
 

@@ -526,7 +526,6 @@ class TestRssHelpers:
 class TestMemoryCli:
     def test_run_writes_memory_artifacts(self, tmp_path, capsys):
         from repro.bench.__main__ import main
-        from repro.bench.io import load_jsonl
 
         trace = tmp_path / "run.jsonl"
         code = main(["efficiency", "--datasets", "cora", "--filters", "ppr",
@@ -536,7 +535,8 @@ class TestMemoryCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "allocation ledger" in out
-        events = load_jsonl(trace)
+        events = [json.loads(line)
+                  for line in trace.read_text().splitlines()]
         (memory_event,) = [e for e in events if e.get("type") == "memory"]
         summary = memory_event["memory"]
         assert summary["schema"] == MEMORY_SCHEMA

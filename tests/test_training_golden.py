@@ -12,11 +12,19 @@ byte count, status and partition value is still the original capture.
 The same numbers hold when every CSR product runs in row tiles on two
 threads (:class:`TestGoldenThreaded`); :class:`TestGolden` itself is the
 one-thread case, since its products sit below the threading minimum.
+
+The tests check each entry through ``RECORDERS``, the table the
+recorder runs, so a deliberate re-capture is ``PYTHONPATH=src python -m
+tests.test_training_golden --capture`` (without ``--capture`` it prints
+the values), and :func:`test_recorders_cover_golden` holds the table's
+keys to the file's.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -27,21 +35,21 @@ from repro.bench.baseline_runners import (
     train_iterative_baseline,
     train_nagphormer,
 )
-from repro.datasets import random_split
+from repro.datasets import random_split, synthesize
 from repro.filters import make_filter
 from repro.runtime import blocked, context
 from repro.runtime.device import DeviceModel, nbytes_of
-from repro.runtime.profiler import StageProfiler
 from repro.tasks import run_link_prediction, run_node_classification
 from repro.training import SCHEMES, TrainConfig
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "training_golden.json").read_text())
+GOLDEN_PATH = Path(__file__).parent / "data" / "training_golden.json"
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 NC = TrainConfig(epochs=20, patience=2, eval_every=2, batch_size=64, seed=0)
 LP = TrainConfig(epochs=3, batch_size=256, seed=0)
 BL = TrainConfig(epochs=2, patience=0, eval_every=10, batch_size=128, seed=0)
 FILTERS = ("ppr", "chebyshev", "fbgnn2")
+LINK_FILTERS = ("identity", "ppr")
 BASELINES = {
     "GCN": lambda g, s, **kw: train_iterative_baseline("GCN", g, s, BL, **kw),
     "GraphSAGE": lambda g, s, **kw: train_iterative_baseline(
@@ -67,8 +75,15 @@ def _traced(fn):
         outcome = fn()
     finally:
         events = telemetry.shutdown()
-    stages = StageProfiler.from_events(events).stages
-    return outcome, events, {name: s.calls for name, s in stages.items()}
+    # Entries per stage span; a stage that only recorded memory is 0.
+    calls = {}
+    for event in events:
+        if event["type"] == "stage.memory":
+            calls.setdefault(event["stage"], 0)
+        elif (event["type"] == "span"
+              and event.get("attrs", {}).get("kind") == "stage"):
+            calls[event["name"]] = calls.get(event["name"], 0) + 1
+    return outcome, events, calls
 
 
 def _check(key, observed):
@@ -81,40 +96,67 @@ def _check(key, observed):
             assert observed[field] == value, field
 
 
-class TestGolden:
-    @pytest.mark.parametrize("scheme", list(SCHEMES))
-    @pytest.mark.parametrize("filter_name", FILTERS)
-    def test_schemes(self, small_graph, scheme, filter_name):
-        split = random_split(small_graph.num_nodes, seed=0)
-        result, _, calls = _traced(lambda: run_node_classification(
-            small_graph, filter_name, scheme=scheme, config=NC, split=split))
-        _check(f"{scheme}/{filter_name}", {
-            "status": result.status, "epochs_run": result.epochs_run,
+def _scheme(graph, scheme, filter_name):
+    split = random_split(graph.num_nodes, seed=0)
+    result, _, calls = _traced(lambda: run_node_classification(
+        graph, filter_name, scheme=scheme, config=NC, split=split))
+    return {"status": result.status, "epochs_run": result.epochs_run,
             "test_score": result.test_score,
             "valid_score": result.valid_score,
             "device_peak_bytes": result.device_peak_bytes,
             "ram_peak_bytes": result.ram_peak_bytes,
             "cut_edges": result.cut_edges, "num_parts": result.num_parts,
-            "calls": calls})
+            "calls": calls}
 
-    @pytest.mark.parametrize("filter_name", ["identity", "ppr"])
-    def test_link_prediction(self, small_graph, filter_name):
-        result, _, calls = _traced(lambda: run_link_prediction(
-            small_graph, filter_name, config=LP))
-        _check(f"link_prediction/{filter_name}", {
-            "status": result.status, "epochs_run": result.epochs_run,
+
+def _link_prediction(graph, filter_name):
+    result, _, calls = _traced(lambda: run_link_prediction(
+        graph, filter_name, config=LP))
+    return {"status": result.status, "epochs_run": result.epochs_run,
             "test_score": result.test_score,
             "device_peak_bytes": result.device_peak_bytes,
-            "ram_peak_bytes": result.ram_peak_bytes, "calls": calls})
+            "ram_peak_bytes": result.ram_peak_bytes, "calls": calls}
+
+
+def _baseline(graph, model_name):
+    split = random_split(graph.num_nodes, seed=0)
+    row, _, calls = _traced(lambda: BASELINES[model_name](graph, split))
+    return {"status": row["status"], "test_score": row["accuracy"],
+            "device_peak_bytes": row["device_bytes"], "calls": calls}
+
+
+#: Golden key -> the function of the graph that observes it.
+RECORDERS = {
+    **{f"{scheme}/{name}": partial(_scheme, scheme=scheme, filter_name=name)
+       for scheme in SCHEMES for name in FILTERS},
+    **{f"link_prediction/{name}": partial(_link_prediction, filter_name=name)
+       for name in LINK_FILTERS},
+    **{f"baseline/{name}": partial(_baseline, model_name=name)
+       for name in BASELINES},
+}
+
+
+def capture(graph) -> dict:
+    """Every golden entry observed on ``graph``, keyed as in the file."""
+    return {key: observe(graph) for key, observe in sorted(RECORDERS.items())}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    @pytest.mark.parametrize("filter_name", FILTERS)
+    def test_schemes(self, small_graph, scheme, filter_name):
+        key = f"{scheme}/{filter_name}"
+        _check(key, RECORDERS[key](small_graph))
+
+    @pytest.mark.parametrize("filter_name", LINK_FILTERS)
+    def test_link_prediction(self, small_graph, filter_name):
+        key = f"link_prediction/{filter_name}"
+        _check(key, RECORDERS[key](small_graph))
 
     @pytest.mark.parametrize("model_name", list(BASELINES))
     def test_baselines(self, small_graph, model_name):
-        split = random_split(small_graph.num_nodes, seed=0)
-        row, _, calls = _traced(
-            lambda: BASELINES[model_name](small_graph, split))
-        _check(f"baseline/{model_name}", {
-            "status": row["status"], "test_score": row["accuracy"],
-            "device_peak_bytes": row["device_bytes"], "calls": calls})
+        key = f"baseline/{model_name}"
+        _check(key, RECORDERS[key](small_graph))
 
     def test_link_prediction_ram_counts_the_propagation_matrix(self, small_graph):
         """Same precompute as the mini-batch scheme, so the same RAM: the
@@ -210,3 +252,24 @@ class TestSameSkeleton:
         (status, _), _, calls = _traced(lambda: run(small_graph, split, 1))
         assert status == "oom"
         assert "train" in calls
+
+
+def test_recorders_cover_golden():
+    """``--capture`` writes exactly the entries :class:`TestGolden`
+    checks field by field, through the same recorders."""
+    assert set(RECORDERS) == set(GOLDEN)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--capture", action="store_true",
+                        help=f"rewrite {GOLDEN_PATH.name} from this tree")
+    args = parser.parse_args()
+    # The small_graph fixture of tests/conftest.py.
+    values = capture(synthesize("cora", scale=0.1, seed=3))
+    text = json.dumps(values, indent=1, sort_keys=True) + "\n"
+    if args.capture:
+        GOLDEN_PATH.write_text(text)
+        print(f"wrote {len(values)} entries to {GOLDEN_PATH}")
+    else:
+        print(text, end="")

@@ -21,7 +21,6 @@ from repro.runtime.profiler import StageProfiler
 from repro.tasks import run_node_classification
 from repro.training import (
     EarlyStopper,
-    FullBatchTrainer,
     GraphPartitionTrainer,
     MiniBatchTrainer,
     TrainConfig,
