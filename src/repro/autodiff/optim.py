@@ -66,12 +66,6 @@ class Adam:
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
 
-    def zero_grad(self) -> None:
-        """Clear accumulated gradients on every parameter."""
-        for group in self.groups:
-            for param in group["params"]:
-                param.grad = None
-
     def step(self) -> None:
         """Apply one update; parameters without gradients are skipped."""
         self._step_count += 1

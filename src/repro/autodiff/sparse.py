@@ -28,9 +28,10 @@ memory and the time spent gathering and reducing the O(mF) buffer.
 Every CSR product either backend computes — ``csr``'s ``P @ X`` and
 ``coo_gather``'s reducer product alike — goes through one hook,
 :func:`repro.runtime.blocked.spmm_csr`, so both get the same kernel
-policy: a large product of a training step runs in row tiles on the
-run's spmm threads, and the rest stay a single scipy call. Row tiles add
-each row's terms in the same order, so none of this moves a bit.
+policy: a large product runs in row tiles on the run's spmm threads,
+in a training step and in a gradient-free precompute alike, and the rest
+stay a single scipy call. Row tiles add each row's terms in the same
+order, so none of this moves a bit.
 """
 
 from __future__ import annotations
@@ -113,15 +114,14 @@ def _gather(csr: sp.csr_matrix, x: np.ndarray, dtype: np.dtype,
     in a ``training`` step. The operator's segment reducer adds each
     entry's ``data[e] · messages[e]`` to its row in stored order, and the
     sum is cast to ``dtype``. That product goes through the CSR hook (the
-    reducer's row tiles are row tiles of the operator), threaded in a
-    ``training`` step like ``csr``'s.
+    reducer's row tiles are row tiles of the operator), so it takes the
+    same threaded path as ``csr``'s.
     """
     messages = np.take(x.astype(np.result_type(x, csr.data), copy=False),
                        csr.indices, axis=0)
     if training:
         _notify_alloc(messages)
-    out = _blocked.spmm_csr(_cache.segment_reducer(csr), messages,
-                            threaded=training)
+    out = _blocked.spmm_csr(_cache.segment_reducer(csr), messages)
     return out.astype(dtype, copy=False), messages
 
 
@@ -130,10 +130,9 @@ def spmm_numpy(matrix: sp.spmatrix, dense: np.ndarray, backend: str = "csr") -> 
 
     Mini-batch precomputation runs outside the autodiff graph (on "CPU", in
     the paper's terms); this helper keeps that code path free of Tensor
-    bookkeeping while still supporting both backends. Its products stay
-    on the calling thread: threaded, they have measured both faster and
-    slower on a 2-vCPU host, and the training that follows them slower
-    (CHANGES.md).
+    bookkeeping while still supporting both backends. Its products take
+    the training products' kernel policy (:func:`repro.runtime.blocked.
+    spmm_csr`): a large one runs in row tiles on the run's spmm threads.
     """
     if matrix.shape[1] != dense.shape[0]:
         raise AutodiffError(
@@ -141,7 +140,7 @@ def spmm_numpy(matrix: sp.spmatrix, dense: np.ndarray, backend: str = "csr") -> 
         )
     csr = matrix.tocsr()
     if backend == "csr":
-        out = _blocked.spmm_csr(csr, dense, threaded=False)
+        out = _blocked.spmm_csr(csr, dense)
         extra = 0
     elif backend == "coo_gather":
         out, messages = _gather(csr, dense, dense.dtype, training=False)

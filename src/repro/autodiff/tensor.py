@@ -283,13 +283,6 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op!r}{grad_flag})"
 
-    def item(self) -> float:
-        """Return the value of a single-element tensor as a Python float."""
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_error()
-
-    def _item_error(self) -> float:
-        raise AutodiffError(f"item() requires a single-element tensor, got shape {self.shape}")
-
     def detach(self) -> "Tensor":
         """Return a tensor sharing data but cut from the autodiff graph."""
         out = Tensor.__new__(Tensor)
@@ -299,9 +292,6 @@ class Tensor:
         out._op = "detach"
         out._node = None
         return out
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # ------------------------------------------------------------------
     # backward pass

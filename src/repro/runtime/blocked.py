@@ -5,13 +5,14 @@ live at full size. This module holds the two pieces of propagation that
 decide it beyond the autodiff engine:
 
 - **Threaded CSR spmm** — :func:`blocked_spmm` evaluates ``P @ X`` over
-  row tiles that view the operator's ``indices`` and ``data`` (only a
-  shifted ``indptr`` is copied; :func:`repro.runtime.cache.
-  operator_tiles` keeps them per operator). A product on T threads is
-  cut into :data:`TILES_PER_THREAD` × T tiles of equal nnz, which the
-  calling thread and T − 1 helpers of a process-wide pool claim as they
-  become free; every tile writes its rows of one preallocated output
-  with scipy's own CSR kernel, which releases the GIL. CSR matmul
+  row tiles that are views of the operator's arrays (a tile's ``indptr``
+  keeps its absolute offsets into ``indices`` and ``data``, so nothing
+  is copied; :func:`repro.runtime.cache.operator_tiles` keeps them per
+  operator). A product on T threads is cut into
+  :data:`TILES_PER_THREAD` × T tiles of equal nnz, which the calling
+  thread and T − 1 helpers of a process-wide pool claim as they become
+  free; every tile writes its rows of one preallocated output with
+  scipy's own CSR kernel, which releases the GIL. CSR matmul
   computes each output row independently from that row's nonzeros, so
   row tiling executes the *same floating-point operations in the same
   order* as the one-shot product: the tiled result is bit-identical to
@@ -19,13 +20,14 @@ decide it beyond the autodiff engine:
   bounds no memory; it only spreads the work.
 - **Thread budget** — T is the run context's ``spmm_threads``
   (:mod:`repro.runtime.context`): every CPU of the process's affinity
-  mask inline, an equal share in a pool worker. Only a product of a
-  training step (full batch, forward and backward, and GP) runs on
-  threads, and only when its work ``nnz × F`` reaches
-  :data:`THREADED_MIN_WORK`; a smaller one, and every gradient-free
-  precompute product, stays one ``csr @ dense`` call. No helper thread
-  is alive across a ``fork``: the pool is shut down before one and
-  forgotten in the child.
+  mask inline, an equal share in a pool worker. Every product runs on
+  threads when its work ``nnz × F`` reaches :data:`THREADED_MIN_WORK`:
+  a training step's (full batch, forward and backward, and GP) and a
+  gradient-free precompute's (the mini-batch channels, the planner's
+  chains, NAGphormer's tokens) alike. A smaller one stays one
+  ``csr @ dense`` call. The caller allocates the output; a helper only
+  writes rows of it. No helper thread is alive across a ``fork``: the
+  pool is shut down before one and forgotten in the child.
 - **Spill directory** — :class:`BlockedTier` (the bench CLI's
   ``--blocked``) bounds the basis planner's resident terms
   (:mod:`repro.runtime.plan`) to :data:`TERM_BUDGET_FRACTION` of a RAM
@@ -95,7 +97,9 @@ TERM_BUDGET_FRACTION = 0.5
 #: of average degree 2.3-88; table in CHANGES.md): T = 2 lost on all 7
 #: graphs whose median product is 1.1-3.9 M (0.47-0.90×; two read
 #: 1.03-1.06× in a repeat) and won on 10 of the 12 at 4.2-20 M
-#: (1.03-1.39×), at any degree (genius, degree 2.3: 1.19×).
+#: (1.03-1.39×), at any degree (genius, degree 2.3: 1.19×). Precompute
+#: products run the same kernel on the same operators and share the
+#: minimum.
 THREADED_MIN_WORK = 2 ** 22
 
 #: Row tiles of equal nnz per thread of a threaded product. The threads
@@ -105,7 +109,8 @@ THREADED_MIN_WORK = 2 ** 22
 TILES_PER_THREAD = 4
 
 #: One row tile: ``(first row, end row, indptr, indices, data)``, the
-#: last three the tile's CSR arrays (``indptr`` shifted to start at 0).
+#: last three views of the operator's CSR arrays: the tile's rows of
+#: ``indptr``, whose offsets index the whole ``indices`` and ``data``.
 Tile = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -167,9 +172,7 @@ def _cut_tiles(csr: sp.csr_matrix, parts: int) -> Tuple[Tile, ...]:
 
 
 def _tile(csr: sp.csr_matrix, start: int, end: int) -> Tile:
-    lo, hi = csr.indptr[start], csr.indptr[end]
-    return (start, end, csr.indptr[start:end + 1] - lo,
-            csr.indices[lo:hi], csr.data[lo:hi])
+    return start, end, csr.indptr[start:end + 1], csr.indices, csr.data
 
 
 def _parts(threads: int) -> int:
@@ -314,16 +317,15 @@ class BlockedTier:
         }
 
 
-def spmm_csr(csr: sp.csr_matrix, dense: np.ndarray,
-             threaded: bool = True) -> np.ndarray:
-    """The autodiff integration hook: ``csr @ dense``. A ``threaded``
-    product whose work reaches :data:`THREADED_MIN_WORK` runs on the run
-    context's ``spmm_threads``; any other is the plain one-shot product.
+def spmm_csr(csr: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
+    """The autodiff integration hook: ``csr @ dense``. A product whose
+    work reaches :data:`THREADED_MIN_WORK` runs on the run context's
+    ``spmm_threads``; any other is the plain one-shot product.
     Bit-identical either way."""
     dense = np.asarray(dense)
     width = dense.shape[1] if dense.ndim > 1 else 1
     threads = context.current().spmm_threads \
-        if threaded and csr.nnz * width >= THREADED_MIN_WORK else 1
+        if csr.nnz * width >= THREADED_MIN_WORK else 1
     if threads == 1:
         return np.asarray(csr @ dense)
     return blocked_spmm(csr, dense, threads)

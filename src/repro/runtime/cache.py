@@ -428,8 +428,8 @@ def operator_tiles(csr: sp.csr_matrix, parts: int,
                    build: Callable[[], Any]) -> Any:
     """``build()`` — the operator's ``parts`` row tiles — cached in the
     operator's entry beside its transpose and reducer; built per call
-    while the cache layer is off. A tiling holds views of the operator's
-    ``indices`` and ``data``, so only its shifted ``indptr`` costs bytes."""
+    while the cache layer is off. A tiling holds only views of the
+    operator's arrays."""
     if not context.current().config.cache:
         return build()
     tiles = _derived(csr).tiles

@@ -77,11 +77,11 @@ class TestCompositeGradients:
             for j in range(x.shape[1]):
                 bumped = x.copy()
                 bumped[i, j] += eps
-                hi = build_expression(
-                    Tensor(bumped, dtype=np.float64), plan).sum().item()
+                hi = float(build_expression(
+                    Tensor(bumped, dtype=np.float64), plan).sum().data)
                 bumped[i, j] -= 2 * eps
-                lo = build_expression(
-                    Tensor(bumped, dtype=np.float64), plan).sum().item()
+                lo = float(build_expression(
+                    Tensor(bumped, dtype=np.float64), plan).sum().data)
                 numeric[i, j] = (hi - lo) / (2 * eps)
         scale = max(np.abs(numeric).max(), 1.0)
         np.testing.assert_allclose(t.grad, numeric, atol=1e-4 * scale)

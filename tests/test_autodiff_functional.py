@@ -32,7 +32,7 @@ class TestCrossEntropy:
     def test_matches_manual(self, rng):
         logits = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, size=6)
-        loss = F.cross_entropy(Tensor(logits), labels).item()
+        loss = float(F.cross_entropy(Tensor(logits), labels).data)
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         expected = -log_probs[np.arange(6), labels].mean()
@@ -40,7 +40,7 @@ class TestCrossEntropy:
 
     def test_perfect_prediction_low_loss(self):
         logits = np.array([[10.0, -10.0], [-10.0, 10.0]])
-        loss = F.cross_entropy(Tensor(logits), np.array([0, 1])).item()
+        loss = float(F.cross_entropy(Tensor(logits), np.array([0, 1])).data)
         assert loss < 1e-6
 
     def test_gradient(self, rng):
@@ -49,7 +49,7 @@ class TestCrossEntropy:
         t = Tensor(logits.copy(), requires_grad=True, dtype=np.float64)
         F.cross_entropy(t, labels).backward()
         numeric = finite_diff(
-            lambda arr: F.cross_entropy(Tensor(arr, dtype=np.float64), labels).item(),
+            lambda arr: float(F.cross_entropy(Tensor(arr, dtype=np.float64), labels).data),
             logits)
         np.testing.assert_allclose(t.grad, numeric, atol=1e-5)
 
@@ -64,14 +64,14 @@ class TestBCEWithLogits:
     def test_matches_manual(self, rng):
         logits = rng.normal(size=(8,))
         targets = rng.integers(0, 2, size=8).astype(float)
-        loss = F.binary_cross_entropy_with_logits(Tensor(logits), targets).item()
+        loss = float(F.binary_cross_entropy_with_logits(Tensor(logits), targets).data)
         p = 1.0 / (1.0 + np.exp(-logits))
         expected = -(targets * np.log(p) + (1 - targets) * np.log(1 - p)).mean()
         assert loss == pytest.approx(expected, rel=1e-4)
 
     def test_stable_at_extreme_logits(self):
-        loss = F.binary_cross_entropy_with_logits(
-            Tensor(np.array([1000.0, -1000.0])), np.array([1.0, 0.0])).item()
+        loss = float(F.binary_cross_entropy_with_logits(
+            Tensor(np.array([1000.0, -1000.0])), np.array([1.0, 0.0])).data)
         assert loss == pytest.approx(0.0, abs=1e-6)
 
     def test_gradient(self, rng):
@@ -80,8 +80,8 @@ class TestBCEWithLogits:
         t = Tensor(logits.copy(), requires_grad=True, dtype=np.float64)
         F.binary_cross_entropy_with_logits(t, targets).backward()
         numeric = finite_diff(
-            lambda arr: F.binary_cross_entropy_with_logits(
-                Tensor(arr, dtype=np.float64), targets).item(),
+            lambda arr: float(F.binary_cross_entropy_with_logits(
+                Tensor(arr, dtype=np.float64), targets).data),
             logits)
         np.testing.assert_allclose(t.grad, numeric, atol=1e-5)
 
@@ -90,7 +90,7 @@ class TestMSE:
     def test_value(self, rng):
         pred = rng.normal(size=(4, 2))
         target = rng.normal(size=(4, 2))
-        loss = F.mse_loss(Tensor(pred), target).item()
+        loss = float(F.mse_loss(Tensor(pred), target).data)
         assert loss == pytest.approx(((pred - target) ** 2).mean(), rel=1e-5)
 
     def test_gradient(self, rng):

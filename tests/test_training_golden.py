@@ -174,8 +174,10 @@ class TestGolden:
 
 
 class TestGoldenThreaded:
-    """Every training-step product tiled (the work minimum is 0) on two
-    threads: the golden numbers do not move."""
+    """Every product tiled (the work minimum is 0) on two threads: a
+    training step's, and every precompute's (the mini-batch channels, the
+    planner's chains, NAGphormer's tokens), which take the same
+    path. The golden numbers do not move."""
 
     @pytest.fixture(autouse=True)
     def _threaded(self, monkeypatch):
