@@ -88,6 +88,7 @@ from ..filters import FILTER_NAMES
 from ..runtime import pool as runtime_pool
 from ..runtime.context import GRID_SWEEPS, RunConfig
 from ..runtime.pool import PoolConfig
+from ..telemetry.report import final_metrics
 from ..training.loop import TrainConfig
 from . import experiments
 from .report import render_run_telemetry, render_table
@@ -368,12 +369,15 @@ def main(argv=None) -> int:
               f"peak_bytes={shm_info.get('peak_bytes', 0)} "
               f"unlinked={shm_info.get('segments_unlinked', 0)}")
     if run.tier is not None:
-        blocked_info = run.tier.stats()
-        print(f"blocked: budget={blocked_info['ram_budget_bytes']} "
-              f"spill_files={blocked_info['spill_files']} "
-              f"spill_bytes={blocked_info['spill_bytes']} "
-              f"loads={blocked_info['load_files']} "
-              f"load_bytes={blocked_info['load_bytes']}")
+        line = f"blocked: budget={run.tier.ram_budget_bytes}"
+        if cfg.telemetry:  # the tier's traffic is the run's counters
+            counters = final_metrics(events).get("counters") or {}
+            for label, name in (("spill_files", "plan.terms.spill"),
+                                ("spill_bytes", "blocked.spill_bytes"),
+                                ("loads", "plan.terms.spill_load"),
+                                ("load_bytes", "blocked.load_bytes")):
+                line += f" {label}={int(counters.get(name, 0))}"
+        print(line)
     artifacts_info = None
     if run.sweep is not None:
         artifacts_info = dict(

@@ -89,15 +89,10 @@ class _NAGphormerTrainer(MiniBatchTrainer):
 
     validates = False
 
-    def __init__(self, device, num_hops: int = 4):
-        super().__init__(device)
-        self.num_hops = num_hops
-
     def build(self, profiler: StageProfiler) -> Module:
         config, graph = self.config, self.graph
         model = NAGphormerLite(graph.num_features, graph.num_classes,
-                               num_hops=self.num_hops, hidden=config.hidden,
-                               rng=self.rng)
+                               hidden=config.hidden, rng=self.rng)
         with profiler.stage("precompute", op_class="propagation"):
             self.channels = model.precompute_tokens(graph, rho=config.rho)
         return model
@@ -127,12 +122,11 @@ def train_nagphormer(
     split: Split,
     config: TrainConfig,
     device_capacity_gib: Optional[float] = None,
-    num_hops: int = 4,
 ) -> Dict:
     """NAGphormer-lite: hop2token precompute + transformer mini-batches."""
     device = make_device(device_capacity_gib, name="nagphormer")
     config = replace(config, batch_size=min(config.batch_size, 512))
-    result = _NAGphormerTrainer(device, num_hops).fit(graph, split, None, config)
+    result = _NAGphormerTrainer(device).fit(graph, split, None, config)
     return _row("NAGphormer", "EI", result)
 
 

@@ -13,14 +13,13 @@ from .signals import (
     make_regression_task,
 )
 from .splits import Split, edge_split, random_split, stratified_split
-from .synthesis import SynthesisConfig, synthesize
+from .synthesis import synthesize
 
 __all__ = [
     "DatasetSpec",
     "DATASETS",
     "DATASET_NAMES",
     "get_spec",
-    "SynthesisConfig",
     "synthesize",
     "Split",
     "random_split",

@@ -30,6 +30,9 @@ SIGNAL_FUNCTIONS: Dict[str, SignalFunction] = {
 
 SIGNAL_NAMES = list(SIGNAL_FUNCTIONS)
 
+#: Independent signal channels F of one regression instance.
+NUM_CHANNELS = 4
+
 
 @dataclass(frozen=True)
 class RegressionTask:
@@ -44,7 +47,6 @@ class RegressionTask:
 def make_regression_task(
     graph: Graph,
     signal_name: str,
-    num_channels: int = 4,
     seed: int = 0,
     rho: float = 0.5,
 ) -> RegressionTask:
@@ -63,7 +65,7 @@ def make_regression_task(
     eigenvalues, eigenvectors = laplacian_eigendecomposition(graph, rho=rho)
     rng = np.random.default_rng(seed)
     # Uniform spectral content: coefficients ~ N(0,1) in the eigenbasis.
-    spectral_coefficients = rng.normal(size=(graph.num_nodes, num_channels))
+    spectral_coefficients = rng.normal(size=(graph.num_nodes, NUM_CHANNELS))
     input_signal = eigenvectors @ spectral_coefficients
     response = func(eigenvalues)
     target_signal = eigenvectors @ (response[:, None] * spectral_coefficients)

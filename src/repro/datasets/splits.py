@@ -15,11 +15,8 @@ import numpy as np
 from ..errors import DatasetError
 
 
-def _validate_fractions(fractions) -> None:
-    if any(f < 0.0 or f > 1.0 for f in fractions):
-        raise DatasetError(f"split fractions must be in [0, 1], got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DatasetError(f"split fractions must sum to 1, got {fractions}")
+#: Train/validation/test fractions of a node split: the paper's 60/20/20.
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 
 
 @dataclass(frozen=True)
@@ -37,13 +34,9 @@ class Split:
             raise DatasetError("split index arrays overlap")
 
 
-def random_split(
-    num_nodes: int,
-    seed: int = 0,
-    fractions: Tuple[float, float, float] = (0.6, 0.2, 0.2),
-) -> Split:
-    """Random node split; the default fractions are the paper's 60/20/20."""
-    _validate_fractions(fractions)
+def random_split(num_nodes: int, seed: int = 0) -> Split:
+    """Random node split at :data:`SPLIT_FRACTIONS`."""
+    fractions = SPLIT_FRACTIONS
     rng = np.random.default_rng(seed)
     order = rng.permutation(num_nodes)
     train_end = int(round(fractions[0] * num_nodes))
@@ -55,18 +48,14 @@ def random_split(
     )
 
 
-def stratified_split(
-    labels: np.ndarray,
-    seed: int = 0,
-    fractions: Tuple[float, float, float] = (0.6, 0.2, 0.2),
-) -> Split:
+def stratified_split(labels: np.ndarray, seed: int = 0) -> Split:
     """Per-class random split; the analogue of attribute-based stable splits.
 
     The paper notes (Figure 4) that attribute-based splits such as arxiv's
     produce far lower seed variance than uniform random splits; stratifying
     reproduces that stability property.
     """
-    _validate_fractions(fractions)
+    fractions = SPLIT_FRACTIONS
     rng = np.random.default_rng(seed)
     labels = np.asarray(labels)
     train_parts, valid_parts, test_parts = [], [], []

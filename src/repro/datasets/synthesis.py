@@ -29,9 +29,6 @@ two seeds and for each point the performance benchmark synthesises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
-
 import numpy as np
 
 from ..errors import DatasetError
@@ -39,29 +36,23 @@ from ..graph.graph import Graph
 from .registry import DatasetSpec, get_spec
 
 
-@dataclass(frozen=True)
-class SynthesisConfig:
-    """Tunables of the generator (defaults match the benchmark protocol)."""
-
-    #: Linear down-scaling of node/edge counts; 1.0 = paper-sized graph.
-    scale: float = 1.0
-    #: Signal-to-noise ratio of class-conditional features; higher makes
-    #: the Identity (MLP) baseline stronger.
-    feature_signal: float = 0.5
-    #: Fraction of cross-class edges that follow the structured partner
-    #: cycle (class c → class c+1 mod C) instead of a uniform other class.
-    #: Structured heterophily is what makes high-frequency filters useful —
-    #: real heterophilous graphs (roman-empire's syntax chains, squirrel's
-    #: traffic patterns) are disassortative but far from label-random.
-    hetero_structure: float = 0.7
-    #: Lognormal σ of degree propensities (0 = near-regular graph).
-    degree_tail: float = 1.0
-    #: Hard floor on generated node count.
-    min_nodes: int = 60
-    #: Hard floor on generated undirected edge count.
-    min_edges: int = 120
-    #: Latent dimensionality of the class-mean structure.
-    latent_dim: int = 16
+# Generator constants (the benchmark protocol's values).
+#: Signal-to-noise ratio of class-conditional features; higher makes the
+#: Identity (MLP) baseline stronger.
+FEATURE_SIGNAL = 0.5
+#: Fraction of cross-class edges that follow the structured partner cycle
+#: (class c → class c+1 mod C) instead of a uniform other class.
+#: Structured heterophily is what makes high-frequency filters useful —
+#: real heterophilous graphs (roman-empire's syntax chains, squirrel's
+#: traffic patterns) are disassortative but far from label-random.
+HETERO_STRUCTURE = 0.7
+#: Lognormal σ of degree propensities (0 = near-regular graph).
+DEGREE_TAIL = 1.0
+#: Hard floors on the generated node and undirected edge counts.
+MIN_NODES = 60
+MIN_EDGES = 120
+#: Latent dimensionality of the class-mean structure.
+LATENT_DIM = 16
 
 
 #: Supported range of the linear ``scale`` factor. Below the floor the
@@ -96,7 +87,6 @@ def synthesize(
     spec_or_name: DatasetSpec | str,
     scale: float = 1.0,
     seed: int = 0,
-    config: Optional[SynthesisConfig] = None,
 ) -> Graph:
     """Generate a graph matching a dataset spec at the given scale.
 
@@ -105,27 +95,27 @@ def synthesize(
     spec_or_name:
         A :class:`DatasetSpec` or registry name (e.g. ``"cora"``).
     scale:
-        Node/edge linear scale factor; overrides ``config.scale``.
+        Node/edge linear scale factor; 1.0 = paper-sized graph.
     seed:
         Generator seed; the same (spec, scale, seed) is bit-reproducible.
     """
     spec = get_spec(spec_or_name) if isinstance(spec_or_name, str) else spec_or_name
-    config = replace(config or SynthesisConfig(), scale=validate_scale(scale))
+    scale = validate_scale(scale)
     rng = np.random.default_rng(seed)
 
-    n = max(config.min_nodes, int(round(spec.nodes * config.scale)))
+    n = max(MIN_NODES, int(round(spec.nodes * scale)))
     # Table 3 counts directed edges incl. self-loops; undirected unique ≈ (m−n)/2.
-    target_undirected = int(round(max(spec.edges - spec.nodes, spec.nodes) * config.scale / 2))
-    num_edges = max(config.min_edges, target_undirected)
+    target_undirected = int(round(max(spec.edges - spec.nodes, spec.nodes) * scale / 2))
+    num_edges = max(MIN_EDGES, target_undirected)
     num_classes = min(spec.num_classes, n // 4) or 1
 
     labels = _sample_labels(rng, n, num_classes)
     edges = _sample_edges(rng, labels, num_edges, spec.homophily,
-                          config.degree_tail, config.hetero_structure)
+                          DEGREE_TAIL, HETERO_STRUCTURE)
     features = _sample_features(rng, labels, spec.num_features,
-                                config.latent_dim, config.feature_signal)
+                                LATENT_DIM, FEATURE_SIGNAL)
     graph = Graph.from_edges(n, edges, features=features, labels=labels,
-                             name=f"{spec.name}@{config.scale:g}")
+                             name=f"{spec.name}@{scale:g}")
     return graph
 
 
@@ -148,7 +138,7 @@ def _sample_edges(
     num_edges: int,
     homophily: float,
     degree_tail: float,
-    hetero_structure: float = 0.7,
+    hetero_structure: float,
 ) -> np.ndarray:
     """Endpoint sampling with degree propensities and homophily mixing."""
     n = labels.shape[0]

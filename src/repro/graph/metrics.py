@@ -15,13 +15,15 @@ from ..errors import GraphError
 from .graph import Graph
 
 
-def node_homophily(graph: Graph, labels: np.ndarray | None = None) -> float:
+def node_homophily(graph: Graph) -> float:
     """Average fraction of same-label neighbours per node.
 
     ``H = (1/n) Σ_u |{v ∈ N(u) : y(v) = y(u)}| / |N(u)|``; isolated nodes
     are skipped. Values near 1 indicate homophily, near 0 heterophily.
     """
-    labels = _resolve_labels(graph, labels)
+    if graph.labels is None:
+        raise GraphError("labels required but not provided")
+    labels = np.asarray(graph.labels)
     adj = graph.adjacency.tocoo()
     same = (labels[adj.row] == labels[adj.col]).astype(np.float64)
     same_counts = np.bincount(adj.row, weights=same, minlength=graph.num_nodes)
@@ -32,22 +34,14 @@ def node_homophily(graph: Graph, labels: np.ndarray | None = None) -> float:
     return float((same_counts[mask] / degrees[mask]).mean())
 
 
-def degree_groups(graph: Graph, quantile: float = 0.5) -> Tuple[np.ndarray, np.ndarray]:
+def degree_groups(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
     """Split nodes into (high-degree, low-degree) index arrays.
 
-    Nodes at or above the ``quantile`` of the degree distribution form the
-    high-degree group — the grouping behind Figure 9's accuracy gaps.
+    Nodes at or above the median degree form the high-degree group — the
+    grouping behind Figure 9's accuracy gaps.
     """
     degrees = graph.degrees
-    threshold = np.quantile(degrees, quantile)
+    threshold = np.quantile(degrees, 0.5)
     high = np.flatnonzero(degrees >= threshold)
     low = np.flatnonzero(degrees < threshold)
     return high, low
-
-
-def _resolve_labels(graph: Graph, labels: np.ndarray | None) -> np.ndarray:
-    if labels is None:
-        labels = graph.labels
-    if labels is None:
-        raise GraphError("labels required but not provided")
-    return np.asarray(labels)

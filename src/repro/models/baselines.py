@@ -32,6 +32,7 @@ from ..nn.attention import TransformerBlock
 from ..nn.linear import MLP, Linear
 from ..nn.module import Module
 from .iterative import (
+    CHEB_ORDER,
     IterativeModel,
     cheb_propagation,
     gcn_propagation,
@@ -39,36 +40,42 @@ from .iterative import (
 )
 
 
+#: ANS-GT-lite's token set per target node: sampled neighbours and
+#: sampled global anchors besides the node itself.
+ANSGT_NEIGHBORS = 4
+ANSGT_ANCHORS = 4
+#: NAGphormer-lite's hop count K: each node is a sequence of K + 1 tokens.
+NAGPHORMER_HOPS = 4
+#: Dropout of both transformer baselines.
+TRANSFORMER_DROPOUT = 0.1
+
+
 def make_gcn(in_features: int, out_features: int, hidden: int = 64,
-             num_layers: int = 2, dropout: float = 0.5, backend: str = "csr",
+             dropout: float = 0.5, backend: str = "csr",
              rng: Optional[np.random.Generator] = None) -> IterativeModel:
     """Two-layer GCN (Kipf & Welling) on the chosen backend."""
     return IterativeModel(in_features, out_features, gcn_propagation(),
-                          width_multiplier=1, hidden=hidden,
-                          num_layers=num_layers, dropout=dropout,
+                          width_multiplier=1, hidden=hidden, dropout=dropout,
                           backend=backend, rng=rng)
 
 
 def make_graphsage(in_features: int, out_features: int, hidden: int = 64,
-                   num_layers: int = 2, dropout: float = 0.5,
-                   backend: str = "csr",
+                   dropout: float = 0.5, backend: str = "csr",
                    rng: Optional[np.random.Generator] = None) -> IterativeModel:
     """GraphSAGE-mean with self/neighbour concatenation."""
     return IterativeModel(in_features, out_features, sage_propagation(),
-                          width_multiplier=2, hidden=hidden,
-                          num_layers=num_layers, dropout=dropout,
+                          width_multiplier=2, hidden=hidden, dropout=dropout,
                           backend=backend, rng=rng)
 
 
 def make_chebnet(in_features: int, out_features: int, hidden: int = 64,
-                 num_layers: int = 2, order: int = 2, dropout: float = 0.5,
-                 backend: str = "csr",
+                 dropout: float = 0.5, backend: str = "csr",
                  rng: Optional[np.random.Generator] = None) -> IterativeModel:
-    """Iterative ChebNet with per-layer order-``order`` Chebyshev stacks."""
-    return IterativeModel(in_features, out_features, cheb_propagation(order),
-                          width_multiplier=order + 1, hidden=hidden,
-                          num_layers=num_layers, dropout=dropout,
-                          backend=backend, rng=rng)
+    """Iterative ChebNet with per-layer order-``CHEB_ORDER`` Chebyshev
+    stacks."""
+    return IterativeModel(in_features, out_features, cheb_propagation(),
+                          width_multiplier=CHEB_ORDER + 1, hidden=hidden,
+                          dropout=dropout, backend=backend, rng=rng)
 
 
 class NAGphormerLite(Module):
@@ -84,25 +91,23 @@ class NAGphormerLite(Module):
         self,
         in_features: int,
         out_features: int,
-        num_hops: int = 4,
         hidden: int = 64,
-        dropout: float = 0.1,
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
         rng = rng or np.random.default_rng()
-        self.num_hops = int(num_hops)
         self.embed = Linear(in_features, hidden, rng=rng)
-        self.block = TransformerBlock(hidden, dropout=dropout, rng=rng)
+        self.block = TransformerBlock(hidden, dropout=TRANSFORMER_DROPOUT,
+                                      rng=rng)
         self.pool_query = Linear(hidden, 1, rng=rng)
         self.head = MLP(hidden, out_features, hidden=hidden, num_layers=2,
-                        dropout=dropout, rng=rng)
+                        dropout=TRANSFORMER_DROPOUT, rng=rng)
 
     def precompute_tokens(self, graph: Graph, rho: float = 0.5) -> np.ndarray:
         """Hop2Token: stack ``Ã^k X`` for k = 0..K as per-node sequences."""
         adjacency = graph.normalized_adjacency(rho)
         tokens = [graph.features.astype(np.float32)]
-        for _ in range(self.num_hops):
+        for _ in range(NAGPHORMER_HOPS):
             tokens.append(spmm_numpy(adjacency, tokens[-1]))
         return np.stack(tokens, axis=1)
 
@@ -130,34 +135,30 @@ class ANSGTLite(Module):
         self,
         in_features: int,
         out_features: int,
-        num_neighbors: int = 4,
-        num_anchors: int = 4,
         hidden: int = 64,
-        dropout: float = 0.1,
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
         rng = rng or np.random.default_rng()
-        self.num_neighbors = int(num_neighbors)
-        self.num_anchors = int(num_anchors)
         self._rng = rng
         self.embed = Linear(in_features, hidden, rng=rng)
-        self.block = TransformerBlock(hidden, dropout=dropout, rng=rng)
+        self.block = TransformerBlock(hidden, dropout=TRANSFORMER_DROPOUT,
+                                      rng=rng)
         self.head = MLP(hidden, out_features, hidden=hidden, num_layers=2,
-                        dropout=dropout, rng=rng)
+                        dropout=TRANSFORMER_DROPOUT, rng=rng)
 
     def sample_tokens(self, graph: Graph, nodes: np.ndarray) -> np.ndarray:
         """Token features (B, 1+neighbours+anchors, F) for a node batch."""
         features = graph.features
         indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
         batch = []
-        anchors = self._rng.integers(0, graph.num_nodes, size=self.num_anchors)
+        anchors = self._rng.integers(0, graph.num_nodes, size=ANSGT_ANCHORS)
         for node in nodes:
             neighbours = indices[indptr[node]:indptr[node + 1]]
             if neighbours.size:
-                picked = self._rng.choice(neighbours, size=self.num_neighbors)
+                picked = self._rng.choice(neighbours, size=ANSGT_NEIGHBORS)
             else:
-                picked = np.full(self.num_neighbors, node)
+                picked = np.full(ANSGT_NEIGHBORS, node)
             token_ids = np.concatenate([[node], picked, anchors])
             batch.append(features[token_ids])
         return np.stack(batch, axis=0).astype(np.float32)

@@ -24,6 +24,11 @@ from ..nn.module import Module, ModuleList
 # A propagation rule maps (graph, layer_input, backend) -> propagated tensor.
 PropagationRule = Callable[[Graph, Tensor, str], Tensor]
 
+#: Chebyshev order K of the ChebNet baseline's per-layer stack.
+CHEB_ORDER = 2
+#: Depth J of every iterative baseline.
+NUM_LAYERS = 2
+
 
 def gcn_propagation() -> PropagationRule:
     """One hop of ``Ã H`` with the GCN normalization (ρ = 0.5)."""
@@ -45,16 +50,14 @@ def sage_propagation() -> PropagationRule:
     return rule
 
 
-def cheb_propagation(order: int = 2) -> PropagationRule:
-    """Order-``order`` Chebyshev layer: concat of T_k(L̂) h for k ≤ order,
-    with L̂ at ρ = 0.5."""
+def cheb_propagation() -> PropagationRule:
+    """Order-``CHEB_ORDER`` Chebyshev layer: concat of T_k(L̂) h for
+    k ≤ ``CHEB_ORDER``, with L̂ at ρ = 0.5."""
 
     def rule(graph: Graph, h: Tensor, backend: str) -> Tensor:
         adjacency = graph.normalized_adjacency(0.5)
-        terms = [h]
-        if order >= 1:
-            terms.append(-spmm(adjacency, h, backend=backend))
-        for _ in range(2, order + 1):
+        terms = [h, -spmm(adjacency, h, backend=backend)]
+        for _ in range(2, CHEB_ORDER + 1):
             nxt = -spmm(adjacency, terms[-1], backend=backend) * 2.0 - terms[-2]
             terms.append(nxt)
         return concatenate(terms, axis=1)
@@ -63,7 +66,8 @@ def cheb_propagation(order: int = 2) -> PropagationRule:
 
 
 class IterativeModel(Module):
-    """J layers of propagate-then-transform with ReLU and dropout.
+    """``NUM_LAYERS`` layers of propagate-then-transform with ReLU and
+    dropout.
 
     Parameters
     ----------
@@ -81,14 +85,11 @@ class IterativeModel(Module):
         propagation: PropagationRule,
         width_multiplier: int = 1,
         hidden: int = 64,
-        num_layers: int = 2,
         dropout: float = 0.5,
         backend: str = "csr",
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
-        if num_layers < 1:
-            raise TrainingError(f"num_layers must be >= 1, got {num_layers}")
         rng = rng or np.random.default_rng()
         self.propagation = propagation
         self.backend = backend
@@ -96,8 +97,8 @@ class IterativeModel(Module):
         self._rng = rng
         self.layers = ModuleList()
         width = in_features
-        for layer_index in range(num_layers):
-            out = out_features if layer_index == num_layers - 1 else hidden
+        for layer_index in range(NUM_LAYERS):
+            out = out_features if layer_index == NUM_LAYERS - 1 else hidden
             self.layers.append(Linear(width * width_multiplier, out, rng=rng))
             width = out
 

@@ -46,13 +46,12 @@ class TransformerBlock(Module):
     def __init__(
         self,
         dim: int,
-        hidden: Optional[int] = None,
         dropout: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
         rng = rng or np.random.default_rng()
-        hidden = hidden or 2 * dim
+        hidden = 2 * dim
         self.attention = SelfAttention(dim, rng=rng)
         self.expand = Linear(dim, hidden, rng=rng)
         self.project = Linear(hidden, dim, rng=rng)

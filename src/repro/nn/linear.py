@@ -25,7 +25,6 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
@@ -33,13 +32,10 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.glorot_uniform((in_features, out_features), rng))
-        self.bias = Parameter(init.zeros((out_features,))) if bias else None
+        self.bias = Parameter(init.zeros((out_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features})"
@@ -68,7 +64,6 @@ class MLP(Module):
         hidden: int = 64,
         num_layers: int = 1,
         dropout: float = 0.0,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
@@ -78,12 +73,12 @@ class MLP(Module):
         self._rng = rng
         self.layers = ModuleList()
         if self.num_layers == 1:
-            self.layers.append(Linear(in_features, out_features, bias=bias, rng=rng))
+            self.layers.append(Linear(in_features, out_features, rng=rng))
         elif self.num_layers >= 2:
-            self.layers.append(Linear(in_features, hidden, bias=bias, rng=rng))
+            self.layers.append(Linear(in_features, hidden, rng=rng))
             for _ in range(self.num_layers - 2):
-                self.layers.append(Linear(hidden, hidden, bias=bias, rng=rng))
-            self.layers.append(Linear(hidden, out_features, bias=bias, rng=rng))
+                self.layers.append(Linear(hidden, hidden, rng=rng))
+            self.layers.append(Linear(hidden, out_features, rng=rng))
 
     def forward(self, x: Tensor) -> Tensor:
         if self.num_layers == 0:

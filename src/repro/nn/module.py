@@ -9,7 +9,7 @@ attribute assignment, the same convention as PyTorch, so model code in
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -107,11 +107,9 @@ class Module:
 class ModuleList(Module):
     """An indexable container of sub-modules."""
 
-    def __init__(self, modules: Optional[list] = None):
+    def __init__(self):
         super().__init__()
         self._items: List[Module] = []
-        for module in modules or []:
-            self.append(module)
 
     def append(self, module: Module) -> None:
         self.register_module(str(len(self._items)), module)

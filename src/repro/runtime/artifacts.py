@@ -270,17 +270,17 @@ class SweepArtifacts:
         (:func:`repro.telemetry.registry.config_fingerprint`), computed
         *before* the sweep from the same manifest fields the registry
         hashes after it.
-    code_rev:
-        Code-relevant revision; defaults to :func:`default_code_rev`.
     consult:
         When ``False`` (``--fresh``), every cell executes live — loads
         are counted as misses without touching disk — while successful
         results still persist, repopulating the store.
+
+    ``code_rev`` is the code's own revision (:func:`default_code_rev`).
     """
 
     store: ArtifactStore
     config_fingerprint: str
-    code_rev: str = field(default_factory=default_code_rev)
+    code_rev: str = field(default_factory=default_code_rev, init=False)
     consult: bool = True
 
     def address_for(self, cell) -> str:

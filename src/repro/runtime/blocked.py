@@ -7,8 +7,9 @@ decide it beyond the autodiff engine:
 - **Threaded CSR spmm** — :func:`blocked_spmm` evaluates ``P @ X`` over
   row tiles that are views of the operator's arrays (a tile's ``indptr``
   keeps its absolute offsets into ``indices`` and ``data``, so nothing
-  is copied; :func:`repro.runtime.cache.operator_tiles` keeps them per
-  operator). A product on T threads is cut into
+  is copied, and cutting them costs microseconds against a product's
+  milliseconds: they are cut per call). A product on T threads is cut
+  into
   :data:`TILES_PER_THREAD` × T tiles of equal nnz, which the calling
   thread and T − 1 helpers of a process-wide pool claim as they become
   free; every tile writes its rows of one preallocated output with
@@ -69,7 +70,7 @@ import shutil
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,7 +78,7 @@ from scipy.sparse import _sparsetools
 
 from .. import telemetry
 from ..telemetry.rss import current_rss_bytes
-from . import cache, context
+from . import context
 from .files import ArrayFiles
 
 #: Floor for a derived RAM budget: even on a tiny container the planner
@@ -157,12 +158,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def row_tiles(csr: sp.csr_matrix, parts: int) -> Tuple[Tile, ...]:
-    """``csr``'s rows cut into up to ``parts`` tiles of about equal nnz;
-    cached per operator."""
-    return cache.operator_tiles(csr, parts, lambda: _cut_tiles(csr, parts))
-
-
-def _cut_tiles(csr: sp.csr_matrix, parts: int) -> Tuple[Tile, ...]:
+    """``csr``'s rows cut into up to ``parts`` tiles of about equal nnz."""
     indptr, num_rows = csr.indptr, csr.shape[0]
     targets = np.arange(1, parts) * (int(indptr[-1]) / parts)
     cuts = np.minimum(np.searchsorted(indptr, targets), num_rows)
@@ -268,20 +264,12 @@ class BlockedTier:
         #: Resident-term budget the planner enforces before spilling.
         self.term_budget_bytes = max(
             1, int(self.ram_budget_bytes * TERM_BUDGET_FRACTION))
-        self._spill_lock = threading.Lock()
-        self.spill_files = 0
-        self.spill_bytes = 0
-        self.load_files = 0
-        self.load_bytes = 0
         self.closed = False
 
     def spill_term(self, name: str, term: np.ndarray) -> int:
         """Write one evicted term; its bytes, 0 when already spilled."""
         nbytes = self.spill.put(name, term)
         if nbytes:
-            with self._spill_lock:
-                self.spill_files += 1
-                self.spill_bytes += nbytes
             telemetry.inc_counter("blocked.spill_bytes", nbytes)
         return nbytes
 
@@ -289,11 +277,8 @@ class BlockedTier:
         """Map back the longest present prefix of ``names``, read-only."""
         loaded = self.spill.leading(names)
         if loaded:
-            nbytes = sum(int(term.nbytes) for term in loaded)
-            with self._spill_lock:
-                self.load_files += len(loaded)
-                self.load_bytes += nbytes
-            telemetry.inc_counter("blocked.load_bytes", nbytes)
+            telemetry.inc_counter("blocked.load_bytes",
+                                  sum(int(term.nbytes) for term in loaded))
         return loaded
 
     def close(self) -> None:
@@ -305,16 +290,6 @@ class BlockedTier:
         self.spill.purge(r"c-[0-9a-f]+\.[0-9]+\.npy")
         if self._owns_dir:
             shutil.rmtree(self.spill.root, ignore_errors=True)
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "ram_budget_bytes": self.ram_budget_bytes,
-            "term_budget_bytes": self.term_budget_bytes,
-            "spill_files": self.spill_files,
-            "spill_bytes": self.spill_bytes,
-            "load_files": self.load_files,
-            "load_bytes": self.load_bytes,
-        }
 
 
 def spmm_csr(csr: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:

@@ -13,9 +13,11 @@ PR 1's op counters made two forms of recomputation visible:
 This module closes both with a small, observable memoization layer:
 
 - :class:`LRUCache` — a bounded, thread-safe, move-to-front cache whose
-  hits / misses / evictions are both tracked locally and mirrored into
-  telemetry counters (``<prefix>.hit`` / ``.miss`` / ``.evict``), so any
-  trace shows exactly what the caches did.
+  hits / misses / evictions are telemetry counters (``<prefix>.hit`` /
+  ``.miss`` / ``.evict``), so any trace shows exactly what the caches
+  did. :meth:`LRUCache.bound` is the one rule for memos keyed on an
+  object: key by ``id``, validate by weak reference plus mutation token,
+  discard when the object is collected.
 - One process-wide entry per propagation operator, keyed by the
   operator's identity and validated against a mutation fingerprint
   (:func:`matrix_token`), so an in-place edit of the sparse data
@@ -28,8 +30,6 @@ This module closes both with a small, observable memoization layer:
     its own transpose: the entry stores a marker, not a second copy.
   - :func:`segment_reducer` — the weighted row-segment matrix with which
     the ``coo_gather`` backend weighs and sums its message buffer.
-  - :func:`operator_tiles` — the row tiles a threaded product
-    (:mod:`repro.runtime.blocked`) splits the operator into.
   - :func:`operator_digest` — a full content digest that names the
     operator's blobs in the cross-process store.
 - Per-graph normalization memos use :class:`LRUCache` directly (see
@@ -57,7 +57,7 @@ import hashlib
 import threading
 import weakref
 from collections import Counter, OrderedDict
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,11 +75,12 @@ TRANSPOSE_CACHE_ENTRIES = 32
 #: bench suite with room to spare.
 NORM_MEMO_ENTRIES = 16
 
-_MISSING = object()
+#: Sentinel returned by ``LRUCache.get`` on a miss.
+MISSING = object()
 
 
 class LRUCache:
-    """Bounded move-to-front memo with local and telemetry instrumentation.
+    """Bounded move-to-front memo, instrumented through telemetry.
 
     Parameters
     ----------
@@ -87,9 +88,9 @@ class LRUCache:
         Maximum entry count; the least-recently-used entry is evicted when
         a put would exceed it.
     counter_prefix:
-        When set, every hit / miss / eviction also increments the
-        telemetry counters ``<prefix>.hit`` / ``.miss`` / ``.evict`` on
-        the active registry (no-op while telemetry is disabled).
+        When set, every hit / miss / eviction increments the telemetry
+        counters ``<prefix>.hit`` / ``.miss`` / ``.evict`` on the active
+        registry (no-op while telemetry is disabled).
     on_evict:
         Optional ``(key, value)`` callback fired for each capacity
         eviction (not for ``discard``/``clear``), letting owners account
@@ -104,9 +105,6 @@ class LRUCache:
         self.capacity = int(capacity)
         self.counter_prefix = counter_prefix
         self.on_evict = on_evict
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self._entries: "OrderedDict[Any, Any]" = OrderedDict()
         # Reentrant: weakref eviction callbacks may fire inside a put.
         self._lock = threading.RLock()
@@ -134,23 +132,18 @@ class LRUCache:
         own :meth:`record`.
         """
         with self._lock:
-            value = self._entries.get(key, _MISSING)
-            if value is not _MISSING and validate is not None and not validate(value):
+            value = self._entries.get(key, MISSING)
+            if value is not MISSING and validate is not None and not validate(value):
                 del self._entries[key]
-                value = _MISSING
-            if value is not _MISSING:
+                value = MISSING
+            if value is not MISSING:
                 self._entries.move_to_end(key)
             if count:
-                self.record(value is not _MISSING)
+                self.record(value is not MISSING)
             return value
 
     def record(self, hit: bool) -> None:
-        """Count one lookup as a hit or a miss, locally and in telemetry."""
-        with self._lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
+        """Count one lookup as a hit or a miss."""
         self._count("hit" if hit else "miss")
 
     def put(self, key: Any, value: Any) -> None:
@@ -160,7 +153,6 @@ class LRUCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 evicted_key, evicted_value = self._entries.popitem(last=False)
-                self.evictions += 1
                 self._count("evict")
                 if self.on_evict is not None:
                     self.on_evict(evicted_key, evicted_value)
@@ -183,7 +175,6 @@ class LRUCache:
                 if skip is not None and key == skip:
                     continue
                 value = self._entries.pop(key)
-                self.evictions += 1
                 self._count("evict")
                 if self.on_evict is not None:
                     self.on_evict(key, value)
@@ -193,32 +184,39 @@ class LRUCache:
     def get_or_compute(self, key: Any, factory: Callable[[], Any]) -> Any:
         """Memoized call: the cached value, else ``factory()``."""
         value = self.get(key)
-        if value is _MISSING:
+        if value is MISSING:
             value = factory()
             self.put(key, value)
         return value
 
+    def bound(self, key: Hashable, obj: Any, token: Any,
+              build: Callable[[], Any], count: bool = True) -> Any:
+        """The value memoized under ``key`` for ``obj``, else ``build()``.
+
+        ``key`` names ``obj`` by ``id``, which the interpreter recycles
+        once ``obj`` is collected, so the entry is bound to the object:
+        it holds a weak reference proving the ``id`` still names ``obj``
+        and the mutation ``token`` ``obj`` had when the value was built.
+        A lookup where either check fails is a miss that drops the entry;
+        collecting ``obj`` discards it. An entry is stored as
+        ``(weak reference, token, value)``, which is what ``on_evict``
+        receives. ``count`` is :meth:`get`'s.
+        """
+        entry = self.get(
+            key, validate=lambda e: e[0]() is obj and e[1] == token,
+            count=count)
+        if entry is MISSING:
+            def _on_collect(_ref, _key=key):
+                self.discard(_key)
+
+            entry = (weakref.ref(obj, _on_collect), token, build())
+            self.put(key, entry)
+        return entry[2]
+
     def clear(self) -> None:
-        """Drop every entry and reset the local hit/miss/evict tallies."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    def stats(self) -> dict:
-        """Local (telemetry-independent) traffic summary."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-#: Sentinel returned by ``LRUCache.get`` on a miss.
-MISSING = _MISSING
 
 
 def data_token(value: Any) -> str:
@@ -294,18 +292,14 @@ def _raw(array: np.ndarray) -> np.ndarray:
 
 
 class _Derived:
-    """What the process derived from one operator, bound to it by a weak
-    reference and its :func:`matrix_token`: the transpose (``_SELF`` when
-    the operator is bytewise its own), the segment reducer, the
-    :func:`operator_digest` and the row tilings by key, each filled on
-    first use."""
+    """What the process derived from one operator: the transpose
+    (``_SELF`` when the operator is bytewise its own), the segment
+    reducer and the :func:`operator_digest`, each filled on first use."""
 
-    __slots__ = ("ref", "token", "transpose", "reducer", "digest", "tiles")
+    __slots__ = ("transpose", "reducer", "digest")
 
-    def __init__(self, ref: weakref.ref, token: Tuple):
-        self.ref, self.token = ref, token
+    def __init__(self):
         self.transpose = self.reducer = self.digest = None
-        self.tiles: Dict[int, Any] = {}
 
 
 #: Marks an operator whose transpose has its exact bytes.
@@ -320,23 +314,12 @@ _builds_lock = threading.Lock()
 def _derived(matrix: sp.spmatrix) -> _Derived:
     """The operator's entry (created empty), looked up without counting.
 
-    The entry is bound to the *object*: a weak reference proves the key's
-    ``id`` still names the same matrix (ids recycle after GC), and the
-    token proves its payload was not mutated since caching. Either check
-    failing drops the entry, and everything derived is rebuilt.
+    Bound to the matrix object and its :func:`matrix_token`
+    (:meth:`LRUCache.bound`): a mutated or collected operator drops its
+    entry, and everything derived is rebuilt.
     """
-    key = id(matrix)
-    token = matrix_token(matrix)
-    entry = _operator_cache.get(
-        key, validate=lambda e: e.ref() is matrix and e.token == token,
-        count=False)
-    if entry is _MISSING:
-        def _on_collect(_ref, _key=key):
-            _operator_cache.discard(_key)
-
-        entry = _Derived(weakref.ref(matrix, _on_collect), token)
-        _operator_cache.put(key, entry)
-    return entry
+    return _operator_cache.bound(id(matrix), matrix, matrix_token(matrix),
+                                 _Derived, count=False)
 
 
 def materialize_transpose(matrix: sp.spmatrix) -> sp.csr_matrix:
@@ -422,20 +405,6 @@ def _build_reducer(csr: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix(
         (csr.data, np.arange(nnz, dtype=csr.indptr.dtype), csr.indptr),
         shape=(csr.shape[0], nnz))
-
-
-def operator_tiles(csr: sp.csr_matrix, parts: int,
-                   build: Callable[[], Any]) -> Any:
-    """``build()`` — the operator's ``parts`` row tiles — cached in the
-    operator's entry beside its transpose and reducer; built per call
-    while the cache layer is off. A tiling holds only views of the
-    operator's arrays."""
-    if not context.current().config.cache:
-        return build()
-    tiles = _derived(csr).tiles
-    if parts not in tiles:
-        tiles[parts] = build()
-    return tiles[parts]
 
 
 #: A blob's payload: named arrays plus JSON metadata (see :mod:`.shm`).

@@ -127,8 +127,8 @@ class DeviceModel:
             self._in_step = False
             self._transient_bytes = 0
 
-    def _on_alloc(self, nbytes: int, array: Optional[np.ndarray] = None,
-                  op: str = "leaf") -> None:
+    def _on_alloc(self, nbytes: int, array: Optional[np.ndarray],
+                  op: str) -> None:
         self._check(nbytes)
         self._transient_bytes += nbytes
         total = self.persistent_bytes + self._transient_bytes

@@ -97,7 +97,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
@@ -110,9 +109,9 @@ from .. import telemetry
 from ..autodiff.tensor import Tensor, linear_combination
 from . import context
 from . import shm as runtime_shm
-from .cache import LRUCache, MISSING, matrix_token, operator_digest
+from .cache import LRUCache, matrix_token, operator_digest
 
-#: Default bound on live chains per planner. Each chain holds up to K+1
+#: Bound on live chains per planner. Each chain holds up to K+1
 #: dense (n, F) terms, so the bound — not the term count — is what caps
 #: host RAM growth; a sweep touches ~2-4 distinct chains per dataset.
 PLAN_CHAIN_ENTRIES = 8
@@ -151,25 +150,18 @@ def signal_digest(x: np.ndarray) -> str:
     :func:`array_token` it separates two signals that differ off the
     token's sample grid. It names chains in the file tiers, where a
     chain computed for one signal must never be served for another, and
-    is computed once per signal object: the memo is bound to ``x`` by a
-    weak reference and its :func:`array_token`, like
-    :func:`~repro.runtime.cache.operator_digest`.
+    is computed once per signal object: the memo is bound to ``x`` and its
+    :func:`array_token` (:meth:`~repro.runtime.cache.LRUCache.bound`),
+    like :func:`~repro.runtime.cache.operator_digest`.
     """
-    token = array_token(x)
-    key = id(x)
-    entry = _signal_digests.get(
-        key, validate=lambda e: e[0]() is x and e[1] == token, count=False)
-    if entry is MISSING:
+    def build() -> str:
         digest = hashlib.blake2b(repr((x.shape, x.dtype.str)).encode(),
                                  digest_size=16)
         digest.update(np.ascontiguousarray(x))
+        return digest.hexdigest()
 
-        def _on_collect(_ref, _key=key):
-            _signal_digests.discard(_key)
-
-        entry = (weakref.ref(x, _on_collect), token, digest.hexdigest())
-        _signal_digests.put(key, entry)
-    return entry[2]
+    return _signal_digests.bound(id(x), x, array_token(x), build,
+                                 count=False)
 
 
 # ======================================================================
@@ -381,9 +373,6 @@ def stream_chain(ctx, x, family: str, params: Tuple, count: int):
 # ======================================================================
 @dataclass
 class _ChainEntry:
-    matrix_ref: weakref.ref
-    matrix_token: Tuple
-    x_token: Tuple
     #: ``terms[0]`` is the signal itself; computed terms are read-only.
     terms: List[Any]
     #: Content fingerprint naming the chain's files in the spill and
@@ -407,21 +396,18 @@ class BasisPlanner:
     part of the bit-identity contract.
     """
 
-    def __init__(self, capacity: int = PLAN_CHAIN_ENTRIES):
-        self._chains = LRUCache(capacity, counter_prefix="plan.chains",
+    def __init__(self):
+        self._chains = LRUCache(PLAN_CHAIN_ENTRIES,
+                                counter_prefix="plan.chains",
                                 on_evict=self._on_evict)
         self._lock = threading.RLock()
-        self.terms_served = 0
-        self.terms_computed = 0
-        self.spmm_avoided = 0
-        self.terms_spilled = 0
-        self.terms_loaded = 0
         self._resident_bytes = 0
 
-    def _on_evict(self, key: Any, entry: _ChainEntry) -> None:
+    def _on_evict(self, key: Any, bound: Tuple) -> None:
         """Chain eviction: count dropped terms and, under a blocked
         tier, spill them to disk so re-requests map instead of
-        recompute."""
+        recompute. ``bound`` is the stored ``(ref, token, entry)``."""
+        entry: _ChainEntry = bound[2]
         dropped = max(len(entry.terms) - 1, 0)
         if dropped:
             telemetry.inc_counter("plan.terms.evict", dropped)
@@ -445,7 +431,6 @@ class BasisPlanner:
                 # recompute of the dropped term, never the run.
                 telemetry.inc_counter("blocked.spill_failed")
         if spilled:
-            self.terms_spilled += spilled
             telemetry.inc_counter("plan.terms.spill", spilled)
 
     def _enforce_term_budget(self, current_key: Any) -> None:
@@ -465,25 +450,11 @@ class BasisPlanner:
         fam = FAMILIES[family]
         matrix = ctx.matrix
         key = (id(matrix), ctx.backend, id(x), fam.name, params)
-        token = matrix_token(matrix)
-        x_tok = array_token(x)
-
-        def validate(entry: _ChainEntry) -> bool:
-            return (entry.matrix_ref() is matrix
-                    and entry.matrix_token == token
-                    and entry.x_token == x_tok)
-
+        # Bound to the operator object; the signal is validated by token.
+        token = (matrix_token(matrix), array_token(x))
         with self._lock:
-            entry = self._chains.get(key, validate=validate)
-            if entry is MISSING:
-                chains = self._chains
-
-                def _purge(_ref, _key=key, _chains=chains):
-                    _chains.discard(_key)
-
-                entry = _ChainEntry(weakref.ref(matrix, _purge), token,
-                                    x_tok, [x])
-                self._chains.put(key, entry)
+            entry = self._chains.bound(key, matrix, token,
+                                       lambda: _ChainEntry([x]))
             run = context.current()
             if entry.fingerprint is None and (
                     run.tier is not None or run.active_handle is not None):
@@ -492,8 +463,6 @@ class BasisPlanner:
                     signal_digest(x), fam.name, params)
             hits = max(min(len(entry.terms), count) - 1, 0)
             if hits:
-                self.terms_served += hits
-                self.spmm_avoided += hits * fam.spmm_per_step
                 telemetry.inc_counter("plan.terms.hit", hits)
                 telemetry.inc_counter("plan.spmm_avoided",
                                       hits * fam.spmm_per_step)
@@ -508,8 +477,6 @@ class BasisPlanner:
         if not terms:
             return
         entry.terms.extend(terms)
-        self.terms_served += len(terms)
-        self.spmm_avoided += len(terms) * fam.spmm_per_step
         telemetry.inc_counter("plan.spmm_avoided",
                               len(terms) * fam.spmm_per_step)
 
@@ -542,7 +509,6 @@ class BasisPlanner:
                 for order in range(len(entry.terms), count))
             self._serve(entry, fam, loaded)
             if loaded:
-                self.terms_loaded += len(loaded)
                 telemetry.inc_counter("plan.terms.spill_load", len(loaded))
         first_order = len(entry.terms)
         computed: List[np.ndarray] = []
@@ -557,7 +523,6 @@ class BasisPlanner:
                 computed.append(term)
                 entry.resident_bytes += int(term.nbytes)
                 self._resident_bytes += int(term.nbytes)
-                self.terms_computed += 1
                 telemetry.inc_counter("plan.terms.miss")
         except BaseException:
             if claimed:
@@ -576,28 +541,12 @@ class BasisPlanner:
             self._chains.clear()
             self._resident_bytes = 0
 
-    def stats(self) -> dict:
-        """Local traffic summary (telemetry-independent)."""
-        with self._lock:
-            chain_stats = self._chains.stats()
-            return {
-                "chains": chain_stats["entries"],
-                "chain_capacity": chain_stats["capacity"],
-                "terms_served": self.terms_served,
-                "terms_computed": self.terms_computed,
-                "spmm_avoided": self.spmm_avoided,
-                "terms_spilled": self.terms_spilled,
-                "terms_loaded": self.terms_loaded,
-                "resident_term_bytes": self._resident_bytes,
-            }
-
 
 # ======================================================================
 # scope management
 # ======================================================================
 @contextmanager
-def plan_scope(capacity: Optional[int] = None,
-               fresh: bool = False) -> Iterator[BasisPlanner]:
+def plan_scope(fresh: bool = False) -> Iterator[BasisPlanner]:
     """Install a planner on the run context for the ``with`` body.
 
     A scope opened while the context already has a planner *reuses* it
@@ -610,7 +559,7 @@ def plan_scope(capacity: Optional[int] = None,
     if outer is not None and not fresh:
         yield outer
         return
-    planner = BasisPlanner(capacity or PLAN_CHAIN_ENTRIES)
+    planner = BasisPlanner()
     try:
         with context.using(planner=planner):
             yield planner

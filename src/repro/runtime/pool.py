@@ -126,11 +126,9 @@ class PoolConfig:
     max_retries:
         Additional attempts after a failed one (≥ 0), so a cell runs at
         most ``1 + max_retries`` times. Ignored in inline mode.
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork``
-        (cheap, inherits loaded modules) and falls back to ``spawn``.
-    poll_interval_s:
-        Scheduler sleep between liveness sweeps when nothing completed.
+
+    Workers start with ``fork`` (cheap, inherits loaded modules) where the
+    host has it, else with ``spawn``.
 
     Out-of-range values raise :class:`~repro.errors.ReproError`.
     """
@@ -138,8 +136,6 @@ class PoolConfig:
     workers: int = 1
     cell_timeout: Optional[float] = None
     max_retries: int = 1
-    start_method: Optional[str] = None
-    poll_interval_s: float = 0.02
 
     def __post_init__(self):
         from ..errors import ReproError
@@ -186,11 +182,11 @@ class CellResult:
 STRAGGLER_TOP_N = 5
 
 
-def pool_stats(results: Sequence[CellResult],
-               top_n: int = STRAGGLER_TOP_N) -> Dict[str, Any]:
+def pool_stats(results: Sequence[CellResult]) -> Dict[str, Any]:
     """Retry/failure accounting over a finished sweep (registry ``pool``).
 
-    Besides the flat counts, ``stragglers`` ranks the ``top_n`` slowest
+    Besides the flat counts, ``stragglers`` ranks the
+    :data:`STRAGGLER_TOP_N` slowest
     cells (label, status, attempts, seconds; slowest first, grid order on
     ties) — the cells that bound the sweep's wall clock and the first
     place to look when a parallel run stops scaling.
@@ -211,7 +207,7 @@ def pool_stats(results: Sequence[CellResult],
     stats["stragglers"] = [
         {"cell": r.label, "status": r.status, "attempts": r.attempts,
          "seconds": round(r.seconds, 6)}
-        for r in slowest[:max(0, int(top_n))]
+        for r in slowest[:STRAGGLER_TOP_N]
     ]
     return stats
 
@@ -303,6 +299,10 @@ class _Attempt:
     attempt: int
     deadline: Optional[float]
     started: float
+
+
+#: Scheduler sleep between liveness sweeps when nothing completed.
+POLL_INTERVAL_S = 0.02
 
 
 def _default_start_method() -> str:
@@ -404,7 +404,7 @@ def _run_pooled(cells: List[Cell], config: PoolConfig,
     from . import context
     from .. import telemetry
 
-    ctx = mp.get_context(config.start_method or _default_start_method())
+    ctx = mp.get_context(_default_start_method())
     # Switches, a store client (a path and a run id) and two scalars: it
     # pickles into a worker under any start method.
     worker = context.current().for_worker(config.workers)
@@ -509,7 +509,7 @@ def _run_pooled(cells: List[Cell], config: PoolConfig,
                               f"cell exceeded {config.cell_timeout:g}s "
                               f"timeout")
         if not progressed:
-            time.sleep(config.poll_interval_s)
+            time.sleep(POLL_INTERVAL_S)
 
     # Fold telemetry shards in cell-list order — never completion order —
     # so the merged trace is schedule-independent.

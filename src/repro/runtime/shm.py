@@ -84,6 +84,9 @@ CLAIM_TIMEOUT_S = 600.0
 WAIT_TIMEOUT_S = 120.0
 #: Claim-wait poll interval.
 POLL_INTERVAL_S = 0.002
+#: Idle seconds after which a store directory without a readable
+#: ``owner`` file counts as leaked.
+LEAKED_IDLE_S = 300.0
 
 _SHM_DIR = "/dev/shm"
 _RUN_ID_LEN = 8
@@ -441,14 +444,14 @@ class SharedTermStore(StoreHandle):
         return dict(self._final_stats)
 
 
-def sweep_leaked_segments(max_age_s: float = 300.0) -> int:
+def sweep_leaked_segments() -> int:
     """Reap ``rsm*`` directories leaked by crashed runs; returns how many
     files went with them.
 
     A directory is leaked when its owner pid is dead. One whose ``owner``
     file is missing or unreadable is only reaped once it has been idle
-    for ``max_age_s``, so a store being created is never swept out from
-    under its owner.
+    for :data:`LEAKED_IDLE_S`, so a store being created is never swept
+    out from under its owner.
     """
     if not supported():
         return 0
@@ -464,7 +467,7 @@ def sweep_leaked_segments(max_age_s: float = 300.0) -> int:
             leaked = not _pid_alive(int(Path(path, "owner").read_text()))
         except (OSError, ValueError):
             with contextlib.suppress(OSError):
-                leaked = time.time() - os.path.getmtime(path) > max_age_s
+                leaked = time.time() - os.path.getmtime(path) > LEAKED_IDLE_S
         if leaked:
             removed += _remove_tree(path)
     if removed:

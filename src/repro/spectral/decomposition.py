@@ -23,7 +23,6 @@ shared spectra; the memo is bypassed entirely under ``--no-cache`` /
 
 from __future__ import annotations
 
-import weakref
 from typing import Tuple
 
 import numpy as np
@@ -93,24 +92,13 @@ def laplacian_eigendecomposition(
     if not _context.current().config.cache:
         return _decompose_dense(graph)
 
-    key = (id(graph), float(rho))
-    token = _cache.matrix_token(graph.adjacency)
+    def build() -> Tuple[np.ndarray, np.ndarray]:
+        eigenvalues, eigenvectors = _decompose_dense(graph)
+        # Shared across callers from now on — freeze to catch silent
+        # mutation.
+        eigenvalues.setflags(write=False)
+        eigenvectors.setflags(write=False)
+        return eigenvalues, eigenvectors
 
-    def validate(entry) -> bool:
-        ref, cached_token, _ = entry
-        return ref() is graph and cached_token == token
-
-    cached = _eig_cache.get(key, validate=validate)
-    if cached is not _cache.MISSING:
-        return cached[2]
-    eigenvalues, eigenvectors = _decompose_dense(graph)
-    # Shared across callers from now on — freeze to catch silent mutation.
-    eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
-
-    def _on_collect(_ref, _key=key):
-        _eig_cache.discard(_key)
-
-    _eig_cache.put(key, (weakref.ref(graph, _on_collect), token,
-                         (eigenvalues, eigenvectors)))
-    return eigenvalues, eigenvectors
+    return _eig_cache.bound((id(graph), float(rho)), graph,
+                            _cache.matrix_token(graph.adjacency), build)

@@ -112,7 +112,6 @@ def run_link_prediction(
     filter_name: str,
     config: Optional[TrainConfig] = None,
     kappa: int = 2,
-    num_hops: int = 10,
     device_capacity_gib: Optional[float] = None,
 ) -> RunResult:
     """Train and evaluate MB link prediction with one spectral filter.
@@ -130,7 +129,7 @@ def run_link_prediction(
         raise TrainingError(f"kappa must be >= 1, got {kappa}")
     config = replace(config or TrainConfig(), metric="roc_auc")
     filter_ = build_task_filter(filter_name, graph, config, "mini_batch",
-                                num_hops=num_hops)
+                                num_hops=10)
     train_edges, _, test_edges = edge_split(graph.edge_list(), seed=config.seed)
     trainer = LinkPredictionTrainer(
         make_device(device_capacity_gib, name="lp-device"), kappa)

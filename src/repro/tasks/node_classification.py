@@ -53,7 +53,6 @@ def run_node_classification(
     num_hops: int = 10,
     filter_hp: Optional[Dict[str, float]] = None,
     device_capacity_gib: Optional[float] = None,
-    num_parts: int = 4,
 ) -> RunResult:
     """One seeded training run of one filter under one scheme.
 
@@ -76,11 +75,7 @@ def run_node_classification(
     filter_ = build_task_filter(filter_name, graph, config, scheme,
                                 num_hops=num_hops, filter_hp=filter_hp)
     device = make_device(device_capacity_gib, name=f"{scheme}-device")
-    if scheme == "graph_partition":
-        trainer = SCHEMES[scheme](num_parts=num_parts, device=device)
-    else:
-        trainer = SCHEMES[scheme](device=device)
-    return trainer.fit(graph, split, filter_, config)
+    return SCHEMES[scheme](device=device).fit(graph, split, filter_, config)
 
 
 @dataclass
@@ -115,19 +110,15 @@ def run_seeds(
     scheme: str = "full_batch",
     config: Optional[TrainConfig] = None,
     seeds: Sequence[int] = (0, 1, 2),
-    shared_split_seed: Optional[int] = None,
     **kwargs,
 ) -> SeedSummary:
-    """Repeat a run over seeds; each seed re-draws the random split unless
-    ``shared_split_seed`` pins one split for all seeds (Figure 4 protocol).
-    """
+    """Repeat a run over seeds; each seed re-draws the random split."""
     config = config or TrainConfig()
     scores: List[float] = []
     results: List[RunResult] = []
     for seed in seeds:
         seeded = replace(config, seed=seed)
-        split_seed = shared_split_seed if shared_split_seed is not None else seed
-        split = random_split(graph.num_nodes, seed=split_seed)
+        split = random_split(graph.num_nodes, seed=seed)
         result = run_node_classification(
             graph, filter_name, scheme=scheme, config=seeded, split=split, **kwargs)
         results.append(result)

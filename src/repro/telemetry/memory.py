@@ -49,21 +49,18 @@ MEMORY_SCHEMA = "repro.telemetry.memory/v1"
 #: Span path used for allocations made outside any open span.
 TOP_PATH = "(top)"
 
+#: How many of the largest single allocations a ledger ranks.
+TOP_ALLOCATIONS = 8
+
 
 class AllocationLedger:
-    """Live-bytes ledger over the autodiff engine's allocation stream.
+    """Live-bytes ledger over the autodiff engine's allocation stream;
+    ranks the :data:`TOP_ALLOCATIONS` largest single allocations."""
 
-    Parameters
-    ----------
-    top_n:
-        How many of the largest single allocations to rank.
-    """
-
-    def __init__(self, top_n: int = 8):
+    def __init__(self):
         # Reentrant: the cyclic GC can run a finalizer (_on_free) in the
         # middle of on_alloc's own critical section on the same thread.
         self._lock = threading.RLock()
-        self.top_n = int(top_n)
         self.closed = False
 
         self.live_bytes = 0
@@ -114,13 +111,13 @@ class AllocationLedger:
 
     def _rank(self, nbytes: int, op: str, path: str) -> None:
         top = self.top_allocations
-        if len(top) >= self.top_n and nbytes <= top[-1]["nbytes"]:
+        if len(top) >= TOP_ALLOCATIONS and nbytes <= top[-1]["nbytes"]:
             return
         top.append({"nbytes": nbytes, "op": op, "path": path,
                     "seq": self.alloc_count})
         # Stable on seq: equal sizes rank in allocation order.
         top.sort(key=lambda e: (-e["nbytes"], e["seq"]))
-        del top[self.top_n:]
+        del top[TOP_ALLOCATIONS:]
 
     def _on_free(self, nbytes: int, op: str, path: str) -> None:
         """Finalizer target: the array this entry accounted was collected."""

@@ -170,7 +170,6 @@ def build_record(
     stages: Optional[Mapping] = None,
     trace_path: Optional[PathLike] = None,
     result_path: Optional[PathLike] = None,
-    timestamp: Optional[float] = None,
     workers: int = 1,
     pool: Optional[Mapping] = None,
     artifacts: Optional[Mapping] = None,
@@ -187,7 +186,7 @@ def build_record(
     memory-observatory block (schema v5): the allocation ledger summary
     with peak attribution and accounting-coverage ratios.
     """
-    timestamp = time.time() if timestamp is None else float(timestamp)
+    timestamp = time.time()
     fingerprint = config_fingerprint(manifest)
     content_sha = manifest_sha(manifest)
     run_id = hashlib.sha256(

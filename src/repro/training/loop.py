@@ -69,7 +69,8 @@ class RunResult:
     test_score: float = float("nan")
     valid_score: float = float("nan")
     epochs_run: int = 0
-    profiler: StageProfiler = field(default_factory=StageProfiler)
+    profiler: StageProfiler = field(default_factory=StageProfiler,
+                                    init=False)
     device_peak_bytes: int = 0
     ram_peak_bytes: int = 0
     filter_params: Optional[Dict[str, np.ndarray]] = None

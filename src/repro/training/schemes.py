@@ -25,21 +25,23 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from functools import partial
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
 from ..autodiff import functional as F
 from ..autodiff.tensor import Tensor, no_grad
-from ..errors import TrainingError
 from ..filters.base import SpectralFilter
 from ..graph.graph import Graph
 from ..graph.partition import bfs_partition, cut_edges
 from ..models.decoupled import DecoupledModel, MiniBatchModel
 from ..nn.module import Module
-from ..runtime.device import DeviceModel, nbytes_of
+from ..runtime.device import nbytes_of
 from ..runtime.profiler import StageProfiler
 from .loop import Placement, RunResult, TrainConfig, parameters_bytes
+
+#: Clusters of the graph-partition scheme.
+NUM_PARTS = 4
 
 
 def _decoupled_model(filter_: SpectralFilter, graph: Graph,
@@ -179,12 +181,6 @@ class GraphPartitionTrainer(Placement):
 
     device_name = "gp-device"
 
-    def __init__(self, num_parts: int = 4, device: Optional[DeviceModel] = None):
-        if num_parts < 1:
-            raise TrainingError(f"num_parts must be >= 1, got {num_parts}")
-        super().__init__(device)
-        self.num_parts = int(num_parts)
-
     def setup(self, run: RunResult) -> Module:
         config, graph = self.config, self.graph
         rng = config.rng()
@@ -193,7 +189,7 @@ class GraphPartitionTrainer(Placement):
         #: (nodes, subgraph, operator, local train rows) per cluster.
         self.clusters = []
         with run.profiler.stage("precompute", op_class="propagation"):
-            parts = bfs_partition(graph, self.num_parts, rng=rng)
+            parts = bfs_partition(graph, NUM_PARTS, rng=rng)
             for part in parts:
                 # Build each cluster operator up front: warms the subgraph
                 # caches (train stage isn't charged for normalization) and

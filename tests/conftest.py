@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.datasets import synthesize
 from repro.graph import Graph
 from repro.runtime import shm
@@ -68,6 +69,17 @@ def _isolated_artifact_store(tmp_path, monkeypatch):
     ``--artifact-dir`` instead.
     """
     monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path / "artifact-store"))
+
+
+@pytest.fixture
+def counters():
+    """Telemetry on for the test; ``counters()`` is its counter snapshot,
+    the one record of cache, planner and spill traffic."""
+    telemetry.configure()
+    try:
+        yield lambda: telemetry.get_metrics().snapshot().get("counters", {})
+    finally:
+        telemetry.shutdown()
 
 
 @pytest.fixture

@@ -63,7 +63,7 @@ class TestIterativeRunner:
 
 class TestTransformerRunners:
     def test_nagphormer_row(self, graph, split):
-        row = train_nagphormer(graph, split, CONFIG, num_hops=2)
+        row = train_nagphormer(graph, split, CONFIG)
         assert row["model"] == "NAGphormer"
         assert row["status"] == "ok"
         assert row["precompute_s"] > 0  # hop2token stage exists

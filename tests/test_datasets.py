@@ -15,7 +15,6 @@ from repro.datasets import (
     DATASETS,
     SIGNAL_FUNCTIONS,
     SIGNAL_NAMES,
-    SynthesisConfig,
     edge_split,
     get_spec,
     make_regression_task,
@@ -23,7 +22,13 @@ from repro.datasets import (
     stratified_split,
     synthesize,
 )
-from repro.datasets.synthesis import _sample_edges
+from repro.datasets.splits import SPLIT_FRACTIONS
+from repro.datasets.synthesis import (
+    HETERO_STRUCTURE,
+    LATENT_DIM,
+    _sample_edges,
+    _sample_features,
+)
 from repro.errors import DatasetError
 from repro.graph import node_homophily
 
@@ -132,30 +137,31 @@ class TestSynthesis:
         assert graph.num_nodes >= 60
 
     def test_degree_tail_widens_distribution(self):
-        flat = synthesize("cora", scale=0.3, seed=0,
-                          config=SynthesisConfig(degree_tail=0.05))
-        heavy = synthesize("cora", scale=0.3, seed=0,
-                           config=SynthesisConfig(degree_tail=1.5))
-        assert heavy.degrees.std() > flat.degrees.std()
+        labels = np.random.default_rng(0).integers(0, 7, size=800)
+
+        def degree_std(degree_tail):
+            edges = _sample_edges(np.random.default_rng(0), labels, 3000,
+                                  0.8, degree_tail, HETERO_STRUCTURE)
+            return np.bincount(edges.ravel(), minlength=800).std()
+
+        assert degree_std(1.5) > degree_std(0.05)
 
     def test_feature_signal_controls_separability(self):
-        weak = synthesize("cora", scale=0.2, seed=0,
-                          config=SynthesisConfig(feature_signal=0.05))
-        strong = synthesize("cora", scale=0.2, seed=0,
-                            config=SynthesisConfig(feature_signal=3.0))
+        labels = np.random.default_rng(0).integers(0, 7, size=500)
 
-        def centroid_spread(graph):
-            means = np.stack([
-                graph.features[graph.labels == c].mean(axis=0)
-                for c in range(graph.num_classes)])
+        def centroid_spread(signal):
+            features = _sample_features(np.random.default_rng(0), labels,
+                                        64, LATENT_DIM, signal)
+            means = np.stack([features[labels == c].mean(axis=0)
+                              for c in range(7)])
             return np.linalg.norm(means - means.mean(axis=0), axis=1).mean()
 
-        assert centroid_spread(strong) > centroid_spread(weak)
+        assert centroid_spread(3.0) > centroid_spread(0.05)
 
     def test_all_self_loop_draw_is_an_empty_graph_error(self):
         with pytest.raises(DatasetError, match="empty graph"):
             _sample_edges(np.random.default_rng(0), np.zeros(1, np.int64),
-                          10, 0.5, 1.0)
+                          10, 0.5, 1.0, HETERO_STRUCTURE)
 
 
 class TestSynthesisGolden:
@@ -193,10 +199,8 @@ class TestSplits:
         assert len(split.valid) == 200
 
     def test_fraction_validation(self):
-        with pytest.raises(DatasetError):
-            random_split(10, fractions=(0.5, 0.5, 0.5))
-        with pytest.raises(DatasetError):
-            stratified_split(np.zeros(10, dtype=int), fractions=(0.9, 0.2, -0.1))
+        assert all(0.0 <= f <= 1.0 for f in SPLIT_FRACTIONS)
+        assert sum(SPLIT_FRACTIONS) == pytest.approx(1.0)
 
     def test_split_seeded(self):
         a = random_split(50, seed=3)
@@ -261,7 +265,7 @@ class TestSignals:
             make_regression_task(small_graph, "notch")
 
     def test_task_shapes(self, small_graph):
-        task = make_regression_task(small_graph, "band", num_channels=3)
-        assert task.input_signal.shape == (small_graph.num_nodes, 3)
-        assert task.target_signal.shape == (small_graph.num_nodes, 3)
+        task = make_regression_task(small_graph, "band")
+        assert task.input_signal.shape == (small_graph.num_nodes, 4)
+        assert task.target_signal.shape == (small_graph.num_nodes, 4)
         assert task.eigenvalues.shape == (small_graph.num_nodes,)

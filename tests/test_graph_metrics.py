@@ -33,10 +33,6 @@ class TestHomophily:
         # node scores: node0: 1/1, node1: 1/2, node2: 0/1 -> mean 0.5
         assert node_homophily(g) == pytest.approx(0.5)
 
-    def test_explicit_labels_override(self):
-        g = path_graph([0, 0, 0])
-        assert node_homophily(g, np.array([0, 1, 0])) == 0.0
-
     def test_requires_labels(self):
         g = Graph.from_edges(2, np.array([[0, 1]]))
         with pytest.raises(GraphError):
@@ -64,8 +60,3 @@ class TestDegreeGroups:
         high, low = degree_groups(tiny_graph)
         if len(low):
             assert tiny_graph.degrees[high].min() >= tiny_graph.degrees[low].max()
-
-    def test_quantile_extremes(self, tiny_graph):
-        high, low = degree_groups(tiny_graph, quantile=0.0)
-        assert len(low) == 0
-        assert len(high) == tiny_graph.num_nodes

@@ -112,12 +112,6 @@ class TestIterativeBaselines:
         logits = model(small_graph)
         assert logits.shape == (small_graph.num_nodes, small_graph.num_classes)
 
-    def test_layer_validation(self, rng):
-        from repro.models import IterativeModel, gcn_propagation
-
-        with pytest.raises(TrainingError):
-            IterativeModel(4, 2, gcn_propagation(), num_layers=0, rng=rng)
-
     def test_backend_equivalence(self, small_graph):
         rng_a = np.random.default_rng(0)
         rng_b = np.random.default_rng(0)
@@ -131,19 +125,18 @@ class TestIterativeBaselines:
 
 class TestTransformers:
     def test_nagphormer_tokens_and_forward(self, small_graph, rng):
-        model = NAGphormerLite(small_graph.num_features, 4, num_hops=3,
-                               hidden=16, rng=rng)
+        model = NAGphormerLite(small_graph.num_features, 4, hidden=16,
+                               rng=rng)
         tokens = model.precompute_tokens(small_graph)
-        assert tokens.shape == (small_graph.num_nodes, 4, small_graph.num_features)
+        assert tokens.shape == (small_graph.num_nodes, 5, small_graph.num_features)
         logits = model(Tensor(tokens[:10]))
         assert logits.shape == (10, 4)
 
     def test_ansgt_sampling_and_forward(self, small_graph, rng):
-        model = ANSGTLite(small_graph.num_features, 3, num_neighbors=3,
-                          num_anchors=2, hidden=16, rng=rng)
+        model = ANSGTLite(small_graph.num_features, 3, hidden=16, rng=rng)
         nodes = np.arange(12)
         tokens = model.sample_tokens(small_graph, nodes)
-        assert tokens.shape == (12, 1 + 3 + 2, small_graph.num_features)
+        assert tokens.shape == (12, 1 + 4 + 4, small_graph.num_features)
         logits = model(Tensor(tokens))
         assert logits.shape == (12, 3)
 
@@ -152,6 +145,6 @@ class TestTransformers:
 
         g = Graph.from_edges(4, np.array([[0, 1]]),
                              features=np.eye(4, dtype=np.float32))
-        model = ANSGTLite(4, 2, num_neighbors=2, num_anchors=1, rng=rng)
+        model = ANSGTLite(4, 2, rng=rng)
         tokens = model.sample_tokens(g, np.array([3]))  # node 3 is isolated
-        assert tokens.shape == (1, 4, 4)
+        assert tokens.shape == (1, 1 + 4 + 4, 4)

@@ -4,6 +4,7 @@ the two store implementations, and DESIGN.md's module map."""
 from __future__ import annotations
 
 import ast
+import fnmatch
 import importlib
 import inspect
 import os
@@ -296,3 +297,254 @@ class TestEveryDefinitionHasACaller:
                 if not callers:
                     dead.append(f"src/repro/{relative}:{first}:{name}")
         assert not dead, dead
+
+
+class TestEveryParameterHasASetter:
+    """A defaulted parameter or dataclass field in ``src/repro`` that no
+    program sets is a configuration the benchmark never runs: its default
+    belongs in the code. A setter is a call in ``src``, ``benchmarks`` or
+    ``examples`` that passes the knob by name or by position, resolved
+    through ``super().__init__``, an inherited ``__init__`` and
+    ``TABLE[name](...)`` of a dict literal; a ``**`` forward (through a
+    function's own ``**kwargs`` it carries its callers' names, any other
+    mapping sets every parameter); a keyword passed to a factory reached
+    through a variable or an attribute (an indirect call sets the
+    parameters of every function or class its file names as a value);
+    ``dataclasses.replace`` or an attribute store for a field; or
+    membership in the CLI's ``EXPERIMENTS`` runners, whose parameters
+    ``selection_kwargs`` sets.
+    Dunder-named knobs, ``self`` and ``init=False`` fields are not
+    checked. Like :class:`TestEveryDefinitionHasACaller` this reads names,
+    not types."""
+
+    ROOT = Path(repro.__file__).resolve().parents[2]
+    SRC = ROOT / "src" / "repro"
+    #: ``module:qualname(parameter)`` glob -> why it stays without a setter.
+    ALLOWED = {
+        "filters/*.py:*Filter.__init__(*)":
+            "filter hyperparameters: Table 1's registry-declared tunables",
+        "training/loop.py:TrainConfig(*)":
+            "the paper's training protocol; every field is fingerprinted "
+            "into the run manifest",
+        "graph/graph.py:Graph.laplacian(self_loops)":
+            "the self-loop Laplacian of the float64 spectral reference "
+            "(ROADMAP item 11)",
+        "graph/families.py:*":
+            "graphs with closed-form spectra (ROADMAP item 11)",
+        "spectral/response.py:*":
+            "frequency-response readouts of the spectral reference "
+            "(ROADMAP item 11(d))",
+        "*._on_collect(_key)":
+            "a closure default that binds the key, not a knob",
+        "autodiff/tensor.py:Tensor.backward(grad)":
+            "the cotangent of a vector-Jacobian product; the basis golden "
+            "(tests/test_basis_golden.py) seeds every grad_x digest with it",
+        "tasks/link_prediction.py:run_link_prediction(device_capacity_gib)":
+            "the training golden's OOM-boundary sweep "
+            "(tests/test_training_golden.py) drives every entry point at a "
+            "device capacity",
+    }
+
+    @staticmethod
+    def _key(node):
+        return (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+
+    @staticmethod
+    def _is_dataclass(node):
+        for decorator in node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) \
+                else decorator
+            if TestEveryParameterHasASetter._key(target) == "dataclass":
+                return True
+        return False
+
+    def _knobs(self):
+        """(module, owner, callee key, name, position, field?) per knob;
+        position is the index among the callee's positional arguments, or
+        None for a keyword-only parameter."""
+        knobs = []
+
+        def visit(body, module, cls, prefix):
+            for node in body:
+                if isinstance(node, ast.ClassDef):
+                    if self._is_dataclass(node):
+                        fields = [s for s in node.body
+                                  if isinstance(s, ast.AnnAssign)
+                                  and isinstance(s.target, ast.Name)
+                                  and "ClassVar" not in ast.unparse(
+                                      s.annotation)]
+                        for position, item in enumerate(fields):
+                            if item.value is None or "init=False" in \
+                                    ast.unparse(item.value):
+                                continue
+                            knobs.append((module, prefix + node.name,
+                                          node.name, item.target.id,
+                                          position, True))
+                    visit(node.body, module, node, prefix + node.name + ".")
+                elif isinstance(node, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                    args = node.args
+                    positional = args.posonlyargs + args.args
+                    method = cls is not None and not any(
+                        self._key(d) == "staticmethod"
+                        for d in node.decorator_list)
+                    key = cls.name if cls is not None \
+                        and node.name == "__init__" else node.name
+                    first = len(positional) - len(args.defaults)
+                    for index, arg in enumerate(positional[first:], first):
+                        knobs.append((module, prefix + node.name, key,
+                                      arg.arg, index - method, False))
+                    for arg, default in zip(args.kwonlyargs,
+                                            args.kw_defaults):
+                        if default is not None:
+                            knobs.append((module, prefix + node.name, key,
+                                          arg.arg, None, False))
+                    visit(node.body, module, None,
+                          prefix + node.name + ".")
+                elif isinstance(node, ast.stmt):  # defs inside if/with/...
+                    visit(ast.iter_child_nodes(node), module, cls, prefix)
+
+        for path in sorted(self.SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            visit(tree.body, path.relative_to(self.SRC).as_posix(), None, "")
+        return [knob for knob in knobs if not knob[3].startswith("__")]
+
+    def _program(self):
+        calls = []   # [callee, keywords, positional, **, forwarder, file]
+        named = {}   # file -> names used there as a value (factories)
+        defined = set()
+        stores = set()  # attribute names assigned to
+        tables = {}     # dict name -> the keys of its values
+        bases = {}      # class without an ``__init__`` -> its first base
+
+        def record(call, function, cls, path):
+            args = list(call.args)
+            key = self._key(call.func)
+            if key == "partial" and args:
+                key, args = self._key(args[0]), args[1:]
+            elif key == "__init__" and isinstance(call.func.value, ast.Call) \
+                    and self._key(call.func.value.func) == "super":
+                key = self._key(cls.bases[0]) if cls and cls.bases else None
+            elif key == "cls" and cls is not None:
+                key = cls.name
+            elif isinstance(call.func, ast.Subscript):
+                key = ("table", self._key(call.func.value))
+            # ``f(a, *rest)`` may fill every positional parameter.
+            starred = any(isinstance(arg, ast.Starred) for arg in args)
+            positional = float("inf") if starred else len(args)
+            calls.append([key, {k.arg for k in call.keywords if k.arg},
+                          positional,
+                          any(k.arg is None for k in call.keywords),
+                          function, path])
+
+        def visit(node, function, cls, skip, path):
+            for child in ast.iter_child_nodes(node):
+                if id(child) in skip:
+                    continue
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    key = cls.name if cls is not None \
+                        and child.name == "__init__" else child.name
+                    defined.add(child.name)
+                    visit(child, key if child.args.kwarg else None, cls, skip,
+                          path)
+                    continue
+                if isinstance(child, ast.ClassDef):
+                    if child.bases and not any(
+                            getattr(item, "name", None) == "__init__"
+                            for item in child.body):
+                        bases[child.name] = self._key(child.bases[0])
+                    defined.add(child.name)
+                    visit(child, function, child, skip, path)
+                    continue
+                if isinstance(child, (ast.Assign, ast.AnnAssign)) \
+                        and isinstance(child.value, ast.Dict):
+                    for target in (child.targets if isinstance(
+                            child, ast.Assign) else [child.target]):
+                        tables[self._key(target)] = {
+                            self._key(value.elts[0] if isinstance(
+                                value, ast.Tuple) else value)
+                            for value in child.value.values}
+                if isinstance(child, ast.Attribute) \
+                        and isinstance(child.ctx, ast.Store):
+                    stores.add(child.attr)
+                if isinstance(child, ast.Call):
+                    # The callee is called, not named; what it hangs off is.
+                    record(child, function, cls, path)
+                    skip = skip | {id(child.func)}
+                    if isinstance(child.func, ast.Attribute):
+                        visit(child.func, function, cls, skip, path)
+                if isinstance(child, (ast.Name, ast.Attribute)):
+                    named.setdefault(path, set()).add(self._key(child))
+                visit(child, function, cls, skip, path)
+
+        for directory in ("src", "benchmarks", "examples"):
+            for path in (self.ROOT / directory).rglob("*.py"):
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                annotations = set()
+                for node in ast.walk(tree):
+                    for note in (getattr(node, "annotation", None),
+                                 getattr(node, "returns", None)):
+                        if isinstance(note, ast.AST):
+                            annotations.add(id(note))
+                visit(tree, None, None, annotations, path)
+        # ``TABLE[name](...)`` calls each factory of the table, and the
+        # CLI's ``selection_kwargs`` sets every parameter of its runners.
+        for call in calls:
+            if isinstance(call[0], tuple):
+                calls.extend([key] + call[1:]
+                             for key in tables.get(call[0][1], ()))
+        # A class without an ``__init__`` constructs through its base's.
+        for call in calls:
+            if call[0] in bases:
+                calls.append([bases[call[0]]] + call[1:])
+        runners = tables.get("EXPERIMENTS", set())
+        # A ``**`` forward through a function's own ``**kwargs`` carries
+        # the names its callers pass (three levels deep).
+        by_callee = {}
+        for call in calls:
+            by_callee.setdefault(call[0], []).append(call)
+        for _ in range(3):
+            for call in calls:
+                if call[3] and call[4] is not None:
+                    for other in by_callee.get(call[4], ()):
+                        call[1] = call[1] | other[1]
+        return calls, named, defined, stores, runners
+
+    def _unset(self):
+        knobs = self._knobs()
+        calls, named, defined, stores, runners = self._program()
+        direct = defined | {"replace"}  # callees that are not factories
+        unset = []
+        for module, owner, key, name, position, is_field in knobs:
+            if key in runners or (is_field and name in stores):
+                continue
+            for callee, keywords, positional, forward, forwarder, path \
+                    in calls:
+                if callee == key:
+                    if name in keywords or (forward and forwarder is None) \
+                            or (position is not None
+                                and position < positional):
+                        break
+                elif callee == "replace" and is_field and name in keywords:
+                    break
+                elif callee not in direct \
+                        and key in named.get(path, ()) and name in keywords:
+                    break
+            else:
+                label = f"{module}:{owner}({name})"
+                if not any(fnmatch.fnmatchcase(label, pattern)
+                           for pattern in self.ALLOWED):
+                    unset.append(label)
+        return unset
+
+    def test_every_allowlist_entry_matches_a_knob(self):
+        labels = [f"{module}:{owner}({name})"
+                  for module, owner, _, name, _, _ in self._knobs()]
+        stale = [pattern for pattern in self.ALLOWED
+                 if not fnmatch.filter(labels, pattern)]
+        assert not stale, stale
+
+    def test_every_knob_has_a_program_setter(self):
+        unset = self._unset()
+        assert not unset, unset

@@ -35,7 +35,7 @@ from repro.bench.io import canonical_payload
 from repro.errors import ReproError
 from repro.filters.base import PropagationContext
 from repro.graph import Graph
-from repro.runtime import blocked, cache, context, plan, shm
+from repro.runtime import blocked, cache, context, plan, pool, shm
 from repro.runtime.context import RunConfig
 from repro.runtime.pool import PoolConfig
 from repro.training.loop import TrainConfig
@@ -76,12 +76,12 @@ def _rejection(combo):
                 None)
 
 
-def _config(combo, start_method=None, **extra) -> RunConfig:
+def _config(combo, **extra) -> RunConfig:
     return RunConfig(
         plan=combo["plan"], cache=combo["cache"],
         shared_terms=combo["shared_terms"], blocked=combo["blocked"],
         ram_budget_mib=BLOCKED_BUDGET_MIB if combo["blocked"] else None,
-        pool=PoolConfig(workers=combo["workers"], start_method=start_method),
+        pool=PoolConfig(workers=combo["workers"]),
         **extra)
 
 
@@ -109,7 +109,7 @@ def reference() -> str:
     return _grid(RunConfig())[0]
 
 
-def _check_combination(combo, reference, tmp_path, start_method=None):
+def _check_combination(combo, reference, tmp_path):
     message = _rejection(combo)
     if message is not None:
         with pytest.raises(ReproError, match=message):
@@ -119,14 +119,14 @@ def _check_combination(combo, reference, tmp_path, start_method=None):
             and combo["cache"] and not shm.supported():
         pytest.skip("no writable /dev/shm")
     if not combo["resume"]:
-        cfg = _config(combo, start_method).validate("efficiency")
+        cfg = _config(combo).validate("efficiency")
         assert _grid(cfg)[0] == reference
         return
     store = str(tmp_path / "artifacts")
-    fresh = _config(combo, start_method, fresh=True,
+    fresh = _config(combo, fresh=True,
                     artifact_dir=store).validate("efficiency")
     assert _grid(fresh) == (reference, 0)
-    resumed = _config(combo, start_method, resume=True,
+    resumed = _config(combo, resume=True,
                       artifact_dir=store).validate("efficiency")
     cells = len(DATASETS) * len(FILTERS)
     assert _grid(resumed) == (reference, cells)
@@ -136,18 +136,18 @@ class TestOptionMatrix:
     @pytest.mark.parametrize("combo", MATRIX, ids=_combo_id)
     def test_one_payload_for_every_legal_combination(self, combo, reference,
                                                      tmp_path):
-        start = "fork" if "fork" in mp.get_all_start_methods() else None
-        _check_combination(combo, reference, tmp_path, start_method=start)
+        _check_combination(combo, reference, tmp_path)
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "combo", [combo for combo in MATRIX if combo["workers"] > 1],
         ids=_combo_id)
     def test_spawn_workers_give_the_same_payload(self, combo, reference,
-                                                 tmp_path):
+                                                 tmp_path, monkeypatch):
         if "spawn" not in mp.get_all_start_methods():
             pytest.skip("spawn start method unavailable")
-        _check_combination(combo, reference, tmp_path, start_method="spawn")
+        monkeypatch.setattr(pool, "_default_start_method", lambda: "spawn")
+        _check_combination(combo, reference, tmp_path)
 
 
 class TestRejections:
@@ -239,13 +239,14 @@ def _ring_and_triangles():
     return ring, triangles
 
 
-def _chains(graphs, capacity=8):
+def _chains(graphs):
     """Each graph's 4-term adjacency chain through one fresh planner, then
-    again: with ``capacity=1`` every chain is evicted (spilled, under a
-    blocked tier) by the next one and the second pass loads it back."""
+    again: at one chain per planner (``plan.PLAN_CHAIN_ENTRIES = 1``)
+    every chain is evicted (spilled, under a blocked tier) by the next
+    one and the second pass loads it back."""
     requests = [(PropagationContext(graph.normalized_adjacency(0.5)),
                  np.asarray(graph.features)) for graph in graphs]
-    with plan.plan_scope(capacity=capacity, fresh=True) as planner:
+    with plan.plan_scope(fresh=True) as planner:
         for ctx, x in requests:
             planner.chain_terms(ctx, x, "monomial_adj", (), 4)
         return [b"".join(np.asarray(term).tobytes() for term in
@@ -262,13 +263,14 @@ class TestChainNames:
         return ring, triangles
 
     def test_blocked_tier_spills_each_chain_under_its_own_name(
-            self, graphs, tmp_path):
+            self, graphs, tmp_path, counters, monkeypatch):
         expected = _chains(graphs)
         assert expected[0] != expected[1]
         blocked = RunConfig(blocked=True, spill_dir=str(tmp_path / "spill"))
-        with blocked.open() as run:
-            assert _chains(graphs, capacity=1) == expected
-            assert run.tier.load_files > 0
+        monkeypatch.setattr(plan, "PLAN_CHAIN_ENTRIES", 1)
+        with blocked.open():
+            assert _chains(graphs) == expected
+            assert counters()["plan.terms.spill_load"] > 0
 
     @pytest.mark.skipif(not shm.supported(), reason="no writable /dev/shm")
     def test_shared_store_serves_each_chain_under_its_own_name(self, graphs):
@@ -320,8 +322,8 @@ class TestThreadedProducts:
             inline = _grid(RunConfig(), "full_batch")[0]
         assert any(thread.name.startswith("repro-spmm")
                    for thread in threading.enumerate())
-        cfg = RunConfig(pool=PoolConfig(workers=2, start_method="fork",
-                                        cell_timeout=30, max_retries=0))
+        cfg = RunConfig(pool=PoolConfig(workers=2, cell_timeout=30,
+                                        max_retries=0))
         with context.using(spmm_threads=4):
             assert _grid(cfg.validate("efficiency"), "full_batch")[0] \
                 == inline

@@ -61,8 +61,10 @@ def store(tmp_path):
 
 
 def _sweep(store, fingerprint="fp", rev="rev1", consult=True):
-    return SweepArtifacts(store=store, config_fingerprint=fingerprint,
-                          code_rev=rev, consult=consult)
+    sweep = SweepArtifacts(store=store, config_fingerprint=fingerprint,
+                           consult=consult)
+    sweep.code_rev = rev  # as if the code were at revision ``rev``
+    return sweep
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +169,7 @@ class TestDurability:
         if workers > 1 and "fork" not in mp.get_all_start_methods():
             pytest.skip("needs the fork start method")
         cells = _make_cells(2)
-        config = PoolConfig(workers=workers, start_method="fork")
+        config = PoolConfig(workers=workers)
         expected = canonical_payload(
             [r.value for r in execute_cells(cells, config)])
 

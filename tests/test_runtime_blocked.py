@@ -165,8 +165,8 @@ class TestBitIdentity:
 
 
 class TestRowTiles:
-    """One tiling per operator: views of its arrays, equal nnz, claimed
-    by whichever thread is free."""
+    """A product's tiles: views of the operator's arrays, equal nnz,
+    claimed by whichever thread is free."""
 
     def test_tiles_view_the_operator_and_balance_nnz(self):
         csr, _ = _random_csr(200, 1, 4)
@@ -184,13 +184,6 @@ class TestRowTiles:
             nnz.append(int(indptr[-1] - indptr[0]))
         widest = int(np.diff(csr.indptr).max())
         assert max(nnz) - min(nnz) <= 2 * widest
-
-    def test_tiles_cached_per_operator_unless_cache_off(self):
-        csr, _ = _random_csr(50, 1, 6)
-        assert row_tiles(csr, 2) is row_tiles(csr, 2)
-        assert row_tiles(csr, 3) is not row_tiles(csr, 2)
-        with context.using(cache=False):
-            assert row_tiles(csr, 2) is not row_tiles(csr, 2)
 
     def test_small_product_stays_one_call(self):
         csr, dense = _random_csr(30, 2, 8)
@@ -302,13 +295,13 @@ class TestThreadedPrecompute:
             [t.tobytes() for t in expected]
 
     def test_nagphormer_tokens(self, graph):
-        model = NAGphormerLite(graph.num_features, 3, num_hops=3,
+        model = NAGphormerLite(graph.num_features, 3,
                                rng=np.random.default_rng(0))
         with context.using(spmm_threads=1):
             expected = model.precompute_tokens(graph)
         with _tiled(2) as tiled:
             tokens = model.precompute_tokens(graph)
-        self._assert_tiled(tiled, 3)
+        self._assert_tiled(tiled, 4)
         assert tokens.tobytes() == expected.tobytes()
 
 
@@ -316,43 +309,34 @@ class TestThreadedPrecompute:
 # 2. planner spill round-trip
 # ----------------------------------------------------------------------
 class TestPlannerSpill:
-    def test_evicted_chain_spills_and_reloads(self, tmp_path):
+    def test_evicted_chain_spills_and_reloads(self, tmp_path, counters):
         graph = _random_graph(16, seed=21)
         matrix = graph.normalized_adjacency(0.5)
         ctx = PropagationContext(matrix)
         x = np.asarray(graph.features, dtype=np.float32)
         expected = np.asarray(matrix @ x)
-        telemetry.configure()
-        try:
-            with blocked_scope(ram_budget_bytes=64 * 2 ** 20,
-                               spill_dir=tmp_path / "spill") as run:
-                tier = run.tier
-                # Shrink the term budget so the first chain must spill
-                # as soon as a second one needs room.
-                tier.term_budget_bytes = 1
-                with plan.plan_scope() as planner:
-                    planner.chain_terms(ctx, x, "monomial_adj", (), 4)
-                    planner.chain_terms(ctx, x, "chebyshev", (), 4)
-                    stats = planner.stats()
-                    assert stats["terms_spilled"] >= 1
-                    assert tier.stats()["spill_files"] \
-                        == stats["terms_spilled"]
-                    # Re-request: terms come back as read-only memmaps,
-                    # bit-identical, with zero recomputation of order-1.
-                    terms = planner.chain_terms(ctx, x, "monomial_adj",
-                                                (), 4)
-                    assert terms[1].tobytes() == expected.tobytes()
-                    assert planner.stats()["terms_loaded"] >= 1
-                    assert tier.stats()["load_files"] \
-                        == planner.stats()["terms_loaded"]
-            counters = telemetry.get_metrics().snapshot()["counters"]
-            assert counters["plan.terms.spill"] >= 1
-            assert counters["plan.terms.spill_load"] >= 1
-            # Each spill and load is counted once, by the planner.
-            assert "blocked.spill_files" not in counters
-            assert "blocked.load_files" not in counters
-        finally:
-            telemetry.shutdown()
+        with blocked_scope(ram_budget_bytes=64 * 2 ** 20,
+                           spill_dir=tmp_path / "spill") as run:
+            tier = run.tier
+            # Shrink the term budget so the first chain must spill
+            # as soon as a second one needs room.
+            tier.term_budget_bytes = 1
+            with plan.plan_scope() as planner:
+                planner.chain_terms(ctx, x, "monomial_adj", (), 4)
+                planner.chain_terms(ctx, x, "chebyshev", (), 4)
+                spilled = counters()["plan.terms.spill"]
+                assert spilled >= 1
+                # One file per spilled term.
+                assert len(list(tier.spill.root.iterdir())) == spilled
+                # Re-request: terms come back as read-only memmaps,
+                # bit-identical, with zero recomputation of order-1.
+                terms = planner.chain_terms(ctx, x, "monomial_adj",
+                                            (), 4)
+                assert terms[1].tobytes() == expected.tobytes()
+                assert counters()["plan.terms.spill_load"] >= 1
+        # Each spill and load is counted once, by the planner.
+        assert "blocked.spill_files" not in counters()
+        assert "blocked.load_files" not in counters()
 
     @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES])
     @pytest.mark.parametrize("name", ["chebyshev", "ppr"])
@@ -384,7 +368,6 @@ class TestPlannerSpill:
                     other.precompute(graph, x, rho=0.5)
                     again = filter_.precompute(graph, x, rho=0.5)
                 assert list(tier.spill.root.iterdir()) == []
-                assert tier.stats()["spill_files"] == 0
             counters = telemetry.get_metrics().snapshot()["counters"]
         finally:
             telemetry.shutdown()
@@ -402,19 +385,20 @@ class TestPlannerSpill:
             with plan.plan_scope() as planner:
                 terms = planner.chain_terms(ctx, x, "monomial_adj", (), 4)
                 computed = sum(int(t.nbytes) for t in terms[1:])
-                assert planner.stats()["resident_term_bytes"] == computed
+                assert planner._resident_bytes == computed
 
-    def test_no_spill_without_blocked_scope(self):
+    def test_no_spill_without_blocked_scope(self, counters, monkeypatch):
         """Outside a blocked scope eviction drops terms (seed behaviour)."""
         graph = _random_graph(16, seed=25)
         ctx = PropagationContext(graph.normalized_adjacency(0.5))
         x = np.asarray(graph.features, dtype=np.float32)
-        with plan.plan_scope(capacity=1) as planner:
+        monkeypatch.setattr(plan, "PLAN_CHAIN_ENTRIES", 1)
+        with plan.plan_scope() as planner:
             planner.chain_terms(ctx, x, "monomial_adj", (), 4)
             planner.chain_terms(ctx, x, "chebyshev", (), 4)
-            stats = planner.stats()
-            assert stats["terms_spilled"] == 0
-            assert stats["terms_loaded"] == 0
+            assert counters()["plan.chains.evict"] == 1
+            assert "plan.terms.spill" not in counters()
+            assert "plan.terms.spill_load" not in counters()
 
 
 # ----------------------------------------------------------------------
@@ -465,12 +449,12 @@ class TestBudget:
 # 4. GP training scheme integration
 # ----------------------------------------------------------------------
 class TestGraphPartitionScheme:
-    def _fit(self, graph, device=None, num_parts=3, epochs=2):
+    def _fit(self, graph, device=None, epochs=2):
         split = random_split(graph.num_nodes, seed=0)
         filter_ = make_filter("monomial", num_hops=3,
                               num_features=graph.num_features)
         config = TrainConfig(epochs=epochs, patience=epochs, seed=0)
-        trainer = GraphPartitionTrainer(num_parts=num_parts, device=device)
+        trainer = GraphPartitionTrainer(device=device)
         return trainer.fit(graph, split, filter_, config)
 
     def test_cut_edge_accounting(self, small_graph):
@@ -478,7 +462,7 @@ class TestGraphPartitionScheme:
         assert result.status == "ok"
         assert result.cut_edges is not None and result.cut_edges > 0
         assert 0.0 < result.cut_edge_fraction <= 1.0
-        assert result.num_parts == 3
+        assert result.num_parts == 4
 
     def test_ooms_iff_largest_cluster_does_not_fit(self, small_graph):
         # Far below one cluster's operator+features: must OOM.

@@ -69,16 +69,16 @@ def _random_csr(n: int, seed: int) -> sp.csr_matrix:
 # LRUCache mechanics
 # ----------------------------------------------------------------------
 class TestLRUCache:
-    def test_hit_miss_counts(self):
-        lru = cache.LRUCache(4)
+    def test_hit_miss_counts(self, counters):
+        lru = cache.LRUCache(4, counter_prefix="lru")
         assert lru.get("a") is cache.MISSING
         lru.put("a", 1)
         assert lru.get("a") == 1
-        assert lru.stats()["hits"] == 1
-        assert lru.stats()["misses"] == 1
+        assert counters()["lru.hit"] == 1
+        assert counters()["lru.miss"] == 1
 
-    def test_capacity_bound_and_eviction_order(self):
-        lru = cache.LRUCache(2)
+    def test_capacity_bound_and_eviction_order(self, counters):
+        lru = cache.LRUCache(2, counter_prefix="lru")
         lru.put("a", 1)
         lru.put("b", 2)
         lru.get("a")            # refresh "a" → "b" becomes LRU
@@ -86,7 +86,7 @@ class TestLRUCache:
         assert len(lru) == 2
         assert "b" not in lru
         assert lru.get("a") == 1
-        assert lru.stats()["evictions"] == 1
+        assert counters()["lru.evict"] == 1
 
     def test_get_or_compute_calls_factory_once(self):
         lru = cache.LRUCache(4)
@@ -96,22 +96,20 @@ class TestLRUCache:
             assert value == 42
         assert len(calls) == 1
 
-    def test_validate_rejection_is_a_miss_and_drops_entry(self):
-        lru = cache.LRUCache(4)
+    def test_validate_rejection_is_a_miss_and_drops_entry(self, counters):
+        lru = cache.LRUCache(4, counter_prefix="lru")
         lru.put("k", "stale")
         assert lru.get("k", validate=lambda v: False) is cache.MISSING
         assert "k" not in lru
-        assert lru.stats()["misses"] == 1
+        assert counters()["lru.miss"] == 1
 
-    def test_clear_resets_entries_and_stats(self):
+    def test_clear_drops_every_entry(self):
         lru = cache.LRUCache(2)
         lru.put("a", 1)
         lru.get("a")
         lru.get("zzz")
         lru.clear()
-        stats = lru.stats()
-        assert stats == {"entries": 0, "capacity": 2, "hits": 0,
-                         "misses": 0, "evictions": 0}
+        assert len(lru) == 0 and "a" not in lru
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -182,24 +180,23 @@ class TestTransposeCache:
             b = cache.transpose_csr(matrix)
         assert a is not b
         assert cache.transpose_build_count() == 2
-        assert cache._operator_cache.stats()["entries"] == 0
+        assert len(cache._operator_cache) == 0
 
-    def test_bounded_entries_with_eviction(self):
+    def test_bounded_entries_with_eviction(self, counters):
         matrices = [_random_csr(6, seed=100 + i)
                     for i in range(cache.TRANSPOSE_CACHE_ENTRIES + 5)]
         for matrix in matrices:
             cache.transpose_csr(matrix)
-        stats = cache._operator_cache.stats()
-        assert stats["entries"] <= cache.TRANSPOSE_CACHE_ENTRIES
-        assert stats["evictions"] >= 5
+        assert len(cache._operator_cache) <= cache.TRANSPOSE_CACHE_ENTRIES
+        assert counters()["cache.spmm_t.evict"] >= 5
 
     def test_dead_matrix_entry_purged(self):
         matrix = _random_csr(10, seed=6)
         cache.transpose_csr(matrix)
-        assert cache._operator_cache.stats()["entries"] == 1
+        assert len(cache._operator_cache) == 1
         del matrix
         gc.collect()
-        assert cache._operator_cache.stats()["entries"] == 0
+        assert len(cache._operator_cache) == 0
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 24), seed=st.integers(0, 10_000),
@@ -288,13 +285,13 @@ class TestSymmetricTranspose:
 # normalization memo
 # ----------------------------------------------------------------------
 class TestNormalizationMemo:
-    def test_hit_returns_same_object(self):
+    def test_hit_returns_same_object(self, counters):
         graph = _random_graph(20, seed=7)
         a = graph.normalized_adjacency(0.5)
         b = graph.normalized_adjacency(0.5)
         assert a is b
-        stats = graph._norm_memo.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert counters()["cache.norm_adj.hit"] == 1
+        assert counters()["cache.norm_adj.miss"] == 1
 
     def test_laplacian_memoized(self):
         graph = _random_graph(20, seed=8)
@@ -306,7 +303,7 @@ class TestNormalizationMemo:
         b = graph.normalized_adjacency(0.5, self_loops=False)
         c = graph.normalized_adjacency(1.0, self_loops=True)
         assert a is not b and a is not c
-        assert graph._norm_memo.stats()["entries"] == 3
+        assert len(graph._norm_memo) == 3
 
     def test_disabled_recomputes_equal_values(self):
         graph = _random_graph(20, seed=10)
@@ -321,7 +318,7 @@ class TestNormalizationMemo:
         rhos = np.linspace(0.0, 1.0, cache.NORM_MEMO_ENTRIES * 2 + 1)
         for rho in rhos:
             graph.normalized_adjacency(float(rho))
-        assert graph._norm_memo.stats()["entries"] <= cache.NORM_MEMO_ENTRIES
+        assert len(graph._norm_memo) <= cache.NORM_MEMO_ENTRIES
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 30), seed=st.integers(0, 10_000),

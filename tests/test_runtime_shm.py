@@ -58,7 +58,7 @@ from repro.datasets.registry import get_spec
 from repro.filters.base import PropagationContext
 from repro.filters.registry import FILTER_NAMES, make_filter
 from repro.graph import Graph
-from repro.runtime import cache, context, plan, shm
+from repro.runtime import cache, context, plan, pool, shm
 from repro.runtime.context import WorkerContext
 from repro.runtime.pool import Cell, PoolConfig, execute_cells
 from repro.runtime.shm import (
@@ -513,7 +513,7 @@ class TestLeakedSegmentSweep:
         assert sweep_leaked_segments() >= 2
         assert not _run_segments(store.run_id)
 
-    def test_orphan_data_segment_reaped(self):
+    def test_orphan_data_segment_reaped(self, monkeypatch):
         """A directory with no readable ``owner`` is wreckage — but only
         once it has sat idle, so a store being born is never swept."""
         path = os.path.join("/dev/shm", f"{shm.SEGMENT_PREFIX}deadbeef")
@@ -524,15 +524,17 @@ class TestLeakedSegmentSweep:
             sweep_leaked_segments()
             assert _run_segments("deadbeef"), \
                 "a fresh ownerless directory must survive the sweep"
-            assert sweep_leaked_segments(max_age_s=0.0) >= 1
+            monkeypatch.setattr(shm, "LEAKED_IDLE_S", 0.0)
+            assert sweep_leaked_segments() >= 1
             assert not _run_segments("deadbeef")
         finally:
             shutil.rmtree(path, ignore_errors=True)
 
-    def test_live_store_never_swept(self, store):
+    def test_live_store_never_swept(self, store, monkeypatch):
         store.publish_blob(blob_fingerprint("norm", ("live",)),
                            {"a": np.ones(4)})
-        sweep_leaked_segments(max_age_s=0.0)
+        monkeypatch.setattr(shm, "LEAKED_IDLE_S", 0.0)
+        sweep_leaked_segments()
         assert _run_segments(store.run_id), \
             "a store with a live owner must survive the sweep"
 
@@ -631,10 +633,11 @@ class TestCrossProcess:
         assert _counters()["shm.claims.adopted"] == 1
         assert store.publish_terms(fp, 1, [np.ones((3, 2))] * 2)
 
-    def test_spawn_pool_shares_terms(self):
+    def test_spawn_pool_shares_terms(self, monkeypatch):
         """A handle pickles, so ``spawn`` workers share too."""
         if "spawn" not in mp.get_all_start_methods():
             pytest.skip("spawn start method unavailable")
+        monkeypatch.setattr(pool, "_default_start_method", lambda: "spawn")
         cells = [Cell(key=(index,), fn=_precompute_cell,
                       kwargs={"name": "monomial", "seed": 5})
                  for index in range(4)]
@@ -642,24 +645,26 @@ class TestCrossProcess:
         store = SharedTermStore()
         with shm.store_scope(store):
             results = execute_cells(
-                cells, PoolConfig(workers=2, start_method="spawn"))
+                cells, PoolConfig(workers=2))
         assert [result.value for result in results] == [expected] * 4
         stats = store.stats()
         assert stats["publishes"] > 0 and stats["hits"] > 0, stats
         assert not _run_segments(store.run_id)
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_pool_workers_honour_no_plan_and_no_cache(self, start_method):
+    def test_pool_workers_honour_no_plan_and_no_cache(self, start_method,
+                                                      monkeypatch):
         """``--no-plan`` / ``--no-cache`` live on the run context, which
         the pool ships whole: a ``spawn`` worker inherits nothing."""
         if start_method not in mp.get_all_start_methods():
             pytest.skip(f"{start_method} start method unavailable")
+        monkeypatch.setattr(pool, "_default_start_method",
+                            lambda: start_method)
         cells = [Cell(key=(index,), fn=_switches_cell, kwargs={})
                  for index in range(2)]
-        pool = PoolConfig(workers=2, start_method=start_method)
         with context.using(plan=False, cache=False):
-            off = execute_cells(cells, pool)
-        on = execute_cells(cells, pool)
+            off = execute_cells(cells, PoolConfig(workers=2))
+        on = execute_cells(cells, PoolConfig(workers=2))
         assert [result.value for result in off] == [(False, False)] * 2
         assert [result.value for result in on] == [(True, True)] * 2
 
@@ -735,10 +740,8 @@ class TestSharedStoreInvisibility:
 
 
 def _publish_chain(store, filter_, graph, x):
-    with serving(store.worker_handle()), \
-            plan.plan_scope(fresh=True) as planner:
-        out = filter_.precompute(graph, x, rho=0.5)
-        return out, planner.stats()["terms_computed"]
+    with serving(store.worker_handle()), plan.plan_scope(fresh=True):
+        return filter_.precompute(graph, x, rho=0.5)
 
 
 class TestAnySubsetIsValid:
@@ -756,9 +759,11 @@ class TestAnySubsetIsValid:
         x = np.asarray(graph.features, dtype=np.float32)
         filter_ = make_filter(filter_name, num_hops=num_hops,
                               num_features=x.shape[1])
+        telemetry.configure()
         store = SharedTermStore()
         try:
-            expected, computed = _publish_chain(store, filter_, graph, x)
+            expected = _publish_chain(store, filter_, graph, x)
+            computed = _counters()["plan.terms.miss"]
             terms = sorted(name for name in _run_files(store)
                            if name.startswith("c-")
                            and name.endswith(".npy"))
@@ -776,13 +781,14 @@ class TestAnySubsetIsValid:
                        if int(name.split(".")[1])
                        >= first_gap.get(name.split(".")[0], np.inf))
             published = store.stats()["publishes"]
-            again, recomputed = _publish_chain(store, filter_, graph, x)
+            again = _publish_chain(store, filter_, graph, x)
             assert again.tobytes() == expected.tobytes()
-            assert recomputed == lost
+            assert _counters()["plan.terms.miss"] - computed == lost
             assert store.stats()["publishes"] - published == len(doomed)
             assert set(terms) <= _run_files(store)
         finally:
             store.close()
+            telemetry.shutdown()
 
 
 class TestFaultsAreInvisible:
@@ -804,8 +810,8 @@ class TestFaultsAreInvisible:
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(shm.os, "replace", refuse)
-                faulted, _ = _publish_chain(store, filter_, graph, x)
-            healthy, _ = _publish_chain(store, filter_, graph, x)
+                faulted = _publish_chain(store, filter_, graph, x)
+            healthy = _publish_chain(store, filter_, graph, x)
             leftovers = _run_files(store) - {"owner", "stats"}
         finally:
             stats = store.close()
@@ -826,7 +832,7 @@ class TestFaultsAreInvisible:
             expected = filter_.precompute(graph, x, rho=0.5)
         store = SharedTermStore()
         shutil.rmtree(store.root)
-        got, _ = _publish_chain(store, filter_, graph, x)
+        got = _publish_chain(store, filter_, graph, x)
         assert got.tobytes() == expected.tobytes()
         assert not _run_segments(store.run_id)
         store.close()
@@ -938,7 +944,8 @@ class TestCsrBlobIntegration:
                                                (), 4))
         assert [term.tobytes() for term in served] == expected
 
-    def test_spilled_chain_names_bind_the_whole_signal(self, tmp_path):
+    def test_spilled_chain_names_bind_the_whole_signal(self, tmp_path,
+                                                       counters):
         ctx, first, second, expected = self._twin_signals()
         config = context.RunConfig(blocked=True, ram_budget_mib=64,
                                    spill_dir=str(tmp_path / "spill"))
@@ -948,9 +955,9 @@ class TestCsrBlobIntegration:
             run.tier.term_budget_bytes = 1
             planner.chain_terms(ctx, first, "monomial_adj", (), 4)
             planner.chain_terms(ctx, first, "chebyshev", (), 4)
-            assert planner.stats()["terms_spilled"] >= 3
+            assert counters()["plan.terms.spill"] >= 3
             served = planner.chain_terms(ctx, second, "monomial_adj", (), 4)
-            assert planner.stats()["terms_loaded"] == 0
+            assert "plan.terms.spill_load" not in counters()
         assert [term.tobytes() for term in served] == expected
 
     def test_symmetric_operator_publishes_no_transpose(self, store):
@@ -1050,14 +1057,17 @@ class TestGraphBlob:
                              ("cora", 0.2, 0)]
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_pooled_grid_matches_inline(self, graph_memo, start_method):
+    def test_pooled_grid_matches_inline(self, graph_memo, start_method,
+                                        monkeypatch):
         if start_method not in mp.get_all_start_methods():
             pytest.skip(f"{start_method} start method unavailable")
+        monkeypatch.setattr(pool, "_default_start_method",
+                            lambda: start_method)
         inline = canonical_payload(_mb_grid())
         graph_memo.clear()  # a fork must not inherit the inline graphs
         store = SharedTermStore()
         with shm.store_scope(store):
-            rows = _mb_grid(PoolConfig(workers=2, start_method=start_method))
+            rows = _mb_grid(PoolConfig(workers=2))
             for name in GRID_DATASETS:
                 assert store.fetch_blob(_graph_fp(name)) is not None, name
         assert canonical_payload(rows) == inline

@@ -48,11 +48,6 @@ class TestNodeClassification:
         assert summary.status == "ok"
         assert 0 <= summary.mean <= 1
 
-    def test_shared_split_pins_split(self, small_graph):
-        summary = run_seeds(small_graph, "identity", config=FAST,
-                            seeds=(0, 1), shared_split_seed=7)
-        assert len(summary.results) == 2
-
     def test_cell_formats(self):
         ok = SeedSummary(scores=[0.5, 0.6], results=[])
         assert ok.cell() == "55.00±5.00"

@@ -33,6 +33,7 @@ from repro.autodiff import Tensor
 from repro.autodiff import tensor as tensor_mod
 from repro.runtime.device import DeviceModel
 from repro.runtime.pool import Cell, PoolConfig, execute_cells
+from repro.telemetry import memory
 from repro.telemetry.memory import (
     MEMORY_SCHEMA,
     TOP_PATH,
@@ -196,8 +197,9 @@ class TestAllocationLedger:
         assert ledger.peak_bytes == 5120
         assert ledger.peak_by_path == {"setup": 1024, "train/forward": 4096}
 
-    def test_top_allocations_bounded_and_ranked(self):
-        ledger = AllocationLedger(top_n=3)
+    def test_top_allocations_bounded_and_ranked(self, monkeypatch):
+        monkeypatch.setattr(memory, "TOP_ALLOCATIONS", 3)
+        ledger = AllocationLedger()
         for i, size in enumerate([10, 50, 20, 40, 30]):
             ledger.on_alloc(size, None, f"op{i}", TOP_PATH)
         sizes = [e["nbytes"] for e in ledger.top_allocations]
@@ -248,9 +250,9 @@ class TestAllocationLedger:
         assert parent.peak_path == "parent"
 
     def test_merge_summary_ranks_shard_top_allocations(self):
-        parent = AllocationLedger(top_n=2)
+        parent = AllocationLedger()
         parent.on_alloc(10, None, "leaf", "p")
-        shard = AllocationLedger(top_n=2)
+        shard = AllocationLedger()
         shard.on_alloc(1000, None, "matmul", "c")
         parent.merge_summary(shard.summary())
         assert [e["nbytes"] for e in parent.top_allocations] == [1000, 10]
@@ -448,8 +450,7 @@ class TestMemoryBlock:
 
         registry = telemetry.RunRegistry(tmp_path)
         record = telemetry.build_record(
-            telemetry.build_manifest(extra={"experiment": "mem"}),
-            timestamp=1.0)
+            telemetry.build_manifest(extra={"experiment": "mem"}))
         v4 = record.to_dict()
         v4["schema"] = "repro.telemetry.registry/v4"
         del v4["memory"]
@@ -461,9 +462,8 @@ class TestMemoryBlock:
 
     def test_memory_outside_config_fingerprint(self, tmp_path):
         manifest = telemetry.build_manifest(extra={"experiment": "mem"})
-        lean = telemetry.build_record(manifest, timestamp=1.0)
-        fat = telemetry.build_record(manifest, timestamp=2.0,
-                                     memory={"peak_bytes": 123})
+        lean = telemetry.build_record(manifest)
+        fat = telemetry.build_record(manifest, memory={"peak_bytes": 123})
         assert lean.config_fingerprint == fat.config_fingerprint
 
 

@@ -40,11 +40,13 @@ def make_manifest(**overrides):
 
 
 def make_record(timestamp, *, seconds=1.0, manifest=None, **stage_fields):
+    """A record stamped ``timestamp`` (``build_record`` reads the clock)."""
     stages = {"train": {"seconds": seconds, "self_seconds": seconds / 2,
                         "ram_delta_bytes": 0, **stage_fields}}
-    return build_record(manifest or make_manifest(), stages=stages,
-                        metrics={"counters": {"ops.eig.flops": 900.0}},
-                        timestamp=timestamp)
+    record = build_record(manifest or make_manifest(), stages=stages,
+                          metrics={"counters": {"ops.eig.flops": 900.0}})
+    record.timestamp = timestamp
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +179,9 @@ class TestSchemaV2:
     def test_workers_outside_config_fingerprint(self, tmp_path):
         """Execution strategy must not change a run's config fingerprint."""
         registry = RunRegistry(tmp_path)
-        serial = registry.append(build_record(make_manifest(), timestamp=1.0,
-                                              workers=1))
-        pooled = registry.append(build_record(make_manifest(), timestamp=2.0,
-                                              workers=8, pool={"workers": 8}))
+        serial = registry.append(build_record(make_manifest(), workers=1))
+        pooled = registry.append(build_record(make_manifest(), workers=8,
+                                              pool={"workers": 8}))
         assert serial.config_fingerprint == pooled.config_fingerprint
         assert [r.workers for r in registry.load()] == [1, 8]
 

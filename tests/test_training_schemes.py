@@ -21,7 +21,6 @@ from repro.runtime.profiler import StageProfiler
 from repro.tasks import run_node_classification
 from repro.training import (
     EarlyStopper,
-    GraphPartitionTrainer,
     MiniBatchTrainer,
     TrainConfig,
     build_optimizer,
@@ -126,7 +125,7 @@ class TestGraphPartition:
     def test_trains(self, small_graph):
         result = run_node_classification(small_graph, "ppr",
                                          scheme="graph_partition",
-                                         config=FAST, num_parts=3)
+                                         config=FAST)
         assert result.status == "ok"
         assert result.test_score > 1.0 / small_graph.num_classes
 
@@ -134,13 +133,8 @@ class TestGraphPartition:
         fb = run_node_classification(small_graph, "ppr", scheme="full_batch",
                                      config=FAST)
         gp = run_node_classification(small_graph, "ppr",
-                                     scheme="graph_partition", config=FAST,
-                                     num_parts=4)
+                                     scheme="graph_partition", config=FAST)
         assert gp.device_peak_bytes < fb.device_peak_bytes
-
-    def test_invalid_parts(self):
-        with pytest.raises(Exception):
-            GraphPartitionTrainer(num_parts=0)
 
 
 class TestTrainConfig:
