@@ -276,9 +276,6 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def __len__(self) -> int:
-        return len(self.data)
-
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op!r}{grad_flag})"
@@ -418,9 +415,6 @@ class Tensor:
 
         return Tensor._make(data, (a, b), backward, "sub")
 
-    def __rsub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return self._coerce(other).__sub__(self)
-
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._coerce(other)
         a, b = self, other
@@ -460,9 +454,6 @@ class Tensor:
 
         return Tensor._make(data, (a, b), backward, "div")
 
-    def __rtruediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return self._coerce(other).__truediv__(self)
-
     def __neg__(self) -> "Tensor":
         a = self
         data = -a.data
@@ -472,18 +463,6 @@ class Tensor:
             return (-grad,)
 
         return Tensor._make(data, (a,), backward, "neg")
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if isinstance(exponent, Tensor):
-            raise AutodiffError("tensor exponents are not supported; use exp/log")
-        x = self.data
-        data = x ** exponent
-        _notify_ewise(data)
-
-        def backward(grad: np.ndarray):
-            return (grad * exponent * x ** (exponent - 1),)
-
-        return Tensor._make(data, (self,), backward, "pow")
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._coerce(other)

@@ -379,11 +379,14 @@ def main(argv=None) -> int:
                 line += f" {label}={int(counters.get(name, 0))}"
         print(line)
     artifacts_info = None
-    if run.sweep is not None:
-        artifacts_info = dict(
-            {"mode": "fresh" if cfg.fresh else "resume",
-             "dir": str(run.sweep.store.root)},
-            **run.sweep.store.stats())
+    if run.sweep is not None:  # the store's traffic is the run's counters
+        counters = final_metrics(events).get("counters") or {}
+        artifacts_info = {"mode": "fresh" if cfg.fresh else "resume",
+                          "dir": str(run.sweep.store.root),
+                          "cells": len(run.sweep.store)}
+        for key, name in (("hit", "hit"), ("miss", "miss"),
+                          ("stored", "store"), ("torn", "torn")):
+            artifacts_info[key] = int(counters.get(f"artifacts.{name}", 0))
         print(f"artifacts: {run.sweep.store.root}  "
               f"mode={artifacts_info['mode']}  "
               f"hit={artifacts_info['hit']} miss={artifacts_info['miss']} "

@@ -65,9 +65,6 @@ class ShiftedMonomialFilter(SpectralFilter):
         yield from plan.chain_bases(ctx, x, "shifted_monomial",
                                     (self.beta, self.sign), self.num_hops + 1)
 
-    def hyperparameters(self) -> Dict[str, float]:
-        return {"beta": self.beta, "sign": self.sign}
-
 
 class PrefixedPPRFilter(PPRFilter):
     """GNN-LF/HF channel: PPR over the pre-filtered signal ``(I ∓ βL̃)x``."""
@@ -84,9 +81,6 @@ class PrefixedPPRFilter(PPRFilter):
     def _bases(self, ctx: Context, x: Signal) -> Iterator[Signal]:
         prefixed = x + ctx.lap(x) * (self.sign * self.beta)
         yield from monomial_bases(ctx, prefixed, self.num_hops + 1, operator="adj")
-
-    def hyperparameters(self) -> Dict[str, float]:
-        return {"alpha": self.alpha, "beta": self.beta, "sign": self.sign}
 
 
 def _fuse_concat(parts: Sequence[Signal]) -> Signal:
@@ -288,9 +282,6 @@ class FAGNNFilter(FilterBank):
         )
         self.beta = float(beta)
 
-    def hyperparameters(self) -> Dict[str, float]:
-        return {"beta": self.beta}
-
 
 class G2CNFilter(FilterBank):
     """G²CN: Gaussian bumps concentrated near λ = 1 − β (low) and 1 + β (high)."""
@@ -308,15 +299,6 @@ class G2CNFilter(FilterBank):
             fusion="sum",
             num_hops=num_hops,
         )
-
-    def hyperparameters(self) -> Dict[str, float]:
-        low, high = self.channels
-        return {
-            "alpha_low": low.alpha,
-            "alpha_high": high.alpha,
-            "beta_low": -low.beta,
-            "beta_high": high.beta,
-        }
 
 
 class GNNLFHFFilter(FilterBank):

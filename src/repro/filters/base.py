@@ -336,14 +336,8 @@ class SpectralFilter:
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
-    def hyperparameters(self) -> Dict[str, float]:
-        """Tunable (non-learned) hyperparameters, shown in ``repr``."""
-        return {}
-
     def __repr__(self) -> str:
-        hp = ", ".join(f"{k}={v}" for k, v in self.hyperparameters().items())
-        suffix = f", {hp}" if hp else ""
-        return f"{type(self).__name__}(K={self.num_hops}{suffix})"
+        return f"{type(self).__name__}(K={self.num_hops})"
 
 
 def _to_numpy(value) -> np.ndarray:

@@ -11,7 +11,7 @@ smallest memory footprint.
 from __future__ import annotations
 
 from math import factorial
-from typing import Dict, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -108,9 +108,6 @@ class PPRFilter(SpectralFilter):
     def _bases(self, ctx: Context, x: Signal) -> Iterator[Signal]:
         yield from monomial_bases(ctx, x, self.num_hops + 1, operator="adj")
 
-    def hyperparameters(self) -> Dict[str, float]:
-        return {"alpha": self.alpha}
-
 
 class HeatKernelFilter(SpectralFilter):
     """Heat kernel: ``θ_k = e^{-α} α^k / k!``, response ``e^{-αλ}``.
@@ -137,9 +134,6 @@ class HeatKernelFilter(SpectralFilter):
 
     def _bases(self, ctx: Context, x: Signal) -> Iterator[Signal]:
         yield from monomial_bases(ctx, x, self.num_hops + 1, operator="adj")
-
-    def hyperparameters(self) -> Dict[str, float]:
-        return {"alpha": self.alpha}
 
 
 class GaussianFilter(SpectralFilter):
@@ -191,6 +185,3 @@ class GaussianFilter(SpectralFilter):
                                         layers + 1):
             pass
         yield current
-
-    def hyperparameters(self) -> Dict[str, float]:
-        return {"alpha": self.alpha, "beta": self.beta}

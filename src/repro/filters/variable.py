@@ -86,9 +86,6 @@ class MonomialVariableFilter(SpectralFilter):
     def _bases(self, ctx: Context, x: Signal) -> Iterator[Signal]:
         yield from monomial_bases(ctx, x, self.num_hops + 1, operator="adj")
 
-    def hyperparameters(self) -> Dict[str, float]:
-        return {"alpha": self.alpha}
-
 
 class HornerFilter(SpectralFilter):
     """HornerGCN/ARMA-style residual bases ``b_k = Ã b_{k−1} + x``.
@@ -275,9 +272,6 @@ class JacobiFilter(SpectralFilter):
     def _bases(self, ctx: Context, x: Signal) -> Iterator[Signal]:
         yield from plan.chain_bases(ctx, x, "jacobi", (self.a, self.b),
                                     self.num_hops + 1)
-
-    def hyperparameters(self) -> Dict[str, float]:
-        return {"a": self.a, "b": self.b}
 
 
 def _shift_matrix(size: int) -> np.ndarray:

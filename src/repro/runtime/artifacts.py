@@ -141,19 +141,14 @@ class ArtifactStore:
     """On-disk, content-addressed store of completed sweep cells.
 
     ``root`` is the store directory (created on first put); ``None``
-    resolves through :func:`default_artifact_dir`. Traffic is tallied
-    locally (``hits``/``misses``/``stores``/``torn``) and mirrored to
-    telemetry counters (``artifacts.{hit,miss,store}``) so registry
-    records and traces show what the store did.
+    resolves through :func:`default_artifact_dir`. Its traffic is the
+    run's telemetry counters (``artifacts.{hit,miss,store,torn}``), so
+    the CLI line, registry records and traces show what the store did.
     """
 
     def __init__(self, root: Optional[PathLike] = None):
         self.root = default_artifact_dir(root)
         self.files = ArrayFiles(self.root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.torn = 0
 
     def payload_path(self, address: str) -> Path:
         return self.root / f"{address}.json"
@@ -173,13 +168,13 @@ class ArtifactStore:
         """Decode one artifact, or ``None`` on any miss.
 
         A miss is: no file, a torn/truncated file (crashed writer —
-        counted on :attr:`torn` and the broken file dropped so the rerun
-        overwrites it cleanly), or a schema/address mismatch.
+        counted as ``artifacts.torn`` and the broken file dropped so the
+        rerun overwrites it cleanly), or a schema/address mismatch.
         """
         try:
             payload = self.files.get_json(address)
         except (ValueError, OSError):
-            self.torn += 1
+            telemetry.inc_counter("artifacts.torn")
             payload = {}
         if not (isinstance(payload, dict)
                 and payload.get("schema") == ARTIFACT_SCHEMA
@@ -190,7 +185,6 @@ class ArtifactStore:
             return None
         from ..bench.io import unjsonify  # lazy: bench imports runtime
 
-        self.hits += 1
         telemetry.inc_counter("artifacts.hit")
         return CellArtifact(
             address=address,
@@ -201,7 +195,6 @@ class ArtifactStore:
         )
 
     def _count_miss(self) -> None:
-        self.misses += 1
         telemetry.inc_counter("artifacts.miss")
 
     def put(self, address: str, value: Any,
@@ -228,7 +221,6 @@ class ArtifactStore:
         }
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.files.put_json(address, payload)
-        self.stores += 1
         telemetry.inc_counter("artifacts.store")
         return path
 
@@ -239,22 +231,10 @@ class ArtifactStore:
     def purge(self) -> int:
         """Drop every cell and the scratch files of crashed writes
         (``--fresh``); returns the count of cells dropped. Any other file
-        in the directory is not the store's and stays. The local tallies
-        are kept, so a fresh-then-populate run still reports what it
-        stored."""
+        in the directory is not the store's and stays."""
         dropped = len(self)
         self.files.purge(_ADDRESS.pattern + r"\.json")
         return dropped
-
-    def stats(self) -> Dict[str, int]:
-        """Local traffic/occupancy summary (registry ``artifacts`` block)."""
-        return {
-            "cells": len(self),
-            "hit": self.hits,
-            "miss": self.misses,
-            "stored": self.stores,
-            "torn": self.torn,
-        }
 
 
 @dataclass

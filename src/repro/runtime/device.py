@@ -156,11 +156,7 @@ class DeviceModel:
         self.peak_bytes = 0
         self._transient_bytes = 0
 
-    @property
-    def peak_gib(self) -> float:
-        """Peak usage in GiB, the unit of the paper's memory columns."""
-        return self.peak_bytes / GIBIBYTE
-
     def __repr__(self) -> str:
         cap = "∞" if self.capacity_bytes is None else f"{self.capacity_bytes / GIBIBYTE:.0f}GiB"
-        return f"DeviceModel(name={self.name!r}, capacity={cap}, peak={self.peak_gib:.3f}GiB)"
+        peak = self.peak_bytes / GIBIBYTE
+        return f"DeviceModel(name={self.name!r}, capacity={cap}, peak={peak:.3f}GiB)"

@@ -17,17 +17,17 @@ guarantees the benchmark methodology depends on:
   A raising, segfaulting, or hanging worker marks *its* cell failed
   (after a bounded number of retries) without aborting sibling cells; the
   sweep completes and reports partial results.
-- **Telemetry fold-in** — each worker runs under its own tracer and
-  :class:`~repro.telemetry.metrics.MetricsRegistry`; the shard (span
-  events + metrics state) ships back through the result pipe and the
+- **Telemetry fold-in** — each cell runs in a telemetry session of its
+  own, inline or in a worker; the shard (span events + metrics
+  snapshot) ships back through the result pipe and the
   parent merges it via :func:`repro.telemetry.fold_shard`, so op
   counters, gauges, and the trace file describe the whole sweep as
   one coherent run. Only the *successful* attempt of a cell contributes
   telemetry — a retried attempt's partial counters are discarded, which
   is what keeps merged totals equal to a serial run's. The worker's
   allocation-ledger summary (:mod:`repro.telemetry.memory`) rides the
-  same shard as an ordinary ``{"type": "memory"}`` event: the worker's
-  telemetry shutdown emits it, and the parent's ``fold_shard`` merges it
+  same shard as an ordinary ``{"type": "memory"}`` event: closing the
+  cell's session emits it, and the parent's ``fold_shard`` merges it
   into the parent ledger (allocation totals add; peaks take the max and
   adopt that shard's attribution) — so pooled alloc totals equal serial
   totals with no executor-level plumbing.
@@ -243,11 +243,13 @@ def _record_run_stats(results: Sequence[CellResult]) -> None:
 def _cell_entry(conn, cell: Cell, attempt: int, context) -> None:
     """Worker-process entry: run one cell, ship value + telemetry shard.
 
-    The worker reconfigures telemetry from scratch (dropping any tracer
-    state inherited through fork) so its shard contains exactly this
-    cell's spans and counters. Failures are reported as data — the
-    parent decides on retries; nothing propagates across the pipe as an
-    exception. ``context`` is the parent's
+    When the parent collects telemetry, the cell runs in a session of its
+    own (a forked child has already forgotten the parent's, see
+    :mod:`repro.telemetry`), so its shard holds exactly this cell's spans
+    and counters, in the shape an inline cell's
+    :func:`repro.telemetry.shard_capture` gives. Failures are reported as
+    data — the parent decides on retries; nothing propagates across the
+    pipe as an exception. ``context`` is the parent's
     :class:`~repro.runtime.context.WorkerContext`: the run's switches
     (``--no-plan`` / ``--no-cache``, which a ``spawn`` worker would not
     otherwise see), the sweep's shared term-store client and whether the
@@ -266,15 +268,14 @@ def _cell_entry(conn, cell: Cell, attempt: int, context) -> None:
             if context.telemetry:
                 from .. import telemetry
 
-                telemetry.shutdown()  # discard fork-inherited tracer state
-                tracer = telemetry.configure()
-                with telemetry.span("cell", cell=cell.label), \
-                        plan.plan_scope(fresh=True):
-                    value = cell.fn(**cell.kwargs)
-                metrics_state = tracer.metrics.to_state()
-                events = telemetry.shutdown()
-                payload.update(ok=True, value=value, events=events,
-                               metrics=metrics_state)
+                telemetry._open()
+                try:
+                    with telemetry.span("cell", cell=cell.label), \
+                            plan.plan_scope(fresh=True):
+                        value = cell.fn(**cell.kwargs)
+                finally:
+                    shard = telemetry._close()
+                payload.update(ok=True, value=value, **shard)
             else:
                 with plan.plan_scope(fresh=True):
                     payload.update(ok=True, value=cell.fn(**cell.kwargs))
@@ -376,9 +377,9 @@ def _run_inline_all(cells: Sequence[Cell], cached: Dict[int, CellResult],
 def _run_inline(cell: Cell, sweep=None) -> CellResult:
     from .. import telemetry
 
-    # Capture this cell's spans/metrics in an isolated shard (mirroring
-    # a worker's from-scratch tracer) so the artifact store can persist
-    # it and fold-in is identical whether the cell ran live or cached.
+    # Capture this cell's spans/metrics in a session of its own (as a
+    # worker does) so the artifact store can persist the shard and
+    # fold-in is identical whether the cell ran live or cached.
     shard: Dict[str, Any] = {}
     started = time.perf_counter()
     with telemetry.shard_capture(shard), \

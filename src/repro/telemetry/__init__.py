@@ -6,13 +6,13 @@ It provides three connected layers:
 - **Spans** (:mod:`.spans`): a hierarchical, thread-safe tracer. Trainers
   and the profiler open nested spans (``precompute → train → epoch →
   forward/backward``) whose wall time, allocated bytes, and RAM growth
-  land on an event sink.
+  land in the tracer's event list (and its JSONL trace file, if any).
 - **Metrics** (:mod:`.metrics`): counters and gauges fed by op hooks in
   :mod:`repro.autodiff` (matmul/spmm FLOPs and bytes) and by
   the :mod:`repro.runtime` cache/planner layers (``cache.*`` memo
   traffic; ``plan.terms.{hit,miss,evict}`` / ``plan.chains.*`` /
   ``plan.spmm_avoided`` basis-term store traffic).
-- **Artifacts** (:mod:`.sinks`, :mod:`.manifest`, :mod:`.report`): a JSONL
+- **Artifacts** (:mod:`.spans`, :mod:`.manifest`, :mod:`.report`): a JSONL
   trace file, a deterministic run manifest written next to every result
   file, and a terminal report (top spans with inclusive *and* exclusive
   cost, per-epoch sparklines).
@@ -32,6 +32,13 @@ Module-level usage — the pattern every instrumented call site follows::
     telemetry.emit_event("epoch", epoch=0, loss=1.2)
     events = telemetry.shutdown()                 # flush + detach hooks
 
+A *session* is one tracer plus its allocation ledger, with the engine's op
+and allocation hooks attached to it. :func:`configure` opens one and
+:func:`shutdown` closes it; :func:`shard_capture` nests one per inline
+sweep cell, and a pool worker opens its own. A session writes only from
+the process that opened it: a forked child forgets the sessions it
+inherited without emitting into them or writing their buffered lines.
+
 When no tracer is configured, :func:`span` returns a shared no-op context
 manager and :func:`emit_event` returns immediately — instrumented code
 pays one ``None`` check, which is what keeps the disabled-mode overhead
@@ -40,15 +47,11 @@ unmeasurable.
 
 from __future__ import annotations
 
+import os
 import threading
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Union
 
-from .hooks import (
-    install_alloc_hooks,
-    install_op_hooks,
-    uninstall_alloc_hooks,
-    uninstall_op_hooks,
-)
 from .manifest import (
     MANIFEST_SUFFIX,
     build_manifest,
@@ -58,7 +61,7 @@ from .manifest import (
     platform_info,
     write_manifest,
 )
-from .memory import MEMORY_SCHEMA, AllocationLedger, memory_block
+from .memory import MEMORY_SCHEMA, TOP_PATH, AllocationLedger, memory_block
 from .metrics import Counter, Gauge, MetricsRegistry
 from .registry import (
     RunRecord,
@@ -70,7 +73,6 @@ from .registry import (
 )
 from .report import (
     aggregate_spans,
-    final_memory,
     final_metrics,
     render_counters,
     render_epoch_table,
@@ -80,71 +82,143 @@ from .report import (
     sparkline,
 )
 from .rss import current_rss_bytes, peak_rss_bytes
-from .sinks import (
-    EventSink,
-    JsonlSink,
-    MemorySink,
-    NullSink,
-    TeeSink,
-)
 from .spans import NOOP_SPAN, Span, Tracer
 
+
+class _Session:
+    """One tracer, its allocation ledger, and the engine hooks bound to both.
+
+    The op hook feeds ``ops.<op>.{calls,flops,bytes}`` counters and the
+    open spans' ``alloc_bytes``; the allocation hook accounts each engine
+    array under the current span-tree path and feeds ``mem_bytes`` /
+    ``mem_peak_bytes``.
+    """
+
+    __slots__ = ("tracer", "ledger", "op_hook", "alloc_hook")
+
+    def __init__(self, trace_path: Optional[str]):
+        tracer = self.tracer = Tracer(trace_path)
+        ledger = self.ledger = AllocationLedger()
+        metrics = tracer.metrics
+
+        def op_hook(op: str, flops: int, nbytes: int) -> None:
+            metrics.counter(f"ops.{op}.calls").inc()
+            metrics.counter(f"ops.{op}.flops").inc(flops)
+            metrics.counter(f"ops.{op}.bytes").inc(nbytes)
+            tracer.add_alloc_bytes(nbytes)
+
+        def alloc_hook(nbytes: int, array, op: str) -> None:
+            path = tracer.current_path() or TOP_PATH
+            ledger.on_alloc(nbytes, array, op, path)
+            tracer.add_mem_bytes(nbytes, ledger.live_bytes)
+
+        self.op_hook = op_hook
+        self.alloc_hook = alloc_hook
+
+
+#: Open sessions, innermost last. Only the innermost one records; the
+#: ones below it are suspended until it closes (see :func:`shard_capture`).
+_sessions: List[_Session] = []
+#: The innermost session's tracer: the one ``None`` check the hot path pays.
 _tracer: Optional[Tracer] = None
-_memory: Optional[MemorySink] = None
-_ledger: Optional[AllocationLedger] = None
-_config_lock = threading.Lock()
+_config_lock = threading.RLock()
+
+
+def _rehook(old: Optional[_Session], new: Optional[_Session]) -> None:
+    """Move the engine's op and allocation hooks from ``old`` to ``new``.
+
+    Either may be ``None``. Only ``old``'s own allocation hook is removed,
+    so another subscriber (a ``DeviceModel.step``) is never displaced.
+    """
+    from ..autodiff import tensor
+
+    if old is not None:
+        tensor.remove_allocation_hook(old.alloc_hook)
+    tensor.set_op_hook(new.op_hook if new is not None else None)
+    if new is not None:
+        tensor.add_allocation_hook(new.alloc_hook)
+
+
+def _open(trace_path: Optional[str] = None) -> Tracer:
+    """Open a session on top of any open one and attach the engine hooks
+    to it; returns its tracer."""
+    global _tracer
+    with _config_lock:
+        session = _Session(trace_path)
+        _rehook(_sessions[-1] if _sessions else None, session)
+        _sessions.append(session)
+        _tracer = session.tracer
+        return _tracer
+
+
+def _close() -> Dict:
+    """Close the innermost session and return its shard.
+
+    Detaches its hooks (re-attaching the session below, if any), emits the
+    ledger's ``memory`` summary and the ``metrics`` snapshot, and closes
+    the trace file. The shard, ``{"events", "metrics"}``, is what
+    :func:`fold_shard` takes and what a pool worker ships back.
+    """
+    global _tracer
+    with _config_lock:
+        if not _sessions:
+            return {"events": [], "metrics": {}}
+        session = _sessions.pop()
+        below = _sessions[-1] if _sessions else None
+        _rehook(session, below)
+        _tracer = below.tracer if below is not None else None
+    tracer, ledger = session.tracer, session.ledger
+    # The memory summary rides the ordinary event stream, so a shard
+    # ships it for free and fold_shard merges it.
+    tracer.emit({"type": "memory", "memory": ledger.summary()})
+    ledger.close()
+    snapshot = tracer.metrics.snapshot()
+    if snapshot:
+        tracer.emit({"type": "metrics", "metrics": snapshot})
+    tracer.close()
+    return {"events": tracer.events, "metrics": snapshot}
+
+
+def _drop_after_fork() -> None:
+    """In a forked child: forget every inherited session.
+
+    The child emits nothing into them and writes none of their buffered
+    lines: it releases its copy of each trace file's descriptor, and the
+    parent alone writes its trace. Their ledgers stop accounting, so a
+    late finalizer never waits on a lock that a parent thread held at the
+    fork.
+    """
+    global _tracer, _sessions, _config_lock
+    _config_lock = threading.RLock()
+    if _sessions:
+        _rehook(_sessions[-1], None)
+    for session in _sessions:
+        session.tracer.discard()
+        session.ledger.close()
+    _sessions, _tracer = [], None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_drop_after_fork)
 
 
 def configure(trace_path: Optional[str] = None) -> Tracer:
     """Enable telemetry process-wide; returns the active tracer.
 
-    Events always accumulate in an in-process :class:`MemorySink` (so
-    :func:`shutdown` can hand them to the report renderer); ``trace_path``
-    additionally streams them to a JSONL file. Re-configuring tears down
-    any previous tracer first.
-
-    An :class:`AllocationLedger` is always installed alongside the tracer
-    (live/peak accounting is a handful of dict updates per allocation).
+    Events always accumulate in memory (so :func:`shutdown` can hand them
+    to the report renderer); ``trace_path`` additionally streams them to
+    a JSONL file. Re-configuring closes the active session first. An
+    :class:`AllocationLedger` always runs alongside the tracer (live/peak
+    accounting is a handful of dict updates per allocation).
     """
-    global _tracer, _memory, _ledger
     with _config_lock:
-        if _tracer is not None:
-            _shutdown_locked()
-        _memory = MemorySink()
-        active_sink = (_memory if trace_path is None
-                       else TeeSink(_memory, JsonlSink(trace_path)))
-        _tracer = Tracer(sink=active_sink)
-        _ledger = AllocationLedger()
-        install_op_hooks(_tracer)
-        install_alloc_hooks(_tracer, _ledger)
-        return _tracer
-
-
-def _shutdown_locked() -> List[Dict]:
-    global _tracer, _memory, _ledger
-    events: List[Dict] = []
-    if _tracer is not None:
-        uninstall_op_hooks()
-        uninstall_alloc_hooks()
-        if _ledger is not None:
-            # The run's memory summary rides the ordinary event stream, so
-            # worker shards ship it for free and fold_shard can merge it.
-            _tracer.sink.emit({"type": "memory",
-                               "memory": _ledger.summary()})
-            _ledger.close()
-        _tracer.close()
-        if _memory is not None:
-            events = _memory.events
-    _tracer = None
-    _memory = None
-    _ledger = None
-    return events
+        _close()
+        return _open(trace_path)
 
 
 def shutdown() -> List[Dict]:
-    """Disable telemetry; flush sinks and return the buffered events."""
-    with _config_lock:
-        return _shutdown_locked()
+    """Disable telemetry; close the trace file and return the events."""
+    return _close()["events"]
 
 
 def enabled() -> bool:
@@ -159,7 +233,7 @@ def get_metrics() -> Optional[MetricsRegistry]:
 
 def get_ledger() -> Optional[AllocationLedger]:
     """The active allocation ledger, or ``None`` while disabled."""
-    return _ledger
+    return _sessions[-1].ledger if _sessions else None
 
 
 def span(name: str, **attrs) -> Union[Span, "object"]:
@@ -178,25 +252,19 @@ def emit_event(event_type: str, **fields) -> None:
 def fold_shard(events: Optional[List[Dict]] = None,
                metrics_state: Optional[Dict] = None,
                label: Optional[str] = None) -> None:
-    """Fold one worker shard into the active run (no-op while disabled).
+    """Fold one cell's shard into the active session (no-op while disabled).
 
-    A sweep worker (:mod:`repro.runtime.pool`) runs under its own tracer
-    and registry; this folds what it shipped back into the parent's:
-
-    - ``metrics_state`` (a :meth:`MetricsRegistry.to_state` dict) merges
-      via :meth:`MetricsRegistry.merge_from` — counters add, gauges keep
-      the max peak.
-    - ``events`` are re-emitted onto the parent sink with span ids
-      remapped to parent-unique ids, the worker's root spans re-parented
-      under the parent's current span, depths shifted accordingly, and
-      (when given) a ``shard`` label attached — the merged trace reads as
-      one coherent run. The worker's final ``metrics`` snapshot event is
-      dropped: the parent emits its own merged snapshot at close. The
-      worker's final ``memory`` event (its allocation-ledger summary) is
-      likewise not re-emitted — it merges into the parent's ledger
-      (:meth:`AllocationLedger.merge_summary`: allocation totals add,
-      peaks max with attribution adopted), so the parent's single
-      shutdown summary carries pooled totals equal to serial totals.
+    A sweep cell (:mod:`repro.runtime.pool`) runs in a session of its own
+    and returns its shard. ``metrics_state`` (a
+    :meth:`MetricsRegistry.snapshot` dict) merges via
+    :meth:`MetricsRegistry.merge_from`: counters add, gauges keep the max
+    peak. ``events`` are re-emitted with parent-unique span ids, the
+    cell's root spans re-parented under the current span, depths shifted
+    and (when given) a ``shard`` label attached, so the merged trace reads
+    as one run. The cell's ``metrics`` event is dropped (the session emits
+    its own merged snapshot at close) and its ``memory`` event merges into
+    the session's ledger (:meth:`AllocationLedger.merge_summary`), so
+    pooled allocation totals equal serial ones.
 
     Fold shards in deterministic (cell-list) order: counter merging is
     commutative, but trace event order — and therefore the bytes of the
@@ -205,7 +273,8 @@ def fold_shard(events: Optional[List[Dict]] = None,
     if _tracer is None:
         return
     if metrics_state:
-        _tracer.metrics.merge_from(MetricsRegistry.from_state(metrics_state))
+        _tracer.metrics.merge_from(
+            MetricsRegistry.from_snapshot(metrics_state))
     if not events:
         return
     current = _tracer.current_span()
@@ -219,8 +288,7 @@ def fold_shard(events: Optional[List[Dict]] = None,
         if event.get("type") == "metrics":
             continue
         if event.get("type") == "memory":
-            if _ledger is not None:
-                _ledger.merge_summary(event.get("memory") or {})
+            _sessions[-1].ledger.merge_summary(event.get("memory") or {})
             continue
         event = dict(event)
         if event.get("type") == "span":
@@ -234,63 +302,31 @@ def fold_shard(events: Optional[List[Dict]] = None,
                 event["attrs"] = attrs
         elif event.get("span") in id_map:
             event["span"] = id_map[event["span"]]
-        _tracer.sink.emit(event)
-
-
-from contextlib import contextmanager
+        _tracer.emit(event)
 
 
 @contextmanager
 def shard_capture(shard: Dict):
-    """Run the body under a fresh, isolated tracer; capture its shard.
+    """Run the body in a session of its own; capture its shard.
 
-    The inline-mode counterpart of a pool worker's from-scratch telemetry
-    (:func:`repro.runtime.pool._cell_entry`): the body's spans and
-    metrics land in a temporary tracer instead of the parent's, and on
-    exit ``shard`` is populated with ``events`` (the captured span
-    events) and ``metrics`` (a :meth:`MetricsRegistry.to_state` dict) —
+    The inline counterpart of a pool worker's session
+    (:func:`repro.runtime.pool._cell_entry`): the body's spans and metrics
+    land in a nested session instead of the active one, and on exit
+    ``shard`` holds that session's ``events`` and ``metrics`` snapshot,
     exactly what :func:`fold_shard` accepts and what the artifact store
-    (:mod:`repro.runtime.artifacts`) persists next to a cell's value, so
-    a cell's shard has one shape whether it ran in a worker process or
-    inline. The parent tracer (and the engine op hooks bound to it) is
-    restored afterwards even if the body raises; while telemetry is
-    disabled the body runs unchanged and ``shard`` stays empty.
+    (:mod:`repro.runtime.artifacts`) persists next to a cell's value. The
+    suspended session (and the engine hooks bound to it) is restored even
+    if the body raises; while telemetry is disabled the body runs
+    unchanged and ``shard`` stays empty.
     """
-    global _tracer, _memory, _ledger
-    with _config_lock:
-        parent, parent_memory, parent_ledger = _tracer, _memory, _ledger
-        if parent is not None:
-            uninstall_op_hooks()
-            uninstall_alloc_hooks()
-            _memory = MemorySink()
-            _tracer = Tracer(sink=_memory)
-            _ledger = AllocationLedger()
-            install_op_hooks(_tracer)
-            install_alloc_hooks(_tracer, _ledger)
-    if parent is None:
+    if _tracer is None:
         yield shard
         return
+    _open()
     try:
         yield shard
     finally:
-        with _config_lock:
-            child, child_memory, child_ledger = _tracer, _memory, _ledger
-            if child is not None:
-                uninstall_op_hooks()
-                uninstall_alloc_hooks()
-                shard["metrics"] = child.metrics.to_state()
-                if child_ledger is not None:
-                    # Same shape a pool worker ships: the cell's ledger
-                    # summary rides the shard events for fold_shard.
-                    child.sink.emit({"type": "memory",
-                                     "memory": child_ledger.summary()})
-                    child_ledger.close()
-                child.close()
-                shard["events"] = child_memory.events if child_memory else []
-            _tracer, _memory, _ledger = parent, parent_memory, parent_ledger
-            install_op_hooks(parent)
-            if parent_ledger is not None:
-                install_alloc_hooks(parent, parent_ledger)
+        shard.update(_close())
 
 
 def set_gauge(name: str, value: float) -> None:
@@ -331,11 +367,6 @@ __all__ = [
     "memory_block",
     "current_rss_bytes",
     "peak_rss_bytes",
-    "EventSink",
-    "MemorySink",
-    "JsonlSink",
-    "TeeSink",
-    "NullSink",
     # manifests
     "build_manifest",
     "write_manifest",
@@ -352,7 +383,6 @@ __all__ = [
     "render_memory",
     "aggregate_spans",
     "final_metrics",
-    "final_memory",
     "sparkline",
     # run registry
     "RunRecord",
@@ -361,9 +391,4 @@ __all__ = [
     "config_fingerprint",
     "default_registry_dir",
     "record_run",
-    # hooks
-    "install_op_hooks",
-    "uninstall_op_hooks",
-    "install_alloc_hooks",
-    "uninstall_alloc_hooks",
 ]

@@ -230,33 +230,29 @@ def memory_block(events=(), metrics: Optional[Mapping] = None) -> Dict:
     if not summary:
         return {}
 
-    device_peak = 0
     gauges = (metrics or {}).get("gauges") or {}
-    if isinstance(gauges, Mapping):
-        for name, value in gauges.items():
-            if not (str(name).startswith("device.")
-                    and str(name).endswith(".peak_bytes")):
-                continue
-            # Snapshots carry gauges as {"value", "max"} mappings
-            # (MetricsRegistry.to_state); accept bare
-            # scalars too for hand-built test fixtures.
-            if isinstance(value, Mapping):
-                value = value.get("max", value.get("value"))
-            if isinstance(value, (int, float)):
-                device_peak = max(device_peak, int(value))
+    if not isinstance(gauges, Mapping):
+        gauges = {}
+
+    def _peak(value) -> Optional[int]:
+        # Snapshots carry gauges as {"value", "max"} mappings
+        # (MetricsRegistry.snapshot); accept bare scalars too for
+        # hand-built test fixtures.
+        if isinstance(value, Mapping):
+            value = value.get("max", value.get("value"))
+        return int(value) if isinstance(value, (int, float)) else None
+
+    device_peak = max([0] + [
+        _peak(value) or 0 for name, value in gauges.items()
+        if str(name).startswith("device.")
+        and str(name).endswith(".peak_bytes")])
     summary["device_peak_bytes"] = device_peak
 
     # Shared-memory term store footprint (pooled sweeps with
     # --shared-terms): the peak published payload bytes, folded in from
     # whichever process set the gauge highest. Absent gauge → no key, so
     # serial/unshared records are byte-identical to pre-shm ones.
-    shm_peak = None
-    if isinstance(gauges, Mapping):
-        value = gauges.get("shm.store.peak_bytes")
-        if isinstance(value, Mapping):
-            value = value.get("max", value.get("value"))
-        if isinstance(value, (int, float)):
-            shm_peak = int(value)
+    shm_peak = _peak(gauges.get("shm.store.peak_bytes"))
     if shm_peak is not None:
         summary["shm_peak_bytes"] = shm_peak
 

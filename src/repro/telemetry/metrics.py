@@ -94,36 +94,15 @@ class MetricsRegistry:
             ours.set(gauge.value)
         return self
 
-    def to_state(self) -> Dict[str, Dict]:
-        """Serializable state of every metric (cf. ``snapshot``).
-
-        ``MetricsRegistry.from_state(reg.to_state())`` yields a registry
-        that merges (:meth:`merge_from`) exactly like the original. This
-        is how worker processes ship their shards across the result pipe:
-        locks make the registry itself unpicklable, its state is plain
-        data.
-        """
-        return {
-            "counters": {n: c.value
-                         for n, c in sorted(self._counters.items())},
-            "gauges": {n: {"value": g.value, "max": g.max_value}
-                       for n, g in sorted(self._gauges.items())},
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`to_state` output."""
-        registry = cls()
-        for name, value in (state.get("counters") or {}).items():
-            registry.counter(name).value = value
-        for name, payload in (state.get("gauges") or {}).items():
-            gauge = registry.gauge(name)
-            gauge.value = payload.get("value", 0.0)
-            gauge.max_value = payload.get("max", float("-inf"))
-        return registry
-
     def snapshot(self) -> Dict[str, Dict]:
-        """Plain-dict view of every metric, ready for JSON serialization."""
+        """Plain-dict view of every metric; an empty section is omitted.
+
+        This one serialization is the trace's ``metrics`` event, the run
+        registry's ``metrics`` block and a worker shard's metrics:
+        :meth:`from_snapshot` rebuilds a registry from it that merges
+        (:meth:`merge_from`) exactly like the original. Locks make the
+        registry itself unpicklable; its snapshot is plain data.
+        """
         out: Dict[str, Dict] = {}
         if self._counters:
             out["counters"] = {n: c.value for n, c in sorted(self._counters.items())}
@@ -133,3 +112,15 @@ class MetricsRegistry:
                 for n, g in sorted(self._gauges.items())
             }
         return out
+
+    @classmethod
+    def from_snapshot(cls, snapshot: Dict) -> "MetricsRegistry":
+        """Rebuild a registry from :meth:`snapshot` output."""
+        registry = cls()
+        for name, value in (snapshot.get("counters") or {}).items():
+            registry.counter(name).value = value
+        for name, payload in (snapshot.get("gauges") or {}).items():
+            gauge = registry.gauge(name)
+            gauge.value = payload.get("value", 0.0)
+            gauge.max_value = payload.get("max", float("-inf"))
+        return registry

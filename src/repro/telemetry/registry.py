@@ -141,9 +141,9 @@ class RunRecord:
     result_path: Optional[str] = None
     #: Resumable-sweep accounting (schema v4; empty for runs without the
     #: artifact store and pre-v4 records): the resume mode
-    #: (``resume``/``fresh``), the store directory, and the store's
-    #: :meth:`~repro.runtime.artifacts.ArtifactStore.stats` traffic
-    #: (cells/hit/miss/stored/torn). Outside the config fingerprint by design —
+    #: (``resume``/``fresh``), the store directory, its cell count and
+    #: the run's ``artifacts.*`` traffic counters (hit/miss/stored/torn).
+    #: Outside the config fingerprint by design —
     #: a resumed run and a fresh run of one config share a fingerprint.
     artifacts: Dict = field(default_factory=dict)
     #: Memory observatory block (schema v5; empty for pre-v5 records and
@@ -295,12 +295,9 @@ def record_run(
     ``registry_dir``.
     """
     from .memory import memory_block
-    from .report import aggregate_spans
+    from .report import aggregate_spans, final_metrics
 
-    metrics = {}
-    for event in events:
-        if event.get("type") == "metrics":
-            metrics = event.get("metrics") or {}
+    metrics = final_metrics(events)
     record = build_record(
         manifest,
         metrics=metrics,

@@ -1,7 +1,7 @@
 """Text rendering of traces: top spans, per-epoch sparklines, counters.
 
-Turns a list of trace events (from a :class:`~repro.telemetry.sinks.MemorySink`
-buffer or a reloaded JSONL file) into the compact terminal
+Turns a list of trace events (as :func:`repro.telemetry.shutdown` returns
+them, or reloaded from a JSONL file) into the compact terminal
 report printed by ``python -m repro.bench --trace``. Kept free of imports
 from :mod:`repro.bench` so the bench layer can build on it without cycles.
 """
@@ -9,6 +9,8 @@ from :mod:`repro.bench` so the bench layer can build on it without cycles.
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Sequence
+
+from .memory import memory_block
 
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
@@ -189,23 +191,6 @@ def final_metrics(events: Iterable[Mapping]) -> Dict:
     return snapshot
 
 
-def final_memory(events: Iterable[Mapping]) -> Dict:
-    """The last allocation-ledger summary in a trace (``{}`` when absent).
-
-    The ledger emits one ``{"type": "memory", "memory": {...}}`` event at
-    telemetry shutdown (worker shards' summaries having been folded into
-    it); runs recorded before the memory observatory existed simply have
-    none.
-    """
-    summary: Dict = {}
-    for event in events:
-        if event.get("type") == "memory":
-            payload = event.get("memory")
-            if isinstance(payload, Mapping):
-                summary = dict(payload)
-    return summary
-
-
 def render_memory(events: Iterable[Mapping]) -> str:
     """The memory section: ledger totals, peak attribution, top five arrays.
 
@@ -214,7 +199,8 @@ def render_memory(events: Iterable[Mapping]) -> str:
     single allocations, and the accounting-coverage view (ledger vs
     measured RSS, DeviceModel vs ledger when present).
     """
-    mem = final_memory(events)
+    events = list(events)
+    mem = memory_block(events, final_metrics(events))
     if not mem:
         return "-- memory --\n(no allocation ledger recorded)"
     rows = [
@@ -276,7 +262,7 @@ def render_trace_report(events: Sequence[Mapping], top: int = 10) -> str:
         render_top_spans(events, top=top),
         render_epoch_table(events),
     ]
-    if final_memory(events):
+    if memory_block(events):
         sections.append(render_memory(events))
     sections.append(render_counters(events))
     return "\n\n".join(sections)

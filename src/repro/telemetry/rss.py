@@ -11,12 +11,9 @@ coverage ratios) both read through here:
   ``getrusage`` (``ru_maxrss`` is KiB on Linux; normalized to bytes
   assuming the Linux convention, which is where the benchmarks run).
 
-Span ``ram_delta_bytes`` is current-RSS based since the memory
-observatory landed: it is the **signed** change in resident memory across
-the span — negative when the span net-freed memory — instead of the old
-"growth of the process peak", which under-reported every stage that ran
-after the largest one. The run registry records it per stage as
-``stages.*.ram_delta_bytes``.
+Span ``ram_delta_bytes`` is the **signed** change in current RSS across
+the span (negative when the span net-freed memory); the run registry
+records it per stage as ``stages.*.ram_delta_bytes``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A *span* is one timed region of the pipeline — a precompute stage, one
 training epoch, a single forward pass — opened as a context manager and
-nested freely. Each closed span becomes one event on the run's sink,
+nested freely. Each closed span becomes one event of the run's trace,
 carrying wall time, parent linkage, the bytes the autodiff engine
 allocated while it was open, the signed change in current host RSS across
 it (see :mod:`repro.telemetry.rss`), and — when the allocation ledger is
@@ -19,13 +19,16 @@ nothing — the hot path pays one ``None`` check and no allocation.
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 import time
-from typing import Dict, List, Optional
+from pathlib import Path
+from typing import Dict, List, Optional, Union
 
 from .metrics import MetricsRegistry
 from .rss import current_rss_bytes
-from .sinks import EventSink, NullSink
+
+PathLike = Union[str, Path]
 
 
 class _NoopSpan:
@@ -51,8 +54,8 @@ class Span:
     """One open (then closed) timed region.
 
     Spans are created by :meth:`Tracer.span`, never directly. While open
-    they sit on the per-thread span stack; on exit they are serialized to
-    the tracer's sink as a ``{"type": "span", ...}`` event.
+    they sit on the per-thread span stack; on exit the tracer records them
+    as a ``{"type": "span", ...}`` event.
     """
 
     __slots__ = ("tracer", "name", "span_id", "parent_id", "depth", "attrs",
@@ -94,9 +97,7 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.duration_s = time.perf_counter() - self.tracer.epoch_s - self.start_s
         # Signed current-RSS delta (see repro.telemetry.rss): negative when
-        # the span net-freed resident memory. Historically this was the
-        # growth of the monotone process peak, which reported 0 for every
-        # span after the high-water mark.
+        # the span net-freed resident memory.
         self.ram_delta_bytes = current_rss_bytes() - self._rss_at_open
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
@@ -123,25 +124,27 @@ class Span:
 
 
 class Tracer:
-    """Thread-safe hierarchical span collector feeding one event sink.
+    """Thread-safe hierarchical span collector that keeps every event.
 
-    Parameters
-    ----------
-    sink:
-        Destination for closed-span and free-form events
-        (:class:`~repro.telemetry.sinks.MemorySink`,
-        :class:`~repro.telemetry.sinks.JsonlSink`, ...).
-
-    The run's counters and gauges land in a fresh :attr:`metrics`
-    registry.
+    Closed spans and free-form events land in :attr:`events`, in order.
+    Given ``trace_path``, each event is also written to that file as one
+    compact JSON line; the file is opened eagerly, so a crashed run still
+    leaves a partial trace. The run's counters and gauges land in a fresh
+    :attr:`metrics` registry.
     """
 
-    def __init__(self, sink: Optional[EventSink] = None):
-        self.sink: EventSink = sink or NullSink()
+    def __init__(self, trace_path: Optional[PathLike]):
+        self.events: List[Dict] = []
         self.metrics = MetricsRegistry()
         self.epoch_s = time.perf_counter()
         self._ids = itertools.count(1)
         self._local = threading.local()
+        self._lock = threading.Lock()
+        self._file = None
+        if trace_path is not None:
+            path = Path(trace_path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._file = path.open("w", encoding="utf-8")
 
     # ------------------------------------------------------------------
     # span lifecycle
@@ -178,7 +181,7 @@ class Tracer:
             stack.pop()
         if stack:
             stack.pop()
-        self.sink.emit(span.to_event())
+        self.emit(span.to_event())
 
     def current_span(self) -> Optional[Span]:
         """The innermost open span on this thread, if any."""
@@ -223,17 +226,57 @@ class Tracer:
         current = self.current_span()
         event = {"type": event_type, "span": current.span_id if current else None}
         event.update(fields)
-        self.sink.emit(event)
+        self.emit(event)
+
+    def emit(self, event: Dict) -> None:
+        """Keep one event, and write it to the trace file while open.
+
+        An event emitted after :meth:`close` is still kept in
+        :attr:`events` but never reaches the closed file.
+        """
+        line = None
+        if self._file is not None:
+            line = json.dumps(event, separators=(",", ":"), sort_keys=True,
+                              default=_json_default)
+        with self._lock:
+            self.events.append(event)
+            if line is not None and not self._file.closed:
+                self._file.write(line + "\n")
 
     # ------------------------------------------------------------------
     # teardown
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        self.sink.flush()
-
     def close(self) -> None:
-        """Emit a final metrics snapshot and close the sink."""
-        snapshot = self.metrics.snapshot()
-        if snapshot:
-            self.sink.emit({"type": "metrics", "metrics": snapshot})
-        self.sink.close()
+        """Close the trace file (idempotent)."""
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+
+    def discard(self) -> None:
+        """Close this process's descriptor of the trace file without
+        writing the lines still buffered: a forked child's copy of its
+        parent's tracer, whose buffer the parent still owns."""
+        if self._file is not None:
+            self._file.buffer.raw.close()
+
+
+def _json_default(value):
+    """Serialize numpy scalars and anything else with a float/str view.
+
+    Numpy scalars (and 0-d arrays) unwrap via ``.item()`` so fractional
+    values keep their fraction: an int-first cast would truncate
+    ``float32(0.5)`` to ``0`` in the trace. Everything else falls back to
+    an int/float view when it has one, else ``str``.
+    """
+    item = getattr(value, "item", None)
+    if item is not None and getattr(value, "ndim", None) in (None, 0):
+        try:
+            return item()
+        except (TypeError, ValueError):
+            pass
+    for cast in (float, int):
+        try:
+            return cast(value)
+        except (TypeError, ValueError):
+            continue
+    return str(value)

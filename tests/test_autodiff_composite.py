@@ -17,7 +17,7 @@ from repro.autodiff import Tensor
 # Each op is (name, callable); all are smooth and bounded on bounded input
 # so finite differences behave.
 UNARY_OPS = [
-    ("logistic", lambda t: 1.0 / ((-t).exp() + 1.0)),
+    ("logistic", lambda t: Tensor(np.ones(t.shape)) / ((-t).exp() + 1.0)),
     ("exp_small", lambda t: (t * 0.3).exp()),
     ("softplus", lambda t: ((t.clip(-20, 20)).exp() + 1.0).log()),
     ("square", lambda t: t * t),

@@ -38,7 +38,6 @@ CASES = {
     "mul": lambda: _leaf(3, 2) * _leaf(2),
     "div": lambda: _leaf(3, 2) / _leaf(2),
     "neg": lambda: -_leaf(3),
-    "pow": lambda: _leaf(3) ** 2.5,
     "matmul": lambda: _leaf(3, 2) @ _leaf(2, 4),
     "bmm": lambda: _leaf(2, 3, 2) @ _leaf(2, 4),
     "exp": lambda: _leaf(3).exp(),

@@ -124,7 +124,7 @@ class TestNamedBanks:
         assert responses[0][-1] < responses[1][-1]
 
     def test_fagnn_beta_hyperparameter(self):
-        assert FAGNNFilter(beta=0.3).hyperparameters() == {"beta": 0.3}
+        assert FAGNNFilter(beta=0.3).beta == 0.3
 
 
 class TestAdaGNN:

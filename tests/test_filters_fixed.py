@@ -93,7 +93,7 @@ class TestPPR:
         np.testing.assert_allclose(f.response(LAMS), np.ones_like(LAMS))
 
     def test_hyperparameters_exposed(self):
-        assert PPRFilter(alpha=0.25).hyperparameters() == {"alpha": 0.25}
+        assert PPRFilter(alpha=0.25).alpha == 0.25
 
 
 class TestHeatKernel:

@@ -106,7 +106,8 @@ class TestJacobi:
             np.testing.assert_allclose(jb, (-1.0) ** k * lb, atol=1e-7)
 
     def test_hyperparameters(self):
-        assert JacobiFilter(a=0.5, b=-0.25).hyperparameters() == {"a": 0.5, "b": -0.25}
+        f = JacobiFilter(a=0.5, b=-0.25)
+        assert (f.a, f.b) == (0.5, -0.25)
 
 
 class TestBernstein:

@@ -97,9 +97,11 @@ def _grid(cfg: RunConfig, scheme: str = "mini_batch") -> tuple:
                 DATASETS, filters=FILTERS, schemes=(scheme,),
                 config=CONFIG, scale_override=SCALE, pool=cfg.pool)
     finally:
-        telemetry.shutdown()
+        counters = telemetry.final_metrics(telemetry.shutdown()) \
+            .get("counters", {})
     assert all(row["status"] == "ok" for row in rows), rows
-    hits = run.sweep.store.hits if run.sweep is not None else None
+    hits = counters.get("artifacts.hit", 0) if run.sweep is not None \
+        else None
     return hashlib.sha256(canonical_payload(rows)).hexdigest(), hits
 
 

@@ -113,7 +113,7 @@ class TestDeviceModel:
     def test_peak_gib(self):
         device = DeviceModel()
         device.to_device(GIBIBYTE)
-        assert device.peak_gib == pytest.approx(1.0)
+        assert "peak=1.000GiB" in repr(device)
 
     def test_nested_step_is_flat(self):
         device = DeviceModel()

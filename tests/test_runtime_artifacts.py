@@ -87,7 +87,7 @@ class TestDefaultDir:
 # ---------------------------------------------------------------------------
 
 class TestRoundTrip:
-    def test_value_events_metrics_survive(self, store):
+    def test_value_events_metrics_survive(self, store, counters):
         value = {"acc": np.float32(0.75), "hist": np.arange(3),
                  "nested": {"k": [1, 2.5, "s", None]}}
         events = [{"type": "span", "id": 1, "name": "cell", "depth": 0}]
@@ -104,7 +104,8 @@ class TestRoundTrip:
         assert artifact.events == events
         assert artifact.metrics_state == metrics
         assert artifact.meta["cell"] == "cell/0"
-        assert store.stats()["hit"] == 1 and store.stats()["stored"] == 1
+        assert counters()["artifacts.hit"] == 1
+        assert counters()["artifacts.store"] == 1
 
     def test_value_key_order_is_preserved(self, store):
         value = {"zeta": 1, "alpha": 2, "mid": 3}
@@ -112,9 +113,9 @@ class TestRoundTrip:
         assert list(store.get("b" * 64).value) == ["zeta", "alpha", "mid"], \
             "cached rows must decode in live insertion order"
 
-    def test_missing_address_is_a_miss(self, store):
+    def test_missing_address_is_a_miss(self, store, counters):
         assert store.get("c" * 64) is None
-        assert store.stats()["miss"] == 1
+        assert counters()["artifacts.miss"] == 1
 
     def test_canonical_payload_identity_through_store(self, store):
         rows = [_value_cell(i, seed=derive_cell_seed(0, i)) for i in range(3)]
@@ -128,13 +129,15 @@ class TestRoundTrip:
 # ---------------------------------------------------------------------------
 
 class TestDurability:
-    def test_torn_payload_reads_as_miss_and_is_dropped(self, store):
+    def test_torn_payload_reads_as_miss_and_is_dropped(self, store,
+                                                       counters):
         address = "e" * 64
         store.put(address, {"v": 1})
         path = store.payload_path(address)
         path.write_text(path.read_text()[:15])  # truncated mid-write
         assert store.get(address) is None
-        assert store.torn == 1
+        assert counters()["artifacts.torn"] == 1
+        assert counters()["artifacts.miss"] == 1
         assert not path.exists(), "a torn payload must be swept"
         store.put(address, {"v": 1})
         assert store.get(address).value == {"v": 1}
@@ -181,7 +184,7 @@ class TestDurability:
         try:
             with using(sweep=_sweep(store)):
                 results = execute_cells(cells, config)
-            counters = telemetry.get_metrics().to_state()["counters"]
+            counters = telemetry.get_metrics().snapshot()["counters"]
         finally:
             telemetry.shutdown()
         assert [r.status for r in results] == ["ok", "ok"]
@@ -268,16 +271,18 @@ class TestAddressSensitivity:
                             kwargs={"x": 2, "seed": 7})
         assert _sweep(store).address_for(other_kwargs) != base
 
-    def test_stale_store_reexecutes_on_new_rev(self, store):
+    def test_stale_store_reexecutes_on_new_rev(self, store, counters):
         cells = _make_cells(2)
         with using(sweep=_sweep(store, rev="rev1")):
             execute_cells(cells, PoolConfig(workers=1))
-        new_rev = _sweep(ArtifactStore(store.root), rev="rev2")
-        with using(sweep=new_rev):
+        before = counters()
+        with using(sweep=_sweep(ArtifactStore(store.root), rev="rev2")):
             results = execute_cells(cells, PoolConfig(workers=1))
         assert all(r.status == "ok" for r in results), \
             "new code must never trust old bytes"
-        assert new_rev.store.hits == 0 and new_rev.store.misses == 2
+        after = counters()
+        assert after.get("artifacts.hit", 0) == 0
+        assert after["artifacts.miss"] - before["artifacts.miss"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +313,7 @@ class TestEvictionAndPurge:
             sweep = _sweep(store)
             cell = Cell(key=("bad",), fn=_value_cell, kwargs={"x": 0})
             assert sweep.save(cell, {"obj": object()}) is None
-            counters = telemetry.get_metrics().to_state()["counters"]
+            counters = telemetry.get_metrics().snapshot()["counters"]
         finally:
             telemetry.shutdown()
         assert len(store) == 0

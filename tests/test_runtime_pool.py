@@ -256,7 +256,7 @@ def _run_ops_cells(workers):
                       kwargs={"amount": i + 1}) for i in range(3)]
         with telemetry.span("experiment"):
             results = execute_cells(cells, PoolConfig(workers=workers))
-        state = telemetry.get_metrics().to_state()
+        state = telemetry.get_metrics().snapshot()
     finally:
         events = telemetry.shutdown()
     return results, state, events
@@ -298,7 +298,7 @@ class TestTelemetryFold:
             cells = [Cell(key=("flaky",), fn=_fail_first,
                           kwargs={"marker": str(marker), "value": 1})]
             execute_cells(cells, PoolConfig(workers=2, max_retries=1))
-            counters = telemetry.get_metrics().to_state()["counters"]
+            counters = telemetry.get_metrics().snapshot()["counters"]
         finally:
             telemetry.shutdown()
         # Only the successful second attempt contributes a shard, so the
@@ -367,7 +367,7 @@ class TestCachedCells:
             try:
                 with using(sweep=sweep), telemetry.span("experiment"):
                     execute_cells(cells, config)
-                state = telemetry.get_metrics().to_state()
+                state = telemetry.get_metrics().snapshot()
             finally:
                 events = telemetry.shutdown()
             return state, events
@@ -395,7 +395,7 @@ class TestCachedCells:
             with using(sweep=_make_sweep(tmp_path)):
                 results = execute_cells(
                     cells, PoolConfig(workers=2, max_retries=1))
-            live = telemetry.get_metrics().to_state()["counters"]
+            live = telemetry.get_metrics().snapshot()["counters"]
         finally:
             telemetry.shutdown()
         assert results[0].status == OK and results[0].attempts == 2
@@ -407,7 +407,7 @@ class TestCachedCells:
             with using(sweep=_make_sweep(tmp_path)):
                 resumed = execute_cells(
                     cells, PoolConfig(workers=2, max_retries=1))
-            cached = telemetry.get_metrics().to_state()["counters"]
+            cached = telemetry.get_metrics().snapshot()["counters"]
         finally:
             telemetry.shutdown()
         assert resumed[0].status == CACHED
@@ -425,16 +425,20 @@ class TestCachedCells:
         assert len(sweep.store) == 1
         assert sweep.address_for(cells[1]) not in sweep.store
 
-    def test_no_consult_reexecutes_but_repopulates(self, tmp_path):
+    def test_no_consult_reexecutes_but_repopulates(self, tmp_path,
+                                                   counters):
         cells = make_cells(2)
         with using(sweep=_make_sweep(tmp_path)):
             execute_cells(cells, PoolConfig(workers=1))
-        fresh = _make_sweep(tmp_path, consult=False)
-        with using(sweep=fresh):
+        before = counters()
+        with using(sweep=_make_sweep(tmp_path, consult=False)):
             results = execute_cells(cells, PoolConfig(workers=1))
         assert all(r.status == OK for r in results), \
             "--fresh mode must execute every cell live"
-        assert fresh.store.misses == 2 and fresh.store.stores == 2
+        after = counters()
+        assert after.get("artifacts.hit", 0) == 0
+        assert after["artifacts.miss"] - before["artifacts.miss"] == 2
+        assert after["artifacts.store"] - before["artifacts.store"] == 2
 
 
 @pytest.mark.slow

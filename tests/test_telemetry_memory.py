@@ -484,6 +484,8 @@ class TestMemoryReporting:
         assert "peak accounted" in text
         assert "largest allocations" in text
         assert "train" in text
+        assert "ledger/rss coverage" in text
+        assert "device peak" in text
 
     def test_render_memory_without_ledger(self):
         assert "no allocation ledger" in render_memory([])
