@@ -161,9 +161,6 @@ class ArtifactStore:
     def __len__(self) -> int:
         return len(self.addresses())
 
-    def __contains__(self, address: str) -> bool:
-        return self.payload_path(address).is_file()
-
     def get(self, address: str) -> Optional[CellArtifact]:
         """Decode one artifact, or ``None`` on any miss.
 

@@ -150,12 +150,6 @@ class DeviceModel:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Forget all residency and peak statistics."""
-        self.persistent_bytes = 0
-        self.peak_bytes = 0
-        self._transient_bytes = 0
-
     def __repr__(self) -> str:
         cap = "∞" if self.capacity_bytes is None else f"{self.capacity_bytes / GIBIBYTE:.0f}GiB"
         peak = self.peak_bytes / GIBIBYTE

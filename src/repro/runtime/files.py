@@ -63,7 +63,8 @@ class ArrayFiles:
     Array names are content addresses (same name ⇒ same bytes), which is
     what lets processes share the directory without coordination:
     :meth:`put` keeps a name already present, and :meth:`get` serves
-    read-only memory maps that outlive the file's name. A JSON document
+    read-only arrays — memory maps that outlive the file's name, or
+    copies in the reader's heap. A JSON document
     is replaced by each :meth:`put_json`. The directory itself is the
     caller's to create.
     """
@@ -81,18 +82,25 @@ class ArrayFiles:
         land(path, lambda handle: np.save(handle, array), exclusive=False)
         return int(array.nbytes)
 
-    def get(self, name: str) -> Optional[np.ndarray]:
-        """Memory-map ``name`` read-only, or ``None`` when absent."""
+    def get(self, name: str, mmap: bool = True) -> Optional[np.ndarray]:
+        """``name`` read-only, or ``None`` when absent: memory-mapped, or
+        with ``mmap=False`` read into this process's heap."""
         try:
-            return np.load(self.root / f"{name}.npy", mmap_mode="r")
+            if mmap:
+                return np.load(self.root / f"{name}.npy", mmap_mode="r")
+            array = np.load(self.root / f"{name}.npy")
         except FileNotFoundError:
             return None
+        array.setflags(write=False)
+        return array
 
-    def leading(self, names: Iterable[str]) -> List[np.ndarray]:
-        """The arrays of the longest prefix of ``names`` that is present."""
+    def leading(self, names: Iterable[str],
+                mmap: bool = True) -> List[np.ndarray]:
+        """The arrays (as :meth:`get` serves them) of the longest prefix
+        of ``names`` that is present."""
         found: List[np.ndarray] = []
         for name in names:
-            array = self.get(name)
+            array = self.get(name, mmap)
             if array is None:
                 break
             found.append(array)

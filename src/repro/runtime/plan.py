@@ -378,8 +378,8 @@ class _ChainEntry:
     #: Content fingerprint naming the chain's files in the spill and
     #: shared tiers (``None`` while neither is active).
     fingerprint: Optional[str] = None
-    #: RAM held by locally-computed terms (terms served by either file
-    #: tier are memmaps and excluded), driving budget eviction.
+    #: RAM held by locally-computed terms (terms served by a file tier
+    #: are excluded), driving the blocked tier's budget eviction.
     resident_bytes: int = 0
 
 
@@ -486,7 +486,8 @@ class BasisPlanner:
 
         Both tiers hold the chain's terms as files named by one content
         fingerprint (:func:`repro.runtime.shm.term_name`) and serve them
-        as read-only maps, bit-identical by construction (whoever wrote
+        read-only — the shared store as heap copies, the spill tier as
+        maps — bit-identical by construction (whoever wrote
         them ran the same executor this process would have). The
         shared store (the run context's ``active_handle``, pooled
         sweeps) is asked first and may hand this process the claim on the

@@ -13,10 +13,12 @@ guarantees the benchmark methodology depends on:
   in that same order. ``workers=N`` therefore produces results
   bit-identical to ``workers=1``, which the ``bench-parallel`` CI job
   enforces on every PR.
-- **Crash isolation** — each cell attempt runs in its own worker process.
-  A raising, segfaulting, or hanging worker marks *its* cell failed
-  (after a bounded number of retries) without aborting sibling cells; the
-  sweep completes and reports partial results.
+- **Crash isolation** — cell attempts run in worker processes, each
+  worker running cell after cell. A raising, segfaulting, or hanging
+  attempt marks *its* cell failed (after a bounded number of retries)
+  without aborting sibling cells, and its worker is retired: no later
+  cell runs in a process a failure may have left in a bad state. The
+  sweep completes and reports partial results; no worker outlives it.
 - **Telemetry fold-in** — each cell runs in a telemetry session of its
   own, inline or in a worker; the shard (span events + metrics
   snapshot) ships back through the result pipe and the
@@ -33,8 +35,9 @@ guarantees the benchmark methodology depends on:
   totals with no executor-level plumbing.
 
 In-memory memos (each an :class:`~repro.runtime.cache.LRUCache`) are
-per-process — a worker inherits (fork) or rebuilds (spawn) its own, and
-a hit only ever substitutes a bit-identical value — while what crosses
+per-process — a worker inherits (fork) or rebuilds (spawn) its own and
+keeps it across its cells, and a hit only ever substitutes a
+bit-identical value — while what crosses
 processes travels as files (:mod:`repro.runtime.files`): the shared term
 store and the cell artifact store.
 
@@ -56,8 +59,10 @@ to an uninterrupted one, which the ``bench-resume`` CI job enforces.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -120,8 +125,9 @@ class PoolConfig:
         Process count (≥ 1). ``1`` (default) runs cells inline in the
         calling process — the exact serial path, no subprocesses.
     cell_timeout:
-        Per-attempt wall-clock budget in seconds (> 0); an attempt past it
-        is terminated and counts as a :data:`TIMEOUT` failure. ``None``
+        Per-attempt wall-clock budget in seconds (> 0); the worker of an
+        attempt past it is terminated, and the attempt counts as a
+        :data:`TIMEOUT` failure. ``None``
         disables the limit. Ignored in inline mode.
     max_retries:
         Additional attempts after a failed one (≥ 0), so a cell runs at
@@ -240,30 +246,66 @@ def _record_run_stats(results: Sequence[CellResult]) -> None:
 # ======================================================================
 # worker side
 # ======================================================================
-def _cell_entry(conn, cell: Cell, attempt: int, context) -> None:
-    """Worker-process entry: run one cell, ship value + telemetry shard.
+#: How often an idle worker checks that the process that started it is
+#: still there; an orphaned worker (its parent SIGKILLed) then exits.
+ORPHAN_CHECK_S = 1.0
+
+
+def _worker_loop(conn) -> None:
+    """Worker-process entry: run the cells the parent sends, one after
+    another, until it sends ``None`` or goes away.
+
+    Each message is ``(cell, context)`` and each gets one reply, the
+    payload of :func:`_run_cell`. What is per-process — the graph memo,
+    the normalisation and transpose caches, the heap — carries over from
+    cell to cell; a hit there only ever substitutes a bit-identical value.
+    A failed attempt is the worker's last: it replies, then exits, so no
+    later cell runs in a process a failure may have left in a bad state.
+    An idle worker whose parent has died exits too — under ``fork`` its
+    siblings hold copies of its pipe, so it would never see EOF.
+    """
+    parent = os.getppid()
+    try:
+        while True:
+            while not conn.poll(ORPHAN_CHECK_S):
+                if os.getppid() != parent:
+                    return
+            job = conn.recv()
+            if job is None:
+                return
+            payload = _run_cell(*job)
+            payload["pid"] = os.getpid()
+            conn.send(payload)
+            if not payload["ok"]:
+                return
+    except (EOFError, OSError):
+        pass  # parent gone
+    except Exception:
+        pass  # a job or reply that does not pickle; the parent sees a crash
+    finally:
+        conn.close()
+
+
+def _run_cell(cell: Cell, context) -> Dict[str, Any]:
+    """Run one cell attempt in a worker and return its reply payload.
 
     When the parent collects telemetry, the cell runs in a session of its
-    own (a forked child has already forgotten the parent's, see
-    :mod:`repro.telemetry`), so its shard holds exactly this cell's spans
-    and counters, in the shape an inline cell's
-    :func:`repro.telemetry.shard_capture` gives. Failures are reported as
-    data — the parent decides on retries; nothing propagates across the
-    pipe as an exception. ``context`` is the parent's
-    :class:`~repro.runtime.context.WorkerContext`: the run's switches
-    (``--no-plan`` / ``--no-cache``, which a ``spawn`` worker would not
-    otherwise see), the sweep's shared term-store client and whether the
-    parent collects telemetry. It replaces whatever context ``fork``
-    inherited.
+    own, so its shard holds exactly this cell's spans and counters, in the
+    shape an inline cell's :func:`repro.telemetry.shard_capture` gives.
+    Failures are reported as data — the parent decides on retries;
+    nothing propagates across the pipe as an exception. ``context`` is
+    the parent's :class:`~repro.runtime.context.WorkerContext`: the run's
+    switches (``--no-plan`` / ``--no-cache``, which a ``spawn`` worker
+    would not otherwise see), the sweep's shared term-store client and
+    whether the parent collects telemetry. It replaces whatever context
+    the worker held before.
     """
-    import os
-
     from . import plan
 
-    payload: Dict[str, Any] = {"pid": os.getpid()}
     try:
-        # A fresh planner scope per attempt: chains never leak in via
-        # fork, so a cell computes the same value under any start method.
+        # A fresh planner scope per attempt: chains never leak in from an
+        # earlier cell or via fork, so a cell computes the same value in
+        # any worker under any start method.
         with context.install():
             if context.telemetry:
                 from .. import telemetry
@@ -275,35 +317,48 @@ def _cell_entry(conn, cell: Cell, attempt: int, context) -> None:
                         value = cell.fn(**cell.kwargs)
                 finally:
                     shard = telemetry._close()
-                payload.update(ok=True, value=value, **shard)
-            else:
-                with plan.plan_scope(fresh=True):
-                    payload.update(ok=True, value=cell.fn(**cell.kwargs))
+                return {"ok": True, "value": value, **shard}
+            with plan.plan_scope(fresh=True):
+                return {"ok": True, "value": cell.fn(**cell.kwargs)}
     except BaseException as exc:  # noqa: BLE001 - crash isolation boundary
-        payload = {"pid": payload.get("pid"), "ok": False,
-                   "error": f"{type(exc).__name__}: {exc}"}
-    try:
-        conn.send(payload)
-    except Exception:
-        pass  # parent gone or payload unpicklable; parent sees a crash
-    finally:
-        conn.close()
+        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
 # ======================================================================
 # parent side
 # ======================================================================
 @dataclass
-class _Attempt:
+class _Worker:
+    """One worker process of a sweep, and the attempt it is running
+    (``index`` is ``None`` while it is idle)."""
+
     proc: Any
     conn: Any
-    attempt: int
-    deadline: Optional[float]
-    started: float
+    index: Optional[int] = None
+    attempt: int = 0
+    deadline: Optional[float] = None
+    started: float = 0.0
 
 
-#: Scheduler sleep between liveness sweeps when nothing completed.
-POLL_INTERVAL_S = 0.02
+#: How long a worker told to stop gets to exit before it is terminated.
+STOP_GRACE_S = 5.0
+
+
+def _stop(workers: Sequence[_Worker]) -> None:
+    """End workers and reap them: an idle one is asked to exit, a busy
+    one is terminated; all are told before any is waited for."""
+    for worker in workers:
+        if worker.index is None:
+            with contextlib.suppress(OSError):
+                worker.conn.send(None)
+        else:
+            worker.proc.terminate()
+        worker.conn.close()
+    for worker in workers:
+        worker.proc.join(STOP_GRACE_S)
+        if worker.proc.is_alive():
+            worker.proc.terminate()
+            worker.proc.join()
 
 
 def _default_start_method() -> str:
@@ -400,15 +455,23 @@ def _run_inline(cell: Cell, sweep=None) -> CellResult:
 def _run_pooled(cells: List[Cell], config: PoolConfig,
                 cached: Optional[Dict[int, CellResult]] = None,
                 sweep=None) -> List[CellResult]:
+    """Run the uncached cells on ``config.workers`` long-lived workers.
+
+    The parent sleeps in :func:`multiprocessing.connection.wait` on the
+    busy workers' pipes and sentinels, until a reply, a death or the
+    nearest cell deadline. Every worker is reaped before this returns or
+    raises.
+    """
     import multiprocessing as mp
+    from multiprocessing.connection import wait
 
     from . import context
     from .. import telemetry
 
     ctx = mp.get_context(_default_start_method())
     # Switches, a store client (a path and a run id) and two scalars: it
-    # pickles into a worker under any start method.
-    worker = context.current().for_worker(config.workers)
+    # pickles into a worker under any start method, once per cell.
+    worker_context = context.current().for_worker(config.workers)
     cached = cached or {}
     results: List[Optional[CellResult]] = [None] * len(cells)
     for index, result in cached.items():
@@ -416,101 +479,102 @@ def _run_pooled(cells: List[Cell], config: PoolConfig,
         results[index] = result
     pending = deque((index, 1) for index in range(len(cells))
                     if index not in cached)
-    active: Dict[int, _Attempt] = {}
+    workers: List[_Worker] = []
 
-    def retire(index: int, attempt: _Attempt) -> None:
-        try:
-            attempt.conn.close()
-        except OSError:
-            pass
-        attempt.proc.join()
-        del active[index]
+    def dispatch(worker: _Worker) -> None:
+        index, attempt = pending.popleft()
+        now = time.monotonic()
+        worker.index, worker.attempt, worker.started = index, attempt, now
+        worker.deadline = now + config.cell_timeout \
+            if config.cell_timeout is not None else None
+        with contextlib.suppress(OSError):
+            # A worker killed from outside while idle: its sentinel
+            # reports the death as this attempt's crash.
+            worker.conn.send((cells[index], worker_context))
 
-    def fail_or_retry(index: int, attempt: _Attempt, status: str,
-                      error: str) -> None:
-        if attempt.attempt <= config.max_retries:
-            telemetry.inc_counter("pool.cells.retried")
-            pending.append((index, attempt.attempt + 1))
-            return
+    def start() -> _Worker:
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=_worker_loop, args=(child_conn,),
+                           daemon=True)
+        proc.start()
+        child_conn.close()
+        worker = _Worker(proc=proc, conn=parent_conn)
+        workers.append(worker)
+        return worker
+
+    def succeed(worker: _Worker, payload: Dict[str, Any]) -> None:
+        index = worker.index
+        worker.index = None
         results[index] = CellResult(
-            key=cells[index].key, status=status, error=error,
-            attempts=attempt.attempt,
-            seconds=time.monotonic() - attempt.started)
+            key=cells[index].key, status=OK, value=payload.get("value"),
+            attempts=worker.attempt,
+            seconds=time.monotonic() - worker.started,
+            worker_pid=payload.get("pid"),
+            events=list(payload.get("events") or ()),
+            metrics_state=payload.get("metrics"))
+        telemetry.inc_counter("pool.cells.ok")
+        if sweep is not None:
+            sweep.save(cells[index], results[index].value,
+                       results[index].events, results[index].metrics_state)
+
+    def fail(worker: _Worker, status: str, error: Optional[str]) -> None:
+        index, attempt = worker.index, worker.attempt
+        seconds = time.monotonic() - worker.started
+        # Retire the worker before another cell can run in it: one that
+        # replied or died exits by itself, a hung one is terminated.
+        if status != TIMEOUT:
+            worker.index = None
+        workers.remove(worker)
+        _stop([worker])
+        if error is None:
+            error = (f"worker died without reporting "
+                     f"(exitcode {worker.proc.exitcode})")
+        if attempt <= config.max_retries:
+            telemetry.inc_counter("pool.cells.retried")
+            pending.append((index, attempt + 1))
+            return
+        results[index] = CellResult(key=cells[index].key, status=status,
+                                    error=error, attempts=attempt,
+                                    seconds=seconds)
         telemetry.inc_counter("pool.cells.failed")
         telemetry.inc_counter(f"pool.cells.{status}")
 
-    while pending or active:
-        while pending and len(active) < config.workers:
-            index, attempt_no = pending.popleft()
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_cell_entry,
-                args=(child_conn, cells[index], attempt_no, worker),
-                daemon=True)
-            proc.start()
-            child_conn.close()
-            now = time.monotonic()
-            deadline = now + config.cell_timeout \
-                if config.cell_timeout is not None else None
-            active[index] = _Attempt(proc=proc, conn=parent_conn,
-                                     attempt=attempt_no, deadline=deadline,
-                                     started=now)
-
-        progressed = False
-        for index, attempt in list(active.items()):
-            has_message = attempt.conn.poll(0)
-            if not has_message and not attempt.proc.is_alive():
-                # Exited between polls: grant a grace poll for a message
-                # that was in flight when the process finished.
-                has_message = attempt.conn.poll(0.2)
-            if has_message:
-                try:
-                    payload = attempt.conn.recv()
-                except (EOFError, OSError):
-                    payload = None  # pipe sheared mid-message: a crash
-                progressed = True
-                if payload is not None and payload.get("ok"):
-                    results[index] = CellResult(
-                        key=cells[index].key, status=OK,
-                        value=payload.get("value"),
-                        attempts=attempt.attempt,
-                        seconds=time.monotonic() - attempt.started,
-                        worker_pid=payload.get("pid"),
-                        events=list(payload.get("events") or ()),
-                        metrics_state=payload.get("metrics"))
-                    telemetry.inc_counter("pool.cells.ok")
-                    if sweep is not None:
-                        sweep.save(cells[index], results[index].value,
-                                   results[index].events,
-                                   results[index].metrics_state)
-                    retire(index, attempt)
-                elif payload is not None:
-                    error = payload.get("error") or "cell raised"
-                    retire(index, attempt)
-                    fail_or_retry(index, attempt, ERROR, error)
-                else:
-                    exitcode = attempt.proc.exitcode
-                    retire(index, attempt)
-                    fail_or_retry(index, attempt, CRASHED,
-                                  "worker sheared its result pipe "
-                                  f"(exitcode {exitcode})")
-            elif not attempt.proc.is_alive():
-                exitcode = attempt.proc.exitcode
-                progressed = True
-                retire(index, attempt)
-                fail_or_retry(index, attempt, CRASHED,
-                              f"worker died without reporting "
-                              f"(exitcode {exitcode})")
-            elif attempt.deadline is not None \
-                    and time.monotonic() > attempt.deadline:
-                attempt.proc.terminate()
-                progressed = True
-                retire(index, attempt)
-                fail_or_retry(index, attempt, TIMEOUT,
-                              f"cell exceeded {config.cell_timeout:g}s "
-                              f"timeout")
-        if not progressed:
-            time.sleep(POLL_INTERVAL_S)
+    try:
+        while True:
+            for worker in workers:
+                if worker.index is None and pending:
+                    dispatch(worker)
+            while pending and len(workers) < config.workers:
+                dispatch(start())
+            busy = [worker for worker in workers if worker.index is not None]
+            if not busy:
+                break
+            deadlines = [worker.deadline for worker in busy
+                         if worker.deadline is not None]
+            timeout = max(0.0, min(deadlines) - time.monotonic()) \
+                if deadlines else None
+            ready = wait([worker.conn for worker in busy]
+                         + [worker.proc.sentinel for worker in busy], timeout)
+            for worker in busy:
+                if worker.conn in ready or worker.proc.sentinel in ready:
+                    # A dead worker's pipe reads as EOF once drained.
+                    try:
+                        payload = worker.conn.recv() \
+                            if worker.conn.poll() else None
+                    except (EOFError, OSError):
+                        payload = None  # pipe sheared mid-message: a crash
+                    if payload is None:
+                        fail(worker, CRASHED, None)
+                    elif payload["ok"]:
+                        succeed(worker, payload)
+                    else:
+                        fail(worker, ERROR, payload["error"])
+                elif worker.deadline is not None \
+                        and time.monotonic() > worker.deadline:
+                    fail(worker, TIMEOUT, f"cell exceeded "
+                                          f"{config.cell_timeout:g}s timeout")
+    finally:
+        _stop(workers)
 
     # Fold telemetry shards in cell-list order — never completion order —
     # so the merged trace is schedule-independent.

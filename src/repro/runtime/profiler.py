@@ -105,7 +105,3 @@ class StageProfiler:
             }
             for name, stage in self.stages.items()
         }
-
-    def reset(self) -> None:
-        """Drop all recorded stages (reuse one profiler across runs)."""
-        self.stages.clear()

@@ -6,9 +6,11 @@ chains in every worker (``ops.spmm.calls`` ≈ ``workers×`` serial). Inside
 a sweep-scoped :class:`SharedTermStore` workers instead publish computed
 terms (and the spmm-transpose / normalization CSR blobs of
 :mod:`repro.runtime.cache`, and the synthesized graphs of the sweep graph
-memo in :mod:`repro.bench.experiments`) as files and map each other's
+memo in :mod:`repro.bench.experiments`) as files and take each other's
 read-only, keyed by the content fingerprints the in-process caches
-already use.
+already use: a blob is memory-mapped, a chain term is read into the
+reader's heap (a pool worker lives for the whole sweep and keeps its
+heap's high-water mark; maps on top of it would only add to its RSS).
 
 Layout: one directory per store, ``/dev/shm/rsm<run8>/`` — a tmpfs, so a
 file there *is* shared memory::
@@ -218,8 +220,11 @@ class StoreHandle:
         """Append the leading run of published orders; True once the
         request is complete."""
         first = have + len(served) + 1
-        found = self.files.leading(term_name(fp, order)
-                                   for order in range(first, want + 1))
+        # Read, not mapped: a long-lived pool worker keeps its heap's
+        # high-water mark, and maps on top of it would add to its RSS.
+        found = self.files.leading((term_name(fp, order)
+                                    for order in range(first, want + 1)),
+                                   mmap=False)
         if found:
             served.extend(found)
             self.traffic["hits"] += len(found)
@@ -231,9 +236,9 @@ class StoreHandle:
         """Resolve a chain-extension request against the store.
 
         ``have``/``want`` count k ≥ 1 terms (the signal itself is never
-        stored). Returns ``(served, claimed)``: read-only maps of orders
-        ``have+1 … have+len(served)``, and whether this process now owns
-        computing the remainder — it then MUST finish with
+        stored). Returns ``(served, claimed)``: read-only in-memory copies
+        of orders ``have+1 … have+len(served)``, and whether this process
+        now owns computing the remainder — it then MUST finish with
         :meth:`publish_terms` or :meth:`abandon_claim`. Blocks (bounded
         by :data:`WAIT_TIMEOUT_S`) while another live process holds the
         chain's claim.

@@ -310,7 +310,7 @@ def shard_capture(shard: Dict):
     """Run the body in a session of its own; capture its shard.
 
     The inline counterpart of a pool worker's session
-    (:func:`repro.runtime.pool._cell_entry`): the body's spans and metrics
+    (:func:`repro.runtime.pool._run_cell`): the body's spans and metrics
     land in a nested session instead of the active one, and on exit
     ``shard`` holds that session's ``events`` and ``metrics`` snapshot,
     exactly what :func:`fold_shard` accepts and what the artifact store

@@ -42,9 +42,6 @@ class _NoopSpan:
     def __exit__(self, *exc) -> bool:
         return False
 
-    def set(self, **attrs) -> "_NoopSpan":
-        return self
-
 
 #: The singleton no-op span; identity-comparable in tests.
 NOOP_SPAN = _NoopSpan()
@@ -81,11 +78,6 @@ class Span:
         self.mem_peak_bytes = 0
         self._rss_at_open = 0
         self._thread = ""
-
-    def set(self, **attrs) -> "Span":
-        """Attach attributes to an open span (chainable)."""
-        self.attrs.update(attrs)
-        return self
 
     def __enter__(self) -> "Span":
         self._thread = threading.current_thread().name

@@ -103,13 +103,6 @@ class TestDeviceModel:
         assert info.value.requested_bytes == 200
         assert info.value.capacity_bytes == 100
 
-    def test_reset(self):
-        device = DeviceModel()
-        device.to_device(100)
-        device.reset()
-        assert device.peak_bytes == 0
-        assert device.persistent_bytes == 0
-
     def test_peak_gib(self):
         device = DeviceModel()
         device.to_device(GIBIBYTE)
@@ -219,16 +212,6 @@ class TestStageProfiler:
 
     def test_missing_stage_seconds_zero(self):
         assert StageProfiler().seconds("nope") == 0.0
-
-    def test_reset_clears_stages(self):
-        profiler = StageProfiler()
-        with profiler.stage("train"):
-            pass
-        profiler.record_ram("train", 100)
-        profiler.reset()
-        assert profiler.stages == {}
-        assert profiler.peak_ram_bytes() == 0
-        assert profiler.seconds("train") == 0.0
 
     def test_zero_call_stage_seconds_per_call(self):
         # record_ram creates the stage with zero calls; summary must not

@@ -66,6 +66,25 @@ def _fail_first(marker, value):
     return value
 
 
+#: Module state a failing cell leaves in its process: a later cell that
+#: finds it set ran in that same process.
+_TAINT = []
+
+
+def _taint_then_raise(pid_file):
+    if _TAINT:
+        return "ran in a process a failed cell tainted"
+    _TAINT.append(os.getpid())
+    with open(pid_file, "a") as handle:
+        handle.write(f"{os.getpid()}\n")
+    raise RuntimeError("tainted this process")
+
+
+def _report_process(x, delay):
+    time.sleep(delay)
+    return {"x": x, "pid": os.getpid(), "tainted": bool(_TAINT)}
+
+
 def _ops_cell(amount):
     with telemetry.span("work", amount=amount):
         telemetry.inc_counter("ops.matmul.calls", amount)
@@ -201,6 +220,87 @@ class TestPooled:
         assert results[0].value == 42
         assert results[0].attempts == 2
         assert pool_stats(results)["retries"] == 1
+
+
+# ---------------------------------------------------------------------------
+# worker lifecycle: a worker runs cell after cell, a failure retires it,
+# and nothing outlives execute_cells
+# ---------------------------------------------------------------------------
+
+def _store_dirs():
+    from repro.runtime import shm
+
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm")
+            if name.startswith(shm.SEGMENT_PREFIX)}
+
+
+class TestWorkerLifecycle:
+    def test_workers_run_cell_after_cell(self):
+        results = execute_cells(make_cells(12), PoolConfig(workers=2))
+        assert all(r.status == OK and r.attempts == 1 for r in results)
+        pids = {r.worker_pid for r in results}
+        assert 1 <= len(pids) <= 2, pids
+        assert os.getpid() not in pids
+
+    def test_failed_attempt_retires_its_worker(self, tmp_path):
+        """A failed attempt's process never runs another cell: the retry
+        (which would return instead of raising in a tainted process) runs
+        under a new pid, and no sibling sees the taint a failure left."""
+        pid_file = tmp_path / "failed_pids"
+        cells = [Cell(key=("taint",), fn=_taint_then_raise,
+                      kwargs={"pid_file": str(pid_file)})]
+        cells += [Cell(key=("cell", i), fn=_report_process,
+                       kwargs={"x": i, "delay": 0.05}) for i in range(6)]
+        results = execute_cells(cells, PoolConfig(workers=2, max_retries=1))
+
+        assert results[0].status == ERROR and results[0].attempts == 2
+        assert "tainted this process" in results[0].error
+        failed_pids = {int(line) for line in pid_file.read_text().split()}
+        assert len(failed_pids) == 2, "the retry reused the failed worker"
+        siblings = results[1:]
+        assert all(r.status == OK for r in siblings)
+        assert not any(r.value["tainted"] for r in siblings)
+        assert all(r.worker_pid == r.value["pid"] for r in siblings)
+
+    @pytest.mark.parametrize("failure", ["none", "timeout", "exit"])
+    def test_nothing_outlives_execute_cells(self, failure):
+        import multiprocessing as mp
+
+        from repro.runtime import shm
+
+        if not shm.supported():
+            pytest.skip("no writable /dev/shm")
+        cells = make_cells(4)
+        if failure == "timeout":
+            cells[1] = Cell(key=("cell", 1), fn=_sleep,
+                            kwargs={"seconds": 30.0})
+        elif failure == "exit":
+            cells[1] = Cell(key=("cell", 1), fn=_hard_exit,
+                            kwargs={"code": 3})
+        before = _store_dirs()
+        with shm.store_scope(shm.SharedTermStore()) as store:
+            results = execute_cells(cells, PoolConfig(
+                workers=2, cell_timeout=2.0, max_retries=0))
+            assert mp.active_children() == []
+            assert store.root.is_dir()
+        assert _store_dirs() <= before
+        expected = {"none": OK, "timeout": TIMEOUT, "exit": CRASHED}[failure]
+        assert results[1].status == expected
+        assert all(r.ok for i, r in enumerate(results) if i != 1)
+
+    def test_nothing_outlives_a_raising_execute_cells(self):
+        import multiprocessing as mp
+
+        # A lambda does not pickle: sending the third cell to a worker
+        # raises in the parent while both workers are up.
+        cells = make_cells(2)
+        cells.append(Cell(key=("cell", 2), fn=_square,
+                          kwargs={"x": lambda: None}))
+        with pytest.raises(Exception, match="pickle"):
+            execute_cells(cells, PoolConfig(workers=2))
+        assert mp.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +523,7 @@ class TestCachedCells:
                                                       max_retries=0))
         assert results[1].status == ERROR
         assert len(sweep.store) == 1
-        assert sweep.address_for(cells[1]) not in sweep.store
+        assert sweep.store.addresses() == [sweep.address_for(cells[0])]
 
     def test_no_consult_reexecutes_but_repopulates(self, tmp_path,
                                                    counters):

@@ -268,6 +268,35 @@ class TestChainProtocol:
             assert not got.flags.writeable
         handle.close()
 
+    def test_served_terms_are_heap_copies_spilled_terms_maps(self, store,
+                                                              tmp_path):
+        """A pool worker keeps its heap's high-water mark from cell to
+        cell, so served chain terms are read into it rather than mapped on
+        top of it. The blocked tier's spill, a bound on RAM, keeps maps."""
+        from repro.runtime.blocked import BlockedTier
+
+        terms = self._terms(2, offset=1)
+        store.plan_chain(self.FP, have=0, want=2)
+        assert store.publish_terms(self.FP, first_order=1, terms=terms)
+        handle = store.worker_handle()
+        served, claimed = handle.plan_chain(self.FP, have=0, want=2)
+        handle.close()
+        assert not claimed and len(served) == 2
+        for expected, got in zip(terms, served):
+            assert type(got) is np.ndarray and not isinstance(got, np.memmap)
+            assert not got.flags.writeable
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+        tier = BlockedTier(ram_budget_bytes=1 << 20, spill_dir=tmp_path)
+        try:
+            assert tier.spill_term(term_name(self.FP, 1), terms[0])
+            loaded = tier.load_terms([term_name(self.FP, 1)])
+            assert len(loaded) == 1 and isinstance(loaded[0], np.memmap)
+            assert loaded[0].tobytes() == terms[0].tobytes()
+        finally:
+            tier.close()
+
     def test_incremental_extension(self, store):
         store.plan_chain(self.FP, have=0, want=2)
         store.publish_terms(self.FP, first_order=1, terms=self._terms(2))
