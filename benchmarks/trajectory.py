@@ -18,7 +18,7 @@ while it was taken:
 
 Both are the mean of the two calibrations, and ``calib_drift`` is the
 second ``calib_s`` over the first. A record is one line of the file's
-JSON list: ``{git_sha, dirty, pr, seed, seconds, host: {calib_s,
+JSON list: ``{git_sha, dirty, diff_sha, pr, seed, seconds, host: {calib_s,
 calib_par, calib_drift, nproc, simd_dispatch, mem_total}, workloads: {W:
 {metric: median}}}``. Earlier lines are never rewritten. A workload whose
 run fails, or whose output check fails, appends nothing. Usage::
@@ -28,13 +28,16 @@ run fails, or whose output check fails, appends nothing. Usage::
 
 ``--checkout`` (default: this repo) names the tree whose ``run.py`` runs
 and whose ``git rev-parse HEAD`` is recorded; ``dirty`` says whether its
-tracked files differ from that commit. ``--out`` defaults to
+tracked files differ from that commit, and ``diff_sha`` is the sha256 of
+its ``git diff HEAD`` (``null`` when clean), so a dirty record names the
+tree it measured. ``--out`` defaults to
 ``BENCH_trajectory.json`` at this repo's root.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -110,11 +113,13 @@ def run_workload(checkout: Path, workload: str, seed: int,
             for name, metric in result["metrics"].items()}
 
 
-def _dirty(checkout: Path) -> bool:
-    done = subprocess.run(["git", "status", "--porcelain",
-                           "--untracked-files=no"], cwd=checkout,
-                          capture_output=True, text=True)
-    return bool(done.stdout.strip())
+def _diff_sha(checkout: Path) -> Optional[str]:
+    """sha256 of the checkout's ``git diff HEAD`` (tracked files, binary
+    changes in full); ``None`` when the tree is its commit."""
+    diff = subprocess.run(["git", "diff", "--binary", "--no-ext-diff",
+                           "HEAD"], cwd=checkout, capture_output=True,
+                          check=True).stdout
+    return hashlib.sha256(diff).hexdigest() if diff else None
 
 
 def measure(checkout: Path, workloads: Sequence[str], seed: int,
@@ -127,8 +132,10 @@ def measure(checkout: Path, workloads: Sequence[str], seed: int,
                for name in workloads}
     after = calibrate()
     info = hardware_info()
+    diff_sha = _diff_sha(checkout)
     return {
-        "git_sha": git_sha(checkout), "dirty": _dirty(checkout), "pr": pr,
+        "git_sha": git_sha(checkout), "dirty": diff_sha is not None,
+        "diff_sha": diff_sha, "pr": pr,
         "seed": seed, "seconds": seconds,
         "host": {
             "calib_s": (before["calib_s"] + after["calib_s"]) / 2,

@@ -25,7 +25,7 @@ aborting the sweep.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,16 +140,30 @@ def _failure_row(result: CellResult, **coordinates) -> Dict:
     return row
 
 
+def _chain_reads(cell: Cell) -> Tuple[str, FrozenSet[Tuple[str, Tuple]]]:
+    """A sweep cell's dataset and the basis chains its filter's
+    precompute reads at the cell's K
+    (:func:`repro.runtime.plan.chain_demand`). A full-batch cell streams
+    and reads none of them, so for it this over-states, which only keeps
+    a chain longer."""
+    kwargs = cell.kwargs
+    hops = {"num_hops": kwargs["num_hops"]} if "num_hops" in kwargs else {}
+    filter_ = make_filter(kwargs["filter_name"], num_features=1, **hops)
+    return kwargs["dataset_name"], plan.chain_demand(filter_)
+
+
 def _pooled_rows(cells: Sequence[Cell], pool: Optional[PoolConfig],
                  failure_keys: Sequence[str]) -> List[Dict]:
     """Execute cells and reassemble rows in grid order.
 
     Successful cells contribute their row lists; failed ones (pool mode
     only — inline cells propagate) contribute one failure row built from
-    the cell key zipped with ``failure_keys``.
+    the cell key zipped with ``failure_keys``. Inline, the sweep's
+    planner frees each basis chain after the last cell that reads it
+    (:func:`_chain_reads`).
     """
     rows: List[Dict] = []
-    for result in execute_cells(cells, pool):
+    for result in execute_cells(cells, pool, reads=_chain_reads):
         if result.ok:
             rows.extend(result.value)
         else:

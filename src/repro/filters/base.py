@@ -120,16 +120,21 @@ class SpectralContext:
     grid; applying ``Ã`` multiplies pointwise by ``(1 − λ)``, applying
     ``L̃`` by ``λ``. Running a filter's recurrence from the all-ones signal
     therefore yields its exact frequency response ``g(λ)``.
+
+    ``requests``, when a set, collects the ``(family, params)`` of every
+    chain :func:`repro.runtime.plan.chain_bases` is asked for on this
+    context (:func:`repro.runtime.plan.chain_demand`).
     """
 
     is_spectral = True
 
-    def __init__(self, lams: np.ndarray):
+    def __init__(self, lams: np.ndarray, requests: Optional[set] = None):
         lams = np.asarray(lams, dtype=np.float64)
         if lams.ndim != 1:
             raise FilterError(f"eigenvalue grid must be 1-D, got {lams.shape}")
         self.lams = lams
         self.hops = 0
+        self.requests = requests
 
     def adj(self, x: np.ndarray) -> np.ndarray:
         self.hops += 1

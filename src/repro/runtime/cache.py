@@ -57,7 +57,8 @@ import hashlib
 import threading
 import weakref
 from collections import Counter, OrderedDict
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Hashable, List, Optional, Tuple,
+                    Union)
 
 import numpy as np
 import scipy.sparse as sp
@@ -180,6 +181,12 @@ class LRUCache:
                     self.on_evict(key, value)
                 return key, value
             return None
+
+    def items(self) -> List[Tuple[Any, Any]]:
+        """A snapshot of the ``(key, value)`` entries, least recent first
+        (not counted, recency untouched)."""
+        with self._lock:
+            return list(self._entries.items())
 
     def get_or_compute(self, key: Any, factory: Callable[[], Any]) -> Any:
         """Memoized call: the cached value, else ``factory()``."""

@@ -50,8 +50,16 @@ which installs its planner on the run context
 (:mod:`repro.runtime.context`; the bench sweeps open one per sweep). The
 mini-batch trainer opens none of its own: inside a sweep its precompute
 is served by the sweep's planner, and a standalone fit streams, holding
-only the recurrence's live terms. Scopes nest by reuse, so chains live
-for the outermost scope. Pool workers open a *fresh* scope per cell,
+only the recurrence's live terms. Scopes nest by reuse, so the store
+lives for the outermost scope; a chain lives from its first reader to
+its last. Before an inline sweep runs, :func:`chain_demand` derives from
+each cell's filter the ``(family, params)`` chains its precompute will
+read, and the executor runs each cell under
+:meth:`BasisPlanner.reading`: chains the cell makes carry its label (the
+dataset), and when it ends every chain whose ``(label, family, params)``
+no later cell reads is released — discarded, never spilled, never counted
+as an eviction. :data:`PLAN_CHAIN_ENTRIES` bounds only what the demand
+did not foresee. Pool workers open a *fresh* scope per cell,
 which keeps worker runs deterministic regardless of start method — and
 means ``ops.spmm.calls`` legitimately depends on the execution mode when
 the planner is on (serial sweeps share across cells; an isolated
@@ -78,8 +86,9 @@ computed ``T^(k)(L̃)·X`` terms to the tier's spill directory (a
 chain's content fingerprint + order, like the shared store's) instead
 of dropping them; a later request for the same chain maps the identical
 bytes back read-only (``numpy.memmap``) rather than recomputing the spmm
-suffix. Spilled-then-reloaded terms are bit-identical by construction,
-so the planner's bit-identity guarantee is unchanged. The chain store
+suffix; a chain released after its last reader is dropped, since nothing
+will ask for it again. Spilled-then-reloaded terms are bit-identical by
+construction, so the planner's bit-identity guarantee is unchanged. The chain store
 itself is an :class:`~repro.runtime.cache.LRUCache` whose ``on_evict``
 hook does the spilling.
 
@@ -99,8 +108,8 @@ import hashlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Collection, Dict, FrozenSet, Hashable,
+                    Iterator, List, Optional, Sequence, Tuple)
 
 import numpy as np
 import scipy.sparse as sp
@@ -111,9 +120,11 @@ from . import context
 from . import shm as runtime_shm
 from .cache import LRUCache, matrix_token, operator_digest
 
-#: Bound on live chains per planner. Each chain holds up to K+1
-#: dense (n, F) terms, so the bound — not the term count — is what caps
-#: host RAM growth; a sweep touches ~2-4 distinct chains per dataset.
+#: Fallback bound on live chains per planner. Each chain holds up to K+1
+#: dense (n, F) terms. Inside a grid sweep a chain is released after its
+#: last reader (:meth:`BasisPlanner.reading`), so the bound caps only the
+#: chains the sweep's demand did not foresee, and planner scopes opened
+#: outside a sweep.
 PLAN_CHAIN_ENTRIES = 8
 
 
@@ -381,6 +392,9 @@ class _ChainEntry:
     #: RAM held by locally-computed terms (terms served by a file tier
     #: are excluded), driving the blocked tier's budget eviction.
     resident_bytes: int = 0
+    #: The label of the grid cell that made the chain (its dataset);
+    #: ``None`` for a chain made outside :meth:`BasisPlanner.reading`.
+    label: Hashable = None
 
 
 class BasisPlanner:
@@ -401,7 +415,44 @@ class BasisPlanner:
                                 counter_prefix="plan.chains",
                                 on_evict=self._on_evict)
         self._lock = threading.RLock()
-        self._resident_bytes = 0
+        #: Label stamped on the chains made now (:meth:`reading`).
+        self._label: Hashable = None
+
+    @property
+    def resident_bytes(self) -> int:
+        """RAM held by the live chains' locally-computed terms.
+
+        Summed over the store (at most :data:`PLAN_CHAIN_ENTRIES`
+        entries) rather than kept as a running total, so a chain that
+        leaves by any path — eviction, release, a collected operator, a
+        failed mutation token — leaves the sum with it.
+        """
+        return sum(bound[2].resident_bytes
+                   for _, bound in self._chains.items())
+
+    @contextmanager
+    def reading(self, label: Hashable,
+                later: Collection[Tuple[Hashable, str, Tuple]]
+                ) -> Iterator[None]:
+        """Run one grid cell: the chains it makes carry ``label``.
+
+        When the body ends, every labelled chain whose ``(label, family,
+        params)`` is not in ``later`` — the chains later cells read
+        (:func:`read_schedule`) — is released: discarded from the store,
+        neither spilled nor counted as an eviction. Chains made outside
+        any cell carry no label and stay under the LRU bound alone.
+        """
+        self._label = label
+        try:
+            yield
+        finally:
+            self._label = None
+            with self._lock:
+                for key, bound in self._chains.items():
+                    made_by = bound[2].label
+                    if made_by is not None \
+                            and (made_by, key[3], key[4]) not in later:
+                        self._chains.discard(key)
 
     def _on_evict(self, key: Any, bound: Tuple) -> None:
         """Chain eviction: count dropped terms and, under a blocked
@@ -411,8 +462,6 @@ class BasisPlanner:
         dropped = max(len(entry.terms) - 1, 0)
         if dropped:
             telemetry.inc_counter("plan.terms.evict", dropped)
-        self._resident_bytes -= entry.resident_bytes
-        entry.resident_bytes = 0
         tier = context.current().tier
         if tier is None or entry.fingerprint is None:
             return
@@ -439,7 +488,7 @@ class BasisPlanner:
         tier = context.current().tier
         if tier is None:
             return
-        while self._resident_bytes > tier.term_budget_bytes \
+        while self.resident_bytes > tier.term_budget_bytes \
                 and len(self._chains) > 1:
             if self._chains.pop_lru(skip=current_key) is None:
                 break
@@ -453,8 +502,9 @@ class BasisPlanner:
         # Bound to the operator object; the signal is validated by token.
         token = (matrix_token(matrix), array_token(x))
         with self._lock:
-            entry = self._chains.bound(key, matrix, token,
-                                       lambda: _ChainEntry([x]))
+            entry = self._chains.bound(
+                key, matrix, token,
+                lambda: _ChainEntry([x], label=self._label))
             run = context.current()
             if entry.fingerprint is None and (
                     run.tier is not None or run.active_handle is not None):
@@ -523,7 +573,6 @@ class BasisPlanner:
                 entry.terms.append(term)
                 computed.append(term)
                 entry.resident_bytes += int(term.nbytes)
-                self._resident_bytes += int(term.nbytes)
                 telemetry.inc_counter("plan.terms.miss")
         except BaseException:
             if claimed:
@@ -540,7 +589,6 @@ class BasisPlanner:
         """Drop every chain (scope exit, tests)."""
         with self._lock:
             self._chains.clear()
-            self._resident_bytes = 0
 
 
 # ======================================================================
@@ -568,6 +616,40 @@ def plan_scope(fresh: bool = False) -> Iterator[BasisPlanner]:
         planner.clear()
 
 
+def chain_demand(filter_) -> FrozenSet[Tuple[str, Tuple]]:
+    """The ``(family, params)`` chains ``filter_``'s precompute reads.
+
+    Runs the filter's own channel fill — what
+    :meth:`~repro.filters.base.SpectralFilter.precompute` runs — on a
+    one-point :class:`~repro.filters.base.SpectralContext` whose
+    ``requests`` set :func:`chain_bases` adds each request to. No spmm
+    runs and no filter declares its chains a second time.
+    """
+    from ..filters.base import SpectralContext  # filters import this module
+
+    probe = SpectralContext(np.zeros(1), requests=set())
+    filter_._fill_channels(probe, np.ones(1),
+                           np.empty((1, filter_._channel_count())))
+    return frozenset(probe.requests)
+
+
+def read_schedule(reads: Sequence[Tuple[Hashable, Collection[Tuple]]]
+                  ) -> List[Tuple[Hashable, FrozenSet[Tuple]]]:
+    """Each cell's :meth:`BasisPlanner.reading` arguments, in grid order.
+
+    ``reads`` holds, per cell to run, its label and the ``(family,
+    params)`` chains it reads (:func:`chain_demand`). A cell's ``later``
+    is every ``(label, family, params)`` some cell after it reads.
+    """
+    schedule: List[Tuple[Hashable, FrozenSet[Tuple]]] = []
+    later: FrozenSet[Tuple] = frozenset()
+    for label, chains in reversed(reads):
+        schedule.append((label, later))
+        later = later | {(label, family, params)
+                         for family, params in chains}
+    return schedule[::-1]
+
+
 def _plannable(ctx, x) -> bool:
     """Planner serves numpy signals over sparse propagation contexts only.
 
@@ -591,6 +673,9 @@ def chain_bases(ctx, x, family: str, params: Tuple, count: int):
     """
     if count < 1:
         return
+    requests = getattr(ctx, "requests", None)
+    if requests is not None:
+        requests.add((family, params))
     planner = context.current().active_planner
     if planner is not None and _plannable(ctx, x):
         yield from planner.chain_terms(ctx, x, family, params, count)

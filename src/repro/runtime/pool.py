@@ -368,7 +368,9 @@ def _default_start_method() -> str:
 
 
 def execute_cells(cells: Sequence[Cell],
-                  config: Optional[PoolConfig] = None) -> List[CellResult]:
+                  config: Optional[PoolConfig] = None,
+                  reads: Optional[Callable[[Cell], Tuple]] = None
+                  ) -> List[CellResult]:
     """Run a cell list under the given policy; results in cell-list order.
 
     ``workers=1`` executes inline (serial semantics: exceptions
@@ -382,6 +384,12 @@ def execute_cells(cells: Sequence[Cell],
     :data:`CACHED` results (persisted value + telemetry shard, folded in
     grid order like any live cell's), and only misses execute — their
     successful results persisting back to the store.
+
+    ``reads(cell)`` gives a cell's label and the basis chains it reads
+    (see :func:`repro.runtime.plan.read_schedule`). With it, an inline
+    sweep under an active planner releases each chain after the last
+    live cell that reads it; pooled workers open a fresh planner per
+    cell and never call it.
     """
     from . import context
 
@@ -399,7 +407,7 @@ def execute_cells(cells: Sequence[Cell],
                     events=list(artifact.events),
                     metrics_state=artifact.metrics_state)
     if config.workers <= 1:
-        results = _run_inline_all(cells, cached, sweep)
+        results = _run_inline_all(cells, cached, sweep, reads)
     else:
         results = _run_pooled(cells, config, cached=cached, sweep=sweep)
     _record_run_stats(results)
@@ -407,15 +415,26 @@ def execute_cells(cells: Sequence[Cell],
 
 
 def _run_inline_all(cells: Sequence[Cell], cached: Dict[int, CellResult],
-                    sweep) -> List[CellResult]:
+                    sweep, reads: Optional[Callable[[Cell], Tuple]]
+                    ) -> List[CellResult]:
     """Inline (workers=1) sweep: cached cells fold, misses run serially.
 
     Folding happens in cell-list order here too — a cached cell's
     persisted shard and a live cell's captured shard interleave exactly
-    as the grid reads.
+    as the grid reads. Given ``reads`` and an active planner, each live
+    cell runs under :meth:`~repro.runtime.plan.BasisPlanner.reading`,
+    which releases the chains no later live cell reads; a cached cell
+    reads nothing.
     """
     from .. import telemetry
+    from . import context, plan
 
+    planner = context.current().active_planner
+    schedule: Dict[int, Tuple] = {}
+    if planner is not None and reads is not None:
+        live = [index for index in range(len(cells)) if index not in cached]
+        schedule = dict(zip(live, plan.read_schedule(
+            [reads(cells[index]) for index in live])))
     results: List[CellResult] = []
     for index, cell in enumerate(cells):
         result = cached.get(index)
@@ -425,7 +444,9 @@ def _run_inline_all(cells: Sequence[Cell], cached: Dict[int, CellResult],
             telemetry.inc_counter("pool.cells.cached")
             results.append(result)
             continue
-        results.append(_run_inline(cell, sweep=sweep))
+        with planner.reading(*schedule[index]) if index in schedule \
+                else contextlib.nullcontext():
+            results.append(_run_inline(cell, sweep=sweep))
     return results
 
 

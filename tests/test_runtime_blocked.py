@@ -23,6 +23,7 @@ mmap-backed files. Contracts:
 from __future__ import annotations
 
 import errno
+import gc
 import os
 from contextlib import contextmanager
 from unittest import mock
@@ -377,15 +378,34 @@ class TestPlannerSpill:
         assert "plan.terms.spill" not in counters
 
     def test_resident_bytes_accounting(self, tmp_path):
+        """Resident bytes are what the live chains hold: a chain that
+        leaves because its operator was mutated or collected takes its
+        bytes with it, so the budget never sheds on stale bytes."""
         graph = _random_graph(16, seed=23)
-        ctx = PropagationContext(graph.normalized_adjacency(0.5))
+        matrix = graph.normalized_adjacency(0.5)
+        ctx = PropagationContext(matrix)
         x = np.asarray(graph.features, dtype=np.float32)
         with blocked_scope(ram_budget_bytes=64 * 2 ** 20,
                            spill_dir=tmp_path / "spill"):
             with plan.plan_scope() as planner:
                 terms = planner.chain_terms(ctx, x, "monomial_adj", (), 4)
                 computed = sum(int(t.nbytes) for t in terms[1:])
-                assert planner._resident_bytes == computed
+                assert planner.resident_bytes == computed
+                # A mutated operator fails its token: the stale chain is
+                # dropped and the rebuilt one counted once.
+                matrix.data *= 2.0
+                planner.chain_terms(ctx, x, "monomial_adj", (), 4)
+                assert len(planner._chains) == 1
+                assert planner.resident_bytes == computed
+                # A collected operator discards its chain.
+                other = graph.normalized_adjacency(0.5).copy()
+                planner.chain_terms(PropagationContext(other), x,
+                                    "monomial_adj", (), 4)
+                assert planner.resident_bytes == 2 * computed
+                del other
+                gc.collect()
+                assert len(planner._chains) == 1
+                assert planner.resident_bytes == computed
 
     def test_no_spill_without_blocked_scope(self, counters, monkeypatch):
         """Outside a blocked scope eviction drops terms (seed behaviour)."""

@@ -20,6 +20,10 @@ its contracts:
    stream; nested scopes reuse; ``fresh=True`` isolates).
 6. **Streamed memory**: a streamed chain holds its history, the new
    term and at most one scratch buffer.
+7. **Chain lifetimes**: the demand probe finds exactly the chains a
+   precompute reads, and an inline sweep releases each chain after the
+   last live cell that reads it — same hits, no spill, LRU fallback for
+   what the demand did not foresee.
 
 Planned ≡ streamed holds because both run one executor; that executor is
 held to digests captured before it existed by ``test_basis_golden.py``.
@@ -27,6 +31,7 @@ held to digests captured before it existed by ``test_basis_golden.py``.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import tracemalloc
 
@@ -407,3 +412,161 @@ class TestArrayToken:
         assert plan.array_token(x) != plan.array_token(x.reshape(2, 5))
         assert plan.array_token(np.empty((0, 3), dtype=np.float32)) \
             == plan.array_token(np.empty((0, 3), dtype=np.float32))
+
+
+# ----------------------------------------------------------------------
+# 7. chain lifetimes: a chain lives from its first reader to its last
+# ----------------------------------------------------------------------
+#: ``sweep_serial``'s grid (``benchmarks/perf/workloads.py``).
+SWEEP_FILTERS = ("linear", "impulse", "monomial", "ppr", "hk", "gaussian",
+                 "monomial_var", "horner", "chebyshev", "chebinterp",
+                 "clenshaw", "fbgnn2")
+
+
+def _sweep(filters, dataset_names=("pokec",), scale=0.002, **kwargs):
+    from repro.bench.experiments import efficiency_experiment
+    from repro.training.loop import TrainConfig
+
+    config = TrainConfig(epochs=1, patience=0, eval_every=10 ** 9)
+    return efficiency_experiment(dataset_names, filters=filters,
+                                 schemes=("mini_batch",), config=config,
+                                 scale_override=scale, **kwargs)
+
+
+@pytest.fixture
+def store_log(monkeypatch):
+    """Wrap :meth:`BasisPlanner.reading`: the log gets, per live cell,
+    the ``(label, family)`` of every stored chain as the cell starts and
+    after its release."""
+    log = []
+    reading = plan.BasisPlanner.reading
+
+    def chains(planner):
+        return sorted((bound[2].label, key[3])
+                      for key, bound in planner._chains.items())
+
+    @contextlib.contextmanager
+    def logged(self, label, later):
+        entry = {"label": label, "before": chains(self)}
+        with reading(self, label, later):
+            yield
+        entry["after"] = chains(self)
+        log.append(entry)
+
+    monkeypatch.setattr(plan.BasisPlanner, "reading", logged)
+    return log
+
+
+class TestChainLifetimes:
+    @pytest.mark.parametrize("name", FILTER_NAMES)
+    def test_demand_is_what_precompute_reads(self, name):
+        """The one-point probe finds exactly the chains a planned
+        precompute stores: no filter declares its chains twice."""
+        graph = _random_graph(20, seed=51)
+        x = np.asarray(graph.features, dtype=np.float32)
+        filter_ = _filter_for(name, num_hops=6, num_features=x.shape[1])
+        with plan.plan_scope() as planner:
+            filter_.precompute(graph, x, rho=0.5)
+            stored = {(key[3], key[4]) for key, _ in planner._chains.items()}
+        assert plan.chain_demand(filter_) == stored
+
+    def test_sweep_holds_only_what_later_cells_read(self, store_log,
+                                                     monkeypatch):
+        """On the 12-filter grid each chain is gone after its last
+        reader, with the hits and spmm calls of a run that keeps all."""
+        def counted_sweep():
+            telemetry.configure()
+            try:
+                rows = _sweep(SWEEP_FILTERS)
+                return rows, telemetry.get_metrics().snapshot()["counters"]
+            finally:
+                telemetry.shutdown()
+
+        rows, released = counted_sweep()
+        families = [sorted(family for _, family in cell["after"])
+                    for cell in store_log]
+        # gaussian (cell 6), horner (8) and clenshaw (11) live for their
+        # own cell only, chebyshev for cells 9-10; monomial_adj is read
+        # again by fbgnn2, the last cell.
+        assert families == [["monomial_adj"]] * 8 + [
+            ["chebyshev", "monomial_adj"], ["monomial_adj"],
+            ["monomial_adj"], []]
+        assert store_log[11]["before"] == [("pokec", "monomial_adj")]
+
+        @contextlib.contextmanager
+        def keep_all(self, label, later):
+            yield
+
+        monkeypatch.setattr(plan.BasisPlanner, "reading", keep_all)
+        kept_rows, kept = counted_sweep()
+        for name in ("plan.terms.hit", "plan.terms.miss",
+                     "plan.spmm_avoided", "ops.spmm.calls"):
+            assert released[name] == kept[name], name
+        assert released["plan.terms.hit"] == 61
+        assert "plan.chains.evict" not in released
+        assert [row["ram_bytes"] for row in rows] == \
+            [row["ram_bytes"] for row in kept_rows]
+
+    def test_first_dataset_released_before_the_second(self, store_log):
+        _sweep(("ppr", "chebyshev"), dataset_names=("cora", "chameleon"),
+               scale=0.1)
+        labels = [cell["label"] for cell in store_log]
+        assert labels == ["cora", "cora", "chameleon", "chameleon"]
+        assert store_log[1]["after"] == []
+        assert store_log[2]["before"] == []
+
+    def test_unforeseen_request_is_served_and_lru_bound(self, monkeypatch,
+                                                        counters):
+        graph = _random_graph(16, seed=52)
+        ctx = PropagationContext(graph.normalized_adjacency(0.5))
+        x = np.asarray(graph.features, dtype=np.float32)
+        monkeypatch.setattr(plan, "PLAN_CHAIN_ENTRIES", 2)
+        foreseen = {("g", "monomial_adj", ())}
+
+        def families(planner):
+            return sorted(key[3] for key, _ in planner._chains.items())
+
+        with plan.plan_scope() as planner:
+            with planner.reading("g", later=foreseen):
+                for family in ("monomial_adj", "monomial_lap", "chebyshev"):
+                    served = planner.chain_terms(ctx, x, family, (), 4)
+                    streamed = plan.stream_chain(ctx, x, family, (), 4)
+                    assert [t.tobytes() for t in served] == \
+                        [t.tobytes() for t in streamed]
+                    assert len(planner._chains) <= 2
+            # Three chains through two entries: the LRU evicted one.
+            assert counters()["plan.chains.evict"] == 1
+            # The unforeseen chains end with their cell.
+            assert families(planner) == []
+            # A chain made outside any cell carries no label: no
+            # release touches it.
+            planner.chain_terms(ctx, x, "legendre", (), 3)
+            with planner.reading("g", later=foreseen):
+                planner.chain_terms(ctx, x, "monomial_adj", (), 4)
+            assert families(planner) == ["legendre", "monomial_adj"]
+
+    def test_release_never_spills(self, tmp_path, store_log, counters):
+        """Resume-cached cells read nothing, so the chain the first live
+        cell makes is released before the next live one; under a 1-byte
+        term budget a held chain would have been shed to the spill
+        directory instead."""
+        def run(filters):
+            config = context.RunConfig(
+                blocked=True, ram_budget_mib=64,
+                spill_dir=str(tmp_path / "spill"), resume=True,
+                artifact_dir=str(tmp_path / "artifacts"))
+            with config.open({"experiment": "efficiency"}) as opened:
+                opened.tier.term_budget_bytes = 1
+                rows = _sweep(filters, dataset_names=("cora",), scale=0.1)
+                assert list(opened.tier.spill.root.iterdir()) == []
+            return rows
+
+        run(("ppr",))
+        store_log.clear()
+        rows = run(("monomial", "chebyshev", "ppr"))
+        assert len(rows) == 3
+        assert [cell["after"] for cell in store_log] == [[], []]
+        assert store_log[1]["before"] == []
+        assert counters()["pool.cells.cached"] == 1
+        assert "plan.terms.spill" not in counters()
+        assert "plan.chains.evict" not in counters()

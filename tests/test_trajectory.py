@@ -3,6 +3,7 @@ schema, append-only writes, and the checkout's commit."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -76,11 +77,11 @@ def test_record_schema_and_sha(writer, checkout, tmp_path):
     out = tmp_path / "BENCH_trajectory.json"
     assert _run(writer, checkout, out, "--pr", "7", "--seed", "3") == 0
     [record] = json.loads(out.read_text())
-    assert set(record) == {"git_sha", "dirty", "pr", "seed", "seconds",
-                           "host", "workloads"}
+    assert set(record) == {"git_sha", "dirty", "diff_sha", "pr", "seed",
+                           "seconds", "host", "workloads"}
     assert record["git_sha"] == _git(checkout, "rev-parse", "HEAD").strip()
-    assert (record["dirty"], record["pr"], record["seed"],
-            record["seconds"]) == (False, 7, 3, None)
+    assert (record["dirty"], record["diff_sha"], record["pr"],
+            record["seed"], record["seconds"]) == (False, None, 7, 3, None)
     host = record["host"]
     assert set(host) == {"calib_s", "calib_par", "calib_drift", "nproc",
                          "simd_dispatch", "mem_total"}
@@ -109,6 +110,27 @@ def test_writes_only_append(writer, checkout, tmp_path):
     assert (old["dirty"], new["dirty"]) == (False, True)
     assert new["git_sha"] == old["git_sha"]
     assert new["seconds"] == 2.0
+
+
+def test_diff_sha_names_the_measured_tree(writer, checkout, tmp_path):
+    """A dirty record carries the sha256 of ``git diff HEAD``: equal for
+    the same edit, different for another, and ``None`` once clean."""
+    out = tmp_path / "BENCH_trajectory.json"
+    run_py = checkout / "benchmarks" / "perf" / "run.py"
+    for edit in ("# one\n", "# one\n", "# two\n", None):
+        run_py.write_text(STUB + (edit or ""))
+        _run(writer, checkout, out)
+    diff = subprocess.run(["git", "diff", "--binary", "HEAD"], cwd=checkout,
+                          check=True, capture_output=True).stdout
+    assert diff == b""
+    first, same, other, clean = json.loads(out.read_text())
+    assert first["diff_sha"] == same["diff_sha"] != other["diff_sha"]
+    assert len(first["diff_sha"]) == 64 and first["dirty"]
+    assert (clean["diff_sha"], clean["dirty"]) == (None, False)
+    run_py.write_text(STUB + "# two\n")
+    diff = subprocess.run(["git", "diff", "--binary", "HEAD"], cwd=checkout,
+                          check=True, capture_output=True).stdout
+    assert other["diff_sha"] == hashlib.sha256(diff).hexdigest()
 
 
 def test_failed_workload_appends_nothing(writer, checkout, tmp_path):
