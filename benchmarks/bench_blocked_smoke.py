@@ -13,9 +13,9 @@ Gates:
 
 - Both runs exit 0 and their canonical result payloads are
   **byte-identical** — spilling never moves a result bit.
-- The blocked run's registry record (schema v6) carries a ``blocked``
+- The blocked run's record (``blocked.run.json``) carries a ``blocked``
   memory sub-block with ``spill_terms ≥ 1`` and ``spill_loads ≥ 1``;
-  the in-core record has no such key (v5-shaped when the tier is off).
+  the in-core record has no such key.
 - The blocked run's ``memory.peak_bytes`` stays under a pinned ceiling.
 - GP rows carry the cut-edge expressiveness accounting, identically in
   both runs.
@@ -30,9 +30,9 @@ import shutil
 
 from repro.bench.__main__ import main as bench_main
 from repro.bench.io import canonical_payload, load_rows
-from repro.telemetry.registry import RunRegistry
+from repro.telemetry import RUN_SCHEMA
 
-from .conftest import RESULTS_DIR, emit, env_epochs, run_once
+from .conftest import RESULTS_DIR, emit, env_epochs, read_run_record, run_once
 
 EPOCHS_DEFAULT = 2
 BLOCKED_DIR = RESULTS_DIR / "blocked_smoke"
@@ -57,7 +57,6 @@ def _cli_run(tag: str, epochs: int, blocked: bool) -> int:
         "efficiency", "--datasets", "cora", "--filters", *FILTERS,
         "--schemes", "mini_batch", "graph_partition",
         "--scale", "0.05", "--epochs", str(epochs),
-        "--registry-dir", str(BLOCKED_DIR),
         "--trace", str(BLOCKED_DIR / f"{tag}.jsonl"),
         "--output", str(BLOCKED_DIR / f"{tag}.json"),
     ]
@@ -78,16 +77,16 @@ def _blocked_smoke(epochs: int) -> dict:
             for tag in ("incore", "blocked")}
     payloads = {tag: canonical_payload(r) for tag, r in rows.items()}
 
-    records = RunRegistry(BLOCKED_DIR).load()
-    incore_rec, blocked_rec = records[-2], records[-1]
+    records = {tag: read_run_record(BLOCKED_DIR / f"{tag}.json")
+               for tag in ("incore", "blocked")}
 
     return {
         "exit_codes": exit_codes,
         "rows": rows,
         "payloads": payloads,
-        "entries": len(records),
-        "incore": incore_rec,
-        "blocked": blocked_rec,
+        "schemas": {tag: record["schema"] for tag, record in records.items()},
+        "incore": records["incore"]["measured"],
+        "blocked": records["blocked"]["measured"],
         "spill_dir_entries": sorted(
             p.name for p in (BLOCKED_DIR / "spill").glob("*")),
     }
@@ -97,38 +96,38 @@ def test_blocked_smoke_gate(benchmark):
     epochs = env_epochs(EPOCHS_DEFAULT)
     report = run_once(benchmark, _blocked_smoke, epochs)
     blocked_rec, incore_rec = report["blocked"], report["incore"]
-    tier = blocked_rec.memory.get("blocked") or {}
+    tier = blocked_rec["memory"].get("blocked") or {}
 
     emit([{"check": "blocked.spill_terms", "value": tier.get("spill_terms")},
           {"check": "blocked.spill_loads", "value": tier.get("spill_loads")},
           {"check": "blocked.spill_bytes", "value": tier.get("spill_bytes")},
           {"check": "blocked.mmap_bytes", "value": tier.get("mmap_bytes")},
           {"check": "memory.peak_bytes",
-           "value": blocked_rec.memory.get("peak_bytes")}],
+           "value": blocked_rec["memory"].get("peak_bytes")}],
          title="blocked tier smoke")
 
-    # --- both verticals ran end to end and were indexed.
+    # --- both verticals ran end to end and both records exist (reading
+    # a missing or torn one raises).
     assert report["exit_codes"] == [0, 0]
-    assert report["entries"] == 2
-    assert blocked_rec.schema.endswith("/v6")
+    assert report["schemas"] == {"incore": RUN_SCHEMA, "blocked": RUN_SCHEMA}
 
     # --- byte-identity: out-of-core execution never moves a result bit.
     assert report["payloads"]["incore"] == report["payloads"]["blocked"], \
         "blocked-tier payload diverged from the in-core path"
 
     # --- the tier actually went out of core under the low budget.
-    assert tier, "blocked run's memory block lacks the v6 'blocked' sub-block"
+    assert tier, "blocked run's memory block lacks the 'blocked' sub-block"
     assert tier["spill_terms"] >= 1, "low budget must spill ≥1 planner term"
     assert tier["spill_loads"] >= 1, \
         "a re-requested spilled chain must reload from disk"
     assert tier["spill_bytes"] > 0
     assert tier["mmap_bytes"] > 0
 
-    # --- tier-off records stay v5-shaped: no 'blocked' key at all.
-    assert "blocked" not in incore_rec.memory
+    # --- tier-off records carry no 'blocked' key at all.
+    assert "blocked" not in incore_rec["memory"]
 
     # --- pinned memory gate.
-    peak = blocked_rec.memory.get("peak_bytes") or 0
+    peak = blocked_rec["memory"].get("peak_bytes") or 0
     assert 0 < peak <= PEAK_BYTES_CEILING, \
         f"memory.peak_bytes {peak} exceeds pinned {PEAK_BYTES_CEILING}"
 

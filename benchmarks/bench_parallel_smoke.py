@@ -28,7 +28,8 @@ and holds the executor + store to their joint contract:
   baseline must sit *above* that limit (the gate is not vacuous —
   filters ppr/hk/monomial share one monomial chain per dataset, so the
   unshared pool pays for it once per worker).
-- **registry annotation**: all three runs share one config fingerprint
+- **record annotation**: each run's record (``<label>.run.json``)
+  names its own result file, all three share one config fingerprint
   (workers/shared-terms are execution strategy, not configuration)
   while the pooled records' ``pool.shared_terms`` flag tells the two
   pool modes apart.
@@ -46,9 +47,9 @@ import shutil
 
 from repro.bench.__main__ import main as bench_main
 from repro.bench.io import canonical_payload, deterministic_counters, load_rows
-from repro.telemetry.registry import RunRegistry
+from repro.telemetry import RUN_SCHEMA
 
-from .conftest import RESULTS_DIR, emit, env_epochs, run_once
+from .conftest import RESULTS_DIR, emit, env_epochs, read_run_record, run_once
 
 EPOCHS_DEFAULT = 3
 PARALLEL_DIR = RESULTS_DIR / "parallel_smoke"
@@ -57,7 +58,8 @@ GRID_CELLS = 6  # 2 datasets x 3 filters x 1 scheme
 #: serial count (ISSUE 9 acceptance criterion).
 SPMM_RATIO_LIMIT = 1.25
 
-#: label -> extra CLI flags; run order is registry record order.
+#: label -> extra CLI flags; each run writes ``<label>.json`` and its
+#: record ``<label>.run.json``.
 RUN_MODES = (
     ("serial", ["--workers", "1"]),
     ("pooled_shared", ["--workers", "4"]),
@@ -70,7 +72,6 @@ def _one_cli_run(label: str, flags: list, epochs: int) -> int:
         "efficiency", "--datasets", "cora", "citeseer",
         "--filters", "ppr", "hk", "monomial", "--schemes", "mini_batch",
         "--epochs", str(epochs), *flags,
-        "--registry-dir", str(PARALLEL_DIR),
         "--output", str(PARALLEL_DIR / f"{label}.json"),
         "--trace", str(PARALLEL_DIR / f"{label}.jsonl"),
     ])
@@ -88,12 +89,13 @@ def _parallel_smoke(epochs: int) -> dict:
         payloads[label] = payload
         (PARALLEL_DIR / f"payload_{label}.json").write_bytes(payload)
 
-    registry = RunRegistry(PARALLEL_DIR)
-    loaded = registry.load()
-    records = dict(zip((label for label, _ in RUN_MODES), loaded))
+    records = {label: read_run_record(PARALLEL_DIR / f"{label}.json")
+               for label, _ in RUN_MODES}
+    measured = {label: record["measured"]
+                for label, record in records.items()}
     counters = {
-        label: deterministic_counters(record.metrics.get("counters", {}))
-        for label, record in records.items()
+        label: deterministic_counters(block["metrics"].get("counters", {}))
+        for label, block in measured.items()
     }
 
     serial_spmm = counters["serial"].get("ops.spmm.calls", 0)
@@ -107,7 +109,7 @@ def _parallel_smoke(epochs: int) -> dict:
         "spmm_ratio_unshared": (
             counters["pooled_unshared"].get("ops.spmm.calls", 0) / serial_spmm
             if serial_spmm else None),
-        "shm": (records["pooled_shared"].pool or {}).get("shm"),
+        "shm": measured["pooled_shared"]["pool"].get("shm"),
     }
     (PARALLEL_DIR / "counter_delta.json").write_text(
         json.dumps(delta, indent=2, sort_keys=True))
@@ -115,11 +117,11 @@ def _parallel_smoke(epochs: int) -> dict:
     return {
         "exit_codes": exit_codes,
         "payloads": payloads,
-        "records": records,
+        "schemas": {label: record["schema"]
+                    for label, record in records.items()},
+        "records": measured,
         "counters": counters,
         "delta": delta,
-        "record_count": len(loaded),
-        "corrupt_lines": registry.corrupt_lines,
     }
 
 
@@ -134,11 +136,14 @@ def test_parallel_smoke_gate(benchmark):
           for name in sorted(counters["serial"])],
          title="deterministic counters, serial vs pooled shared/unshared")
 
-    # All three CLI invocations completed and were indexed cleanly.
+    # All three CLI invocations completed, each record parsed (reading
+    # it raises otherwise) and names its own run's result file.
     assert report["exit_codes"] == {label: 0 for label in labels}
-    assert report["corrupt_lines"] == 0
-    assert report["record_count"] == len(labels), \
-        "expected one registry record per run mode"
+    assert report["schemas"] == {label: RUN_SCHEMA for label in labels}
+    for label in labels:
+        assert report["records"][label]["result_path"] \
+            == str(PARALLEL_DIR / f"{label}.json"), \
+            f"the {label} record belongs to another run"
 
     # --- payload determinism: byte-identical after normalization.
     assert report["payloads"]["serial"], \
@@ -177,23 +182,23 @@ def test_parallel_smoke_gate(benchmark):
 
     # --- the store actually served terms in the shared pooled run.
     shared_counters = (report["records"]["pooled_shared"]
-                       .metrics.get("counters", {}))
+                       ["metrics"].get("counters", {}))
     assert shared_counters.get("shm.terms.hit", 0) > 0, \
         "shared run served no terms from the cross-process store"
     assert shared_counters.get("shm.terms.publish", 0) > 0, \
         "shared run published no terms to the cross-process store"
 
-    # --- registry annotation: one config, three execution strategies.
-    fingerprints = {record.config_fingerprint
-                    for record in report["records"].values()}
+    # --- record annotation: one config, three execution strategies.
+    records = report["records"]
+    fingerprints = {record["config_fingerprint"]
+                    for record in records.values()}
     assert len(fingerprints) == 1, \
         "workers/shared-terms leaked into the config fingerprint"
-    assert report["records"]["serial"].workers == 1
+    assert records["serial"]["workers"] == 1
     for label in labels[1:]:
-        assert report["records"][label].workers == 4
-    assert report["records"]["pooled_shared"].pool.get("shared_terms") is True
-    assert (report["records"]["pooled_unshared"].pool.get("shared_terms")
-            is False)
-    shm_block = report["records"]["pooled_shared"].pool.get("shm") or {}
+        assert records[label]["workers"] == 4
+    assert records["pooled_shared"]["pool"].get("shared_terms") is True
+    assert records["pooled_unshared"]["pool"].get("shared_terms") is False
+    shm_block = records["pooled_shared"]["pool"].get("shm") or {}
     assert shm_block.get("segments_unlinked", 0) > 0, \
         "store scope exit unlinked no segments"

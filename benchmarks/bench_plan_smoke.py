@@ -30,9 +30,9 @@ pre-planner code path) — and holds the propagation planner
   the assertion prints the observed values in the golden's layout; a
   deliberate change re-captures the file by pasting them in and says so.
 
-The two runs use *separate* registry directories: the ``plan`` manifest
-field is execution strategy, not configuration, so both runs share one
-config fingerprint, and each mode reads its own record as ``load()[-1]``.
+Each mode reads its own run record, ``<mode>.run.json`` beside its
+result file. The ``plan`` manifest field is execution strategy, not
+configuration, so both records carry one config fingerprint.
 
 The normalized payloads and a ``spmm_delta.json`` report (per-mode spmm
 calls, absolute and relative reduction, ``plan.*`` term-store counters)
@@ -49,9 +49,8 @@ from pathlib import Path
 
 from repro.bench.__main__ import main as bench_main
 from repro.bench.io import canonical_payload, deterministic_counters, load_rows
-from repro.telemetry.registry import RunRegistry
 
-from .conftest import RESULTS_DIR, emit, env_epochs, run_once
+from .conftest import RESULTS_DIR, emit, env_epochs, read_run_record, run_once
 
 EPOCHS_DEFAULT = 3
 PLAN_DIR = RESULTS_DIR / "plan_smoke"
@@ -71,7 +70,6 @@ def _one_cli_run(mode: str, epochs: int) -> int:
         "efficiency", "--datasets", *DATASETS,
         "--filters", *FILTERS, "--schemes", "mini_batch",
         "--epochs", str(epochs),
-        "--registry-dir", str(PLAN_DIR / mode),
         "--output", str(PLAN_DIR / f"{mode}.json"),
         "--trace", str(PLAN_DIR / f"{mode}.jsonl"),
     ]
@@ -96,9 +94,8 @@ def _plan_smoke(epochs: int) -> dict:
 
     records, counters = {}, {}
     for mode in MODES:
-        registry = RunRegistry(PLAN_DIR / mode)
-        records[mode] = registry.load()[-1]
-        counters[mode] = records[mode].metrics.get("counters", {})
+        records[mode] = read_run_record(PLAN_DIR / f"{mode}.json")["measured"]
+        counters[mode] = records[mode]["metrics"].get("counters", {})
 
     spmm = {mode: counters[mode].get("ops.spmm.calls", 0) for mode in MODES}
     reduction = (1.0 - spmm["planned"] / spmm["unplanned"]
@@ -144,7 +141,8 @@ def test_plan_smoke_gate(benchmark):
             for name, value in delta["plan_counters"].items()],
          title="planner spmm reduction, planned vs --no-plan")
 
-    # Both CLI invocations completed and were indexed cleanly.
+    # Both CLI invocations completed and both records parsed (reading
+    # a missing or torn one raises).
     assert report["exit_codes"] == {mode: 0 for mode in MODES}
 
     # --- bit-identity: planned results byte-identical to unplanned.
@@ -168,10 +166,11 @@ def test_plan_smoke_gate(benchmark):
         f"(gate: {MIN_SPMM_REDUCTION:.0%}); see "
         f"{PLAN_DIR / 'spmm_delta.json'}")
 
-    # --- registry annotation: one config, two execution strategies.
+    # --- record annotation: one config, two execution strategies.
     planned, unplanned = (report["records"]["planned"],
                           report["records"]["unplanned"])
-    assert planned.config_fingerprint == unplanned.config_fingerprint, \
+    assert planned["config_fingerprint"] \
+        == unplanned["config_fingerprint"], \
         "--no-plan leaked into the config fingerprint"
 
     # --- exact counters and device bytes against the committed golden.

@@ -18,9 +18,9 @@ through the real CLI, and holds :mod:`repro.runtime.artifacts` +
    (:func:`repro.bench.io.canonical_rows`), the resumed run's payload is
    *byte-identical* to the uninterrupted ``--fresh`` run's — a hit
    substitutes exactly the bytes a live execution would have produced.
-5. Both registry records (schema v4) share one config fingerprint; the
-   resume mode and store traffic live in the ``artifacts`` block outside
-   it.
+5. Both run records (``fresh.run.json``, ``resume.run.json``) share one
+   config fingerprint; the resume mode and store traffic live in the
+   ``artifacts`` block outside it.
 
 The normalized payloads are persisted under
 ``benchmarks/results/resume_smoke/`` so the ``bench-resume`` CI job can
@@ -34,9 +34,9 @@ import shutil
 from repro.bench.__main__ import main as bench_main
 from repro.bench.io import canonical_payload, load_rows
 from repro.runtime.artifacts import ArtifactStore
-from repro.telemetry.registry import RunRegistry
+from repro.telemetry import RUN_SCHEMA
 
-from .conftest import RESULTS_DIR, emit, env_epochs, run_once
+from .conftest import RESULTS_DIR, emit, env_epochs, read_run_record, run_once
 
 EPOCHS_DEFAULT = 3
 RESUME_DIR = RESULTS_DIR / "resume_smoke"
@@ -51,7 +51,6 @@ def _one_cli_run(mode: str, epochs: int) -> int:
         "--filters", "ppr", "chebyshev", "--schemes", "mini_batch",
         "--epochs", str(epochs), "--workers", "2",
         f"--{mode}", "--artifact-dir", str(STORE_DIR),
-        "--registry-dir", str(RESUME_DIR),
         "--output", str(RESUME_DIR / f"{mode}.json"),
     ])
 
@@ -71,23 +70,22 @@ def _resume_smoke(epochs: int) -> dict:
 
     exit_codes["resume"] = _one_cli_run("resume", epochs)
 
-    payloads = {}
+    payloads, records = {}, {}
     for mode in ("fresh", "resume"):
         payload = canonical_payload(load_rows(RESUME_DIR / f"{mode}.json"))
         payloads[mode] = payload
         (RESUME_DIR / f"payload_{mode}.json").write_bytes(payload)
-
-    registry = RunRegistry(RESUME_DIR)
-    records = {record.artifacts.get("mode"): record
-               for record in registry.load()}
+        records[mode] = read_run_record(RESUME_DIR / f"{mode}.json")
 
     return {
         "exit_codes": exit_codes,
         "populated": populated,
         "survivors": survivors,
         "payloads": payloads,
-        "records": records,
-        "corrupt_lines": registry.corrupt_lines,
+        "schemas": {mode: record["schema"]
+                    for mode, record in records.items()},
+        "records": {mode: record["measured"]
+                    for mode, record in records.items()},
     }
 
 
@@ -96,17 +94,19 @@ def test_resume_smoke_gate(benchmark):
     report = run_once(benchmark, _resume_smoke, epochs)
 
     emit([{"mode": mode,
-           **{k: record.artifacts.get(k)
+           **{k: record["artifacts"].get(k)
               for k in ("hit", "miss", "stored", "cells")},
-           "pool_ok": record.pool["stats"]["ok"],
-           "pool_cached": record.pool["stats"]["cached"]}
+           "pool_ok": record["pool"]["stats"]["ok"],
+           "pool_cached": record["pool"]["stats"]["cached"]}
           for mode, record in sorted(report["records"].items())],
          title="artifact-store traffic, fresh vs resumed")
 
-    # Both CLI invocations completed and were indexed cleanly.
+    # Both CLI invocations completed and each record parsed (reading it
+    # raises otherwise) and was written by the run of its mode.
     assert report["exit_codes"] == {"fresh": 0, "resume": 0}
-    assert report["corrupt_lines"] == 0
-    assert set(report["records"]) == {"fresh", "resume"}
+    assert {mode: record["artifacts"].get("mode")
+            for mode, record in report["records"].items()} \
+        == {"fresh": "fresh", "resume": "resume"}
 
     # The fresh run stored every cell; the deletion left exactly half.
     assert report["populated"] == GRID_CELLS
@@ -114,16 +114,16 @@ def test_resume_smoke_gate(benchmark):
 
     # --- store traffic: survivors hit, the remainder re-executed.
     fresh, resumed = report["records"]["fresh"], report["records"]["resume"]
-    assert fresh.artifacts["hit"] == 0
-    assert fresh.artifacts["stored"] == GRID_CELLS
-    assert resumed.artifacts["hit"] == GRID_CELLS - DELETED
-    assert resumed.artifacts["hit"] > 0, "resume gate is vacuous: no hits"
-    assert resumed.artifacts["miss"] == DELETED
-    assert resumed.artifacts["stored"] == DELETED, \
+    assert fresh["artifacts"]["hit"] == 0
+    assert fresh["artifacts"]["stored"] == GRID_CELLS
+    assert resumed["artifacts"]["hit"] == GRID_CELLS - DELETED
+    assert resumed["artifacts"]["hit"] > 0, "resume gate is vacuous: no hits"
+    assert resumed["artifacts"]["miss"] == DELETED
+    assert resumed["artifacts"]["stored"] == DELETED, \
         "re-executed cells must repopulate the store"
 
     # --- pool accounting: cached + ok == grid size.
-    stats = resumed.pool["stats"]
+    stats = resumed["pool"]["stats"]
     assert stats["cached"] == GRID_CELLS - DELETED
     assert stats["ok"] == DELETED
     assert stats["cached"] + stats["ok"] == stats["cells"] == GRID_CELLS
@@ -136,8 +136,8 @@ def test_resume_smoke_gate(benchmark):
         f"{RESUME_DIR / 'payload_fresh.json'} against "
         f"{RESUME_DIR / 'payload_resume.json'}")
 
-    # --- registry: one config, two modes (schema v4).
-    assert fresh.config_fingerprint == resumed.config_fingerprint, \
+    # --- records: one config, two modes.
+    assert fresh["config_fingerprint"] == resumed["config_fingerprint"], \
         "resume mode leaked into the config fingerprint"
-    assert fresh.schema.endswith("/v6")
-    assert resumed.artifacts["mode"] == "resume"
+    assert report["schemas"]["fresh"] == RUN_SCHEMA
+    assert resumed["artifacts"]["mode"] == "resume"

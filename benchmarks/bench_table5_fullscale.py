@@ -28,9 +28,9 @@ import shutil
 
 from repro.bench.__main__ import main as bench_main
 from repro.bench.io import load_rows
-from repro.telemetry.registry import RunRegistry
+from repro.telemetry import RUN_SCHEMA
 
-from .conftest import RESULTS_DIR, emit, env_epochs, run_once
+from .conftest import RESULTS_DIR, emit, env_epochs, read_run_record, run_once
 
 EPOCHS_DEFAULT = 3
 FULLSCALE_DIR = RESULTS_DIR / "table5_fullscale"
@@ -57,31 +57,31 @@ def _fullscale_run(epochs: int) -> dict:
         "--scale", "1.0", "--epochs", str(epochs),
         "--blocked", "--ram-budget", str(RAM_BUDGET_MIB),
         "--spill-dir", str(FULLSCALE_DIR / "spill"),
-        "--registry-dir", str(FULLSCALE_DIR),
         "--trace", str(FULLSCALE_DIR / "run.jsonl"),
         "--output", str(FULLSCALE_DIR / "run.json"),
     ])
     rows = load_rows(FULLSCALE_DIR / "run.json")
-    record = RunRegistry(FULLSCALE_DIR).load()[-1]
-    return {"exit_code": exit_code, "rows": rows, "record": record}
+    record = read_run_record(FULLSCALE_DIR / "run.json")
+    return {"exit_code": exit_code, "rows": rows,
+            "schema": record["schema"], "record": record["measured"]}
 
 
 def test_table5_fullscale(benchmark):
     epochs = env_epochs(EPOCHS_DEFAULT)
     report = run_once(benchmark, _fullscale_run, epochs)
     rows, record = report["rows"], report["record"]
-    tier = record.memory.get("blocked") or {}
+    tier = record["memory"].get("blocked") or {}
 
     emit(rows, title=f"Table 5 shape: {DATASET} @ scale=1.0 "
                      f"(blocked, {RAM_BUDGET_MIB} MiB budget)")
     emit([{"check": "blocked.spill_terms", "value": tier.get("spill_terms")},
           {"check": "blocked.spill_bytes", "value": tier.get("spill_bytes")},
           {"check": "memory.peak_bytes",
-           "value": record.memory.get("peak_bytes")}],
+           "value": record["memory"].get("peak_bytes")}],
          title="full-scale blocked accounting")
 
     assert report["exit_code"] == 0
-    assert record.schema.endswith("/v6")
+    assert report["schema"] == RUN_SCHEMA
 
     # --- every cell of the grid is a measured row, not an OOM cell.
     assert len(rows) == len(FILTERS) * len(SCHEMES)
@@ -99,11 +99,11 @@ def test_table5_fullscale(benchmark):
         assert 0.0 < row["cut_edge_fraction"] <= 1.0
 
     # --- the tier engaged and went out of core.
-    assert tier, "full-scale record lacks the v6 'blocked' sub-block"
+    assert tier, "full-scale record lacks the 'blocked' sub-block"
     assert tier["spill_terms"] >= 1, \
         "a 64 MiB budget must spill at least one full-scale term"
 
     # --- pinned memory gate: full scale, bounded peak.
-    peak = record.memory.get("peak_bytes") or 0
+    peak = record["memory"].get("peak_bytes") or 0
     assert 0 < peak <= PEAK_BYTES_CEILING, \
         f"memory.peak_bytes {peak} exceeds pinned {PEAK_BYTES_CEILING}"

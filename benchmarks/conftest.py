@@ -15,11 +15,13 @@ Environment knobs:
 
 from __future__ import annotations
 
+import json
 import os
 import re
 from pathlib import Path
 
 from repro.bench import render_table
+from repro.telemetry import record_path_for
 
 #: Rendered tables are also persisted here, because pytest captures stdout
 #: of passing tests — `pytest benchmarks/` leaves one .txt per bench with
@@ -61,3 +63,9 @@ def env_epochs(default: int) -> int:
 def env_scale():
     value = os.environ.get("REPRO_BENCH_SCALE")
     return float(value) if value else None
+
+
+def read_run_record(result_path: Path) -> dict:
+    """The run record the CLI wrote beside ``result_path``; a missing
+    record, or one that does not parse, raises and fails the gate."""
+    return json.loads(record_path_for(result_path).read_text())

@@ -5,7 +5,7 @@ Runs the full second-tier battery back-to-back in one process tree so the
 scheduled ``nightly`` workflow (and anyone locally) needs exactly one
 entry point::
 
-    python benchmarks/run_nightly.py --registry-dir /tmp/nightly
+    python benchmarks/run_nightly.py --out-dir /tmp/nightly
 
 Steps, in order:
 
@@ -28,12 +28,14 @@ Steps, in order:
    a same-commit timing gate would fail on noise. Timings are gated per
    change, against the parent, by the benchmark pipeline;
 4. a pinned 4-worker efficiency sweep through the real CLI, which must
-   exit 0. Its registry record, rows and trace land in the registry dir
-   and are uploaded with that night's report; timings are compared
-   across commits by the perf harness, not across nights here.
+   exit 0 and leave a run record (``nightly_sweep.run.json``) that
+   parses. Its record, rows and trace land in the output dir and are
+   uploaded with that night's report; timings are compared across
+   commits by the perf harness, not across nights here.
 
-Every step's exit code and duration land in ``nightly_report.json``
-inside the registry dir; the driver exits non-zero if any step failed.
+Every step's exit code and duration, and the sweep's record path and
+config fingerprint, land in ``nightly_report.json`` inside the output
+dir; the driver exits non-zero if any step failed.
 All child processes run with ``src`` prepended to ``PYTHONPATH``, so no
 environment setup is needed beyond a working interpreter.
 """
@@ -50,10 +52,10 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = REPO_ROOT / "benchmarks"
-DEFAULT_REGISTRY = BENCH_DIR / "results" / "nightly_registry"
+DEFAULT_OUT = BENCH_DIR / "results" / "nightly"
 
 #: The nightly sweep: a pooled grid through the CLI end to end (pool,
-#: shared term store, shard fold, registry record), small enough to
+#: shared term store, shard fold, run record), small enough to
 #: finish in minutes on a CI runner.
 NIGHTLY_SWEEP = [
     "efficiency", "--datasets", "cora", "citeseer",
@@ -68,17 +70,6 @@ def _child_env() -> dict:
     extra = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src if not extra else f"{src}{os.pathsep}{extra}"
     return env
-
-
-def _record_count(registry_dir: Path) -> int:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    try:
-        from repro.telemetry.registry import RunRegistry
-        return len(RunRegistry(registry_dir).load())
-    except Exception:
-        return 0
-    finally:
-        sys.path.pop(0)
 
 
 def _run(name: str, argv: list, results: list, cwd: Path = REPO_ROOT) -> int:
@@ -96,9 +87,9 @@ def main(argv=None) -> int:
         description="Run the nightly battery: slow suite + bench gates + "
                     "perf harness + recorded sweep.")
     parser.add_argument(
-        "--registry-dir", default=str(DEFAULT_REGISTRY), metavar="DIR",
-        help="directory for the nightly sweep's registry record, rows "
-             "and trace, and the nightly report (default: %(default)s)")
+        "--out-dir", default=str(DEFAULT_OUT), metavar="DIR",
+        help="directory for the nightly sweep's run record, rows and "
+             "trace, and the nightly report (default: %(default)s)")
     parser.add_argument(
         "--epochs", type=int, default=3,
         help="epochs for the nightly sweep (default: %(default)s)")
@@ -107,8 +98,8 @@ def main(argv=None) -> int:
         help="skip the slow-marker suite (local iteration)")
     args = parser.parse_args(argv)
 
-    registry_dir = Path(args.registry_dir).resolve()
-    registry_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out_dir).resolve()
+    out_dir.mkdir(parents=True, exist_ok=True)
     python = sys.executable
     results: list = []
 
@@ -120,28 +111,32 @@ def main(argv=None) -> int:
              [python, "-m", "pytest", "tests", "-q", "-m", "slow"], results)
 
     _run("paper", [python, str(BENCH_DIR / "reach.py")],
-         results, cwd=registry_dir)
+         results, cwd=out_dir)
 
     for trace in ("0", "1"):
         _run(f"perf-trace-{trace}",
              [python, str(BENCH_DIR / "perf" / "run.py"), "--trace", trace,
               "--seconds", "3"], results)
 
-    before = _record_count(registry_dir)
     _run(
         "nightly-sweep",
         [python, "-m", "repro.bench", *NIGHTLY_SWEEP,
          "--epochs", str(args.epochs),
-         "--registry-dir", str(registry_dir),
-         "--output", str(registry_dir / "nightly_sweep.json"),
-         "--trace", str(registry_dir / "nightly_sweep.jsonl")],
+         "--output", str(out_dir / "nightly_sweep.json"),
+         "--trace", str(out_dir / "nightly_sweep.jsonl")],
          results)
-    after = _record_count(registry_dir)
-
-    report = {"registry_dir": str(registry_dir),
-              "records_before": before, "records_after": after,
-              "steps": results}
-    (registry_dir / "nightly_report.json").write_text(
+    record_path = out_dir / "nightly_sweep.run.json"
+    report = {"out_dir": str(out_dir), "record": str(record_path),
+              "config_fingerprint": None, "steps": results}
+    try:
+        record = json.loads(record_path.read_text())
+        report["config_fingerprint"] = \
+            record["measured"]["config_fingerprint"]
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        # A sweep without a readable record failed, whatever it exited.
+        results[-1]["exit_code"] = results[-1]["exit_code"] or 1
+        results[-1]["record_error"] = f"{type(error).__name__}: {error}"
+    (out_dir / "nightly_report.json").write_text(
         json.dumps(report, indent=2))
 
     print("\n== nightly summary", flush=True)

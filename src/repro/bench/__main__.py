@@ -9,21 +9,20 @@ Runs any paper-artifact experiment by name and prints its table::
     python -m repro.bench regression --epochs 200
 
 Observability: runs collect telemetry (spans, op counters, per-epoch
-metrics) by default. ``--trace PATH`` streams the events to a JSONL file,
-writes a run manifest next to it, and appends a trace report to the
-output; ``--no-telemetry`` disables collection entirely (the zero-overhead
-mode used for timing-sensitive comparisons). The memory observatory
-(:mod:`repro.telemetry.memory`) runs whenever telemetry does: an
-allocation ledger accounts every tensor allocation against the open span
-path, and its summary — accounted peak, attribution, coverage vs
-measured RSS — lands in the trace report and the registry record.
-Every telemetry-enabled run also appends one record to the run registry
-(:mod:`repro.telemetry.registry`; ``--no-registry`` skips it,
-``--registry-dir`` relocates it): the run's config fingerprint, stage
-aggregates, counters and its ``memory`` / ``pool`` / ``artifacts`` blocks,
-which the smoke gates read back with ``RunRegistry.load()``. The registry
-is one record per run, not a history: timings are compared by the perf
-harness (``benchmarks/perf/run.py``).
+metrics) by default. ``--trace PATH`` streams the events to a JSONL file
+and appends a trace report to the output; ``--no-telemetry`` disables
+collection entirely (the zero-overhead mode used for timing-sensitive
+comparisons). The memory observatory (:mod:`repro.telemetry.memory`)
+runs whenever telemetry does: an allocation ledger accounts every tensor
+allocation against the open span path, and its summary — accounted peak,
+attribution, coverage vs measured RSS — lands in the trace report and
+the run record. A run with ``--output`` (or else ``--trace``) writes one
+run record, ``<stem>.run.json`` beside that file
+(:func:`repro.telemetry.write_run_record`): the run manifest and, with
+telemetry, a ``measured`` block — config fingerprint, stage aggregates,
+counters and the ``memory`` / ``pool`` / ``artifacts`` blocks, which the
+smoke gates read back. Timings are compared across commits by the perf
+harness (``benchmarks/perf/run.py``), not by records.
 
 Caching: the sparse-compute cache layer (:mod:`repro.runtime.cache`) is on
 by default — spmm-backward transposes, per-graph normalized operators, and
@@ -42,8 +41,8 @@ accept ``--workers N`` to fan their dataset×filter cells out to a process
 pool (:mod:`repro.runtime.pool`) with per-cell ``--cell-timeout`` and
 ``--max-retries`` crash isolation. Results are bit-identical to a serial
 run (deterministic seeds, grid-order reassembly) and worker telemetry
-shards are folded into the parent run, so ``--trace`` and the registry
-record one coherent run annotated with the worker count::
+shards are folded into the parent run, so ``--trace`` and the run
+record hold one coherent run annotated with the worker count::
 
     python -m repro.bench efficiency --workers 4 --cell-timeout 600
 
@@ -56,7 +55,7 @@ persists back; ``--fresh`` purges the store first and repopulates it;
 ``--artifact-dir`` relocates it (default ``$REPRO_ARTIFACT_DIR`` or
 ``benchmarks/results/artifacts``). A resumed run's canonical payload is
 byte-identical to an uninterrupted one (the ``bench-resume`` CI gate),
-and the registry record (schema v4) carries the store's hit/miss
+and the run record's ``artifacts`` block carries the store's hit/miss
 accounting outside the config fingerprint::
 
     python -m repro.bench efficiency --workers 4 --resume
@@ -169,10 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(effectiveness only; default: literal "
                              "--seeds)")
     parser.add_argument("--output", type=str, default=None,
-                        help="save rows as JSON to this path")
+                        help="save rows as JSON to this path and the run "
+                             "record as <stem>.run.json beside it")
     parser.add_argument("--trace", type=str, default=None, metavar="PATH",
-                        help="stream telemetry events to this JSONL file and "
-                             "write a run manifest next to it")
+                        help="stream telemetry events to this JSONL file "
+                             "(the run record goes beside it when there "
+                             "is no --output)")
     resume_group = parser.add_mutually_exclusive_group()
     resume_group.add_argument(
         "--resume", action="store_true",
@@ -206,13 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
              "for grid sweeps with --workers > 1, where pool workers "
              "memory-map basis chains published by their siblings); each "
              "pool worker recomputes its own chains")
-    parser.add_argument("--registry-dir", type=str, default=None,
-                        metavar="DIR",
-                        help="run-registry directory (default: "
-                             "$REPRO_REGISTRY_DIR or "
-                             "benchmarks/results/registry)")
-    parser.add_argument("--no-registry", action="store_true",
-                        help="do not index this run in the run registry")
     return parser
 
 
@@ -324,15 +318,16 @@ def main(argv=None) -> int:
 
     # The manifest is deterministic and fully known pre-run, which is
     # what lets the artifact store address cells with the *same* config
-    # fingerprint the registry stamps on the record afterwards (argv/
-    # workers/plan/shared_terms live outside the fingerprint keys).
+    # fingerprint the run record carries afterwards (argv/workers/plan/
+    # shared_terms live outside the fingerprint keys).
     run_manifest = None
-    if cfg.telemetry:
+    if cfg.telemetry or args.output:
         run_manifest = telemetry.build_manifest(
             config=kwargs.get("config"),
             seed=(args.seeds[0] if args.seeds else None),
             extra=cfg.manifest_extra(args.experiment, artifact, argv),
             workers=cfg.pool.workers)
+    if cfg.telemetry:
         telemetry.configure(trace_path=cfg.trace)
     try:
         with cfg.open(run_manifest) as run, \
@@ -351,14 +346,13 @@ def main(argv=None) -> int:
 
         save_rows(rows, args.output,
                   metadata={"experiment": args.experiment,
-                            "artifact": artifact},
-                  manifest=run_manifest if run_manifest is not None else True)
+                            "artifact": artifact})
         print(f"saved {len(rows)} rows to {args.output}")
-    if args.trace and run_manifest is not None:
-        manifest_path = telemetry.manifest_path_for(args.trace)
-        telemetry.write_manifest(manifest_path, run_manifest)
-        print(f"trace: {args.trace}  manifest: {manifest_path}")
+    if args.trace:
         print(render_run_telemetry(events))
+    # The tier's and the store's traffic are the run's counters.
+    metrics = final_metrics(events)
+    counters = metrics.get("counters") or {}
     shm_info = None
     if run.store is not None:
         shm_info = run.store.stats()
@@ -370,17 +364,15 @@ def main(argv=None) -> int:
               f"unlinked={shm_info.get('segments_unlinked', 0)}")
     if run.tier is not None:
         line = f"blocked: budget={run.tier.ram_budget_bytes}"
-        if cfg.telemetry:  # the tier's traffic is the run's counters
-            counters = final_metrics(events).get("counters") or {}
+        if cfg.telemetry:
             for label, name in (("spill_files", "plan.terms.spill"),
                                 ("spill_bytes", "blocked.spill_bytes"),
                                 ("loads", "plan.terms.spill_load"),
                                 ("load_bytes", "blocked.load_bytes")):
                 line += f" {label}={int(counters.get(name, 0))}"
         print(line)
-    artifacts_info = None
-    if run.sweep is not None:  # the store's traffic is the run's counters
-        counters = final_metrics(events).get("counters") or {}
+    artifacts_info = {}
+    if run.sweep is not None:
         artifacts_info = {"mode": "fresh" if cfg.fresh else "resume",
                           "dir": str(run.sweep.store.root),
                           "cells": len(run.sweep.store)}
@@ -392,27 +384,33 @@ def main(argv=None) -> int:
               f"hit={artifacts_info['hit']} miss={artifacts_info['miss']} "
               f"stored={artifacts_info['stored']} "
               f"cells={artifacts_info['cells']}")
-    if run_manifest is not None and not args.no_registry:
-        pool_info = None
-        if grid:
-            pool_info = {"workers": cfg.pool.workers,
-                         "cell_timeout": cfg.pool.cell_timeout,
-                         "max_retries": cfg.pool.max_retries,
-                         "shared_terms": cfg.shares_terms}
-            sweep_stats = runtime_pool.last_run_stats()
-            if sweep_stats is not None:
-                pool_info["stats"] = sweep_stats
-            if shm_info is not None:
-                pool_info["shm"] = shm_info
-        record = telemetry.record_run(
-            run_manifest, events=events,
-            trace_path=args.trace, result_path=args.output,
-            registry_dir=args.registry_dir,
-            workers=cfg.pool.workers, pool=pool_info,
-            artifacts=artifacts_info)
-        registry_path = telemetry.default_registry_dir(args.registry_dir)
-        print(f"registry: {registry_path}  "
-              f"config={record.config_fingerprint}  run={record.run_id}")
+    if args.output or args.trace:
+        fingerprint = telemetry.config_fingerprint(run_manifest)
+        measured = None
+        if cfg.telemetry:
+            pool_info = {}
+            if grid:
+                pool_info = {"workers": cfg.pool.workers,
+                             "cell_timeout": cfg.pool.cell_timeout,
+                             "max_retries": cfg.pool.max_retries,
+                             "shared_terms": cfg.shares_terms}
+                sweep_stats = runtime_pool.last_run_stats()
+                if sweep_stats is not None:
+                    pool_info["stats"] = sweep_stats
+                if shm_info is not None:
+                    pool_info["shm"] = shm_info
+            measured = {"config_fingerprint": fingerprint,
+                        "workers": cfg.pool.workers, "pool": pool_info,
+                        "artifacts": artifacts_info,
+                        "memory": telemetry.memory_block(events, metrics),
+                        "metrics": metrics,
+                        "stages": telemetry.aggregate_spans(events),
+                        "trace_path": args.trace,
+                        "result_path": args.output}
+        path = telemetry.write_run_record(
+            telemetry.record_path_for(args.output or args.trace),
+            run_manifest, measured)
+        print(f"record: {path}  config={fingerprint}")
     return 0
 
 

@@ -2,13 +2,10 @@
 
 Benchmark sweeps are minutes long; this module lets the CLI and notebooks
 save experiment rows and reload them for later comparison against the
-paper (EXPERIMENTS.md workflow).
-
-Every result file gets a reproducibility sidecar: :func:`save_rows`
-writes a ``<name>.manifest.json`` run manifest (config, seed, git SHA,
-platform — see :mod:`repro.telemetry.manifest`) next to the rows, so any
-saved table row can be traced back to the exact code and configuration
-that produced it.
+paper (EXPERIMENTS.md workflow). The CLI writes each result file's run
+record (``<name>.run.json``, :mod:`repro.telemetry.manifest`) beside it,
+so any saved table row can be traced back to the exact code and
+configuration that produced it.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from typing import Dict, List, Mapping, Sequence, Union
 import numpy as np
 
 from ..errors import ReproError
-from ..telemetry.manifest import build_manifest, manifest_path_for, write_manifest
 
 PathLike = Union[str, Path]
 
@@ -65,28 +61,13 @@ def unjsonify(value):
 
 
 def save_rows(rows: Sequence[Mapping], path: PathLike,
-              metadata: Mapping | None = None,
-              manifest: Union[Mapping, None, bool] = True) -> None:
-    """Write experiment rows (plus optional metadata) as JSON.
-
-    Parameters
-    ----------
-    manifest:
-        Reproducibility sidecar policy. ``True`` (default) builds a
-        minimal manifest (git SHA, platform, the ``metadata`` block) and
-        writes it to ``manifest_path_for(path)``; a mapping is written
-        as-is; ``False``/``None`` skips the sidecar.
-    """
+              metadata: Mapping | None = None) -> None:
+    """Write experiment rows (plus optional metadata) as JSON."""
     payload = {
         "metadata": jsonify(dict(metadata or {})),
         "rows": [jsonify(dict(row)) for row in rows],
     }
     Path(path).write_text(json.dumps(payload, indent=1))
-    if manifest is True:
-        manifest = build_manifest(extra={"metadata": dict(metadata or {}),
-                                         "num_rows": len(rows)})
-    if manifest:
-        write_manifest(manifest_path_for(path), manifest)
 
 
 def load_rows(path: PathLike) -> List[Dict]:

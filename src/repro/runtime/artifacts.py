@@ -3,7 +3,7 @@
 A killed 500-cell sweep used to restart from zero even though every cell
 is deterministic: seeds derive from grid coordinates
 (:func:`repro.runtime.pool.derive_cell_seed`) and runs are
-config-fingerprinted (:mod:`repro.telemetry.registry`). This module adds
+config-fingerprinted (:mod:`repro.telemetry.manifest`). This module adds
 the missing piece — a small on-disk store keyed by a *content address*,
 so a rerun serves completed cells from disk and executes only the
 remainder.
@@ -12,7 +12,7 @@ remainder.
 that could change its result:
 
 - the run's *config fingerprint* (experiment, config, seed, datasets,
-  cache mode — :func:`repro.telemetry.registry.config_fingerprint`),
+  cache mode — :func:`repro.telemetry.manifest.config_fingerprint`),
 - the cell's *grid coordinates* (its ``Cell.key``),
 - the cell's *derived seed(s)* (the ``seed``/``seeds`` kwargs),
 - the *code-relevant rev* (git SHA, falling back to the package
@@ -29,8 +29,7 @@ suite (``tests/test_runtime_artifacts.py``) holds as an invariant.
 **Store layout and durability.** One ``<address>.json`` document per
 cell — value, telemetry shard and metadata together — landed through the
 file tier (:mod:`repro.runtime.files`), so it exists whole or not at all.
-Torn or truncated files read as misses, mirroring the run registry's
-crash discipline. A write the directory refuses (``ENOSPC``, ``EACCES``)
+Torn or truncated files read as misses. A write the directory refuses (``ENOSPC``, ``EACCES``)
 skips persisting that cell: the sweep completes, and the cell
 re-executes on resume.
 
@@ -41,7 +40,7 @@ encoding as saved result files (:mod:`repro.bench.io`), so
 ``canonical_payload`` of a resumed sweep is byte-identical to an
 uninterrupted one — CI-gated by ``bench-resume``. Each artifact also
 carries the cell's telemetry shard (span events + metrics state), so a
-cached cell folds into the parent run's registry record exactly like a
+cached cell folds into the parent run's record exactly like a
 live one. Failed cells (``failed:*`` rows) are never persisted.
 """
 
@@ -143,7 +142,7 @@ class ArtifactStore:
     ``root`` is the store directory (created on first put); ``None``
     resolves through :func:`default_artifact_dir`. Its traffic is the
     run's telemetry counters (``artifacts.{hit,miss,store,torn}``), so
-    the CLI line, registry records and traces show what the store did.
+    the CLI line, run records and traces show what the store did.
     """
 
     def __init__(self, root: Optional[PathLike] = None):
@@ -244,8 +243,8 @@ class SweepArtifacts:
         The underlying :class:`ArtifactStore`.
     config_fingerprint:
         The run's config fingerprint
-        (:func:`repro.telemetry.registry.config_fingerprint`), computed
-        *before* the sweep from the same manifest fields the registry
+        (:func:`repro.telemetry.manifest.config_fingerprint`), computed
+        *before* the sweep from the same manifest fields the run record
         hashes after it.
     consult:
         When ``False`` (``--fresh``), every cell executes live — loads

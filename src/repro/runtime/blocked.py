@@ -56,7 +56,7 @@ Counters emitted (when telemetry is configured):
 - ``blocked.load_bytes`` — bytes mapped back from disk, summed over
   every load (a term loaded twice counts twice).
 
-The registry ``memory`` block (schema v6) folds these into a
+The run record's ``memory`` block folds these into a
 ``blocked`` sub-block so ``memory.peak_bytes`` attribution stays
 truthful: bytes living in spill files or memory-mapped read-only are
 reported next to — never inside — the allocation ledger's RAM peak.

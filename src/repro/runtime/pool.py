@@ -189,7 +189,7 @@ STRAGGLER_TOP_N = 5
 
 
 def pool_stats(results: Sequence[CellResult]) -> Dict[str, Any]:
-    """Retry/failure accounting over a finished sweep (registry ``pool``).
+    """Retry/failure accounting over a finished sweep (run record ``pool``).
 
     Besides the flat counts, ``stragglers`` ranks the
     :data:`STRAGGLER_TOP_N` slowest
@@ -226,12 +226,12 @@ _last_run_stats: Optional[Dict[str, Any]] = None
 
 def last_run_stats() -> Optional[Dict[str, Any]]:
     """Full accounting of the most recent sweep: :func:`pool_stats`
-    totals plus per-cell status/attempt/seconds detail (registry
+    totals plus per-cell status/attempt/seconds detail (run record
     ``pool.stats``), or ``None`` before any sweep has run."""
     return _last_run_stats
 
 
-def _record_run_stats(results: Sequence[CellResult]) -> None:
+def _set_last_run_stats(results: Sequence[CellResult]) -> None:
     global _last_run_stats
     stats: Dict[str, Any] = dict(pool_stats(results))
     stats["per_cell"] = [
@@ -410,7 +410,7 @@ def execute_cells(cells: Sequence[Cell],
         results = _run_inline_all(cells, cached, sweep, reads)
     else:
         results = _run_pooled(cells, config, cached=cached, sweep=sweep)
-    _record_run_stats(results)
+    _set_last_run_stats(results)
     return results
 
 

@@ -53,7 +53,7 @@ Counters: ``shm.terms.{hit,publish,evict}``, ``shm.blobs.{hit,publish,
 evict}``, ``shm.claims.{adopted,timeout}``, ``shm.store.disabled`` (a
 client degraded to local compute), ``shm.segments.swept`` (leaked files
 reaped); gauges ``shm.store.{bytes,peak_bytes}`` (live / peak published
-bytes, folded into the registry memory block).
+bytes, folded into the run record's memory block).
 """
 
 from __future__ import annotations

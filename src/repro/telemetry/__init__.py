@@ -13,14 +13,13 @@ It provides three connected layers:
   traffic; ``plan.terms.{hit,miss,evict}`` / ``plan.chains.*`` /
   ``plan.spmm_avoided`` basis-term store traffic).
 - **Artifacts** (:mod:`.spans`, :mod:`.manifest`, :mod:`.report`): a JSONL
-  trace file, a deterministic run manifest written next to every result
-  file, and a terminal report (top spans with inclusive *and* exclusive
-  cost, per-epoch sparklines).
-- **Run records** (:mod:`.registry`): an append-only run registry holding
-  one record per bench invocation — config fingerprint, stage aggregates,
-  counters, and the ``memory`` / ``pool`` / ``artifacts`` blocks the
-  smoke gates read back with ``RunRegistry.load()``. Regressions and
-  history are the perf harness's (``benchmarks/perf/run.py``), not here.
+  trace file, one ``<stem>.run.json`` run record beside the result file
+  — the deterministic manifest plus what the run measured: config
+  fingerprint, stage aggregates, counters, and the ``memory`` / ``pool``
+  / ``artifacts`` blocks the smoke gates read back — and a terminal
+  report (top spans with inclusive *and* exclusive cost, per-epoch
+  sparklines). Regressions and history are the perf harness's
+  (``benchmarks/perf/run.py``), not here.
 
 Module-level usage — the pattern every instrumented call site follows::
 
@@ -53,24 +52,17 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Union
 
 from .manifest import (
-    MANIFEST_SUFFIX,
+    RUN_SCHEMA,
     build_manifest,
+    config_fingerprint,
     git_sha,
     hardware_info,
-    manifest_path_for,
     platform_info,
-    write_manifest,
+    record_path_for,
+    write_run_record,
 )
 from .memory import MEMORY_SCHEMA, TOP_PATH, AllocationLedger, memory_block
 from .metrics import Counter, Gauge, MetricsRegistry
-from .registry import (
-    RunRecord,
-    RunRegistry,
-    build_record,
-    config_fingerprint,
-    default_registry_dir,
-    record_run,
-)
 from .report import (
     aggregate_spans,
     final_metrics,
@@ -367,14 +359,15 @@ __all__ = [
     "memory_block",
     "current_rss_bytes",
     "peak_rss_bytes",
-    # manifests
+    # manifests and run records
     "build_manifest",
-    "write_manifest",
-    "manifest_path_for",
+    "config_fingerprint",
     "git_sha",
     "platform_info",
     "hardware_info",
-    "MANIFEST_SUFFIX",
+    "RUN_SCHEMA",
+    "record_path_for",
+    "write_run_record",
     # reporting
     "render_trace_report",
     "render_top_spans",
@@ -384,11 +377,4 @@ __all__ = [
     "aggregate_spans",
     "final_metrics",
     "sparkline",
-    # run registry
-    "RunRecord",
-    "RunRegistry",
-    "build_record",
-    "config_fingerprint",
-    "default_registry_dir",
-    "record_run",
 ]

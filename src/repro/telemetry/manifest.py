@@ -1,4 +1,4 @@
-"""Run manifests: the reproducibility record next to every result file.
+"""Run manifests and the run record that carries one beside each result.
 
 A manifest pins everything needed to re-run the row: the exact config and
 seed, the git commit of the code, and the platform (interpreter, OS,
@@ -7,11 +7,27 @@ because config fingerprints hash it, so dropping it would re-address
 every stored artifact. A manifest is deliberately free of timestamps and
 hostnames so that two runs of the same code with the same seed produce
 byte-identical manifests — determinism the test suite asserts.
+
+The *config fingerprint* is the identity of a run's configuration: a
+hash over the manifest fields that define **what** was measured
+(experiment, config, seed, datasets, cache mode) and deliberately
+**not** over the fields that define *which code* measured it (git SHA,
+platform, library versions) or how it was executed (workers, shared
+terms, resume). Runs of one configuration share a fingerprint, which is
+what the artifact store addresses cells by and what the parallel, plan
+and resume gates check across their runs.
+
+A bench run leaves one *run record*, ``<stem>.run.json`` beside its
+result file (or its trace): the manifest plus, when telemetry ran, a
+``measured`` block of what the run itself observed (stage aggregates,
+counters, the ``memory`` / ``pool`` / ``artifacts`` blocks). The record
+lands whole or not at all (:func:`repro.runtime.files.land`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -24,7 +40,14 @@ import scipy
 
 PathLike = Union[str, Path]
 
-MANIFEST_SUFFIX = ".manifest.json"
+#: Schema of a run record: ``{"schema", "manifest", "measured"}``.
+RUN_SCHEMA = "repro.telemetry.run/v1"
+
+#: Manifest keys that define a run's *configuration identity*. Everything
+#: else (git SHA, platform, versions, argv, free-form metadata) varies
+#: across commits/hosts and must not perturb the fingerprint.
+FINGERPRINT_KEYS = ("experiment", "artifact", "config", "seed", "datasets",
+                    "cache", "schema")
 
 
 def git_sha(cwd: Optional[PathLike] = None) -> Optional[str]:
@@ -79,7 +102,7 @@ def hardware_info(workers: int = 1) -> Dict[str, Union[int, str]]:
     (``spmm_threads_per_worker``; :mod:`repro.runtime.blocked`) — and
     numpy's SIMD dispatch (``simd_dispatch``, :func:`simd_dispatch`).
 
-    Makes registry diffs across machines interpretable — a 2× stage
+    Makes run records from different machines comparable — a 2× stage
     slowdown means something different on a 4-core laptop than on the
     64-core bench host. Stable on one machine (so manifests stay
     deterministic there) and deliberately excluded from the config
@@ -157,15 +180,41 @@ def build_manifest(
     return manifest
 
 
-def manifest_path_for(result_path: PathLike) -> Path:
-    """``results/eff.json`` → ``results/eff.manifest.json`` sidecar path."""
-    path = Path(result_path)
-    return path.with_name(path.stem + MANIFEST_SUFFIX)
+def config_fingerprint(manifest: Mapping) -> str:
+    """Deterministic 12-hex-digit identity of a run configuration.
+
+    Hashes the :data:`FINGERPRINT_KEYS` subset of a run manifest, so runs
+    of the same experiment/config/seed/datasets share a fingerprint across
+    commits and platforms.
+    """
+    subset = {key: manifest.get(key) for key in FINGERPRINT_KEYS}
+    text = json.dumps(subset, sort_keys=True, separators=(",", ":"),
+                      default=str)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def write_manifest(path: PathLike, manifest: Mapping) -> Path:
-    """Write a manifest dict as stable, sorted-key JSON; returns the path."""
+def record_path_for(path: PathLike) -> Path:
+    """``results/eff.json`` → ``results/eff.run.json``, the run record."""
+    path = Path(path)
+    return path.with_name(path.stem + ".run.json")
+
+
+def write_run_record(path: PathLike, manifest: Mapping,
+                     measured: Optional[Mapping] = None) -> Path:
+    """Write a run's record as stable, sorted-key JSON; returns the path.
+
+    ``measured`` is what the run observed beyond its manifest; it is
+    left out for a run without telemetry. A killed writer leaves no
+    torn record: the file is replaced whole.
+    """
+    from ..runtime.files import land
+
+    record = {"schema": RUN_SCHEMA, "manifest": dict(manifest)}
+    if measured is not None:
+        record["measured"] = dict(measured)
+    text = json.dumps(record, indent=2, sort_keys=True, default=str) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    land(path, lambda handle: handle.write(text.encode("utf-8")),
+         exclusive=False)
     return path

@@ -43,7 +43,7 @@ from typing import Dict, List, Mapping, Optional
 from .rss import current_rss_bytes, peak_rss_bytes
 
 #: Schema tag stamped into every ledger summary (the ``memory`` event and
-#: the registry record's ``memory`` block).
+#: the run record's ``memory`` block).
 MEMORY_SCHEMA = "repro.telemetry.memory/v1"
 
 #: Span path used for allocations made outside any open span.
@@ -181,7 +181,7 @@ class AllocationLedger:
     # reporting
     # ------------------------------------------------------------------
     def summary(self) -> Dict:
-        """Serializable snapshot: the ``memory`` event / registry block."""
+        """Serializable snapshot: the ``memory`` event / run record block."""
         with self._lock:
             return {
                 "schema": MEMORY_SCHEMA,
@@ -211,7 +211,7 @@ class AllocationLedger:
 
 
 def memory_block(events=(), metrics: Optional[Mapping] = None) -> Dict:
-    """The registry record's ``memory`` block from a finished run's events.
+    """The run record's ``memory`` block from a finished run's events.
 
     Takes the last ``{"type": "memory", ...}`` event (the ledger summary
     emitted at telemetry shutdown, shard summaries folded in) and augments
@@ -256,11 +256,11 @@ def memory_block(events=(), metrics: Optional[Mapping] = None) -> Dict:
     if shm_peak is not None:
         summary["shm_peak_bytes"] = shm_peak
 
-    # Blocked-tier accounting (schema v6): bytes living in spill files or
+    # Blocked-tier accounting: bytes living in spill files or
     # memory-mapped read-only are *not* allocation-ledger RAM — they are
     # reported next to the peak, never inside it, so peak attribution
-    # stays truthful. All-zero (nothing spilled) → no key, keeping
-    # v5-shaped records byte-identical when the tier is off.
+    # stays truthful. All-zero (nothing spilled) → no key, so a tier-off
+    # run's block carries no ``blocked`` key at all.
     counters = (metrics or {}).get("counters") or {}
     if not isinstance(counters, Mapping):
         counters = {}

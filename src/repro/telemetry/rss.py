@@ -12,8 +12,8 @@ coverage ratios) both read through here:
   assuming the Linux convention, which is where the benchmarks run).
 
 Span ``ram_delta_bytes`` is the **signed** change in current RSS across
-the span (negative when the span net-freed memory); the run registry
-records it per stage as ``stages.*.ram_delta_bytes``.
+the span (negative when the span net-freed memory); the run record
+carries it per stage as ``stages.*.ram_delta_bytes``.
 """
 
 from __future__ import annotations

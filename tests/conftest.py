@@ -15,7 +15,6 @@ from repro.datasets import synthesize
 from repro.graph import Graph
 from repro.runtime import shm
 from repro.runtime.artifacts import ARTIFACT_DIR_ENV
-from repro.telemetry.registry import REGISTRY_DIR_ENV
 
 
 def _store_entries() -> set:
@@ -46,17 +45,6 @@ def _no_leaked_store_entries():
     yield
     leaked = sorted(_store_entries() - before)
     assert not leaked, f"test session leaked store entries: {leaked}"
-
-
-@pytest.fixture(autouse=True)
-def _isolated_run_registry(tmp_path_factory, monkeypatch):
-    """Point the run registry at a per-session tmp dir.
-
-    Unit tests exercise the bench CLI end-to-end; without this they would
-    append records to the real ``benchmarks/results/registry`` index.
-    """
-    monkeypatch.setenv(REGISTRY_DIR_ENV,
-                       str(tmp_path_factory.getbasetemp() / "run-registry"))
 
 
 @pytest.fixture(autouse=True)

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import functools
+import json
 
 import pytest
 
+from repro import telemetry
 from repro.bench.__main__ import EXPERIMENTS, build_parser, main
+
+
+def read_record(path):
+    """The run record beside ``path``, parsed."""
+    return json.loads(telemetry.record_path_for(path).read_text())
 
 
 def rejects(capsys, argv, message):
@@ -85,7 +92,7 @@ class TestExecution:
         code = main(["efficiency", "--datasets", "cora",
                      "--filters", "ppr", "monomial",
                      "--schemes", "full_batch", "--epochs", "2",
-                     "--capacity-gib", "1e-6", "--no-registry",
+                     "--capacity-gib", "1e-6",
                      "--output", str(output)])
         assert code == 0
         rows = load_rows(output)
@@ -167,34 +174,66 @@ class TestSelectionFlags:
                 "--seeds must be >= 0, got -1")
 
 
-class TestRegistryCli:
+class TestCliRecord:
     EFFICIENCY = ["efficiency", "--datasets", "cora", "--filters", "ppr",
                   "--schemes", "mini_batch", "--epochs", "2"]
 
-    def _run(self, registry_dir, index):
-        return main(self.EFFICIENCY + [
-            "--registry-dir", str(registry_dir),
-            "--trace", str(registry_dir / f"run{index}.jsonl")])
+    def test_one_run_writes_one_record(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.EFFICIENCY + ["--output", "out.json",
+                                       "--trace", "t.jsonl"]) == 0
+        assert "record: out.run.json  config=" in capsys.readouterr().out
+        assert sorted(path.relative_to(tmp_path).as_posix()
+                      for path in tmp_path.rglob("*")) \
+            == ["out.json", "out.run.json", "t.jsonl"]
+        record = read_record("out.json")
+        assert record["schema"] == telemetry.RUN_SCHEMA
+        assert record["manifest"]["experiment"] == "efficiency"
+        measured = record["measured"]
+        assert measured["config_fingerprint"] \
+            == telemetry.config_fingerprint(record["manifest"])
+        assert measured["stages"]["train"]["seconds"] > 0
+        assert "self_seconds" in measured["stages"]["train"]
+        assert measured["metrics"]["counters"]["ops.spmm.calls"] > 0
+        assert (measured["trace_path"], measured["result_path"]) \
+            == ("t.jsonl", "out.json")
 
-    def test_run_indexes_into_registry(self, tmp_path, capsys):
-        from repro.telemetry.registry import RunRegistry
+    def test_storeless_run_records_an_empty_artifacts_block(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.EFFICIENCY + ["--trace", "t.jsonl"]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == ["t.jsonl", "t.run.json"]
+        measured = read_record("t.jsonl")["measured"]
+        assert measured["artifacts"] == {}  # no --resume/--fresh, no store
+        assert (measured["trace_path"], measured["result_path"]) \
+            == ("t.jsonl", None)
 
-        assert self._run(tmp_path, 1) == 0
-        assert "registry:" in capsys.readouterr().out
-        records = RunRegistry(tmp_path).load()
-        assert len(records) == 1
-        assert records[0].experiment == "efficiency"
-        assert records[0].stages["train"]["seconds"] > 0
-        assert "self_seconds" in records[0].stages["train"]
+    def test_run_without_output_or_trace_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.EFFICIENCY) == 0
+        assert "record:" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
-    def test_no_registry_flag_skips_indexing(self, tmp_path, capsys):
-        from repro.telemetry.registry import RunRegistry
+    def test_same_seed_runs_write_one_manifest(self, tmp_path):
+        output = tmp_path / "out.json"
+        manifests = []
+        for _ in range(2):
+            assert main(self.EFFICIENCY + ["--seeds", "0",
+                                           "--output", str(output)]) == 0
+            manifests.append(json.dumps(read_record(output)["manifest"],
+                                        sort_keys=True))
+        assert manifests[0] == manifests[1]
 
-        code = main(self.EFFICIENCY + ["--no-registry",
-                                       "--registry-dir", str(tmp_path)])
-        assert code == 0
-        assert "registry:" not in capsys.readouterr().out
-        assert RunRegistry(tmp_path).load() == []
+    def test_run_without_telemetry_records_its_manifest_only(self, tmp_path):
+        output = tmp_path / "out.json"
+        assert main(self.EFFICIENCY + ["--no-telemetry",
+                                       "--output", str(output)]) == 0
+        record = read_record(output)
+        assert record["manifest"]["experiment"] == "efficiency"
+        assert record["manifest"]["argv"][-1] == str(output)
+        assert "measured" not in record
 
 
 class TestPoolCli:
@@ -262,8 +301,7 @@ class TestPoolCli:
         for name in ("notes.json", "weights.npy"):
             (spill / name).write_text("mine")
         assert main(self.EFFICIENCY + [
-            "--blocked", "--ram-budget", "2", "--spill-dir", str(spill),
-            "--no-registry"]) == 0
+            "--blocked", "--ram-budget", "2", "--spill-dir", str(spill)]) == 0
         assert sorted(path.name for path in spill.iterdir()) == [
             "notes.json", "weights.npy"]
 
@@ -284,21 +322,24 @@ class TestPoolCli:
         assert args.experiment == "scale-shift"
         assert args.workers == 2
 
-    def test_pooled_run_recorded_with_worker_count(self, tmp_path, capsys):
-        from repro.telemetry.registry import RunRegistry
-
-        code = main(self.EFFICIENCY + ["--workers", "2",
-                                       "--registry-dir", str(tmp_path)])
-        assert code == 0
-        assert "registry:" in capsys.readouterr().out
-        record = RunRegistry(tmp_path).load()[0]
-        assert record.workers == 2
-        assert record.pool["workers"] == 2
-        assert record.pool["cell_timeout"] is None
-        assert record.pool["max_retries"] == 1
+    def test_pooled_run_recorded_with_worker_count(self, tmp_path):
+        records = {}
+        for workers in ("1", "2"):
+            output = tmp_path / f"w{workers}.json"
+            assert main(self.EFFICIENCY + ["--workers", workers,
+                                           "--output", str(output)]) == 0
+            records[workers] = read_record(output)["measured"]
+        serial, record = records["1"], records["2"]
+        # Worker count is execution strategy, not configuration.
+        assert serial["config_fingerprint"] == record["config_fingerprint"]
+        assert (serial["workers"], record["workers"]) == (1, 2)
+        assert record["artifacts"] == {}  # no --resume/--fresh, no store
+        assert record["pool"]["workers"] == 2
+        assert record["pool"]["cell_timeout"] is None
+        assert record["pool"]["max_retries"] == 1
         # The full pool_stats block lands in the record, with one
         # per-cell entry per grid cell in grid order.
-        stats = record.pool["stats"]
+        stats = record["pool"]["stats"]
         assert stats["cells"] == 2 and stats["ok"] == 2
         assert stats["failed"] == 0 and stats["retries"] == 0
         assert [cell["cell"] for cell in stats["per_cell"]] == [
@@ -307,9 +348,9 @@ class TestPoolCli:
                    and cell["seconds"] >= 0.0
                    for cell in stats["per_cell"])
         assert stats["stragglers"], \
-            "straggler ranking missing from the registry record"
+            "straggler ranking missing from the run record"
         # One folded shard per grid cell (2 filters x 1 dataset).
-        assert record.metrics["counters"]["pool.cells.ok"] == 2
+        assert record["metrics"]["counters"]["pool.cells.ok"] == 2
 
 
 class TestResumeCli:
@@ -346,11 +387,9 @@ class TestResumeCli:
     def test_fresh_then_resume_byte_identical_and_recorded(self, tmp_path,
                                                            capsys):
         from repro.bench.io import canonical_payload, load_rows
-        from repro.telemetry.registry import RunRegistry
 
         store_dir = tmp_path / "store"
-        base = self.EFFICIENCY + ["--artifact-dir", str(store_dir),
-                                  "--registry-dir", str(tmp_path / "reg")]
+        base = self.EFFICIENCY + ["--artifact-dir", str(store_dir)]
 
         out1 = tmp_path / "fresh.json"
         assert main(base + ["--fresh", "--output", str(out1)]) == 0
@@ -367,23 +406,24 @@ class TestResumeCli:
         assert canonical_payload(load_rows(out1)) \
             == canonical_payload(load_rows(out2))
 
-        fresh_rec, resume_rec = RunRegistry(tmp_path / "reg").load()
-        assert fresh_rec.config_fingerprint == resume_rec.config_fingerprint, \
+        assert read_record(out1)["schema"] == telemetry.RUN_SCHEMA
+        fresh_rec, resume_rec = (read_record(out1)["measured"],
+                                 read_record(out2)["measured"])
+        assert fresh_rec["config_fingerprint"] \
+            == resume_rec["config_fingerprint"], \
             "resume mode must stay outside the config fingerprint"
-        assert fresh_rec.schema.endswith("/v6")
-        assert fresh_rec.artifacts["mode"] == "fresh"
-        assert fresh_rec.artifacts["stored"] == 1
-        assert resume_rec.artifacts["mode"] == "resume"
-        assert resume_rec.artifacts["hit"] == 1
-        assert resume_rec.artifacts["dir"] == str(store_dir)
-        stats = resume_rec.pool["stats"]
+        assert fresh_rec["artifacts"]["mode"] == "fresh"
+        assert fresh_rec["artifacts"]["stored"] == 1
+        assert resume_rec["artifacts"]["mode"] == "resume"
+        assert resume_rec["artifacts"]["hit"] == 1
+        assert resume_rec["artifacts"]["dir"] == str(store_dir)
+        stats = resume_rec["pool"]["stats"]
         assert stats["cached"] == 1 and stats["ok"] == 0
         assert stats["cached"] + stats["ok"] == stats["cells"]
 
     def test_fresh_purges_a_stale_store(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
-        base = self.EFFICIENCY + ["--artifact-dir", str(store_dir),
-                                  "--no-registry"]
+        base = self.EFFICIENCY + ["--artifact-dir", str(store_dir)]
         assert main(base + ["--fresh"]) == 0
         capsys.readouterr()
         assert main(base + ["--fresh"]) == 0
@@ -405,11 +445,11 @@ class TestResumeCli:
         store_dir.mkdir()
         (store_dir / "notes.json").write_text("{}")
         assert main(self.EFFICIENCY + ["--fresh", "--artifact-dir",
-                                       str(store_dir), "--no-registry"]) == 0
+                                       str(store_dir)]) == 0
         assert "purged 0 stored cell(s)" in capsys.readouterr().err
         assert (store_dir / "notes.json").read_text() == "{}"
 
     def test_runs_without_flags_do_not_touch_the_store(self, tmp_path):
         store_dir = tmp_path / "store"
-        assert main(self.EFFICIENCY + ["--no-registry"]) == 0
+        assert main(self.EFFICIENCY) == 0
         assert not store_dir.exists()

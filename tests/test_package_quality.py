@@ -194,7 +194,7 @@ class TestRunState:
 
     SRC = Path(repro.__file__).resolve().parent
     ALLOWED = {("runtime/context.py", None),
-               ("runtime/pool.py", "_record_run_stats")}
+               ("runtime/pool.py", "_set_last_run_stats")}
 
     def _globals(self, path):
         """(enclosing function, line) of each ``global`` statement."""

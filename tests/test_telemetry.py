@@ -10,9 +10,9 @@ import pytest
 
 from repro import telemetry
 from repro.autodiff import Tensor, spmm
-from repro.bench.io import save_rows
 from repro.datasets.synthesis import synthesize
 from repro.tasks.node_classification import run_node_classification
+from repro.telemetry.manifest import FINGERPRINT_KEYS
 from repro.telemetry.metrics import MetricsRegistry
 from repro.training.loop import TrainConfig
 import scipy.sparse as sp
@@ -277,24 +277,22 @@ class TestManifest:
 
     def test_write_read_round_trip(self, tmp_path):
         manifest = telemetry.build_manifest(seed=0)
-        path = telemetry.write_manifest(tmp_path / "m.manifest.json", manifest)
-        assert json.loads(path.read_text()) == manifest
+        measured = {"config_fingerprint": "f", "workers": 2,
+                    "stages": {"train": {"seconds": 1.5}}}
+        path = telemetry.write_run_record(tmp_path / "sub" / "x.run.json",
+                                          manifest, measured)
+        assert json.loads(path.read_text()) == {
+            "schema": telemetry.RUN_SCHEMA, "manifest": manifest,
+            "measured": measured}
+        # Rewritten whole: no scratch file survives beside the record.
+        telemetry.write_run_record(path, manifest)
+        assert "measured" not in json.loads(path.read_text())
+        assert [p.name for p in path.parent.iterdir()] == ["x.run.json"]
 
-    def test_sidecar_written_by_save_rows(self, tmp_path):
-        path = tmp_path / "rows.json"
-        save_rows([{"a": 1}], path, metadata={"experiment": "x"})
-        sidecar = json.loads(telemetry.manifest_path_for(path).read_text())
-        assert sidecar["metadata"] == {"experiment": "x"}
-        assert sidecar["num_rows"] == 1
-
-    def test_sidecar_suppressed(self, tmp_path):
-        path = tmp_path / "rows.json"
-        save_rows([{"a": 1}], path, manifest=False)
-        assert not telemetry.manifest_path_for(path).exists()
-
-    def test_manifest_path_for(self):
-        assert str(telemetry.manifest_path_for("out/x.json")).endswith(
-            "x.manifest.json")
+    def test_record_path_for(self):
+        assert telemetry.record_path_for("out/x.json").as_posix() \
+            == "out/x.run.json"
+        assert telemetry.record_path_for("t.jsonl").name == "t.run.json"
 
     def test_hardware_snapshot_present_and_sane(self):
         manifest = telemetry.build_manifest(seed=0)
@@ -316,7 +314,7 @@ class TestManifest:
         assert hardware["spmm_threads_per_worker"] == 2
 
     def test_hardware_outside_config_fingerprint(self):
-        from repro.telemetry.registry import config_fingerprint
+        from repro.telemetry import config_fingerprint
 
         manifest = telemetry.build_manifest(seed=0,
                                             extra={"experiment": "eff"})
@@ -326,6 +324,136 @@ class TestManifest:
         assert (config_fingerprint(manifest)
                 == config_fingerprint(perturbed)), \
             "hardware must not change a run's configuration identity"
+
+
+#: A manifest whose fingerprint is pinned: the artifact store addresses
+#: cells by it, so a changed value would silently re-address every
+#: stored cell.
+BASE_MANIFEST = {
+    "schema": "repro.telemetry.manifest/v1",
+    "experiment": "efficiency",
+    "artifact": "table-3",
+    "config": {"datasets": ["cora"], "filters": ["ppr"], "epochs": 2},
+    "seed": 0,
+    "datasets": ["cora"],
+    "cache": True,
+    "git_sha": "abc123",
+    "platform": {"python": "3.11", "machine": "x86_64"},
+}
+
+
+def make_manifest(**overrides):
+    manifest = json.loads(json.dumps(BASE_MANIFEST))
+    manifest.update(overrides)
+    return manifest
+
+
+class TestFingerprint:
+    def test_deterministic(self):
+        assert telemetry.config_fingerprint(make_manifest()) \
+            == telemetry.config_fingerprint(make_manifest())
+        assert telemetry.config_fingerprint(BASE_MANIFEST) == "4410acd4dbf0"
+
+    def test_config_change_alters_it(self):
+        base = telemetry.config_fingerprint(make_manifest())
+        assert telemetry.config_fingerprint(make_manifest(seed=1)) != base
+        assert telemetry.config_fingerprint(
+            make_manifest(datasets=["pubmed"])) != base
+        changed = make_manifest()
+        changed["config"]["epochs"] = 50
+        assert telemetry.config_fingerprint(changed) != base
+
+    def test_code_identity_does_not(self):
+        """Same config on another commit/host keeps the fingerprint."""
+        base = telemetry.config_fingerprint(make_manifest())
+        assert telemetry.config_fingerprint(
+            make_manifest(git_sha="fff999")) == base
+        assert telemetry.config_fingerprint(
+            make_manifest(platform={"python": "3.12"})) == base
+        assert "git_sha" not in FINGERPRINT_KEYS
+
+
+def cli_manifest(argv):
+    """The manifest the bench CLI builds for ``argv``."""
+    from repro.bench.__main__ import build_parser, run_config
+
+    config = run_config(build_parser().parse_args(argv))
+    return telemetry.build_manifest(
+        seed=0, extra=config.manifest_extra(argv[0], "table-3", argv),
+        workers=config.pool.workers)
+
+
+class TestRunRecord:
+    """The ``measured`` block of a run record: what a run observed beyond
+    its manifest, and what stays outside its config fingerprint."""
+
+    def write_and_read(self, tmp_path, measured, manifest=None):
+        path = telemetry.write_run_record(tmp_path / "x.run.json",
+                                          manifest or make_manifest(),
+                                          measured)
+        return json.loads(path.read_text())
+
+    def test_measured_block_from_trace_events(self, tmp_path):
+        events = [
+            {"type": "span", "name": "train", "id": 1, "parent": None,
+             "duration_s": 2.0, "alloc_bytes": 100},
+            {"type": "metrics",
+             "metrics": {"counters": {"ops.spmm.calls": 3}}},
+        ]
+        metrics = telemetry.final_metrics(events)
+        record = self.write_and_read(tmp_path, {
+            "stages": telemetry.aggregate_spans(events), "metrics": metrics,
+            "memory": telemetry.memory_block(events, metrics)})
+        measured = record["measured"]
+        assert measured["stages"]["train"]["seconds"] == 2.0
+        assert measured["metrics"]["counters"]["ops.spmm.calls"] == 3
+        assert measured["memory"] == {}  # no ledger ran
+
+    def test_reloaded_manifest_keeps_its_fingerprint(self, tmp_path):
+        manifest = telemetry.build_manifest(
+            config=TrainConfig(epochs=2, seed=0), seed=0,
+            extra={"experiment": "efficiency"})
+        fingerprint = telemetry.config_fingerprint(manifest)
+        record = self.write_and_read(
+            tmp_path, {"config_fingerprint": fingerprint,
+                       "stages": {"train": {"seconds": 2.5}}}, manifest)
+        assert telemetry.config_fingerprint(record["manifest"]) \
+            == record["measured"]["config_fingerprint"] == fingerprint
+        assert record["manifest"]["git_sha"] == manifest["git_sha"]
+        assert record["measured"]["stages"]["train"]["seconds"] == 2.5
+
+    def test_workers_and_pool_round_trip(self, tmp_path):
+        record = self.write_and_read(tmp_path, {
+            "workers": 4, "pool": {"workers": 4, "cell_timeout": 600.0,
+                                   "max_retries": 1, "shared_terms": True}})
+        assert record["schema"] == telemetry.RUN_SCHEMA
+        assert record["measured"]["workers"] == 4
+        assert record["measured"]["pool"]["cell_timeout"] == 600.0
+
+    def test_workers_outside_config_fingerprint(self):
+        """Execution strategy must not change a run's config fingerprint."""
+        serial = cli_manifest(["efficiency"])
+        pooled = cli_manifest(["efficiency", "--workers", "8"])
+        assert (serial["workers"], pooled["workers"]) == (1, 8)
+        assert telemetry.config_fingerprint(serial) \
+            == telemetry.config_fingerprint(pooled)
+
+    def test_artifacts_block_round_trips(self, tmp_path):
+        artifacts = {"mode": "resume", "dir": "store", "cells": 4,
+                     "hit": 3, "miss": 1, "stored": 1, "torn": 0}
+        record = self.write_and_read(tmp_path, {"workers": 2,
+                                                "artifacts": artifacts})
+        assert record["schema"] == telemetry.RUN_SCHEMA
+        assert record["measured"]["artifacts"] == artifacts
+
+    def test_artifacts_outside_config_fingerprint(self):
+        fresh, resumed = (
+            cli_manifest(["efficiency", mode, "--artifact-dir", "store"])
+            for mode in ("--fresh", "--resume"))
+        assert fresh["argv"] != resumed["argv"]
+        assert telemetry.config_fingerprint(fresh) \
+            == telemetry.config_fingerprint(resumed), \
+            "serving cells from the store must not change what was measured"
 
 
 class TestReport:
@@ -438,7 +566,9 @@ class TestCli:
         names = {e["name"] for e in events if e["type"] == "span"}
         assert {"experiment", "precompute", "train", "epoch",
                 "forward", "backward"} <= names
-        manifest = json.loads(telemetry.manifest_path_for(trace).read_text())
+        record = json.loads(telemetry.record_path_for(trace).read_text())
+        manifest = record["manifest"]
+        assert record["measured"]["trace_path"] == str(trace)
         assert manifest["experiment"] == "efficiency"
         assert manifest["config"]["epochs"] == 2
 

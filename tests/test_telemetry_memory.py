@@ -13,9 +13,8 @@ Four layers under test, mirroring the observatory's data path:
 3. **Span attribution** (:mod:`repro.telemetry.spans` / ``report``): the
    exclusive per-span ledger bytes telescope back to the root spans'
    inclusive totals — hypothesis-checked over random span/alloc scripts.
-4. **Exports**: the trace report's memory section, registry schema v5
-   ``memory`` blocks (with v4 backward compatibility) and their registry
-   diff rows, and the CLI wiring.
+4. **Exports**: the trace report's memory section, the run record's
+   ``memory`` block, and the CLI wiring.
 """
 
 from __future__ import annotations
@@ -386,7 +385,7 @@ class TestLedgerShardFolding:
 
 
 # ---------------------------------------------------------------------------
-# 4a. memory_block: the registry's memory column
+# 4a. memory_block: the run record's memory block
 # ---------------------------------------------------------------------------
 
 class TestMemoryBlock:
@@ -430,41 +429,31 @@ class TestMemoryBlock:
         # Spill/mmap bytes sit next to the peak, never inside it.
         assert block["peak_bytes"] == 2 ** 20
 
-    def test_registry_record_carries_memory_block(self, tmp_path):
+    def _recorded_block(self, path):
+        """A traced run's memory block, written to and read back from a
+        run record at ``path``."""
         telemetry.configure()
         with telemetry.span("stage"):
             _tensor(16)
         events = telemetry.shutdown()
-        record = telemetry.record_run(
-            telemetry.build_manifest(extra={"experiment": "mem"}),
-            events=events, registry_dir=tmp_path)
-        assert record.schema.endswith("/v6")
-        assert record.memory["peak_bytes"] >= 16 * 1024
-        loaded = telemetry.RunRegistry(tmp_path).load()[0]
-        assert loaded.memory["peak_bytes"] == record.memory["peak_bytes"]
-        assert "coverage" in loaded.memory
+        manifest = telemetry.build_manifest(extra={"experiment": "mem"})
+        block = memory_block(events, telemetry.final_metrics(events))
+        telemetry.write_run_record(path, manifest, {"memory": block})
+        return manifest, block, json.loads(path.read_text())
 
-    def test_v4_line_loads_with_empty_memory(self, tmp_path):
-        """A registry written before the observatory still loads."""
-        from repro.telemetry.registry import REGISTRY_FILENAME
-
-        registry = telemetry.RunRegistry(tmp_path)
-        record = telemetry.build_record(
-            telemetry.build_manifest(extra={"experiment": "mem"}))
-        v4 = record.to_dict()
-        v4["schema"] = "repro.telemetry.registry/v4"
-        del v4["memory"]
-        with (tmp_path / REGISTRY_FILENAME).open("a") as handle:
-            handle.write(json.dumps(v4) + "\n")
-        (loaded,) = registry.load()
-        assert registry.corrupt_lines == 0
-        assert loaded.memory == {}
+    def test_run_record_carries_memory_block(self, tmp_path):
+        _, block, record = self._recorded_block(tmp_path / "r.run.json")
+        assert record["schema"] == telemetry.RUN_SCHEMA
+        assert block["peak_bytes"] >= 16 * 1024
+        assert record["measured"]["memory"]["peak_bytes"] \
+            == block["peak_bytes"]
+        assert "coverage" in record["measured"]["memory"]
 
     def test_memory_outside_config_fingerprint(self, tmp_path):
-        manifest = telemetry.build_manifest(extra={"experiment": "mem"})
-        lean = telemetry.build_record(manifest)
-        fat = telemetry.build_record(manifest, memory={"peak_bytes": 123})
-        assert lean.config_fingerprint == fat.config_fingerprint
+        manifest, _, record = self._recorded_block(tmp_path / "r.run.json")
+        assert "memory" not in record["manifest"]
+        assert telemetry.config_fingerprint(record["manifest"]) \
+            == telemetry.config_fingerprint(manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +521,7 @@ class TestMemoryCli:
         trace = tmp_path / "run.jsonl"
         code = main(["efficiency", "--datasets", "cora", "--filters", "ppr",
                      "--schemes", "mini_batch", "--epochs", "2",
-                     "--trace", str(trace),
-                     "--registry-dir", str(tmp_path / "registry")])
+                     "--trace", str(trace)])
         assert code == 0
         out = capsys.readouterr().out
         assert "allocation ledger" in out
@@ -543,6 +531,7 @@ class TestMemoryCli:
         summary = memory_event["memory"]
         assert summary["schema"] == MEMORY_SCHEMA
         assert summary["peak_bytes"] > 0
-        record = telemetry.RunRegistry(tmp_path / "registry").load()[-1]
-        assert record.memory["peak_bytes"] == summary["peak_bytes"]
-        assert record.memory["coverage"]["ledger_vs_rss"] is not None
+        record = json.loads(
+            telemetry.record_path_for(trace).read_text())["measured"]
+        assert record["memory"]["peak_bytes"] == summary["peak_bytes"]
+        assert record["memory"]["coverage"]["ledger_vs_rss"] is not None
